@@ -1,0 +1,10 @@
+"""Make the simulator and the benchmark package importable for
+``pytest bench/tests`` run from the repository root."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
