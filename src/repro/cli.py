@@ -11,35 +11,19 @@ Commands:
   intervals, the analytic makespan, a Monte-Carlo check, and (with
   ``--session``) an end-to-end cross-validation that drives the real
   checkpoint pipeline with injected checkpoint/restore-stage faults;
-- ``ckpt-bench`` — full vs incremental vs forked checkpoint stall
-  comparison over Rodinia workloads, emitting ``BENCH_delta_ckpt.json``;
-- ``perf-bench`` — wall-clock benchmark of the dirty-tracking/sanitizer
-  hot paths (legacy vs vectorized, plus end-to-end capture/sanitize
-  timings) with a calibration-normalized regression gate against the
-  committed baseline; emits ``BENCH_perf.json``;
-- ``fault-campaign`` — GPU runtime fault campaign: sweep fault class ×
-  MTBF over guarded application runs, report per-rung recovery counts,
-  lost virtual work, and bit-correctness, plus the
-  rank-death-during-2PC scenario; emits ``BENCH_fault_campaign.json``;
-- ``migrate`` — cluster migration bench: live (pre-copy) vs naive
-  (stop-ship-restore) blackout across heterogeneous nodes, elastic
-  N → M restore, scripted link faults, and rung-4 node failover;
-  emits ``BENCH_migration.json``;
-- ``serve-bench`` — multi-tenant serving-tier chaos campaign: hundreds
-  of concurrent sessions through admission control, checkpoint-backed
-  eviction, and the recovery ladder across fault cells (ECC, kernel
-  hangs, node death, eviction storms); gates on zero lost sessions,
-  digest equality, and p99 resume latency vs the committed baseline;
-  emits ``BENCH_serve.json``;
-- ``sanitize`` — compute-sanitizer-style hazard analysis: run one
+- ``bench SUITE`` — one bench suite (``ckpt``, ``perf``, ``faults``,
+  ``migrate``, ``serve``, ``sanitize``, ``trace``) at its fixed config,
+  gated against ``benchmarks/BASELINE.json``; prints its checks and
+  metrics and exits 1 if any check fails (see
+  :mod:`repro.harness.suites`);
+- ``sanitize APP`` — compute-sanitizer-style hazard analysis: run one
   workload under the dynamic checkers (racecheck/synccheck/memcheck/
-  initcheck), run the checkpoint-determinism lint, or run the full CI
-  gate (planted-hazard detection + clean-app sweep + lint + overhead
-  bound), emitting ``BENCH_sanitizer.json``;
-- ``trace`` — run one workload with the unified tracer + profiler
+  initcheck);
+- ``analyze`` — whole-program static analysis and the determinism lint;
+- ``trace APP`` — run one workload with the unified tracer + profiler
   attached, write a Chrome/Perfetto ``trace_event`` JSON (load it at
-  https://ui.perfetto.dev), and emit ``BENCH_trace.json`` with the
-  overhead ratio, digest equality, and busy-ns/eq. 2 cross-checks;
+  https://ui.perfetto.dev), and print the overhead, digest and
+  busy-ns/eq. 2 checks;
 - ``info``      — package version plus the calibrated cost model.
 """
 
@@ -58,6 +42,7 @@ from repro.apps import (
     UnifiedMemoryStreams,
 )
 from repro.apps.rodinia import RODINIA_SUITE
+from repro.harness.suites import SUITES
 
 APP_REGISTRY = {cls.name.lower(): cls for cls in RODINIA_SUITE}
 APP_REGISTRY.update(
@@ -145,184 +130,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "probability (session mode)")
     fs.add_argument("--seed", type=int, default=0)
 
-    cb = sub.add_parser(
-        "ckpt-bench",
-        help="full vs incremental vs forked checkpoint stall comparison",
+    be = sub.add_parser(
+        "bench",
+        help="run one bench suite at its fixed config and gate it "
+        "against benchmarks/BASELINE.json",
     )
-    cb.add_argument("--apps", nargs="+", default=["gaussian", "kmeans"],
-                    choices=sorted(APP_REGISTRY),
-                    help="workloads to sweep (large-image Rodinia apps "
-                    "show the effect best)")
-    cb.add_argument("--scale", type=float, default=1.0)
-    cb.add_argument("--cuts", type=int, default=4,
-                    help="number of evenly spaced checkpoint cuts")
-    cb.add_argument("--gpu", default="V100", choices=["V100", "K600"])
-    cb.add_argument("--out", default="BENCH_delta_ckpt.json",
-                    metavar="PATH", help="write the JSON report here "
-                    "('-' to skip)")
-    cb.add_argument("--smoke", action="store_true",
-                    help="CI smoke mode: cap the scale so the sweep "
-                    "finishes in seconds")
-    cb.add_argument("--seed", type=int, default=0)
-
-    pb = sub.add_parser(
-        "perf-bench",
-        help="hot-path wall-clock benchmark + perf-regression gate",
-    )
-    pb.add_argument("--apps", nargs="+", default=["gaussian", "kmeans"],
-                    choices=sorted(APP_REGISTRY),
-                    help="workloads for the end-to-end sections (the "
-                    "largest Rodinia apps by default)")
-    pb.add_argument("--scale", type=float, default=1.0)
-    pb.add_argument("--repeats", type=int, default=20,
-                    help="repetitions per wall metric (aggregated; "
-                    "higher = more stable)")
-    pb.add_argument("--cuts", type=int, default=4,
-                    help="number of evenly spaced checkpoint cuts")
-    pb.add_argument("--gpu", default="V100", choices=["V100", "K600"])
-    pb.add_argument("--baseline", default=None, metavar="PATH",
-                    help="baseline JSON to gate against (default: "
-                    "benchmarks/BENCH_perf_baseline.json; '-' to skip "
-                    "the gate)")
-    pb.add_argument("--update-baseline", action="store_true",
-                    help="write this run's metrics to the baseline path "
-                    "instead of gating against it")
-    pb.add_argument("--out", default="BENCH_perf.json",
-                    metavar="PATH", help="write the JSON report here "
-                    "('-' to skip)")
-    pb.add_argument("--smoke", action="store_true",
-                    help="CI smoke mode: fewer repeats and smaller "
-                    "micro traces so the bench finishes in seconds")
-    pb.add_argument("--seed", type=int, default=0)
-
-    fc = sub.add_parser(
-        "fault-campaign",
-        help="GPU runtime fault campaign: fault class × MTBF sweep "
-        "through the recovery ladder",
-    )
-    fc.add_argument("--apps", nargs="+", default=["gaussian", "kmeans"],
-                    choices=sorted(APP_REGISTRY),
-                    help="workloads to sweep")
-    fc.add_argument("--scale", type=float, default=0.05,
-                    help="app scale (faults need fully-real iterations, "
-                    "so keep it small)")
-    fc.add_argument("--gpu", default="V100", choices=["V100", "K600"])
-    fc.add_argument("--classes", nargs="+", default=None,
-                    choices=["ecc", "kernel-hang", "copy-stall",
-                             "xfer-corrupt", "uvm-storm"],
-                    help="fault classes to sweep (default: all)")
-    fc.add_argument("--mtbf", nargs="+", type=float, default=None,
-                    metavar="S",
-                    help="absolute MTBF values in virtual seconds "
-                    "(default: --mtbf-factors of each app's baseline "
-                    "runtime)")
-    fc.add_argument("--mtbf-factors", nargs="+", type=float,
-                    default=[0.5, 0.2], metavar="F",
-                    help="per-app MTBF as a fraction of its fault-free "
-                    "runtime")
-    fc.add_argument("--ranks", type=int, default=3,
-                    help="ranks in the rank-death-during-2PC scenario")
-    fc.add_argument("--out", default="BENCH_fault_campaign.json",
-                    metavar="PATH", help="write the JSON report here "
-                    "('-' to skip)")
-    fc.add_argument("--smoke", action="store_true",
-                    help="CI smoke mode: cap the scale and sweep one "
-                    "fault class per ladder rung")
-    fc.add_argument("--seed", type=int, default=0)
-
-    mg = sub.add_parser(
-        "migrate",
-        help="cluster migration bench: live vs naive blackout, elastic "
-        "N-to-M restore, link faults, rung-4 node failover",
-    )
-    mg.add_argument("--apps", nargs="+", default=["gaussian", "kmeans"],
-                    choices=sorted(APP_REGISTRY),
-                    help="workloads to migrate mid-run")
-    mg.add_argument("--scale", type=float, default=0.05,
-                    help="problem-size scale in (0, 1]")
-    mg.add_argument("--gpu-src", default="V100", choices=["V100", "K600"],
-                    help="GPU model the jobs start on")
-    mg.add_argument("--gpu-dst", default="K600", choices=["V100", "K600"],
-                    help="GPU model the jobs migrate onto (a different "
-                    "model exercises heterogeneous restore)")
-    mg.add_argument("--ranks", type=int, default=3,
-                    help="ranks in the elastic-restore source world")
-    mg.add_argument("--elastic-to", nargs="+", type=int, default=[2, 5],
-                    metavar="M",
-                    help="rank counts to elastically restore onto")
-    mg.add_argument("--out", default="BENCH_migration.json",
-                    metavar="PATH", help="write the JSON report here "
-                    "('-' to skip)")
-    mg.add_argument("--smoke", action="store_true",
-                    help="CI smoke mode: cap the scale and shrink the "
-                    "elastic region")
-    mg.add_argument("--seed", type=int, default=0)
-
-    sv = sub.add_parser(
-        "serve-bench",
-        help="multi-tenant serving-tier chaos campaign: admission, "
-        "eviction, recovery ladder, node death",
-    )
-    sv.add_argument("--sessions", type=int, default=200,
-                    help="concurrent sessions per cell")
-    sv.add_argument("--nodes", type=int, default=4,
-                    help="serving nodes in the pool")
-    sv.add_argument("--slots", type=int, default=12,
-                    help="GPU slots (hot sessions) per node")
-    sv.add_argument("--waves", type=int, default=2,
-                    help="request waves over the whole population")
-    sv.add_argument("--state-elems", type=int, default=64,
-                    help="float32 elements of per-session state")
-    sv.add_argument("--baseline", default=None, metavar="PATH",
-                    help="baseline JSON to gate against (default: "
-                    "benchmarks/BENCH_serve_baseline.json; '-' to skip "
-                    "the gate)")
-    sv.add_argument("--update-baseline", action="store_true",
-                    help="write this run's metrics to the baseline path "
-                    "instead of gating against it")
-    sv.add_argument("--out", default="BENCH_serve.json",
-                    metavar="PATH", help="write the JSON report here "
-                    "('-' to skip)")
-    sv.add_argument("--smoke", action="store_true",
-                    help="CI smoke mode: cap sessions and waves so the "
-                    "campaign finishes in seconds")
-    sv.add_argument("--seed", type=int, default=0)
-
-    sp = sub.add_parser(
-        "spec-bench",
-        help="speculative-checkpoint bench: near-zero stall vs forked "
-        "mode at equal image fidelity + regression gate",
-    )
-    sp.add_argument("--apps", nargs="+", default=["gaussian", "kmeans"],
-                    choices=sorted(APP_REGISTRY),
-                    help="workloads to compare (large-image Rodinia apps "
-                    "show the stall gap best)")
-    sp.add_argument("--scale", type=float, default=0.5)
-    sp.add_argument("--cuts", type=int, default=3,
-                    help="number of evenly spaced checkpoint cuts")
-    sp.add_argument("--gpu", default="V100", choices=["V100", "K600"])
-    sp.add_argument("--baseline", default=None, metavar="PATH",
-                    help="baseline JSON to gate against (default: "
-                    "benchmarks/BENCH_spec_baseline.json; '-' to skip "
-                    "the gate)")
-    sp.add_argument("--update-baseline", action="store_true",
-                    help="write this run's stall ratios to the baseline "
-                    "path instead of gating against it")
-    sp.add_argument("--out", default="BENCH_spec.json",
-                    metavar="PATH", help="write the JSON report here "
-                    "('-' to skip)")
-    sp.add_argument("--smoke", action="store_true",
-                    help="CI smoke mode: cap the scale and cuts so the "
-                    "comparison finishes in seconds")
-    sp.add_argument("--seed", type=int, default=0)
+    be.add_argument("suite", choices=list(SUITES))
+    be.add_argument("--out", default="-", metavar="PATH",
+                    help="write the JSON report here (and any trace "
+                    "file next to it)")
+    be.add_argument("--update-baseline", action="store_true",
+                    help="record this run's config and gated metrics as "
+                    "the suite's baseline entry instead of gating")
 
     sz = sub.add_parser(
         "sanitize",
-        help="hazard analysis: dynamic checkers over one workload, the "
-        "determinism lint, or the full CI gate",
+        help="hazard analysis: dynamic checkers over one workload",
     )
-    sz.add_argument("app", nargs="?", choices=sorted(APP_REGISTRY),
-                    help="workload to check (omit with --lint/--gate)")
+    sz.add_argument("app", choices=sorted(APP_REGISTRY))
     sz.add_argument("--mode", default="crac",
                     choices=["native", "crac", "crum", "proxy-cma",
                              "crcuda"])
@@ -332,17 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="FRACTION",
                     help="take a CRAC checkpoint at this progress "
                     "(exercises synccheck)")
-    sz.add_argument("--lint", action="store_true",
-                    help="run only the static determinism lint over "
-                    "src/repro")
-    sz.add_argument("--gate", action="store_true",
-                    help="run the full CI gate (planted detection + "
-                    "clean apps + lint + overhead)")
-    sz.add_argument("--out", default="BENCH_sanitizer.json",
-                    metavar="PATH", help="write the gate JSON report "
-                    "here ('-' to skip)")
-    sz.add_argument("--smoke", action="store_true",
-                    help="CI smoke mode: cap the clean-sweep scale")
     sz.add_argument("--seed", type=int, default=0)
 
     an = sub.add_parser(
@@ -373,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser(
         "trace",
         help="run one workload under the unified tracer and export a "
-        "Chrome/Perfetto trace + BENCH_trace.json",
+        "Chrome/Perfetto trace",
     )
     tr.add_argument("app", choices=sorted(APP_REGISTRY))
     tr.add_argument("--mode", default="crac",
@@ -388,11 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--trace-out", default=None, metavar="PATH",
                     help="Chrome trace output path (default "
                     "trace_<app>.json, '-' to skip)")
-    tr.add_argument("--out", default="BENCH_trace.json",
-                    metavar="PATH", help="write the JSON report here "
-                    "('-' to skip)")
-    tr.add_argument("--smoke", action="store_true",
-                    help="CI smoke mode: cap the scale")
     tr.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -550,256 +359,25 @@ def cmd_fault_sim(args, out) -> int:
     return 0
 
 
-def cmd_ckpt_bench(args, out) -> int:
-    """``repro ckpt-bench``: checkpoint-mode stall sweep + JSON report."""
-    import json
+def cmd_bench(args, out) -> int:
+    """``repro bench SUITE``: run, gate, render, write the report."""
+    from repro.harness import suites
 
-    from repro.harness.ckpt_bench import format_report, run_ckpt_bench
-
-    scale = min(args.scale, 0.25) if args.smoke else args.scale
-    report = run_ckpt_bench(
-        [APP_REGISTRY[name] for name in args.apps],
-        scale=scale,
-        n_cuts=args.cuts,
-        seed=args.seed,
-        gpu=args.gpu,
+    report = suites.run_suite(
+        args.suite, update_baseline=args.update_baseline
     )
-    print(format_report(report), file=out)
+    print(suites.render(report), file=out)
     if args.out != "-":
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.out}", file=out)
-    return 0
-
-
-def cmd_perf_bench(args, out) -> int:
-    """``repro perf-bench``: hot-path wall bench + regression gate."""
-    import json
-    import os
-
-    from repro.harness.perf_bench import (
-        DEFAULT_BASELINE,
-        baseline_payload,
-        format_report,
-        run_perf_bench,
-    )
-
-    baseline_path = args.baseline or DEFAULT_BASELINE
-    baseline = None
-    if not args.update_baseline and args.baseline != "-":
-        if os.path.exists(baseline_path):
-            with open(baseline_path) as fh:
-                baseline = json.load(fh)
-        else:
-            print(f"note: no baseline at {baseline_path}; "
-                  "gate records this run only", file=out)
-    repeats = min(args.repeats, 10) if args.smoke else args.repeats
-    report = run_perf_bench(
-        [APP_REGISTRY[name] for name in args.apps],
-        scale=args.scale,
-        repeats=repeats,
-        n_cuts=args.cuts,
-        seed=args.seed,
-        gpu=args.gpu,
-        smoke=args.smoke,
-        baseline=baseline,
-    )
-    print(format_report(report), file=out)
-    if args.out != "-":
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.out}", file=out)
+        for path in suites.write_report(report, args.out):
+            print(f"wrote {path}", file=out)
     if args.update_baseline:
-        with open(baseline_path, "w") as fh:
-            json.dump(baseline_payload(report), fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
-        print(f"wrote baseline {baseline_path}", file=out)
-    return 0 if report["ok"] else 1
-
-
-def cmd_fault_campaign(args, out) -> int:
-    """``repro fault-campaign``: runtime fault sweep + JSON report."""
-    import json
-
-    from repro.harness.fault_tolerance import (
-        format_fault_campaign,
-        run_fault_campaign,
-    )
-
-    scale = min(args.scale, 0.05) if args.smoke else args.scale
-    classes = args.classes
-    if args.smoke and classes is None:
-        # One class per ladder rung keeps the smoke run small while
-        # still proving retry, stream-reset, and restore all fire.
-        classes = ["xfer-corrupt", "kernel-hang", "ecc"]
-    report = run_fault_campaign(
-        [APP_REGISTRY[name] for name in args.apps],
-        scale=scale,
-        seed=args.seed,
-        gpu=args.gpu,
-        fault_classes=classes,
-        mtbf_s=args.mtbf,
-        mtbf_factors=tuple(args.mtbf_factors),
-        rank_death_ranks=args.ranks,
-    )
-    print(format_fault_campaign(report), file=out)
-    if args.out != "-":
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.out}", file=out)
-    return 0
-
-
-def cmd_migrate(args, out) -> int:
-    """``repro migrate``: cluster migration bench + JSON report."""
-    import json
-
-    from repro.harness.migrate_bench import (
-        format_migration_bench,
-        run_migration_bench,
-    )
-
-    scale = min(args.scale, 0.05) if args.smoke else args.scale
-    report = run_migration_bench(
-        [APP_REGISTRY[name] for name in args.apps],
-        scale=scale,
-        seed=args.seed,
-        gpu_src=args.gpu_src,
-        gpu_dst=args.gpu_dst,
-        ranks=args.ranks,
-        elastic_to=tuple(args.elastic_to),
-        smoke=args.smoke,
-    )
-    print(format_migration_bench(report), file=out)
-    if args.out != "-":
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.out}", file=out)
-    return 0
-
-
-def cmd_serve_bench(args, out) -> int:
-    """``repro serve-bench``: serving-tier chaos campaign + gate."""
-    import json
-    import os
-
-    from repro.harness.serve_bench import (
-        DEFAULT_BASELINE,
-        baseline_payload,
-        format_serve_bench,
-        run_serve_bench,
-    )
-
-    baseline_path = args.baseline or DEFAULT_BASELINE
-    gate_path: str | None = baseline_path
-    if args.update_baseline or args.baseline == "-":
-        gate_path = None
-    elif not os.path.exists(baseline_path):
-        print(f"note: no baseline at {baseline_path}; "
-              "gate records this run only", file=out)
-    report = run_serve_bench(
-        sessions=args.sessions,
-        nodes=args.nodes,
-        slots=args.slots,
-        waves=args.waves,
-        seed=args.seed,
-        state_elems=args.state_elems,
-        smoke=args.smoke,
-        baseline=gate_path,
-    )
-    print(format_serve_bench(report), file=out)
-    if args.out != "-":
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.out}", file=out)
-    if args.update_baseline:
-        with open(baseline_path, "w") as fh:
-            json.dump(baseline_payload(report), fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
-        print(f"wrote baseline {baseline_path}", file=out)
-    return 0 if report["ok"] else 1
-
-
-def cmd_spec_bench(args, out) -> int:
-    """``repro spec-bench``: speculative vs forked stall + fidelity."""
-    import json
-    import os
-
-    from repro.harness.spec_bench import (
-        DEFAULT_BASELINE,
-        baseline_payload,
-        format_report,
-        run_spec_bench,
-    )
-
-    baseline_path = args.baseline or DEFAULT_BASELINE
-    baseline = None
-    if not args.update_baseline and args.baseline != "-":
-        if os.path.exists(baseline_path):
-            with open(baseline_path) as fh:
-                baseline = json.load(fh)
-        else:
-            print(f"note: no baseline at {baseline_path}; "
-                  "gate records this run only", file=out)
-    report = run_spec_bench(
-        [APP_REGISTRY[name] for name in args.apps],
-        scale=args.scale,
-        n_cuts=args.cuts,
-        seed=args.seed,
-        gpu=args.gpu,
-        smoke=args.smoke,
-        baseline=baseline,
-    )
-    print(format_report(report), file=out)
-    if args.out != "-":
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.out}", file=out)
-    if args.update_baseline:
-        with open(baseline_path, "w") as fh:
-            json.dump(baseline_payload(report), fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
-        print(f"wrote baseline {baseline_path}", file=out)
+        print(f"recorded the '{args.suite}' entry in "
+              f"{suites.BASELINE_PATH}", file=out)
     return 0 if report["ok"] else 1
 
 
 def cmd_sanitize(args, out) -> int:
-    """``repro sanitize``: hazard analysis / lint / CI gate."""
-    import json
-
-    if args.gate:
-        from repro.sanitizer.gate import format_gate, run_gate
-
-        scale = min(args.scale, 0.05) if args.smoke else args.scale
-        report = run_gate(scale=scale, gpu=args.gpu, seed=args.seed)
-        print(format_gate(report), file=out)
-        if args.out != "-":
-            with open(args.out, "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"\nwrote {args.out}", file=out)
-        return 0 if report["ok"] else 1
-
-    if args.lint:
-        from repro.sanitizer.lint import format_findings, lint_package
-
-        findings = lint_package()
-        print(format_findings(findings), file=out)
-        return 0 if not findings else 1
-
-    if args.app is None:
-        print("sanitize: give an APP, or use --lint / --gate", file=out)
-        return 2
-
+    """``repro sanitize APP``: hazard analysis of one workload."""
     from repro.harness import Machine, run_app
     from repro.sanitizer.core import Sanitizer
 
@@ -925,34 +503,27 @@ def cmd_analyze(args, out) -> int:
 
 
 def cmd_trace(args, out) -> int:
-    """``repro trace APP``: traced run + Chrome trace + JSON report."""
-    import json
-
-    from repro.harness.trace_bench import format_trace_bench, run_trace_bench
+    """``repro trace APP``: traced run + checks + Chrome trace."""
+    from repro.harness.suites import render
+    from repro.harness.trace_bench import run_trace_bench
     from repro.trace import write_chrome_trace
 
-    scale = min(args.scale, 0.05) if args.smoke else args.scale
-    report, tracer, _profiler = run_trace_bench(
+    result, tracer, _profiler = run_trace_bench(
         APP_REGISTRY[args.app],
-        scale=scale,
+        scale=args.scale,
         gpu=args.gpu,
         seed=args.seed,
         mode=args.mode,
         checkpoint_at=args.checkpoint_at,
     )
-    print(format_trace_bench(report), file=out)
-    trace_out = args.trace_out
-    if trace_out is None:
-        trace_out = f"trace_{args.app}.json"
+    report = {**result, "suite": f"trace {args.app}"}
+    report["ok"] = all(c["ok"] for c in report["checks"])
+    print(render(report), file=out)
+    trace_out = args.trace_out or f"trace_{args.app}.json"
     if trace_out != "-":
-        write_chrome_trace(tracer, trace_out, label=report["app"])
-        print(f"\nwrote {trace_out} (load at https://ui.perfetto.dev)",
+        write_chrome_trace(tracer, trace_out, label=result["app"])
+        print(f"wrote {trace_out} (load at https://ui.perfetto.dev)",
               file=out)
-    if args.out != "-":
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}", file=out)
     return 0 if report["ok"] else 1
 
 
@@ -1012,18 +583,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return cmd_calibrate(args, out)
     if args.command == "fault-sim":
         return cmd_fault_sim(args, out)
-    if args.command == "ckpt-bench":
-        return cmd_ckpt_bench(args, out)
-    if args.command == "perf-bench":
-        return cmd_perf_bench(args, out)
-    if args.command == "fault-campaign":
-        return cmd_fault_campaign(args, out)
-    if args.command == "migrate":
-        return cmd_migrate(args, out)
-    if args.command == "spec-bench":
-        return cmd_spec_bench(args, out)
-    if args.command == "serve-bench":
-        return cmd_serve_bench(args, out)
+    if args.command == "bench":
+        return cmd_bench(args, out)
     if args.command == "sanitize":
         return cmd_sanitize(args, out)
     if args.command == "analyze":

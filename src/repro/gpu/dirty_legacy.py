@@ -10,7 +10,7 @@ replaced them. It exists for two reasons:
   sequences against both implementations and asserts observational
   equality, which is what lets the vectorized index claim *exact*
   epoch-bounded-commit semantics rather than "probably the same";
-- ``repro perf-bench`` measures the micro speedup of the new index
+- ``repro bench perf`` measures the micro speedup of the new index
   against this one on synthetic write traces, backing the ROADMAP's
   ≥5x target with an apples-to-apples number.
 

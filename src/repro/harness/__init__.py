@@ -8,9 +8,10 @@
 - :mod:`~repro.harness.experiments` — one entry point per table/figure.
 - :mod:`~repro.harness.report`      — plain-text rendering of the
   tables/series the paper reports.
+- :mod:`~repro.harness.suites`      — ``repro bench SUITE``: the bench
+  suites and the one engine that gates them against the baseline.
 """
 
-from repro.harness.ckpt_bench import format_report, run_ckpt_bench
 from repro.harness.fault_injection import FaultInjector, FaultSpec, FiredFault
 from repro.harness.metrics import cps, overhead_pct
 from repro.harness.runner import CkptRecord, Machine, RunResult, run_app
@@ -20,8 +21,6 @@ __all__ = [
     "RunResult",
     "CkptRecord",
     "run_app",
-    "run_ckpt_bench",
-    "format_report",
     "overhead_pct",
     "cps",
     "FaultInjector",

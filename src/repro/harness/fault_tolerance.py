@@ -12,7 +12,10 @@ costs of the reproduction into completion-time predictions:
 - :class:`FaultSimulator` — a seeded Monte-Carlo of the same process
   (inject failures, lose work back to the last checkpoint, pay restart),
   used to cross-validate the analytic model and to compare "CRAC with
-  interval τ" against "no checkpointing, restart from scratch".
+  interval τ" against "no checkpointing, restart from scratch";
+- :func:`run_fault_campaign` — GPU runtime faults injected into real
+  application runs, recovered through the escalation ladder; it is the
+  ``faults`` bench suite (:data:`SUITE`).
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+
+from repro.harness.suites import Suite, app_classes, check
 
 
 def young_interval(checkpoint_cost_s: float, mtbf_s: float) -> float:
@@ -862,60 +867,74 @@ def run_fault_campaign(
     return report
 
 
-def format_fault_campaign(report: dict) -> str:
-    """Human-readable rendering of a :func:`run_fault_campaign` report."""
-    lines: list[str] = []
-    for name, data in report["apps"].items():
-        b = data["baseline"]
-        lines.append(
-            f"{name}: baseline {b['runtime_s']:.3f} s, "
-            f"digest {b['digest']:#010x}, {b['cuda_calls']:,} calls, "
-            f"{b['checkpoints']} ckpts"
-        )
-        for c in data["cells"]:
-            rungs = c["rung_counts"]
-            if c["aborted"]:
-                verdict = f"ABORTED ({c['aborted']})"
-            elif c["bit_correct"]:
-                verdict = "bit-correct"
-            else:
-                verdict = "DIGEST MISMATCH"
-            lines.append(
-                f"  {c['fault_class']:<13} mtbf {c['mtbf_s']:8.3f} s "
-                f"p={c['probability']:.3f}: {c['faults_fired']:>2} faults → "
-                f"retry {rungs['retry']}, reset {rungs['stream-reset']}, "
-                f"restore {rungs['restore']}, "
-                f"failover {rungs.get('failover', 0)} "
-                f"(watchdog {c['watchdog_trips']}); "
-                f"lost {c['lost_work_s']:.3f} s; {verdict}"
-            )
-        for s in data["skipped"]:
-            lines.append(f"  {s['fault_class']:<13} skipped: {s['reason']}")
-    rd = report["rank_death_2pc"]
-    lines.append(
-        f"rank-death 2PC: rank(s) {rd['dead_ranks']} of {rd['n_ranks']} "
-        f"died mid-commit → aborted cut, recovered generation "
-        f"{rd['recovered_generation']}; no half-commit: "
-        f"{rd['no_half_commit']}; prior state restored: "
-        f"{rd['prior_state_restored']}"
+def run_fault_suite(
+    *, apps: list[str], scale: float, seed: int, gpu: str,
+    classes: list[str], mtbf_factors: list[float], ranks: int,
+) -> dict:
+    """The campaign as a bench suite: every ladder rung fires, every
+    cell ends bit-correct or in a typed abort, the rank-death 2PC
+    neither half-commits nor loses the prior state, and every node
+    failover finishes bit-correct."""
+    report = run_fault_campaign(
+        app_classes(apps), scale=scale, seed=seed, gpu=gpu,
+        fault_classes=classes, mtbf_factors=tuple(mtbf_factors),
+        rank_death_ranks=ranks,
     )
-    for nf in report.get("node_failover", ()):
-        if "skipped" in nf:
-            lines.append(
-                f"node-failover {nf['app']}: skipped ({nf['skipped']})"
-            )
+    totals = report["totals"]
+    rungs = totals["rung_counts"]
+    rank_death = report["rank_death_2pc"]
+    checks = [
+        check(f"rung {rung} fires", n > 0, f"{n} recoveries")
+        for rung, n in rungs.items()
+    ]
+    checks.append(check(
+        "every cell bit-correct or a typed abort",
+        totals["bit_correct"] + totals["aborted"] == totals["cells"],
+        f"{totals['bit_correct']} bit-correct + {totals['aborted']} aborted "
+        f"of {totals['cells']} cells",
+    ))
+    checks.append(check(
+        "rank death in 2PC: no half-commit", rank_death["no_half_commit"],
+        f"rank(s) {rank_death['dead_ranks']} of {rank_death['n_ranks']} died "
+        f"mid-commit",
+    ))
+    checks.append(check(
+        "rank death in 2PC: prior state restored",
+        rank_death["prior_state_restored"],
+        f"recovered generation {rank_death['recovered_generation']}",
+    ))
+    metrics = {
+        key: totals[key]
+        for key in ("cells", "faults_fired", "bit_correct", "aborted")
+    }
+    metrics.update({f"rung.{rung}": n for rung, n in rungs.items()})
+    for cell in report["node_failover"]:
+        label = f"{cell['app']} {cell['gpu_src']}→{cell['gpu_dst']}"
+        if "skipped" in cell:
+            checks.append(check(f"failover {label}", False, cell["skipped"]))
             continue
-        verdict = "bit-correct" if nf["bit_correct"] else "DIGEST MISMATCH"
-        lines.append(
-            f"node-failover {nf['app']} {nf['gpu_src']}→{nf['gpu_dst']}: "
-            f"node(s) {nf['declared_dead']} declared dead, "
-            f"{nf['failovers']} failover(s), lost {nf['lost_work_s']:.3f} s, "
-            f"finished on {nf['finished_on']}; {verdict}"
+        checks.append(check(
+            f"failover {label} bit-correct", cell["bit_correct"],
+            f"{', '.join(cell['declared_dead'])} declared dead, "
+            f"finished on {cell['finished_on']}",
+        ))
+        metrics[f"failover.{cell['gpu_dst']}.lost_work_s"] = (
+            cell["lost_work_s"]
         )
-    t = report["totals"]
-    lines.append(
-        f"totals: {t['cells']} cells, {t['faults_fired']} faults, "
-        f"rungs {t['rung_counts']}, {t['bit_correct']} bit-correct, "
-        f"{t['aborted']} aborted"
-    )
-    return "\n".join(lines)
+    return {"metrics": metrics, "checks": checks, **report}
+
+
+SUITE = Suite(
+    run=run_fault_suite,
+    config={
+        "apps": ["Gaussian", "Kmeans"],
+        "scale": 0.05,
+        "seed": 0,
+        "gpu": "V100",
+        # One class per ladder rung proves retry, stream-reset and
+        # restore all fire; failover has its own cells.
+        "classes": ["xfer-corrupt", "kernel-hang", "ecc"],
+        "mtbf_factors": [0.5, 0.2],
+        "ranks": 3,
+    },
+)

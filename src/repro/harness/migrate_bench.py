@@ -1,8 +1,7 @@
-"""The ``repro migrate`` benchmark: the cluster fault domain end to end.
+"""The ``migrate`` bench suite: the cluster fault domain end to end.
 
-One run exercises every capability the cluster package claims, in
-virtual time, and emits a machine-readable report (BENCH_migration.json
-in CI):
+One run exercises the cluster package's migration claims in virtual
+time:
 
 - **live vs naive migration** per app: the same workload migrates
   ``gpu_src → gpu_dst`` once with :class:`~repro.cluster.migration.\
@@ -21,9 +20,8 @@ LiveMigration` (pre-copy converges the target in the background; only
 - **link faults**: a migration over an interconnect scripted to corrupt
   then drop the first two transfers must still converge (arrival CRCs +
   bounded retry), with the resends on the record.
-- **rung-4 failover**: the fault-campaign's node-failover scenario (a
-  node dies mid-run, the ladder restores the latest shipped generation
-  on a survivor) runs homogeneous and heterogeneous.
+
+Rung-4 node failover is gated by the ``faults`` suite.
 """
 
 from __future__ import annotations
@@ -31,6 +29,8 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
+
+from repro.harness.suites import Suite, app_classes, check
 
 
 def _run_app(app_cls, session, *, scale, seed, checkpoint_cb=None):
@@ -250,44 +250,24 @@ def _link_fault_cell(*, seed, gpu) -> dict:
 
 
 def run_migration_bench(
-    app_classes,
     *,
-    scale: float = 0.05,
-    seed: int = 0,
-    gpu_src: str = "V100",
-    gpu_dst: str = "K600",
-    ranks: int = 3,
-    elastic_to=(2, 5),
-    region_bytes: int = 1 << 20,
+    apps: list[str],
+    scale: float,
+    seed: int,
+    gpu_src: str,
+    gpu_dst: str,
+    ranks: int,
+    elastic_to: list[int],
+    region_bytes: int,
     checkpoint_fracs=(0.25, 0.5, 0.75),
-    smoke: bool = False,
 ) -> dict:
-    """Run the full migration benchmark; returns the report dict.
-
-    ``smoke`` shrinks the elastic region so the whole bench stays
-    CI-cheap; every correctness check still runs.
-    """
-    from repro.harness.fault_tolerance import run_node_failover_scenario
-
-    if smoke:
-        region_bytes = min(region_bytes, 64 << 10)
-    report: dict = {
-        "config": {
-            "apps": [cls.name for cls in app_classes],
-            "scale": scale,
-            "seed": seed,
-            "gpu_src": gpu_src,
-            "gpu_dst": gpu_dst,
-            "ranks": ranks,
-            "elastic_to": list(elastic_to),
-            "region_bytes": region_bytes,
-            "checkpoint_fracs": list(checkpoint_fracs),
-            "smoke": smoke,
-        },
-        "apps": {},
-    }
+    """Run the migration cells; returns the suite result."""
     fracs = sorted(checkpoint_fracs)
-    for cls in app_classes:
+    metrics: dict = {}
+    checks: list[dict] = []
+    rows: dict = {}
+    for cls in app_classes(apps):
+        name = cls.name
         baseline = _baseline_cell(cls, scale=scale, seed=seed, gpu=gpu_src)
         live = _live_cell(
             cls, scale=scale, seed=seed, gpu_src=gpu_src, gpu_dst=gpu_dst,
@@ -297,97 +277,57 @@ def run_migration_bench(
             cls, scale=scale, seed=seed, gpu_src=gpu_src, gpu_dst=gpu_dst,
             cut_frac=fracs[-1], baseline=baseline,
         )
-        report["apps"][cls.name] = {
-            "baseline": baseline,
-            "live": live,
-            "naive": naive,
-            "blackout_speedup": (
-                naive["blackout_s"] / live["blackout_s"]
-                if live["blackout_s"] > 0 else float("inf")
-            ),
-            "ok": (
-                live["bit_correct"]
-                and naive["bit_correct"]
-                and live["blackout_s"] < naive["blackout_s"]
-            ),
-        }
-    report["elastic"] = _elastic_cells(
+        rows[name] = {"baseline": baseline, "live": live, "naive": naive}
+        metrics[f"{name}.live_blackout_s"] = live["blackout_s"]
+        metrics[f"{name}.naive_blackout_s"] = naive["blackout_s"]
+        metrics[f"{name}.live_delta_mb"] = live["delta_mb"]
+        checks.append(check(
+            f"{name}: live blackout below naive",
+            live["blackout_s"] < naive["blackout_s"],
+            f"{live['blackout_s'] * 1e3:.1f} ms ({live['precopy_rounds']} "
+            f"pre-copy round(s)) vs {naive['blackout_s'] * 1e3:.1f} ms",
+        ))
+        checks.append(check(
+            f"{name}: live and naive bit-correct on {gpu_dst}",
+            live["bit_correct"] and naive["bit_correct"],
+            f"live {live['digest']:#010x}, naive {naive['digest']:#010x}, "
+            f"fault-free {baseline['digest']:#010x}",
+        ))
+    elastic = _elastic_cells(
         ranks=ranks, elastic_to=elastic_to, region_bytes=region_bytes,
         seed=seed, gpu=gpu_src,
     )
-    report["link_fault"] = _link_fault_cell(seed=seed, gpu=gpu_src)
-    targets = [gpu_src] + ([gpu_dst] if gpu_dst != gpu_src else [])
-    report["failover"] = [
-        run_node_failover_scenario(
-            app_classes[0], scale=scale, seed=seed,
-            gpu_src=gpu_src, gpu_dst=dst,
-        )
-        for dst in targets
-    ]
-    failover_ok = all(
-        cell.get("bit_correct", False)
-        for cell in report["failover"]
-        if "skipped" not in cell
-    )
-    report["ok"] = (
-        all(c["ok"] for c in report["apps"].values())
-        and report["elastic"]["ok"]
-        and report["link_fault"]["ok"]
-        and failover_ok
-    )
-    return report
+    for cell in elastic["cells"]:
+        checks.append(check(
+            f"elastic {ranks} → {cell['m']} ranks digest-equal", cell["ok"],
+            f"{cell['replayed_calls']} calls replayed",
+        ))
+    link = _link_fault_cell(seed=seed, gpu=gpu_src)
+    metrics["link_fault.retries"] = link["retries"]
+    checks.append(check(
+        "link-fault shipment converges digest-equal", link["ok"],
+        f"{link['transfers']} transfers {link['outcomes']}, "
+        f"{link['retries']} resend(s)",
+    ))
+    return {
+        "metrics": metrics,
+        "checks": checks,
+        "apps": rows,
+        "elastic": elastic,
+        "link_fault": link,
+    }
 
 
-def format_migration_bench(report: dict) -> str:
-    """Render the migration bench report for terminals."""
-    cfg = report["config"]
-    lines = [
-        f"migration bench: {cfg['gpu_src']} → {cfg['gpu_dst']}, "
-        f"scale {cfg['scale']}, seed {cfg['seed']}",
-        "",
-    ]
-    for name, cell in report["apps"].items():
-        live, naive = cell["live"], cell["naive"]
-        verdict = "bit-correct" if cell["ok"] else "FAILED"
-        lines.append(
-            f"  {name}: live blackout {live['blackout_s'] * 1e3:.1f} ms "
-            f"({live['precopy_rounds']} pre-copy rounds, "
-            f"{live['full_mb']:.2f} MB full + {live['delta_mb']:.2f} MB delta) "
-            f"vs naive {naive['blackout_s'] * 1e3:.1f} ms "
-            f"— {cell['blackout_speedup']:.2f}x shorter; {verdict}"
-        )
-    el = report["elastic"]
-    for cell in el["cells"]:
-        regions = ", ".join(
-            f"{n} {r['nbytes']} B" for n, r in sorted(cell["regions"].items())
-        )
-        verdict = "digest-equal" if cell["ok"] else "FAILED"
-        lines.append(
-            f"  elastic {el['ranks']} → {cell['m']} ranks: "
-            f"{cell['replayed_calls']} calls replayed; {regions}; {verdict}"
-        )
-    lf = report["link_fault"]
-    lines.append(
-        f"  link-fault ship: {lf['transfers']} transfers "
-        f"({', '.join(f'{v} {k}' for k, v in sorted(lf['outcomes'].items()))}), "
-        f"{lf['retries']} resend(s); "
-        f"{'digest-equal' if lf['ok'] else 'FAILED'}"
-    )
-    for cell in report["failover"]:
-        if "skipped" in cell:
-            lines.append(
-                f"  failover {cell['app']} → {cell['gpu_dst']}: "
-                f"skipped ({cell['skipped']})"
-            )
-            continue
-        verdict = "bit-correct" if cell["bit_correct"] else "FAILED"
-        lines.append(
-            f"  failover {cell['app']} {cell['gpu_src']} → {cell['gpu_dst']}: "
-            f"{', '.join(cell['declared_dead'])} declared dead, "
-            f"{cell['failovers']} failover(s), "
-            f"lost {cell['lost_work_s']:.3f} s, "
-            f"finished on {cell['finished_on']}; {verdict}"
-        )
-    lines.append("")
-    lines.append(f"overall: {'OK' if report['ok'] else 'FAILED'}")
-    return "\n".join(lines)
+SUITE = Suite(
+    run=run_migration_bench,
+    config={
+        "apps": ["Gaussian", "Kmeans"],
+        "scale": 0.05,
+        "seed": 0,
+        "gpu_src": "V100",
+        "gpu_dst": "K600",
+        "ranks": 3,
+        "elastic_to": [2, 5],
+        "region_bytes": 64 << 10,
+    },
+)

@@ -1,26 +1,26 @@
-"""``repro perf-bench``: hot-path wall-clock benchmark + regression gate.
+"""The ``perf`` bench suite: hot-path wall clock + regression gate.
 
-Everything else in this repo measures *virtual* time; this harness is
-the one place that deliberately measures **wall-clock** time — the
-Python interpreter cost of the simulation itself, which is what the
-dirty-tracking/sanitizer vectorization attacks. Four sections:
+Everything else in this repo measures *virtual* time; this suite is the
+one place that deliberately measures **wall-clock** time — the Python
+interpreter cost of the simulation itself, which is what the
+dirty-tracking/sanitizer vectorization attacks. Three sections:
 
 - ``capture`` — end-to-end wall time of checkpointed runs (full /
   incremental / forked modes, repeated for stability) on the largest
   Rodinia apps, with digest equality against an uncheckpointed run;
 - ``sanitize`` — wall time of the same apps under the full dynamic
-  checker set (must stay hazard-clean), plus the planted-hazard suite
-  (must stay at 100% detection with zero false positives);
+  checker set (must stay hazard-clean);
 - ``micro`` — the legacy pure-Python structures
   (:mod:`repro.gpu.dirty_legacy`) versus the vectorized ones
   (:mod:`repro.gpu.intervals`, :class:`~repro.sanitizer.core._AccessIndex`)
-  on identical synthetic op traces sized like the largest app's
-  write/access stream: asserts *equal outputs* and reports the speedup
-  (the ROADMAP's ≥5x target is judged here);
-- ``gate`` — wall metrics normalized by a fixed calibration workload
-  (so a slower CI machine doesn't fail the gate) and compared against
-  the committed ``benchmarks/BENCH_perf_baseline.json``; any normalized
-  ratio above :data:`REGRESSION_LIMIT` fails.
+  on identical synthetic op traces: asserts *equal outputs* and a
+  combined speedup of at least :data:`SPEEDUP_TARGET`.
+
+The capture and sanitize walls are gated in *calibration units* (wall
+seconds ÷ the wall seconds of a fixed calibration workload, so a
+uniformly slower machine cancels out), the micro section on its
+speedup; every gate allows :data:`REGRESSION_LIMIT` with
+:data:`RATIO_FLOOR`.
 
 Wall-clock reads are confined to :func:`_wall`; each is marked
 ``lint: allow`` because this harness is measurement tooling, not part
@@ -38,18 +38,19 @@ from repro.gpu.dirty_legacy import LegacyDirtyIndex, LegacyWrittenSet
 from repro.gpu.intervals import EpochIntervalIndex, SpanSet
 from repro.harness.ckpt_bench import CKPT_MODES, default_cuts
 from repro.harness.runner import Machine, run_app
+from repro.harness.suites import Gate, Suite, app_classes, check
 
-#: Normalized wall-time ratio above which the CI gate fails.
+#: Baseline ratio above which a gated metric fails.
 REGRESSION_LIMIT = 1.15
 #: Required micro speedup (vectorized vs legacy) on the dirty-tracking
 #: and sanitizer-scan traces — the ROADMAP item-3 target.
 SPEEDUP_TARGET = 5.0
-#: Baseline file the CI gate compares against.
-DEFAULT_BASELINE = "benchmarks/BENCH_perf_baseline.json"
-#: Damping floor, in *calibration units* (metric ÷ calibration time),
-#: added to both sides of a gate ratio so a few-millisecond metric
-#: cannot flip the gate on scheduler noise.
+#: Damping floor added to both sides of every gate ratio, in calibration
+#: units for the walls (so a few-millisecond metric cannot flip the gate
+#: on scheduler noise) and in speedup units for the micro section.
 RATIO_FLOOR = 1.0
+#: The checkpoint modes the capture section times.
+CAPTURE_MODES = ("full", "incremental", "forked")
 
 
 def _wall(fn: Callable[[], object]) -> tuple[float, object]:
@@ -236,16 +237,11 @@ def _best_of(fn: Callable[[], object], n: int = 3) -> tuple[float, object]:
     return best, result
 
 
-def _micro_section(*, smoke: bool, seed: int) -> dict:
+def _micro_section(*, seed: int) -> dict:
     """Legacy vs vectorized structures on identical traces."""
-    if smoke:
-        dirty_ops, dirty_size = 6000, 1 << 24
-        acc_n, acc_probes, acc_size = 800, 800, 1 << 24
-        wr_ops, wr_size = 6000, 1 << 24
-    else:
-        dirty_ops, dirty_size = 20000, 1 << 26
-        acc_n, acc_probes, acc_size = 2500, 2500, 1 << 26
-        wr_ops, wr_size = 20000, 1 << 26
+    dirty_ops, dirty_size = 6000, 1 << 24
+    acc_n, acc_probes, acc_size = 800, 800, 1 << 24
+    wr_ops, wr_size = 6000, 1 << 24
 
     section: dict = {}
 
@@ -310,29 +306,28 @@ def _micro_section(*, smoke: bool, seed: int) -> dict:
 
 
 def _capture_section(
-    app_classes: Sequence[type], *, scale: float, repeats: int,
-    n_cuts: int, seed: int, gpu: str,
+    classes: Sequence[type], *, scale: float, repeats: int,
+    cuts: int, seed: int, gpu: str,
 ) -> dict:
     """Wall time of checkpointed runs, digest-checked per mode."""
-    cuts = default_cuts(n_cuts)
-    section: dict = {"cuts": cuts, "repeats": repeats, "apps": {}}
-    for cls in app_classes:
+    fracs = default_cuts(cuts)
+    section: dict = {"cuts": fracs, "repeats": repeats, "apps": {}}
+    for cls in classes:
         ref = run_app(
             cls(scale=scale, seed=seed), Machine(gpu=gpu, seed=seed),
             mode="crac", noise=False,
         )
         entry: dict = {"modes": {}}
-        for mode, incremental, forked in CKPT_MODES:
+        for mode in CAPTURE_MODES:
             def one():
                 return run_app(
                     cls(scale=scale, seed=seed),
                     Machine(gpu=gpu, seed=seed),
                     mode="crac",
-                    checkpoint_at=cuts,
+                    checkpoint_at=fracs,
                     restart_after_checkpoint=False,
-                    incremental=incremental,
-                    forked=forked,
                     noise=False,
+                    **CKPT_MODES[mode],
                 )
             best = None
             digests_ok = True
@@ -357,15 +352,14 @@ def _capture_section(
 
 
 def _sanitize_section(
-    app_classes: Sequence[type], *, scale: float, repeats: int, seed: int,
+    classes: Sequence[type], *, scale: float, repeats: int, seed: int,
     gpu: str,
 ) -> dict:
-    """Wall time under the dynamic checkers + planted-hazard verdicts."""
+    """Wall time under the dynamic checkers, which must stay clean."""
     from repro.sanitizer.core import Sanitizer
-    from repro.sanitizer.planted import SCENARIOS, run_scenario
 
     section: dict = {"repeats": repeats, "apps": {}}
-    for cls in app_classes:
+    for cls in classes:
         def one():
             san = Sanitizer()
             run_app(
@@ -383,198 +377,92 @@ def _sanitize_section(
     section["wall_s"] = sum(
         e["wall_s"] for e in section["apps"].values()
     )
-    section["clean"] = all(
-        e["hazards"] == 0 for e in section["apps"].values()
+    section["hazards"] = sum(
+        e["hazards"] for e in section["apps"].values()
     )
-
-    rows = [run_scenario(sc) for sc in SCENARIOS]
-    positives = [r for r in rows if not r["negative"]]
-    negatives = [r for r in rows if r["negative"]]
-    section["planted"] = {
-        "positives": len(positives),
-        "detected": sum(r["detected"] for r in positives),
-        "negatives": len(negatives),
-        "false_positives": sum(not r["detected"] for r in negatives),
-        "failures": [r["name"] for r in rows if not r["detected"]],
-    }
     return section
 
 
-# -- gate ---------------------------------------------------------------------
-
-
-def _gate_metrics(report: dict) -> dict[str, float]:
-    """The calibration-normalized wall metrics the gate tracks — large
-    aggregates only; per-mode or per-structure millisecond slices are
-    too noisy to gate on (they still appear in the report for
-    diagnosis). The micro section is gated separately on its
-    *speedup*, not its absolute time: legacy and vectorized replays run
-    back-to-back under identical machine contention, so their ratio is
-    self-normalizing in a way absolute wall times are not."""
+def gate_metrics(
+    calibration_s: float, capture_wall_s: float, sanitize_wall_s: float,
+    micro_speedup: float,
+) -> dict[str, float]:
+    """The gated metrics: the walls in calibration units, so a uniformly
+    slower machine cancels out, and the micro speedup."""
     return {
-        "capture_wall_s": report["capture"]["wall_s"],
-        "sanitize_wall_s": report["sanitize"]["wall_s"],
+        "capture_wall_cal": capture_wall_s / calibration_s,
+        "sanitize_wall_cal": sanitize_wall_s / calibration_s,
+        "micro_speedup": micro_speedup,
     }
-
-
-def evaluate_gate(report: dict, baseline: dict | None) -> dict:
-    """Compare a report against the committed baseline.
-
-    Each metric is normalized by its run's calibration time, then the
-    current/baseline ratio is damped with :data:`RATIO_FLOOR` so a
-    metric measured in single-digit milliseconds cannot trip the gate
-    on scheduler noise. Fails if any ratio exceeds the limit.
-    """
-    gate: dict = {"limit": REGRESSION_LIMIT, "ratios": {}}
-    if baseline is None:
-        gate.update(baseline_found=False, max_ratio=None, ok=True)
-        return gate
-    gate["baseline_found"] = True
-    cur_cal = report["calibration_s"]
-    base_cal = baseline["calibration_s"]
-    cur = _gate_metrics(report)
-    base = _gate_metrics(baseline)
-    for key in cur:
-        num = cur[key] / cur_cal + RATIO_FLOOR
-        den = base[key] / base_cal + RATIO_FLOOR
-        gate["ratios"][key] = num / den
-    # A vectorized-path slowdown shows up as the combined speedup
-    # dropping below the baseline's; +1 on both sides damps the
-    # small-number jitter the same way RATIO_FLOOR does above.
-    gate["ratios"]["micro_speedup"] = (
-        (baseline["micro"]["combined_speedup"] + 1.0)
-        / (report["micro"]["combined_speedup"] + 1.0)
-    )
-    gate["max_ratio"] = max(gate["ratios"].values())
-    gate["ok"] = gate["max_ratio"] <= REGRESSION_LIMIT
-    return gate
 
 
 def run_perf_bench(
-    app_classes: Sequence[type],
-    *,
-    scale: float = 1.0,
-    repeats: int = 20,
-    n_cuts: int = 4,
-    seed: int = 0,
-    gpu: str = "V100",
-    smoke: bool = False,
-    baseline: dict | None = None,
+    *, apps: list[str], scale: float, repeats: int, cuts: int, gpu: str,
+    seed: int,
 ) -> dict:
-    """Run every section and the gate; returns the full report.
+    """Run every section; returns the suite result.
 
-    ``report["ok"]`` requires: digest-equal checkpointed runs, clean
-    sanitizer sweeps, 100% planted detection with zero false positives,
-    observationally-equal micro replays, the ≥5x combined micro
-    speedup, and no gate regression.
+    Only large aggregates are gated: per-mode or per-structure
+    millisecond slices are too noisy (they stay in the report for
+    diagnosis). The micro section is gated on its *speedup*, not its
+    wall time: legacy and vectorized replays run back to back under the
+    same machine contention, so their ratio normalizes itself.
     """
-    report: dict = {
-        "benchmark": "perf",
-        "version": 1,
-        "smoke": smoke,
-        "settings": {
-            "scale": scale, "repeats": repeats, "n_cuts": n_cuts,
-            "seed": seed, "gpu": gpu,
-            "apps": [cls.name for cls in app_classes],
-        },
-        "calibration_s": measure_calibration(),
-    }
-    report["capture"] = _capture_section(
-        app_classes, scale=scale, repeats=repeats, n_cuts=n_cuts,
-        seed=seed, gpu=gpu,
+    classes = app_classes(apps)
+    calibration_s = measure_calibration()
+    capture = _capture_section(
+        classes, scale=scale, repeats=repeats, cuts=cuts, seed=seed, gpu=gpu,
     )
-    report["sanitize"] = _sanitize_section(
-        app_classes, scale=scale, repeats=repeats, seed=seed, gpu=gpu,
+    sanitize = _sanitize_section(
+        classes, scale=scale, repeats=repeats, seed=seed, gpu=gpu,
     )
-    report["micro"] = _micro_section(smoke=smoke, seed=seed)
-    report["gate"] = evaluate_gate(report, baseline)
-    planted = report["sanitize"]["planted"]
-    report["checks"] = {
-        "digests_ok": report["capture"]["digests_ok"],
-        "sanitize_clean": report["sanitize"]["clean"],
-        "planted_ok": (
-            planted["detected"] == planted["positives"]
-            and planted["false_positives"] == 0
-        ),
-        "micro_equal": report["micro"]["all_equal"],
-        "speedup_ok": report["micro"]["combined_speedup"] >= SPEEDUP_TARGET,
-        "gate_ok": report["gate"]["ok"],
+    micro = _micro_section(seed=seed)
+    speedup = micro["combined_speedup"]
+    metrics = {
+        "calibration_s": calibration_s,
+        "capture_wall_s": capture["wall_s"],
+        "sanitize_wall_s": sanitize["wall_s"],
+        **{f"micro.{k}.speedup": micro[k]["speedup"]
+           for k in ("dirty", "access", "written")},
+        **gate_metrics(calibration_s, capture["wall_s"], sanitize["wall_s"],
+                       speedup),
     }
-    report["speedup_target"] = SPEEDUP_TARGET
-    report["ok"] = all(report["checks"].values())
-    return report
-
-
-def baseline_payload(report: dict) -> dict:
-    """The slice of a report worth committing as the gate baseline."""
-    return {
-        "benchmark": "perf-baseline",
-        "version": report["version"],
-        "settings": report["settings"],
-        "smoke": report["smoke"],
-        "calibration_s": report["calibration_s"],
-        "capture": {"wall_s": report["capture"]["wall_s"]},
-        "sanitize": {"wall_s": report["sanitize"]["wall_s"]},
-        "micro": {
-            "combined_speedup": report["micro"]["combined_speedup"],
-            **{
-                k: {"vector_s": report["micro"][k]["vector_s"]}
-                for k in ("dirty", "access", "written")
-            },
-        },
-    }
-
-
-def format_report(report: dict) -> str:
-    """Human-readable rendering of a :func:`run_perf_bench` report."""
-    lines = [
-        f"perf-bench (scale={report['settings']['scale']}, "
-        f"repeats={report['settings']['repeats']}, "
-        f"smoke={report['smoke']}, "
-        f"calibration {report['calibration_s'] * 1e3:.1f} ms)",
+    checks = [
+        check("capture digests equal the uncheckpointed run",
+              capture["digests_ok"],
+              f"{len(classes)} app(s) × {len(CAPTURE_MODES)} modes × "
+              f"{repeats} repeats"),
+        check("sanitized runs hazard-free", sanitize["hazards"] == 0,
+              f"{sanitize['hazards']} hazard(s)"),
+        check("micro replays equal the legacy structures",
+              micro["all_equal"],
+              ", ".join(f"{k}={'equal' if micro[k]['equal'] else 'MISMATCH'}"
+                        for k in ("dirty", "access", "written"))),
+        check(f"micro speedup ≥{SPEEDUP_TARGET:g}×", speedup >= SPEEDUP_TARGET,
+              f"{speedup:.1f}×"),
     ]
-    cap = report["capture"]
-    lines.append(
-        f"  capture:  {cap['wall_s'] * 1e3:8.1f} ms over "
-        f"{len(cap['apps'])} app(s) × {len(CKPT_MODES)} modes × "
-        f"{cap['repeats']} repeats, digests "
-        + ("match" if cap["digests_ok"] else "MISMATCH")
-    )
-    san = report["sanitize"]
-    pl = san["planted"]
-    lines.append(
-        f"  sanitize: {san['wall_s'] * 1e3:8.1f} ms, "
-        + ("clean" if san["clean"] else "HAZARDS")
-        + f"; planted {pl['detected']}/{pl['positives']} detected, "
-        f"{pl['false_positives']} false positive(s) on "
-        f"{pl['negatives']} negative(s)"
-    )
-    for key in ("dirty", "access", "written"):
-        m = report["micro"][key]
-        lines.append(
-            f"  micro/{key:<8} legacy {m['legacy_s'] * 1e3:8.1f} ms   "
-            f"vector {m['vector_s'] * 1e3:8.1f} ms   "
-            f"{m['speedup']:6.1f}x "
-            + ("(equal)" if m["equal"] else "(OUTPUT MISMATCH)")
-        )
-    lines.append(
-        f"  combined speedup: {report['micro']['combined_speedup']:.1f}x "
-        f"(target ≥{report['speedup_target']:.0f}x)"
-    )
-    gate = report["gate"]
-    if not gate.get("baseline_found"):
-        lines.append("  gate:     no baseline — recording run only")
-    else:
-        worst = max(gate["ratios"], key=gate["ratios"].get)
-        lines.append(
-            f"  gate:     max normalized ratio "
-            f"{gate['max_ratio']:.3f}x (limit {gate['limit']}x, "
-            f"worst: {worst}) "
-            + ("[ok]" if gate["ok"] else "[FAIL]")
-        )
-    checks = ", ".join(
-        f"{k}={'ok' if v else 'FAIL'}" for k, v in report["checks"].items()
-    )
-    lines.append(f"  checks:   {checks}")
-    lines.append(f"  verdict:  {'PASS' if report['ok'] else 'FAIL'}")
-    return "\n".join(lines)
+    return {
+        "metrics": metrics,
+        "checks": checks,
+        "capture": capture,
+        "sanitize": sanitize,
+        "micro": micro,
+    }
+
+
+SUITE = Suite(
+    run=run_perf_bench,
+    config={
+        "apps": ["Gaussian", "Kmeans"],
+        "scale": 1.0,
+        "repeats": 10,
+        "cuts": 4,
+        "gpu": "V100",
+        "seed": 0,
+    },
+    gates=(
+        Gate("capture_wall_cal", "lower", REGRESSION_LIMIT, RATIO_FLOOR),
+        Gate("sanitize_wall_cal", "lower", REGRESSION_LIMIT, RATIO_FLOOR),
+        Gate("micro_speedup", "higher", REGRESSION_LIMIT, RATIO_FLOOR),
+    ),
+)

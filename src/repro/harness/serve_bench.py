@@ -1,16 +1,18 @@
-"""The serve-tier chaos campaign: many sessions, five fault cells.
+"""The ``serve`` bench suite: many sessions, five fault cells.
 
-``repro serve-bench`` drives the :mod:`repro.serve` tier through a
-matrix of *cells* — identical serving workloads under different fault
-regimes — and holds the result to three hard requirements:
+The suite drives the :mod:`repro.serve` tier through a matrix of
+*cells* — identical serving workloads under different fault regimes —
+and holds the result to four requirements:
 
 - **zero lost sessions** — every opened session closes (possibly after
   eviction, quarantine, or node death);
 - **every digest equal** — each closed session's state vector matches
   the pure-numpy reference replay of exactly the requests it served;
-- **bounded resume latency** — p99 rehydrate/failover resume must not
-  regress more than :data:`RESUME_REGRESSION_LIMIT` against the
-  committed baseline (virtual time, so the gate is deterministic).
+- **bounded resume latency** — p99 rehydrate/failover resume within
+  :data:`RESUME_REGRESSION_LIMIT` of the baseline (virtual time, so
+  the gate is deterministic);
+- **throughput** — sessions/s at least :data:`THROUGHPUT_FLOOR` of the
+  baseline.
 
 Cells (all sharing the session/wave schedule, differing only in faults):
 
@@ -34,23 +36,23 @@ wall time per cell for CI budget tracking.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 from repro.errors import AdmissionRejectedError, ServeDeadlineExceededError
 from repro.gpu.timing import NS_PER_S
 from repro.harness.fault_injection import FaultSpec, derive_seed
+from repro.harness.suites import Gate, Suite, check
 from repro.serve.admission import AdmissionController
 from repro.serve.pool import SessionPool
 from repro.serve.scheduler import ServeScheduler
 from repro.trace.metrics import MetricsRegistry
 
-#: Baseline file the CI gate compares against.
-DEFAULT_BASELINE = "benchmarks/BENCH_serve_baseline.json"
-#: p99 resume-latency ratio above which the CI gate fails.
+#: p99 resume-latency ratio to the baseline above which the suite fails.
 RESUME_REGRESSION_LIMIT = 1.25
-#: Sessions/sec ratio *below* which the CI gate fails.
+#: Damping floor (ms) of the p99 ratio: a sub-millisecond baseline would
+#: otherwise let scheduler-grade noise flip the gate.
+RESUME_FLOOR_MS = 0.05
+#: Sessions/sec ratio to the baseline *below* which the suite fails.
 THROUGHPUT_FLOOR = 0.80
 
 _NS_PER_MS = 1e6
@@ -162,72 +164,14 @@ def run_cell(
     return summary, sched.metrics
 
 
-def evaluate_gate(report: dict, baseline_path: str | None) -> dict:
-    """Compare campaign totals against the committed baseline."""
-    gate: dict = {
-        "baseline": baseline_path,
-        "baseline_found": False,
-        "resume_limit": RESUME_REGRESSION_LIMIT,
-        "throughput_floor": THROUGHPUT_FLOOR,
-    }
-    if not baseline_path or not os.path.exists(baseline_path):
-        gate["ok"] = True
-        return gate
-    with open(baseline_path) as fh:
-        base = json.load(fh)
-    gate["baseline_found"] = True
-    totals = report["totals"]
-    base_p99 = base["resume_p99_ms"]
-    base_tput = base["sessions_per_sec"]
-    # A sub-millisecond baseline would let scheduler-grade noise flip
-    # the gate; floor both sides the way perf-bench does.
-    floor = 0.05
-    gate["resume_ratio"] = (totals["resume_p99_ms"] + floor) / (
-        base_p99 + floor
-    )
-    gate["throughput_ratio"] = (
-        totals["sessions_per_sec"] / base_tput if base_tput else 1.0
-    )
-    gate["ok"] = (
-        gate["resume_ratio"] <= RESUME_REGRESSION_LIMIT
-        and gate["throughput_ratio"] >= THROUGHPUT_FLOOR
-    )
-    return gate
-
-
 def run_serve_bench(
-    *,
-    sessions: int = 200,
-    nodes: int = 4,
-    slots: int = 12,
-    waves: int = 2,
-    seed: int = 0,
-    state_elems: int = 64,
-    smoke: bool = False,
-    baseline: str | None = DEFAULT_BASELINE,
+    *, sessions: int, nodes: int, slots: int, waves: int, seed: int,
+    state_elems: int,
 ) -> dict:
-    """Run the full five-cell campaign; return the gated report."""
-    if smoke:
-        sessions = min(sessions, 200)
-        waves = min(waves, 2)
+    """Run the five-cell campaign; returns the suite result."""
     cells = ["baseline", "ecc", "kernel-hang", "node-death", "eviction-storm"]
-    report: dict = {
-        "benchmark": "serve-bench",
-        "version": 1,
-        "smoke": smoke,
-        "config": {
-            "sessions": sessions,
-            "nodes": nodes,
-            "slots": slots,
-            "waves": waves,
-            "seed": seed,
-            "state_elems": state_elems,
-            "cells": cells,
-        },
-        "cells": [],
-    }
+    rows = []
     merged = MetricsRegistry()
-    resume_all: list[float] = []
     for cell in cells:
         summary, metrics = run_cell(
             cell,
@@ -238,30 +182,25 @@ def run_serve_bench(
             seed=seed,
             state_elems=state_elems,
         )
-        report["cells"].append(summary)
+        rows.append(summary)
         merged.merge(metrics)
-    counters = merged.snapshot()["counters"]
-    resume_hist = merged.snapshot()["histograms"].get("serve.resume_ns")
+    snapshot = merged.snapshot()
+    resume_hist = snapshot["histograms"].get("serve.resume_ns")
     # Exact percentiles need the raw samples, which per-cell summaries
-    # carry only as p50/p99; recompute totals from the worst cell to
-    # stay conservative (p99 over pooled samples <= max per-cell p99).
-    worst_p99 = max(c["resume_p99_ms"] for c in report["cells"])
-    med_p50 = sorted(c["resume_p50_ms"] for c in report["cells"])[
-        len(report["cells"]) // 2
-    ]
+    # carry only as p50/p99; take totals from the worst cell to stay
+    # conservative (p99 over pooled samples <= max per-cell p99).
+    worst_p99 = max(c["resume_p99_ms"] for c in rows)
+    med_p50 = sorted(c["resume_p50_ms"] for c in rows)[len(rows) // 2]
     total_sessions = sessions * len(cells)
-    total_makespan = max(c["makespan_s"] for c in report["cells"])
-    report["totals"] = {
+    total_makespan = max(c["makespan_s"] for c in rows)
+    totals = {
         "sessions": total_sessions,
-        "requests_served": sum(c["requests_served"] for c in report["cells"]),
-        "requests_shed": sum(c["requests_shed"] for c in report["cells"]),
-        "lost_sessions": sum(c["lost_sessions"] for c in report["cells"]),
-        "digest_mismatches": sum(
-            c["digest_mismatches"] for c in report["cells"]
-        ),
-        "parks": sum(c["parks"] for c in report["cells"]),
-        "rehydrates": sum(c["rehydrates"] for c in report["cells"]),
-        "failovers": sum(c["failovers"] for c in report["cells"]),
+        **{
+            key: sum(c[key] for c in rows)
+            for key in ("requests_served", "requests_shed", "lost_sessions",
+                        "digest_mismatches", "parks", "rehydrates",
+                        "failovers")
+        },
         "resume_p50_ms": med_p50,
         "resume_p99_ms": worst_p99,
         "resume_mean_ms": (
@@ -270,68 +209,35 @@ def run_serve_bench(
         "sessions_per_sec": (
             total_sessions / total_makespan if total_makespan else 0.0
         ),
-        "wall_s": round(sum(c["wall_s"] for c in report["cells"]), 3),
     }
-    report["metrics"] = {"counters": counters}
-    report["gate"] = evaluate_gate(report, baseline)
-    report["checks"] = {
-        "zero_lost": report["totals"]["lost_sessions"] == 0,
-        "digests_equal": report["totals"]["digest_mismatches"] == 0,
-        "gate_ok": report["gate"]["ok"],
-    }
-    report["ok"] = all(report["checks"].values())
-    return report
-
-
-def baseline_payload(report: dict) -> dict:
-    """The slice of a report worth committing as the gate baseline."""
-    return {
-        "benchmark": "serve-baseline",
-        "version": report["version"],
-        "config": report["config"],
-        "smoke": report["smoke"],
-        "resume_p50_ms": report["totals"]["resume_p50_ms"],
-        "resume_p99_ms": report["totals"]["resume_p99_ms"],
-        "sessions_per_sec": report["totals"]["sessions_per_sec"],
-    }
-
-
-def format_serve_bench(report: dict) -> str:
-    """Human-readable campaign summary."""
-    lines = [
-        f"serve-bench ({'smoke' if report['smoke'] else 'full'}): "
-        f"{report['config']['sessions']} sessions/cell x "
-        f"{len(report['config']['cells'])} cells, "
-        f"{report['config']['nodes']} nodes x "
-        f"{report['config']['slots']} slots"
+    checks = [
+        check("zero lost sessions", totals["lost_sessions"] == 0,
+              f"{totals['lost_sessions']} of {total_sessions} lost"),
+        check("every digest equal", totals["digest_mismatches"] == 0,
+              f"{totals['digest_mismatches']} mismatched"),
     ]
-    for c in report["cells"]:
-        rungs = ", ".join(
-            f"{k}={v}" for k, v in c["recovery_rungs"].items() if v
-        ) or "none"
-        lines.append(
-            f"  {c['cell']:<15} served={c['requests_served']:>4} "
-            f"shed={c['requests_shed']:>3} lost={c['lost_sessions']} "
-            f"mismatch={c['digest_mismatches']} parks={c['parks']:>4} "
-            f"p99 resume={c['resume_p99_ms']:.2f}ms "
-            f"[{rungs}] ({c['wall_s']:.1f}s wall)"
-        )
-    t = report["totals"]
-    lines.append(
-        f"  totals: {t['sessions']} sessions, {t['requests_served']} served, "
-        f"{t['lost_sessions']} lost, {t['digest_mismatches']} mismatched, "
-        f"p50/p99 resume {t['resume_p50_ms']:.2f}/{t['resume_p99_ms']:.2f}ms, "
-        f"{t['sessions_per_sec']:.1f} sessions/s"
-    )
-    gate = report["gate"]
-    if not gate.get("baseline_found"):
-        lines.append("  gate:   no baseline — recording run only")
-    else:
-        lines.append(
-            f"  gate:   p99 ratio {gate['resume_ratio']:.2f} "
-            f"(limit {gate['resume_limit']:.2f}), throughput ratio "
-            f"{gate['throughput_ratio']:.2f} "
-            f"(floor {gate['throughput_floor']:.2f})"
-        )
-    lines.append(f"  result: {'OK' if report['ok'] else 'FAILED'}")
-    return "\n".join(lines)
+    return {
+        "metrics": totals,
+        "checks": checks,
+        "cells": rows,
+        "counters": snapshot["counters"],
+        "wall_s": round(sum(c["wall_s"] for c in rows), 3),
+    }
+
+
+SUITE = Suite(
+    run=run_serve_bench,
+    config={
+        "sessions": 200,
+        "nodes": 4,
+        "slots": 12,
+        "waves": 2,
+        "state_elems": 64,
+        "seed": 0,
+    },
+    gates=(
+        Gate("resume_p99_ms", "lower", RESUME_REGRESSION_LIMIT,
+             RESUME_FLOOR_MS),
+        Gate("sessions_per_sec", "higher", 1 / THROUGHPUT_FLOOR),
+    ),
+)

@@ -1,8 +1,8 @@
-"""Trace benchmark: overhead, digest equality, and cross-checks.
+"""The ``trace`` bench suite: overhead, digest equality, cross-checks.
 
 Runs one workload twice — untraced baseline, then with a
 :class:`repro.trace.Tracer` and an :class:`~repro.cuda.profiler.Nvprof`
-attached — and verifies the properties the CI ``trace`` job gates on:
+attached — and checks:
 
 - **digest equality**: instrumentation must not perturb results;
 - **overhead bound**: traced virtual runtime ≤ ``MAX_OVERHEAD_RATIO`` ×
@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from repro.cuda.profiler import Nvprof
 from repro.harness.runner import Machine, run_app
-from repro.trace import Tracer
+from repro.harness.suites import Suite, app_classes, check
+from repro.trace import Tracer, to_chrome_trace
 
-#: CI gate: traced runtime must stay within this factor of untraced.
+#: Traced runtime must stay within this factor of untraced.
 MAX_OVERHEAD_RATIO = 1.25
 
 #: relative tolerance of the busy-ns cross-check (pure float sums over
@@ -43,7 +44,7 @@ def run_trace_bench(
     mode: str = "crac",
     checkpoint_at: float | None = None,
 ) -> tuple[dict, Tracer, Nvprof]:
-    """Benchmark tracing overhead on one app; returns (report, tracer,
+    """Trace one app and check it; returns (suite result, tracer,
     profiler) so the caller can export the trace."""
     machine = Machine(gpu=gpu, seed=seed)
     kwargs = dict(
@@ -62,8 +63,6 @@ def run_trace_bench(
         if base.runtime_exact_s > 0
         else 1.0
     )
-    digest_match = traced.digest == base.digest
-
     busy = tracer.device_busy_ns()
     timeline = profiler.timeline_report()
     busy_match = _close(busy["kernel"], timeline.kernel_busy_ns) and _close(
@@ -75,30 +74,45 @@ def run_trace_bench(
     # counter satisfies the formula exactly.
     span_calls = tracer.api_call_counter()
     eq2_total = profiler.total_calls_formula(span_calls)
-    eq2_ok = eq2_total == sum(span_calls.values())
+    eq2_spans = int(sum(span_calls.values()))
 
     profile = profiler.report()
-    report = {
+    result = {
+        "metrics": {
+            "untraced_s": base.runtime_exact_s,
+            "traced_s": traced.runtime_exact_s,
+            "overhead_ratio": overhead_ratio,
+            "trace_overhead_ns": tracer.overhead_ns,
+            "spans": len(tracer.spans),
+            "instants": len(tracer.instants),
+            "segments": tracer.segment + 1,
+            "kernel_busy_ns": busy["kernel"],
+            "copy_busy_ns": busy["copy"],
+            "eq2_total": eq2_total,
+            "total_calls": profile.total_calls,
+            "cps": profile.cps,
+            "restarts": profile.restarts,
+        },
+        "checks": [
+            check(f"overhead ≤{MAX_OVERHEAD_RATIO}×",
+                  overhead_ratio <= MAX_OVERHEAD_RATIO,
+                  f"{overhead_ratio:.4f}× ({tracer.overhead_ns / 1e6:.3f} ms "
+                  f"charged over {len(tracer.spans)} spans)"),
+            check("traced digest equals untraced",
+                  traced.digest == base.digest,
+                  f"{traced.digest:#010x} vs {base.digest:#010x}"),
+            check("span busy ns equal the profiler timeline", busy_match,
+                  f"kernel {busy['kernel']:.0f} vs "
+                  f"{timeline.kernel_busy_ns:.0f} ns, copy "
+                  f"{busy['copy']:.0f} vs {timeline.copy_busy_ns:.0f} ns"),
+            check("eq. 2 equals the traced call spans",
+                  eq2_total == eq2_spans,
+                  f"{eq2_total:,} formula vs {eq2_spans:,} spans"),
+        ],
         "app": base.app_name,
         "mode": mode,
-        "gpu": gpu,
-        "scale": scale,
-        "seed": seed,
         "checkpoint_at": checkpoint_at,
-        "untraced_s": base.runtime_exact_s,
-        "traced_s": traced.runtime_exact_s,
-        "overhead_ratio": overhead_ratio,
-        "max_overhead_ratio": MAX_OVERHEAD_RATIO,
-        "digest_match": digest_match,
         "digest": f"{traced.digest:#010x}",
-        "trace_overhead_ns": tracer.overhead_ns,
-        "spans": len(tracer.spans),
-        "instants": len(tracer.instants),
-        "segments": tracer.segment + 1,
-        "device_busy": {
-            "kernel_ns": busy["kernel"],
-            "copy_ns": busy["copy"],
-        },
         "timeline": {
             "span_ns": timeline.span_ns,
             "kernel_busy_ns": timeline.kernel_busy_ns,
@@ -106,50 +120,21 @@ def run_trace_bench(
             "events": timeline.events,
             "segments": timeline.segments,
         },
-        "busy_match": busy_match,
-        "eq2_total": eq2_total,
-        "eq2_span_calls": int(sum(span_calls.values())),
-        "eq2_ok": eq2_ok,
-        "profile": {
-            "total_calls": profile.total_calls,
-            "cps": profile.cps,
-            "kernel_launches": profile.kernel_launches,
-            "restarts": profile.restarts,
-        },
-        "ok": bool(
-            digest_match
-            and overhead_ratio <= MAX_OVERHEAD_RATIO
-            and busy_match
-            and eq2_ok
-        ),
     }
-    return report, tracer, profiler
+    return result, tracer, profiler
 
 
-def format_trace_bench(report: dict) -> str:
-    """Human-readable summary of one trace-bench report."""
-    lines = [
-        f"trace bench: {report['app']} (mode={report['mode']}, "
-        f"gpu={report['gpu']}, scale={report['scale']})",
-        f"  untraced runtime: {report['untraced_s']:.4f} s (virtual)",
-        f"  traced runtime:   {report['traced_s']:.4f} s "
-        f"({report['overhead_ratio']:.4f}x, "
-        f"bound {report['max_overhead_ratio']}x)",
-        f"  trace overhead:   {report['trace_overhead_ns'] / 1e6:.3f} ms "
-        f"charged over {report['spans']} spans, "
-        f"{report['instants']} instants, {report['segments']} segment(s)",
-        f"  digest:           {report['digest']} "
-        f"({'match' if report['digest_match'] else 'MISMATCH'})",
-        f"  device busy:      kernel "
-        f"{report['device_busy']['kernel_ns'] / 1e6:.3f} ms, copy "
-        f"{report['device_busy']['copy_ns'] / 1e6:.3f} ms "
-        f"({'match' if report['busy_match'] else 'MISMATCH'} vs timeline)",
-        f"  eq. 2:            {report['eq2_total']:,} formula vs "
-        f"{report['eq2_span_calls']:,} traced spans "
-        f"({'ok' if report['eq2_ok'] else 'MISMATCH'})",
-        f"  profiler window:  {report['profile']['total_calls']:,} calls, "
-        f"{report['profile']['cps']:,.0f}/s, "
-        f"{report['profile']['restarts']} restart fold(s)",
-        f"  => {'OK' if report['ok'] else 'FAIL'}",
-    ]
-    return "\n".join(lines)
+def run_trace_suite(*, app: str, scale: float, gpu: str, seed: int) -> dict:
+    """The suite run: one traced app plus its Chrome trace file."""
+    (cls,) = app_classes([app])
+    result, tracer, _ = run_trace_bench(cls, scale=scale, gpu=gpu, seed=seed)
+    result["files"] = {
+        f"trace_{app.lower()}.json": to_chrome_trace(tracer, label=cls.name),
+    }
+    return result
+
+
+SUITE = Suite(
+    run=run_trace_suite,
+    config={"app": "Gaussian", "scale": 0.05, "gpu": "V100", "seed": 0},
+)

@@ -11,8 +11,9 @@ Two halves, mirroring NVIDIA's compute-sanitizer tool family:
   streams, raw raises in CUDA call paths, and dict-iteration-order
   dependence in checkpoint capture paths.
 
-Both are wired into ``repro sanitize`` (see :mod:`repro.cli`) and the CI
-gate (:mod:`repro.sanitizer.gate`).
+The detector drives ``repro sanitize APP`` (see :mod:`repro.cli`) and
+the ``sanitize`` bench suite (:mod:`repro.sanitizer.gate`); the lint
+runs in ``repro analyze``.
 """
 
 from repro.sanitizer.core import CHECKERS, Sanitizer

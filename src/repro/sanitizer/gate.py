@@ -1,6 +1,6 @@
-"""The ``repro sanitize --gate`` CI gate.
+"""The ``sanitize`` bench suite.
 
-Four independent verdicts, all of which must hold:
+Three independent verdicts, all of which must hold:
 
 1. **Planted detection** — every positive scenario in
    :mod:`repro.sanitizer.planted` is detected (rate 1.0) and every
@@ -8,18 +8,16 @@ Four independent verdicts, all of which must hold:
 2. **Clean-app sweep** — the Rodinia suite, run under CRAC with a
    mid-run checkpoint cut and the sanitizer attached, produces zero
    hazards (the detector's real-workload false-positive rate);
-3. **Determinism lint** — :func:`repro.sanitizer.lint.lint_package`
-   over ``src/repro/`` reports nothing;
-4. **Overhead bound** — instrumenting the ckpt-bench smoke
-   configuration costs at most ``OVERHEAD_LIMIT``× virtual time, and
+3. **Overhead bound** — instrumenting Gaussian at the ``ckpt`` suite's
+   scale and cuts costs at most ``OVERHEAD_LIMIT``× virtual time, and
    the output digest is unchanged (instrumentation shifts timing only).
 
-``run_gate`` returns the ``BENCH_sanitizer.json`` payload.
+The determinism lint over ``src/repro`` runs in ``repro analyze``.
 """
 
 from __future__ import annotations
 
-from repro.sanitizer.lint import lint_package
+from repro.harness.suites import Suite, check
 from repro.sanitizer.planted import SCENARIOS, run_scenario
 
 #: maximum allowed virtual-time slowdown from instrumentation
@@ -81,23 +79,14 @@ def _clean_apps_section(scale: float, gpu: str, seed: int,
     return {"apps": rows, "total_hazards": total, "ok": total == 0}
 
 
-def _lint_section() -> dict:
-    """Lint ``src/repro`` (the package this module ships in)."""
-    findings = lint_package()
-    return {
-        "findings": [f.describe() for f in findings],
-        "count": len(findings),
-        "ok": not findings,
-    }
-
-
 def _overhead_section(gpu: str, seed: int) -> dict:
-    """Instrumented-vs-bare run of the ckpt-bench smoke config."""
+    """Instrumented-vs-bare run of Gaussian at the ``ckpt`` suite's
+    scale and cuts."""
     from repro.apps.rodinia import Gaussian
     from repro.harness import Machine, run_app
     from repro.sanitizer.core import Sanitizer
 
-    cuts = [i / 5 for i in range(1, 5)]  # the smoke config's 4 cuts
+    cuts = [i / 5 for i in range(1, 5)]
     kw = dict(
         mode="crac", checkpoint_at=cuts, restart_after_checkpoint=False,
         noise=False,
@@ -125,47 +114,46 @@ def _overhead_section(gpu: str, seed: int) -> dict:
     }
 
 
-def run_gate(*, scale: float = 0.05, gpu: str = "V100",
-             seed: int = 0) -> dict:
-    """Run all four gate sections; ``report["ok"]`` is the CI verdict."""
-    report = {
-        "planted": _planted_section(),
-        "clean_apps": _clean_apps_section(scale, gpu, seed),
-        "lint": _lint_section(),
-        "overhead": _overhead_section(gpu, seed),
+def run_gate(*, scale: float, gpu: str, seed: int) -> dict:
+    """Run the three sections; returns the suite result."""
+    planted = _planted_section()
+    clean = _clean_apps_section(scale, gpu, seed)
+    overhead = _overhead_section(gpu, seed)
+    failures = [r["name"] for r in planted["scenarios"] if not r["detected"]]
+    dirty = [f"{r['app']}: {r['details']}" for r in clean["apps"]
+             if r["hazards"]]
+    return {
+        "metrics": {
+            "planted.detected": planted["detected"],
+            "planted.positives": planted["positives"],
+            "planted.false_positives": planted["false_positives"],
+            "clean.hazards": clean["total_hazards"],
+            "overhead.ratio": overhead["ratio"],
+            "overhead.ops_instrumented": overhead["ops_instrumented"],
+        },
+        "checks": [
+            check("planted: every positive detected",
+                  planted["detected"] == planted["positives"],
+                  f"{planted['detected']}/{planted['positives']}"
+                  + (f"; missed {', '.join(failures)}" if failures else "")),
+            check("planted: no false positives",
+                  planted["false_positives"] == 0,
+                  f"{planted['false_positives']} on {planted['negatives']} "
+                  "negative control(s)"),
+            check("clean sweep: no hazards", clean["ok"],
+                  f"{clean['total_hazards']} across {len(clean['apps'])} "
+                  "Rodinia app(s)" + ("; " + "; ".join(dirty) if dirty else "")),
+            check(f"overhead ≤{OVERHEAD_LIMIT}×, digest equal", overhead["ok"],
+                  f"{overhead['ratio']:.3f}×, digest "
+                  + ("match" if overhead["digest_match"] else "MISMATCH")),
+        ],
+        "planted": planted,
+        "clean_apps": clean,
+        "overhead": overhead,
     }
-    report["ok"] = all(report[k]["ok"] for k in
-                       ("planted", "clean_apps", "lint", "overhead"))
-    return report
 
 
-def format_gate(report: dict) -> str:
-    """Human-readable gate summary (CLI output)."""
-    p, c = report["planted"], report["clean_apps"]
-    li, ov = report["lint"], report["overhead"]
-    lines = [
-        "sanitizer gate",
-        f"  planted:   {p['detected']}/{p['positives']} detected "
-        f"(rate {p['detection_rate']:.2f}), "
-        f"{p['false_positives']} false positive(s) on "
-        f"{p['negatives']} negative control(s) "
-        f"[{'ok' if p['ok'] else 'FAIL'}]",
-        f"  clean:     {c['total_hazards']} hazard(s) across "
-        f"{len(c['apps'])} Rodinia app(s) "
-        f"[{'ok' if c['ok'] else 'FAIL'}]",
-        f"  lint:      {li['count']} finding(s) "
-        f"[{'ok' if li['ok'] else 'FAIL'}]",
-        f"  overhead:  {ov['ratio']:.3f}x (limit {ov['limit']}x), "
-        f"digest {'match' if ov['digest_match'] else 'MISMATCH'} "
-        f"[{'ok' if ov['ok'] else 'FAIL'}]",
-        f"  verdict:   {'PASS' if report['ok'] else 'FAIL'}",
-    ]
-    for r in p["scenarios"]:
-        if not r["detected"]:
-            lines.append(f"    planted FAIL {r['name']}: "
-                         f"missing {r['missing']} found {r['found']}")
-    for r in c["apps"]:
-        if r["hazards"]:
-            lines.append(f"    clean FAIL {r['app']}: {r['details']}")
-    lines += ["    " + d for d in li["findings"]]
-    return "\n".join(lines)
+SUITE = Suite(
+    run=run_gate,
+    config={"scale": 0.05, "gpu": "V100", "seed": 0},
+)

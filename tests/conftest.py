@@ -1,5 +1,8 @@
 """Shared fixtures: a simulated machine (process + GPU + CUDA runtime)."""
 
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.cuda.api import CudaRuntime, FatBinary
@@ -48,3 +51,15 @@ def backend(machine):
     b = NativeBackend(runtime)
     b.register_app_binary(APP_FATBIN)
     return b
+
+
+@pytest.fixture
+def bench_baseline(tmp_path, monkeypatch):
+    """A private copy of the committed bench baseline: ``repro bench``
+    gates against it and ``--update-baseline`` writes it."""
+    from repro.harness import suites
+
+    path = tmp_path / "BASELINE.json"
+    shutil.copy(Path(__file__).resolve().parents[1] / suites.BASELINE_PATH, path)
+    monkeypatch.setattr(suites, "BASELINE_PATH", str(path))
+    return path

@@ -92,119 +92,111 @@ class TestReproduce:
 
 
 class TestCkptBench:
-    def test_smoke_writes_report(self, tmp_path):
-        out_path = tmp_path / "BENCH_delta_ckpt.json"
-        code, text = run_cli(
-            "ckpt-bench", "--apps", "bfs", "--scale", "0.02", "--cuts", "2",
-            "--out", str(out_path),
-        )
-        assert code == 0
-        assert "checkpoint-mode sweep" in text
-        assert "forked" in text
+    def test_smoke_writes_report(self, tmp_path, bench_baseline):
+        out_path = tmp_path / "BENCH_ckpt.json"
+        code, text = run_cli("bench", "ckpt", "--out", str(out_path))
+        assert code == 0, text
+        assert "bench ckpt: PASS" in text
+        assert "forked stall ≥30% below full" in text
 
         import json
 
         report = json.loads(out_path.read_text())
-        assert len(report["cuts"]) == 2
-        row = report["apps"]["BFS"]
-        assert set(row["modes"]) == {"full", "incremental", "forked"}
+        assert len(report["cuts"]) == 4
+        row = report["apps"]["Gaussian"]
+        assert set(row["modes"]) == {
+            "full", "incremental", "forked", "speculative",
+        }
         for mode in row["modes"].values():
             assert mode["runtime_s"] >= row["baseline_s"]
-        assert "min_forked_reduction_pct" in report["summary"]
+        assert report["metrics"]["Kmeans.forked_reduction_pct"] >= 30.0
+        assert all(c["ok"] for c in report["checks"])
 
-    def test_dash_out_skips_file(self, tmp_path, monkeypatch):
+    def test_dash_out_skips_file(self, tmp_path, monkeypatch, bench_baseline):
         monkeypatch.chdir(tmp_path)
-        code, text = run_cli(
-            "ckpt-bench", "--apps", "bfs", "--scale", "0.02", "--cuts", "1",
-            "--out", "-",
-        )
+        code, text = run_cli("bench", "ckpt", "--out", "-")
         assert code == 0
-        assert not (tmp_path / "BENCH_delta_ckpt.json").exists()
-
-    def test_unknown_app_rejected(self):
-        with pytest.raises(SystemExit):
-            run_cli("ckpt-bench", "--apps", "doom")
+        assert "wrote" not in text
+        assert list(tmp_path.iterdir()) == [bench_baseline]
 
 
 class TestFaultCampaign:
-    def test_smoke_writes_report(self, tmp_path):
-        out_path = tmp_path / "BENCH_fault_campaign.json"
-        code, text = run_cli(
-            "fault-campaign", "--smoke", "--apps", "gaussian", "kmeans",
-            "--mtbf-factors", "0.2", "--out", str(out_path),
-        )
-        assert code == 0
-        assert "rank-death 2PC" in text
+    def test_smoke_writes_report(self, tmp_path, bench_baseline):
+        out_path = tmp_path / "BENCH_faults.json"
+        code, text = run_cli("bench", "faults", "--out", str(out_path))
+        assert code == 0, text
+        assert "rank death in 2PC" in text
         assert "bit-correct" in text
 
         import json
 
         report = json.loads(out_path.read_text())
         totals = report["totals"]
-        # The smoke sweep (one fault class per rung) must show every
-        # ladder rung firing with bit-correct recovery.
-        for rung in ("retry", "stream-reset", "restore"):
+        # The suite sweeps one fault class per rung plus the failover
+        # cells, so every ladder rung fires with bit-correct recovery.
+        for rung in ("retry", "stream-reset", "restore", "failover"):
             assert totals["rung_counts"][rung] > 0
         assert totals["bit_correct"] + totals["aborted"] == totals["cells"]
         assert report["rank_death_2pc"]["no_half_commit"]
         assert report["rank_death_2pc"]["prior_state_restored"]
         assert set(report["apps"]) == {"Gaussian", "Kmeans"}
 
-    def test_dash_out_skips_file(self, tmp_path, monkeypatch):
+    def test_dash_out_skips_file(self, tmp_path, monkeypatch, bench_baseline):
         monkeypatch.chdir(tmp_path)
-        code, _ = run_cli(
-            "fault-campaign", "--smoke", "--apps", "bfs",
-            "--classes", "xfer-corrupt", "--mtbf-factors", "0.5",
-            "--out", "-",
-        )
+        code, _ = run_cli("bench", "faults", "--out", "-")
         assert code == 0
-        assert not (tmp_path / "BENCH_fault_campaign.json").exists()
-
-    def test_unknown_class_rejected(self):
-        with pytest.raises(SystemExit):
-            run_cli("fault-campaign", "--classes", "gremlins")
+        assert list(tmp_path.iterdir()) == [bench_baseline]
 
 
 class TestSpecBench:
-    def test_smoke_writes_report(self, tmp_path):
-        out_path = tmp_path / "BENCH_spec.json"
-        code, text = run_cli(
-            "spec-bench", "--smoke", "--apps", "kmeans", "--scale", "0.1",
-            "--cuts", "1", "--baseline", "-", "--out", str(out_path),
-        )
-        assert code == 0
-        assert "speculative-checkpoint bench" in text
+    """Speculative cuts run inside the ``ckpt`` suite's mode sweep."""
+
+    def test_smoke_writes_report(self, tmp_path, bench_baseline):
+        out_path = tmp_path / "BENCH_ckpt.json"
+        code, text = run_cli("bench", "ckpt", "--out", str(out_path))
+        assert code == 0, text
         assert "forced conflict" in text
 
         import json
 
         report = json.loads(out_path.read_text())
-        row = report["apps"]["Kmeans"]
-        assert set(row["modes"]) == {"forked", "speculative"}
-        assert row["digest_equal"]
-        assert row["stall_ratio"] < 0.10
+        for app in ("Gaussian", "Kmeans"):
+            assert report["metrics"][f"{app}.stall_ratio"] < 0.10
+        passed = {c["name"] for c in report["checks"] if c["ok"]}
+        assert "Kmeans: speculative digest-equal, live and restored" in passed
+        assert "Kmeans.stall_ratio vs baseline" in passed
         assert report["forced_conflict"]["invalidated"] > 0
         assert report["forced_conflict"]["digest_equal"]
         assert report["ok"]
 
-    def test_update_baseline_writes_payload(self, tmp_path):
-        baseline_path = tmp_path / "BENCH_spec_baseline.json"
-        code, _ = run_cli(
-            "spec-bench", "--smoke", "--apps", "kmeans", "--scale", "0.1",
-            "--cuts", "1", "--baseline", str(baseline_path),
-            "--update-baseline", "--out", "-",
-        )
+    def test_update_baseline_writes_payload(self, bench_baseline):
+        bench_baseline.write_text('{"version": 1, "suites": {}}')
+        code, _ = run_cli("bench", "ckpt", "--update-baseline")
         assert code == 0
 
         import json
 
-        payload = json.loads(baseline_path.read_text())
-        assert payload["benchmark"] == "spec-baseline"
-        assert "Kmeans" in payload["stall_ratio"]
+        entry = json.loads(bench_baseline.read_text())["suites"]["ckpt"]
+        assert entry["config"]["cuts"] == 4
+        assert set(entry["metrics"]) == {
+            "Gaussian.stall_ratio", "Kmeans.stall_ratio",
+        }
 
-    def test_unknown_app_rejected(self):
-        with pytest.raises(SystemExit):
-            run_cli("spec-bench", "--apps", "doom")
+
+class TestTrace:
+    def test_trace_app_checks_and_writes_chrome_trace(self, tmp_path):
+        trace_path = tmp_path / "ss.json"
+        code, text = run_cli(
+            "trace", "simplestreams", "--checkpoint-at", "0.5",
+            "--trace-out", str(trace_path),
+        )
+        assert code == 0, text
+        assert "[PASS] eq. 2 equals the traced call spans" in text
+        assert "bench trace simplestreams: PASS" in text
+
+        import json
+
+        assert json.loads(trace_path.read_text())["traceEvents"]
 
 
 class TestAnalyzeUpdateBaseline:

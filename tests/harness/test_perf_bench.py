@@ -1,8 +1,8 @@
-"""perf-bench harness: trace determinism, replay equality, gate math.
+"""perf suite: trace determinism, replay equality, gate math.
 
-The full benchmark runs in CI (``repro perf-bench --smoke``); these
-tests cover the pieces cheaply — tiny traces through both replay
-paths, and the regression-gate arithmetic against synthetic reports.
+The full suite runs in CI (``repro bench perf``); these tests cover the
+pieces cheaply — tiny traces through both replay paths, and the
+baseline-gate arithmetic against synthetic reports.
 """
 
 import pytest
@@ -13,15 +13,15 @@ from repro.harness.perf_bench import (
     RATIO_FLOOR,
     REGRESSION_LIMIT,
     access_trace,
-    baseline_payload,
     dirty_trace,
-    evaluate_gate,
+    gate_metrics,
     legacy_access_scan,
     replay_dirty,
     replay_written,
     vector_access_scan,
     written_trace,
 )
+from repro.harness.suites import baseline_checks, baseline_entry, load_suite
 
 
 class TestTraces:
@@ -54,71 +54,84 @@ class TestTraces:
 
 def _report(cal=0.1, cap=0.02, san=0.01, speedup=8.0):
     return {
-        "version": 1,
-        "smoke": True,
-        "settings": {"scale": 1.0, "repeats": 3, "n_cuts": 4, "seed": 0,
-                     "gpu": "V100", "apps": ["gaussian"]},
-        "calibration_s": cal,
-        "capture": {"wall_s": cap},
-        "sanitize": {"wall_s": san},
-        "micro": {
-            "combined_speedup": speedup,
-            "dirty": {"vector_s": 0.5},
-            "access": {"vector_s": 0.05},
-            "written": {"vector_s": 0.01},
-        },
+        "config": load_suite("perf").config,
+        "metrics": gate_metrics(cal, cap, san, speedup),
+    }
+
+
+def _gate(report, base):
+    """Baseline checks of ``report`` against ``base`` recorded as the
+    perf entry: {metric: (ratio, ok)}, plus the entry check."""
+    baseline = {"version": 1, "suites": {"perf": baseline_entry("perf", base)}}
+    ok = {c["name"]: c["ok"] for c in baseline_checks("perf", report, baseline)}
+    assert ok.pop("baseline entry")
+    return {
+        g.metric: (
+            g.ratio(report["metrics"][g.metric], base["metrics"][g.metric]),
+            ok[f"{g.metric} vs baseline"],
+        )
+        for g in load_suite("perf").gates
     }
 
 
 class TestGate:
-    def test_no_baseline_is_ok(self):
-        gate = evaluate_gate(_report(), None)
-        assert gate["ok"] and not gate["baseline_found"]
+    def test_no_baseline_fails(self):
+        checks = baseline_checks("perf", _report(), {"version": 1})
+        assert [(c["name"], c["ok"]) for c in checks] == [
+            ("baseline entry", False)
+        ]
 
     def test_identical_run_passes(self):
-        gate = evaluate_gate(_report(), baseline_payload(_report()))
-        assert gate["baseline_found"]
-        assert gate["max_ratio"] == pytest.approx(1.0)
-        assert gate["ok"]
+        gate = _gate(_report(), _report())
+        assert set(gate) == {
+            "capture_wall_cal", "sanitize_wall_cal", "micro_speedup",
+        }
+        for ratio, ok in gate.values():
+            assert ratio == pytest.approx(1.0)
+            assert ok
 
     def test_large_regression_fails(self):
-        base = baseline_payload(_report())
-        gate = evaluate_gate(_report(cap=0.5), base)
-        assert gate["ratios"]["capture_wall_s"] > REGRESSION_LIMIT
-        assert not gate["ok"]
+        ratio, ok = _gate(_report(cap=0.5), _report())["capture_wall_cal"]
+        assert ratio > REGRESSION_LIMIT
+        assert not ok
 
     def test_slower_machine_is_normalized_away(self):
         """Everything (calibration included) 2x slower: all ratios 1."""
-        base = baseline_payload(_report())
-        cur = _report(cal=0.2, cap=0.04, san=0.02)
-        gate = evaluate_gate(cur, base)
-        assert gate["max_ratio"] == pytest.approx(1.0)
-        assert gate["ok"]
+        gate = _gate(_report(cal=0.2, cap=0.04, san=0.02), _report())
+        for ratio, ok in gate.values():
+            assert ratio == pytest.approx(1.0)
+            assert ok
 
     def test_tiny_metric_jitter_is_damped(self):
         """A few-ms metric doubling must not trip the gate (the floor
         keeps sub-calibration noise out of the ratio)."""
-        base = baseline_payload(_report(san=0.004))
-        gate = evaluate_gate(_report(san=0.009), base)
-        assert gate["ratios"]["sanitize_wall_s"] < REGRESSION_LIMIT
-        assert gate["ok"]
+        ratio, ok = _gate(_report(san=0.009), _report(san=0.004))[
+            "sanitize_wall_cal"
+        ]
+        assert ratio < REGRESSION_LIMIT
+        assert ok
 
     def test_speedup_drop_fails(self):
-        base = baseline_payload(_report(speedup=8.0))
-        gate = evaluate_gate(_report(speedup=4.0), base)
-        assert gate["ratios"]["micro_speedup"] > REGRESSION_LIMIT
-        assert not gate["ok"]
+        ratio, ok = _gate(_report(speedup=4.0), _report(speedup=8.0))[
+            "micro_speedup"
+        ]
+        assert ratio > REGRESSION_LIMIT
+        assert not ok
 
     def test_floor_is_positive(self):
         assert RATIO_FLOOR > 0
         assert REGRESSION_LIMIT > 1.0
+        for gate in load_suite("perf").gates:
+            assert (gate.limit, gate.floor) == (REGRESSION_LIMIT, RATIO_FLOOR)
 
 
 class TestBaselinePayload:
     def test_payload_carries_gate_inputs_only(self):
-        pay = baseline_payload(_report())
-        assert pay["calibration_s"] == 0.1
-        assert pay["capture"] == {"wall_s": 0.02}
-        assert pay["sanitize"] == {"wall_s": 0.01}
-        assert pay["micro"]["combined_speedup"] == 8.0
+        pay = baseline_entry("perf", _report())
+        assert pay["config"] == load_suite("perf").config
+        assert pay["metrics"] == {
+            "capture_wall_cal": pytest.approx(0.2),
+            "sanitize_wall_cal": pytest.approx(0.1),
+            "micro_speedup": 8.0,
+        }
         assert "checks" not in pay

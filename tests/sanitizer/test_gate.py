@@ -1,19 +1,26 @@
-"""CI-gate sections: planted detection, clean sweep, report formatting."""
+"""sanitize suite: planted detection, clean sweep, report rendering."""
 
-from repro.sanitizer.gate import (
-    _clean_apps_section,
-    _planted_section,
-    format_gate,
-    run_gate,
-)
+import pytest
+
+from repro.harness.suites import render
+from repro.sanitizer.gate import _clean_apps_section, run_gate
 from repro.sanitizer.planted import SCENARIOS, run_scenario
 
 
+@pytest.fixture(scope="module")
+def gate():
+    """One smoke-scale suite run (the planted corpus included) shared by
+    every test here."""
+    result = run_gate(scale=0.02, gpu="V100", seed=0)
+    return {**result, "suite": "sanitize",
+            "ok": all(c["ok"] for c in result["checks"])}
+
+
 class TestPlanted:
-    def test_every_scenario_detected(self):
+    def test_every_scenario_detected(self, gate):
         """The headline acceptance criterion: 100% planted detection,
         zero findings on the negative controls."""
-        section = _planted_section()
+        section = gate["planted"]
         assert section["detection_rate"] == 1.0
         assert section["false_positives"] == 0
         assert section["ok"]
@@ -49,38 +56,39 @@ class TestCleanApps:
 
 
 class TestReport:
-    def test_run_gate_smoke_and_format(self):
-        """One full (smoke-scale) gate run: verdict PASS, JSON shape
-        stable, text rendering mentions each section."""
-        report = run_gate(scale=0.02)
-        assert set(report) == {
-            "planted", "clean_apps", "lint", "overhead", "ok"
+    def test_run_gate_smoke_and_format(self, gate):
+        """One full (smoke-scale) suite run: verdict PASS, JSON shape
+        stable, text rendering names each check."""
+        assert set(gate) == {
+            "metrics", "checks", "planted", "clean_apps", "overhead",
+            "suite", "ok",
         }
-        assert report["ok"], format_gate(report)
-        text = format_gate(report)
-        for token in ("planted:", "clean:", "lint:", "overhead:",
-                      "verdict:   PASS"):
+        assert gate["ok"], render(gate)
+        text = render(gate)
+        for token in ("planted: every positive detected",
+                      "planted: no false positives", "clean sweep:",
+                      "overhead ≤1.25×", "bench sanitize: PASS"):
             assert token in text
 
-    def test_format_names_failures(self):
-        report = {
-            "planted": {
-                "scenarios": [{
-                    "name": "race-x", "detected": False, "negative": False,
-                    "missing": [("racecheck", "write-write")], "found": [],
-                    "hazards": 0, "expected": [],
-                }],
-                "positives": 1, "detected": 0, "detection_rate": 0.0,
-                "negatives": 0, "false_positives": 0, "ok": False,
-            },
-            "clean_apps": {"apps": [], "total_hazards": 0, "ok": True},
-            "lint": {"findings": [], "count": 0, "ok": True},
-            "overhead": {
-                "ratio": 1.0, "limit": 1.25, "digest_match": True,
-                "ok": True,
-            },
-            "ok": False,
+    def test_format_names_failures(self, monkeypatch):
+        """A missed scenario is named in the failing check's detail."""
+        import repro.sanitizer.gate as gate_mod
+
+        missed = {
+            "name": "race-x", "detected": False, "negative": False,
+            "missing": [("racecheck", "write-write")], "found": [],
+            "hazards": 0, "expected": [],
         }
-        text = format_gate(report)
-        assert "FAIL" in text
+        monkeypatch.setattr(gate_mod, "SCENARIOS", [SCENARIOS[0]])
+        monkeypatch.setattr(gate_mod, "run_scenario", lambda sc: missed)
+        monkeypatch.setattr(gate_mod, "_clean_apps_section",
+                            lambda *a: {"apps": [], "total_hazards": 0,
+                                        "ok": True})
+        monkeypatch.setattr(gate_mod, "_overhead_section",
+                            lambda *a: {"ratio": 1.0, "ops_instrumented": 0,
+                                        "digest_match": True, "ok": True})
+        result = run_gate(scale=0.02, gpu="V100", seed=0)
+        report = {**result, "suite": "sanitize", "ok": False}
+        text = render(report)
+        assert "[FAIL] planted: every positive detected" in text
         assert "race-x" in text

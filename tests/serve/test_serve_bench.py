@@ -1,26 +1,22 @@
-"""serve-bench harness: cells, totals, gate, baseline round-trip."""
+"""serve suite: cells, totals, baseline gate, rendering."""
 
 import json
 
 import pytest
 
-from repro.harness.serve_bench import (
-    _percentile,
-    baseline_payload,
-    evaluate_gate,
-    format_serve_bench,
-    run_serve_bench,
-)
+from repro.harness.serve_bench import _percentile, run_serve_bench
+from repro.harness.suites import baseline_checks, baseline_entry, render
 from repro.trace.metrics import MetricsRegistry
+
+TINY = dict(sessions=8, nodes=3, slots=2, waves=2, seed=0, state_elems=32)
 
 
 @pytest.fixture(scope="module")
 def tiny_report():
     # Smallest campaign that still exercises every cell's fault lever.
-    return run_serve_bench(
-        sessions=8, nodes=3, slots=2, waves=2, seed=0,
-        state_elems=32, baseline=None,
-    )
+    result = run_serve_bench(**TINY)
+    return {**result, "suite": "serve", "config": TINY,
+            "ok": all(c["ok"] for c in result["checks"])}
 
 
 def test_percentile_nearest_rank():
@@ -37,11 +33,11 @@ def test_campaign_runs_every_cell_clean(tiny_report):
     assert [c["cell"] for c in r["cells"]] == [
         "baseline", "ecc", "kernel-hang", "node-death", "eviction-storm",
     ]
-    assert r["totals"]["lost_sessions"] == 0
-    assert r["totals"]["digest_mismatches"] == 0
-    assert r["checks"] == {
-        "zero_lost": True, "digests_equal": True, "gate_ok": True,
-    }
+    assert r["metrics"]["lost_sessions"] == 0
+    assert r["metrics"]["digest_mismatches"] == 0
+    assert [(c["name"], c["ok"]) for c in r["checks"]] == [
+        ("zero lost sessions", True), ("every digest equal", True),
+    ]
     assert r["ok"]
     # The chaos cells actually recovered through their intended rungs.
     by_cell = {c["cell"]: c for c in r["cells"]}
@@ -51,40 +47,49 @@ def test_campaign_runs_every_cell_clean(tiny_report):
 
 
 def test_virtual_time_report_is_deterministic(tiny_report):
-    again = run_serve_bench(
-        sessions=8, nodes=3, slots=2, waves=2, seed=0,
-        state_elems=32, baseline=None,
-    )
-    for key in ("totals", "config"):
-        a, b = dict(tiny_report[key]), dict(again[key])
-        a.pop("wall_s", None), b.pop("wall_s", None)
-        assert a == b
+    again = run_serve_bench(**TINY)
+    for key in ("metrics", "counters"):
+        assert tiny_report[key] == again[key]
+    strip = [{k: v for k, v in c.items() if k != "wall_s"}
+             for c in tiny_report["cells"]]
+    assert strip == [{k: v for k, v in c.items() if k != "wall_s"}
+                     for c in again["cells"]]
 
 
 def test_gate_against_baseline_file(tiny_report, tmp_path):
     path = tmp_path / "baseline.json"
-    path.write_text(json.dumps(baseline_payload(tiny_report)))
-    gate = evaluate_gate(tiny_report, str(path))
-    assert gate["baseline_found"]
-    assert gate["resume_ratio"] == pytest.approx(1.0)
-    assert gate["throughput_ratio"] == pytest.approx(1.0)
-    assert gate["ok"]
+    path.write_text(json.dumps(
+        {"version": 1, "suites": {"serve": baseline_entry("serve", tiny_report)}}
+    ))
+    baseline = json.loads(path.read_text())
+    checks = baseline_checks("serve", tiny_report, baseline)
+    assert [c["name"] for c in checks] == [
+        "baseline entry", "resume_p99_ms vs baseline",
+        "sessions_per_sec vs baseline",
+    ]
+    assert all(c["ok"] for c in checks)
+    assert "ratio 1.000" in checks[1]["detail"]
+    assert "ratio 1.000" in checks[2]["detail"]
     # A regressed run fails the gate.
     worse = json.loads(json.dumps(tiny_report))
-    worse["totals"]["resume_p99_ms"] *= 2.0
-    assert not evaluate_gate(worse, str(path))["ok"]
+    worse["metrics"]["resume_p99_ms"] *= 2.0
+    assert not baseline_checks("serve", worse, baseline)[1]["ok"]
+    slower = json.loads(json.dumps(tiny_report))
+    slower["metrics"]["sessions_per_sec"] *= 0.79
+    assert not baseline_checks("serve", slower, baseline)[2]["ok"]
 
 
-def test_missing_baseline_records_only(tiny_report):
-    gate = evaluate_gate(tiny_report, "benchmarks/definitely-missing.json")
-    assert not gate["baseline_found"]
-    assert gate["ok"]
+def test_missing_baseline_fails(tiny_report):
+    (entry,) = baseline_checks("serve", tiny_report, {"version": 1})
+    assert entry["name"] == "baseline entry"
+    assert not entry["ok"]
 
 
 def test_format_is_human_readable(tiny_report):
-    text = format_serve_bench(tiny_report)
-    assert "node-death" in text
-    assert "result: OK" in text
+    text = render(tiny_report)
+    assert "zero lost sessions" in text
+    assert "resume_p99_ms" in text
+    assert "bench serve: PASS" in text
 
 
 def test_metrics_merge_matches_shared_registry():
