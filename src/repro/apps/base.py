@@ -199,17 +199,18 @@ class TimedLoop:
         self.executed = 0
 
     def __iter__(self):
+        # ``backend.process`` is read at each use: a mid-run restart
+        # (from a checkpoint callback) swaps the process underneath.
         backend = self.ctx.backend
-        proc = backend.process
         per_iter_ns: list[float] = []
         per_iter_calls: list[Counter] = []
         for i in range(self.measure):
-            t0 = proc.clock_ns
+            t0 = backend.process.clock_ns
             c0 = Counter(backend.call_counter)
             yield i
             if self.sync_each:
                 backend.device_synchronize()
-            per_iter_ns.append(proc.clock_ns - t0)
+            per_iter_ns.append(backend.process.clock_ns - t0)
             delta = Counter(backend.call_counter)
             delta.subtract(c0)
             per_iter_calls.append(+delta)
@@ -240,7 +241,7 @@ class TimedLoop:
                 n = remaining // chunks + (1 if ci < remaining % chunks else 0)
                 if n == 0:
                     continue
-                proc.advance(mean_ns * n)
+                backend.process.advance(mean_ns * n)
                 if mean_calls:
                     backend.note_external_calls(mean_calls, n)
                 if self.ff_hook is not None:

@@ -17,6 +17,7 @@ At precheckpoint time the plugin:
 from __future__ import annotations
 
 from repro.core.trampoline import CracBackend
+from repro.dmtcp.checkpointer import SKIP
 from repro.dmtcp.image import CheckpointImage
 from repro.dmtcp.plugins import DmtcpPlugin
 from repro.gpu.timing import NS_PER_S
@@ -67,11 +68,13 @@ class CracPlugin(DmtcpPlugin):
 
         tracer = getattr(self.session, "tracer", None)
 
-        # 1. Drain the queue of pending CUDA kernels (on every GPU).
-        #    A *speculative* cut skips this entirely — kernels keep
-        #    launching through the capture window and the version table
-        #    catches whatever they touch (validated at commit time).
-        if not image.speculative:
+        # 1. Drain the queue of pending CUDA kernels (on every GPU) —
+        #    unless the cut's placement skips it: a speculative cut lets
+        #    kernels keep launching through the capture window and the
+        #    version table catches whatever they touch (validated at
+        #    commit time).
+        cut = image.cut
+        if cut.placed("drain") != SKIP:
             t_drain = process.clock_ns
             for dev in runtime.devices:
                 runtime.process.advance_to(dev.synchronize_all())
@@ -134,15 +137,7 @@ class CracPlugin(DmtcpPlugin):
             image.record_contents_capture(
                 buf.contents, dirty_spans, buf.contents.write_seq
             )
-        drain_ns = drain_bytes / runtime.device.spec.pcie_bw * NS_PER_S
-        if image.speculative:
-            # The drain crosses PCIe on the background capture timeline;
-            # the checkpointer folds this into the writer's window.
-            image.spec_deferred_ns = (
-                getattr(image, "spec_deferred_ns", 0.0) + drain_ns
-            )
-        else:
-            process.advance(drain_ns)
+        cut.charge("stage", drain_bytes / runtime.device.spec.pcie_bw * NS_PER_S)
         if tracer is not None:
             tracer.ckpt_span(
                 "stage", t_stage, process.clock_ns,
@@ -176,12 +171,6 @@ class CracPlugin(DmtcpPlugin):
             },
         )
         image.add_blob("crac/current-device", runtime.current_device)
-        if image.speculative:
-            # Handle-version snapshot at the cut: what the speculative
-            # writer diffs the live table against at validation time.
-            image.add_blob(
-                "crac/spec-versions", self.session.handle_table.cut()
-            )
         # Platform fingerprint: replay determinism "relies on using the
         # same CUDA/GPU platform on restart" (§3.2.4).
         image.add_blob(

@@ -63,7 +63,7 @@ from repro.core.trampoline import CracBackend
 from repro.cuda.errors import CudaErrorCode, cuda_error
 from repro.dmtcp.checkpointer import DmtcpCheckpointer
 from repro.dmtcp.coordinator import DmtcpCoordinator
-from repro.dmtcp.forked import ForkedCheckpoint
+from repro.dmtcp.forked import BackgroundWriter
 from repro.dmtcp.image import CheckpointImage
 from repro.dmtcp.store import CheckpointStore
 from repro.errors import (
@@ -172,10 +172,10 @@ class CracSession:
         self.coordinator = DmtcpCoordinator(self.checkpointer, seed=seed)
         self.backend.coordinator = self.coordinator
         self.restarts: list[RestartReport] = []
-        #: forked checkpoints whose background image write has not been
-        #: finished yet (at most one in practice — a new checkpoint first
-        #: drains the previous write)
-        self.pending_forks: list[ForkedCheckpoint] = []
+        #: forked/speculative writers whose background window has not
+        #: been finished yet (at most one in practice — a new checkpoint
+        #: first drains the previous one)
+        self.pending_forks: list[BackgroundWriter] = []
         #: escalation ladder guarding runtime calls (enable_fault_domain)
         self.fault_domain: FaultDomain | None = None
         #: hazard analyzer following the runtime across restarts
@@ -312,16 +312,8 @@ class CracSession:
             gzip=gzip, incremental=incremental, parent=parent, store=store,
             forked=forked, speculative=speculative,
         )
-        if forked or speculative:
-            writer = image.forked_writer
-            if speculative:
-                # Remembered so an aborted speculation can re-issue the
-                # same cut through the stop-the-world forked path.
-                writer.fallback_kwargs = dict(
-                    gzip=gzip, incremental=incremental, parent=parent,
-                    store=store,
-                )
-            self.pending_forks.append(writer)
+        if image.forked_writer is not None:
+            self.pending_forks.append(image.forked_writer)
         return image
 
     def finish_forked_checkpoints(self, *, block: bool = True) -> None:
@@ -337,14 +329,17 @@ class CracSession:
                     self.process if self.process.alive else None, block=block
                 )
             except SpeculationAbortedError:
-                fallback = getattr(writer, "fallback_kwargs", None)
-                if fallback is None or not self.process.alive:
+                if not self.process.alive:
                     raise
                 # The aborted cut left every dirty bit intact, so the
-                # forked re-issue captures the same (now slightly newer)
-                # state the stop-the-world path would have. Its writer
-                # joins pending_forks and drains in this same loop.
-                self.checkpoint(forked=True, **fallback)
+                # forked re-issue of the same cut captures the same (now
+                # slightly newer) state the stop-the-world path would
+                # have. Its writer drains in this same loop.
+                image = writer.image
+                self.checkpoint(
+                    gzip=image.gzip, incremental=image.incremental,
+                    parent=image.parent, store=writer.store, forked=True,
+                )
 
     def abort_pending_writers(self) -> None:
         """Tear down in-flight background writers without committing.
@@ -847,17 +842,26 @@ class FaultDomain:
 
     # -- checkpointing ---------------------------------------------------------
 
-    def checkpoint(self, **kwargs) -> int | None:
-        """Commit a checkpoint to the store; record its cut time.
+    def checkpoint(
+        self,
+        *,
+        incremental: bool = False,
+        parent: CheckpointImage | None = None,
+    ) -> int | None:
+        """Commit an inline checkpoint to the store; record its cut time.
 
-        An injected pipeline crash aborts the attempt (partials are
-        discarded, nothing half-commits) and returns ``None`` — the
-        prior generation stays the recovery line.
+        Only inline cuts: the generation and its cut time are read right
+        after the call returns, which is before a forked or speculative
+        writer would have committed. An injected pipeline crash aborts
+        the attempt (partials are discarded, nothing half-commits) and
+        returns ``None`` — the prior generation stays the recovery line.
         """
         if self.store is None:
             raise ValueError("FaultDomain.checkpoint needs a store")
         try:
-            self.session.checkpoint(store=self.store, **kwargs)
+            self.session.checkpoint(
+                store=self.store, incremental=incremental, parent=parent
+            )
         except InjectedFault:
             self.store.discard_partials()
             return None

@@ -263,7 +263,6 @@ class CudaRuntime:
             addr=addr, size=nbytes, kind="host-pinned",
             uid=next(self._buffer_uids),
         )
-        buf.via_hostalloc = True  # type: ignore[attr-defined]
         self.buffers[addr] = buf
         self._host_origin[addr] = "hostalloc"
         return addr
@@ -319,7 +318,6 @@ class CudaRuntime:
             addr=addr, size=nbytes, kind="host-pinned",
             uid=next(self._buffer_uids),
         )
-        buf.via_hostalloc = True  # type: ignore[attr-defined]
         self.buffers[addr] = buf
         self._host_origin[addr] = "registered"
 

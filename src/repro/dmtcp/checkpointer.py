@@ -3,8 +3,10 @@
 Checkpoint: quiesce → run plugin precheckpoint hooks → walk the address
 space → save every region *not* covered by a plugin skip range → account
 write time (optionally through the gzip cost model; the paper disables
-gzip). Restore: map every saved region back at its original address
-(``MAP_FIXED``) in the target process and reload its pages.
+gzip), each stage charged where the write mode's row of
+:data:`PLACEMENT` puts it. Restore: map every saved region back at its
+original address (``MAP_FIXED``) in the target process and reload its
+pages.
 
 Note the §3.2.2 subtlety: DMTCP's view of memory is the *merged*
 ``/proc/PID/maps``; deciding which bytes inside a merged entry belong to
@@ -15,9 +17,10 @@ computes from its own loader registry — and saves the remainder.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.dmtcp.forked import ForkedCheckpoint
+from repro.dmtcp.forked import ForkedCheckpoint, commit
 from repro.dmtcp.image import CheckpointImage, SavedRegion
 from repro.dmtcp.plugins import DmtcpPlugin
 from repro.gpu.timing import DEFAULT_HOST_COSTS, NS_PER_S, HostCosts
@@ -46,6 +49,52 @@ def _subtract_ranges(
                 new.append((s_end, hi))
         parts = new
     return parts
+
+
+#: Where a stage's cost lands: the application clock, the background
+#: writer's timeline, or nowhere (the stage does not run).
+APP, BACKGROUND, SKIP = "app", "background", "skip"
+STAGES = ("quiesce", "drain", "stage", "save-regions", "write")
+
+#: The cut pipeline's placement table, keyed by write mode (derived once
+#: from the ``forked``/``speculative`` flags). Every mode runs the same
+#: stages; forked (CRUM) and speculative (PhoenixOS) cuts only move them
+#: off the application's critical path, onto the window of the writer
+#: that commits the image. A cut whose quiesce is in the background never
+#: stops the application: it pays ``spec_cut_ns`` plus a per-handle
+#: version snapshot instead, and nothing drains the device.
+PLACEMENT: dict[str, dict[str, str]] = {
+    mode: dict(zip(STAGES, row))
+    for mode, row in {
+        "inline": (APP, APP, APP, APP, APP),
+        "forked": (APP, APP, APP, APP, BACKGROUND),
+        "speculative": (BACKGROUND, SKIP, BACKGROUND, BACKGROUND, BACKGROUND),
+    }.items()
+}
+
+
+@dataclass
+class Cut:
+    """One checkpoint in progress: charges each stage where
+    :data:`PLACEMENT` puts it for the cut's write mode. Plugins reach it
+    as ``image.cut`` while their precheckpoint hook runs."""
+
+    mode: str
+    process: SimProcess
+    #: cost placed on the background timeline so far, ns
+    background_ns: float = 0.0
+
+    def placed(self, stage: str) -> str:
+        """Where ``stage`` runs in this cut (APP / BACKGROUND / SKIP)."""
+        return PLACEMENT[self.mode][stage]
+
+    def charge(self, stage: str, ns: float) -> None:
+        """Put ``ns`` of ``stage``'s cost on the app clock or the
+        background timeline."""
+        if self.placed(stage) == APP:
+            self.process.advance(ns)
+        else:
+            self.background_ns += ns
 
 
 class DmtcpCheckpointer:
@@ -89,28 +138,20 @@ class DmtcpCheckpointer:
         dirtied GPU spans).
 
         Dirty tracking is cleared only when the image durably *commits*
-        (:meth:`CheckpointImage.mark_committed`): a fault at any later
-        stage — region-save, image-write, 2PC commit — leaves every dirty
-        bit intact so the next incremental cut still captures them. With
-        ``defer_commit=True`` the caller (a checkpoint store or a forked
-        writer) owns the commit point; otherwise the image commits at the
-        end of this call.
+        (:func:`repro.dmtcp.forked.commit`): a fault at any later stage —
+        region-save, image-write, 2PC commit — leaves every dirty bit
+        intact so the next incremental cut still captures them. With
+        ``defer_commit=True`` the caller (a checkpoint store) owns the
+        commit point; otherwise the image commits at the end of this call.
 
-        ``forked=True`` skips the synchronous image write: the app
-        resumes after quiesce + snapshot, and the write proceeds on a
-        background timeline tracked by the :class:`ForkedCheckpoint`
-        attached as ``image.forked_writer`` — commit (and the
-        ``image-write`` fault stage) move to its ``finish()``.
-
-        ``speculative=True`` goes further (PhoenixOS-style validated
-        speculation): *nothing* stops the world. The cut snapshots the
-        handle-version table and buffer contents instantly, kernels keep
-        launching, and quiesce + region walk + PCIe drain + image write
-        all run on a background timeline tracked by the
-        :class:`repro.spec.SpeculativeCheckpoint` attached as
-        ``image.forked_writer``. Conflict detection and commit move to
-        its ``finish()``; an aborted speculation rolls back with every
-        dirty bit intact. Requires a wired ``handle_table``.
+        ``forked=True`` and ``speculative=True`` pick a row of
+        :data:`PLACEMENT`: the stages placed in the background run on
+        the timeline of the :class:`~repro.dmtcp.forked.BackgroundWriter`
+        attached as ``image.forked_writer``, and commit (with the
+        ``image-write`` fault stage) moves to its ``finish()``. A
+        speculative cut also requires a wired ``handle_table``: the
+        writer validates the application's in-window mutations against
+        the versions snapshotted at the cut.
         """
         if incremental and parent is None:
             raise ValueError("incremental checkpoint requires a parent image")
@@ -118,28 +159,29 @@ class DmtcpCheckpointer:
             raise ValueError(
                 "speculative and forked checkpoints are exclusive modes"
             )
-        if speculative and self.handle_table is None:
-            raise ValueError(
-                "speculative checkpoint requires a wired handle table"
-            )
         proc = self.process
+        mode = "speculative" if speculative else "forked" if forked else "inline"
+        cut = Cut(mode, proc)
         t_start = proc.clock_ns
-        background_ns = 0.0
-        if speculative:
-            # No quiesce: the app stalls only for the version-table
-            # snapshot; the coordination work joins the background
-            # timeline the writer validates against.
+        versions = None
+        if cut.placed("quiesce") == BACKGROUND:
+            if self.handle_table is None:
+                raise ValueError(
+                    f"{mode} checkpoint requires a wired handle table"
+                )
+            # No stop-the-world: the app stalls only for the snapshot of
+            # the handle-version table its writer validates against.
             proc.advance(
                 self.costs.spec_cut_ns
                 + len(self.handle_table) * self.costs.spec_handle_ns
             )
-            background_ns += self.costs.ckpt_quiesce_ns
-            if self.tracer is not None:
-                self.tracer.ckpt_span("spec-cut", t_start, proc.clock_ns)
-        else:
-            proc.advance(self.costs.ckpt_quiesce_ns)
-            if self.tracer is not None:
-                self.tracer.ckpt_span("quiesce", t_start, proc.clock_ns)
+            versions = self.handle_table.cut()
+        cut.charge("quiesce", self.costs.ckpt_quiesce_ns)
+        if self.tracer is not None:
+            self.tracer.ckpt_span(
+                "quiesce" if cut.placed("quiesce") == APP else "spec-cut",
+                t_start, proc.clock_ns,
+            )
 
         image = CheckpointImage(
             pid=proc.pid,
@@ -148,7 +190,10 @@ class DmtcpCheckpointer:
             incremental=incremental,
             parent=parent if incremental else None,
             speculative=speculative,
+            cut=cut,
         )
+        if versions is not None:
+            image.add_blob("crac/spec-versions", versions)
         for plugin in self.plugins:
             if self.fault_injector is not None:
                 self.fault_injector.check("precheckpoint", plugin.name)
@@ -166,18 +211,11 @@ class DmtcpCheckpointer:
                 hi = (hi + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
                 skips.append((lo, hi - lo))
 
-        # A speculative plugin deferred its PCIe drain instead of
-        # advancing the app clock; fold it into the background window.
-        background_ns += getattr(image, "spec_deferred_ns", 0.0)
-
         t_regions = proc.clock_ns
         for region in proc.vas.regions():
             if self.fault_injector is not None:
                 self.fault_injector.check("region-save", region.tag)
-            if speculative:
-                background_ns += self.costs.ckpt_region_ns
-            else:
-                proc.advance(self.costs.ckpt_region_ns)
+            cut.charge("save-regions", self.costs.ckpt_region_ns)
             snapshot = (
                 region.dirty_pages_snapshot()
                 if incremental
@@ -214,49 +252,35 @@ class DmtcpCheckpointer:
         write_ns = written / self.costs.ckpt_write_bw * NS_PER_S
         if gzip:
             write_ns += written / self.costs.gzip_bw * NS_PER_S
-        if speculative:
-            # Everything a stop-the-world cut pays synchronously runs on
-            # the background timeline; validation happens at finish().
-            from repro.spec import SpeculativeCheckpoint
-
-            image.forked_writer = SpeculativeCheckpoint(  # type: ignore[attr-defined]
-                image=image,
-                cut_ns=proc.clock_ns,
-                validate_end_ns=proc.clock_ns + background_ns + write_ns,
-                costs=self.costs,
-                handle_table=self.handle_table,
-                fault_injector=self.fault_injector,
-                tracer=self.tracer,
-            )
-        elif forked:
-            # The write happens on the forked child's timeline; the app
-            # resumes now and only pays COW for pages it touches inside
-            # the write window (charged at finish()).
-            image.forked_writer = ForkedCheckpoint(  # type: ignore[attr-defined]
-                image=image,
-                fork_ns=proc.clock_ns,
-                write_end_ns=proc.clock_ns + write_ns,
-                costs=self.costs,
-                fault_injector=self.fault_injector,
-                tracer=self.tracer,
-            )
-        else:
-            t_write = proc.clock_ns
+        t_write = proc.clock_ns
+        if cut.placed("write") == APP:
             proc.advance(write_ns)
             if self.tracer is not None:
                 self.tracer.ckpt_span(
                     "write", t_write, proc.clock_ns, bytes=written, gzip=gzip
                 )
+        else:
+            # The app resumes now; everything placed in the background
+            # runs on the writer's timeline, and the writer owns commit.
+            from repro.spec import SpeculativeCheckpoint  # dmtcp ↔ spec cycle
+
+            writers = {"forked": ForkedCheckpoint, "speculative": SpeculativeCheckpoint}
+            image.forked_writer = writers[cut.mode](
+                image=image,
+                start_ns=t_write,
+                end_ns=t_write + cut.background_ns + write_ns,
+                costs=self.costs,
+                fault_injector=self.fault_injector,
+                handle_table=self.handle_table,
+                tracer=self.tracer,
+            )
 
         for plugin in self.plugins:
             plugin.on_resume(image)
+        image.cut = None
         image.checkpoint_time_ns = proc.clock_ns - t_start
-        if not forked and not speculative and not defer_commit:
-            image.mark_committed()
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "ckpt", "commit", proc.clock_ns, pid=image.pid
-                )
+        if image.forked_writer is None and not defer_commit:
+            commit(image, None, self.tracer, proc.clock_ns)
         return image
 
     # -- restore -----------------------------------------------------------------

@@ -27,9 +27,10 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.dmtcp.checkpointer import DmtcpCheckpointer
+from repro.dmtcp.forked import commit
 from repro.dmtcp.image import CheckpointImage
 from repro.dmtcp.store import CheckpointStore, StagedCheckpoint
 from repro.errors import CheckpointError
@@ -56,7 +57,6 @@ class DmtcpCoordinator:
         self._trigger_at_call: int | None = None
         self._calls_seen = 0
         self.images: list[CheckpointImage] = []
-        self.on_checkpoint: Callable[[CheckpointImage], None] | None = None
 
     def schedule_random_checkpoint(self, expected_total_calls: int) -> int:
         """Arm a checkpoint at a uniformly random call index (drawn from
@@ -107,19 +107,14 @@ class DmtcpCoordinator:
             forked=forked, speculative=speculative,
             defer_commit=store is not None,
         )
-        if forked or speculative:
+        if image.forked_writer is not None:
             image.forked_writer.store = store
         elif store is not None:
-            store.put(image)
-            tracer = self.checkpointer.tracer
-            if tracer is not None:
-                tracer.instant(
-                    "ckpt", "commit",
-                    self.checkpointer.process.clock_ns, pid=image.pid,
-                )
+            commit(
+                image, store, self.checkpointer.tracer,
+                self.checkpointer.process.clock_ns,
+            )
         self.images.append(image)
-        if self.on_checkpoint is not None:
-            self.on_checkpoint(image)
         return image
 
     def stage_checkpoint(

@@ -1,27 +1,27 @@
-"""Forked (copy-on-write) checkpointing: write the image off the
-application's critical path.
+"""Background image writers and the cut's single commit point.
 
-CRUM (Garg et al.) observed that most of a GPU checkpoint's cost is the
-image write, and that a forked child can flush the snapshot while the
-parent keeps computing; PhoenixOS extends the idea to concurrent
-checkpoint/restore. The model here: after quiesce + snapshot, the
-application resumes immediately and the image write proceeds on a
-*background virtual timeline* ending at ``write_end_ns``. The price:
+Forked (CRUM: a forked child flushes the snapshot while the parent keeps
+computing) and speculative (PhoenixOS: a validated cut that never stops
+the application) checkpoints are rows of the placement table in
+:mod:`repro.dmtcp.checkpointer`. Whatever a row moves off the critical
+path runs on a *background virtual timeline* ``[start_ns, end_ns]``
+owned by a :class:`BackgroundWriter`: the window, the residual wait,
+commit and abort. Its subclasses differ only in what the application
+pays at :meth:`~BackgroundWriter.finish` — copy-on-write of pages it
+dirtied inside the window (:class:`ForkedCheckpoint`), or validation
+plus conflict replay (:class:`repro.spec.SpeculativeCheckpoint`).
 
-- writes the application lands inside the not-yet-flushed window charge
-  a copy-on-write duplication cost (``HostCosts.cow_copy_bw``), pro-rated
-  by how much of the write window the application's dirtying overlapped;
-- the *commit point* — and with it the ``image-write`` fault stage and
-  the dirty-state clearing of :meth:`CheckpointImage.mark_committed` —
-  moves to write completion. A crash before :meth:`ForkedCheckpoint
-  .finish` completes leaves the previous generation as the recovery line
-  and every dirty bit intact, exactly like an aborted 2PC checkpoint.
+Either way the *commit point* — and with it the ``image-write`` fault
+stage and the dirty-state clearing of :meth:`CheckpointImage
+.mark_committed` — moves to the end of the window. A crash before then
+leaves the previous generation as the recovery line and every dirty bit
+intact, exactly like an aborted 2PC checkpoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.dmtcp.image import CheckpointImage
 from repro.gpu.timing import NS_PER_S, HostCosts
@@ -30,30 +30,61 @@ from repro.linux.process import SimProcess
 if TYPE_CHECKING:  # avoid a dmtcp → harness import cycle at runtime
     from repro.dmtcp.store import CheckpointStore
     from repro.harness.fault_injection import FaultInjector
+    from repro.spec.handles import HandleTable
+
+
+def commit(
+    image: CheckpointImage,
+    store: "CheckpointStore | None",
+    tracer,
+    at_ns: float,
+) -> int | None:
+    """The cut's one commit point: make ``image`` durable at ``at_ns``.
+
+    With a ``store`` the image goes through its two-phase commit (a
+    crash mid-write leaves a discardable partial and propagates) and
+    the new generation is returned; without one the image commits in
+    place. Either way dirty tracking is cleared here and nowhere else.
+    """
+    generation = None
+    if store is not None:
+        generation = store.put(image)
+    else:
+        image.mark_committed()
+    if tracer is not None:
+        tracer.instant("ckpt", "commit", at_ns, pid=image.pid)
+    return generation
 
 
 @dataclass
-class ForkedCheckpoint:
-    """An in-flight background image write (the forked child's work)."""
+class BackgroundWriter:
+    """The part of a cut that runs after the application resumed."""
+
+    #: write mode this writer implements (a row of the placement table)
+    mode: ClassVar[str]
+    #: trace names: the background write span, the app-visible charge
+    #: at finish, and the abort instant
+    write_span: ClassVar[str]
+    settle_span: ClassVar[str]
+    abort_instant: ClassVar[str]
 
     image: CheckpointImage
-    #: application clock when the write was forked off
-    fork_ns: float
-    #: background-timeline instant the full image is durable on disk
-    write_end_ns: float
+    #: application clock when the background window opened
+    start_ns: float
+    #: background-timeline instant the image is durable and may commit
+    end_ns: float
     costs: HostCosts
     store: "CheckpointStore | None" = None
     fault_injector: "FaultInjector | None" = None
-    #: bytes the application dirtied inside the write window and thus
-    #: had to be COW-duplicated (filled in by :meth:`finish`)
-    cow_bytes: int = 0
-    cow_time_ns: float = 0.0
-    #: residual time the application blocked waiting for the write to
-    #: drain (non-zero only if it needed durability before write_end)
+    #: live handle-version table; a cut that never quiesced validates
+    #: the application's in-window mutations against it
+    handle_table: "HandleTable | None" = None
+    #: residual time the application blocked waiting out the window
+    #: (non-zero only if it needed durability before ``end_ns``)
     residual_wait_ns: float = 0.0
     generation: int | None = None
     aborted: bool = False
-    #: repro.trace.Tracer receiving COW/forked-write spans; None = untraced
+    #: repro.trace.Tracer receiving the writer's spans; None = untraced
     tracer: object | None = None
     _finished: bool = field(default=False, repr=False)
 
@@ -62,79 +93,72 @@ class ForkedCheckpoint:
         return self.image.committed
 
     def in_flight(self, now_ns: float) -> bool:
-        """True while the background write is still flushing at ``now_ns``."""
-        return not self._finished and now_ns < self.write_end_ns
+        """True while the background window is still open at ``now_ns``."""
+        return not self._finished and now_ns < self.end_ns
+
+    def overlap(self, now_ns: float) -> float:
+        """Fraction of the application's time since the window opened
+        that the window covered (exposure of its post-cut writes)."""
+        window = max(now_ns - self.start_ns, 1.0)
+        return min(1.0, (self.end_ns - self.start_ns) / window)
+
+    def _settle(self, live: SimProcess | None) -> tuple[float, dict]:
+        """What the application pays at finish: ``(ns, span args)``.
+        ``live`` is ``None`` when the application already died."""
+        raise NotImplementedError
 
     def finish(
         self, process: SimProcess | None = None, *, block: bool = True
     ) -> None:
-        """Complete the background write and move the commit point here.
+        """Settle the application's charge and move the commit point here.
 
-        ``process`` is the application process to charge COW/residual
-        costs to (``None`` when the parent already died — the forked
-        child outlives it and still commits). With ``block=False`` the
-        caller does not wait out the remaining write window (the child
-        keeps flushing on its own timeline); the commit is still
-        recorded, since restore always happens after the child's
-        ``write_end_ns``.
+        ``process`` is the application process to charge to (``None``
+        when the parent already died — the background write outlives it
+        and still commits). With ``block=False`` the caller does not
+        wait out the remaining window; the commit is still recorded,
+        since restore always happens after ``end_ns``.
         """
         if self._finished:
             return
-        if process is not None and process.alive:
-            now = process.clock_ns
-            window = max(now - self.fork_ns, 1.0)
-            # Fraction of the app's post-fork dirtying that landed while
-            # the writer still held unflushed pages.
-            overlap = min(1.0, (self.write_end_ns - self.fork_ns) / window)
-            self.cow_bytes = int(self.image.new_dirty_bytes() * overlap)
-            self.cow_time_ns = self.cow_bytes / self.costs.cow_copy_bw * NS_PER_S
-            process.advance(self.cow_time_ns)
-            if self.tracer is not None and self.cow_time_ns:
-                self.tracer.ckpt_span(
-                    "cow", now, process.clock_ns, bytes=self.cow_bytes
-                )
-            if block and process.clock_ns < self.write_end_ns:
-                self.residual_wait_ns = self.write_end_ns - process.clock_ns
-                process.advance_to(self.write_end_ns)
+        live = process if process is not None and process.alive else None
+        cost_ns, args = self._settle(live)
+        if live is not None:
+            t0 = live.clock_ns
+            live.advance(cost_ns)
+            if self.tracer is not None and cost_ns:
+                self.tracer.ckpt_span(self.settle_span, t0, live.clock_ns, **args)
+            if block and live.clock_ns < self.end_ns:
+                self.residual_wait_ns = self.end_ns - live.clock_ns
+                live.advance_to(self.end_ns)
         try:
-            if self.store is not None:
-                # Staging fires the image-write fault stage per region; a
-                # crash leaves a discardable partial and the image stays
-                # uncommitted (dirty bits intact).
-                self.generation = self.store.put(self.image)
-            else:
-                if self.fault_injector is not None:
-                    self.fault_injector.check(
-                        "image-write", f"forked write pid {self.image.pid}"
-                    )
-                self.image.mark_committed()
+            if self.store is None and self.fault_injector is not None:
+                # With a store, staging fires this stage per region.
+                self.fault_injector.check(
+                    "image-write", f"{self.mode} write pid {self.image.pid}"
+                )
+            self.generation = commit(
+                self.image, self.store, self.tracer, self.end_ns
+            )
         except Exception:
             self.aborted = True
             self._finished = True
             raise
         self._finished = True
         if self.tracer is not None:
-            # The write ran on the forked child's background timeline.
             self.tracer.ckpt_span(
-                "forked-write", self.fork_ns, self.write_end_ns,
+                self.write_span, self.start_ns, self.end_ns,
                 bytes=self.image.size_bytes,
-            )
-            self.tracer.instant(
-                "ckpt", "commit", self.write_end_ns, pid=self.image.pid
             )
 
     def abort(self) -> None:
-        """Release a background write that died mid-window; idempotent.
+        """Release a writer that will never commit; idempotent, and a
+        no-op after :meth:`finish` completed.
 
-        A no-op after :meth:`finish` completed (the commit cannot be
-        undone). Otherwise the writer is torn down without ever reaching
-        ``mark_committed``: the image's capture tuples — references into
-        the live process's dirty state — are dropped so nothing can
-        clear dirty bits later, and every dirty page/span stays intact
-        for the next cut. The fault-domain ladder calls this before
-        killing a process with an in-flight fork, instead of letting the
-        dead window's snapshot epoch dangle (the same leak class as the
-        migration pin-leak fix).
+        The image's capture tuples — references into the live process's
+        dirty state — are dropped without reaching ``mark_committed``, so
+        every dirty page/span stays intact for the next cut. The
+        fault-domain ladder calls this before killing a process with an
+        in-flight write (and a rolled-back speculation calls it itself).
         """
         if self._finished:
             return
@@ -144,5 +168,39 @@ class ForkedCheckpoint:
         self.image.contents_captures = []
         if self.tracer is not None:
             self.tracer.instant(
-                "ckpt", "forked-abort", self.fork_ns, pid=self.image.pid
+                "ckpt", self.abort_instant, self.start_ns, pid=self.image.pid
             )
+
+
+@dataclass
+class ForkedCheckpoint(BackgroundWriter):
+    """A forked child flushing the image while the parent computes."""
+
+    mode: ClassVar[str] = "forked"
+    write_span: ClassVar[str] = "forked-write"
+    settle_span: ClassVar[str] = "cow"
+    abort_instant: ClassVar[str] = "forked-abort"
+
+    #: bytes the application dirtied inside the write window and thus
+    #: had to be COW-duplicated (filled in by :meth:`finish`)
+    cow_bytes: int = 0
+    cow_time_ns: float = 0.0
+
+    @property
+    def fork_ns(self) -> float:
+        return self.start_ns
+
+    @property
+    def write_end_ns(self) -> float:
+        return self.end_ns
+
+    def _settle(self, live: SimProcess | None) -> tuple[float, dict]:
+        if live is None:
+            return 0.0, {}
+        # Post-fork dirtying that landed while the child still held
+        # unflushed pages must be duplicated.
+        self.cow_bytes = int(
+            self.image.new_dirty_bytes() * self.overlap(live.clock_ns)
+        )
+        self.cow_time_ns = self.cow_bytes / self.costs.cow_copy_bw * NS_PER_S
+        return self.cow_time_ns, {"bytes": self.cow_bytes}

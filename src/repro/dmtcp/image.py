@@ -21,6 +21,8 @@ from typing import TYPE_CHECKING, Any
 from repro.linux.address_space import PAGE_SIZE
 
 if TYPE_CHECKING:
+    from repro.dmtcp.checkpointer import Cut
+    from repro.dmtcp.forked import BackgroundWriter
     from repro.gpu.memory import PagedContents
     from repro.linux.address_space import MemoryRegion
 
@@ -94,8 +96,6 @@ class CheckpointImage:
     #: True for a validated-speculation cut (no quiesce; capture runs
     #: concurrently with the application and commit moves to the
     #: :class:`repro.spec.SpeculativeCheckpoint` writer's validation).
-    #: Plugins branch on this to defer their drain costs off the
-    #: critical path.
     speculative: bool = False
     #: True once the image is durably committed (store commit, or the
     #: end of a direct store-less checkpoint). Dirty-state clearing in
@@ -114,6 +114,14 @@ class CheckpointImage:
     contents_captures: list[
         tuple["PagedContents", tuple[tuple[int, int], ...], int]
     ] = field(default_factory=list, repr=False, compare=False)
+    #: the cut charging each stage, set only while the checkpointer runs
+    #: (plugins charge their stages through it). Runtime-only.
+    cut: "Cut | None" = field(default=None, repr=False, compare=False)
+    #: the writer owning the rest of a forked or speculative cut (its
+    #: background window, commit and abort). Runtime-only.
+    forked_writer: "BackgroundWriter | None" = field(
+        default=None, repr=False, compare=False
+    )
 
     # -- commit point ----------------------------------------------------------
 
@@ -177,7 +185,8 @@ class CheckpointImage:
         state = dict(self.__dict__)
         state["region_captures"] = []
         state["contents_captures"] = []
-        state.pop("forked_writer", None)  # runtime handle, never on disk
+        state.pop("cut", None)  # runtime handles, never on disk
+        state.pop("forked_writer", None)
         state.pop("sync_hook", None)  # sanitizer callback, never on disk
         return state
 

@@ -4,21 +4,22 @@ Plugins participate in the checkpoint lifecycle:
 
 1. ``on_precheckpoint(image)`` — before memory is written. CRAC uses this
    to drain the GPU, stage active device buffers into blobs, and log
-   stream/event metadata.
+   stream/event metadata, charging each stage through ``image.cut``
+   (which places it on the app clock or the background timeline).
 2. ``skip_ranges()`` — address ranges DMTCP must *not* save. CRAC returns
    every lower-half range: the CUDA library and its arenas are not
    checkpointed (§3.1: "we do not save the memory of the proxy program").
 3. ``on_resume(image)`` — after a checkpoint, when the original process
    continues running.
-4. ``on_restart(image, process)`` — in the restarted process, after
-   upper-half memory is restored. CRAC replays the allocation log into
-   the fresh lower half here.
+
+Restart has no plugin hook: :meth:`repro.core.CracSession.restart` maps
+the upper half back and replays the allocation log into a fresh lower
+half itself.
 """
 
 from __future__ import annotations
 
 from repro.dmtcp.image import CheckpointImage
-from repro.linux.process import SimProcess
 
 
 class DmtcpPlugin:
@@ -35,6 +36,3 @@ class DmtcpPlugin:
 
     def on_resume(self, image: CheckpointImage) -> None:
         """The original process continues after a checkpoint."""
-
-    def on_restart(self, image: CheckpointImage, process: SimProcess) -> None:
-        """Reconstruct plugin-managed state in the restarted process."""

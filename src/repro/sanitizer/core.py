@@ -737,7 +737,7 @@ class Sanitizer:
         point races application progress — except for forked images,
         whose commit legitimately lands mid-run (COW protects them)."""
         self.report.ops_instrumented += 1
-        if self._runtime is None or getattr(image, "forked_writer", None):
+        if self._runtime is None or image.forked_writer is not None:
             return
         for s in self._unsynced_streams(self._runtime):
             self._emit(

@@ -5,7 +5,8 @@ snapshots handle versions and buffer contents at the cut instant
 (physical copies are free in virtual time — the same trick the forked
 mode uses) and the application keeps launching kernels through
 ``cuda/api.py``/``gpu/device.py`` while capture, drain and image write
-proceed on a *background virtual timeline* ending at
+proceed on the background timeline of a
+:class:`~repro.dmtcp.forked.BackgroundWriter` ending at
 ``validate_end_ns``. The application pays only ``HostCosts.spec_cut_ns``
 plus a per-handle version-snapshot cost at the cut.
 
@@ -24,45 +25,30 @@ the speculation rolls back: :meth:`abort` drops the image's capture
 references *without touching live dirty state* (``mark_committed``
 never runs, so every dirty bit survives for the fallback cut) and
 :class:`~repro.errors.SpeculationAbortedError` tells the session to
-fall back to the forked (stop-the-world) path.
-
-The writer duck-types :class:`~repro.dmtcp.forked.ForkedCheckpoint`
-(``in_flight`` / ``finish`` / ``abort`` / ``committed`` / ``store``) so
-the session's pending-writer machinery drives both interchangeably.
+re-issue the same cut in the forked (stop-the-world) mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import ClassVar
 
+from repro.dmtcp.forked import BackgroundWriter
 from repro.errors import InjectedFault, SpeculationAbortedError
-from repro.gpu.timing import NS_PER_S, HostCosts
+from repro.gpu.timing import NS_PER_S
 from repro.linux.process import SimProcess
 from repro.spec.conflicts import Conflict, detect_conflicts
 
-if TYPE_CHECKING:  # avoid import cycles at runtime
-    from repro.dmtcp.image import CheckpointImage
-    from repro.dmtcp.store import CheckpointStore
-    from repro.harness.fault_injection import FaultInjector
-    from repro.spec.handles import HandleTable
-
 
 @dataclass
-class SpeculativeCheckpoint:
+class SpeculativeCheckpoint(BackgroundWriter):
     """An in-flight speculative capture awaiting validation."""
 
-    image: "CheckpointImage"
-    #: application clock at the cut (capture window opens here)
-    cut_ns: float
-    #: background-timeline instant capture + image write are done and
-    #: the speculation can validate/commit
-    validate_end_ns: float
-    costs: HostCosts
-    #: live handle table to diff against the image's version snapshot
-    handle_table: "HandleTable | None" = None
-    store: "CheckpointStore | None" = None
-    fault_injector: "FaultInjector | None" = None
+    mode: ClassVar[str] = "speculative"
+    write_span: ClassVar[str] = "spec-write"
+    settle_span: ClassVar[str] = "spec-validate"
+    abort_instant: ClassVar[str] = "spec-abort"
+
     #: conflicts found at validation (filled in by :meth:`finish`)
     conflicts: list[Conflict] = field(default_factory=list)
     #: handles invalidated and replayed at validation
@@ -71,40 +57,20 @@ class SpeculativeCheckpoint:
     replayed_bytes: int = 0
     #: app-visible validation cost (conflict replay), ns
     replay_time_ns: float = 0.0
-    #: residual time the app blocked waiting out the background window
-    residual_wait_ns: float = 0.0
-    generation: int | None = None
-    aborted: bool = False
-    #: checkpoint kwargs remembered for the forked fallback after abort
-    fallback_kwargs: dict | None = None
-    #: repro.trace.Tracer receiving spec-validate spans; None = untraced
-    tracer: object | None = None
-    _finished: bool = field(default=False, repr=False)
 
     @property
-    def committed(self) -> bool:
-        return self.image.committed
+    def cut_ns(self) -> float:
+        return self.start_ns
 
-    def in_flight(self, now_ns: float) -> bool:
-        """True while background capture is still running at ``now_ns``."""
-        return not self._finished and now_ns < self.validate_end_ns
+    @property
+    def validate_end_ns(self) -> float:
+        return self.end_ns
 
-    # -- validate + commit ----------------------------------------------------
-
-    def finish(
-        self, process: SimProcess | None = None, *, block: bool = True
-    ) -> None:
-        """Validate the speculation and move the commit point here.
-
-        Mirrors :meth:`ForkedCheckpoint.finish`: ``process`` is the
-        application to charge replay/residual costs to (``None`` when
-        the parent already died — validation still runs, against state
-        frozen at death). Raises
+    def _settle(self, live: SimProcess | None) -> tuple[float, dict]:
+        """Validate the speculation (also when the application already
+        died — against state frozen at death). Raises
         :class:`~repro.errors.SpeculationAbortedError` after rolling
-        back if validation cannot commit.
-        """
-        if self._finished:
-            return
+        back if validation cannot commit."""
         try:
             if self.fault_injector is not None:
                 self.fault_injector.check(
@@ -122,76 +88,15 @@ class SpeculativeCheckpoint:
         self.invalidated = len(self.conflicts)
         # Only writes that landed while background capture still held
         # un-captured spans are torn and must replay; like the forked
-        # mode's COW exposure, pro-rate the dirtied bytes by how much of
-        # the elapsed window overlapped the capture window.
-        if process is not None and process.alive:
-            window = max(process.clock_ns - self.cut_ns, 1.0)
-        else:
-            window = max(self.validate_end_ns - self.cut_ns, 1.0)
-        overlap = min(1.0, (self.validate_end_ns - self.cut_ns) / window)
+        # mode's COW exposure, pro-rate the dirtied bytes by the overlap.
+        now = live.clock_ns if live is not None else self.end_ns
         self.replayed_bytes = int(
-            sum(c.nbytes for c in self.conflicts) * overlap
+            sum(c.nbytes for c in self.conflicts) * self.overlap(now)
         )
         self.replay_time_ns = (
             self.replayed_bytes / self.costs.spec_replay_bw * NS_PER_S
             + self.invalidated * self.costs.spec_invalidate_ns
         )
-        if process is not None and process.alive:
-            t0 = process.clock_ns
-            process.advance(self.replay_time_ns)
-            if self.tracer is not None and self.replay_time_ns:
-                self.tracer.ckpt_span(
-                    "spec-validate", t0, process.clock_ns,
-                    conflicts=self.invalidated, bytes=self.replayed_bytes,
-                )
-            if block and process.clock_ns < self.validate_end_ns:
-                self.residual_wait_ns = self.validate_end_ns - process.clock_ns
-                process.advance_to(self.validate_end_ns)
-        try:
-            if self.store is not None:
-                # Staging fires the image-write fault stage per region; a
-                # crash leaves a discardable partial and the image stays
-                # uncommitted (dirty bits intact).
-                self.generation = self.store.put(self.image)
-            else:
-                if self.fault_injector is not None:
-                    self.fault_injector.check(
-                        "image-write",
-                        f"speculative write pid {self.image.pid}",
-                    )
-                self.image.mark_committed()
-        except Exception:
-            self.aborted = True
-            self._finished = True
-            raise
-        self._finished = True
-        if self.tracer is not None:
-            # Capture + write ran on the background timeline.
-            self.tracer.ckpt_span(
-                "spec-write", self.cut_ns, self.validate_end_ns,
-                bytes=self.image.size_bytes,
-            )
-            self.tracer.instant(
-                "ckpt", "commit", self.validate_end_ns, pid=self.image.pid
-            )
-
-    # -- rollback -------------------------------------------------------------
-
-    def abort(self) -> None:
-        """Roll the speculation back; idempotent, a no-op after commit.
-
-        Drops the image's capture tuples so ``mark_committed`` can never
-        clear live dirty state through them — every dirty bit the cut
-        observed (and everything written since) stays intact for the
-        fallback checkpoint. Live buffers/regions are never touched.
-        """
-        if self._finished:
-            return
-        self.aborted = True
-        self._finished = True
-        self.image.region_captures = []
-        self.image.contents_captures = []
-        if self.tracer is not None:
-            self.tracer.instant(
-                "ckpt", "spec-abort", self.cut_ns, pid=self.image.pid
-            )
+        return self.replay_time_ns, {
+            "conflicts": self.invalidated, "bytes": self.replayed_bytes,
+        }

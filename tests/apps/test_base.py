@@ -99,3 +99,28 @@ class TestCudaApp:
         b = np.arange(10)[::-1].copy()
         assert digest_arrays(a) != digest_arrays(b)
         assert digest_arrays(a, b) == digest_arrays(a, b)
+
+
+class TestTimedLoopAcrossRestart:
+    """A mid-run restart swaps ``backend.process``: the iterations and
+    fast-forward chunks after it must advance the restarted process,
+    not the dead one."""
+
+    @pytest.mark.parametrize("app_name", ["gaussian", "kmeans", "lulesh"])
+    def test_restarted_run_is_no_shorter_than_uninterrupted(self, app_name):
+        from repro.apps import Lulesh
+        from repro.apps.rodinia import Gaussian, Kmeans
+        from repro.harness.runner import run_app
+
+        app_cls = {"gaussian": Gaussian, "kmeans": Kmeans, "lulesh": Lulesh}
+        make = app_cls[app_name]
+        plain = run_app(make(scale=0.25), mode="crac", noise=False)
+        restarted = run_app(
+            make(scale=0.25), mode="crac", noise=False, checkpoint_at=0.5
+        )
+        (ckpt,) = restarted.checkpoints
+        assert ckpt.restart_s > 0
+        assert restarted.digest == plain.digest
+        assert restarted.runtime_exact_s >= (
+            plain.runtime_exact_s + ckpt.restart_s
+        )

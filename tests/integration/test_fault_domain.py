@@ -200,6 +200,30 @@ class TestRestoreRung:
         out = readback(session, ptr)
         assert np.array_equal(out, np.arange(N, dtype=np.float32) + 2.0)
 
+    def test_checkpoint_records_each_generation_at_its_cut(self):
+        store = CheckpointStore()
+        session, domain, ptr = make_guarded(store=store)
+        first = domain.checkpoint()
+        at_first = session.process.clock_ns
+        session.process.advance(5e9)
+        second = domain.checkpoint(
+            incremental=True, parent=store.get(first).image
+        )
+        assert (first, second) == (1, 2)
+        assert domain.committed_at[first] == at_first
+        assert domain.committed_at[second] == session.process.clock_ns
+        assert set(domain.committed_at) == {1, 2}
+
+    @pytest.mark.parametrize("flag", ["forked", "speculative"])
+    def test_checkpoint_rejects_background_writes(self, flag):
+        # A background writer commits after the call returns, so the
+        # generation read right after it would be the previous one.
+        session, domain, ptr = make_guarded()
+        with pytest.raises(TypeError):
+            domain.checkpoint(**{flag: True})
+        assert domain.committed_at == {}
+        assert session.pending_forks == []
+
     def test_ladder_exhaustion_is_a_typed_abort_with_trail(self):
         # Every kernel admission fails fatally and there is no committed
         # generation to fall back to: the ladder must abort, not spin.
