@@ -100,23 +100,29 @@ class CracPlugin(DmtcpPlugin):
         buffers: dict[int, dict] = {}
         drain_bytes = 0
         for buf in runtime.active_allocations():
+            contents = buf.contents
             is_managed = isinstance(buf, ManagedBuffer)
             kind = "managed" if is_managed else buf.kind
-            dirty_spans = tuple(buf.contents.dirty_spans())
+            if not is_managed and contents.pristine:
+                # Never written (or clean and back to a fresh buffer's
+                # contents): replay recreates it, so nothing is copied.
+                # It is accounted exactly like a copied entry. Managed
+                # buffers always copy: they carry residency.
+                dirty_spans: tuple[tuple[int, int], ...] = ()
+                snapshot = None
+            else:
+                dirty_spans = tuple(contents.dirty_spans())
+                snapshot = (
+                    contents.dirty_snapshot() if delta else contents.snapshot()
+                )
             entry = {
                 "kind": kind,
                 "size": buf.size,
                 "uid": buf.uid,
                 "delta": delta,
-                "snapshot": (
-                    buf.contents.dirty_snapshot()
-                    if delta
-                    else buf.contents.snapshot()
-                ),
+                "snapshot": snapshot,
+                "image_bytes": contents.dirty_byte_count if delta else buf.size,
             }
-            entry["image_bytes"] = (
-                buf.contents.dirty_byte_count if delta else buf.size
-            )
             if is_managed:
                 entry["residency"] = buf.residency.copy()
                 # Only device-resident pages cross PCIe at drain time.
@@ -135,7 +141,7 @@ class CracPlugin(DmtcpPlugin):
             # live buffer only when the image durably commits — and only
             # where no later write superseded them (epoch-bounded).
             image.record_contents_capture(
-                buf.contents, dirty_spans, buf.contents.write_seq
+                contents, dirty_spans, contents.write_seq
             )
         cut.charge("stage", drain_bytes / runtime.device.spec.pcie_bw * NS_PER_S)
         if tracer is not None:

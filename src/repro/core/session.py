@@ -113,6 +113,16 @@ class RestartReport:
     reregistered_fatbins: int
     adopted_streams: int
     adopted_events: int
+    #: ``restart_time_ns`` split by restart step (virtual ns, summing
+    #: exactly to it in this order): new lower half plus upper-half
+    #: memory restore; malloc-log replay and ``cudaHostAlloc``
+    #: re-registration; fat-binary re-registration; buffer refill;
+    #: stream/event adoption (the remainder after the other four).
+    bootstrap_ns: float = 0.0
+    replay_ns: float = 0.0
+    fatbin_ns: float = 0.0
+    refill_ns: float = 0.0
+    adopt_ns: float = 0.0
     #: Store generation the successful restore came from (``None`` for a
     #: direct ``restart(image)`` that bypassed the store).
     generation: int | None = None
@@ -447,6 +457,7 @@ class CracSession:
 
         # 3. Re-point the trampoline at the fresh lower half.
         self.backend.swap_runtime(fresh.runtime)
+        t_replay = proc.clock_ns
 
         # 4. Replay the allocation log. In the baseline design address
         #    determinism is verified; under address virtualization (the
@@ -490,7 +501,9 @@ class CracSession:
             )
 
         # 6. Fat binaries: re-register and patch handles.
+        t_fatbin = proc.clock_ns
         patches = self.backend.reregister_fatbins()
+        t_refill = proc.clock_ns
 
         # 7. Refill contents of active allocations; device/managed bytes
         #    cross PCIe again. GPU deltas chain like host dirty pages:
@@ -498,14 +511,21 @@ class CracSession:
         #    staged spans. A full entry — or a uid change, meaning the
         #    arena reused the address for a *different* allocation —
         #    resets the merge so stale bytes never leak across a free.
+        #    A pristine entry (``snapshot`` None) holds exactly what the
+        #    replayed malloc created, so it copies nothing; its PCIe
+        #    bytes are still charged.
         refill_bytes = 0
+        chain_buffers = [
+            img.blobs["crac/buffers"].payload
+            for img in image.chain()
+            if "crac/buffers" in img.blobs
+        ]
         for addr, final_entry in buffers.items():
             seq: list[dict] = []
-            for img in image.chain():
-                blob = img.blobs.get("crac/buffers")
-                if blob is None or addr not in blob.payload:
+            for payload in chain_buffers:
+                entry = payload.get(addr)
+                if entry is None:
                     continue
-                entry = blob.payload[addr]
                 if (
                     entry.get("delta")
                     and seq
@@ -518,11 +538,15 @@ class CracSession:
                     # buffer, which is exactly the fresh state).
                     seq = [entry]
             buf = fresh.runtime.buffers[translation.get(addr, addr)]
+            refilled = False
             for entry in seq:
-                if entry.get("delta"):
-                    buf.contents.apply_delta(entry["snapshot"])
-                else:
-                    buf.contents.restore(entry["snapshot"])
+                snap = entry["snapshot"]
+                if snap is not None:
+                    refilled = True
+                    if entry.get("delta"):
+                        buf.contents.apply_delta(snap)
+                    else:
+                        buf.contents.restore(snap)
                 if "pcie_bytes" in entry:
                     refill_bytes += entry["pcie_bytes"]
                 elif entry["kind"] == "device":
@@ -536,8 +560,9 @@ class CracSession:
             if final_entry["kind"] == "managed":
                 assert isinstance(buf, ManagedBuffer)
                 buf.residency[:] = final_entry["residency"]
-            # The refilled contents *are* the committed cut's state.
-            buf.contents.clear_dirty()
+            if refilled:
+                # The refilled contents *are* the committed cut's state.
+                buf.contents.clear_dirty()
         proc.advance(refill_bytes / fresh.device.spec.pcie_bw * NS_PER_S)
 
         # Restore the application's cudaSetDevice state (replay may have
@@ -551,6 +576,7 @@ class CracSession:
         if translation:
             self.backend.patch_translation(translation)
 
+        t_adopt = proc.clock_ns
         # 8. Recreate streams/events: adopt the app-held handles. The
         #    handles may carry state from the *dead* process's timeline —
         #    a poison flag from a post-checkpoint fault, a ready_ns
@@ -569,6 +595,14 @@ class CracSession:
             fresh.runtime.adopt_event(event)
 
         restart_time = proc.clock_ns
+        steps = {
+            "bootstrap_ns": t_replay,
+            "replay_ns": t_fatbin - t_replay,
+            "fatbin_ns": t_refill - t_fatbin,
+            "refill_ns": t_adopt - t_refill,
+        }
+        # The remainder, so the five steps sum exactly to restart_time.
+        steps["adopt_ns"] = restart_time - sum(steps.values())
         # The session continues in the new process; keep virtual time
         # monotone across the kill/restart boundary.
         proc.advance_to(old_clock + restart_time)
@@ -600,6 +634,7 @@ class CracSession:
             self.tracer.recovery_span(
                 "restart", old_clock, self.process.clock_ns,
                 replayed_calls=replayed, refilled_bytes=refill_bytes,
+                **steps,
             )
         if self.profiler is not None:
             self.profiler.on_restart(self.backend, old_devices)
@@ -611,6 +646,7 @@ class CracSession:
             reregistered_fatbins=len(patches),
             adopted_streams=len(self.backend.live_streams),
             adopted_events=len(self.backend.live_events),
+            **steps,
         )
         self.restarts.append(report)
         return report

@@ -16,7 +16,7 @@ import pickle
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.linux.address_space import PAGE_SIZE
 
@@ -122,6 +122,11 @@ class CheckpointImage:
     forked_writer: "BackgroundWriter | None" = field(
         default=None, repr=False, compare=False
     )
+    #: sanitizer synccheck callback, called with the image at commit
+    #: (armed by ``Sanitizer.watch_image``). Runtime-only.
+    sync_hook: "Callable[[CheckpointImage], None] | None" = field(
+        default=None, repr=False, compare=False
+    )
 
     # -- commit point ----------------------------------------------------------
 
@@ -154,15 +159,15 @@ class CheckpointImage:
         """
         if self.committed:
             return
-        hook = getattr(self, "sync_hook", None)
-        if hook is not None:
+        if self.sync_hook is not None:
             # Sanitizer synccheck: flags a commit while device work the
             # image claims to cover is still in flight.
-            hook(self)
+            self.sync_hook(self)
         for region, pages, epoch in self.region_captures:
             region.clear_dirty(pages, up_to_epoch=epoch)
         for contents, spans, epoch in self.contents_captures:
-            contents.clear_dirty(list(spans), up_to_epoch=epoch)
+            if spans:  # a buffer clean at the cut has nothing to clear
+                contents.clear_dirty(list(spans), up_to_epoch=epoch)
         self.region_captures = []
         self.contents_captures = []
         self.committed = True

@@ -145,7 +145,9 @@ class EpochIntervalIndex:
     writes in with a single boundary sweep over only the *window* of
     committed intervals the pending writes overlap — later writes
     supersede earlier epochs byte-for-byte, exactly like the legacy
-    per-write rebuild.
+    per-write rebuild. Queries and :meth:`clear` on an empty index
+    return at once without touching numpy: a checkpoint cut asks every
+    never-written buffer of a process, and most of them are empty.
     """
 
     __slots__ = ("_starts", "_ends", "_epochs", "_pending", "_last_epoch")
@@ -249,9 +251,9 @@ class EpochIntervalIndex:
 
     def spans(self) -> list[tuple[int, int]]:
         """Dirty byte ranges, merged across epochs."""
-        self._flush()
-        if self._starts.size == 0:
+        if not self:
             return []
+        self._flush()
         new_group = np.empty(self._starts.size, dtype=bool)
         new_group[0] = True
         np.greater(self._starts[1:], self._ends[:-1], out=new_group[1:])
@@ -266,11 +268,15 @@ class EpochIntervalIndex:
     @property
     def byte_count(self) -> int:
         """Total dirty bytes."""
+        if not self:
+            return 0
         self._flush()
         return int((self._ends - self._starts).sum())
 
     def bytes_since(self, epoch: int) -> int:
         """Bytes whose last write came strictly after ``epoch``."""
+        if not self:
+            return 0
         self._flush()
         sel = self._epochs > epoch
         return int((self._ends[sel] - self._starts[sel]).sum())
@@ -302,6 +308,8 @@ class EpochIntervalIndex:
         that epoch are cleared — bytes re-written while a (forked) image
         was still flushing stay dirty for the next incremental cut.
         """
+        if not self:
+            return
         self._flush()
         c = np.asarray(
             [(lo, hi) for lo, hi in spans if hi > lo], dtype=np.int64

@@ -137,6 +137,14 @@ class PagedContents:
     def dirty_byte_count(self) -> int:
         return self._dirty.byte_count
 
+    @property
+    def pristine(self) -> bool:
+        """True while the contents equal a fresh allocation's and nothing
+        is dirty: no backing spans, fill value 0, no dirty bytes. A
+        checkpoint needs no copy of such a buffer, because restart's
+        malloc-log replay recreates exactly these contents."""
+        return not self._spans and self.fill_value == 0 and not self._dirty
+
     def dirty_page_epochs(self, page_size: int) -> np.ndarray:
         """Page-granular view of the dirty index: per page, the
         :attr:`write_seq` of its newest write (0 = clean page)."""

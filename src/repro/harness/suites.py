@@ -89,10 +89,18 @@ def check(name: str, ok: bool, detail: str) -> dict:
 
 
 def app_classes(names) -> list[type]:
-    """Rodinia app classes by their ``name`` (e.g. ``"Gaussian"``)."""
+    """Paper app classes by their ``name`` (e.g. ``"Gaussian"``,
+    ``"HPGMG-FV"``): the 14 Rodinia apps and the other six."""
+    from repro import apps
     from repro.apps.rodinia import RODINIA_SUITE
 
-    by_name = {cls.name: cls for cls in RODINIA_SUITE}
+    by_name = {
+        cls.name: cls
+        for cls in (
+            *RODINIA_SUITE, apps.SimpleStreams, apps.UnifiedMemoryStreams,
+            apps.Lulesh, apps.Hpgmg, apps.Hypre, apps.CublasMicro,
+        )
+    }
     return [by_name[name] for name in names]
 
 

@@ -186,6 +186,33 @@ class TestRestart:
         report = session.restart(image)
         assert report.refilled_bytes >= resident * UVM_PAGE
 
+    @pytest.mark.parametrize("chain", ["full", "full-incremental"])
+    def test_restart_steps_sum_to_restart_time(self, session, chain):
+        """The per-step split of a restart covers it exactly, and the
+        restart trace span carries the same split."""
+        tracer = session.enable_trace()
+        state = run_app_phase1(session)
+        image = session.checkpoint()
+        if chain == "full-incremental":
+            session.backend.device_view(state["dev"], 16)[:] = 1
+            image = session.checkpoint(incremental=True, parent=image)
+        session.kill()
+        r = session.restart(image)
+        steps = {
+            "bootstrap_ns": r.bootstrap_ns,
+            "replay_ns": r.replay_ns,
+            "fatbin_ns": r.fatbin_ns,
+            "refill_ns": r.refill_ns,
+            "adopt_ns": r.adopt_ns,
+        }
+        assert all(v > 0 for v in steps.values()), steps
+        assert (
+            r.bootstrap_ns + r.replay_ns + r.fatbin_ns + r.refill_ns
+            + r.adopt_ns
+        ) == r.restart_time_ns
+        (span,) = [s for s in tracer.spans if s.name == "restart"]
+        assert {k: v for k, v in span.args if k in steps} == steps
+
     def test_restart_time_grows_with_log_length(self):
         """Streamcluster/Heartwall behaviour: many mallocs/frees ⇒ restart
         slower than checkpoint (§4.4.1)."""

@@ -143,6 +143,16 @@ def test_unknown_suite_rejected():
         run_cli("bench", "doom")
 
 
+def test_app_classes_resolve_every_paper_app():
+    names = [
+        "BFS", "CFD", "DWT2D", "Gaussian", "Heartwall", "Hotspot",
+        "Hotspot3D", "Kmeans", "LUD", "Leukocyte", "NW", "Particlefilter",
+        "SRAD", "Streamcluster", "simpleStreams", "UnifiedMemoryStreams",
+        "LULESH", "HPGMG-FV", "HYPRE", "cublas-micro",
+    ]
+    assert [cls.name for cls in suites.app_classes(names)] == names
+
+
 def test_gate_ratio_directions_and_floor():
     lower = Gate("m", "lower", limit=1.25, floor=1.0)
     assert lower.ratio(3.0, 1.0) == pytest.approx(2.0)
