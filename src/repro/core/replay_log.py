@@ -20,7 +20,7 @@ half would dangle, so replay aborts with ``ReplayDivergenceError``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from repro.errors import ReplayDivergenceError
 from repro.cuda.api import CudaRuntime
@@ -36,9 +36,8 @@ Op = Literal[
 ]
 
 
-@dataclass(frozen=True)
-class LogEntry:
-    """One logged cudaMalloc-family call."""
+class LogEntry(NamedTuple):
+    """One logged cudaMalloc-family call (an immutable tuple)."""
 
     op: Op
     nbytes: int  # 0 for frees
@@ -94,35 +93,42 @@ class ReplayLog:
         an ``{original_addr: new_addr}`` translation map instead, and the
         caller patches its virtual-address table.
         """
+        # Bind the entry points once: the loop runs once per logged call
+        # (tens of thousands for HPGMG-FV).
+        malloc = runtime.cudaMalloc
+        malloc_host = runtime.cudaMallocHost
+        malloc_managed = runtime.cudaMallocManaged
+        free = runtime.cudaFree
+        free_host = runtime.cudaFreeHost
+        free_managed = runtime.cudaFreeManaged
         replayed = 0
         hostalloc_addrs: set[int] = set()
-        translation: dict[int, int] = {}
-
-        def xlate(addr: int) -> int:
-            return translation.get(addr, addr) if not strict else addr
+        # Only the non-strict mode translates; strict replay verifies
+        # every address instead and builds no map.
+        translation: dict[int, int] | None = None if strict else {}
 
         for e in self.entries:
             if e.op == "malloc":
                 if runtime.current_device != e.device:
                     runtime.cudaSetDevice(e.device)
-                got = runtime.cudaMalloc(e.nbytes)
+                got = malloc(e.nbytes)
             elif e.op == "free":
-                runtime.cudaFree(xlate(e.addr))
+                free(e.addr if strict else translation.get(e.addr, e.addr))
                 replayed += 1
                 continue
             elif e.op == "malloc_host":
-                got = runtime.cudaMallocHost(e.nbytes)
+                got = malloc_host(e.nbytes)
             elif e.op == "free_host":
                 if e.addr in hostalloc_addrs:
                     # Frees of never-replayed cudaHostAlloc buffers.
                     continue
-                runtime.cudaFreeHost(xlate(e.addr))
+                free_host(e.addr if strict else translation.get(e.addr, e.addr))
                 replayed += 1
                 continue
             elif e.op == "malloc_managed":
-                got = runtime.cudaMallocManaged(e.nbytes)
+                got = malloc_managed(e.nbytes)
             elif e.op == "free_managed":
-                runtime.cudaFreeManaged(xlate(e.addr))
+                free_managed(e.addr if strict else translation.get(e.addr, e.addr))
                 replayed += 1
                 continue
             elif e.op == "host_alloc":
@@ -133,13 +139,15 @@ class ReplayLog:
             else:  # pragma: no cover - exhaustive literal
                 raise AssertionError(e.op)
             replayed += 1
-            if strict and got != e.addr:
-                raise ReplayDivergenceError(
-                    f"replayed {e.op}({e.nbytes}) landed at {got:#x}, "
-                    f"original was {e.addr:#x} — allocator nondeterminism "
-                    "or changed platform/ASLR"
-                )
-            translation[e.addr] = got
+            if strict:
+                if got != e.addr:
+                    raise ReplayDivergenceError(
+                        f"replayed {e.op}({e.nbytes}) landed at {got:#x}, "
+                        f"original was {e.addr:#x} — allocator nondeterminism "
+                        "or changed platform/ASLR"
+                    )
+            else:
+                translation[e.addr] = got
         return replayed if strict else translation
 
 

@@ -392,6 +392,10 @@ class CracSession:
         (stream handles are bound to device indices), and the target's
         capacity is checked before anything is torn down.
         """
+        log = image.blob("crac/replay-log")
+        # One walk of the (possibly long) log serves both the capacity
+        # check below and step 5's cudaHostAlloc re-registration.
+        active = log.active_allocations()
         platform = image.blobs.get("crac/platform")
         if platform is not None and not self.backend.virtualize_addresses:
             want = platform.payload
@@ -418,10 +422,9 @@ class CracSession:
                 # allocation on the target, so its device memory must
                 # hold them all — checked up front, before the old
                 # process state is discarded.
-                log = image.blob("crac/replay-log")
                 need = sum(
                     e.nbytes
-                    for e in log.active_allocations().values()
+                    for e in active.values()
                     if e.op != "host_alloc"
                 )
                 if need > have_spec.memory_bytes:
@@ -463,7 +466,6 @@ class CracSession:
         #    determinism is verified; under address virtualization (the
         #    §3.2.4 future-work mode) divergence is tolerated and the
         #    virtual-pointer table is patched instead.
-        log = image.blob("crac/replay-log")
         if self.fault_injector is not None:
             # kind="divergence" raises ReplayDivergenceError here, the
             # §3.2.4 failure mode (ASLR left on / different platform).
@@ -479,7 +481,6 @@ class CracSession:
         # 5. Re-register active cudaHostAlloc buffers (bytes already in
         #    the restored upper half).
         buffers = image.blob("crac/buffers")
-        active = log.active_allocations()
         for addr, entry in active.items():
             if entry.op == "host_alloc":
                 fresh.runtime.cudaHostRegister(addr, entry.nbytes)

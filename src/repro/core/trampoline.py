@@ -30,6 +30,8 @@ from repro.cuda.interface import CudaDispatchBase
 from repro.dmtcp.coordinator import DmtcpCoordinator
 from repro.gpu.streams import Event, Stream
 from repro.gpu.timing import DEFAULT_HOST_COSTS, HostCosts
+from repro.gpu.uvm import ManagedBuffer
+from repro.linux.process import SYSCALL_NS, WRFSBASE_NS
 
 
 class CracBackend(CudaDispatchBase):
@@ -87,12 +89,25 @@ class CracBackend(CudaDispatchBase):
         # pointers directly to the lower half (the paper's key win).
         proc = self.process
         thread = self.current_thread if self.current_thread is not None else proc.threads[0]
-        # Enter the lower half: switch fs to the lower half's TLS...
-        proc.set_fs_register(thread, self._lower_fs)
-        # ...table indirection + the call itself...
-        proc.advance(self.costs.trampoline_body_ns + self.costs.native_dispatch_ns)
-        # ...and return to the upper half.
-        proc.set_fs_register(thread, self._upper_fs)
+        costs = self.costs
+        body_ns = costs.trampoline_body_ns + costs.native_dispatch_ns
+        if body_ns < 0:
+            # Cold path: enter the lower half step by step so the error
+            # leaves the same partial state as SimProcess.advance would.
+            proc.set_fs_register(thread, self._lower_fs)
+            proc.advance(body_ns)  # raises ValueError
+        # Both fs switches inline: enter the lower half's TLS, table
+        # indirection + the call itself, return to the upper half. The
+        # additions run in the same order as one set_fs_register /
+        # advance / set_fs_register sequence, so the clock is bit-equal.
+        proc.fs_switch_count += 2
+        if proc.fsgsbase:
+            fs_ns = WRFSBASE_NS
+        else:
+            fs_ns = SYSCALL_NS
+            proc.syscall_count += 2
+        proc.clock_ns = proc.clock_ns + fs_ns + body_ns + fs_ns
+        thread.fs_base = self._upper_fs
         if self.coordinator is not None:
             self.coordinator.notify_call()
 
@@ -101,8 +116,6 @@ class CracBackend(CudaDispatchBase):
         # path: same virtual time, same fs-switch/syscall counters, and
         # — when a coordinator is attached — the same clock and counter
         # values at every notify_call (a checkpoint may fire there).
-        from repro.linux.process import SYSCALL_NS, WRFSBASE_NS
-
         proc = self.process
         thread = (
             self.current_thread if self.current_thread is not None
@@ -142,9 +155,8 @@ class CracBackend(CudaDispatchBase):
     # -- address virtualization (§3.2.4 future work) -------------------------
 
     def _expose(self, real_addr: int, nbytes: int) -> int:
-        """Hand the app a pointer: real, or a fresh virtual one."""
-        if not self.virtualize_addresses:
-            return real_addr
+        """Hand the app a fresh virtual pointer for a real allocation
+        (called only with :attr:`virtualize_addresses` on)."""
         vaddr = self._virt_cursor
         self._virt_cursor += (nbytes + 0xFFF) & ~0xFFF
         self._v2r[vaddr] = real_addr
@@ -164,43 +176,52 @@ class CracBackend(CudaDispatchBase):
             self._v2r[v] = moved.get(r, r)
 
     # -- interposed cudaMalloc family -------------------------------------------
+    # Each entry point dispatches, calls the library and logs inline
+    # (the same steps as the base class's method plus the log record),
+    # and skips pointer translation unless virtualization is on.
 
     def malloc(self, nbytes: int) -> int:
-        addr = super().malloc(nbytes)
-        self._log("malloc", nbytes, addr, device=self.runtime.current_device)
-        return self._expose(addr, nbytes)
+        self._dispatch("cudaMalloc", payload_bytes=16)
+        runtime = self.runtime
+        addr = runtime.cudaMalloc(nbytes)
+        self._log("malloc", nbytes, addr, runtime.current_device)
+        return self._expose(addr, nbytes) if self.virtualize_addresses else addr
 
     def free(self, addr: int) -> None:
         # Managed pointers route through cudaFree as in real CUDA; log
         # them distinctly so replay uses the right entry point.
-        from repro.gpu.uvm import ManagedBuffer
-
-        real = self._to_real(addr)
-        is_managed = isinstance(self.runtime.buffers.get(real), ManagedBuffer)
-        super().free(real)
+        real = self._to_real(addr) if self.virtualize_addresses else addr
+        runtime = self.runtime
+        is_managed = isinstance(runtime.buffers.get(real), ManagedBuffer)
+        self._dispatch("cudaFree", payload_bytes=8)
+        runtime.cudaFree(real)
         self._v2r.pop(addr, None)
         self._log("free_managed" if is_managed else "free", 0, real)
 
     def malloc_host(self, nbytes: int) -> int:
-        addr = super().malloc_host(nbytes)
+        self._dispatch("cudaMallocHost", payload_bytes=16)
+        addr = self.runtime.cudaMallocHost(nbytes)
         self._log("malloc_host", nbytes, addr)
-        return self._expose(addr, nbytes)
+        return self._expose(addr, nbytes) if self.virtualize_addresses else addr
 
     def host_alloc(self, nbytes: int, flags: int = 0) -> int:
-        addr = super().host_alloc(nbytes, flags)
+        self._dispatch("cudaHostAlloc", payload_bytes=16)
+        addr = self.runtime.cudaHostAlloc(nbytes, flags)
         self._log("host_alloc", nbytes, addr)
-        return self._expose(addr, nbytes)
+        return self._expose(addr, nbytes) if self.virtualize_addresses else addr
 
     def free_host(self, addr: int) -> None:
-        real = self._to_real(addr)
-        super().free_host(real)
+        real = self._to_real(addr) if self.virtualize_addresses else addr
+        self._dispatch("cudaFreeHost", payload_bytes=8)
+        self.runtime.cudaFreeHost(real)
         self._v2r.pop(addr, None)
         self._log("free_host", 0, real)
 
     def malloc_managed(self, nbytes: int) -> int:
-        addr = super().malloc_managed(nbytes)
+        self._dispatch("cudaMallocManaged", payload_bytes=16)
+        addr = self.runtime.cudaMallocManaged(nbytes)
         self._log("malloc_managed", nbytes, addr)
-        return self._expose(addr, nbytes)
+        return self._expose(addr, nbytes) if self.virtualize_addresses else addr
 
     # -- translated data-path entry points ---------------------------------------
 

@@ -100,6 +100,11 @@ class CudaRuntime:
         self.ctx = _DriverContext()
         self._lib_uva_epoch = 0
         self.destroyed = False
+        #: True while :meth:`_entry` cannot raise (library alive, library
+        #: and driver epochs in step): the allocation family's prologue
+        #: then only counts the call. Cleared by :meth:`destroy`,
+        #: recomputed by :meth:`restore_library_memory`.
+        self._entry_ok = True
 
         # One deterministic arena allocator per device, each with its own
         # VA sub-window tag (UVA carves device memory per GPU).
@@ -176,11 +181,11 @@ class CudaRuntime:
 
     def _buffer(self, addr: int) -> DeviceBuffer | ManagedBuffer:
         buf = self.buffers.get(addr)
-        cuda_check(
-            buf is not None and not buf.freed,
-            CudaErrorCode.INVALID_DEVICE_POINTER,
-            f"unknown or freed pointer {addr:#x}",
-        )
+        if buf is None or buf.freed:
+            raise cuda_error(
+                CudaErrorCode.INVALID_DEVICE_POINTER,
+                f"unknown or freed pointer {addr:#x}",
+            )
         return buf
 
     def _stream(self, stream: Stream | None) -> Stream:
@@ -216,11 +221,15 @@ class CudaRuntime:
 
     def cudaMalloc(self, nbytes: int) -> int:
         """Allocate device memory from the deterministic arena."""
-        self._entry("cudaMalloc")
-        addr = self._device_alloc.alloc(nbytes)
+        if self._entry_ok:
+            self.api_log["cudaMalloc"] += 1
+        else:
+            self._entry("cudaMalloc")  # raises the classified error
+        device = self.current_device
+        addr = self._device_allocs[device].alloc(nbytes)
         self.buffers[addr] = DeviceBuffer(
             addr=addr, size=nbytes, kind="device",
-            device_index=self.current_device, uid=next(self._buffer_uids),
+            device_index=device, uid=next(self._buffer_uids),
         )
         return addr
 
@@ -233,19 +242,25 @@ class CudaRuntime:
         if isinstance(buf, ManagedBuffer):
             self.cudaFreeManaged(addr)
             return
-        self._entry("cudaFree")
-        cuda_check(
-            buf.kind == "device",
-            CudaErrorCode.INVALID_DEVICE_POINTER,
-            "cudaFree of a non-device pointer",
-        )
+        if self._entry_ok:
+            self.api_log["cudaFree"] += 1
+        else:
+            self._entry("cudaFree")
+        if buf.kind != "device":
+            raise cuda_error(
+                CudaErrorCode.INVALID_DEVICE_POINTER,
+                "cudaFree of a non-device pointer",
+            )
         self._device_allocs[buf.device_index].free(addr)
         buf.freed = True
         del self.buffers[addr]
 
     def cudaMallocHost(self, nbytes: int) -> int:
         """Allocate pinned host memory (library-allocated! — §3.2.1)."""
-        self._entry("cudaMallocHost")
+        if self._entry_ok:
+            self.api_log["cudaMallocHost"] += 1
+        else:
+            self._entry("cudaMallocHost")
         addr = self._pinned_alloc.alloc(nbytes)
         self.buffers[addr] = DeviceBuffer(
             addr=addr, size=nbytes, kind="host-pinned",
@@ -257,7 +272,10 @@ class CudaRuntime:
     def cudaHostAlloc(self, nbytes: int, flags: int = 0) -> int:
         """Like cudaMallocHost but via the cudaHostAlloc entry point; CRAC
         treats the two differently at restart (§3.2.4)."""
-        self._entry("cudaHostAlloc")
+        if self._entry_ok:
+            self.api_log["cudaHostAlloc"] += 1
+        else:
+            self._entry("cudaHostAlloc")
         addr = self._hostalloc_alloc.alloc(nbytes)
         buf = DeviceBuffer(
             addr=addr, size=nbytes, kind="host-pinned",
@@ -269,13 +287,16 @@ class CudaRuntime:
 
     def cudaFreeHost(self, addr: int) -> None:
         """Release pinned host memory (arena-aware; see cudaHostRegister)."""
-        self._entry("cudaFreeHost")
+        if self._entry_ok:
+            self.api_log["cudaFreeHost"] += 1
+        else:
+            self._entry("cudaFreeHost")
         buf = self._buffer(addr)
-        cuda_check(
-            buf.kind == "host-pinned",
-            CudaErrorCode.INVALID_DEVICE_POINTER,
-            "cudaFreeHost of a non-pinned pointer",
-        )
+        if buf.kind != "host-pinned":
+            raise cuda_error(
+                CudaErrorCode.INVALID_DEVICE_POINTER,
+                "cudaFreeHost of a non-pinned pointer",
+            )
         origin = self._host_origin.pop(addr, "pinned")
         if origin == "pinned":
             self._pinned_alloc.free(addr)
@@ -291,7 +312,10 @@ class CudaRuntime:
 
     def cudaMallocManaged(self, nbytes: int) -> int:
         """Allocate UVM managed memory; perturbs library⇄driver state."""
-        self._entry("cudaMallocManaged")
+        if self._entry_ok:
+            self.api_log["cudaMallocManaged"] += 1
+        else:
+            self._entry("cudaMallocManaged")
         addr = self._managed_alloc.alloc(nbytes)
         buf = ManagedBuffer(addr=addr, size=nbytes, uid=next(self._buffer_uids))
         self.uvm.register(buf)
@@ -324,13 +348,16 @@ class CudaRuntime:
     def cudaFreeManaged(self, addr: int) -> None:
         """Free managed memory (dispatched from cudaFree in real CUDA; a
         separate entry point here for log clarity)."""
-        self._entry("cudaFree")
+        if self._entry_ok:
+            self.api_log["cudaFree"] += 1
+        else:
+            self._entry("cudaFree")
         buf = self._buffer(addr)
-        cuda_check(
-            isinstance(buf, ManagedBuffer),
-            CudaErrorCode.INVALID_DEVICE_POINTER,
-            "managed free of a non-managed pointer",
-        )
+        if not isinstance(buf, ManagedBuffer):
+            raise cuda_error(
+                CudaErrorCode.INVALID_DEVICE_POINTER,
+                "managed free of a non-managed pointer",
+            )
         self._managed_alloc.free(addr)
         self.uvm.unregister(addr)
         buf.freed = True
@@ -884,6 +911,7 @@ class CudaRuntime:
     def destroy(self) -> None:
         """Tear down all CUDA resources (CheCUDA step (c), §2.2)."""
         self.destroyed = True
+        self._entry_ok = False
         for s in list(self.streams.values()):
             self.device.unregister_stream(s)
         self.streams.clear()
@@ -909,5 +937,8 @@ class CudaRuntime:
         fails (§2.2: "the restored CUDA library was then inconsistent
         when called after restart")."""
         self._lib_uva_epoch = snap["uva_epoch"]
+        self._entry_ok = (
+            not self.destroyed and self._lib_uva_epoch == self.ctx.uva_epoch
+        )
         self._registered_kernels = set(snap["registered_kernels"])
         self.fatbins = dict(snap["fatbins"])

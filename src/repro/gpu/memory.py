@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -98,6 +99,8 @@ class PagedContents:
     hands out writable views, any viewed range counts as dirtied —
     conservative, never lossy.
     """
+
+    __slots__ = ("size", "fill_value", "_spans", "_dirty", "_write_seq")
 
     def __init__(self, size: int, fill_value: int = 0) -> None:
         self.size = size
@@ -350,7 +353,7 @@ class PagedContents:
         return True
 
 
-@dataclass
+@dataclass(slots=True)
 class DeviceBuffer:
     """One live allocation returned by the cudaMalloc family."""
 
@@ -371,10 +374,14 @@ class DeviceBuffer:
             self.contents = PagedContents(self.size)
 
 
-@dataclass
+@dataclass(slots=True)
 class _FreeBlock:
     start: int
     size: int
+
+
+#: sort key of the arena free list
+_block_start = attrgetter("start")
 
 
 class ArenaAllocator:
@@ -420,7 +427,8 @@ class ArenaAllocator:
         """Allocate; deterministic for a fixed alloc/free sequence."""
         if nbytes <= 0:
             raise _program_error("INVALID_VALUE", "cudaMalloc of non-positive size")
-        need = _align_up(nbytes)
+        # _align_up(nbytes), inlined on the allocation hot path
+        need = (nbytes + ALLOC_ALIGN - 1) & ~(ALLOC_ALIGN - 1)
         if self._active_bytes + need > self.capacity:
             raise _program_error(
                 "MEMORY_ALLOCATION",
@@ -507,14 +515,13 @@ class ArenaAllocator:
 
     def _insert_free(self, blk: _FreeBlock) -> None:
         """Insert into the sorted free list, coalescing neighbours."""
-        starts = [b.start for b in self._free]
-        i = bisect.bisect_left(starts, blk.start)
-        self._free.insert(i, blk)
+        free = self._free
+        i = bisect.bisect_left(free, blk.start, key=_block_start)
+        free.insert(i, blk)
         # Coalesce with right neighbour, then left.
-        if i + 1 < len(self._free) and blk.start + blk.size == self._free[i + 1].start:
-            right = self._free.pop(i + 1)
+        if i + 1 < len(free) and blk.start + blk.size == free[i + 1].start:
+            right = free.pop(i + 1)
             blk.size += right.size
-        if i > 0 and self._free[i - 1].start + self._free[i - 1].size == blk.start:
-            left = self._free[i - 1]
-            left.size += blk.size
-            self._free.pop(i)
+        if i > 0 and free[i - 1].start + free[i - 1].size == blk.start:
+            free[i - 1].size += blk.size
+            free.pop(i)
