@@ -99,28 +99,46 @@ class CracPlugin(DmtcpPlugin):
         t_stage = process.clock_ns
         buffers: dict[int, dict] = {}
         drain_bytes = 0
+        image_bytes_total = 0
+        captures = image.contents_captures
         for buf in runtime.active_allocations():
-            contents = buf.contents
             is_managed = isinstance(buf, ManagedBuffer)
-            kind = "managed" if is_managed else buf.kind
-            if not is_managed and contents.pristine:
+            if not is_managed and buf.pristine:
                 # Never written (or clean and back to a fresh buffer's
-                # contents): replay recreates it, so nothing is copied.
-                # It is accounted exactly like a copied entry. Managed
-                # buffers always copy: they carry residency.
-                dirty_spans: tuple[tuple[int, int], ...] = ()
-                snapshot = None
-            else:
-                dirty_spans = tuple(contents.dirty_spans())
-                snapshot = (
-                    contents.dirty_snapshot() if delta else contents.snapshot()
-                )
+                # contents): replay recreates it, so nothing is copied
+                # and no contents are built. It is accounted exactly like
+                # a copied entry: it has no dirty bytes. The capture
+                # records the buffer itself, so a first write after the
+                # cut still counts as post-cut dirtiness. Managed buffers
+                # always copy: they carry residency.
+                kind = buf.kind
+                size = buf.size
+                image_bytes = 0 if delta else size
+                pcie_bytes = image_bytes if kind == "device" else 0
+                drain_bytes += pcie_bytes
+                image_bytes_total += image_bytes
+                buffers[buf.addr] = {
+                    "kind": kind,
+                    "size": size,
+                    "uid": buf.uid,
+                    "delta": delta,
+                    "snapshot": None,
+                    "image_bytes": image_bytes,
+                    "pcie_bytes": pcie_bytes,
+                }
+                captures.append((buf, (), buf.write_seq))
+                continue
+            contents = buf.contents
+            kind = "managed" if is_managed else buf.kind
+            dirty_spans = tuple(contents.dirty_spans())
             entry = {
                 "kind": kind,
                 "size": buf.size,
                 "uid": buf.uid,
                 "delta": delta,
-                "snapshot": snapshot,
+                "snapshot": (
+                    contents.dirty_snapshot() if delta else contents.snapshot()
+                ),
                 "image_bytes": contents.dirty_byte_count if delta else buf.size,
             }
             if is_managed:
@@ -136,13 +154,12 @@ class CracPlugin(DmtcpPlugin):
             else:  # host-pinned: bytes never cross PCIe
                 entry["pcie_bytes"] = 0
             drain_bytes += entry["pcie_bytes"]
+            image_bytes_total += entry["image_bytes"]
             buffers[buf.addr] = entry
             # Whichever spans this image captured get cleared from the
             # live buffer only when the image durably commits — and only
             # where no later write superseded them (epoch-bounded).
-            image.record_contents_capture(
-                contents, dirty_spans, contents.write_seq
-            )
+            captures.append((contents, dirty_spans, contents.write_seq))
         cut.charge("stage", drain_bytes / runtime.device.spec.pcie_bw * NS_PER_S)
         if tracer is not None:
             tracer.ckpt_span(
@@ -160,7 +177,7 @@ class CracPlugin(DmtcpPlugin):
             # Integer sums are order-independent.
             accounted = max(accounted, sum(e["size"] for e in buffers.values()))  # lint: allow
         else:
-            accounted = sum(e["image_bytes"] for e in buffers.values())  # lint: allow
+            accounted = image_bytes_total
         image.add_blob("crac/buffers", buffers, accounted_bytes=accounted)
 
         # 3. Replay log + live handle metadata.

@@ -92,6 +92,17 @@ if TYPE_CHECKING:  # core must not import harness at runtime
     from repro.harness.fault_injection import FaultInjector
 
 
+def _legacy_pcie_bytes(entry: dict) -> int:
+    """PCIe bytes at refill of a ``crac/buffers`` entry written before
+    entries carried ``pcie_bytes``: a device buffer's size, a managed
+    buffer's device-resident pages."""
+    if entry["kind"] == "device":
+        return entry["size"]
+    if entry["kind"] == "managed":
+        return int((entry["residency"] == 1).sum()) * UVM_PAGE
+    return 0
+
+
 @dataclass
 class RestartAttempt:
     """One try of the self-healing restart loop (success or failure)."""
@@ -507,63 +518,68 @@ class CracSession:
         t_refill = proc.clock_ns
 
         # 7. Refill contents of active allocations; device/managed bytes
-        #    cross PCIe again. GPU deltas chain like host dirty pages:
-        #    walk the image chain base-first and overlay each image's
-        #    staged spans. A full entry — or a uid change, meaning the
-        #    arena reused the address for a *different* allocation —
-        #    resets the merge so stale bytes never leak across a free.
-        #    A pristine entry (``snapshot`` None) holds exactly what the
-        #    replayed malloc created, so it copies nothing; its PCIe
-        #    bytes are still charged.
-        refill_bytes = 0
+        #    cross PCIe again. GPU deltas chain like host dirty pages: an
+        #    address's *run* is its newest entry plus each older entry
+        #    its delta stacks on. A full entry — or a uid change, meaning
+        #    the arena reused the address for a *different* allocation —
+        #    ends the run, so stale bytes never leak across a free. The
+        #    walk goes newest image first and charges every run entry's
+        #    PCIe bytes; only entries holding bytes (``snapshot`` not
+        #    None) are kept for the overlay. A pristine entry holds
+        #    exactly what the replayed malloc created, so an address
+        #    whose run holds no bytes is never looked up, and its
+        #    replayed buffer builds no contents.
         chain_buffers = [
             img.blobs["crac/buffers"].payload
             for img in image.chain()
             if "crac/buffers" in img.blobs
         ]
-        for addr, final_entry in buffers.items():
-            seq: list[dict] = []
-            for payload in chain_buffers:
-                entry = payload.get(addr)
-                if entry is None:
-                    continue
-                if (
-                    entry.get("delta")
-                    and seq
-                    and seq[-1].get("uid") == entry.get("uid")
-                ):
-                    seq.append(entry)
-                else:
-                    # Full snapshot, or a delta of a fresh allocation
-                    # (its pre-history is the replay-created zero-filled
-                    # buffer, which is exactly the fresh state).
-                    seq = [entry]
-            buf = fresh.runtime.buffers[translation.get(addr, addr)]
-            refilled = False
-            for entry in seq:
-                snap = entry["snapshot"]
-                if snap is not None:
-                    refilled = True
-                    if entry.get("delta"):
-                        buf.contents.apply_delta(snap)
-                    else:
-                        buf.contents.restore(snap)
-                if "pcie_bytes" in entry:
-                    refill_bytes += entry["pcie_bytes"]
-                elif entry["kind"] == "device":
-                    refill_bytes += entry["size"]
-                elif entry["kind"] == "managed":
-                    # Image written before pcie_bytes existed: mirror the
-                    # old accounting (device-resident pages cross PCIe).
+        older = chain_buffers[-2::-1]  # the image's ancestors, newest first
+        refill_bytes = 0
+        #: address -> the byte-holding entries of its run, newest first
+        runs: dict[int, list[dict]] = {}
+        for addr, entry in buffers.items():
+            refill_bytes += (
+                entry["pcie_bytes"] if "pcie_bytes" in entry
+                else _legacy_pcie_bytes(entry)
+            )
+            kept = [entry] if entry["snapshot"] is not None else []
+            if entry.get("delta"):
+                uid = entry.get("uid")
+                for payload in older:
+                    prev = payload.get(addr)
+                    if prev is None:
+                        continue
+                    if prev.get("uid") != uid:
+                        # A delta of a fresh allocation: its pre-history
+                        # is the replay-created zero-filled buffer.
+                        break
                     refill_bytes += (
-                        int((entry["residency"] == 1).sum()) * UVM_PAGE
+                        prev["pcie_bytes"] if "pcie_bytes" in prev
+                        else _legacy_pcie_bytes(prev)
                     )
+                    if prev["snapshot"] is not None:
+                        kept.append(prev)
+                    if not prev.get("delta"):
+                        break
+            if kept:
+                runs[addr] = kept
+        # Managed entries always hold bytes, so every managed buffer gets
+        # its residency back here.
+        for addr, entries in runs.items():
+            buf = fresh.runtime.buffers[translation.get(addr, addr)]
+            contents = buf.contents
+            for entry in reversed(entries):
+                if entry.get("delta"):
+                    contents.apply_delta(entry["snapshot"])
+                else:
+                    contents.restore(entry["snapshot"])
+            final_entry = buffers[addr]
             if final_entry["kind"] == "managed":
                 assert isinstance(buf, ManagedBuffer)
                 buf.residency[:] = final_entry["residency"]
-            if refilled:
-                # The refilled contents *are* the committed cut's state.
-                buf.contents.clear_dirty()
+            # The refilled contents *are* the committed cut's state.
+            contents.clear_dirty()
         proc.advance(refill_bytes / fresh.device.spec.pcie_bw * NS_PER_S)
 
         # Restore the application's cudaSetDevice state (replay may have

@@ -879,14 +879,11 @@ class CudaRuntime:
             self.sanitizer.on_managed_view(self, buf, offset, nbytes)
         return buf.contents.view(offset, nbytes, dtype)
 
-    def active_allocations(self, kinds: tuple[str, ...] = ("device", "host-pinned", "managed")) -> list:
-        """Live (not freed) buffers — what CRAC saves at checkpoint."""
-        out = []
-        for buf in self.buffers.values():
-            kind = "managed" if isinstance(buf, ManagedBuffer) else buf.kind
-            if kind in kinds:
-                out.append(buf)
-        return sorted(out, key=lambda b: b.addr)
+    def active_allocations(self) -> list:
+        """Live (not freed) buffers by address — what CRAC saves at
+        checkpoint."""
+        buffers = self.buffers
+        return [buffers[addr] for addr in sorted(buffers)]
 
     # ------------------------------------------------------- restart adoption
     # CRAC recreates streams/events in the fresh lower half and virtualizes

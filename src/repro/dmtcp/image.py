@@ -23,7 +23,7 @@ from repro.linux.address_space import PAGE_SIZE
 if TYPE_CHECKING:
     from repro.dmtcp.checkpointer import Cut
     from repro.dmtcp.forked import BackgroundWriter
-    from repro.gpu.memory import PagedContents
+    from repro.gpu.memory import DeviceBuffer, PagedContents
     from repro.linux.address_space import MemoryRegion
 
 
@@ -111,8 +111,11 @@ class CheckpointImage:
     region_captures: list[tuple["MemoryRegion", frozenset[int], int]] = field(
         default_factory=list, repr=False, compare=False
     )
+    #: GPU buffers: a stateful buffer's :class:`PagedContents`, or a
+    #: pristine :class:`DeviceBuffer` itself (it builds no contents; its
+    #: ``write_seq``/``dirty_bytes_since`` read 0 until first written)
     contents_captures: list[
-        tuple["PagedContents", tuple[tuple[int, int], ...], int]
+        tuple["PagedContents | DeviceBuffer", tuple[tuple[int, int], ...], int]
     ] = field(default_factory=list, repr=False, compare=False)
     #: the cut charging each stage, set only while the checkpointer runs
     #: (plugins charge their stages through it). Runtime-only.
@@ -136,16 +139,6 @@ class CheckpointImage:
         """Remember which dirty pages of ``region`` this image captured,
         and the region's write epoch at snapshot time."""
         self.region_captures.append((region, pages, epoch))
-
-    def record_contents_capture(
-        self,
-        contents: "PagedContents",
-        spans: tuple[tuple[int, int], ...],
-        epoch: int,
-    ) -> None:
-        """Remember which dirty byte spans of ``contents`` were captured,
-        and the contents' write epoch at snapshot time."""
-        self.contents_captures.append((contents, spans, epoch))
 
     def mark_committed(self) -> None:
         """The image became durable: clear exactly the captured dirty

@@ -353,25 +353,62 @@ class PagedContents:
         return True
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class DeviceBuffer:
-    """One live allocation returned by the cudaMalloc family."""
+    """One live allocation returned by the cudaMalloc family.
+
+    Its :class:`PagedContents` is built on first use of
+    :attr:`contents`. Until then the buffer holds a fresh allocation's
+    bytes and nothing is dirty, so a buffer nothing ever touched costs
+    only this object: the empty slot *is* "never used since creation".
+    """
 
     addr: int
     size: int
-    kind: str  # "device" | "host-pinned" | "managed"
-    contents: PagedContents = field(default=None)  # type: ignore[assignment]
-    freed: bool = False
+    kind: str  # "device" | "host-pinned"
     #: index of the GPU holding this allocation ("device" kind only)
     device_index: int = 0
     #: runtime-unique allocation id; distinguishes two allocations that
     #: reused the same arena address across checkpoint cuts, so a GPU
     #: delta never stacks on a stale predecessor's bytes
     uid: int = 0
+    freed: bool = field(default=False, init=False)
+    _contents: PagedContents | None = field(
+        default=None, init=False, repr=False
+    )
 
-    def __post_init__(self) -> None:
-        if self.contents is None:
-            self.contents = PagedContents(self.size)
+    @property
+    def contents(self) -> PagedContents:
+        """The buffer's bytes, built (fresh: zero-filled, clean) on first
+        use."""
+        contents = self._contents
+        if contents is None:
+            contents = self._contents = PagedContents(self.size)
+        return contents
+
+    @property
+    def pristine(self) -> bool:
+        """True while the buffer holds a fresh allocation's contents and
+        nothing is dirty (see :attr:`PagedContents.pristine`); answered
+        without building contents."""
+        contents = self._contents
+        return contents is None or contents.pristine
+
+    # A cut records a pristine buffer itself in
+    # ``CheckpointImage.contents_captures``, so a first write after the
+    # cut (which builds the contents) still shows as post-cut dirtiness.
+
+    @property
+    def write_seq(self) -> int:
+        """The contents' :attr:`PagedContents.write_seq`; 0 while unbuilt."""
+        contents = self._contents
+        return 0 if contents is None else contents.write_seq
+
+    def dirty_bytes_since(self, epoch: int) -> int:
+        """The contents' :meth:`PagedContents.dirty_bytes_since`; 0 while
+        unbuilt."""
+        contents = self._contents
+        return 0 if contents is None else contents.dirty_bytes_since(epoch)
 
 
 @dataclass(slots=True)

@@ -189,9 +189,6 @@ _CONFIG = {
 SUITE = Suite(
     run=run_ckpt_bench,
     config=_CONFIG,
-    # The floor is in the ratio's own (dimensionless) unit.
-    gates=tuple(
-        Gate(f"{app}.stall_ratio", "lower", limit=1.25, floor=1e-3)
-        for app in _CONFIG["apps"]
-    ),
+    # Virtual time: exact for the seed, so any move is a model change.
+    gates=tuple(Gate(f"{app}.stall_ratio", "exact") for app in _CONFIG["apps"]),
 )

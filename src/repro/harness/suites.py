@@ -10,7 +10,8 @@ maps extra artifact names to JSON payloads written next to the report.
 The engine adds the baseline checks from the versioned
 :data:`BASELINE_PATH`: the suite's entry must exist and record the
 run's exact config, and each of the suite's :class:`Gate` metrics must
-keep its ratio to the recorded value within the gate's limit. The
+equal its recorded value (an exact gate) or keep its ratio to it within
+the gate's limit. The
 suite passes only if every check passes. ``--update-baseline`` records
 the run's config and gated metrics as the suite's entry instead.
 
@@ -50,28 +51,55 @@ BASELINE_VERSION = 1
 
 @dataclass(frozen=True)
 class Gate:
-    """One baseline rule: ``ratio <= limit``.
+    """One baseline rule.
 
-    The ratio is ``(current + floor) / (baseline + floor)`` for a
-    metric where lower is better and its inverse where higher is
-    better. ``floor`` is in the metric's own unit; it damps the ratio
-    of a metric near zero so noise the size of the floor cannot trip
-    the gate.
+    With ``better`` ``"lower"`` or ``"higher"`` the rule is
+    ``ratio <= limit``. The ratio is ``(current + floor) / (baseline +
+    floor)`` for a metric where lower is better and its inverse where
+    higher is better. ``floor`` is in the metric's own unit; it damps
+    the ratio of a metric near zero so noise the size of the floor
+    cannot trip the gate.
+
+    ``"exact"`` is for a metric that is exact for a seed (virtual time):
+    it must equal its recorded value, and a move in either direction
+    fails. A deliberate model change re-records it with
+    ``--update-baseline``.
     """
 
     metric: str
-    better: str  # "lower" | "higher"
-    limit: float
+    better: str  # "lower" | "higher" | "exact"
+    limit: float = 1.0
     floor: float = 0.0
 
     def ratio(self, current: float, baseline: float) -> float:
-        """The damped ratio, > 1 when ``current`` is worse."""
+        """The damped ratio, > 1 when ``current`` is worse (for an exact
+        gate: when it moved either way)."""
         num, den = current + self.floor, baseline + self.floor
-        if self.better == "higher":
+        if self.better == "higher" or (self.better == "exact" and num < den):
             num, den = den, num
         if den <= 0:
             return 1.0 if num <= 0 else math.inf
         return num / den
+
+    def passes(self, current: float, baseline: float) -> bool:
+        """The gate's verdict for ``current`` against ``baseline``."""
+        if self.better == "exact":
+            return current == baseline
+        return self.ratio(current, baseline) <= self.limit
+
+    def detail(self, current: float, baseline: float) -> str:
+        """One line saying what the verdict compared."""
+        ratio = self.ratio(current, baseline)
+        if self.better == "exact":
+            return (
+                f"{current!r} vs {baseline!r}: ratio {ratio:.3f} "
+                "(exact match: any move fails)"
+            )
+        return (
+            f"{current:.4g} vs {baseline:.4g}: ratio {ratio:.3f} "
+            f"({self.better} is better, floor {self.floor:g}, "
+            f"limit {self.limit:g})"
+        )
 
 
 @dataclass(frozen=True)
@@ -153,13 +181,10 @@ def baseline_checks(name: str, report: dict, baseline: dict) -> list[dict]:
                 f"{gate.metric} vs baseline", False, "no recorded value",
             ))
             continue
-        ratio = gate.ratio(current, prior)
         checks.append(check(
             f"{gate.metric} vs baseline",
-            ratio <= gate.limit,
-            f"{current:.4g} vs {prior:.4g}: ratio {ratio:.3f} "
-            f"({gate.better} is better, floor {gate.floor:g}, "
-            f"limit {gate.limit:g})",
+            gate.passes(current, prior),
+            gate.detail(current, prior),
         ))
     return checks
 

@@ -8,7 +8,9 @@ through a full → incremental → incremental chain committed to a store,
 restarts from the newest generation, and pins what comes back to
 literals recorded before the rule existed: the restored bytes, the
 refilled PCIe bytes and every image's size (and, for the forked case,
-the copy-on-write charge).
+the copy-on-write charge). The speculative case, recorded before
+buffers built their contents lazily, pins the validation outcome of a
+first write that lands inside the capture window.
 """
 
 import zlib
@@ -32,7 +34,7 @@ FAMILIES = {
 }
 CASES = (
     "untouched", "written-after-base", "freed-reused", "memset-zero",
-    "memset-nonzero", "forked-window",
+    "memset-nonzero", "forked-window", "speculative-window",
 )
 
 
@@ -62,17 +64,35 @@ def run_case(family: str, case: str) -> dict:
         backend.memset(p, 0x5A, SIZE)
 
     cow_time_ns = None
-    if case == "forked-window":
-        # Dirty host pages give the forked write a window to overlap.
+    validation = None
+    if case in ("forked-window", "speculative-window"):
+        # Dirty host pages give the background write a window to overlap.
         upper = session.split.upper_mmap(WINDOW_BYTES)
         session.process.vas.write(upper, b"w" * WINDOW_BYTES)
+        speculative = case == "speculative-window"
         inc1 = session.checkpoint(
-            incremental=True, parent=base, store=store, forked=True
+            incremental=True, parent=base, store=store,
+            forked=not speculative, speculative=speculative,
         )
+        # The buffer is untouched until here: its first write lands
+        # inside the window.
         backend.device_view(p, 4096, offset=8192)[:] = 13
         session.process.advance(WINDOW_NS)
         session.finish_forked_checkpoints()
-        cow_time_ns = round(inc1.forked_writer.cow_time_ns, 2)
+        writer = inc1.forked_writer
+        if speculative:
+            validation = {
+                "conflicts": sorted(
+                    (c.kind, c.cut_version, c.live_version, c.nbytes)
+                    for c in writer.conflicts
+                ),
+                "committed": writer.committed,
+                "aborted": writer.aborted,
+                "replayed_bytes": writer.replayed_bytes,
+                "replay_time_ns": round(writer.replay_time_ns, 2),
+            }
+        else:
+            cow_time_ns = round(writer.cow_time_ns, 2)
     else:
         inc1 = session.checkpoint(incremental=True, parent=base, store=store)
     inc2 = session.checkpoint(incremental=True, parent=inc1, store=store)
@@ -81,12 +101,15 @@ def run_case(family: str, case: str) -> dict:
     report = session.restart_latest(store)
     restored = backend.device_view(p, SIZE).tobytes()
     session.kill()
-    return {
+    out = {
         "digest": zlib.crc32(restored),
         "refilled_bytes": report.refilled_bytes,
         "size_bytes": [img.size_bytes for img in (base, inc1, inc2)],
         "cow_time_ns": cow_time_ns,
     }
+    if validation is not None:
+        out["validation"] = validation
+    return out
 
 
 #: recorded before pristine buffers skipped their copy
@@ -162,6 +185,26 @@ GOLDEN: dict = {'cudaMalloc-untouched': {'digest': 3617033963,
                                  'refilled_bytes': 0,
                                  'size_bytes': [16973824, 4194304, 4096],
                                  'cow_time_ns': 165.12}}
+
+#: recorded before buffers built their contents on first use
+GOLDEN.update({
+    f"{family}-speculative-window": {
+        "digest": 138515425,
+        "refilled_bytes": refilled,
+        "size_bytes": [16973824, 4194304, 4096],
+        "cow_time_ns": None,
+        "validation": {
+            "conflicts": [("buffer", 0, 1, 4096)],
+            "committed": True,
+            "aborted": False,
+            "replayed_bytes": 4096,
+            "replay_time_ns": 50409.6,
+        },
+    }
+    for family, refilled in (
+        ("cudaMalloc", 69632), ("cudaMallocHost", 0), ("cudaHostAlloc", 0),
+    )
+})
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -162,6 +162,15 @@ def test_gate_ratio_directions_and_floor():
     assert Gate("m", "lower", limit=1.25).ratio(0.0, 0.0) == 1.0
 
 
+def test_exact_gate_fails_on_any_move():
+    gate = Gate("m", "exact")
+    assert gate.passes(0.1 + 0.2, 0.1 + 0.2)
+    assert not gate.passes(0.30000000000000004, 0.3)
+    assert not gate.passes(0.3, 0.30000000000000004)
+    assert gate.ratio(2.0, 4.0) == gate.ratio(8.0, 4.0) == pytest.approx(2.0)
+    assert "ratio 1.000" in gate.detail(5.0, 5.0)
+
+
 def test_importing_faultspec_loads_no_suite():
     """The benchmark imports ``FaultSpec``; a suite module in its
     process would count against its peak RSS."""
