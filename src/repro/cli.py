@@ -22,8 +22,8 @@ Commands:
 - ``analyze`` — whole-program static analysis and the determinism lint;
 - ``trace APP`` — run one workload with the unified tracer + profiler
   attached, write a Chrome/Perfetto ``trace_event`` JSON (load it at
-  https://ui.perfetto.dev), and print the overhead, digest and
-  busy-ns/eq. 2 checks;
+  https://ui.perfetto.dev), and print the overhead, digest,
+  device-accounting and eq. 2 checks;
 - ``info``      — package version plus the calibrated cost model.
 """
 

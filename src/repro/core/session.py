@@ -205,7 +205,8 @@ class CracSession:
         #: span/metrics tracer following the runtime across restarts
         #: (enable_trace); None = no instrumentation
         self.tracer = None
-        #: nvprof stand-in re-attached across restarts (enable_profiler)
+        #: nvprof stand-in on the session's backend (enable_profiler);
+        #: the backend and its call counter persist across restarts
         self.profiler = None
         # Runtime fault stages (ecc, kernel-hang, ...) are tripped by the
         # devices themselves; without a fault domain the resulting
@@ -268,8 +269,8 @@ class CracSession:
 
     def enable_profiler(self, profiler=None):
         """Attach an :class:`~repro.cuda.profiler.Nvprof` (created if not
-        given); restarts fold its window forward and splice its device
-        timeline instead of losing them."""
+        given). Restarts keep the backend, so its window runs on across
+        the cut; the device timeline is the tracer's (``enable_trace``)."""
         if profiler is None:
             from repro.cuda.profiler import Nvprof
 
@@ -445,7 +446,6 @@ class CracSession:
                         f"{have_spec.name} has {have_spec.memory_bytes}"
                     )
         old_clock = self.process.clock_ns
-        old_devices = list(self.split.runtime.devices)
         fresh = SplitProcess(
             gpu=self.gpu,
             app_image=self.app_image,
@@ -653,8 +653,6 @@ class CracSession:
                 replayed_calls=replayed, refilled_bytes=refill_bytes,
                 **steps,
             )
-        if self.profiler is not None:
-            self.profiler.on_restart(self.backend, old_devices)
 
         report = RestartReport(
             restart_time_ns=restart_time,

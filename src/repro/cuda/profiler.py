@@ -13,20 +13,17 @@ reduces to summing the counter; :meth:`Nvprof.total_calls_formula`
 recomputes it the paper's way as a cross-check.
 
 Restart semantics: a profiling window can span a checkpoint-restart cut.
-:meth:`Nvprof.reattach` folds the window-so-far into a carried baseline
-and rebases on the (possibly fresh) backend, so :meth:`Nvprof.report`
-describes one continuous window; ``CracSession.restart`` calls
-:meth:`Nvprof.on_restart` to do this automatically and to splice the
-device timeline (a restart replaces the device objects, so the old
-devices' traces would otherwise be lost). A counter that goes backwards
-*without* a reattach is an error — ``report`` raises instead of silently
-dropping the negative deltas.
+``CracSession.restart`` keeps the same dispatch backend, so its call
+counter — and with it the window — runs on across the cut. A counter
+that goes backwards is an error: ``report`` raises instead of silently
+dropping the negative deltas. The GPU timeline is not recorded here; it
+is :meth:`repro.trace.Tracer.timeline`, a view over the tracer's spans.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cuda.errors import CudaErrorCode, cuda_check
 from repro.cuda.interface import CudaDispatchBase
@@ -42,47 +39,6 @@ class ProfileReport:
     exec_time_s: float
     cps: float
     kernel_launches: int
-    #: number of restart cuts folded into this window
-    restarts: int = 0
-
-
-@dataclass
-class KernelStats:
-    """Aggregate statistics of one kernel across a trace window."""
-
-    name: str
-    count: int
-    total_ns: float
-
-    @property
-    def mean_ns(self) -> float:
-        return self.total_ns / self.count if self.count else 0.0
-
-
-@dataclass
-class TimelineReport:
-    """GPU-timeline summary (``nvprof --print-gpu-trace`` aggregate).
-
-    ``span_ns`` is *splice-aware*: each contiguous trace segment (one per
-    device generation — restarts and device resets start new segments)
-    contributes ``max(end) - min(start)`` and the segments are summed,
-    so restart downtime between segments never inflates the span and an
-    empty or single-event segment stays well-defined.
-    """
-
-    span_ns: float
-    kernel_busy_ns: float
-    copy_busy_ns: float
-    kernels: dict[str, KernelStats] = field(default_factory=dict)
-    events: int = 0
-    #: non-empty trace segments aggregated (0 = nothing recorded)
-    segments: int = 0
-
-    @property
-    def kernel_utilization(self) -> float:
-        """Fraction of the span with at least this much kernel time
-        (total kernel-ns over span; >1 with concurrent kernels)."""
-        return self.kernel_busy_ns / self.span_ns if self.span_ns else 0.0
 
 
 class Nvprof:
@@ -92,77 +48,18 @@ class Nvprof:
         self.backend = backend
         self._start_calls: Counter = Counter()
         self._start_ns = 0.0
-        #: pre-restart window folded forward by :meth:`reattach`
-        self._carried_calls: Counter = Counter()
-        self._carried_ns = 0.0
-        self._restarts = 0
-        self._timeline_enabled = False
-        #: completed device-trace segments from replaced device
-        #: generations (spliced in by :meth:`on_restart`)
-        self._trace_segments: list[list] = []
 
     def attach(self, backend: CudaDispatchBase) -> None:
         """(Re-)bind to a backend without opening a window."""
         self.backend = backend
 
     def start(self) -> None:
-        """Begin a fresh profiling window (discards any carried state)."""
-        self._carried_calls = Counter()
-        self._carried_ns = 0.0
-        self._restarts = 0
+        """Begin a fresh profiling window."""
         self._start_calls = Counter(self.backend.call_counter)
         self._start_ns = self.backend.process.clock_ns
-
-    def reattach(self, backend: CudaDispatchBase | None = None) -> None:
-        """Fold the window-so-far into the carry and rebase the baseline.
-
-        Call at a restart cut (or before anything else resets the
-        backend's counter): the deltas accumulated since :meth:`start`
-        are added to the carried totals, then the baseline snaps to the
-        current (or new) backend state, so the window continues across
-        the cut as one logical interval. Idempotent for an unchanged
-        counter — folding a zero delta carries nothing.
-        """
-        if self.backend is not None:
-            delta = Counter(self.backend.call_counter)
-            delta.subtract(self._start_calls)
-            # Only forward progress can be folded: increments between the
-            # last fold and a counter reset are unobservable afterwards.
-            self._carried_calls += Counter(
-                {k: v for k, v in delta.items() if v > 0}
-            )
-            self._carried_ns += max(
-                0.0, self.backend.process.clock_ns - self._start_ns
-            )
-        if backend is not None:
-            self.backend = backend
-        self._restarts += 1
-        self._start_calls = Counter(self.backend.call_counter)
-        self._start_ns = self.backend.process.clock_ns
-
-    def on_restart(self, backend: CudaDispatchBase, old_devices=()) -> None:
-        """Restart hook: splice the device timeline, then reattach.
-
-        ``old_devices`` are the pre-restart device objects — the fresh
-        lower half replaced them, so their recorded traces are archived
-        as completed segments and tracing is re-enabled on the new
-        devices (the satellite-2 fix: ``enable_timeline`` state used to
-        die with the old runtime).
-        """
-        if self._timeline_enabled:
-            merged = []
-            for dev in old_devices:
-                if dev.trace:
-                    merged.extend(dev.trace)
-            if merged:
-                self._trace_segments.append(merged)
-            for dev in backend.runtime.devices:
-                if dev.trace is None:
-                    dev.enable_trace()
-        self.reattach(backend)
 
     def report(self) -> ProfileReport:
-        """Summarize the (possibly spliced) window without closing it."""
+        """Summarize the window without closing it."""
         delta = Counter(self.backend.call_counter)
         delta.subtract(self._start_calls)
         negative = sorted(k for k, v in delta.items() if v < 0)
@@ -172,13 +69,10 @@ class Nvprof:
             "call counter went backwards for "
             + ", ".join(negative)
             + " — the backend's counter was reset mid-window; call "
-            "reattach() at the cut to carry the window forward",
+            "start() after the reset to open a fresh window",
         )
-        calls = Counter({k: v for k, v in delta.items() if v > 0})
-        calls += self._carried_calls
-        exec_ns = (
-            self.backend.process.clock_ns - self._start_ns
-        ) + self._carried_ns
+        calls = +delta
+        exec_ns = self.backend.process.clock_ns - self._start_ns
         total = sum(calls.values())
         exec_s = exec_ns / NS_PER_S
         return ProfileReport(
@@ -187,68 +81,6 @@ class Nvprof:
             exec_time_s=exec_s,
             cps=total / exec_s if exec_s > 0 else 0.0,
             kernel_launches=calls.get("cudaLaunchKernel", 0),
-            restarts=self._restarts,
-        )
-
-    # -- GPU timeline (nvprof --print-gpu-trace) -----------------------------
-
-    def enable_timeline(self) -> None:
-        """Start recording device-side kernel/copy events (all devices)."""
-        self._timeline_enabled = True
-        for dev in self.backend.runtime.devices:
-            dev.enable_trace()
-
-    def _trace_windows(self) -> list[list]:
-        """Archived segments plus the live devices' traces, non-empty."""
-        windows = [seg for seg in self._trace_segments if seg]
-        live = []
-        live_enabled = False
-        for dev in self.backend.runtime.devices:
-            if dev.trace is not None:
-                live_enabled = True
-                live.extend(dev.trace)
-        cuda_check(
-            live_enabled or bool(self._trace_segments),
-            CudaErrorCode.INVALID_VALUE,
-            "timeline not enabled; call enable_timeline()",
-        )
-        if live:
-            windows.append(live)
-        return windows
-
-    def timeline_report(self) -> TimelineReport:
-        """Aggregate the recorded timeline across all splice segments."""
-        windows = self._trace_windows()
-        if not windows:
-            return TimelineReport(0.0, 0.0, 0.0, {}, 0, segments=0)
-        span = 0.0
-        kernels: dict[str, KernelStats] = {}
-        kernel_busy = 0.0
-        copy_busy = 0.0
-        events = 0
-        for window in windows:
-            span += max(e.end_ns for e in window) - min(
-                e.start_ns for e in window
-            )
-            events += len(window)
-            for e in window:
-                if e.kind == "kernel":
-                    kernel_busy += e.duration_ns
-                    ks = kernels.get(e.label)
-                    if ks is None:
-                        kernels[e.label] = KernelStats(e.label, 1, e.duration_ns)
-                    else:
-                        ks.count += 1
-                        ks.total_ns += e.duration_ns
-                else:
-                    copy_busy += e.duration_ns
-        return TimelineReport(
-            span_ns=span,
-            kernel_busy_ns=kernel_busy,
-            copy_busy_ns=copy_busy,
-            kernels=kernels,
-            events=events,
-            segments=len(windows),
         )
 
     def total_calls_formula(self, calls: Counter) -> int:

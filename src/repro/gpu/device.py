@@ -29,26 +29,10 @@ stream-reset rung can re-issue the in-flight window.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from repro.errors import CudaError
 from repro.gpu.streams import Event, Stream
 from repro.gpu.timing import COPY_STALL_NS, KERNEL_HANG_NS, GpuSpec
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One scheduled device operation (nvprof-timeline style)."""
-
-    kind: str  # "kernel" | "copy"
-    label: str
-    stream_sid: int
-    start_ns: float
-    end_ns: float
-
-    @property
-    def duration_ns(self) -> float:
-        return self.end_ns - self.start_ns
 
 
 class GpuDevice:
@@ -62,12 +46,10 @@ class GpuDevice:
         self._copy_engine_ready = {"h2d": 0.0, "d2h": 0.0, "d2d": 0.0}
         #: completion time of the last default-stream operation
         self._default_barrier_ns = 0.0
-        # -- accounting (read by the profiler / harness) --
+        # -- accounting (read by the harness and the trace suite) --
         self.total_kernel_ns = 0.0
         self.total_kernels = 0
         self.copied_bytes = {"h2d": 0, "d2h": 0, "d2d": 0}
-        #: nvprof-style timeline; None unless tracing is enabled
-        self.trace: list[TraceEvent] | None = None
         #: repro.trace.Tracer receiving per-op spans; None = untraced
         self.tracer = None
         # -- runtime fault domain (module docstring) --
@@ -99,14 +81,6 @@ class GpuDevice:
             f"{code_name}: {msg}", code=CudaErrorCode[code_name],
             severity="fatal",
         )
-
-    def enable_trace(self) -> None:
-        """Start recording a device timeline (nvprof --print-gpu-trace)."""
-        self.trace = []
-
-    def disable_trace(self) -> None:
-        """Stop recording the device timeline."""
-        self.trace = None
 
     # -- stream management ----------------------------------------------------
 
@@ -177,8 +151,6 @@ class GpuDevice:
             self.op_log.record(
                 stream.sid, "kernel", label, intended_ns
             )
-        if self.trace is not None:
-            self.trace.append(TraceEvent("kernel", label, stream.sid, start, end))
         if self.tracer is not None:
             self.tracer.on_device_op("kernel", label, stream.sid, start, end)
         return end
@@ -226,10 +198,6 @@ class GpuDevice:
                 self.spec.copy_cost_ns(nbytes, kind),
                 copy_kind=kind, nbytes=nbytes,
             )
-        if self.trace is not None:
-            self.trace.append(
-                TraceEvent("copy", f"memcpy-{kind}", stream.sid, earliest, end)
-            )
         if self.tracer is not None:
             self.tracer.on_device_op(
                 "copy", f"memcpy-{kind}", stream.sid, earliest, end,
@@ -253,10 +221,6 @@ class GpuDevice:
             heapq.heappush(self._running, end)
             self._finish(stream, end)
             self.total_kernel_ns += record.duration_ns
-            if self.trace is not None:
-                self.trace.append(TraceEvent(
-                    "kernel", f"replay:{record.label}", stream.sid, start, end
-                ))
             if self.tracer is not None:
                 self.tracer.on_device_op(
                     "kernel", f"replay:{record.label}", stream.sid, start, end
@@ -269,10 +233,6 @@ class GpuDevice:
         end = earliest + record.duration_ns
         self._copy_engine_ready[engine] = end
         self._finish(stream, end)
-        if self.trace is not None:
-            self.trace.append(TraceEvent(
-                "copy", f"replay:{record.label}", stream.sid, earliest, end
-            ))
         if self.tracer is not None:
             self.tracer.on_device_op(
                 "copy", f"replay:{record.label}", stream.sid, earliest, end,
@@ -300,21 +260,9 @@ class GpuDevice:
         stream.ready_ns = now_ns
         if stream.sid == 0:
             self._default_barrier_ns = now_ns
-        if self.trace is not None:
-            # Abandoned work never completed: clamp the in-flight event
-            # to the reset instant and drop queued-but-unstarted ones,
-            # mirroring what Tracer.clamp_stream does for span storage.
-            clamped: list[TraceEvent] = []
-            for ev in self.trace:
-                if ev.stream_sid != stream.sid or ev.end_ns <= now_ns:
-                    clamped.append(ev)
-                elif ev.start_ns < now_ns:
-                    clamped.append(TraceEvent(
-                        ev.kind, f"aborted:{ev.label}", ev.stream_sid,
-                        ev.start_ns, now_ns,
-                    ))
-            self.trace = clamped
         if self.tracer is not None:
+            # Abandoned work never completed: the tracer clamps the
+            # in-flight span and drops queued-but-unstarted ones.
             self.tracer.clamp_stream(stream.sid, now_ns)
 
     def rebaseline_stream(self, stream: Stream, now_ns: float) -> None:

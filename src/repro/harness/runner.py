@@ -138,9 +138,10 @@ def run_app(
     and finalizes its leak check after the app completes.
 
     ``tracer`` attaches a :class:`repro.trace.Tracer` to the run's
-    dispatch backend (under crac it re-attaches across restarts);
-    ``profiler`` attaches an :class:`~repro.cuda.profiler.Nvprof` with
-    the timeline enabled and a window opened before the app starts.
+    dispatch backend (under crac it re-attaches across restarts); its
+    spans are the run's GPU timeline (``tracer.timeline()``).
+    ``profiler`` attaches an :class:`~repro.cuda.profiler.Nvprof` with a
+    call-counting window opened before the app starts.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -164,7 +165,6 @@ def run_app(
             session.enable_trace(tracer)
         if profiler is not None:
             session.enable_profiler(profiler)
-            profiler.enable_timeline()
             profiler.start()
         upper_mmap = lambda size: session.split.upper_mmap(size)  # noqa: E731
         chain: list = []  # previous images (for incremental parents)
@@ -221,7 +221,6 @@ def run_app(
             tracer.attach(backend)
         if profiler is not None:
             profiler.attach(backend)
-            profiler.enable_timeline()
             profiler.start()
         if mode != "native":
             # Checkpointable proxies also launch under DMTCP and must

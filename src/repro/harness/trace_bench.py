@@ -8,9 +8,11 @@ attached — and checks:
 - **overhead bound**: traced virtual runtime ≤ ``MAX_OVERHEAD_RATIO`` ×
   untraced (the tracer charges ``TRACE_HOOK_NS`` per API call, so its
   cost is a *measured* quantity, and this bounds it);
-- **busy-ns cross-check**: the tracer's per-stream kernel/copy spans
-  must sum to exactly the device busy time ``Nvprof.timeline_report()``
-  reports — two independent observers of the same device schedule;
+- **device-accounting cross-check**: the tracer's kernel/copy spans in
+  the current splice segment must match the live devices' own counters
+  (kernel count, kernel ns, copied bytes per engine) — a device op that
+  escapes the tracer shows up as a mismatch. The suite runs fault-free,
+  so no span is clamped (``aborted:``) or re-issued (``replay:``);
 - **eq. 2 cross-check**: the paper's Total-CUDA-calls formula (§4.3),
   recomputed over the traced API call spans, must equal the span count
   exactly (every traced launch comes with its push/pop pair).
@@ -26,13 +28,41 @@ from repro.trace import Tracer, to_chrome_trace
 #: Traced runtime must stay within this factor of untraced.
 MAX_OVERHEAD_RATIO = 1.25
 
-#: relative tolerance of the busy-ns cross-check (pure float sums over
-#: the same events in a different order)
+#: relative tolerance of the kernel-ns cross-check (pure float sums
+#: over the same events in a different order)
 _REL_TOL = 1e-6
 
 
 def _close(a: float, b: float) -> bool:
     return abs(a - b) <= _REL_TOL * max(abs(a), abs(b), 1.0)
+
+
+def device_accounting_check(tracer: Tracer, devices) -> dict:
+    """The tracer's current-segment device spans against the counters
+    ``devices`` (the live generation) keep for themselves."""
+    kernels = 0
+    kernel_ns = 0.0
+    copied = dict.fromkeys(devices[0].copied_bytes, 0)
+    for s in tracer.spans:
+        if s.segment != tracer.segment:
+            continue
+        if s.cat == "kernel":
+            kernels += 1
+            kernel_ns += s.duration_ns
+        elif s.cat == "copy":
+            copied[s.track.removeprefix("copy-")] += dict(s.args).get("nbytes", 0)
+    dev_kernels = sum(d.total_kernels for d in devices)
+    dev_kernel_ns = sum(d.total_kernel_ns for d in devices)
+    dev_copied = {k: sum(d.copied_bytes[k] for d in devices) for k in copied}
+    return check(
+        "span totals equal the devices' own counters",
+        kernels == dev_kernels
+        and _close(kernel_ns, dev_kernel_ns)
+        and copied == dev_copied,
+        f"kernels {kernels} vs {dev_kernels}, kernel {kernel_ns:.0f} vs "
+        f"{dev_kernel_ns:.0f} ns, bytes "
+        + ", ".join(f"{k} {copied[k]} vs {dev_copied[k]}" for k in copied),
+    )
 
 
 def run_trace_bench(
@@ -63,11 +93,7 @@ def run_trace_bench(
         if base.runtime_exact_s > 0
         else 1.0
     )
-    busy = tracer.device_busy_ns()
-    timeline = profiler.timeline_report()
-    busy_match = _close(busy["kernel"], timeline.kernel_busy_ns) and _close(
-        busy["copy"], timeline.copy_busy_ns
-    )
+    timeline = tracer.timeline()
 
     # eq. 2 over the traced call spans: fast-forwarded iterations add to
     # the backend's counter without dispatching, so only the span-derived
@@ -86,12 +112,11 @@ def run_trace_bench(
             "spans": len(tracer.spans),
             "instants": len(tracer.instants),
             "segments": tracer.segment + 1,
-            "kernel_busy_ns": busy["kernel"],
-            "copy_busy_ns": busy["copy"],
+            "kernel_busy_ns": timeline.kernel_busy_ns,
+            "copy_busy_ns": timeline.copy_busy_ns,
             "eq2_total": eq2_total,
             "total_calls": profile.total_calls,
             "cps": profile.cps,
-            "restarts": profile.restarts,
         },
         "checks": [
             check(f"overhead ≤{MAX_OVERHEAD_RATIO}×",
@@ -101,10 +126,7 @@ def run_trace_bench(
             check("traced digest equals untraced",
                   traced.digest == base.digest,
                   f"{traced.digest:#010x} vs {base.digest:#010x}"),
-            check("span busy ns equal the profiler timeline", busy_match,
-                  f"kernel {busy['kernel']:.0f} vs "
-                  f"{timeline.kernel_busy_ns:.0f} ns, copy "
-                  f"{busy['copy']:.0f} vs {timeline.copy_busy_ns:.0f} ns"),
+            device_accounting_check(tracer, profiler.backend.runtime.devices),
             check("eq. 2 equals the traced call spans",
                   eq2_total == eq2_spans,
                   f"{eq2_total:,} formula vs {eq2_spans:,} spans"),

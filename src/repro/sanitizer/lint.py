@@ -150,7 +150,6 @@ class _Visitor(ast.NodeVisitor):
         chain = _attr_chain(node.func)
         if chain:
             self._check_nondet_call(node, chain)
-        self._check_dict_iteration_call(node)
         self.generic_visit(node)
 
     def _check_nondet_call(self, node: ast.Call, chain: list[str]) -> None:
@@ -221,11 +220,6 @@ class _Visitor(ast.NodeVisitor):
         ):
             return it.func.attr
         return None
-
-    def _check_dict_iteration_call(self, node: ast.Call) -> None:
-        # Comprehensions arrive as Call->GeneratorExp etc.; handled in
-        # visit_comprehension via the For-like generators below.
-        pass
 
     def _check_iter_node(self, node: ast.AST, it: ast.AST) -> None:
         if not self._in_capture_fn():

@@ -33,12 +33,13 @@ span (phase ``"s"``) with the device execution span it produced (phase
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.gpu.timing import TRACE_HOOK_NS
 from repro.trace.metrics import MetricsRegistry
 
-#: categories of device-side spans (clamped on stream reset)
+#: categories of device-side spans (the GPU timeline; clamped on
+#: stream reset)
 DEVICE_CATS = ("kernel", "copy")
 
 
@@ -74,13 +75,52 @@ class Instant:
     args: tuple[tuple[str, object], ...] = ()
 
 
+@dataclass
+class KernelStats:
+    """Aggregate statistics of one kernel across a trace window."""
+
+    name: str
+    count: int
+    total_ns: float
+
+    @property
+    def mean_ns(self) -> float:
+        return self.total_ns / self.count if self.count else 0.0
+
+
+@dataclass
+class TimelineReport:
+    """GPU-timeline summary (``nvprof --print-gpu-trace`` aggregate).
+
+    ``span_ns`` is *splice-aware*: each non-empty splice segment
+    (restarts start new segments) contributes ``max(end) - min(start)``
+    of its device spans and the segments are summed, so restart downtime
+    between segments never inflates the span and an empty or
+    single-event segment stays well-defined.
+    """
+
+    span_ns: float
+    kernel_busy_ns: float
+    copy_busy_ns: float
+    kernels: dict[str, KernelStats] = field(default_factory=dict)
+    events: int = 0
+    #: non-empty trace segments aggregated (0 = nothing recorded)
+    segments: int = 0
+
+    @property
+    def kernel_utilization(self) -> float:
+        """Fraction of the span with at least this much kernel time
+        (total kernel-ns over span; >1 with concurrent kernels)."""
+        return self.kernel_busy_ns / self.span_ns if self.span_ns else 0.0
+
+
 class Tracer:
     """Collects spans/instants/metrics from every instrumented layer.
 
-    The tracer owns its event storage — device resets and restarts
-    replace the runtime objects underneath it, but never lose recorded
-    events (the device's own ``trace`` list, by contrast, dies with the
-    device; the profiler splices that one explicitly).
+    The tracer is the only recorder of device work, and it owns its
+    event storage — device resets and restarts replace the runtime
+    objects underneath it, but never lose recorded events;
+    :meth:`timeline` is the GPU timeline over them.
     """
 
     def __init__(self, *, hook_ns: float = TRACE_HOOK_NS) -> None:
@@ -275,14 +315,38 @@ class Tracer:
 
     # -- aggregation -----------------------------------------------------------
 
-    def device_busy_ns(self) -> dict[str, float]:
-        """Total device busy time per category, summed over all spans
-        (cross-checked against ``Nvprof.timeline_report`` by the CLI)."""
-        busy = {"kernel": 0.0, "copy": 0.0}
+    def timeline(self) -> TimelineReport:
+        """The GPU timeline: kernel/copy spans of every device, each
+        splice segment contributing its own span (:class:`TimelineReport`)."""
+        segments: dict[int, list[Span]] = {}
         for s in self.spans:
-            if s.cat in busy:
+            if s.cat in DEVICE_CATS:
+                segments.setdefault(s.segment, []).append(s)
+        span = 0.0
+        busy = dict.fromkeys(DEVICE_CATS, 0.0)
+        kernels: dict[str, KernelStats] = {}
+        for window in segments.values():
+            span += max(s.end_ns for s in window) - min(
+                s.start_ns for s in window
+            )
+            for s in window:
                 busy[s.cat] += s.duration_ns
-        return busy
+                if s.cat != "kernel":
+                    continue
+                ks = kernels.get(s.name)
+                if ks is None:
+                    kernels[s.name] = KernelStats(s.name, 1, s.duration_ns)
+                else:
+                    ks.count += 1
+                    ks.total_ns += s.duration_ns
+        return TimelineReport(
+            span_ns=span,
+            kernel_busy_ns=busy["kernel"],
+            copy_busy_ns=busy["copy"],
+            kernels=kernels,
+            events=sum(len(w) for w in segments.values()),
+            segments=len(segments),
+        )
 
     def api_call_counter(self) -> Counter:
         """Per-name count of traced API call spans (eq. 2 cross-check)."""

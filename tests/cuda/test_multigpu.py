@@ -8,6 +8,7 @@ from repro.core import CracSession
 from repro.core.halves import SplitProcess
 from repro.cuda.api import FatBinary
 from repro.cuda.interface import NativeBackend
+from repro.trace import Tracer
 
 FB = FatBinary("mg.fatbin", ("k",))
 
@@ -116,6 +117,27 @@ class TestPerDeviceExecution:
         b.device_synchronize()  # current device = 1
         assert split.process.clock_ns >= 5_000_000
 
+
+
+class TestMultiGpuTimeline:
+    def test_one_timeline_covers_every_device(self):
+        split, b = make_backend(4)
+        tracer = Tracer()
+        tracer.attach(b)
+        sids = []
+        for dev in (0, 2):
+            b.set_device(dev)
+            s = b.stream_create()
+            b.launch("k", duration_ns=10_000.0 * (dev + 1), stream=s)
+            sids.append(s.sid)
+        rep = tracer.timeline()
+        assert rep.kernels["k"].count == 2
+        assert rep.kernel_busy_ns == pytest.approx(40_000.0)
+        assert rep.events == 2 and rep.segments == 1
+        kernels = [s for s in tracer.spans if s.cat == "kernel"]
+        assert [s.stream_sid for s in kernels] == sids
+        # The two devices run concurrently: one span, not a sum.
+        assert rep.span_ns < rep.kernel_busy_ns
 
 class TestPeerCopy:
     def test_memcpy_peer_moves_content(self):

@@ -1,24 +1,21 @@
-"""Profiler restart-window regressions.
+"""Profiler window and splice-aware timeline regressions.
 
 Two fixed bugs:
 
 - ``Nvprof.report()`` silently dropped negative call-counter deltas
-  (``if v > 0``), masking counter resets — now the window is carried
-  forward via ``reattach``/``on_restart`` and an *unexplained* backwards
-  counter raises instead of under-reporting;
+  (``if v > 0``), masking counter resets — an *unexplained* backwards
+  counter now raises instead of under-reporting;
 - ``TimelineReport.span_ns`` was ``max(end) - min(start)`` over all
   events, which produced garbage across a restart splice and a
   zero-division-adjacent mess on empty/single-event traces — now each
   splice segment contributes its own span.
 """
 
-from collections import Counter
-from types import SimpleNamespace
-
 import pytest
 
-from repro.cuda.profiler import Nvprof, TimelineReport
+from repro.cuda.profiler import Nvprof
 from repro.errors import CudaError
+from repro.trace import TimelineReport, Tracer
 
 
 class TestWindowCarry:
@@ -26,37 +23,11 @@ class TestWindowCarry:
         prof = Nvprof(backend)
         prof.start()
         backend.launch("k")
-        backend.call_counter.clear()  # reset without a reattach
+        backend.call_counter.clear()  # reset mid-window
         with pytest.raises(CudaError) as exc:
             prof.report()
         assert "went backwards" in str(exc.value)
-        assert "reattach" in str(exc.value)
-
-    def test_reattach_carries_window_across_counter_reset(self, backend):
-        prof = Nvprof(backend)
-        prof.start()
-        for _ in range(3):
-            backend.launch("k")
-        prof.reattach(backend)  # fold at the cut...
-        backend.call_counter.clear()  # ...then the counter may reset
-        prof._start_calls = Counter(backend.call_counter)
-        for _ in range(2):
-            backend.launch("k")
-        rep = prof.report()
-        assert rep.kernel_launches == 5
-        assert rep.total_calls == 15  # 5 launches x 3 calls
-        assert rep.restarts == 1
-
-    def test_reattach_with_unchanged_counter_is_lossless(self, backend):
-        prof = Nvprof(backend)
-        prof.start()
-        backend.launch("k")
-        before = prof.report().total_calls
-        prof.reattach(backend)
-        prof.reattach(backend)
-        rep = prof.report()
-        assert rep.total_calls == before
-        assert rep.restarts == 2
+        assert "start()" in str(exc.value)
 
     def test_exec_time_spans_the_whole_window(self, backend):
         prof = Nvprof(backend)
@@ -64,12 +35,11 @@ class TestWindowCarry:
         prof.start()
         backend.launch("k")
         backend.device_synchronize()
-        t_fold = backend.process.clock_ns
-        prof.reattach(backend)
+        t_mid = backend.process.clock_ns
         backend.process.advance(1e6)  # restart downtime
         backend.launch("k")
         rep = prof.report()
-        assert rep.exec_time_s * 1e9 >= (t_fold - t_start) + 1e6
+        assert rep.exec_time_s * 1e9 >= (t_mid - t_start) + 1e6
         assert rep.cps == pytest.approx(
             rep.total_calls / rep.exec_time_s
         )
@@ -78,49 +48,40 @@ class TestWindowCarry:
         prof = Nvprof(backend)
         prof.start()
         backend.launch("k")
-        prof.reattach(backend)
-        prof.start()  # a fresh window forgets the carried fold
+        prof.start()  # a fresh window forgets what came before
         backend.launch("k")
         rep = prof.report()
         assert rep.kernel_launches == 1
-        assert rep.restarts == 0
+
+
+@pytest.fixture
+def tracer(backend):
+    t = Tracer()
+    t.attach(backend)
+    return t
 
 
 class TestSpliceAwareTimeline:
-    def test_empty_timeline_is_well_defined(self, backend):
-        prof = Nvprof(backend)
-        prof.enable_timeline()
-        rep = prof.timeline_report()
+    def test_empty_timeline_is_well_defined(self, tracer):
+        rep = tracer.timeline()
         assert rep == TimelineReport(0.0, 0.0, 0.0, {}, 0, segments=0)
         assert rep.kernel_utilization == 0.0
 
-    def test_single_event_trace(self, backend):
-        prof = Nvprof(backend)
-        prof.enable_timeline()
+    def test_single_event_trace(self, backend, tracer):
         backend.launch("k", duration_ns=5_000.0)
-        rep = prof.timeline_report()
+        rep = tracer.timeline()
         assert rep.events == 1
         assert rep.segments == 1
         assert rep.span_ns == pytest.approx(5_000.0)
         assert rep.kernel_busy_ns == pytest.approx(5_000.0)
 
-    def test_span_sums_per_segment_not_across_the_cut(self, backend):
-        prof = Nvprof(backend)
-        prof.enable_timeline()
+    def test_span_sums_per_segment_not_across_the_cut(self, backend, tracer):
         backend.launch("k", duration_ns=5_000.0)
         backend.device_synchronize()
-        # Simulate a restart: the old device objects (with their traces)
-        # are replaced by fresh untraced ones.
-        old_devices = [
-            SimpleNamespace(trace=list(dev.trace))
-            for dev in backend.runtime.devices
-        ]
-        for dev in backend.runtime.devices:
-            dev.disable_trace()
-        prof.on_restart(backend, old_devices)
+        tracer.begin_segment("restart", backend.process.clock_ns)
         backend.process.advance(1e9)  # downtime must not inflate span
         backend.launch("k2", duration_ns=7_000.0)
-        rep = prof.timeline_report()
+        rep = tracer.timeline()
         assert rep.segments == 2
         assert rep.events == 2
         assert rep.span_ns == pytest.approx(12_000.0)
@@ -128,21 +89,10 @@ class TestSpliceAwareTimeline:
         naive = 1e9  # the old max(end)-min(start) would exceed this
         assert rep.span_ns < naive
 
-    def test_on_restart_reenables_tracing_on_new_devices(self, backend):
-        prof = Nvprof(backend)
-        prof.enable_timeline()
-        backend.launch("k", duration_ns=1_000.0)
-        old_devices = [
-            SimpleNamespace(trace=list(dev.trace))
-            for dev in backend.runtime.devices
-        ]
-        for dev in backend.runtime.devices:
-            dev.disable_trace()  # a fresh lower half starts untraced
-        prof.on_restart(backend, old_devices)
-        assert all(dev.trace is not None for dev in backend.runtime.devices)
-        assert prof.timeline_report().events == 1  # archive kept
-
-    def test_report_without_enable_still_raises(self, backend):
-        prof = Nvprof(backend)
-        with pytest.raises(CudaError):
-            prof.timeline_report()
+    def test_empty_segments_are_not_counted(self, backend, tracer):
+        tracer.begin_segment("restart", backend.process.clock_ns)
+        backend.launch("k", duration_ns=5_000.0)
+        tracer.begin_segment("restart", backend.process.clock_ns)
+        rep = tracer.timeline()
+        assert rep.segments == 1
+        assert rep.span_ns == pytest.approx(5_000.0)

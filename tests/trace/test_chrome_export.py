@@ -4,7 +4,8 @@ Runs ``SimpleStreams`` under the trace bench and validates the exported
 JSON the way Perfetto's importer would: required keys per phase type,
 globally sorted timestamps, stable pid/tid assignment across exports,
 and flow ids that appear exactly as start/finish pairs. Also cross-checks
-the paper's eq. 2 against the traced API call spans.
+the paper's eq. 2 against the traced API call spans, and the tracer's
+device spans against the devices' own counters.
 """
 
 import json
@@ -12,7 +13,8 @@ import json
 import pytest
 
 from repro.apps.simple_streams import SimpleStreams
-from repro.harness.trace_bench import run_trace_bench
+from repro.harness.trace_bench import device_accounting_check, run_trace_bench
+from repro.trace import Tracer
 from repro.trace.export import (
     DEVICE_PID,
     HOST_PID,
@@ -33,7 +35,7 @@ def test_bench_gates_pass(bench):
     assert [c["name"] for c in report["checks"] if c["ok"]] == [
         "overhead ≤1.25×",
         "traced digest equals untraced",
-        "span busy ns equal the profiler timeline",
+        "span totals equal the devices' own counters",
         "eq. 2 equals the traced call spans",
     ]
 
@@ -111,12 +113,32 @@ def test_eq2_matches_traced_spans_exactly(bench):
 
 
 def test_per_stream_spans_sum_to_timeline_busy(bench):
-    _, tracer, profiler = bench
-    busy = tracer.device_busy_ns()
-    timeline = profiler.timeline_report()
-    assert busy["kernel"] == pytest.approx(timeline.kernel_busy_ns)
-    assert busy["copy"] == pytest.approx(timeline.copy_busy_ns)
-    streams = {
-        s.track for s in tracer.spans if s.cat == "kernel"
-    }
+    _, tracer, _ = bench
+    timeline = tracer.timeline()
+    per_track: dict[str, float] = {}
+    for s in tracer.spans:
+        if s.cat in ("kernel", "copy"):
+            per_track[s.track] = per_track.get(s.track, 0.0) + s.duration_ns
+    streams = [t for t in per_track if t.startswith("stream-")]
     assert len(streams) >= 2, "SimpleStreams uses multiple streams"
+    assert sum(per_track[t] for t in streams) == pytest.approx(
+        timeline.kernel_busy_ns
+    )
+    assert sum(
+        v for t, v in per_track.items() if t.startswith("copy-")
+    ) == pytest.approx(timeline.copy_busy_ns)
+
+
+def test_device_op_escaping_the_tracer_fails_cross_check(backend):
+    tracer = Tracer()
+    tracer.attach(backend)
+    backend.launch("k", duration_ns=1_000.0)
+    devices = backend.runtime.devices
+    assert device_accounting_check(tracer, devices)["ok"]
+    (dev,) = devices
+    dev.tracer = None  # one launch the tracer never sees
+    backend.launch("k", duration_ns=1_000.0)
+    dev.tracer = tracer
+    result = device_accounting_check(tracer, devices)
+    assert not result["ok"]
+    assert "kernels 1 vs 2" in result["detail"]

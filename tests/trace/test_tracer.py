@@ -75,6 +75,9 @@ def test_untraced_backend_charges_nothing(backend):
     t2 = backend.process.clock_ns
     backend.device_synchronize()
     assert backend.process.clock_ns - t2 == pytest.approx(cost_untraced)
+    recorded = len(tracer.spans)
+    backend.launch("k", duration_ns=1_000.0)  # devices detached too
+    assert len(tracer.spans) == recorded
 
 
 def test_begin_segment_bumps_and_marks(traced_backend):
@@ -110,8 +113,9 @@ def test_device_busy_and_api_counter(traced_backend):
     backend, tracer = traced_backend
     backend.launch("k", duration_ns=5_000.0)
     backend.launch("k", duration_ns=7_000.0)
-    busy = tracer.device_busy_ns()
-    assert busy["kernel"] == pytest.approx(12_000.0)
+    timeline = tracer.timeline()
+    assert timeline.kernel_busy_ns == pytest.approx(12_000.0)
+    assert timeline.copy_busy_ns == 0.0
     counter = tracer.api_call_counter()
     assert counter["cudaLaunchKernel"] == 2
     assert counter["cudaPushCallConfiguration"] == 2
