@@ -13,7 +13,10 @@ its own libc — two independent GNU link maps in one process.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from functools import cache
+from typing import Callable
 
 from repro.cuda.api import CudaRuntime
 from repro.gpu.device import GpuDevice
@@ -77,8 +80,10 @@ ARENA_WINDOWS: dict[str, tuple[int, int]] = {
 }
 
 
+@cache
 def helper_image() -> ProgramImage:
-    """The lower-half helper: tiny app + CUDA libraries + its own libc."""
+    """The lower-half helper: tiny app + CUDA libraries + its own libc
+    (frozen, so built once and shared by every process)."""
     return ProgramImage(
         name="crac-helper",
         segments=(
@@ -95,8 +100,10 @@ def helper_image() -> ProgramImage:
     )
 
 
+@cache
 def default_app_image(name: str = "app") -> ProgramImage:
-    """A typical upper-half CUDA application image."""
+    """A typical upper-half CUDA application image (frozen, built once
+    per name)."""
     return ProgramImage(
         name=name,
         segments=(
@@ -111,6 +118,29 @@ def default_app_image(name: str = "app") -> ProgramImage:
             ProgramImage.simple("ld.so", 256, 64),
         ),
     )
+
+
+def _lower_mem_source(loader: ProgramLoader) -> Callable[[int, str], int]:
+    """The runtime's memory source: interposed lower-half mmaps, each
+    arena family inside its own :data:`ARENA_WINDOWS` sub-window.
+
+    It closes over the loader, never the :class:`SplitProcess`, so the
+    runtime holds no back-reference to its process object: a killed or
+    replaced process is freed by reference counting alone.
+    """
+
+    def lower_mmap(size: int, tag: str) -> int:
+        window = ARENA_WINDOWS.get(tag)
+        if window is None:
+            # Per-device arena tags ("cuda-device-arena-dev2") share the
+            # family window.
+            for prefix, win in ARENA_WINDOWS.items():
+                if tag.startswith(prefix):
+                    window = win
+                    break
+        return loader.mmap_for_half("lower", size, tag_leaf=tag, window=window)
+
+    return lower_mmap
 
 
 @dataclass
@@ -156,14 +186,20 @@ class SplitProcess:
 
         # 2. The helper copies the CUDA entry points into the table.
         table_addr = self.lower.regions[-1][0]  # helper.data
-        self.entry_table = EntryPointTable(table_addr=table_addr)
         libcuda_base = self.lower.regions[0][0]
-        for i, name in enumerate(ENTRY_POINTS):
-            self.entry_table.entries[name] = libcuda_base + 0x100 * (i + 1)
-            self.process.vas.write(
-                table_addr + 8 * i,
-                self.entry_table.entries[name].to_bytes(8, "little"),
-            )
+        self.entry_table = EntryPointTable(
+            table_addr=table_addr,
+            entries={
+                name: libcuda_base + 0x100 * (i + 1)
+                for i, name in enumerate(ENTRY_POINTS)
+            },
+        )
+        self.process.vas.write(
+            table_addr,
+            struct.pack(
+                f"<{len(ENTRY_POINTS)}Q", *self.entry_table.entries.values()
+            ),
+        )
 
         # 3. The CUDA library initializes inside the lower half: all of
         #    its future memory comes from interposed lower-half mmaps.
@@ -178,7 +214,7 @@ class SplitProcess:
         self.runtime = CudaRuntime(
             self.process,
             self.devices,
-            mem_source=self._lower_mmap,
+            mem_source=_lower_mem_source(self.loader),
         )
 
         # 4. The application loads into the upper half (under DMTCP). At
@@ -189,19 +225,6 @@ class SplitProcess:
         self.upper: LoadedProgram | None = None
         if load_upper:
             self.upper = self.loader.load(self.app_image, "upper")
-
-    def _lower_mmap(self, size: int, tag: str) -> int:
-        window = ARENA_WINDOWS.get(tag)
-        if window is None:
-            # Per-device arena tags ("cuda-device-arena-dev2") share the
-            # family window.
-            for prefix, win in ARENA_WINDOWS.items():
-                if tag.startswith(prefix):
-                    window = win
-                    break
-        return self.loader.mmap_for_half(
-            "lower", size, tag_leaf=tag, window=window
-        )
 
     # -- queries ---------------------------------------------------------------
 

@@ -221,7 +221,12 @@ class DmtcpCheckpointer:
                 if incremental
                 else region.pages_snapshot()
             )
-            for lo, hi in _subtract_ranges((region.start, region.end), skips):
+            r_start, r_end = region.start, region.end
+            vetoed = [
+                (s_start, s_size) for s_start, s_size in skips
+                if s_start < r_end and r_start < s_start + s_size
+            ]
+            for lo, hi in _subtract_ranges((r_start, r_end), vetoed):
                 shift = (lo - region.start) // PAGE_SIZE
                 pages = {
                     pg - shift: data

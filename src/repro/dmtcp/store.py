@@ -34,7 +34,7 @@ from __future__ import annotations
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Container, Iterable, Iterator
 
 from repro.dmtcp.image import CheckpointImage
 from repro.errors import CheckpointStoreError, CorruptCheckpointError
@@ -220,21 +220,30 @@ class CheckpointStore:
 
     # -- restore-time verification ---------------------------------------------
 
+    def chain_generations(self, generation: int) -> list[int]:
+        """Ids of ``generation``'s restore chain held by this store, base
+        first (ancestors that predate the store are left out)."""
+        return self._chain_ids(generation, self._owners())
+
+    def _owners(self) -> dict[int, int]:
+        """``id(image)`` → generation id, over every committed generation."""
+        return {id(e.image): g for g, e in self._generations.items()}
+
+    def _chain_ids(self, generation: int, owners: dict[int, int]) -> list[int]:
+        chain = self.get(generation).image.chain()
+        return [owners[id(img)] for img in chain if id(img) in owners]
+
     def verify(self, generation: int) -> None:
         """Re-checksum every region of ``generation`` (and of every
-        chain ancestor also held by this store); raise
+        chain ancestor also held by this store), base first; raise
         :class:`CorruptCheckpointError` on the first mismatch."""
-        entry = self.get(generation)
-        by_image = {id(e.image): e for e in self._generations.values()}
-        for img in entry.image.chain():
-            owner = by_image.get(id(img))
-            if owner is None:
-                continue  # ancestor predates the store; nothing recorded
-            for idx, region in enumerate(img.regions):
+        for gen in self.chain_generations(generation):
+            owner = self._generations[gen]
+            for idx, region in enumerate(owner.image.regions):
                 want = owner.checksums.get(idx)
                 if want is None or region.checksum() != want:
                     raise CorruptCheckpointError(
-                        f"generation {owner.generation}: region {idx} "
+                        f"generation {gen}: region {idx} "
                         f"@{region.start:#x} failed checksum verification"
                     )
 
@@ -315,15 +324,50 @@ class CheckpointStore:
         serializes (``CheckpointImage.__getstate__``), and integrity
         travels with the bytes — a CRC over the whole payload plus the
         per-region CRCs recorded when the generation was staged. The
-        generation is verified before export so rot on the source node
-        is caught here, not attributed to the wire.
+        generation is verified (with its whole chain) before export so
+        rot on the source node is caught here, not attributed to the
+        wire.
         """
         self.verify(generation)
+        return self._record(generation, self._owners())
+
+    def export_chain(self, generation: int) -> list[dict]:
+        """Export ``generation`` plus every chain ancestor held by this
+        store, base (full) image first — the ship order of a migration.
+
+        The chain is verified once, up front, then each member is
+        exported; a corrupt member raises before any record is built.
+        """
+        self.verify(generation)
+        owners = self._owners()
+        return [
+            self._record(gen, owners)
+            for gen in self._chain_ids(generation, owners)
+        ]
+
+    def export_missing(
+        self, generation: int, present: Container[int]
+    ) -> list[dict]:
+        """Export the members of ``generation``'s chain whose ids are not
+        in ``present``, base first: the re-ship of a chain whose older
+        members the destination already holds.
+
+        Each record comes from :meth:`export_generation`, so each is
+        verified with its whole chain, and every record is built before
+        the caller ships any of them.
+        """
+        return [
+            self.export_generation(gen)
+            for gen in self.chain_generations(generation)
+            if gen not in present
+        ]
+
+    def _record(self, generation: int, owners: dict[int, int]) -> dict:
+        """The wire record of an already-verified generation."""
         entry = self.get(generation)
         payload = entry.image.export_payload()
-        by_image = {id(e.image): g for g, e in self._generations.items()}
         parent = entry.image.parent
-        parent_gen = by_image.get(id(parent)) if parent is not None else None
+        parent_gen = owners.get(id(parent)) if parent is not None else None
         return {
             "generation": entry.generation,
             "parent_generation": parent_gen,
@@ -335,18 +379,6 @@ class CheckpointStore:
             },
             "size_bytes": entry.size_bytes,
         }
-
-    def export_chain(self, generation: int) -> list[dict]:
-        """Export ``generation`` plus every chain ancestor held by this
-        store, base (full) image first — the ship order of a migration."""
-        entry = self.get(generation)
-        by_image = {id(e.image): g for g, e in self._generations.items()}
-        records = []
-        for img in entry.image.chain():
-            owner = by_image.get(id(img))
-            if owner is not None:
-                records.append(self.export_generation(owner))
-        return records
 
     def import_generation(
         self, record: dict, *, parent: CheckpointImage | None = None
@@ -415,15 +447,12 @@ class CheckpointStore:
         plus every pinned (in-flight) generation, plus every ancestor a
         retained incremental chain still parents."""
         newest = sorted(self._generations, reverse=True)[: self.keep_generations]
-        by_image = {id(e.image): g for g, e in self._generations.items()}
+        owners = self._owners()
         roots = set(newest)
         roots.update(g for g in self._pins if g in self._generations)
         keep = set(roots)
-        for gen in sorted(roots):
-            for img in self._generations[gen].image.chain():
-                owner = by_image.get(id(img))
-                if owner is not None:
-                    keep.add(owner)
+        for gen in roots:
+            keep.update(self._chain_ids(gen, owners))
         return keep
 
     def gc(self) -> list[int]:

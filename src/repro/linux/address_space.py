@@ -43,8 +43,12 @@ def page_align_up(n: int) -> int:
     return (n + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
 
 
+#: every valid permission string: ``r`` or ``-``, ``w`` or ``-``, ``x`` or ``-``
+_PERMS = frozenset(r + w + x for r in "r-" for w in "w-" for x in "x-")
+
+
 def _check_perms(perms: str) -> str:
-    if len(perms) != 3 or any(c not in ok for c, ok in zip(perms, ("r-", "w-", "x-"))):
+    if perms not in _PERMS:
         raise AddressSpaceError(f"bad permission string {perms!r}; expected e.g. 'rw-'")
     return perms
 
@@ -284,16 +288,20 @@ class VirtualAddressSpace:
 
     def overlapping(self, addr: int, size: int) -> list[MemoryRegion]:
         """Regions intersecting ``[addr, addr+size)``, sorted."""
-        out = []
-        i = bisect.bisect_right(self._starts, addr) - 1
+        starts, regions = self._starts, self._regions
+        end = addr + size
+        i = bisect.bisect_right(starts, addr) - 1
         if i < 0:
             i = 0
-        for s in self._starts[i:]:
-            r = self._regions[s]
-            if r.start >= addr + size:
+        n = len(starts)
+        out = []
+        while i < n:
+            r = regions[starts[i]]
+            if r.start >= end:
                 break
             if r.end > addr:
                 out.append(r)
+            i += 1
         return out
 
     # -- mmap / munmap / mprotect ---------------------------------------------
@@ -385,6 +393,21 @@ class VirtualAddressSpace:
 
     # -- internals ---------------------------------------------------------------
 
+    def _first_fit(self, cand: int, size: int, hi: int) -> int | None:
+        """Lowest address at or above ``cand`` where ``size`` bytes fit
+        below ``hi`` without touching a mapping, or None."""
+        starts = self._starts
+        # i: the first region that ends past cand
+        i = bisect.bisect_right(starts, cand) - 1
+        if i < 0 or self._regions[starts[i]].end <= cand:
+            i += 1
+        while cand + size <= hi:
+            if i == len(starts) or starts[i] >= cand + size:
+                return cand
+            cand = self._regions[starts[i]].end
+            i += 1
+        return None
+
     def _insert(self, region: MemoryRegion) -> None:
         if self.overlapping(region.start, region.size):
             raise AddressSpaceError(
@@ -441,25 +464,14 @@ class VirtualAddressSpace:
                         return cand
         # Deterministic next-fit scan from the window base (or the cursor
         # when scanning the default window, to mimic Linux's top-down-ish
-        # monotone behaviour without randomness).
+        # monotone behaviour without randomness), wrapping around once.
         start = lo if window is not None else max(lo, self._next_fit_cursor)
-        cand = start
-        while cand + size <= hi:
-            blockers = self.overlapping(cand, size)
-            if not blockers:
+        for first in (start, lo):
+            cand = self._first_fit(first, size, hi)
+            if cand is not None:
                 if window is None:
                     self._next_fit_cursor = cand + size
                 return cand
-            cand = page_align_up(blockers[-1].end)
-        # Wrap around once for the default window.
-        cand = lo
-        while cand + size <= hi:
-            blockers = self.overlapping(cand, size)
-            if not blockers:
-                if window is None:
-                    self._next_fit_cursor = cand + size
-                return cand
-            cand = page_align_up(blockers[-1].end)
         raise AddressSpaceError(f"out of address space for {size:#x} bytes")
 
 

@@ -17,10 +17,10 @@ buddy node's shadow store over the shared
 layer's :func:`~repro.cluster.migration._ship_record` retry loop (CRC
 re-verified on arrival, bounded resends) under a
 :meth:`~repro.dmtcp.store.CheckpointStore.pin_guard` so an abandoned
-shipment can never wedge the primary's keep-N GC. Already-shipped
-generations are skipped (incremental deltas ride on their shipped
-parents), and stale shadows on other nodes are dropped after each ship
-so the failover target is always the *current* replica.
+shipment can never wedge the primary's keep-N GC. Only generations the
+shadow lacks are exported at all (incremental deltas ride on their
+shipped parents), and stale shadows on other nodes are dropped after
+each ship so the failover target is always the *current* replica.
 """
 
 from __future__ import annotations
@@ -176,9 +176,13 @@ class SessionPool:
     ) -> dict:
         """Replicate ``sid``'s latest chain into ``dst``'s shadow store.
 
-        Ships only generations the destination has not imported yet
-        (base first, so every incremental delta finds its parent), with
-        the whole batch pinned on the source for the duration. After a
+        Exports and ships only the chain members the destination has
+        not imported yet (base first, so every incremental delta finds
+        its parent): a park after the first costs one export, not a
+        re-export of the whole chain. Each exported generation is
+        verified with its whole chain on the source, before anything
+        ships, and re-verified on arrival. The batch stays pinned on
+        the source for the duration. After a
         successful ship, ``sid``'s shadows on every *other* node are
         dropped: a parked session has no live memory to reconcile from,
         so its failover target must be the one current replica, never a
@@ -203,10 +207,7 @@ class SessionPool:
         if state is None or state["src"] is not src_store:
             state = self._ship_maps[key] = {"src": src_store, "images": {}}
         images: dict[int, CheckpointImage] = state["images"]
-        records = [
-            r for r in src_store.export_chain(latest)
-            if r["generation"] not in images
-        ]
+        records = src_store.export_missing(latest, images)
         t = now_ns
         nbytes = 0
         retries = 0

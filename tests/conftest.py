@@ -1,5 +1,6 @@
 """Shared fixtures: a simulated machine (process + GPU + CUDA runtime)."""
 
+import gc
 import shutil
 from pathlib import Path
 
@@ -34,6 +35,19 @@ def build_machine(gpu="V100", aslr=False, fsgsbase=False, seed=11):
         mem_source=lambda size, tag: loader.mmap_for_half("lower", size, tag_leaf=tag),
     )
     return proc, loader, device, runtime
+
+
+@pytest.fixture
+def no_cycle_collector():
+    """Only reference counting frees objects during the test."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 APP_FATBIN = FatBinary(name="app.fatbin", kernels=("k", "k2", "init_kernel"))

@@ -1,8 +1,12 @@
 """Tests for split-process construction (Figure 1)."""
 
+import weakref
+
 import pytest
 
+from repro.core import CracSession
 from repro.core.halves import ARENA_WINDOWS, ENTRY_POINTS, SplitProcess
+from repro.dmtcp.store import CheckpointStore
 from repro.linux.loader import LOWER_HALF_WINDOW
 
 
@@ -32,6 +36,14 @@ class TestConstruction:
         # The table holds the entry addresses, little-endian.
         first = int.from_bytes(split.process.vas.read(table_addr, 8), "little")
         assert first == split.entry_table.resolve(ENTRY_POINTS[0])
+
+    def test_entry_table_bytes_hold_every_entry_in_order(self, split):
+        table_addr = split.entry_table.table_addr
+        raw = split.process.vas.read(table_addr, 8 * len(ENTRY_POINTS))
+        for i, name in enumerate(ENTRY_POINTS):
+            addr = int.from_bytes(raw[8 * i : 8 * i + 8], "little")
+            assert addr == split.entry_table.resolve(name)
+            assert addr == split.lower.regions[0][0] + 0x100 * (i + 1)
 
     def test_entry_table_covers_runtime_api(self, split):
         for name in ("cudaMalloc", "cudaLaunchKernel", "__cudaRegisterFatBinary"):
@@ -86,3 +98,27 @@ class TestArenaCarving:
     def test_upper_mmap_tracked(self, split):
         addr = split.upper_mmap(4096)
         assert split.loader.half_of(addr) == "upper"
+
+
+class TestLifetime:
+    """A process object is acyclic: dropping the last reference frees it
+    without waiting for the cycle collector."""
+
+    def test_split_process_dies_at_del(self, no_cycle_collector):
+        split = SplitProcess(seed=2)
+        split.runtime.cudaMalloc(4096)
+        split.runtime.cudaMallocHost(512)
+        ref = weakref.ref(split)
+        del split
+        assert ref() is None
+
+    def test_restart_frees_the_killed_process(self, no_cycle_collector):
+        session = CracSession(seed=5)
+        session.backend.malloc(1024)
+        store = CheckpointStore()
+        session.checkpoint(store=store)
+        ref = weakref.ref(session.split)
+        session.kill()
+        session.restart_latest(store)
+        assert ref() is None
+        assert session.split.process.alive

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterNode, Interconnect, ship_chain
 from repro.core.session import CracSession
 from repro.cuda.api import FatBinary
-from repro.dmtcp.image import CheckpointImage
+from repro.dmtcp.image import CheckpointImage, SavedRegion
 from repro.dmtcp.store import CheckpointStore
 from repro.errors import CheckpointStoreError, CorruptCheckpointError
 
@@ -130,6 +131,63 @@ class TestPortability:
         assert orphan_full.parent is None
         assert not orphan_full.incremental
         session.kill()
+
+
+def three_long_chain(store):
+    """Commit full → incremental → incremental, each holding upper-half
+    bytes; returns the (killed) session."""
+    session, ptr = make_session()
+    ballast = session.split.upper_mmap(4096)
+    session.process.vas.write(ballast, b"base bytes")
+    full, inc = chain_in_store(store, session, ptr)
+    session.process.vas.write(ballast, b"third cut")
+    bump(session, ptr)
+    session.checkpoint(store=store, incremental=True, parent=inc)
+    session.kill()
+    return session
+
+
+def flip_first_byte(image):
+    """Rot one byte of ``image``'s first region that holds any."""
+    region = next(r for r in image.regions if r.pages)
+    pg = min(region.pages)
+    data = bytearray(region.pages[pg])
+    data[0] ^= 0xFF
+    region.pages[pg] = bytes(data)
+
+
+class TestChainExport:
+    def test_export_chain_checksums_each_region_once(self, monkeypatch):
+        a = CheckpointStore()
+        three_long_chain(a)
+        latest = a.latest()
+        assert a.chain_generations(latest) == a.generations == [1, 2, 3]
+        checked = []
+        original = SavedRegion.checksum
+
+        def counting_checksum(region):
+            checked.append(region)
+            return original(region)
+
+        monkeypatch.setattr(SavedRegion, "checksum", counting_checksum)
+        records = a.export_chain(latest)
+        regions = [r for g in a.generations for r in a.get(g).image.regions]
+        assert len(checked) == len(regions)
+        assert {id(r) for r in checked} == {id(r) for r in regions}
+        monkeypatch.undo()
+        assert [r["generation"] for r in records] == [1, 2, 3]
+        assert records == [a.export_generation(g) for g in a.generations]
+
+    def test_corrupt_ancestor_fails_export_chain_and_ship_chain(self):
+        src, dst = ClusterNode("a"), ClusterNode("b")
+        three_long_chain(src.store)
+        flip_first_byte(src.store.get(1).image)
+        with pytest.raises(CorruptCheckpointError, match="generation 1"):
+            src.store.export_chain(src.store.latest())
+        with pytest.raises(CorruptCheckpointError, match="generation 1"):
+            ship_chain(src, dst, Interconnect())
+        assert dst.store.generations == []
+        assert src.store.pinned() == []
 
 
 class TestPins:

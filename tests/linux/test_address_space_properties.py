@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for address-space invariants."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -106,3 +107,64 @@ def test_total_mapped_equals_sum_of_regions(op_list):
     vas = VirtualAddressSpace(aslr=False, seed=6)
     run_ops(vas, op_list)
     assert vas.total_mapped == sum(r.size for r in vas.regions())
+
+
+# -- placement and lookup against brute-force oracles --------------------------
+
+#: a 48-page placement window inside the op language's 64-page span
+WINDOW = (BASE + 8 * PAGE_SIZE, BASE + 56 * PAGE_SIZE)
+VALID_PERMS = {r + w + x for r in "r-" for w in "w-" for x in "x-"}
+
+
+def lowest_fit(vas, size, window):
+    """Brute force: the lowest page address in ``window`` where ``size``
+    bytes touch no region."""
+    lo, hi = window
+    for addr in range(lo, hi - size + 1, PAGE_SIZE):
+        if all(r.end <= addr or addr + size <= r.start for r in vas.regions()):
+            return addr
+    return None
+
+
+@settings(max_examples=200)
+@given(ops, st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=6))
+def test_windowed_mmap_returns_the_lowest_fit(op_list, sizes):
+    vas = VirtualAddressSpace(aslr=False, seed=7)
+    run_ops(vas, op_list)
+    for npages in sizes:
+        size = npages * PAGE_SIZE
+        want = lowest_fit(vas, size, WINDOW)
+        if want is None:
+            with pytest.raises(AddressSpaceError, match="out of address space"):
+                vas.mmap(size, window=WINDOW)
+        else:
+            assert vas.mmap(size, window=WINDOW) == want
+
+
+@settings(max_examples=200)
+@given(
+    ops,
+    st.integers(min_value=-4 * PAGE_SIZE, max_value=70 * PAGE_SIZE),
+    st.integers(min_value=1, max_value=20 * PAGE_SIZE),
+)
+def test_overlapping_equals_a_filter_of_regions(op_list, offset, size):
+    vas = VirtualAddressSpace(aslr=False, seed=8)
+    run_ops(vas, op_list)
+    addr = BASE + offset
+    want = [r for r in vas.regions() if r.start < addr + size and addr < r.end]
+    assert vas.overlapping(addr, size) == want
+
+
+@settings(max_examples=200)
+@given(st.text(alphabet="rwx-pRs ", max_size=4))
+def test_permission_strings_are_checked_exactly(perms):
+    vas = VirtualAddressSpace(aslr=False, seed=9)
+    if perms in VALID_PERMS:
+        addr = vas.mmap(PAGE_SIZE, perms=perms)
+        assert vas.find(addr).perms == perms
+        return
+    message = f"bad permission string {perms!r}; expected e.g. 'rw-'"
+    with pytest.raises(AddressSpaceError) as excinfo:
+        vas.mmap(PAGE_SIZE, perms=perms)
+    assert str(excinfo.value) == message
+    assert vas.regions() == []
