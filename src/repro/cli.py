@@ -370,7 +370,7 @@ def cmd_bench(args, out) -> int:
     if args.out != "-":
         for path in suites.write_report(report, args.out):
             print(f"wrote {path}", file=out)
-    if args.update_baseline:
+    if args.update_baseline and report["ok"]:
         print(f"recorded the '{args.suite}' entry in "
               f"{suites.BASELINE_PATH}", file=out)
     return 0 if report["ok"] else 1

@@ -30,13 +30,10 @@ Cells (all sharing the session/wave schedule, differing only in faults):
 ==================  =========================================================
 
 Latencies and throughput are *virtual-time* (the simulation's clocks),
-so reports are bit-reproducible for a given seed; the JSON also records
-wall time per cell for CI budget tracking.
+so reports are bit-reproducible for a given seed.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.errors import AdmissionRejectedError, ServeDeadlineExceededError
 from repro.gpu.timing import NS_PER_S
@@ -78,7 +75,6 @@ def run_cell(
     state_elems: int,
 ) -> tuple[dict, MetricsRegistry]:
     """Run one campaign cell; return (JSON-safe summary, its metrics)."""
-    t_wall = time.perf_counter()  # lint: allow — CI wall-budget tracking only
     cell_seed = derive_seed(seed, f"serve-cell:{name}")
     if name == "eviction-storm":
         slots = max(1, slots // 3)
@@ -151,7 +147,6 @@ def run_cell(
         ),
         "admission": admission.snapshot(),
         "shipped_bytes": pool.shipped_bytes,
-        "wall_s": round(time.perf_counter() - t_wall, 3),  # lint: allow — CI wall budget
     }
     return summary, sched.metrics
 
@@ -213,7 +208,6 @@ def run_serve_bench(
         "checks": checks,
         "cells": rows,
         "counters": snapshot["counters"],
-        "wall_s": round(sum(c["wall_s"] for c in rows), 3),
     }
 
 

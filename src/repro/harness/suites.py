@@ -10,10 +10,11 @@ maps extra artifact names to JSON payloads written next to the report.
 The engine adds the baseline checks from the versioned
 :data:`BASELINE_PATH`: the suite's entry must exist and record the
 run's exact config, and each of the suite's :class:`Gate` metrics must
-equal its recorded value (an exact gate) or keep its ratio to it within
-the gate's limit. The
-suite passes only if every check passes. ``--update-baseline`` records
-the run's config and gated metrics as the suite's entry instead.
+be measured and equal its recorded value (an exact gate) or keep its
+ratio to it within the gate's limit. The suite passes only if every
+check passes. ``--update-baseline`` records
+the run's config and gated metrics as the suite's entry instead, unless
+one of the suite's own checks failed; such a run is gated as usual.
 
 Performance at paper scale is measured by ``bench/`` (see
 ``BENCHMARK.json``); these suites gate correctness claims — a restored
@@ -173,7 +174,15 @@ def baseline_checks(name: str, report: dict, baseline: dict) -> list[dict]:
             f"config differs from the recorded one in {', '.join(differs)}",
         )]
     checks = [check("baseline entry", True, f"config matches {BASELINE_PATH}")]
-    for gate in load_suite(name).gates:
+    gates = load_suite(name).gates
+    unmeasured = [g.metric for g in gates if g.metric not in report["metrics"]]
+    if unmeasured:
+        return checks + [check(
+            "gated metrics measured", False,
+            f"{len(unmeasured)} of {len(gates)} not measured, "
+            f"e.g. {unmeasured[0]}",
+        )]
+    for gate in gates:
         current = report["metrics"][gate.metric]
         prior = entry["metrics"].get(gate.metric)
         if prior is None:
@@ -211,7 +220,7 @@ def run_suite(name: str, *, update_baseline: bool = False) -> dict:
     config = json.loads(json.dumps(suite.config))  # as the baseline stores it
     report = {**suite.run(**config), "suite": name, "config": config}
     baseline = load_baseline()
-    if update_baseline:
+    if update_baseline and all(c["ok"] for c in report["checks"]):
         baseline["version"] = BASELINE_VERSION
         baseline.setdefault("suites", {})[name] = baseline_entry(name, report)
         write_json(BASELINE_PATH, baseline)

@@ -2,6 +2,7 @@
 
 import gc
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,25 @@ def build_machine(gpu="V100", aslr=False, fsgsbase=False, seed=11):
         mem_source=lambda size, tag: loader.mmap_for_half("lower", size, tag_leaf=tag),
     )
     return proc, loader, device, runtime
+
+
+def python_calls(fn, *args):
+    """Run ``fn(*args)``; return its result and the Python frames it
+    entered (every ``"call"`` profile event, the standard library's
+    included)."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls
 
 
 @pytest.fixture

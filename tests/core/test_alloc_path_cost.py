@@ -9,12 +9,11 @@ fixed budget of Python-level calls, and so does each never-written
 ``cudaMalloc`` that restart replays.
 """
 
-import sys
-
 from repro.core import CracSession
 from repro.core.replay_log import LogEntry
 from repro.dmtcp.image import CheckpointImage
 from repro.gpu.memory import DeviceBuffer, PagedContents, _FreeBlock
+from tests.conftest import python_calls
 
 #: Python-level calls one warm ``CracBackend.malloc(256)`` or ``free``
 #: may make, from the trampoline through the runtime, the arena and the
@@ -27,31 +26,14 @@ CALL_BUDGET = 18
 RESTART_MALLOC_CALL_BUDGET = 4
 
 
-def _python_calls(fn, *args):
-    """Run ``fn(*args)``; return its result and the Python frames entered."""
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    sys.setprofile(profile)
-    try:
-        result = fn(*args)
-    finally:
-        sys.setprofile(None)
-    return result, calls
-
-
 def test_warm_malloc_and_free_stay_within_call_budget():
     session = CracSession(seed=3)
     backend = session.backend
     for _ in range(3):  # warm: the arena exists, the free list is split
         backend.free(backend.malloc(256))
     keep = backend.malloc(256)
-    addr, malloc_calls = _python_calls(backend.malloc, 256)
-    _, free_calls = _python_calls(backend.free, addr)
+    addr, malloc_calls = python_calls(backend.malloc, 256)
+    _, free_calls = python_calls(backend.free, addr)
     assert malloc_calls <= CALL_BUDGET, malloc_calls
     assert free_calls <= CALL_BUDGET, free_calls
     assert keep in session.runtime.buffers and addr not in session.runtime.buffers
@@ -65,7 +47,7 @@ def _restart_calls(n_buffers: int) -> int:
         session.backend.malloc(256)
     image = session.checkpoint()
     session.kill()
-    _, calls = _python_calls(session.restart, image)
+    _, calls = python_calls(session.restart, image)
     assert len(session.runtime.buffers) == n_buffers
     return calls
 

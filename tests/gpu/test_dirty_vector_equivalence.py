@@ -1,19 +1,16 @@
-"""Observational equivalence: vectorized structures vs legacy rebuilds.
+"""Observational equivalence: vectorized structures vs reference models.
 
-The vectorization PR replaced three per-write-rebuild structures with
-numpy-backed ones. These properties pin the contract: for any op
-sequence, the new structures answer every query byte-for-byte the same
-as the old code (kept verbatim in :mod:`repro.gpu.dirty_legacy`).
-
-A reference model (set of offsets / dict offset→epoch) arbitrates when
-the two implementations could share a bug.
+The vectorized dirty index and written-span set answer every query
+byte-for-byte like a per-offset reference model: a dict offset -> epoch
+of last write for :class:`EpochIntervalIndex`, a set of written offsets
+for :class:`SpanSet`. The racecheck scan is pinned against the plain
+loop it replaced.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu.dirty_legacy import LegacyDirtyIndex, LegacyWrittenSet
 from repro.gpu.intervals import EpochIntervalIndex, SpanSet
 from repro.sanitizer.core import _Access, _AccessIndex
 from repro.sanitizer.vector_clock import VectorClock
@@ -33,10 +30,33 @@ dirty_op = st.one_of(
 )
 
 
-def replay_both(ops):
-    """Drive legacy + vectorized dirty indexes and a dict model through
-    the same ops; compare every query; return the final triple."""
-    legacy, vector = LegacyDirtyIndex(), EpochIntervalIndex()
+def runs(offsets, key=lambda off: True):
+    """Maximal ``(lo, hi, key)`` runs of consecutive offsets sharing one
+    key, in offset order."""
+    out: list[list[int]] = []
+    for off in sorted(offsets):
+        k = key(off)
+        if out and out[-1][1] == off and out[-1][2] == k:
+            out[-1][1] = off + 1
+        else:
+            out.append([off, off + 1, k])
+    return [tuple(r) for r in out]
+
+
+def assert_matches_model(index, model, since):
+    """Every query of ``index`` answers as the dict ``model`` does."""
+    assert index.intervals() == runs(model, model.get)
+    assert index.spans() == [(lo, hi) for lo, hi, _ in runs(model)]
+    assert index.byte_count == len(model)
+    assert index.bytes_since(since) == sum(
+        1 for ep in model.values() if ep > since
+    )
+
+
+def replay(ops):
+    """Drive the vectorized dirty index and a dict model through the
+    same ops; check every query against the model; return the pair."""
+    index = EpochIntervalIndex()
     model: dict[int, int] = {}  # offset -> epoch of last write
     epoch = 0
     snap = 0
@@ -44,54 +64,37 @@ def replay_both(ops):
         if kind == "mark":
             lo, hi = arg
             epoch += 1
-            legacy.mark(lo, hi, epoch)
-            vector.mark(lo, hi, epoch)
+            index.mark(lo, hi, epoch)
             for off in range(lo, hi):
                 model[off] = epoch
         elif kind == "clear":
-            legacy.clear(arg, up_to_epoch=snap)
-            vector.clear(arg, up_to_epoch=snap)
+            index.clear(arg, up_to_epoch=snap)
             for lo, hi in arg:
                 for off in range(lo, hi):
                     if model.get(off, 0) <= snap:
                         model.pop(off, None)
         elif kind == "clear_all":
-            legacy.clear_all()
-            vector.clear_all()
+            index.clear_all()
             model.clear()
         else:
-            assert legacy.intervals() == vector.intervals()
-            assert legacy.spans() == vector.spans()
-            assert legacy.byte_count == vector.byte_count
-            assert legacy.bytes_since(snap) == vector.bytes_since(snap)
+            assert_matches_model(index, model, snap)
             snap = epoch
-    return legacy, vector, model
+    return index, model
 
 
 @settings(max_examples=150)
 @given(st.lists(dirty_op, max_size=30))
 def test_dirty_index_equivalence(ops):
-    legacy, vector, model = replay_both(ops)
-    assert legacy.intervals() == vector.intervals()
-    assert legacy.spans() == vector.spans()
-    assert legacy.byte_count == vector.byte_count
-    # Both agree with the per-offset model.
-    expected = sorted(model)
-    got = [
-        off for lo, hi in vector.spans() for off in range(lo, hi)
-    ]
-    assert got == expected
-    for lo, hi, ep in vector.intervals():
-        for off in range(lo, hi):
-            assert model[off] == ep
+    index, model = replay(ops)
+    assert_matches_model(index, model, 0)
+    assert bool(index) == bool(model)
 
 
 @settings(max_examples=150)
 @given(st.lists(dirty_op, max_size=30), st.integers(0, 40))
 def test_bytes_since_equivalence(ops, since):
-    legacy, vector, model = replay_both(ops)
-    assert legacy.bytes_since(since) == vector.bytes_since(since)
-    assert vector.bytes_since(since) == sum(
+    index, model = replay(ops)
+    assert index.bytes_since(since) == sum(
         1 for ep in model.values() if ep > since
     )
 
@@ -99,7 +102,7 @@ def test_bytes_since_equivalence(ops, since):
 @settings(max_examples=150)
 @given(st.lists(dirty_op, max_size=30), st.sampled_from([16, 64, 128]))
 def test_page_epochs_match_intervals(ops, page_size):
-    _, vector, model = replay_both(ops)
+    vector, model = replay(ops)
     per_page = vector.page_epochs(page_size, SIZE)
     n_pages = (SIZE + page_size - 1) // page_size
     assert len(per_page) == n_pages
@@ -121,30 +124,26 @@ written_op = st.one_of(
 @settings(max_examples=150)
 @given(st.lists(written_op, max_size=40), st.lists(span, max_size=2))
 def test_span_set_equivalence(ops, initial):
-    legacy, vector = LegacyWrittenSet(initial), SpanSet(initial)
+    written = SpanSet(initial)
     covered = {
         off for lo, hi in initial for off in range(lo, hi)
     }
     for kind, (lo, hi) in ops:
         if kind == "add":
-            legacy.add(lo, hi)
-            vector.add(lo, hi)
+            written.add(lo, hi)
             covered.update(range(lo, hi))
         elif kind == "holes":
-            assert legacy.holes(lo, hi) == vector.holes(lo, hi)
             missing = [o for o in range(lo, hi) if o not in covered]
-            got = [
-                o for a, b in vector.holes(lo, hi) for o in range(a, b)
+            assert written.holes(lo, hi) == [
+                (a, b) for a, b, _ in runs(missing)
             ]
-            assert got == missing
         else:
-            assert legacy.covers(lo, hi) == vector.covers(lo, hi)
-            assert vector.covers(lo, hi) == all(
+            assert written.covers(lo, hi) == all(
                 o in covered for o in range(lo, hi)
             )
-    assert legacy.spans() == vector.spans()
-    assert legacy.byte_count == vector.byte_count
-    assert bool(legacy) == bool(vector)
+    assert written.spans() == [(lo, hi) for lo, hi, _ in runs(covered)]
+    assert written.byte_count == len(covered)
+    assert bool(written) == bool(covered)
 
 
 # -- racecheck scan ----------------------------------------------------------

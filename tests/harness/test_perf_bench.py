@@ -1,137 +1,280 @@
-"""perf suite: trace determinism, replay equality, gate math.
+"""perf suite: exact per-layer call counts, planted regressions, gate.
 
-The full suite runs in CI (``repro bench perf``); these tests cover the
-pieces cheaply — tiny traces through both replay paths, and the
-baseline-gate arithmetic against synthetic reports.
+The full suite runs in CI (``repro bench perf``); these tests run it at
+a small config: the counts reproduce in a fresh interpreter, the two
+host-cost regressions the suite exists for fail the layer that caused
+them, and the baseline gate is exact. Counts see no loop that makes no
+Python call, so the vectorized structures also replay long seeded
+traces exactly like their reference models.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from repro.gpu.dirty_legacy import LegacyDirtyIndex, LegacyWrittenSet
-from repro.gpu.intervals import EpochIntervalIndex, SpanSet
+from repro.core.replay_log import LogEntry, ReplayLog
+from repro.core.trampoline import CracBackend
+from repro.gpu.intervals import SpanSet
+from repro.gpu.memory import DeviceBuffer, PagedContents
 from repro.harness.perf_bench import (
-    RATIO_FLOOR,
-    REGRESSION_LIMIT,
-    access_trace,
-    dirty_trace,
-    gate_metrics,
-    legacy_access_scan,
-    replay_dirty,
-    replay_written,
-    vector_access_scan,
-    written_trace,
+    LAYERS,
+    PYTHON,
+    SCENARIOS,
+    count_calls,
+    run_perf_bench,
 )
 from repro.harness.suites import baseline_checks, baseline_entry, load_suite
+from repro.sanitizer.core import _Access, _AccessIndex
+from repro.sanitizer.vector_clock import VectorClock
+from tests.gpu.test_dirty_vector_equivalence import (
+    brute_force_races,
+    replay,
+    runs,
+)
+
+REPO = Path(__file__).resolve().parents[2]
+SMALL = {
+    "capture_apps": ["Gaussian"],
+    "sanitize_apps": ["Gaussian"],
+    "scale": 0.1,
+    "cuts": 2,
+    "gpu": "V100",
+    "seed": 0,
+    "python": PYTHON,
+}
 
 
 class TestTraces:
-    def test_traces_are_deterministic(self):
-        assert dirty_trace(50, 1 << 12, 3) == dirty_trace(50, 1 << 12, 3)
-        assert written_trace(50, 1 << 12, 3) == written_trace(50, 1 << 12, 3)
-        a1, p1 = access_trace(20, 10, 1 << 12, 3)
-        a2, p2 = access_trace(20, 10, 1 << 12, 3)
-        assert [(x[:4]) for x in a1] == [(x[:4]) for x in a2]
-        assert [c.clocks for *_, c in p1] == [c.clocks for *_, c in p2]
+    """Long seeded traces in the capture path's call mix: small
+    scattered writes fragment the span list, queries and clears are
+    rare. Every answer must equal the reference model's."""
+
+    SIZE = 1 << 12
+
+    def _span(self, rng, longest):
+        lo = int(rng.integers(0, self.SIZE - 1))
+        return lo, int(min(self.SIZE, lo + rng.integers(1, longest)))
 
     def test_dirty_replay_equal(self):
-        ops = dirty_trace(300, 1 << 12, seed=1)
-        assert replay_dirty(LegacyDirtyIndex(), ops) == (
-            replay_dirty(EpochIntervalIndex(), ops)
-        )
+        rng = np.random.default_rng(1)
+        ops = []
+        for _ in range(300):
+            r = rng.random()
+            if r < 0.94:
+                ops.append(("mark", self._span(rng, 2048)))
+            elif r < 0.98:
+                ops.append(("query", None))
+            else:
+                ops.append(("clear", [self._span(rng, 2048)]))
+        index, model = replay(ops)
+        assert index.intervals() == runs(model, model.get)
+        assert index.byte_count == len(model)
 
     def test_written_replay_equal(self):
-        ops = written_trace(300, 1 << 12, seed=2)
-        assert replay_written(LegacyWrittenSet(), ops) == (
-            replay_written(SpanSet(), ops)
-        )
+        rng = np.random.default_rng(2)
+        written, covered = SpanSet(), set()
+        for _ in range(300):
+            lo, hi = self._span(rng, 512)
+            if rng.random() < 0.97:
+                written.add(lo, hi)
+                covered.update(range(lo, hi))
+            else:
+                missing = [o for o in range(lo, hi) if o not in covered]
+                assert written.holes(lo, hi) == [
+                    (a, b) for a, b, _ in runs(missing)
+                ]
+        assert written.spans() == [(a, b) for a, b, _ in runs(covered)]
+        assert written.byte_count == len(covered)
 
     def test_access_scan_equal(self):
-        accesses, probes = access_trace(60, 40, 1 << 12, seed=4)
-        assert legacy_access_scan(accesses, probes) == (
-            vector_access_scan(accesses, probes)
-        )
+        rng = np.random.default_rng(4)
+        streams = [VectorClock() for _ in range(12)]
+
+        def step():
+            sid = int(rng.integers(0, len(streams)))
+            if rng.random() < 0.05:
+                streams[sid].join(streams[int(rng.integers(0, 12))])
+            streams[sid].tick(sid)
+            lo, hi = self._span(rng, self.SIZE // 8)
+            return lo, hi, bool(rng.random() < 0.5), sid, streams[sid].copy()
+
+        index, accesses = _AccessIndex(), []
+        for i in range(60):
+            a = _Access(*step(), i, f"op{i}")
+            accesses.append(a)
+            index.add(a)
+        raced = 0
+        for _ in range(40):
+            lo, hi, write, sid, vc = step()
+            rows = index.race_rows(lo, hi, sid, write, vc)
+            assert rows == brute_force_races(accesses, lo, hi, write, sid, vc)
+            raced += bool(rows)
+        assert raced  # the trace exercises the concurrent path
 
 
-def _report(cal=0.1, cap=0.02, san=0.01, speedup=8.0):
-    return {
-        "config": load_suite("perf").config,
-        "metrics": gate_metrics(cal, cap, san, speedup),
+@pytest.fixture(scope="module")
+def small_report():
+    return {**run_perf_bench(**SMALL), "config": SMALL}
+
+
+def _failing(report, recorded):
+    """Names of the failing checks of ``report`` gated against
+    ``recorded`` as the perf entry."""
+    baseline = {
+        "version": 1, "suites": {"perf": baseline_entry("perf", recorded)},
     }
+    checks = report["checks"] + baseline_checks("perf", report, baseline)
+    return [c["name"] for c in checks if not c["ok"]]
 
 
-def _gate(report, base):
-    """Baseline checks of ``report`` against ``base`` recorded as the
-    perf entry: {metric: (ratio, ok)}, plus the entry check."""
-    baseline = {"version": 1, "suites": {"perf": baseline_entry("perf", base)}}
-    ok = {c["name"]: c["ok"] for c in baseline_checks("perf", report, baseline)}
-    assert ok.pop("baseline entry")
-    return {
-        g.metric: (
-            g.ratio(report["metrics"][g.metric], base["metrics"][g.metric]),
-            ok[f"{g.metric} vs baseline"],
+class TestCounts:
+    def test_small_run_passes_its_checks(self, small_report):
+        assert [(c["name"], c["ok"]) for c in small_report["checks"]] == [
+            (f"interpreter is Python {PYTHON}", True),
+            ("capture digests equal the uncheckpointed run", True),
+            ("restart digests equal the uncheckpointed run", True),
+            ("sanitized runs hazard-free", True),
+        ]
+        for scenario in SCENARIOS:
+            for layer in ("linux", "core", "cuda", "gpu", "dmtcp"):
+                assert small_report["metrics"][f"calls.{scenario}.{layer}"] > 0
+
+    def test_counts_equal_in_a_fresh_interpreter(self, small_report):
+        seed = "0" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        code = (
+            "import json, sys\n"
+            "from repro.harness.perf_bench import run_perf_bench\n"
+            "print(json.dumps(run_perf_bench(**json.loads(sys.argv[1]))"
+            "['metrics']))\n"
         )
-        for g in load_suite("perf").gates
-    }
+        out = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(SMALL)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src"),
+                 "PYTHONHASHSEED": seed},
+        ).stdout
+        assert json.loads(out) == small_report["metrics"]
+
+    def test_generated_methods_count_toward_their_callers_layer(self):
+        log = ReplayLog()
+        _, counts = count_calls(lambda: log.record("malloc", 64, 0x1000))
+        assert counts == {"core": 2}  # record + LogEntry.__new__
+        entry, counts = count_calls(lambda: LogEntry("malloc", 64, 0x1000))
+        assert counts == {} and entry.addr == 0x1000
+
+    def test_restores_the_previous_profile_function(self):
+        def outer(frame, event, arg):
+            pass
+
+        sys.setprofile(outer)
+        try:
+            _, counts = count_calls(lambda: PagedContents(64))
+            restored = sys.getprofile()
+        finally:
+            sys.setprofile(None)
+        assert restored is outer
+        assert counts == {"gpu": 2}  # PagedContents + its dirty index
+
+    def test_mismatched_interpreter_fails_its_named_check(self):
+        report = {
+            **run_perf_bench(**{**SMALL, "python": "2.7"}),
+            "config": {**SMALL, "python": "2.7"},
+        }
+        assert report["checks"] == [{
+            "name": "interpreter is Python 2.7", "ok": False,
+            "detail": f"running {PYTHON}; the recorded counts are for 2.7",
+        }]
+        assert report["metrics"] == {}
+        assert _failing(report, report | {"metrics": dict.fromkeys(
+            (g.metric for g in load_suite("perf").gates), 0)}) == [
+            "interpreter is Python 2.7", "gated metrics measured",
+        ]
+
+
+def _step_by_step_charge_call(
+    self, name, *, payload_bytes=0, ship_in=(), ship_out=()
+):
+    """The trampoline crossing as three process calls: fs switch into
+    the lower half, advance, fs switch back."""
+    proc = self.process
+    thread = (
+        self.current_thread if self.current_thread is not None
+        else proc.threads[0]
+    )
+    proc.set_fs_register(thread, self._lower_fs)
+    proc.advance(self.costs.trampoline_body_ns + self.costs.native_dispatch_ns)
+    proc.set_fs_register(thread, self._upper_fs)
+    if self.coordinator is not None:
+        self.coordinator.notify_call()
+
+
+class TestPlantedRegressions:
+    """The host-cost regressions the suite exists for each fail the gate
+    on the layer that caused them."""
+
+    def test_no_buffer_stays_pristine_fails_on_gpu(
+        self, small_report, monkeypatch
+    ):
+        monkeypatch.setattr(DeviceBuffer, "pristine", property(lambda s: False))
+        failing = _failing(run_perf_bench(**SMALL) | {"config": SMALL},
+                           small_report)
+        assert "calls.capture.gpu vs baseline" in failing
+        assert "calls.restart.gpu vs baseline" in failing
+        assert {
+            name.removesuffix(" vs baseline").split(".")[2] for name in failing
+        } == {"gpu"}
+
+    def test_step_by_step_trampoline_fails_on_linux(
+        self, small_report, monkeypatch
+    ):
+        monkeypatch.setattr(CracBackend, "_charge_call",
+                            _step_by_step_charge_call)
+        failing = _failing(run_perf_bench(**SMALL) | {"config": SMALL},
+                           small_report)
+        for scenario in SCENARIOS:
+            assert f"calls.{scenario}.linux vs baseline" in failing
 
 
 class TestGate:
-    def test_no_baseline_fails(self):
-        checks = baseline_checks("perf", _report(), {"version": 1})
+    def test_no_baseline_fails(self, small_report):
+        checks = baseline_checks("perf", small_report, {"version": 1})
         assert [(c["name"], c["ok"]) for c in checks] == [
             ("baseline entry", False)
         ]
 
-    def test_identical_run_passes(self):
-        gate = _gate(_report(), _report())
-        assert set(gate) == {
-            "capture_wall_cal", "sanitize_wall_cal", "micro_speedup",
-        }
-        for ratio, ok in gate.values():
-            assert ratio == pytest.approx(1.0)
-            assert ok
+    def test_identical_run_passes(self, small_report):
+        assert _failing(small_report, small_report) == []
 
-    def test_large_regression_fails(self):
-        ratio, ok = _gate(_report(cap=0.5), _report())["capture_wall_cal"]
-        assert ratio > REGRESSION_LIMIT
-        assert not ok
+    def test_one_call_move_fails(self, small_report):
+        for delta in (1, -1):
+            moved = json.loads(json.dumps(small_report))
+            moved["metrics"]["calls.capture.gpu"] += delta
+            assert _failing(moved, small_report) == [
+                "calls.capture.gpu vs baseline"
+            ]
 
-    def test_slower_machine_is_normalized_away(self):
-        """Everything (calibration included) 2x slower: all ratios 1."""
-        gate = _gate(_report(cal=0.2, cap=0.04, san=0.02), _report())
-        for ratio, ok in gate.values():
-            assert ratio == pytest.approx(1.0)
-            assert ok
-
-    def test_tiny_metric_jitter_is_damped(self):
-        """A few-ms metric doubling must not trip the gate (the floor
-        keeps sub-calibration noise out of the ratio)."""
-        ratio, ok = _gate(_report(san=0.009), _report(san=0.004))[
-            "sanitize_wall_cal"
+    def test_every_gate_is_an_exact_layer_count(self):
+        gates = load_suite("perf").gates
+        assert [g.metric for g in gates] == [
+            f"calls.{s}.{layer}" for s in SCENARIOS for layer in LAYERS
         ]
-        assert ratio < REGRESSION_LIMIT
-        assert ok
-
-    def test_speedup_drop_fails(self):
-        ratio, ok = _gate(_report(speedup=4.0), _report(speedup=8.0))[
-            "micro_speedup"
-        ]
-        assert ratio > REGRESSION_LIMIT
-        assert not ok
-
-    def test_floor_is_positive(self):
-        assert RATIO_FLOOR > 0
-        assert REGRESSION_LIMIT > 1.0
-        for gate in load_suite("perf").gates:
-            assert (gate.limit, gate.floor) == (REGRESSION_LIMIT, RATIO_FLOOR)
+        assert {g.better for g in gates} == {"exact"}
+        assert {"linux", "core", "cuda", "gpu", "dmtcp", "spec",
+                "sanitizer", "apps"} <= set(LAYERS)
 
 
 class TestBaselinePayload:
-    def test_payload_carries_gate_inputs_only(self):
-        pay = baseline_entry("perf", _report())
-        assert pay["config"] == load_suite("perf").config
-        assert pay["metrics"] == {
-            "capture_wall_cal": pytest.approx(0.2),
-            "sanitize_wall_cal": pytest.approx(0.1),
-            "micro_speedup": 8.0,
+    def test_payload_carries_gate_inputs_only(self, small_report):
+        pay = baseline_entry("perf", small_report)
+        assert pay["config"] == SMALL
+        assert set(pay["metrics"]) == {
+            g.metric for g in load_suite("perf").gates
         }
+        assert "calls.capture" in small_report["metrics"]
+        assert "calls.capture" not in pay["metrics"]
         assert "checks" not in pay

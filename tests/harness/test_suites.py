@@ -127,6 +127,17 @@ def test_update_baseline_records_then_gates(stub_suite, bench_baseline):
     assert code == 0
 
 
+def test_update_baseline_keeps_the_entry_of_a_failing_run(
+    stub_suite, bench_baseline
+):
+    before = bench_baseline.read_text()
+    stub_suite("perf", ok=False)
+    code, text = run_cli("bench", "perf", "--update-baseline")
+    assert code == 1
+    assert "[FAIL] stub" in text and "recorded the" not in text
+    assert bench_baseline.read_text() == before
+
+
 def test_out_writes_report_and_files(tmp_path, bench_baseline):
     out = tmp_path / "BENCH_trace.json"
     code, text = run_cli("bench", "trace", "--out", str(out))

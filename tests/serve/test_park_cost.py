@@ -7,11 +7,11 @@ process is freed by reference counting alone, and one park plus one
 rehydration stays within a fixed budget of Python-level calls.
 """
 
-import sys
 import weakref
 
 from repro.dmtcp.store import CheckpointStore
 from repro.serve import SessionPool, ServeScheduler
+from tests.conftest import python_calls
 
 #: Python-level calls one request to a parked session may make when it
 #: parks the node's other session and rehydrates this one (2,578 while
@@ -28,23 +28,6 @@ def make_tier():
     for sid in ("a", "b", "c"):
         sched.open_session(sid)
     return pool, sched
-
-
-def _python_calls(fn, *args):
-    """Run ``fn(*args)``; return the Python frames it entered."""
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    sys.setprofile(profile)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-    return calls
 
 
 def test_parks_export_each_new_generation_once(monkeypatch):
@@ -106,7 +89,7 @@ def test_park_plus_rehydrate_stays_within_call_budget():
     for sid in ("a", "c") * 2:  # warm: incremental parks on both
         sched.handle_request(sid)
     assert sched.records["a"].state == "parked"
-    calls = _python_calls(sched.handle_request, "a")
+    _, calls = python_calls(sched.handle_request, "a")
     assert sched.records["a"].state == "hot"
     assert sched.records["c"].state == "parked"
     assert calls <= PARK_REHYDRATE_CALL_BUDGET, calls
