@@ -7,8 +7,15 @@ At precheckpoint time the plugin:
 2. stages the contents of every **active** allocation (device, managed,
    pinned) into image blobs, charging the device→host drain over PCIe.
    Only active mallocs are saved — *not* the full allocation arenas —
-   which is CRAC's checkpoint-size optimization (§3.2.3);
-3. saves the replay log and stream/event metadata as blobs;
+   which is CRAC's checkpoint-size optimization (§3.2.3). A buffer that
+   never built its contents holds exactly what replay recreates, so it
+   gets no entry: the runtime's never-built tables go into the image as
+   one bulk record (``crac/never-built``: addresses, uids, sizes), taken
+   with C-level copies, and a cut's Python work follows the buffers
+   that hold state. The record is accounted like entries with no dirty
+   bytes: sizes in a full image, nothing in a delta;
+3. saves a copy of the replay log as it stands at the cut, and the
+   stream/event metadata, as blobs;
 4. vetoes every lower-half range from the memory dump: the CUDA
    library's own memory (with its unrestorable UVA/UVM state) is *not*
    checkpointed (§3.1).
@@ -16,12 +23,17 @@ At precheckpoint time the plugin:
 
 from __future__ import annotations
 
+from operator import attrgetter
+
+from repro.core.replay_log import ReplayLog
 from repro.core.trampoline import CracBackend
-from repro.dmtcp.checkpointer import SKIP
+from repro.dmtcp.checkpointer import BACKGROUND, SKIP
 from repro.dmtcp.image import CheckpointImage
 from repro.dmtcp.plugins import DmtcpPlugin
 from repro.gpu.timing import NS_PER_S
 from repro.gpu.uvm import UVM_PAGE, ManagedBuffer
+
+_SIZE = attrgetter("size")
 
 
 def _resident_dirty_bytes(buf: ManagedBuffer) -> int:
@@ -90,34 +102,111 @@ class CracPlugin(DmtcpPlugin):
                 tracer.ckpt_span("drain", t_drain, process.clock_ns)
 
         # 2. Stage active allocations; drain device-side bytes over PCIe.
-        #    For an incremental image only the *dirtied* spans are staged
-        #    (a GPU delta that chains exactly like host dirty pages);
-        #    ``uid`` guards the chain against arena address reuse. Each
-        #    entry records what it costs in the image (``image_bytes``)
-        #    and over PCIe at drain/refill time (``pcie_bytes``).
+        self._capture_buffers(image, runtime, tracer)
+
+        # 3. Replay log + live handle metadata. The image keeps the log
+        #    as it stands at the cut; the live log goes on growing.
+        image.add_blob("crac/replay-log", ReplayLog(list(backend.log.entries)))
+        image.add_blob(
+            "crac/streams",
+            sorted(backend.live_streams.keys()),
+        )
+        image.add_blob(
+            "crac/events",
+            {
+                eid: (e.recorded, e.timestamp_ns)
+                for eid, e in sorted(backend.live_events.items())
+            },
+        )
+        image.add_blob("crac/current-device", runtime.current_device)
+        # Platform fingerprint: replay determinism "relies on using the
+        # same CUDA/GPU platform on restart" (§3.2.4).
+        image.add_blob(
+            "crac/platform",
+            {
+                "gpu": runtime.devices[0].spec.name,
+                "n_gpus": len(runtime.devices),
+                "compute_capability": runtime.devices[0].spec.compute_capability,
+            },
+        )
+        image.add_blob(
+            "crac/fatbins",
+            {
+                virtual: entry["fatbin"].name
+                for virtual, entry in sorted(backend.fatbin_registry.items())
+            },
+        )
+
+    def _capture_buffers(self, image: CheckpointImage, runtime, tracer) -> None:
+        """Step 2: stage the active allocations into ``crac/buffers`` and
+        ``crac/never-built`` and charge their drain over PCIe.
+
+        For an incremental image only the *dirtied* spans are staged (a
+        GPU delta that chains exactly like host dirty pages); ``uid``
+        guards the chain against arena address reuse. Each entry records
+        what it costs in the image (``image_bytes``) and over PCIe at
+        drain/refill time (``pcie_bytes``).
+        """
+        process = runtime.process
+        cut = image.cut
         delta = image.incremental
         t_stage = process.clock_ns
+        # Buffers that never built contents hold a fresh allocation's
+        # bytes, which replay recreates: nothing is copied, and one bulk
+        # record of C-level copies (no per-buffer work) keeps what
+        # restart's chain walk needs. They cost what a copied entry with
+        # no dirty bytes costs: their sizes in a full image (device bytes
+        # over PCIe), nothing in a delta.
+        live = runtime.buffers
+        unbuilt_device = runtime.unbuilt_device
+        unbuilt_pinned = runtime.unbuilt_pinned
+        uids = dict(unbuilt_device)  # dict() copies the table wholesale
+        uids.update(unbuilt_pinned)
+        never_built = {
+            "uids": uids,
+            "device": dict(zip(
+                unbuilt_device, map(_SIZE, map(live.__getitem__, unbuilt_device))
+            )),
+            "host-pinned": dict(zip(
+                unbuilt_pinned, map(_SIZE, map(live.__getitem__, unbuilt_pinned))
+            )),
+        }
+        if delta:
+            drain_bytes = image_bytes_total = 0
+        else:
+            drain_bytes = sum(never_built["device"].values())
+            image_bytes_total = drain_bytes + sum(
+                never_built["host-pinned"].values()
+            )
+        if cut.placed("write") == BACKGROUND:
+            # The image commits after the app resumes: a first write
+            # before then is post-cut dirtiness (copy-on-write, or a
+            # speculative conflict), which ``built_since_cut`` finds at
+            # finish by comparing these copies with the live tables.
+            image.unbuilt_capture = [
+                (dict(table), list(map(live.__getitem__, table)), table)
+                for table in (unbuilt_device, unbuilt_pinned)
+            ]
         buffers: dict[int, dict] = {}
-        drain_bytes = 0
-        image_bytes_total = 0
         captures = image.contents_captures
-        for buf in runtime.active_allocations():
+        built = live.keys() - unbuilt_device.keys() - unbuilt_pinned.keys()
+        for addr in sorted(built):
+            buf = live[addr]
             is_managed = isinstance(buf, ManagedBuffer)
             if not is_managed and buf.pristine:
-                # Never written (or clean and back to a fresh buffer's
-                # contents): replay recreates it, so nothing is copied
-                # and no contents are built. It is accounted exactly like
-                # a copied entry: it has no dirty bytes. The capture
-                # records the buffer itself, so a first write after the
-                # cut still counts as post-cut dirtiness. Managed buffers
-                # always copy: they carry residency.
+                # Built, but clean and back to a fresh buffer's contents:
+                # a *pristine* entry, which copies nothing and is
+                # accounted like a never-built buffer. The capture
+                # records the buffer itself, so a later write still
+                # counts as post-cut dirtiness. Managed buffers always
+                # copy: they carry residency.
                 kind = buf.kind
                 size = buf.size
                 image_bytes = 0 if delta else size
                 pcie_bytes = image_bytes if kind == "device" else 0
                 drain_bytes += pcie_bytes
                 image_bytes_total += image_bytes
-                buffers[buf.addr] = {
+                buffers[addr] = {
                     "kind": kind,
                     "size": size,
                     "uid": buf.uid,
@@ -155,7 +244,7 @@ class CracPlugin(DmtcpPlugin):
                 entry["pcie_bytes"] = 0
             drain_bytes += entry["pcie_bytes"]
             image_bytes_total += entry["image_bytes"]
-            buffers[buf.addr] = entry
+            buffers[addr] = entry
             # Whichever spans this image captured get cleared from the
             # live buffer only when the image durably commits — and only
             # where no later write superseded them (epoch-bounded).
@@ -164,7 +253,7 @@ class CracPlugin(DmtcpPlugin):
         if tracer is not None:
             tracer.ckpt_span(
                 "stage", t_stage, process.clock_ns,
-                buffers=len(buffers), pcie_bytes=drain_bytes,
+                buffers=len(buffers) + len(uids), pcie_bytes=drain_bytes,
             )
         if self.full_arena:
             # Naive mode (§3.2.3): the whole arenas go into the image.
@@ -175,42 +264,22 @@ class CracPlugin(DmtcpPlugin):
                 + runtime._managed_alloc.arena_bytes
             )
             # Integer sums are order-independent.
-            accounted = max(accounted, sum(e["size"] for e in buffers.values()))  # lint: allow
+            accounted = max(
+                accounted,
+                sum(e["size"] for e in buffers.values())  # lint: allow
+                + sum(never_built["device"].values())
+                + sum(never_built["host-pinned"].values()),
+            )
         else:
             accounted = image_bytes_total
+        # The image accounts every live allocation here: the explicit
+        # entries and the never-built record together. An image with no
+        # never-built buffer carries no record (restart reads its absence
+        # as empty), so the many small images of a serving tier keep no
+        # empty dicts.
         image.add_blob("crac/buffers", buffers, accounted_bytes=accounted)
-
-        # 3. Replay log + live handle metadata.
-        image.add_blob("crac/replay-log", self.session.backend.log)
-        image.add_blob(
-            "crac/streams",
-            sorted(backend.live_streams.keys()),
-        )
-        image.add_blob(
-            "crac/events",
-            {
-                eid: (e.recorded, e.timestamp_ns)
-                for eid, e in sorted(backend.live_events.items())
-            },
-        )
-        image.add_blob("crac/current-device", runtime.current_device)
-        # Platform fingerprint: replay determinism "relies on using the
-        # same CUDA/GPU platform on restart" (§3.2.4).
-        image.add_blob(
-            "crac/platform",
-            {
-                "gpu": runtime.devices[0].spec.name,
-                "n_gpus": len(runtime.devices),
-                "compute_capability": runtime.devices[0].spec.compute_capability,
-            },
-        )
-        image.add_blob(
-            "crac/fatbins",
-            {
-                virtual: entry["fatbin"].name
-                for virtual, entry in sorted(backend.fatbin_registry.items())
-            },
-        )
+        if uids:
+            image.add_blob("crac/never-built", never_built)
 
     # -- veto ---------------------------------------------------------------------
 

@@ -54,7 +54,9 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from itertools import compress, repeat
+from operator import attrgetter, itemgetter
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.halves import SplitProcess
 from repro.core.plugin import CracPlugin
@@ -92,15 +94,111 @@ if TYPE_CHECKING:  # core must not import harness at runtime
     from repro.harness.fault_injection import FaultInjector
 
 
-def _legacy_pcie_bytes(entry: dict) -> int:
-    """PCIe bytes at refill of a ``crac/buffers`` entry written before
-    entries carried ``pcie_bytes``: a device buffer's size, a managed
-    buffer's device-resident pages."""
+def _pcie_bytes(entry: dict) -> int:
+    """PCIe bytes at refill of a ``crac/buffers`` entry. An entry written
+    before entries carried ``pcie_bytes`` moves a device buffer's size, a
+    managed buffer's device-resident pages."""
+    if "pcie_bytes" in entry:
+        return entry["pcie_bytes"]
     if entry["kind"] == "device":
         return entry["size"]
     if entry["kind"] == "managed":
         return int((entry["residency"] == 1).sum()) * UVM_PAGE
     return 0
+
+
+_LOG_OP = attrgetter("op")
+_NO_NEVER_BUILT = {"uids": {}, "device": {}, "host-pinned": {}}
+
+
+class _ChainLink(NamedTuple):
+    """What restart's refill reads from one image of a delta chain."""
+
+    incremental: bool
+    #: ``crac/buffers``: address -> explicit entry
+    entries: dict[int, dict]
+    #: ``crac/never-built``: address -> uid of every never-built buffer,
+    #: and address -> size of the never-built device buffers
+    uids: dict[int, int]
+    device: dict[int, int]
+
+    @classmethod
+    def of(cls, image: CheckpointImage) -> "_ChainLink":
+        blob = image.blobs.get("crac/buffers")
+        record = image.blobs.get("crac/never-built")
+        never_built = _NO_NEVER_BUILT if record is None else record.payload
+        return cls(
+            image.incremental,
+            {} if blob is None else blob.payload,
+            never_built["uids"],
+            never_built["device"],
+        )
+
+
+def _walk_run(addr: int, uid: int | None, older: list[_ChainLink],
+              kept: list[dict]) -> int:
+    """PCIe bytes of the older part of a delta entry's run at ``addr``
+    (``older`` newest first); appends the run's byte-holding entries to
+    ``kept``. In an image that recorded the address as never built, the
+    run's entry holds no bytes and moves the buffer's size in a full
+    image (device only), nothing in a delta."""
+    total = 0
+    for link in older:
+        prev = link.entries.get(addr)
+        if prev is None:
+            prev_uid = link.uids.get(addr)
+            if prev_uid is None:
+                continue
+            if prev_uid != uid:
+                # A delta of a fresh allocation: its pre-history is the
+                # replay-created zero-filled buffer.
+                break
+            if link.incremental:
+                continue
+            return total + link.device.get(addr, 0)
+        if prev.get("uid") != uid:
+            break
+        total += _pcie_bytes(prev)
+        if prev["snapshot"] is not None:
+            kept.append(prev)
+        if not prev.get("delta"):
+            break
+    return total
+
+
+def _never_built_pcie_bytes(
+    uids: dict[int, int], older: list[_ChainLink]
+) -> tuple[int, list[int]]:
+    """:func:`_walk_run` for all never-built buffers of a delta image at
+    once, as set operations; ``uids`` maps their addresses to their uids.
+
+    A run passes a delta that recorded the same buffer as never built
+    (no bytes) or that lacks the address, and ends at an address held
+    under another uid. Returns the PCIe bytes of the runs — the device
+    sizes of the buffers the full ancestor also recorded as never built
+    with the same uid — and the addresses whose run reaches an explicit
+    entry with the same uid (rare: a restart renumbers uids, so an
+    address and uid can meet a written buffer's again), which the caller
+    walks one by one.
+    """
+    walking = uids
+    escaped: list[int] = []
+    for link in older:
+        if not walking:
+            break
+        escaped.extend(
+            a for a in sorted(walking.keys() & link.entries.keys())
+            if link.entries[a].get("uid") == walking[a]
+        )
+        same = walking.items() & link.uids.items()
+        if not link.incremental:
+            addrs = map(itemgetter(0), same)
+            return sum(map(link.device.get, addrs, repeat(0))), escaped
+        absent = walking.keys() - link.uids.keys() - link.entries.keys()
+        rest = dict(same)
+        rest.update(zip(absent, map(walking.__getitem__, absent)))
+        walking = rest
+    return 0, escaped
 
 
 @dataclass
@@ -490,23 +588,27 @@ class CracSession:
         proc.advance(replayed * self.costs.replay_call_ns)
 
         # 5. Re-register active cudaHostAlloc buffers (bytes already in
-        #    the restored upper half).
+        #    the restored upper half), picked out of the active set with
+        #    no Python step per allocation.
         buffers = image.blob("crac/buffers")
-        for addr, entry in active.items():
-            if entry.op == "host_alloc":
-                fresh.runtime.cudaHostRegister(addr, entry.nbytes)
-                # The registered pages are already mapped (restored with
-                # the upper half); the fresh hostalloc arena must never
-                # hand them out again.
-                fresh.runtime._hostalloc_alloc.reserve(addr, entry.nbytes)
-                proc.advance(self.costs.replay_call_ns)
+        entries = list(active.values())
+        is_host_alloc = map("host_alloc".__eq__, map(_LOG_OP, entries))
+        for entry in compress(entries, is_host_alloc):
+            fresh.runtime.cudaHostRegister(entry.addr, entry.nbytes)
+            # The registered pages are already mapped (restored with the
+            # upper half); the fresh hostalloc arena must never hand them
+            # out again.
+            fresh.runtime._hostalloc_alloc.reserve(entry.addr, entry.nbytes)
+            proc.advance(self.costs.replay_call_ns)
 
         # Sanity: every staged buffer must exist again (possibly moved).
-        missing = [
-            a
-            for a in buffers
-            if translation.get(a, a) not in fresh.runtime.buffers
-        ]
+        # The never-built ones are checked in bulk, as a set difference.
+        restored = fresh.runtime.buffers.keys()
+        missing = [a for a in buffers if translation.get(a, a) not in restored]
+        never_built = _ChainLink.of(image).uids
+        missing += sorted(
+            set(map(translation.get, never_built, never_built)) - restored
+        )
         if missing:
             raise RestartError(
                 f"replay did not recreate buffers at {[hex(a) for a in missing]}"
@@ -518,68 +620,8 @@ class CracSession:
         t_refill = proc.clock_ns
 
         # 7. Refill contents of active allocations; device/managed bytes
-        #    cross PCIe again. GPU deltas chain like host dirty pages: an
-        #    address's *run* is its newest entry plus each older entry
-        #    its delta stacks on. A full entry — or a uid change, meaning
-        #    the arena reused the address for a *different* allocation —
-        #    ends the run, so stale bytes never leak across a free. The
-        #    walk goes newest image first and charges every run entry's
-        #    PCIe bytes; only entries holding bytes (``snapshot`` not
-        #    None) are kept for the overlay. A pristine entry holds
-        #    exactly what the replayed malloc created, so an address
-        #    whose run holds no bytes is never looked up, and its
-        #    replayed buffer builds no contents.
-        chain_buffers = [
-            img.blobs["crac/buffers"].payload
-            for img in image.chain()
-            if "crac/buffers" in img.blobs
-        ]
-        older = chain_buffers[-2::-1]  # the image's ancestors, newest first
-        refill_bytes = 0
-        #: address -> the byte-holding entries of its run, newest first
-        runs: dict[int, list[dict]] = {}
-        for addr, entry in buffers.items():
-            refill_bytes += (
-                entry["pcie_bytes"] if "pcie_bytes" in entry
-                else _legacy_pcie_bytes(entry)
-            )
-            kept = [entry] if entry["snapshot"] is not None else []
-            if entry.get("delta"):
-                uid = entry.get("uid")
-                for payload in older:
-                    prev = payload.get(addr)
-                    if prev is None:
-                        continue
-                    if prev.get("uid") != uid:
-                        # A delta of a fresh allocation: its pre-history
-                        # is the replay-created zero-filled buffer.
-                        break
-                    refill_bytes += (
-                        prev["pcie_bytes"] if "pcie_bytes" in prev
-                        else _legacy_pcie_bytes(prev)
-                    )
-                    if prev["snapshot"] is not None:
-                        kept.append(prev)
-                    if not prev.get("delta"):
-                        break
-            if kept:
-                runs[addr] = kept
-        # Managed entries always hold bytes, so every managed buffer gets
-        # its residency back here.
-        for addr, entries in runs.items():
-            buf = fresh.runtime.buffers[translation.get(addr, addr)]
-            contents = buf.contents
-            for entry in reversed(entries):
-                if entry.get("delta"):
-                    contents.apply_delta(entry["snapshot"])
-                else:
-                    contents.restore(entry["snapshot"])
-            final_entry = buffers[addr]
-            if final_entry["kind"] == "managed":
-                assert isinstance(buf, ManagedBuffer)
-                buf.residency[:] = final_entry["residency"]
-            # The refilled contents *are* the committed cut's state.
-            contents.clear_dirty()
+        #    cross PCIe again.
+        refill_bytes = self._refill(image, fresh.runtime, translation)
         proc.advance(refill_bytes / fresh.device.spec.pcie_bw * NS_PER_S)
 
         # Restore the application's cudaSetDevice state (replay may have
@@ -625,6 +667,9 @@ class CracSession:
         proc.advance_to(old_clock + restart_time)
 
         self.split = fresh
+        # The log goes on from the restored cut, not from the dead
+        # process's last call.
+        self.backend.log = ReplayLog(list(log.entries))
         self.checkpointer = DmtcpCheckpointer(
             proc, [self.plugin], self.costs, fault_injector=self.fault_injector
         )
@@ -665,6 +710,64 @@ class CracSession:
         )
         self.restarts.append(report)
         return report
+
+    @staticmethod
+    def _refill(
+        image: CheckpointImage, runtime, translation: dict[int, int]
+    ) -> int:
+        """Restart step 7: refill the restored buffers from ``image``'s
+        delta chain; returns the bytes the refill moves over PCIe.
+
+        GPU deltas chain like host dirty pages: an address's *run* is its
+        newest entry plus each older entry its delta stacks on. A full
+        entry — or a uid change, meaning the arena reused the address for
+        a *different* allocation — ends the run, so stale bytes never
+        leak across a free. Every run entry's PCIe bytes are charged;
+        only entries holding bytes (``snapshot`` not None) are overlaid.
+        A never-built buffer holds exactly what the replayed malloc
+        created, so it builds no contents here, and its run's bytes are
+        charged in bulk (:func:`_never_built_pcie_bytes`).
+        """
+        chain = [_ChainLink.of(img) for img in image.chain()]
+        newest = chain[-1]
+        older = chain[-2::-1]  # the image's ancestors, newest first
+        refill_bytes = 0
+        #: address -> the byte-holding entries of its run, newest first
+        runs: dict[int, list[dict]] = {}
+        for addr, entry in newest.entries.items():
+            refill_bytes += _pcie_bytes(entry)
+            kept = [entry] if entry["snapshot"] is not None else []
+            if entry.get("delta"):
+                refill_bytes += _walk_run(addr, entry.get("uid"), older, kept)
+            if kept:
+                runs[addr] = kept
+        if newest.incremental:
+            nb_bytes, escaped = _never_built_pcie_bytes(newest.uids, older)
+            refill_bytes += nb_bytes
+            for addr in escaped:
+                kept = []
+                refill_bytes += _walk_run(addr, newest.uids[addr], older, kept)
+                if kept:
+                    runs[addr] = kept
+        else:
+            refill_bytes += sum(newest.device.values())
+        # Managed entries always hold bytes, so every managed buffer gets
+        # its residency back here.
+        for addr, entries in runs.items():
+            buf = runtime.buffers[translation.get(addr, addr)]
+            contents = buf.contents
+            for entry in reversed(entries):
+                if entry.get("delta"):
+                    contents.apply_delta(entry["snapshot"])
+                else:
+                    contents.restore(entry["snapshot"])
+            final_entry = newest.entries.get(addr)
+            if final_entry is not None and final_entry["kind"] == "managed":
+                assert isinstance(buf, ManagedBuffer)
+                buf.residency[:] = final_entry["residency"]
+            # The refilled contents *are* the committed cut's state.
+            contents.clear_dirty()
+        return refill_bytes
 
     # -- self-healing restart ----------------------------------------------------
 
@@ -1078,11 +1181,10 @@ class FaultDomain:
         the *fault* point still holding pointers it allocated between
         the cut and the fault — deterministic re-execution would have
         re-issued those calls, so the redo must too, or they are unknown
-        pointers on the fresh lower half. A locally committed image
-        aliases the live trampoline log (same object, so its replay
-        already covered the full history and the suffix is empty); a
-        *shipped* generation was pickled at export and its log is frozen
-        at the cut — e.g. an anchor shipped before the app's setup.
+        pointers on the fresh lower half. Every image's log is frozen at
+        its cut (e.g. an anchor shipped before the app's setup holds
+        none of it), and restart set the trampoline log to that copy, so
+        the suffix is appended to it here.
         """
         if generation is None or self.store is None:
             return 0
@@ -1097,8 +1199,8 @@ class FaultDomain:
             backend.patch_translation(translation)
         else:
             log.replay(self.session.runtime)
-        # The trampoline log survives the restart and already holds the
-        # suffix; the lost-work advance already charges its wall time.
+        # The lost-work advance already charges the suffix's wall time.
+        backend.log.entries.extend(suffix)
         return len(suffix)
 
     def _restore(self, attempt: int, exc: CudaError) -> None:

@@ -137,6 +137,14 @@ class CudaRuntime:
         )
         self.uvm = UvmManager(self.devices[0])
         self.buffers: dict[int, DeviceBuffer | ManagedBuffer] = {}
+        #: address -> uid of the live ``cudaMalloc`` and pinned buffers
+        #: that never built their contents: a buffer enters at allocation
+        #: and leaves on its first contents build or at free, so a cut
+        #: records the buffers nothing ever touched in bulk (managed
+        #: buffers build eagerly and are never here). Plain ints, so a
+        #: buffer referring to its table makes no reference cycle.
+        self.unbuilt_device: dict[int, int] = {}
+        self.unbuilt_pinned: dict[int, int] = {}
         #: allocation ids: arena addresses get reused after a free, so a
         #: checkpoint delta chain keys buffers by (addr, uid), never addr
         #: alone
@@ -227,9 +235,12 @@ class CudaRuntime:
             self._entry("cudaMalloc")  # raises the classified error
         device = self.current_device
         addr = self._device_allocs[device].alloc(nbytes)
+        unbuilt = self.unbuilt_device
+        unbuilt[addr] = uid = next(self._buffer_uids)
+        # Positional arguments: matching keywords would double the cost
+        # of this constructor on the allocation hot path.
         self.buffers[addr] = DeviceBuffer(
-            addr=addr, size=nbytes, kind="device",
-            device_index=device, uid=next(self._buffer_uids),
+            addr, nbytes, "device", device, uid, unbuilt
         )
         return addr
 
@@ -254,6 +265,7 @@ class CudaRuntime:
         self._device_allocs[buf.device_index].free(addr)
         buf.freed = True
         del self.buffers[addr]
+        self.unbuilt_device.pop(addr, None)
 
     def cudaMallocHost(self, nbytes: int) -> int:
         """Allocate pinned host memory (library-allocated! — §3.2.1)."""
@@ -262,9 +274,10 @@ class CudaRuntime:
         else:
             self._entry("cudaMallocHost")
         addr = self._pinned_alloc.alloc(nbytes)
+        unbuilt = self.unbuilt_pinned
+        unbuilt[addr] = uid = next(self._buffer_uids)
         self.buffers[addr] = DeviceBuffer(
-            addr=addr, size=nbytes, kind="host-pinned",
-            uid=next(self._buffer_uids),
+            addr, nbytes, "host-pinned", 0, uid, unbuilt
         )
         self._host_origin[addr] = "pinned"
         return addr
@@ -277,11 +290,11 @@ class CudaRuntime:
         else:
             self._entry("cudaHostAlloc")
         addr = self._hostalloc_alloc.alloc(nbytes)
-        buf = DeviceBuffer(
-            addr=addr, size=nbytes, kind="host-pinned",
-            uid=next(self._buffer_uids),
+        unbuilt = self.unbuilt_pinned
+        unbuilt[addr] = uid = next(self._buffer_uids)
+        self.buffers[addr] = DeviceBuffer(
+            addr, nbytes, "host-pinned", 0, uid, unbuilt
         )
-        self.buffers[addr] = buf
         self._host_origin[addr] = "hostalloc"
         return addr
 
@@ -309,6 +322,7 @@ class CudaRuntime:
             self._hostalloc_alloc.free(addr)
         buf.freed = True
         del self.buffers[addr]
+        self.unbuilt_pinned.pop(addr, None)
 
     def cudaMallocManaged(self, nbytes: int) -> int:
         """Allocate UVM managed memory; perturbs library⇄driver state."""
@@ -338,11 +352,11 @@ class CudaRuntime:
             CudaErrorCode.INVALID_VALUE,
             "cudaHostRegister of an already-registered pointer",
         )
-        buf = DeviceBuffer(
-            addr=addr, size=nbytes, kind="host-pinned",
-            uid=next(self._buffer_uids),
+        unbuilt = self.unbuilt_pinned
+        unbuilt[addr] = uid = next(self._buffer_uids)
+        self.buffers[addr] = DeviceBuffer(
+            addr, nbytes, "host-pinned", 0, uid, unbuilt
         )
-        self.buffers[addr] = buf
         self._host_origin[addr] = "registered"
 
     def cudaFreeManaged(self, addr: int) -> None:
@@ -913,6 +927,8 @@ class CudaRuntime:
             self.device.unregister_stream(s)
         self.streams.clear()
         self.buffers.clear()
+        self.unbuilt_device.clear()
+        self.unbuilt_pinned.clear()
 
     def library_memory_snapshot(self) -> dict:
         """What a pre-CUDA-4.0 checkpointer would save: the library's

@@ -164,8 +164,7 @@ class BackgroundWriter:
             return
         self.aborted = True
         self._finished = True
-        self.image.region_captures = []
-        self.image.contents_captures = []
+        self.image.drop_captures()
         if self.tracer is not None:
             self.tracer.instant(
                 "ckpt", self.abort_instant, self.start_ns, pid=self.image.pid

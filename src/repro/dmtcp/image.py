@@ -15,6 +15,8 @@ from __future__ import annotations
 import pickle
 import zlib
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import ne
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -112,10 +114,16 @@ class CheckpointImage:
         default_factory=list, repr=False, compare=False
     )
     #: GPU buffers: a stateful buffer's :class:`PagedContents`, or a
-    #: pristine :class:`DeviceBuffer` itself (it builds no contents; its
-    #: ``write_seq``/``dirty_bytes_since`` read 0 until first written)
+    #: built-but-pristine :class:`DeviceBuffer` itself
     contents_captures: list[
         tuple["PagedContents | DeviceBuffer", tuple[tuple[int, int], ...], int]
+    ] = field(default_factory=list, repr=False, compare=False)
+    #: per kind, the runtime's never-built table (address -> uid) as it
+    #: was at the cut, its buffers in the same order, and the live table:
+    #: a buffer whose address and uid are no longer in the live table has
+    #: built its contents (or was freed) since. Runtime-only.
+    unbuilt_capture: list[
+        tuple[dict[int, int], list["DeviceBuffer"], dict[int, int]]
     ] = field(default_factory=list, repr=False, compare=False)
     #: the cut charging each stage, set only while the checkpointer runs
     #: (plugins charge their stages through it). Runtime-only.
@@ -161,9 +169,27 @@ class CheckpointImage:
         for contents, spans, epoch in self.contents_captures:
             if spans:  # a buffer clean at the cut has nothing to clear
                 contents.clear_dirty(list(spans), up_to_epoch=epoch)
+        self.drop_captures()
+        self.committed = True
+
+    def drop_captures(self) -> None:
+        """Forget the live dirty state this image captured (at commit, or
+        when its write is abandoned)."""
         self.region_captures = []
         self.contents_captures = []
-        self.committed = True
+        self.unbuilt_capture = []
+
+    def built_since_cut(self) -> list["DeviceBuffer"]:
+        """The buffers that had never built contents at the cut and have
+        built them (or were freed) since: the cut's never-built tables
+        compared with the live ones in C-level passes, so buffers still
+        untouched cost no Python step. Every byte such a buffer holds
+        dirty was written after the cut (its snapshot epoch is 0)."""
+        left: list[DeviceBuffer] = []
+        for at_cut, buffers, live in self.unbuilt_capture:
+            moved = map(ne, at_cut.values(), map(live.get, at_cut))
+            left.extend(compress(buffers, moved))
+        return left
 
     def new_dirty_bytes(self) -> int:
         """Bytes dirtied since this image's snapshot (the forked
@@ -175,6 +201,8 @@ class CheckpointImage:
             total += region.dirty_pages_since(epoch) * PAGE_SIZE
         for contents, _spans, epoch in self.contents_captures:
             total += contents.dirty_bytes_since(epoch)
+        for buf in self.built_since_cut():
+            total += buf.dirty_bytes_since(0)
         return total
 
     def __getstate__(self) -> dict:
@@ -183,6 +211,7 @@ class CheckpointImage:
         state = dict(self.__dict__)
         state["region_captures"] = []
         state["contents_captures"] = []
+        state["unbuilt_capture"] = []
         state.pop("cut", None)  # runtime handles, never on disk
         state.pop("forked_writer", None)
         state.pop("sync_hook", None)  # sanitizer callback, never on disk

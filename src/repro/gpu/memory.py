@@ -361,6 +361,9 @@ class DeviceBuffer:
     :attr:`contents`. Until then the buffer holds a fresh allocation's
     bytes and nothing is dirty, so a buffer nothing ever touched costs
     only this object: the empty slot *is* "never used since creation".
+    While unbuilt, a runtime-allocated buffer also sits in its runtime's
+    never-built table (:attr:`unbuilt`), which it leaves on that
+    first build; a cut records the whole table in bulk.
     """
 
     addr: int
@@ -372,6 +375,9 @@ class DeviceBuffer:
     #: reused the same arena address across checkpoint cuts, so a GPU
     #: delta never stacks on a stale predecessor's bytes
     uid: int = 0
+    #: the runtime's table of never-built buffers of this kind (address
+    #: -> uid) while this buffer is in it; ``None`` once built
+    unbuilt: dict[int, int] | None = field(default=None, repr=False)
     freed: bool = field(default=False, init=False)
     _contents: PagedContents | None = field(
         default=None, init=False, repr=False
@@ -384,6 +390,11 @@ class DeviceBuffer:
         contents = self._contents
         if contents is None:
             contents = self._contents = PagedContents(self.size)
+            table = self.unbuilt
+            if table is not None:
+                self.unbuilt = None
+                if table.get(self.addr) == self.uid:  # not freed meanwhile
+                    del table[self.addr]
         return contents
 
     @property
@@ -394,9 +405,10 @@ class DeviceBuffer:
         contents = self._contents
         return contents is None or contents.pristine
 
-    # A cut records a pristine buffer itself in
-    # ``CheckpointImage.contents_captures``, so a first write after the
-    # cut (which builds the contents) still shows as post-cut dirtiness.
+    # A cut records a built-but-pristine buffer itself in
+    # ``CheckpointImage.contents_captures``, so a later write still
+    # shows as post-cut dirtiness; a never-built one reaches it through
+    # ``CheckpointImage.built_since_cut``.
 
     @property
     def write_seq(self) -> int:

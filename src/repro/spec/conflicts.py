@@ -9,10 +9,13 @@ find every resource the application mutated inside the window:
   record each buffer's ``write_seq`` at the cut; the
   :class:`repro.gpu.intervals.EpochIntervalIndex` behind
   ``dirty_bytes_since(epoch)`` / ``dirty_spans_since(epoch)`` yields the
-  exact spans written after it. In a real system those spans are torn in
-  the speculative copy and must be re-copied from the version log; here
-  the bytes are cut-consistent by construction (snapshots are physical at
-  the cut) and the conflict carries the *replay cost* of that re-copy.
+  exact spans written after it. A buffer that had never built its
+  contents at the cut has no tuple: the image's ``built_since_cut()``
+  set difference finds it, with epoch 0. In a real system those spans
+  are torn in the speculative copy and must be re-copied from the
+  version log; here the bytes are cut-consistent by construction
+  (snapshots are physical at the cut) and the conflict carries the
+  *replay cost* of that re-copy.
 - **host regions** — same epoch machinery at page granularity via the
   image's region captures.
 - **streams / events / modules** — the :class:`repro.spec.HandleTable`
@@ -56,7 +59,11 @@ def detect_conflicts(image, handle_table=None) -> list[Conflict]:
     # Buffers: write_seq moved past the captured epoch => bytes written
     # inside the window. The replayed span set is exactly the dirty
     # bytes stamped with a later epoch.
-    for contents, _spans, epoch in image.contents_captures:
+    # A buffer never built at the cut has epoch 0.
+    captures = image.contents_captures + [
+        (buf, (), 0) for buf in image.built_since_cut()
+    ]
+    for contents, _spans, epoch in captures:
         if contents.write_seq > epoch:
             nbytes = contents.dirty_bytes_since(epoch)
             if nbytes > 0:

@@ -57,6 +57,44 @@ def python_calls(fn, *args):
     return result, calls
 
 
+def python_lines(fn, *args, exclude=()):
+    """Run ``fn(*args)``; return its result and the Python lines it
+    executed (every ``"line"`` trace event). Frames of functions whose
+    qualified name starts with a prefix in ``exclude``, and every frame
+    they call, are not counted. The tracer set before is restored."""
+    lines = 0
+    excluded_depth = 0
+
+    def in_excluded(frame, event, arg):
+        nonlocal excluded_depth
+        if event == "return":
+            excluded_depth -= 1
+        return in_excluded
+
+    def count(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return count
+
+    def trace(frame, event, arg):
+        nonlocal excluded_depth
+        if excluded_depth:
+            return None
+        if exclude and frame.f_code.co_qualname.startswith(exclude):
+            excluded_depth += 1
+            return in_excluded
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+    return result, lines
+
+
 @pytest.fixture
 def no_cycle_collector():
     """Only reference counting frees objects during the test."""

@@ -96,3 +96,27 @@ class TestActiveAllocations:
         e = LogEntry("malloc", 64, 1)
         with pytest.raises(AttributeError):
             e.addr = 2
+
+
+class TestImageLogIsFrozenAtTheCut:
+    def test_restart_replays_only_the_calls_before_the_cut(self):
+        """Mallocs issued after a cut are not part of its image: restart
+        replays the cut's log alone, and re-issuing the post-cut calls
+        lands them at their original addresses."""
+        from repro.core import CracSession
+        from repro.dmtcp.store import CheckpointStore
+
+        session = CracSession(seed=8)
+        backend = session.backend
+        first = backend.malloc(4096)
+        store = CheckpointStore()
+        session.checkpoint(store=store)
+        after_cut = [backend.malloc(4096), backend.malloc(4096)]
+        session.kill()
+        gen0 = store.generations[0]
+        report = session.restart(store.get(gen0).image)
+        assert report.replayed_calls == 1
+        assert set(session.runtime.buffers) == {first}
+        assert len(backend.log) == 1
+        assert [backend.malloc(4096), backend.malloc(4096)] == after_cut
+        assert after_cut[0] == 0x110000001000

@@ -14,6 +14,7 @@ import pytest
 from repro.core import CracSession
 from repro.dmtcp.store import CheckpointStore
 from repro.gpu.memory import PagedContents
+from tests.conftest import python_lines
 
 UNTOUCHED = 5000
 WRITTEN = 3
@@ -35,6 +36,13 @@ def _cut(session, store, mode, parent):
     session.finish_forked_checkpoints()
     assert image.committed
     return image
+
+
+def _accounted_allocations(image) -> int:
+    """Live allocations the image accounts for: its explicit entries plus
+    the buffers in its never-built record."""
+    never_built = image.blob("crac/never-built")["uids"]
+    return len(image.blob("crac/buffers")) + len(never_built)
 
 
 def _count_calls(monkeypatch):
@@ -82,7 +90,7 @@ def test_cut_and_commit_touch_only_written_buffers(mode, monkeypatch):
     image = _cut(session, store, mode, base)
     assert calls["snapshot"] | calls["dirty_snapshot"] == before
     assert calls["clear_dirty"] == before
-    assert len(image.blob("crac/buffers")) == UNTOUCHED + WRITTEN
+    assert _accounted_allocations(image) == UNTOUCHED + WRITTEN
     assert built == []
     for seen in calls.values():
         seen.clear()
@@ -101,5 +109,44 @@ def test_cut_and_commit_touch_only_written_buffers(mode, monkeypatch):
     # A second cut in the restarted process.
     again = _cut(session, store, mode, image)
     assert calls["snapshot"] | calls["dirty_snapshot"] == after
-    assert len(again.blob("crac/buffers")) == UNTOUCHED + WRITTEN
+    assert _accounted_allocations(again) == UNTOUCHED + WRITTEN
     assert len(built) == WRITTEN
+
+
+#: untouched buffers of the small and the large session the guard compares
+FEW, MANY = 100, 5000
+
+
+def _lines_per_untouched(mode: str, untouched: int) -> tuple[int, int]:
+    """Python lines of one warm committed cut in ``mode``, and of the
+    ``restart_latest`` after it outside the replay log's own methods, in
+    a session holding ``untouched`` never-written buffers."""
+    session = CracSession(seed=3)
+    backend = session.backend
+    ptrs = [backend.malloc(256) for _ in range(untouched + WRITTEN)]
+    store = CheckpointStore()
+    for i, p in enumerate(ptrs[:WRITTEN]):
+        backend.device_view(p, 64)[:] = i + 1
+    base = _cut(session, store, "full", None)  # warm: the store exists
+    for i, p in enumerate(ptrs[:WRITTEN]):
+        backend.device_view(p, 32, offset=64)[:] = i + 1
+    _, cut_lines = python_lines(_cut, session, store, mode, base)
+    session.kill()
+    _, restart_lines = python_lines(
+        session.restart_latest, store, exclude=("ReplayLog.",)
+    )
+    assert len(session.runtime.buffers) == untouched + WRITTEN
+    return cut_lines, restart_lines
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_cut_and_restart_lines_do_not_grow_per_untouched_buffer(mode):
+    """Less than one executed line per untouched buffer, in the cut and
+    in restart outside the malloc-log replay."""
+    few = _lines_per_untouched(mode, FEW)
+    many = _lines_per_untouched(mode, MANY)
+    cut_growth, restart_growth = (
+        (b - a) / (MANY - FEW) for a, b in zip(few, many)
+    )
+    assert cut_growth < 1, (few, many)
+    assert restart_growth < 1, (few, many)
