@@ -16,15 +16,23 @@ The backend also implements CRAC's interposition (§3.2):
   restart and patch the mapping (§3.2.5);
 - **streams and events** the application creates are tracked so they can
   be recreated and re-adopted at restart;
-- each call notifies the DMTCP coordinator, which may fire a checkpoint
-  at a scheduled call index ("random time during the run", §4.4.1).
+- each call notifies the DMTCP coordinator while a checkpoint is armed,
+  which fires it at a scheduled call index ("random time during the
+  run", §4.4.1).
+
+A crossing is one Python frame on the host: :meth:`CracBackend._dispatch`
+(or ``_dispatch_batch`` for a launch's three calls) counts, charges both
+fs switches inline and notifies only an armed coordinator, and
+:meth:`CracBackend._log` appends and charges the log record itself.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.replay_log import ReplayLog
+import numpy as np
+
+from repro.core.replay_log import LogEntry, ReplayLog
 from repro.cuda.api import CudaRuntime, FatBinary
 from repro.cuda.interface import CudaDispatchBase
 from repro.dmtcp.coordinator import DmtcpCoordinator
@@ -32,6 +40,9 @@ from repro.gpu.streams import Event, Stream
 from repro.gpu.timing import DEFAULT_HOST_COSTS, HostCosts
 from repro.gpu.uvm import ManagedBuffer
 from repro.linux.process import SYSCALL_NS, WRFSBASE_NS
+
+#: builds a LogEntry from a tuple in C, without its Python ``__new__``
+_new_tuple = tuple.__new__
 
 
 class CracBackend(CudaDispatchBase):
@@ -77,7 +88,7 @@ class CracBackend(CudaDispatchBase):
 
     # -- dispatch cost ---------------------------------------------------------
 
-    def _charge_call(
+    def _dispatch(
         self,
         name: str,
         *,
@@ -85,10 +96,20 @@ class CracBackend(CudaDispatchBase):
         ship_in: Sequence[int] = (),
         ship_out: Sequence[int] = (),
     ) -> None:
-        # ship_in/ship_out are ignored: the single address space passes
-        # pointers directly to the lower half (the paper's key win).
+        # One frame per crossing: count the call, both fs switches
+        # inline, and notify the coordinator only while a checkpoint is
+        # armed (notify_call is a no-op otherwise, and arming resets its
+        # call count, so skipping it is exact). ship_in/ship_out are
+        # ignored: the single address space passes pointers directly to
+        # the lower half (the paper's key win).
+        if self._prepaid_depth:
+            return  # cost and count were accounted in aggregate already
+        self.call_counter[name] += 1
         proc = self.process
-        thread = self.current_thread if self.current_thread is not None else proc.threads[0]
+        t0 = proc.clock_ns
+        thread = self.current_thread
+        if thread is None:
+            thread = proc.threads[0]
         costs = self.costs
         body_ns = costs.trampoline_body_ns + costs.native_dispatch_ns
         if body_ns < 0:
@@ -96,10 +117,10 @@ class CracBackend(CudaDispatchBase):
             # leaves the same partial state as SimProcess.advance would.
             proc.set_fs_register(thread, self._lower_fs)
             proc.advance(body_ns)  # raises ValueError
-        # Both fs switches inline: enter the lower half's TLS, table
-        # indirection + the call itself, return to the upper half. The
-        # additions run in the same order as one set_fs_register /
-        # advance / set_fs_register sequence, so the clock is bit-equal.
+        # Enter the lower half's TLS, table indirection + the call
+        # itself, return to the upper half. The additions run in the
+        # same order as one set_fs_register / advance / set_fs_register
+        # sequence, so the clock is bit-equal.
         proc.fs_switch_count += 2
         if proc.fsgsbase:
             fs_ns = WRFSBASE_NS
@@ -108,38 +129,57 @@ class CracBackend(CudaDispatchBase):
             proc.syscall_count += 2
         proc.clock_ns = proc.clock_ns + fs_ns + body_ns + fs_ns
         thread.fs_base = self._upper_fs
-        if self.coordinator is not None:
-            self.coordinator.notify_call()
+        coordinator = self.coordinator
+        if coordinator is not None and coordinator.trigger_at_call is not None:
+            coordinator.notify_call()
+        tracer = self.tracer
+        if tracer is not None:
+            t1 = proc.clock_ns
+            tracer.on_api_call(
+                name, t0, t1, trampoline_ns=self._trampoline_ns(t1 - t0),
+                mode=self.mode,
+            )
 
-    def _charge_batch(self, calls) -> None:
-        # Batched trampoline crossings, exact-parity with the per-call
+    def _dispatch_batch(self, calls) -> None:
+        # Batched crossings in one frame, exact-parity with the per-call
         # path: same virtual time, same fs-switch/syscall counters, and
         # — when a coordinator is attached — the same clock and counter
         # values at every notify_call (a checkpoint may fire there).
+        # Traced, every call keeps its own span (the base class loops).
+        if self._prepaid_depth:
+            return
+        if self.tracer is not None:
+            CudaDispatchBase._dispatch_batch(self, calls)
+            return
+        counter = self.call_counter
+        for name, _, _, _ in calls:
+            counter[name] += 1
         proc = self.process
-        thread = (
-            self.current_thread if self.current_thread is not None
-            else proc.threads[0]
-        )
+        thread = self.current_thread
+        if thread is None:
+            thread = proc.threads[0]
+        costs = self.costs
         fs_ns = WRFSBASE_NS if proc.fsgsbase else SYSCALL_NS
-        per_call = (
-            2 * fs_ns
-            + self.costs.trampoline_body_ns
-            + self.costs.native_dispatch_ns
-        )
-        if self.coordinator is None:
+        per_call = 2 * fs_ns + costs.trampoline_body_ns + costs.native_dispatch_ns
+        coordinator = self.coordinator
+        if coordinator is None:
             n = len(calls)
             proc.fs_switch_count += 2 * n
             if not proc.fsgsbase:
                 proc.syscall_count += 2 * n
-            proc.advance(n * per_call)
+            if per_call < 0:
+                proc.advance(n * per_call)  # raises ValueError
+            proc.clock_ns += n * per_call
         else:
             for _ in calls:
                 proc.fs_switch_count += 2
                 if not proc.fsgsbase:
                     proc.syscall_count += 2
-                proc.advance(per_call)
-                self.coordinator.notify_call()
+                if per_call < 0:
+                    proc.advance(per_call)  # raises ValueError
+                proc.clock_ns += per_call
+                if coordinator.trigger_at_call is not None:
+                    coordinator.notify_call()
         thread.fs_base = self._upper_fs
 
     def _trampoline_ns(self, dispatch_ns: float) -> float:
@@ -148,9 +188,18 @@ class CracBackend(CudaDispatchBase):
         return max(0.0, dispatch_ns - self.costs.native_dispatch_ns)
 
     def _log(self, op: str, nbytes: int, addr: int, device: int = 0) -> None:
-        self.log.record(op, nbytes, addr, device)  # type: ignore[arg-type]
+        """Append one allocation-family call to the replay log and charge
+        ``log_record_ns``, in one frame: the entry is built by
+        ``tuple.__new__`` (no NamedTuple ``__new__`` frame) and the cost
+        is added inline (a negative cost still raises, as
+        ``SimProcess.advance`` does)."""
+        self.log.entries.append(_new_tuple(LogEntry, (op, nbytes, addr, device)))
         if not self._prepaid_depth:
-            self.process.advance(self.costs.log_record_ns)
+            proc = self.process
+            ns = self.costs.log_record_ns
+            if ns < 0:
+                proc.advance(ns)  # raises ValueError
+            proc.clock_ns += ns
 
     # -- address virtualization (§3.2.4 future work) -------------------------
 
@@ -226,10 +275,14 @@ class CracBackend(CudaDispatchBase):
     # -- translated data-path entry points ---------------------------------------
 
     def memcpy(self, dst, src, nbytes, kind, **kw):
-        super().memcpy(self._to_real(dst), self._to_real(src), nbytes, kind, **kw)
+        if self.virtualize_addresses:
+            dst, src = self._to_real(dst), self._to_real(src)
+        super().memcpy(dst, src, nbytes, kind, **kw)
 
     def memset(self, addr, value, nbytes, **kw):
-        super().memset(self._to_real(addr), value, nbytes, **kw)
+        if self.virtualize_addresses:
+            addr = self._to_real(addr)
+        super().memset(addr, value, nbytes, **kw)
 
     def launch(self, name, fn=None, *, managed=(), **kw):
         if self.virtualize_addresses:
@@ -251,16 +304,12 @@ class CracBackend(CudaDispatchBase):
         return super().pointer_get_attributes(self._to_real(addr))
 
     def device_view(self, addr, nbytes, dtype=None, offset: int = 0):
-        import numpy as np
-
         return super().device_view(
             self._to_real(addr), nbytes, dtype if dtype is not None else np.uint8,
             offset,
         )
 
     def managed_view(self, addr, nbytes, dtype=None, offset: int = 0):
-        import numpy as np
-
         return super().managed_view(
             self._to_real(addr), nbytes, dtype if dtype is not None else np.uint8,
             offset,

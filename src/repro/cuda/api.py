@@ -246,10 +246,13 @@ class CudaRuntime:
 
     def cudaFree(self, addr: int) -> None:
         """Free device or managed memory (real cudaFree handles both)."""
-        if self.sanitizer is not None and addr not in self.buffers:
-            # Double-free / wild free: record before _buffer raises.
-            self.sanitizer.on_invalid_free(None, addr)
-        buf = self._buffer(addr)
+        buffers = self.buffers
+        buf = buffers.get(addr)
+        if buf is None or buf.freed:
+            if buf is None and self.sanitizer is not None:
+                # Double-free / wild free: record before _buffer raises.
+                self.sanitizer.on_invalid_free(None, addr)
+            self._buffer(addr)  # raises the classified error
         if isinstance(buf, ManagedBuffer):
             self.cudaFreeManaged(addr)
             return
@@ -264,7 +267,7 @@ class CudaRuntime:
             )
         self._device_allocs[buf.device_index].free(addr)
         buf.freed = True
-        del self.buffers[addr]
+        del buffers[addr]
         self.unbuilt_device.pop(addr, None)
 
     def cudaMallocHost(self, nbytes: int) -> int:
@@ -399,13 +402,15 @@ class CudaRuntime:
         (simulated host VAS addresses). Synchronous copies block the host
         until the DMA completes; async copies only enqueue.
         """
-        self._entry("cudaMemcpyAsync" if async_ else "cudaMemcpy")
-        cuda_check(
-            kind in ("h2d", "d2h", "d2d"),
-            CudaErrorCode.INVALID_VALUE,
-            f"bad memcpy kind {kind!r}",
-        )
-        s = self._stream(stream)
+        if self._entry_ok:
+            self.api_log["cudaMemcpyAsync" if async_ else "cudaMemcpy"] += 1
+        else:  # raises the classified error
+            self._entry("cudaMemcpyAsync" if async_ else "cudaMemcpy")
+        if kind not in ("h2d", "d2h", "d2d"):
+            raise cuda_error(
+                CudaErrorCode.INVALID_VALUE, f"bad memcpy kind {kind!r}"
+            )
+        s = stream if stream is not None else self.default_stream
         dev_addr = dst if kind == "h2d" else src
         dev = self._device_for(stream, dev_addr if isinstance(dev_addr, (int, np.integer)) else None)
         # Pageable host memory cannot be DMA'd directly: the driver stages
@@ -413,9 +418,11 @@ class CudaRuntime:
         # (Pinned memory — cudaMallocHost/cudaHostAlloc — goes full rate,
         # which is why simpleStreams allocates its destination pinned.)
         effective = nbytes
-        if kind in ("h2d", "d2h"):
-            host_end = src if kind == "h2d" else dst
-            host_buf, _ = self._resolve_host_ptr(host_end)
+        if kind != "d2d":
+            # Resolved once: nothing below allocates or frees a buffer.
+            host_buf, host_off = self._resolve_host_ptr(
+                src if kind == "h2d" else dst
+            )
             if host_buf is None:  # numpy array or plain VAS memory
                 effective = int(nbytes / PAGEABLE_COPY_EFFICIENCY)
         if self.sanitizer is not None:
@@ -425,13 +432,12 @@ class CudaRuntime:
                 self, s, kind, dst, src, nbytes, dst_offset, src_offset,
                 async_,
             )
-        end = dev.enqueue_copy(s, effective, kind, at_ns=self.now)
-        if kind in ("h2d", "d2h"):
+        end = dev.enqueue_copy(s, effective, kind, at_ns=self.process.clock_ns)
+        if kind != "d2d" and dev.fault_injector is not None:
             self._xfer_crc_trip(dev, s, kind, dst, src, nbytes,
                                 dst_offset, src_offset)
         if kind == "h2d":
             buf = self._buffer(dst)
-            host_buf, host_off = self._resolve_host_ptr(src)
             if host_buf is not None:
                 buf.contents.copy_from(
                     host_buf.contents, host_off + src_offset, dst_offset, nbytes
@@ -445,7 +451,6 @@ class CudaRuntime:
             buf = self._buffer(src)
             if isinstance(buf, ManagedBuffer):
                 self.uvm.host_access(buf, src_offset, nbytes, write=False)
-            host_buf, host_off = self._resolve_host_ptr(dst)
             if host_buf is not None:
                 host_buf.contents.copy_from(
                     buf.contents, src_offset, host_off + dst_offset, nbytes
@@ -457,8 +462,6 @@ class CudaRuntime:
             sbuf = self._buffer(src)
             dbuf = self._buffer(dst)
             dbuf.contents.copy_from(sbuf.contents, src_offset, dst_offset, nbytes)
-        else:
-            cuda_check(False, CudaErrorCode.INVALID_VALUE, f"bad kind {kind!r}")
         if not async_:
             self.process.advance_to(end)
 
@@ -477,8 +480,6 @@ class CudaRuntime:
         with one flipped bit, and the mismatch — not the injector —
         raises the retryable error.
         """
-        if dev.fault_injector is None:
-            return
         if dev.fault_injector.trip("xfer-corrupt", f"memcpy-{kind}") is None:
             return
         window = min(nbytes, self.XFER_CRC_WINDOW)
@@ -548,15 +549,18 @@ class CudaRuntime:
         async_: bool = False,
     ) -> None:
         """Fill ``nbytes`` of a buffer with ``value``."""
-        self._entry("cudaMemsetAsync" if async_ else "cudaMemset")
-        s = self._stream(stream)
+        if self._entry_ok:
+            self.api_log["cudaMemsetAsync" if async_ else "cudaMemset"] += 1
+        else:  # raises the classified error
+            self._entry("cudaMemsetAsync" if async_ else "cudaMemset")
+        s = stream if stream is not None else self.default_stream
         if self.sanitizer is not None:
             # Before _buffer, so memcheck records freed/wild pointers
             # before the raise.
             self.sanitizer.on_memset(self, s, addr, nbytes, async_)
         buf = self._buffer(addr)
         dev = self._device_for(stream, addr)
-        end = dev.enqueue_copy(s, nbytes, "d2d", at_ns=self.now)
+        end = dev.enqueue_copy(s, nbytes, "d2d", at_ns=self.process.clock_ns)
         if nbytes >= buf.size:
             buf.contents.fill(value)
         else:
@@ -589,41 +593,48 @@ class CudaRuntime:
         The kernel's fat binary must be registered with *this* library
         instance — the §3.2.5 invariant CRAC re-establishes at restart.
         """
-        self._entry("cudaLaunchKernel")
-        cuda_check(
-            name in self._registered_kernels,
-            CudaErrorCode.INITIALIZATION_ERROR,
-            f"kernel {name!r} launched but its fat binary is not registered "
-            "with this CUDA library instance",
-        )
-        s = self._stream(stream)
+        if self._entry_ok:
+            self.api_log["cudaLaunchKernel"] += 1
+        else:
+            self._entry("cudaLaunchKernel")  # raises the classified error
+        if name not in self._registered_kernels:
+            raise cuda_error(
+                CudaErrorCode.INITIALIZATION_ERROR,
+                f"kernel {name!r} launched but its fat binary is not "
+                "registered with this CUDA library instance",
+            )
+        if stream is None:
+            if self.current_device != 0:
+                raise cuda_error(
+                    CudaErrorCode.NOT_SUPPORTED,
+                    "default-stream launch on a non-zero device: create a "
+                    "stream with cudaStreamCreate after cudaSetDevice",
+                )
+            s = self.default_stream
+        else:
+            s = stream
         dev = self._device_for(stream)
-        cuda_check(
-            stream is not None or self.current_device == 0,
-            CudaErrorCode.NOT_SUPPORTED,
-            "default-stream launch on a non-zero device: create a stream "
-            "with cudaStreamCreate after cudaSetDevice",
-        )
         migration = 0.0
         uses = list(managed)
         for use in uses:
             buf = self._buffer(use.addr)
-            cuda_check(
-                isinstance(buf, ManagedBuffer),
-                CudaErrorCode.INVALID_DEVICE_POINTER,
-                "managed= declared on a non-managed pointer",
-            )
+            if not isinstance(buf, ManagedBuffer):
+                raise cuda_error(
+                    CudaErrorCode.INVALID_DEVICE_POINTER,
+                    "managed= declared on a non-managed pointer",
+                )
             migration += self.uvm.device_access(buf, use.offset, use.nbytes)
         if duration_ns is None:
             duration_ns = dev.spec.kernel_cost_ns(flop, bytes_touched)
         duration_ns += migration
-        end = dev.enqueue_kernel(s, duration_ns, at_ns=self.now, label=name)
+        process = self.process
+        end = dev.enqueue_kernel(s, duration_ns, at_ns=process.clock_ns, label=name)
         start = end - duration_ns
         for use in uses:
             if "w" in use.mode:
                 self.uvm.record_device_write(
                     self.buffers[use.addr], use.offset, use.nbytes, s,
-                    start, end, now_ns=self.now,
+                    start, end, now_ns=process.clock_ns,
                 )
         san_op = None
         if self.sanitizer is not None:

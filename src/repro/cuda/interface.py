@@ -39,7 +39,8 @@ class CudaDispatchBase:
 
     Subclasses implement :meth:`_charge_call` (per-call dispatch cost) and
     may hook individual methods (CRAC logs the cudaMalloc family; proxies
-    ship buffers).
+    ship buffers). CRAC's trampoline overrides :meth:`_dispatch` and
+    :meth:`_dispatch_batch` whole instead, so a crossing is one frame.
     """
 
     mode = "abstract"
@@ -69,7 +70,10 @@ class CudaDispatchBase:
         ``kind`` is ``"kernel"``/``"copy"``/``"sync"``; ``sync_scope``
         names what a sync drains (a Stream or ``"device"``) so the
         watchdog can pre-check for hung work before blocking on it.
-        With no fault domain attached this is a plain call.
+        With no fault domain attached this is a plain call; the hot
+        entry points (launch, memcpy, memset) then skip it and build no
+        thunk. A thunk reads ``self.runtime`` when it runs, so a call
+        re-issued after the restore rung reaches the fresh library.
         """
         if self.recovery is None:
             return thunk()
@@ -129,8 +133,11 @@ class CudaDispatchBase:
         ship_out)`` tuples. Counting and cost are identical to calling
         :meth:`_dispatch` once per entry — batching only lets a backend
         charge the aggregate cost without re-entering its per-call
-        bookkeeping (Python overhead, not virtual time). The traced path
-        falls back to per-call dispatch so every call keeps its own span.
+        bookkeeping (Python overhead, not virtual time). Here the batch
+        is counted, then charged by :meth:`_charge_batch`; CRAC's
+        trampoline overrides this method to do both in its own frame.
+        The traced path falls back to per-call dispatch so every call
+        keeps its own span.
         """
         if self._prepaid_depth:
             return
@@ -149,9 +156,11 @@ class CudaDispatchBase:
     def _charge_batch(
         self, calls: Sequence[tuple[str, int, Sequence[int], Sequence[int]]]
     ) -> None:
-        """Charge a batch of calls; default loops :meth:`_charge_call`
-        so backends with per-call side effects (proxies shipping buffer
-        contents) stay exact without opting in."""
+        """Charge a batch of calls (untraced :meth:`_dispatch_batch`);
+        default loops :meth:`_charge_call` so backends with per-call
+        side effects (proxies shipping buffer contents) stay exact
+        without opting in. The native backend charges the aggregate;
+        CRAC's trampoline never calls this (its batch is one frame)."""
         for name, payload, ship_in, ship_out in calls:
             self._charge_call(
                 name, payload_bytes=payload, ship_in=ship_in, ship_out=ship_out
@@ -247,6 +256,12 @@ class CudaDispatchBase:
         # Host-side payload crosses the dispatch boundary for h2d/d2h.
         payload = nbytes if kind in ("h2d", "d2h") else 32
         self._dispatch(name, payload_bytes=payload)
+        if self.recovery is None:  # no fault domain: no thunk to build
+            self.runtime.cudaMemcpy(
+                dst, src, nbytes, kind, stream=stream, async_=async_,
+                dst_offset=dst_offset, src_offset=src_offset,
+            )
+            return
         self._invoke("copy", lambda: self.runtime.cudaMemcpy(
             dst,
             src,
@@ -269,6 +284,11 @@ class CudaDispatchBase:
     ) -> None:
         """cudaMemset(Async): fill a buffer with a byte value."""
         self._dispatch("cudaMemsetAsync" if async_ else "cudaMemset", payload_bytes=24)
+        if self.recovery is None:
+            self.runtime.cudaMemset(
+                addr, value, nbytes, stream=stream, async_=async_
+            )
+            return
         self._invoke("copy", lambda: self.runtime.cudaMemset(
             addr, value, nbytes, stream=stream, async_=async_
         ))
@@ -296,6 +316,11 @@ class CudaDispatchBase:
             ("cudaPopCallConfiguration", 32, (), ()),
             ("cudaLaunchKernel", arg_bytes, ship, ship),
         ))
+        if self.recovery is None:
+            return self.runtime.cudaLaunchKernel(
+                name, fn, args=args, flop=flop, bytes_touched=bytes_touched,
+                stream=stream, managed=managed, duration_ns=duration_ns,
+            )
         return self._invoke("kernel", lambda: self.runtime.cudaLaunchKernel(
             name,
             fn,

@@ -54,33 +54,36 @@ class DmtcpCoordinator:
         self._ckpt_rng = random.Random(
             (seed & 0xFFFFFFFF) ^ zlib.crc32(b"ckpt-schedule")
         )
-        self._trigger_at_call: int | None = None
+        #: call index (counted from arming) at which the armed checkpoint
+        #: fires; None while no checkpoint is armed, when
+        #: :meth:`notify_call` is a no-op
+        self.trigger_at_call: int | None = None
         self._calls_seen = 0
         self.images: list[CheckpointImage] = []
 
     def schedule_random_checkpoint(self, expected_total_calls: int) -> int:
         """Arm a checkpoint at a uniformly random call index (drawn from
         the placement-only RNG stream)."""
-        self._trigger_at_call = self._ckpt_rng.randrange(
+        self.trigger_at_call = self._ckpt_rng.randrange(
             1, max(2, expected_total_calls)
         )
         self._calls_seen = 0
-        return self._trigger_at_call
+        return self.trigger_at_call
 
     def schedule_checkpoint_at_call(self, n: int) -> None:
         """Arm a checkpoint after the nth CUDA call from now."""
-        self._trigger_at_call = n
+        self.trigger_at_call = n
         self._calls_seen = 0
 
     def notify_call(self) -> CheckpointImage | None:
         """Called by the CRAC backend once per upper→lower call; fires the
         checkpoint when the armed call index is reached."""
-        if self._trigger_at_call is None:
+        if self.trigger_at_call is None:
             return None
         self._calls_seen += 1
-        if self._calls_seen < self._trigger_at_call:
+        if self._calls_seen < self.trigger_at_call:
             return None
-        self._trigger_at_call = None
+        self.trigger_at_call = None
         return self.checkpoint()
 
     def checkpoint(

@@ -65,12 +65,6 @@ class GpuDevice:
         #: source; None until a session wires one
         self.handle_table = None
 
-    def _trip(self, stage: str, context: str) -> str | None:
-        """Consult the attached injector at a runtime fault stage."""
-        if self.fault_injector is None:
-            return None
-        return self.fault_injector.trip(stage, context)
-
     @staticmethod
     def _fatal(code_name: str, msg: str) -> CudaError:
         # Deferred import: repro.gpu must not pull in repro.cuda at
@@ -122,19 +116,21 @@ class GpuDevice:
         Admission respects the concurrent-kernel limit: when the device is
         saturated the kernel waits for the earliest-finishing one.
         """
-        # ECC fires before any scheduling state changes: a post-restore
-        # re-issue of this launch starts from a clean timeline.
-        if self._trip("ecc", label) is not None:
-            self.ecc_errors += 1
-            raise self._fatal(
-                "ECC_UNCORRECTABLE",
-                f"uncorrectable ECC page error during {label!r}",
-            )
         intended_ns = duration_ns
-        hang = self._trip("kernel-hang", label) is not None
-        if hang:
-            duration_ns += KERNEL_HANG_NS
-            stream.fault = "kernel-hang"
+        injector = self.fault_injector
+        if injector is not None:
+            # ECC fires before any scheduling state changes: a
+            # post-restore re-issue of this launch starts from a clean
+            # timeline.
+            if injector.trip("ecc", label) is not None:
+                self.ecc_errors += 1
+                raise self._fatal(
+                    "ECC_UNCORRECTABLE",
+                    f"uncorrectable ECC page error during {label!r}",
+                )
+            if injector.trip("kernel-hang", label) is not None:
+                duration_ns += KERNEL_HANG_NS
+                stream.fault = "kernel-hang"
         earliest = self._start_time(stream, at_ns)
         start = self._admit_kernel(earliest)
         end = start + duration_ns
@@ -177,7 +173,11 @@ class GpuDevice:
             raise _program_error(
                 "INVALID_VALUE", f"unknown copy kind {kind!r}"
             )
-        stall = self._trip("copy-stall", f"memcpy-{kind}") is not None
+        stall = (
+            self.fault_injector is not None
+            and self.fault_injector.trip("copy-stall", f"memcpy-{kind}")
+            is not None
+        )
         earliest = max(
             self._start_time(stream, at_ns), self._copy_engine_ready[kind]
         )

@@ -519,7 +519,24 @@ class ArenaAllocator:
                 "INVALID_DEVICE_POINTER", f"cudaFree of unknown pointer {addr:#x}"
             )
         self._active_bytes -= size
-        self._insert_free(_FreeBlock(addr, size))
+        # _insert_free inlined, coalescing in place: a freed block that
+        # touches a free neighbour grows (or moves) that neighbour and
+        # builds no _FreeBlock. The free list ends up the same.
+        free = self._free
+        i = bisect.bisect_left(free, addr, key=_block_start)
+        end = addr + size
+        right = free[i] if i < len(free) and free[i].start == end else None
+        if i and free[i - 1].start + free[i - 1].size == addr:
+            left = free[i - 1]
+            left.size += size
+            if right is not None:
+                left.size += right.size
+                del free[i]
+        elif right is not None:
+            right.start = addr
+            right.size += size
+        else:
+            free.insert(i, _FreeBlock(addr, size))
         if self.sanitizer is not None:
             self.sanitizer.on_arena_free(self, addr, size)
         return size

@@ -3,6 +3,7 @@
 import gc
 import shutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -38,23 +39,38 @@ def build_machine(gpu="V100", aslr=False, fsgsbase=False, seed=11):
     return proc, loader, device, runtime
 
 
-def python_calls(fn, *args):
-    """Run ``fn(*args)``; return its result and the Python frames it
-    entered (every ``"call"`` profile event, the standard library's
-    included)."""
-    calls = 0
+def python_frames(fn, *args, **kwargs):
+    """Run ``fn(*args, **kwargs)``; return its result and the Python
+    frames it entered per qualified name (every ``"call"`` profile
+    event, the standard library's included)."""
+    frames: Counter = Counter()
 
     def profile(frame, event, arg):
-        nonlocal calls
         if event == "call":
-            calls += 1
+            code = frame.f_code
+            frames[getattr(code, "co_qualname", code.co_name)] += 1
 
     sys.setprofile(profile)
     try:
-        result = fn(*args)
+        result = fn(*args, **kwargs)
     finally:
         sys.setprofile(None)
-    return result, calls
+    return result, frames
+
+
+def python_calls(fn, *args):
+    """Run ``fn(*args)``; return its result and the number of Python
+    frames it entered (see :func:`python_frames`)."""
+    result, frames = python_frames(fn, *args)
+    return result, sum(frames.values())
+
+
+def call_breakdown(frames: Counter) -> str:
+    """``frames`` one qualified name a line, most-entered first: the
+    message of a blown call budget names the frames that blew it."""
+    lines = [f"{sum(frames.values())} Python calls:"]
+    lines += [f"  {n:3d}  {name}" for name, n in frames.most_common()]
+    return "\n".join(lines)
 
 
 def python_lines(fn, *args, exclude=()):

@@ -1,24 +1,38 @@
-"""What one cudaMalloc-family call costs the simulator on the host.
+"""What one CUDA call costs the simulator on the host.
 
-Virtual time is pinned by ``test_alloc_path_parity.py``; these tests pin
-the host side deterministically instead of with a wall-clock gate: the
-objects an allocation creates carry no per-instance ``__dict__``, the
-replay log is a list of plain tuples that survives an image's export,
-one warm ``malloc`` or ``free`` through the trampoline stays within a
-fixed budget of Python-level calls, and so does each never-written
-``cudaMalloc`` that restart replays.
+Virtual time is pinned by ``test_alloc_path_parity.py`` and
+``test_data_path_parity.py``; these tests pin the host side
+deterministically instead of with a wall-clock gate: the objects an
+allocation creates carry no per-instance ``__dict__``, the replay log is
+a list of plain tuples that survives an image's export, one warm
+``malloc``, ``free``, launch, memset or memcpy through the trampoline
+stays within a fixed budget of Python-level calls, and so does each
+never-written ``cudaMalloc`` that restart replays. A blown budget prints
+the frames it entered, per qualified name.
 """
+
+import numpy as np
+import pytest
 
 from repro.core import CracSession
 from repro.core.replay_log import LogEntry
+from repro.cuda.api import FatBinary
 from repro.dmtcp.image import CheckpointImage
 from repro.gpu.memory import DeviceBuffer, PagedContents, _FreeBlock
-from tests.conftest import python_calls
+from tests.conftest import call_breakdown, python_calls, python_frames
 
 #: Python-level calls one warm ``CracBackend.malloc(256)`` or ``free``
-#: may make, from the trampoline through the runtime, the arena and the
-#: replay log (28 each before the path was made lean)
-CALL_BUDGET = 18
+#: may make: the entry point, one trampoline frame, the runtime, the
+#: arena (plus the buffer object for a malloc) and one log frame (28
+#: each before the path was first made lean, 11 and 13 before the
+#: crossing and the log append became one frame each)
+CALL_BUDGET = 6
+#: Python-level calls of one warm launch, memset and memcpy through the
+#: trampoline, no fault domain attached (29, 27, 35 and 34 before the
+#: data path was made lean: a three-frame crossing per call, a thunk, the
+#: full entry prologue and an unarmed coordinator notify)
+DATA_PATH_BUDGETS = {"launch": 11, "memset": 16, "memcpy-h2d": 25,
+                     "memcpy-d2h": 19}
 #: Python-level calls ``restart`` may make per replayed ``cudaMalloc`` of
 #: a buffer nothing ever wrote: the runtime entry point, the arena and
 #: the buffer object, no contents (6 while every buffer built its
@@ -32,11 +46,33 @@ def test_warm_malloc_and_free_stay_within_call_budget():
     for _ in range(3):  # warm: the arena exists, the free list is split
         backend.free(backend.malloc(256))
     keep = backend.malloc(256)
-    addr, malloc_calls = python_calls(backend.malloc, 256)
-    _, free_calls = python_calls(backend.free, addr)
-    assert malloc_calls <= CALL_BUDGET, malloc_calls
-    assert free_calls <= CALL_BUDGET, free_calls
+    addr, malloc_frames = python_frames(backend.malloc, 256)
+    _, free_frames = python_frames(backend.free, addr)
+    for frames in (malloc_frames, free_frames):
+        total = sum(frames.values())
+        assert total <= CALL_BUDGET, call_breakdown(frames)
     assert keep in session.runtime.buffers and addr not in session.runtime.buffers
+
+
+@pytest.mark.parametrize("op", sorted(DATA_PATH_BUDGETS))
+def test_warm_data_path_stays_within_call_budget(op):
+    session = CracSession(seed=3)
+    backend = session.backend
+    backend.register_app_binary(FatBinary("cost.fatbin", ("k",)))
+    dev = backend.malloc(4096)
+    host = np.zeros(4096, dtype=np.uint8)
+    calls = {
+        "launch": (backend.launch, ("k",), {"duration_ns": 1000.0}),
+        "memset": (backend.memset, (dev, 1, 4096), {}),
+        "memcpy-h2d": (backend.memcpy, (dev, host, 4096, "h2d"), {}),
+        "memcpy-d2h": (backend.memcpy, (host, dev, 4096, "d2h"), {}),
+    }
+    for fn, args, kwargs in calls.values():  # warm: contents built
+        fn(*args, **kwargs)
+    fn, args, kwargs = calls[op]
+    _, frames = python_frames(fn, *args, **kwargs)
+    total = sum(frames.values())
+    assert total <= DATA_PATH_BUDGETS[op], call_breakdown(frames)
 
 
 def _restart_calls(n_buffers: int) -> int:
