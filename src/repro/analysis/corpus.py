@@ -38,6 +38,11 @@ class CudaRuntime:
             self.sanitizer.on_copy(self, None, kind, dst, src, nbytes, 0, 0, False)
         buf = self._buffer(dst)
         buf.contents.copy_from(src, 0, 0, nbytes)
+
+    def replay_allocations(self, entries):
+        for op, nbytes, addr, device in entries:
+            if op == "malloc":
+                self.cudaMalloc(nbytes)
 '''
 
 _INTERFACE = '''\
@@ -69,14 +74,6 @@ class CracBackend:
         addr = super().malloc(nbytes)
         self._log("malloc", nbytes, addr)
         return addr
-'''
-
-_REPLAY = '''\
-class ReplayLog:
-    def replay(self, runtime):
-        for e in self.entries:
-            if e.op == "malloc":
-                runtime.cudaMalloc(e.nbytes)
 '''
 
 _PLUGIN = '''\
@@ -121,7 +118,6 @@ CLEAN_TREE: dict[str, str] = {
     "repro/cuda/interface.py": _INTERFACE,
     "repro/gpu/memory.py": _MEMORY,
     "repro/core/trampoline.py": _TRAMPOLINE,
-    "repro/core/replay_log.py": _REPLAY,
     "repro/core/plugin.py": _PLUGIN,
     "repro/core/session.py": _SESSION,
     "repro/cuda/errors.py": _ERRORS,

@@ -188,15 +188,17 @@ def _log_ops(mod) -> dict[str, int]:
 
 
 def _replay_ops(mod) -> set[str]:
-    """Op literals the replay loop compares against (``e.op == "x"``,
-    ``e.op in ("x", "y")``)."""
+    """Op literals the lower half's log replay compares an entry's op
+    against (``op == "x"``, ``e.op in ("x", "y")``)."""
     ops: set[str] = set()
     for node in ast.walk(mod.tree):
         if not isinstance(node, ast.Compare):
             continue
         sides = [node.left, *node.comparators]
         if any(
-            isinstance(s, ast.Attribute) and s.attr == "op" for s in sides
+            (isinstance(s, ast.Attribute) and s.attr == "op")
+            or (isinstance(s, ast.Name) and s.id == "op")
+            for s in sides
         ):
             for s in sides:
                 ops.update(str_constants(s))
@@ -369,9 +371,8 @@ def analyze(index: PackageIndex) -> tuple[list[Finding], list[dict]]:
                 )
 
     tramp_mod = index.find("core/trampoline.py")
-    replay_mod = index.find("core/replay_log.py")
-    if tramp_mod is not None and replay_mod is not None:
-        replayed = _replay_ops(replay_mod)
+    if tramp_mod is not None and api_mod is not None:
+        replayed = _replay_ops(api_mod)
         for op, line in sorted(_log_ops(tramp_mod).items()):
             if op not in replayed:
                 add(

@@ -193,30 +193,6 @@ class CracPlugin(DmtcpPlugin):
         for addr in sorted(built):
             buf = live[addr]
             is_managed = isinstance(buf, ManagedBuffer)
-            if not is_managed and buf.pristine:
-                # Built, but clean and back to a fresh buffer's contents:
-                # a *pristine* entry, which copies nothing and is
-                # accounted like a never-built buffer. The capture
-                # records the buffer itself, so a later write still
-                # counts as post-cut dirtiness. Managed buffers always
-                # copy: they carry residency.
-                kind = buf.kind
-                size = buf.size
-                image_bytes = 0 if delta else size
-                pcie_bytes = image_bytes if kind == "device" else 0
-                drain_bytes += pcie_bytes
-                image_bytes_total += image_bytes
-                buffers[addr] = {
-                    "kind": kind,
-                    "size": size,
-                    "uid": buf.uid,
-                    "delta": delta,
-                    "snapshot": None,
-                    "image_bytes": image_bytes,
-                    "pcie_bytes": pcie_bytes,
-                }
-                captures.append((buf, (), buf.write_seq))
-                continue
             contents = buf.contents
             kind = "managed" if is_managed else buf.kind
             dirty_spans = tuple(contents.dirty_spans())

@@ -15,6 +15,12 @@ Replay verifies determinism: if a replayed allocation lands at a
 different address (e.g. ASLR was left enabled, or the restart runs on a
 different CUDA/GPU platform), every pointer held by the restored upper
 half would dangle, so replay aborts with ``ReplayDivergenceError``.
+
+The whole log is replayed and every logged address is checked, entry by
+entry; only the simulator's bookkeeping is batched. The lower-half
+library replays it in one pass (``CudaRuntime.replay_allocations``):
+each run of equal consecutive mallocs is one arena carve, and buffer
+objects are built once, for the allocations still live at the end.
 """
 
 from __future__ import annotations
@@ -22,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
 
-from repro.errors import ReplayDivergenceError
-from repro.cuda.api import CudaRuntime
+from repro.cuda.api import CudaRuntime, ReplayResult
 
 Op = Literal[
     "malloc",
@@ -79,76 +84,25 @@ class ReplayLog:
 
     def replay(
         self, runtime: CudaRuntime, *, strict: bool = True
-    ) -> int | dict[int, int]:
-        """Re-execute the log against a fresh lower-half CUDA library.
+    ) -> ReplayResult:
+        """Re-execute the log against a lower-half CUDA library (a fresh
+        one at restart), in one pass of
+        :meth:`CudaRuntime.replay_allocations`.
 
-        In the default strict mode, returns the number of calls replayed
-        and raises :class:`ReplayDivergenceError` if any allocation lands
-        at a different address than the original run — the paper's
+        In the default strict mode, an allocation that lands at a
+        different address than in the original run raises
+        :class:`~repro.errors.ReplayDivergenceError` — the paper's
         baseline design, which requires disabled ASLR and the same
         CUDA/GPU platform.
 
         With ``strict=False`` (the §3.2.4 future-work *address
-        virtualization* mode) divergence is tolerated: the method returns
-        an ``{original_addr: new_addr}`` translation map instead, and the
-        caller patches its virtual-address table.
+        virtualization* mode) divergence is tolerated: the result's
+        ``{original_addr: new_addr}`` translation map lets the caller
+        patch its virtual-address table. Either way the result carries
+        the number of calls replayed and the still-active
+        ``cudaHostAlloc`` entries to re-register.
         """
-        # Bind the entry points once: the loop runs once per logged call
-        # (tens of thousands for HPGMG-FV).
-        malloc = runtime.cudaMalloc
-        malloc_host = runtime.cudaMallocHost
-        malloc_managed = runtime.cudaMallocManaged
-        free = runtime.cudaFree
-        free_host = runtime.cudaFreeHost
-        free_managed = runtime.cudaFreeManaged
-        replayed = 0
-        hostalloc_addrs: set[int] = set()
-        # Only the non-strict mode translates; strict replay verifies
-        # every address instead and builds no map.
-        translation: dict[int, int] | None = None if strict else {}
-
-        for e in self.entries:
-            if e.op == "malloc":
-                if runtime.current_device != e.device:
-                    runtime.cudaSetDevice(e.device)
-                got = malloc(e.nbytes)
-            elif e.op == "free":
-                free(e.addr if strict else translation.get(e.addr, e.addr))
-                replayed += 1
-                continue
-            elif e.op == "malloc_host":
-                got = malloc_host(e.nbytes)
-            elif e.op == "free_host":
-                if e.addr in hostalloc_addrs:
-                    # Frees of never-replayed cudaHostAlloc buffers.
-                    continue
-                free_host(e.addr if strict else translation.get(e.addr, e.addr))
-                replayed += 1
-                continue
-            elif e.op == "malloc_managed":
-                got = malloc_managed(e.nbytes)
-            elif e.op == "free_managed":
-                free_managed(e.addr if strict else translation.get(e.addr, e.addr))
-                replayed += 1
-                continue
-            elif e.op == "host_alloc":
-                # Not replayed through the allocator: active cudaHostAlloc
-                # buffers are re-registered separately (§3.2.4).
-                hostalloc_addrs.add(e.addr)
-                continue
-            else:  # pragma: no cover - exhaustive literal
-                raise AssertionError(e.op)
-            replayed += 1
-            if strict:
-                if got != e.addr:
-                    raise ReplayDivergenceError(
-                        f"replayed {e.op}({e.nbytes}) landed at {got:#x}, "
-                        f"original was {e.addr:#x} — allocator nondeterminism "
-                        "or changed platform/ASLR"
-                    )
-            else:
-                translation[e.addr] = got
-        return replayed if strict else translation
+        return runtime.replay_allocations(self.entries, strict=strict)
 
 
 # -- stream-op log (fault-domain rung 2) --------------------------------------

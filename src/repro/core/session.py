@@ -54,8 +54,8 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import attrgetter, itemgetter
+from itertools import repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.halves import SplitProcess
@@ -107,7 +107,6 @@ def _pcie_bytes(entry: dict) -> int:
     return 0
 
 
-_LOG_OP = attrgetter("op")
 _NO_NEVER_BUILT = {"uids": {}, "device": {}, "host-pinned": {}}
 
 
@@ -138,7 +137,7 @@ class _ChainLink(NamedTuple):
 def _walk_run(addr: int, uid: int | None, older: list[_ChainLink],
               kept: list[dict]) -> int:
     """PCIe bytes of the older part of a delta entry's run at ``addr``
-    (``older`` newest first); appends the run's byte-holding entries to
+    (``older`` newest first); appends the run's explicit entries to
     ``kept``. In an image that recorded the address as never built, the
     run's entry holds no bytes and moves the buffer's size in a full
     image (device only), nothing in a delta."""
@@ -159,8 +158,7 @@ def _walk_run(addr: int, uid: int | None, older: list[_ChainLink],
         if prev.get("uid") != uid:
             break
         total += _pcie_bytes(prev)
-        if prev["snapshot"] is not None:
-            kept.append(prev)
+        kept.append(prev)
         if not prev.get("delta"):
             break
     return total
@@ -503,9 +501,6 @@ class CracSession:
         capacity is checked before anything is torn down.
         """
         log = image.blob("crac/replay-log")
-        # One walk of the (possibly long) log serves both the capacity
-        # check below and step 5's cudaHostAlloc re-registration.
-        active = log.active_allocations()
         platform = image.blobs.get("crac/platform")
         if platform is not None and not self.backend.virtualize_addresses:
             want = platform.payload
@@ -534,7 +529,7 @@ class CracSession:
                 # process state is discarded.
                 need = sum(
                     e.nbytes
-                    for e in active.values()
+                    for e in log.active_allocations().values()
                     if e.op != "host_alloc"
                 )
                 if need > have_spec.memory_bytes:
@@ -579,21 +574,15 @@ class CracSession:
             # kind="divergence" raises ReplayDivergenceError here, the
             # §3.2.4 failure mode (ASLR left on / different platform).
             self.fault_injector.check("replay", f"{len(log.entries)} calls")
-        if self.backend.virtualize_addresses:
-            translation = log.replay(fresh.runtime, strict=False)
-            replayed = len(log.entries)
-        else:
-            replayed = log.replay(fresh.runtime)
-            translation = {}
+        replayed, translation, host_allocs = log.replay(
+            fresh.runtime, strict=not self.backend.virtualize_addresses
+        )
         proc.advance(replayed * self.costs.replay_call_ns)
 
-        # 5. Re-register active cudaHostAlloc buffers (bytes already in
-        #    the restored upper half), picked out of the active set with
-        #    no Python step per allocation.
+        # 5. Re-register the active cudaHostAlloc buffers (bytes already
+        #    in the restored upper half), which replay picked out.
         buffers = image.blob("crac/buffers")
-        entries = list(active.values())
-        is_host_alloc = map("host_alloc".__eq__, map(_LOG_OP, entries))
-        for entry in compress(entries, is_host_alloc):
+        for entry in host_allocs:
             fresh.runtime.cudaHostRegister(entry.addr, entry.nbytes)
             # The registered pages are already mapped (restored with the
             # upper half); the fresh hostalloc arena must never hand them
@@ -722,25 +711,22 @@ class CracSession:
         newest entry plus each older entry its delta stacks on. A full
         entry — or a uid change, meaning the arena reused the address for
         a *different* allocation — ends the run, so stale bytes never
-        leak across a free. Every run entry's PCIe bytes are charged;
-        only entries holding bytes (``snapshot`` not None) are overlaid.
-        A never-built buffer holds exactly what the replayed malloc
-        created, so it builds no contents here, and its run's bytes are
-        charged in bulk (:func:`_never_built_pcie_bytes`).
+        leak across a free. Every run entry's PCIe bytes are charged and
+        its bytes overlaid. A never-built buffer holds exactly what the
+        replayed malloc created, so it builds no contents here, and its
+        run's bytes are charged in bulk (:func:`_never_built_pcie_bytes`).
         """
         chain = [_ChainLink.of(img) for img in image.chain()]
         newest = chain[-1]
         older = chain[-2::-1]  # the image's ancestors, newest first
         refill_bytes = 0
-        #: address -> the byte-holding entries of its run, newest first
+        #: address -> the explicit entries of its run, newest first
         runs: dict[int, list[dict]] = {}
         for addr, entry in newest.entries.items():
             refill_bytes += _pcie_bytes(entry)
-            kept = [entry] if entry["snapshot"] is not None else []
+            kept = runs[addr] = [entry]
             if entry.get("delta"):
                 refill_bytes += _walk_run(addr, entry.get("uid"), older, kept)
-            if kept:
-                runs[addr] = kept
         if newest.incremental:
             nb_bytes, escaped = _never_built_pcie_bytes(newest.uids, older)
             refill_bytes += nb_bytes
@@ -751,8 +737,8 @@ class CracSession:
                     runs[addr] = kept
         else:
             refill_bytes += sum(newest.device.values())
-        # Managed entries always hold bytes, so every managed buffer gets
-        # its residency back here.
+        # Every managed buffer has an explicit entry, so it gets its
+        # residency back here.
         for addr, entries in runs.items():
             buf = runtime.buffers[translation.get(addr, addr)]
             contents = buf.contents
@@ -1193,12 +1179,12 @@ class FaultDomain:
         if not suffix:
             return 0
         backend = self.session.backend
-        log = ReplayLog(entries=list(suffix))
-        if backend.virtualize_addresses:
-            translation = log.replay(self.session.runtime, strict=False)
-            backend.patch_translation(translation)
-        else:
-            log.replay(self.session.runtime)
+        translating = backend.virtualize_addresses
+        result = ReplayLog(list(suffix)).replay(
+            self.session.runtime, strict=not translating
+        )
+        if translating:
+            backend.patch_translation(result.translation)
         # The lost-work advance already charges the suffix's wall time.
         backend.log.entries.extend(suffix)
         return len(suffix)

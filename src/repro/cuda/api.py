@@ -29,11 +29,13 @@ import itertools
 import zlib
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import groupby, repeat
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.errors import CudaError
+from repro.errors import CudaError, ReplayDivergenceError
 from repro.cuda.errors import CudaErrorCode, cuda_check, cuda_error
 from repro.gpu.device import GpuDevice
 from repro.gpu.memory import ArenaAllocator, DeviceBuffer
@@ -60,6 +62,107 @@ class FatBinary:
 
     name: str
     kernels: tuple[str, ...]
+
+
+class ReplayResult(NamedTuple):
+    """What :meth:`CudaRuntime.replay_allocations` did."""
+
+    #: calls replayed: every entry but ``cudaHostAlloc`` ones and their
+    #: frees
+    replayed: int
+    #: original -> replayed address of every allocation (translating
+    #: mode; empty in strict mode)
+    translation: dict[int, int]
+    #: the log's still-active ``cudaHostAlloc`` entries, in log order
+    host_allocs: list
+
+
+#: a replay-log entry is an ``(op, nbytes, addr, device)`` tuple; a run
+#: of equal allocations shares its *spec* ``(op, nbytes, device)``
+_SPEC = itemgetter(0, 1, 3)
+_ENTRY_ADDR = itemgetter(2)
+_OP, _NBYTES, _DEVICE = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
+class _ReplayBatch:
+    """Runtime bookkeeping that :meth:`CudaRuntime.replay_allocations`
+    defers: the arenas are carved as the log goes, the rest is applied by
+    :meth:`flush` in bulk, for the allocations still live by then.
+
+    ``made`` maps the address of each live allocation the pass made to
+    its uid, in allocation order, and ``specs`` each uid the pass gave
+    out to its entry's spec (runs share one spec tuple).
+    """
+
+    __slots__ = ("runtime", "calls", "made", "specs", "device", "uid",
+                 "uva_steps")
+
+    def __init__(self, runtime: "CudaRuntime") -> None:
+        self.runtime = runtime
+        #: api_log increments, in first-call order
+        self.calls: dict[str, int] = {}
+        self.made: dict[int, int] = {}
+        self.specs: dict[int, tuple] = {}
+        self.device = runtime.current_device
+        self.uid = next(runtime._buffer_uids)
+        #: UVA epoch steps (one per managed allocation or free)
+        self.uva_steps = 0
+
+    def flush(self) -> None:
+        """Leave the runtime exactly as the calls so far, made one by one
+        through the entry points, would have (idempotent)."""
+        rt = self.runtime
+        api_log = rt.api_log
+        for name, n in self.calls.items():
+            api_log[name] += n
+        self.calls.clear()
+        rt.current_device = self.device
+        rt._buffer_uids = itertools.count(self.uid)
+        if self.uva_steps:  # a managed allocation was made
+            rt._lib_uva_epoch += self.uva_steps
+            rt.ctx.uva_epoch += self.uva_steps
+            rt.uvm.ever_used = True
+            self.uva_steps = 0
+        made = self.made
+        addrs = list(made)
+        uids = list(made.values())
+        specs = list(map(self.specs.__getitem__, uids))
+        buffers = rt.buffers
+        end = 0
+        # One bulk build per stretch of survivors of one allocation op.
+        for op, same in groupby(map(_OP, specs)):
+            start, end = end, end + len(list(same))
+            a, u, s = addrs[start:end], uids[start:end], specs[start:end]
+            if op == "malloc":
+                table = rt.unbuilt_device
+                table.update(zip(a, u))
+                buffers.update(zip(a, map(
+                    DeviceBuffer, a, map(_NBYTES, s), repeat("device"),
+                    map(_DEVICE, s), u, repeat(table),
+                )))
+            elif op == "malloc_host":
+                table = rt.unbuilt_pinned
+                table.update(zip(a, u))
+                buffers.update(zip(a, map(
+                    DeviceBuffer, a, map(_NBYTES, s), repeat("host-pinned"),
+                    repeat(0), u, repeat(table),
+                )))
+                rt._host_origin.update(zip(a, repeat("pinned")))
+            else:  # malloc_managed: eager contents anyway
+                for addr, (_, nbytes, _), uid in zip(a, s, u):
+                    buf = ManagedBuffer(addr=addr, size=nbytes, uid=uid)
+                    rt.uvm.register(buf)
+                    buffers[addr] = buf
+        made.clear()
+        self.specs.clear()
+
+    def delegate(self, entry_point: Callable, arg: int) -> None:
+        """Make one call through its public entry point, on bookkeeping
+        brought up to date first."""
+        self.flush()
+        entry_point(arg)
+        self.uid = next(self.runtime._buffer_uids)
+        self.device = self.runtime.current_device
 
 
 @dataclass
@@ -381,6 +484,147 @@ class CudaRuntime:
         del self.buffers[addr]
         self._lib_uva_epoch += 1
         self.ctx.uva_epoch += 1
+
+    # ------------------------------------------------------------ log replay
+
+    def replay_allocations(
+        self, entries: Iterable[tuple], *, strict: bool = True
+    ) -> ReplayResult:
+        """Re-execute a cudaMalloc-family log (``(op, nbytes, addr,
+        device)`` entries, see :mod:`repro.core.replay_log`) in one pass.
+
+        The runtime ends exactly as calling the entry points one entry at
+        a time leaves it, down to dict orders, uids and ``api_log``, and
+        raises the same errors at the same entry. Each run of equal
+        consecutive allocations is carved with one
+        :meth:`ArenaAllocator.alloc_run`, and each of its addresses is
+        checked. A free of an allocation the pass made is arena work
+        only. Buffer objects and the other bookkeeping are made in bulk
+        for the allocations still live when the pass ends; anything else
+        (a free of an older buffer, a call the entry point rejects) goes
+        through the entry point, on bookkeeping brought up to date.
+        ``cudaHostAlloc`` entries and their frees are not replayed: the
+        caller re-registers the still-active ones, which the result
+        lists.
+
+        In strict mode an allocation landing at another address than the
+        log's raises :class:`ReplayDivergenceError`; otherwise the result
+        maps each original address to the replayed one, and frees follow
+        that map.
+        """
+        translation: dict[int, int] = {}
+        hostalloc_addrs: set[int] = set()
+        host_allocs: dict[int, tuple] = {}
+        replayed = 0
+        ok = self._entry_ok
+        allocs = self._device_allocs
+        batch = _ReplayBatch(self)
+        calls = batch.calls
+        made = batch.made
+        specs = batch.specs
+        try:
+            for spec, group in groupby(entries, _SPEC):
+                op, nbytes, device = spec
+                if op == "free" or op == "free_host" or op == "free_managed":
+                    if op == "free":
+                        freed, name, entry_point = (
+                            "malloc", "cudaFree", self.cudaFree
+                        )
+                    elif op == "free_host":
+                        freed, name, entry_point = (
+                            "malloc_host", "cudaFreeHost", self.cudaFreeHost
+                        )
+                    else:
+                        freed, name, entry_point = (
+                            "malloc_managed", "cudaFree", self.cudaFreeManaged
+                        )
+                    for e in group:
+                        addr = e[2]
+                        if addr in hostalloc_addrs and op == "free_host":
+                            host_allocs.pop(addr, None)  # never replayed
+                            continue
+                        if not strict:
+                            addr = translation.get(addr, addr)
+                        replayed += 1
+                        made_spec = specs.get(made.get(addr))
+                        if made_spec is None or made_spec[0] != freed:
+                            # An older buffer, or a free the entry point
+                            # rejects.
+                            batch.delegate(entry_point, addr)
+                            continue
+                        del made[addr]
+                        calls[name] = calls.get(name, 0) + 1
+                        if op == "free":
+                            allocs[made_spec[2]].free(addr)
+                        elif op == "free_host":
+                            self._pinned_alloc.free(addr)
+                        else:
+                            self._managed_alloc.free(addr)
+                            batch.uva_steps += 1
+                    continue
+                if op == "host_alloc":
+                    for e in group:
+                        hostalloc_addrs.add(e[2])
+                        host_allocs[e[2]] = e
+                    continue
+                if op == "malloc":
+                    name = "cudaMalloc"
+                    if ok and device != batch.device:
+                        if not 0 <= device < len(allocs):
+                            batch.delegate(self.cudaSetDevice, device)  # raises
+                        calls["cudaSetDevice"] = calls.get("cudaSetDevice", 0) + 1
+                        batch.device = device
+                    arena = allocs[device] if ok else None
+                elif op == "malloc_host":
+                    name, arena = "cudaMallocHost", self._pinned_alloc
+                elif op == "malloc_managed":
+                    name, arena = "cudaMallocManaged", self._managed_alloc
+                else:  # pragma: no cover - exhaustive literal
+                    raise AssertionError(op)
+                if not ok:
+                    # A library that takes no calls: the entry point raises.
+                    batch.delegate(getattr(self, name), nbytes)
+                run = list(group)
+                if len(run) == 1:
+                    # Counted first, as the entry point counts a call
+                    # whose allocation fails.
+                    calls[name] = calls.get(name, 0) + 1
+                    carved = [arena.alloc(nbytes)]
+                else:
+                    want = list(map(_ENTRY_ADDR, run))
+                    carved = arena.alloc_run(
+                        nbytes, len(run), want if strict else None
+                    )
+                    calls[name] = calls.get(name, 0) + len(carved)
+                taken = len(carved)
+                uid = batch.uid
+                batch.uid = uid + taken
+                replayed += taken
+                if taken == 1:
+                    made[carved[0]] = uid
+                    specs[uid] = spec
+                else:
+                    uids = range(uid, uid + taken)
+                    made.update(zip(carved, uids))
+                    specs.update(zip(uids, repeat(spec)))
+                if op == "malloc_managed":
+                    batch.uva_steps += taken
+                if not strict:
+                    translation.update(zip(map(_ENTRY_ADDR, run), carved))
+                elif taken and carved[-1] != run[taken - 1][2]:
+                    e = run[taken - 1]
+                    raise ReplayDivergenceError(
+                        f"replayed {e.op}({e.nbytes}) landed at "
+                        f"{carved[-1]:#x}, original was {e.addr:#x} — "
+                        "allocator nondeterminism or changed platform/ASLR"
+                    )
+                if taken < len(run):
+                    # The next call fails (out of memory, a bad size): the
+                    # entry point raises.
+                    batch.delegate(getattr(self, name), nbytes)
+        finally:
+            batch.flush()
+        return ReplayResult(replayed, translation, list(host_allocs.values()))
 
     # -------------------------------------------------------------- memcpy etc.
 

@@ -113,10 +113,10 @@ class CheckpointImage:
     region_captures: list[tuple["MemoryRegion", frozenset[int], int]] = field(
         default_factory=list, repr=False, compare=False
     )
-    #: GPU buffers: a stateful buffer's :class:`PagedContents`, or a
-    #: built-but-pristine :class:`DeviceBuffer` itself
+    #: GPU buffers: the :class:`PagedContents` of each buffer that built
+    #: its contents (a never-built one is in ``unbuilt_capture``)
     contents_captures: list[
-        tuple["PagedContents | DeviceBuffer", tuple[tuple[int, int], ...], int]
+        tuple["PagedContents", tuple[tuple[int, int], ...], int]
     ] = field(default_factory=list, repr=False, compare=False)
     #: per kind, the runtime's never-built table (address -> uid) as it
     #: was at the cut, its buffers in the same order, and the live table:

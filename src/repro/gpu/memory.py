@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import attrgetter
 from typing import Callable
 
@@ -139,14 +140,6 @@ class PagedContents:
     @property
     def dirty_byte_count(self) -> int:
         return self._dirty.byte_count
-
-    @property
-    def pristine(self) -> bool:
-        """True while the contents equal a fresh allocation's and nothing
-        is dirty: no backing spans, fill value 0, no dirty bytes. A
-        checkpoint needs no copy of such a buffer, because restart's
-        malloc-log replay recreates exactly these contents."""
-        return not self._spans and self.fill_value == 0 and not self._dirty
 
     def dirty_page_epochs(self, page_size: int) -> np.ndarray:
         """Page-granular view of the dirty index: per page, the
@@ -398,19 +391,6 @@ class DeviceBuffer:
         return contents
 
     @property
-    def pristine(self) -> bool:
-        """True while the buffer holds a fresh allocation's contents and
-        nothing is dirty (see :attr:`PagedContents.pristine`); answered
-        without building contents."""
-        contents = self._contents
-        return contents is None or contents.pristine
-
-    # A cut records a built-but-pristine buffer itself in
-    # ``CheckpointImage.contents_captures``, so a later write still
-    # shows as post-cut dirtiness; a never-built one reaches it through
-    # ``CheckpointImage.built_since_cut``.
-
-    @property
     def write_seq(self) -> int:
         """The contents' :attr:`PagedContents.write_seq`; 0 while unbuilt."""
         contents = self._contents
@@ -497,7 +477,63 @@ class ArenaAllocator:
                     self.sanitizer.on_arena_alloc(self, addr, need)
                 return addr
         # No free block fits: grow by a new arena (possibly many mmaps).
-        arena_size = max(_align_up(need, 1 << 20), ARENA_CHUNK)
+        self._grow(max(_align_up(need, 1 << 20), ARENA_CHUNK))
+        return self.alloc(nbytes)
+
+    def alloc_run(
+        self, nbytes: int, count: int, expected: list[int] | None = None
+    ) -> list[int]:
+        """Carve ``count`` equal allocations at once: the addresses, free
+        list, active map, arena growth and sanitizer hooks of ``count``
+        sequential :meth:`alloc` calls, with one slice per free block
+        instead of one scan per call.
+
+        The run stops short where the next call would raise (out of
+        memory, or a non-positive size): the caller re-issues that call
+        through :meth:`alloc` to raise its error. With ``expected``, it
+        also stops right after the first address that differs from
+        ``expected`` (replay's divergence point).
+        """
+        if nbytes <= 0:
+            return []
+        need = (nbytes + ALLOC_ALIGN - 1) & ~(ALLOC_ALIGN - 1)
+        # The capacity check of each call, for the whole run at once.
+        count = min(count, max(0, (self.capacity - self._active_bytes) // need))
+        out: list[int] = []
+        free = self._free
+        while len(out) < count:
+            for i, blk in enumerate(free):  # first fit, as each call scans
+                if blk.size >= need:
+                    break
+            else:
+                self._grow(max(_align_up(need, 1 << 20), ARENA_CHUNK))
+                continue
+            taken = min(count - len(out), blk.size // need)
+            addrs = range(blk.start, blk.start + taken * need, need)
+            if expected is not None:
+                want = expected[len(out):len(out) + taken]
+                if want != list(addrs):
+                    taken = next(
+                        k for k, (a, b) in enumerate(zip(addrs, want)) if a != b
+                    ) + 1
+                    addrs = addrs[:taken]
+                    count = len(out) + taken  # stop at the divergent call
+            self.active.update(zip(addrs, repeat(need)))
+            self._active_bytes += taken * need
+            out += addrs
+            if blk.size == taken * need:
+                del free[i]
+            else:
+                blk.start += taken * need
+                blk.size -= taken * need
+            if self.sanitizer is not None:
+                for addr in addrs:
+                    self.sanitizer.on_arena_alloc(self, addr, need)
+        return out
+
+    def _grow(self, arena_size: int) -> None:
+        """Map one more arena (and its bookkeeping pages) into the free
+        list."""
         base = self._mmap(arena_size)
         self.mmap_calls += 1
         for _ in range(self.extra_mmaps_per_arena):
@@ -505,7 +541,6 @@ class ArenaAllocator:
             self.mmap_calls += 1
         self.arena_bytes += arena_size
         self._insert_free(_FreeBlock(base, arena_size))
-        return self.alloc(nbytes)
 
     def free(self, addr: int) -> int:
         """Release an allocation; returns its size."""
@@ -567,13 +602,7 @@ class ArenaAllocator:
                     return
             # Not covered yet: grow by one arena (same deterministic path
             # the original allocation took).
-            base = self._mmap(ARENA_CHUNK)
-            self.mmap_calls += 1
-            for _ in range(self.extra_mmaps_per_arena):
-                self._mmap(1 << 16)
-                self.mmap_calls += 1
-            self.arena_bytes += ARENA_CHUNK
-            self._insert_free(_FreeBlock(base, ARENA_CHUNK))
+            self._grow(ARENA_CHUNK)
         raise _program_error(
             "INVALID_VALUE",
             f"could not reserve {addr:#x}+{nbytes:#x}: address outside any arena",

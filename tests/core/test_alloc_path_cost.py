@@ -34,10 +34,11 @@ CALL_BUDGET = 6
 DATA_PATH_BUDGETS = {"launch": 11, "memset": 16, "memcpy-h2d": 25,
                      "memcpy-d2h": 19}
 #: Python-level calls ``restart`` may make per replayed ``cudaMalloc`` of
-#: a buffer nothing ever wrote: the runtime entry point, the arena and
-#: the buffer object, no contents (6 while every buffer built its
-#: contents and dirty index up front)
-RESTART_MALLOC_CALL_BUDGET = 4
+#: a buffer nothing ever wrote, in a run of equal mallocs: the buffer
+#: object alone; the run is one arena carve (6 while every buffer built
+#: its contents and dirty index up front, 4 while replay called the
+#: runtime entry point and the arena once per entry)
+RESTART_MALLOC_CALL_BUDGET = 1
 
 
 def test_warm_malloc_and_free_stay_within_call_budget():
@@ -88,7 +89,11 @@ def _restart_calls(n_buffers: int) -> int:
     return calls
 
 
-def test_restart_replays_untouched_malloc_within_call_budget():
+def test_restart_replays_untouched_malloc_within_call_budget(
+    no_cycle_collector,
+):
+    # No cycle collection mid-restart: a gc callback another library
+    # registered (hypothesis) would add its own frames to the count.
     per_malloc = (_restart_calls(150) - _restart_calls(50)) / 100
     assert per_malloc <= RESTART_MALLOC_CALL_BUDGET, per_malloc
 
@@ -103,11 +108,12 @@ def test_device_buffer_builds_contents_on_first_use(monkeypatch):
 
     monkeypatch.setattr(PagedContents, "__init__", counting_init)
     buf = DeviceBuffer(0x1000, 512, "device")
-    assert buf.pristine and buf.write_seq == 0 and buf.dirty_bytes_since(0) == 0
+    assert buf.write_seq == 0 and buf.dirty_bytes_since(0) == 0
     assert built == []
     contents = buf.contents
     assert built == [contents] and buf.contents is contents
-    assert contents.size == 512 and contents.pristine
+    assert contents.size == 512 and contents.backed_bytes == 0
+    assert contents.fill_value == 0 and not contents.dirty_spans()
     assert not hasattr(buf, "__dict__")
 
 

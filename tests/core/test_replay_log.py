@@ -40,9 +40,9 @@ class TestReplay:
         backend = CracBackend(split.runtime)
         record_workload(backend)
         fresh = SplitProcess(seed=5)
-        replayed = backend.log.replay(fresh.runtime)
+        result = backend.log.replay(fresh.runtime)
         # all 9 ops minus host_alloc (skipped) = 8
-        assert replayed == 8
+        assert result.replayed == 8
 
     def test_divergence_detected(self):
         log = ReplayLog()

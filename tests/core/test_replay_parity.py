@@ -1,0 +1,403 @@
+"""Bulk log replay leaves the runtime exactly as per-call replay does.
+
+``CudaRuntime.replay_allocations`` carves each run of equal mallocs with
+one arena call and builds buffer objects once, for the allocations that
+survive the log. The reference here replays entry by entry through the
+public ``cudaMalloc``/``cudaFree``/``cudaMallocHost``/``cudaFreeHost``/
+``cudaMallocManaged``/``cudaFreeManaged`` entry points, as the replay
+loop did before. Both run on twin runtimes, and everything observable
+must agree, dict orders included: the buffer table (each buffer's kind,
+size, device, uid and never-built table), both never-built tables, the
+pinned-origin table, ``api_log``, every arena's free list, active map,
+mmap count and arena bytes, the lower half's mappings, both UVA epochs,
+the UVM manager, the current device and the next uid, plus the result
+(calls replayed, translation map, still-active ``cudaHostAlloc``
+entries) or the error raised. The restart delta-chain walk keys buffers
+by (address, uid), so a wrong build order shows up here as wrong uids.
+"""
+
+import pytest
+
+from repro.apps import Hpgmg, Hypre, Lulesh, SimpleStreams, UnifiedMemoryStreams
+from repro.apps.base import AppContext
+from repro.apps.rodinia import RODINIA_SUITE
+from repro.core import CracSession, ReplayLog, SplitProcess
+from repro.core.replay_log import LogEntry
+from repro.errors import CudaError, ReplayDivergenceError
+from repro.sanitizer import Sanitizer
+
+#: the applications of the bench's apps-restart workload
+APPS = tuple(RODINIA_SUITE) + (
+    SimpleStreams, UnifiedMemoryStreams, Lulesh, Hpgmg, Hypre,
+)
+
+
+def reference_replay(runtime, entries, *, strict=True):
+    """Per-call replay through the public entry points."""
+    allocs = {
+        "malloc": runtime.cudaMalloc,
+        "malloc_host": runtime.cudaMallocHost,
+        "malloc_managed": runtime.cudaMallocManaged,
+    }
+    frees = {
+        "free": runtime.cudaFree,
+        "free_host": runtime.cudaFreeHost,
+        "free_managed": runtime.cudaFreeManaged,
+    }
+    translation = {}
+    hostalloc_addrs = set()
+    replayed = 0
+    for e in entries:
+        if e.op == "host_alloc":
+            hostalloc_addrs.add(e.addr)
+            continue
+        if e.op == "free_host" and e.addr in hostalloc_addrs:
+            continue
+        if e.op in frees:
+            frees[e.op](e.addr if strict else translation.get(e.addr, e.addr))
+            replayed += 1
+            continue
+        if e.op == "malloc" and runtime.current_device != e.device:
+            runtime.cudaSetDevice(e.device)
+        got = allocs[e.op](e.nbytes)
+        replayed += 1
+        if not strict:
+            translation[e.addr] = got
+        elif got != e.addr:
+            raise ReplayDivergenceError(
+                f"replayed {e.op}({e.nbytes}) landed at {got:#x}, "
+                f"original was {e.addr:#x} — allocator nondeterminism "
+                "or changed platform/ASLR"
+            )
+    host_allocs = [
+        e for e in ReplayLog(list(entries)).active_allocations().values()
+        if e.op == "host_alloc"
+    ]
+    return replayed, translation, host_allocs
+
+
+def runtime_state(split: SplitProcess) -> dict:
+    """Every observable the replay touches, in dict order."""
+    rt = split.runtime
+    tables = {id(rt.unbuilt_device): "device", id(rt.unbuilt_pinned): "pinned"}
+    arenas = [*rt._device_allocs, rt._pinned_alloc, rt._hostalloc_alloc,
+              rt._managed_alloc]
+    return {
+        "buffers": [
+            (addr, type(b).__name__, getattr(b, "kind", "managed"), b.size,
+             getattr(b, "device_index", None), b.uid, b.freed,
+             tables.get(id(getattr(b, "unbuilt", None))))
+            for addr, b in rt.buffers.items()
+        ],
+        "unbuilt_device": list(rt.unbuilt_device.items()),
+        "unbuilt_pinned": list(rt.unbuilt_pinned.items()),
+        "host_origin": list(rt._host_origin.items()),
+        "api_log": list(rt.api_log.items()),
+        "arenas": [
+            ([(b.start, b.size) for b in a._free], list(a.active.items()),
+             a.active_bytes, a.mmap_calls, a.arena_bytes)
+            for a in arenas
+        ],
+        "lower": split.lower_ranges(),
+        "uva_epochs": (rt._lib_uva_epoch, rt.ctx.uva_epoch),
+        "uvm": (list(rt.uvm.buffers), rt.uvm.ever_used),
+        "current_device": rt.current_device,
+        "next_uid": repr(rt._buffer_uids),
+    }
+
+
+def _outcome(fn):
+    try:
+        return ("ok", fn())
+    except (CudaError, ReplayDivergenceError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "code", None))
+
+
+def assert_parity(make, entries, *, strict=True, prepare=None):
+    """Replay ``entries`` in bulk and per call onto twin runtimes built by
+    ``make``; both must end in the same state with the same outcome."""
+    bulk, ref = make(), make()
+    if prepare is not None:
+        prepare(bulk)
+        prepare(ref)
+    got = _outcome(lambda: tuple(
+        ReplayLog(list(entries)).replay(bulk.runtime, strict=strict)
+    ))
+    want = _outcome(lambda: reference_replay(ref.runtime, entries,
+                                             strict=strict))
+    assert got == want
+    assert runtime_state(bulk) == runtime_state(ref)
+    return got
+
+
+def fresh(**kw):
+    return lambda: SplitProcess(seed=0, load_upper=False, **kw)
+
+
+def recorded(steps, **kw) -> list[LogEntry]:
+    """The log a live session records for ``steps(backend)``."""
+    session = CracSession(seed=0, **kw)
+    steps(session.backend)
+    return list(session.backend.log.entries)
+
+
+# -- corpus: the apps-restart applications, cut at several points -----------
+
+
+def _app_logs(cls) -> list[list[LogEntry]]:
+    session = CracSession(seed=0)
+    cuts: list[list[LogEntry]] = []
+    ctx = AppContext(
+        backend=session.backend, upper_mmap=session.split.upper_mmap,
+        checkpoint_cb=lambda _p: cuts.append(list(session.backend.log.entries)),
+    )
+    cls(scale=0.05, seed=0).run(ctx)
+    cuts.append(list(session.backend.log.entries))
+    distinct = {len(c): c for c in cuts}
+    lengths = sorted(distinct)
+    picks = {lengths[0], lengths[len(lengths) // 2], lengths[-1]}
+    return [distinct[n] for n in sorted(picks)]
+
+
+@pytest.mark.parametrize("cls", APPS, ids=lambda c: c.__name__)
+def test_app_logs_replay_in_bulk_like_per_call(cls):
+    for entries in _app_logs(cls):
+        assert assert_parity(fresh(), entries)[0] == "ok"
+
+
+def test_corpus_holds_runs_of_equal_mallocs():
+    entries = _app_logs(Hpgmg)[-1]
+    result = ReplayLog(entries).replay(SplitProcess(seed=0).runtime)
+    assert result.replayed == len(entries)
+    # HPGMG-FV's equal-size mallocs: the runs the bulk carve exists for
+    runs = [e for a, e in zip(entries, entries[1:])
+            if e.op == "malloc" and a[:2] == e[:2] and a.device == e.device]
+    assert len(runs) > len(entries) // 4
+
+
+# -- crafted cases ----------------------------------------------------------------
+
+
+def test_run_crossing_arena_growth():
+    def steps(b):
+        b.malloc(48 << 20)
+        for _ in range(12):
+            b.malloc(10 << 20)  # the third of these grows a second arena
+
+    entries = recorded(steps)
+    assert assert_parity(fresh(), entries)[0] == "ok"
+    rt = SplitProcess(seed=0, load_upper=False).runtime
+    ReplayLog(entries).replay(rt)
+    assert rt._device_allocs[0].mmap_calls > 4  # grew mid-run
+
+
+@pytest.mark.parametrize("sizes", [
+    [1 << 20] * 10,  # in the middle of a run
+    [1 << 20, 1 << 20, 8 << 20],  # at a malloc of its own
+], ids=["run", "single"])
+def test_out_of_memory_raises_like_the_entry_point(sizes):
+    entries = recorded(lambda b: [b.malloc(n) for n in sizes])
+
+    def small(split):
+        split.runtime._device_allocs[0].capacity = (11 << 20) // 2
+
+    got = assert_parity(fresh(), entries, prepare=small)
+    assert got[0] == "CudaError" and "out of device memory" in got[1]
+
+
+def test_free_of_a_run_member_then_reuse():
+    def steps(b):
+        ptrs = [b.malloc(256) for _ in range(10)]
+        b.free(ptrs[4])
+        b.free(ptrs[0])
+        for _ in range(5):
+            b.malloc(256)
+        b.free(ptrs[9])
+
+    assert assert_parity(fresh(), recorded(steps))[0] == "ok"
+
+
+def test_device_switch_splits_a_run():
+    def steps(b):
+        for device in (0, 1, 1, 0):
+            b.set_device(device)
+            for _ in range(3):
+                b.malloc(4096)
+        b.malloc_host(4096)
+
+    entries = recorded(steps, n_gpus=2)
+    assert assert_parity(fresh(n_gpus=2), entries)[0] == "ok"
+
+
+def test_invalid_device_raises_like_cuda_set_device():
+    entries = [LogEntry("malloc", 256, 0x1000, 3)]
+    got = assert_parity(fresh(), entries)
+    assert got[0] == "CudaError" and "cudaSetDevice(3)" in got[1]
+
+
+@pytest.mark.parametrize("k", [0, 3, 9])
+def test_divergence_at_the_kth_run_element(k):
+    entries = recorded(lambda b: [b.malloc(256) for _ in range(10)])
+    entries[k] = entries[k]._replace(addr=0xDEAD_0000)
+    got = assert_parity(fresh(), entries)
+    assert got[0] == "ReplayDivergenceError"
+    assert "original was 0xdead0000" in got[1]
+
+
+def test_every_family_with_host_allocs():
+    def steps(b):
+        d = [b.malloc(1024) for _ in range(4)]
+        m = [b.malloc_managed(1 << 16) for _ in range(3)]
+        h = [b.malloc_host(512) for _ in range(3)]
+        ha = [b.host_alloc(2048) for _ in range(3)]
+        b.free(d[1])
+        b.free(m[0])
+        b.free_host(h[2])
+        b.free_host(ha[1])
+        b.malloc(333)
+        b.malloc_managed(1 << 16)
+        b.host_alloc(2048)
+        b.malloc_host(512)
+
+    got = assert_parity(fresh(), recorded(steps))
+    assert got[0] == "ok"
+    replayed, _, host_allocs = got[1]
+    assert replayed == 16 and len(host_allocs) == 3
+
+
+@pytest.mark.parametrize("bad", [
+    LogEntry("free", 0, 0x1234_5000),  # a pointer nothing returned
+    LogEntry("free_host", 0, 0x1234_5000),
+    LogEntry("free_managed", 0, 0x1234_5000),
+])
+def test_rejected_free_raises_like_the_entry_point(bad):
+    entries = recorded(lambda b: [b.malloc(256) for _ in range(3)]) + [bad]
+    assert assert_parity(fresh(), entries)[0] == "CudaError"
+
+
+def test_free_of_the_wrong_family_raises_like_the_entry_point():
+    def steps(b):
+        b.malloc(256)
+        b.malloc_host(256)
+
+    entries = recorded(steps)
+    pinned = entries[1].addr
+    assert assert_parity(fresh(), entries + [LogEntry("free", 0, pinned)])[0] \
+        == "CudaError"
+
+
+def test_destroyed_library_raises_like_the_entry_point():
+    entries = recorded(lambda b: [b.malloc(256) for _ in range(3)])
+    got = assert_parity(fresh(), entries,
+                        prepare=lambda split: split.runtime.destroy())
+    assert got[0] == "CudaError"
+
+
+def test_suffix_onto_a_live_runtime_that_frees_preexisting_buffers():
+    def live():
+        session = CracSession(seed=0)
+        b = session.backend
+        ptrs = [b.malloc(256) for _ in range(6)]
+        b.device_view(ptrs[2], 16)[:] = 7  # built: leaves never-built
+        b.malloc_host(512)
+        b.malloc_managed(1 << 16)
+        session.live = ptrs
+        return session
+
+    probe = live()
+    start = len(probe.backend.log)
+    b = probe.backend
+    b.free(probe.live[1])
+    b.free(probe.live[2])
+    more = [b.malloc(256) for _ in range(4)]
+    b.free(more[0])
+    b.free(probe.live[5])
+    b.malloc(256)
+    suffix = list(b.log.entries[start:])
+    assert assert_parity(lambda: live().split, suffix)[0] == "ok"
+
+
+def test_sanitizer_hooks_fire_per_address():
+    def steps(b):
+        ptrs = [b.malloc(256) for _ in range(8)]
+        b.free(ptrs[3])
+        b.free(ptrs[6])
+        for _ in range(4):
+            b.malloc(256)
+        b.free_host(b.malloc_host(512))
+
+    entries = recorded(steps)
+    events = {}
+
+    def attach(split):
+        sanitizer = Sanitizer()
+        sanitizer.attach(split.runtime)
+        seen = events.setdefault(id(split), [])
+        for name in ("on_arena_alloc", "on_arena_free"):
+            hook = getattr(sanitizer, name)
+            setattr(sanitizer, name, lambda arena, addr, size, _h=hook,
+                    _n=name: (seen.append((_n, addr, size)), _h(arena, addr, size)))
+        split.sanitizer = sanitizer
+
+    splits = []
+
+    def make():
+        split = SplitProcess(seed=0, load_upper=False)
+        splits.append(split)
+        return split
+
+    assert assert_parity(make, entries, prepare=attach)[0] == "ok"
+    bulk, ref = splits
+    assert events[id(bulk)] == events[id(ref)]
+    assert len(events[id(bulk)]) == 16
+    assert bulk.sanitizer._freed == ref.sanitizer._freed
+
+
+def test_translating_mode_builds_the_same_map():
+    def steps(b):
+        ptrs = [b.malloc(256) for _ in range(5)]
+        b.free(ptrs[1])
+        b.malloc_managed(1 << 16)
+        b.malloc(256)
+        b.free(ptrs[4])
+        b.free_host(b.malloc_host(128))
+
+    def shifted(split):
+        # The layout moves: nothing lands where the log says.
+        split.runtime.cudaMalloc(4096)
+        split.runtime.cudaMallocHost(64)
+        split.runtime.cudaMallocManaged(4096)
+
+    got = assert_parity(fresh(), recorded(steps), strict=False,
+                        prepare=shifted)
+    assert got[0] == "ok"
+    translation = got[1][1]
+    assert translation and all(a != b for a, b in translation.items())
+
+
+# -- restart counts the same calls in both modes -----------------------------
+
+
+def test_translating_restart_counts_only_replayed_calls():
+    """A 6-entry log with two cudaHostAlloc entries and one free of them:
+    restart replays three calls in either mode and charges them alike."""
+
+    def restart(address_virtualization):
+        session = CracSession(
+            seed=0, address_virtualization=address_virtualization
+        )
+        b = session.backend
+        d = b.malloc(4096)
+        ha = b.host_alloc(2048)
+        b.host_alloc(2048)
+        b.free_host(ha)
+        b.malloc_host(512)
+        b.free(d)
+        assert len(b.log) == 6
+        image = session.checkpoint()
+        session.kill()
+        return session.restart(image)
+
+    strict, translating = restart(False), restart(True)
+    assert strict.replayed_calls == translating.replayed_calls == 3
+    assert strict.replay_ns == translating.replay_ns

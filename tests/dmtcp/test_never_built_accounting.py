@@ -2,7 +2,7 @@
 per-address entries.
 
 The reference model is the staging and refill chain walk the record
-replaced: a cut stages one entry per live allocation (a pristine one
+replaced: a cut stages one entry per live allocation (a never-built one
 copies nothing), and restart walks every entry's delta run. A twin
 session runs the model. Hypothesis drives both sessions through the same
 steps: device, pinned and managed allocations, writes, zero memsets,
@@ -42,7 +42,7 @@ class ReferencePlugin(CracPlugin):
         captures = image.contents_captures
         for buf in runtime.active_allocations():
             is_managed = isinstance(buf, ManagedBuffer)
-            if not is_managed and buf.pristine:
+            if not is_managed and buf.unbuilt is not None:  # never built
                 image_bytes = 0 if delta else buf.size
                 pcie_bytes = image_bytes if buf.kind == "device" else 0
                 drain_bytes += pcie_bytes
@@ -289,7 +289,7 @@ def stage_charges(monkeypatch):
 
 #: scripts every run checks: a never-written buffer at a reused address
 #: (its uid ends the run), uids renumbered by a restart around a
-#: cudaHostAlloc, a built-but-pristine buffer restored as never built,
+#: cudaHostAlloc, a buffer zeroed by memset and clean after its cut,
 #: first writes inside forked and speculative windows, and a
 #: never-written buffer whose address and uid meet a written one's in
 #: an older image again after a restart (a freed cudaHostAlloc is not

@@ -1,16 +1,19 @@
-"""Edge cases of the pristine-buffer rule, per allocation family.
+"""Edge cases of the never-built rule, per allocation family.
 
-A cut copies nothing for a *pristine* buffer (non-managed, no backing
-spans, fill value 0, nothing dirty): restart's malloc-log replay
-recreates exactly its contents. Each case below drives one buffer of one
-allocation family (``cudaMalloc``, ``cudaMallocHost``, ``cudaHostAlloc``)
-through a full → incremental → incremental chain committed to a store,
-restarts from the newest generation, and pins what comes back to
-literals recorded before the rule existed: the restored bytes, the
-refilled PCIe bytes and every image's size (and, for the forked case,
-the copy-on-write charge). The speculative case, recorded before
-buffers built their contents lazily, pins the validation outcome of a
-first write that lands inside the capture window.
+A cut copies nothing for a buffer that never built its contents: it
+goes into the image's ``crac/never-built`` record, because restart's
+malloc-log replay recreates exactly its bytes. A buffer that built its
+contents gets an explicit entry that copies them, even when they are
+back to a fresh allocation's (a zero memset, clean after its cut). Each
+case below drives one buffer of one allocation family (``cudaMalloc``,
+``cudaMallocHost``, ``cudaHostAlloc``) through a full → incremental →
+incremental chain committed to a store, restarts from the newest
+generation, and pins how each image records the buffer, plus what comes
+back to literals recorded before any buffer skipped its copy: the
+restored bytes, the refilled PCIe bytes and every image's size (and, for
+the forked case, the copy-on-write charge). The speculative case,
+recorded before buffers built their contents lazily, pins the validation
+outcome of a first write that lands inside the capture window.
 """
 
 import zlib
@@ -97,6 +100,15 @@ def run_case(family: str, case: str) -> dict:
         inc1 = session.checkpoint(incremental=True, parent=base, store=store)
     inc2 = session.checkpoint(incremental=True, parent=inc1, store=store)
 
+    recorded = []
+    for img in (base, inc1, inc2):
+        record = img.blobs.get("crac/never-built")
+        if record is not None and p in record.payload["uids"]:
+            recorded.append("never-built")
+        elif p in img.blob("crac/buffers"):
+            recorded.append("entry")
+        else:
+            recorded.append(None)
     session.kill()
     report = session.restart_latest(store)
     restored = backend.device_view(p, SIZE).tobytes()
@@ -106,13 +118,26 @@ def run_case(family: str, case: str) -> dict:
         "refilled_bytes": report.refilled_bytes,
         "size_bytes": [img.size_bytes for img in (base, inc1, inc2)],
         "cow_time_ns": cow_time_ns,
+        "recorded": tuple(recorded),
     }
     if validation is not None:
         out["validation"] = validation
     return out
 
 
-#: recorded before pristine buffers skipped their copy
+#: per case, how the base, first and second incremental image record
+#: the buffer; the same for every family
+RECORDED = {
+    "untouched": ("never-built",) * 3,
+    "written-after-base": ("never-built", "entry", "entry"),
+    "freed-reused": ("entry", "never-built", "never-built"),
+    "memset-zero": ("entry",) * 3,
+    "memset-nonzero": ("never-built", "entry", "entry"),
+    "forked-window": ("never-built", "never-built", "entry"),
+    "speculative-window": ("never-built", "never-built", "entry"),
+}
+
+#: recorded before buffers skipped their copy
 GOLDEN: dict = {'cudaMalloc-untouched': {'digest': 3617033963,
                           'refilled_bytes': 65536,
                           'size_bytes': [16973824, 0, 0],
@@ -210,4 +235,8 @@ GOLDEN.update({
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("family", FAMILIES)
 def test_pristine_rule_matches_recorded_cut(family, case):
-    assert run_case(family, case) == GOLDEN[f"{family}-{case}"]
+    """A buffer holding a fresh allocation's bytes because it never built
+    its contents copies nothing, and restores as if it had."""
+    got = run_case(family, case)
+    assert got.pop("recorded") == RECORDED[case]
+    assert got == GOLDEN[f"{family}-{case}"]

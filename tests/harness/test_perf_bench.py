@@ -22,7 +22,8 @@ from repro.core.replay_log import LogEntry, ReplayLog
 from repro.core import trampoline
 from repro.core.trampoline import CracBackend
 from repro.gpu.intervals import SpanSet
-from repro.gpu.memory import DeviceBuffer, PagedContents
+from repro.gpu import memory
+from repro.gpu.memory import ArenaAllocator, PagedContents
 from repro.harness.perf_bench import (
     LAYERS,
     PYTHON,
@@ -49,6 +50,9 @@ SMALL = {
     "seed": 0,
     "python": PYTHON,
 }
+#: SMALL with HPGMG-FV, whose log holds runs of equal mallocs (Gaussian's
+#: four mallocs all differ in size)
+RUNS = {**SMALL, "capture_apps": ["HPGMG-FV"], "scale": 0.02}
 
 
 class TestTraces:
@@ -122,6 +126,11 @@ class TestTraces:
 @pytest.fixture(scope="module")
 def small_report():
     return {**run_perf_bench(**SMALL), "config": SMALL}
+
+
+@pytest.fixture(scope="module")
+def runs_report():
+    return {**run_perf_bench(**RUNS), "config": RUNS}
 
 
 def _failing(report, recorded):
@@ -219,6 +228,17 @@ def _step_by_step_dispatch(
         coordinator.notify_call()
 
 
+def _carve_one_at_a_time(self, nbytes, count, expected=None):
+    """``ArenaAllocator.alloc_run`` as one ``alloc`` call per malloc of
+    the run (the same addresses, and the same stop at divergence)."""
+    out = []
+    for want in expected or [None] * count:
+        out.append(self.alloc(nbytes))
+        if want is not None and out[-1] != want:
+            break
+    return out
+
+
 def _filed_under(module, fn):
     """``fn`` with its code filed under ``module``'s source file, so the
     perf counts attribute its frames to that module's layer."""
@@ -232,17 +252,18 @@ class TestPlantedRegressions:
     """The host-cost regressions the suite exists for each fail the gate
     on the layer that caused them."""
 
-    def test_no_buffer_stays_pristine_fails_on_gpu(
-        self, small_report, monkeypatch
+    def test_replay_carving_one_malloc_at_a_time_fails_on_gpu(
+        self, runs_report, monkeypatch
     ):
-        monkeypatch.setattr(DeviceBuffer, "pristine", property(lambda s: False))
-        failing = _failing(run_perf_bench(**SMALL) | {"config": SMALL},
-                           small_report)
-        assert "calls.capture.gpu vs baseline" in failing
-        assert "calls.restart.gpu vs baseline" in failing
-        assert {
-            name.removesuffix(" vs baseline").split(".")[2] for name in failing
-        } == {"gpu"}
+        # Filed under the allocator, as the run carve it replaces is: the
+        # extra frames are arena calls, so only gpu may move, and only
+        # restart replays a log.
+        monkeypatch.setattr(ArenaAllocator, "alloc_run", _filed_under(
+            memory, _carve_one_at_a_time
+        ))
+        failing = _failing(run_perf_bench(**RUNS) | {"config": RUNS},
+                           runs_report)
+        assert failing == ["calls.restart.gpu vs baseline"]
 
     def test_step_by_step_trampoline_fails_on_linux(
         self, small_report, monkeypatch
