@@ -12,33 +12,30 @@ so analysing a broken tree can never crash the analyser):
   capture digests, device pointers escaping into module-level host
   containers, stream/event use-after-destroy, and launches with no
   statically reachable sync before a checkpoint cut.
-- **lint** (:mod:`repro.sanitizer.lint`, re-hosted here) — the
-  per-line determinism rules, upgraded with import-binding resolution
-  so aliased imports (``from time import time``) no longer evade them.
+- **lint** (:mod:`repro.analysis.lint`) — the per-line determinism
+  rules: nondeterministic calls (resolved through import bindings, so
+  aliased imports like ``from time import time`` do not evade them),
+  raw raises in CUDA call paths, and dict-order iteration in capture
+  and restore paths. It also reads the deliberate-violation libraries
+  the other two passes leave out.
 
-Findings (:mod:`repro.analysis.findings`) route severity through the
-``cuda/errors.py`` taxonomy, honour ``# lint: allow`` suppressions,
-diff against a committed baseline (``benchmarks/ANALYSIS_baseline.json``)
-and export SARIF. ``repro analyze`` is the CLI; the ``analyze`` CI job
-fails on any unbaselined finding.
+Every file is parsed once into a :class:`~repro.analysis.astutil.PackageIndex`
+that all three passes walk; a file that does not parse is a
+``lint/syntax`` finding. Findings (:mod:`repro.analysis.findings`) route
+severity through the ``cuda/errors.py`` taxonomy, honour
+``# lint: allow`` suppressions, diff against a committed baseline
+(``benchmarks/ANALYSIS_baseline.json``) and export SARIF.
+``repro analyze`` is the CLI; the ``analyze`` CI job fails on any
+unbaselined finding.
 """
 
-# Exports resolve lazily: the sanitizer lint imports
-# repro.analysis.bindings (triggering this __init__), and the engine
-# imports the lint — an eager engine import here would be a cycle.
-_ENGINE_EXPORTS = {"analyze_package", "analyze_sources", "run_corpus_gate"}
-_FINDING_EXPORTS = {"Baseline", "Finding"}
+from repro.analysis.engine import analyze_package, analyze_sources, run_corpus_gate
+from repro.analysis.findings import Baseline, Finding
 
-__all__ = sorted(_ENGINE_EXPORTS | _FINDING_EXPORTS)
-
-
-def __getattr__(name: str):
-    if name in _ENGINE_EXPORTS:
-        from repro.analysis import engine
-
-        return getattr(engine, name)
-    if name in _FINDING_EXPORTS:
-        from repro.analysis import findings
-
-        return getattr(findings, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = [
+    "Baseline",
+    "Finding",
+    "analyze_package",
+    "analyze_sources",
+    "run_corpus_gate",
+]

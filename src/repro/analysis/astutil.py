@@ -4,7 +4,9 @@ A :class:`PackageIndex` holds every parsed module of the tree under
 analysis, keyed by repo-relative posix path. It can be built from a
 directory (the real tree) or from an in-memory ``{relpath: source}``
 dict (the planted-violation corpus) — both go through the same passes,
-which is what makes the corpus a faithful gate.
+which is what makes the corpus a faithful gate. Each file is parsed
+once; a file that does not parse becomes a ``lint/syntax`` finding and
+no pass sees it.
 
 The call graph is *name-based*: a call ``self.arena.alloc(...)``
 reaches every ``def alloc`` in the package. Deliberately
@@ -19,11 +21,17 @@ from __future__ import annotations
 import ast
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
-#: deliberate-violation libraries, excluded from whole-repo analysis
-EXCLUDED_PARTS = ("sanitizer/planted.py", "analysis/corpus.py")
+from repro.analysis.bindings import ImportBindings
+from repro.analysis.findings import Finding
+
+#: deliberate-violation libraries (``sanitizer/planted.py`` plants
+#: runtime hazards, ``analysis/corpus.py`` static ones): only the lint
+#: pass reads them, the wiring and taint passes leave them out
+LINT_ONLY_PARTS = ("sanitizer/planted.py", "analysis/corpus.py")
 
 SUPPRESS_MARK = "lint: allow"
 
@@ -41,44 +49,49 @@ class ModuleInfo:
         line = getattr(node, "lineno", 0) - 1
         return 0 <= line < len(self.lines) and SUPPRESS_MARK in self.lines[line]
 
+    @cached_property
+    def bindings(self) -> ImportBindings:
+        """The module's import bindings, shared by the taint and lint
+        passes."""
+        return ImportBindings.collect(self.tree)
+
 
 class PackageIndex:
-    """All modules of one tree plus a package-wide function-name map."""
+    """All modules of one tree plus a package-wide function-name map.
 
-    def __init__(self, modules: dict[str, ModuleInfo]) -> None:
-        self.modules = modules
+    ``modules`` is what every pass reads; ``lint_only`` holds the
+    :data:`LINT_ONLY_PARTS` modules; ``syntax_errors`` holds one
+    ``lint/syntax`` finding per file that did not parse.
+    """
+
+    def __init__(self, sources: dict[str, str]) -> None:
+        self.modules: dict[str, ModuleInfo] = {}
+        self.lint_only: dict[str, ModuleInfo] = {}
+        self.syntax_errors: list[Finding] = []
+        for rel, source in sources.items():
+            try:
+                tree = ast.parse(source, filename=rel)
+            except SyntaxError as exc:
+                self.syntax_errors.append(
+                    Finding("lint", "lint/syntax", rel, exc.lineno or 0, str(exc.msg))
+                )
+                continue
+            lint_only = any(part in rel for part in LINT_ONLY_PARTS)
+            table = self.lint_only if lint_only else self.modules
+            table[rel] = ModuleInfo(rel, tree, source.splitlines())
         self._functions: dict[str, list[tuple[ModuleInfo, ast.AST]]] | None = None
 
     @classmethod
-    def from_dir(
-        cls,
-        root: str | Path,
-        *,
-        rel_to: Path | None = None,
-        exclude_parts: Iterable[str] = EXCLUDED_PARTS,
-    ) -> "PackageIndex":
-        """Parse every ``*.py`` under ``root`` (skipping exclusions)."""
+    def from_dir(cls, root: str | Path) -> "PackageIndex":
+        """Parse every ``*.py`` under ``root``, keyed relative to its
+        parent (``src/repro`` -> ``repro/...``)."""
         root = Path(root)
-        base = rel_to if rel_to is not None else root.parent
-        modules: dict[str, ModuleInfo] = {}
-        for path in sorted(root.rglob("*.py")):
-            rel = path.relative_to(base).as_posix()
-            if any(part in rel for part in exclude_parts):
-                continue
-            source = path.read_text()
-            modules[rel] = ModuleInfo(
-                rel, ast.parse(source, filename=str(path)), source.splitlines()
-            )
-        return cls(modules)
-
-    @classmethod
-    def from_sources(cls, sources: dict[str, str]) -> "PackageIndex":
-        """Parse an in-memory tree (corpus scenarios, tests)."""
-        modules = {
-            rel: ModuleInfo(rel, ast.parse(src, filename=rel), src.splitlines())
-            for rel, src in sources.items()
-        }
-        return cls(modules)
+        return cls(
+            {
+                path.relative_to(root.parent).as_posix(): path.read_text()
+                for path in sorted(root.rglob("*.py"))
+            }
+        )
 
     def find(self, *suffixes: str) -> ModuleInfo | None:
         """First module whose path ends with any of ``suffixes``."""

@@ -13,6 +13,10 @@ rule looks at them:
 Relative imports (``from .foo import bar``) resolve to nothing — they
 can only name package-local modules, never the stdlib sources the
 nondeterminism rules care about.
+
+:func:`nondet_source` is the one classifier of nondeterministic calls:
+the lint's ``nondeterminism`` rule flags the call, the taint pass
+tracks where its value flows.
 """
 
 from __future__ import annotations
@@ -21,6 +25,56 @@ import ast
 
 #: aliases normalised to their canonical module name
 _CANONICAL_HEADS = {"np": "numpy"}
+
+_CLOCK_FNS = {
+    "time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
+    "monotonic_ns", "clock_gettime", "process_time",
+}
+_DATETIME_FNS = {"now", "utcnow", "today"}
+_RANDOM_FNS = {
+    "random", "randint", "randrange", "uniform", "gauss", "normalvariate",
+    "betavariate", "expovariate", "choice", "choices", "shuffle", "sample",
+    "seed", "getrandbits", "triangular", "vonmisesvariate", "paretovariate",
+}
+_NP_RANDOM_FNS = {
+    "rand", "randn", "randint", "random", "random_sample", "seed", "choice",
+    "shuffle", "permutation", "normal", "uniform", "standard_normal",
+}
+
+
+def nondet_source(chain: list[str]) -> tuple[str, str] | None:
+    """``(what, remedy)`` if the resolved call ``chain`` reads a wall
+    clock (``time.*``, the ``datetime.now`` family) or draws from a
+    global RNG (``random.*``, legacy ``numpy.random.*``); else None.
+
+    Replay determinism (§3.2.4) needs every draw to come from a named
+    seeded stream and every clock read to be virtual time.
+    """
+    if not chain:
+        return None
+    head, tail = chain[0], chain[-1]
+    dotted = ".".join(chain)
+    if (head == "time" and len(chain) == 2 and tail in _CLOCK_FNS) or (
+        tail in _DATETIME_FNS and len(chain) >= 2
+        and chain[-2] in ("datetime", "date")
+    ):
+        return f"wall clock {dotted}()", "the model runs on virtual time only"
+    if head == "random" and len(chain) == 2 and tail in _RANDOM_FNS:
+        return (
+            f"global {dotted}() draw",
+            "draw from a named seeded stream (random.Random(seed)) instead",
+        )
+    if (
+        len(chain) == 3
+        and head == "numpy"
+        and chain[1] == "random"
+        and tail in _NP_RANDOM_FNS
+    ):
+        return (
+            f"legacy global {dotted}() draw",
+            "use np.random.default_rng(seed)",
+        )
+    return None
 
 
 class ImportBindings:

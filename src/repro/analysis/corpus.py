@@ -8,7 +8,7 @@ detection and 0 false positives — an analyzer change that breaks either
 direction fails CI before it can mis-lint the real tree.
 
 This module is data (source strings), deliberately excluded from
-whole-repo analysis via ``astutil.EXCLUDED_PARTS``.
+the wiring and taint passes via ``astutil.LINT_ONLY_PARTS``.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Pass orchestration, baseline diffing, and the corpus gate.
 
-``analyze_package`` runs all three passes over ``src/repro`` (minus the
+``analyze_package`` runs all three passes over ``src/repro`` (the
 deliberate-violation libraries — ``sanitizer/planted.py`` plants
-runtime hazards, ``analysis/corpus.py`` plants static ones) and diffs
-the result against the committed baseline. ``run_corpus_gate`` mirrors
+runtime hazards, ``analysis/corpus.py`` plants static ones — go through
+the lint pass only) and diffs the result against the committed
+baseline. ``run_corpus_gate`` mirrors
 the sanitizer gate's planted-scenario structure: every positive
 scenario must be detected by its expected rule, every negative control
 must come back completely clean.
@@ -13,38 +14,25 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis import taint, wiring
-from repro.analysis.astutil import EXCLUDED_PARTS, PackageIndex
+from repro.analysis import lint, taint, wiring
+from repro.analysis.astutil import PackageIndex
 from repro.analysis.findings import Baseline, Finding
-from repro.sanitizer.lint import lint_source
 
 #: default committed baseline location (repo root relative)
 BASELINE_PATH = "benchmarks/ANALYSIS_baseline.json"
 
 
-def _lint_findings(index: PackageIndex) -> list[Finding]:
-    """Run the per-line lint rules through the same Finding machinery."""
-    findings: list[Finding] = []
-    for rel, mod in index.modules.items():
-        source = "\n".join(mod.lines)
-        for lf in lint_source(source, rel):
-            findings.append(
-                Finding("lint", f"lint/{lf.rule}", lf.path, lf.line, lf.message)
-            )
-    return findings
-
-
 def analyze_index(index: PackageIndex) -> tuple[list[Finding], list[dict]]:
     """All three passes over one index → (findings, api inventory)."""
     wiring_findings, inventory = wiring.analyze(index)
-    findings = wiring_findings + taint.analyze(index) + _lint_findings(index)
+    findings = wiring_findings + taint.analyze(index) + lint.analyze(index)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings, inventory
 
 
 def analyze_sources(sources: dict[str, str]) -> list[Finding]:
     """Analyse an in-memory tree (corpus scenarios, tests)."""
-    return analyze_index(PackageIndex.from_sources(sources))[0]
+    return analyze_index(PackageIndex(sources))[0]
 
 
 def _package_root(root: str | Path | None) -> Path:
@@ -65,10 +53,7 @@ def analyze_package(
     entries that must be deleted), the per-API wiring ``inventory``,
     and ``ok`` (no unbaselined findings).
     """
-    pkg = _package_root(root)
-    index = PackageIndex.from_dir(
-        pkg, rel_to=pkg.parent, exclude_parts=EXCLUDED_PARTS
-    )
+    index = PackageIndex.from_dir(_package_root(root))
     findings, inventory = analyze_index(index)
     baseline = baseline if baseline is not None else Baseline()
     unbaselined, baselined, unused = baseline.split(findings)

@@ -1,9 +1,10 @@
 """Pass 2 — replay-determinism dataflow (intra-procedural taint).
 
-The old lint flagged nondeterministic *calls*; this pass tracks where
-their *values* flow. Replay determinism (§3.2.4 of the paper) only
-breaks when a nondeterministic value reaches something replay compares:
-kernel arguments, captured blobs, digests. Four flow rules:
+The lint pass (:mod:`repro.analysis.lint`) flags nondeterministic
+*calls*; this pass tracks where their *values* flow. Replay determinism
+(§3.2.4 of the paper) only breaks when a nondeterministic value reaches
+something replay compares: kernel arguments, captured blobs, digests.
+Four flow rules:
 
 - ``det/nondet-into-kernel`` — wall-clock / RNG value reaches a kernel
   launch argument: the replayed launch computes different bytes.
@@ -36,22 +37,8 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.astutil import PackageIndex, attr_chain, call_name
-from repro.analysis.bindings import ImportBindings
+from repro.analysis.bindings import nondet_source
 from repro.analysis.findings import Finding
-
-_TIME_FNS = {
-    "time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
-    "monotonic_ns", "clock_gettime", "process_time",
-}
-_DATETIME_FNS = {"now", "utcnow", "today"}
-_RANDOM_DRAWS = {
-    "random", "randint", "randrange", "uniform", "gauss", "choice",
-    "choices", "sample", "getrandbits", "normalvariate",
-}
-_NP_RANDOM_DRAWS = {
-    "rand", "randn", "randint", "random", "random_sample", "choice",
-    "permutation", "normal", "uniform", "standard_normal",
-}
 
 _LAUNCH_NAMES = {"launch", "cudaLaunchKernel"}
 _SYNC_NAMES = {
@@ -78,9 +65,9 @@ _CONTAINER_MUTATORS = {"append", "add", "extend", "insert", "setdefault"}
 class _FunctionTaint:
     """Flow-ordered single-function walk."""
 
-    def __init__(self, mod, bindings: ImportBindings, module_globals: set[str]):
+    def __init__(self, mod, module_globals: set[str]):
         self.mod = mod
-        self.bindings = bindings
+        self.bindings = mod.bindings
         self.module_globals = module_globals
         self.findings: list[Finding] = []
         self.tainted: dict[str, str] = {}  # name -> source description
@@ -94,26 +81,8 @@ class _FunctionTaint:
 
     def _source_of_call(self, node: ast.Call) -> str | None:
         """Nondeterminism-source description, or None."""
-        chain = self.bindings.resolve(attr_chain(node.func))
-        if not chain:
-            return None
-        tail = chain[-1]
-        if chain[0] == "time" and len(chain) == 2 and tail in _TIME_FNS:
-            return f"time.{tail}() wall clock"
-        if tail in _DATETIME_FNS and len(chain) >= 2 and chain[-2] in (
-            "datetime", "date",
-        ):
-            return f"{'.'.join(chain)}() wall clock"
-        if chain[0] == "random" and len(chain) == 2 and tail in _RANDOM_DRAWS:
-            return f"global random.{tail}() draw"
-        if (
-            len(chain) == 3
-            and chain[0] == "numpy"
-            and chain[1] == "random"
-            and tail in _NP_RANDOM_DRAWS
-        ):
-            return f"global numpy.random.{tail}() draw"
-        return None
+        source = nondet_source(self.bindings.resolve(attr_chain(node.func)))
+        return None if source is None else source[0]
 
     def _unseeded_rng(self, node: ast.Call) -> str | None:
         chain = self.bindings.resolve(attr_chain(node.func))
@@ -377,10 +346,9 @@ def analyze(index: PackageIndex) -> list[Finding]:
     """Run the taint pass over every function of every module."""
     findings: list[Finding] = []
     for mod in index.modules.values():
-        bindings = ImportBindings.collect(mod.tree)
         globals_ = _module_globals(mod.tree)
         for node in ast.walk(mod.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                walker = _FunctionTaint(mod, bindings, globals_)
+                walker = _FunctionTaint(mod, globals_)
                 findings.extend(walker.run(node))
     return findings

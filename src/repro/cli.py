@@ -19,7 +19,9 @@ Commands:
 - ``sanitize APP`` — compute-sanitizer-style hazard analysis: run one
   workload under the dynamic checkers (racecheck/synccheck/memcheck/
   initcheck);
-- ``analyze`` — whole-program static analysis and the determinism lint;
+- ``analyze`` — whole-program static analysis: three passes (API wiring,
+  replay-determinism dataflow, determinism lint) over one parse of the
+  package;
 - ``trace APP`` — run one workload with the unified tracer + profiler
   attached, write a Chrome/Perfetto ``trace_event`` JSON (load it at
   https://ui.perfetto.dev), and print the overhead, digest,
@@ -161,9 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     an = sub.add_parser(
         "analyze",
-        help="whole-program static analysis: API-wiring consistency, "
-        "replay-determinism dataflow, and the determinism lint; fails "
-        "on any unbaselined finding",
+        help="whole-program static analysis in three passes over one "
+        "parse of src/repro: API-wiring consistency, replay-determinism "
+        "dataflow, and the per-line determinism lint (which also reads "
+        "the planted-violation libraries); fails on any unbaselined "
+        "finding",
     )
     an.add_argument("--gate", action="store_true",
                     help="also run the planted-violation corpus "

@@ -14,8 +14,11 @@ At precheckpoint time the plugin:
    with C-level copies, and a cut's Python work follows the buffers
    that hold state. The record is accounted like entries with no dirty
    bytes: sizes in a full image, nothing in a delta;
-3. saves a copy of the replay log as it stands at the cut, and the
-   stream/event metadata, as blobs;
+3. saves a copy of the replay log as it stands at the cut, the current
+   device and the platform fingerprint, as blobs. Stream and event
+   handles and fat binaries are not captured: restart adopts them from
+   the live backend registries (``CracBackend.live_streams``/
+   ``live_events``) and re-registers ``fatbin_registry``;
 4. vetoes every lower-half range from the memory dump: the CUDA
    library's own memory (with its unrestorable UVA/UVM state) is *not*
    checkpointed (§3.1).
@@ -104,20 +107,9 @@ class CracPlugin(DmtcpPlugin):
         # 2. Stage active allocations; drain device-side bytes over PCIe.
         self._capture_buffers(image, runtime, tracer)
 
-        # 3. Replay log + live handle metadata. The image keeps the log
-        #    as it stands at the cut; the live log goes on growing.
+        # 3. Replay log + device state. The image keeps the log as it
+        #    stands at the cut; the live log goes on growing.
         image.add_blob("crac/replay-log", ReplayLog(list(backend.log.entries)))
-        image.add_blob(
-            "crac/streams",
-            sorted(backend.live_streams.keys()),
-        )
-        image.add_blob(
-            "crac/events",
-            {
-                eid: (e.recorded, e.timestamp_ns)
-                for eid, e in sorted(backend.live_events.items())
-            },
-        )
         image.add_blob("crac/current-device", runtime.current_device)
         # Platform fingerprint: replay determinism "relies on using the
         # same CUDA/GPU platform on restart" (§3.2.4).
@@ -127,13 +119,6 @@ class CracPlugin(DmtcpPlugin):
                 "gpu": runtime.devices[0].spec.name,
                 "n_gpus": len(runtime.devices),
                 "compute_capability": runtime.devices[0].spec.compute_capability,
-            },
-        )
-        image.add_blob(
-            "crac/fatbins",
-            {
-                virtual: entry["fatbin"].name
-                for virtual, entry in sorted(backend.fatbin_registry.items())
             },
         )
 

@@ -199,6 +199,19 @@ def _never_built_pcie_bytes(
     return 0, escaped
 
 
+def _reregister_host_allocs(
+    runtime, host_allocs, call_ns: float = 0.0
+) -> None:
+    """Bring back the still-active ``cudaHostAlloc`` buffers a replay
+    picked out of the log: ``cudaHostRegister`` each at its logged
+    address and reserve its range in the hostalloc arena, so the arena
+    never hands it out again. ``call_ns`` is charged per buffer."""
+    for entry in host_allocs:
+        runtime.cudaHostRegister(entry.addr, entry.nbytes)
+        runtime._hostalloc_alloc.reserve(entry.addr, entry.nbytes)
+        runtime.process.advance(call_ns)
+
+
 @dataclass
 class RestartAttempt:
     """One try of the self-healing restart loop (success or failure)."""
@@ -582,13 +595,9 @@ class CracSession:
         # 5. Re-register the active cudaHostAlloc buffers (bytes already
         #    in the restored upper half), which replay picked out.
         buffers = image.blob("crac/buffers")
-        for entry in host_allocs:
-            fresh.runtime.cudaHostRegister(entry.addr, entry.nbytes)
-            # The registered pages are already mapped (restored with the
-            # upper half); the fresh hostalloc arena must never hand them
-            # out again.
-            fresh.runtime._hostalloc_alloc.reserve(entry.addr, entry.nbytes)
-            proc.advance(self.costs.replay_call_ns)
+        _reregister_host_allocs(
+            fresh.runtime, host_allocs, self.costs.replay_call_ns
+        )
 
         # Sanity: every staged buffer must exist again (possibly moved).
         # The never-built ones are checked in bulk, as a set difference.
@@ -1170,7 +1179,9 @@ class FaultDomain:
         pointers on the fresh lower half. Every image's log is frozen at
         its cut (e.g. an anchor shipped before the app's setup holds
         none of it), and restart set the trampoline log to that copy, so
-        the suffix is appended to it here.
+        the suffix is appended to it here. The suffix's still-active
+        ``cudaHostAlloc`` buffers come back the way restart brings back
+        the cut's.
         """
         if generation is None or self.store is None:
             return 0
@@ -1180,9 +1191,9 @@ class FaultDomain:
             return 0
         backend = self.session.backend
         translating = backend.virtualize_addresses
-        result = ReplayLog(list(suffix)).replay(
-            self.session.runtime, strict=not translating
-        )
+        runtime = self.session.runtime
+        result = ReplayLog(list(suffix)).replay(runtime, strict=not translating)
+        _reregister_host_allocs(runtime, result.host_allocs)
         if translating:
             backend.patch_translation(result.translation)
         # The lost-work advance already charges the suffix's wall time.

@@ -2,7 +2,7 @@
 
 An image holds the saved upper-half memory regions plus named *blobs*
 contributed by plugins (CRAC stores drained device buffers, the
-malloc/free replay log, and stream/event metadata as blobs).
+malloc/free replay log and device/platform metadata as blobs).
 
 Sizes are accounted in *virtual* bytes — a 1 GB device buffer drained
 into the image accounts 1 GB even though its sparse backing may be tiny —

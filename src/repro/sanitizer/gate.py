@@ -12,7 +12,8 @@ Three independent verdicts, all of which must hold:
    scale and cuts costs at most ``OVERHEAD_LIMIT``× virtual time, and
    the output digest is unchanged (instrumentation shifts timing only).
 
-The determinism lint over ``src/repro`` runs in ``repro analyze``.
+The static determinism lint is a pass of :mod:`repro.analysis`; it
+runs in ``repro analyze``, not in this suite.
 """
 
 from __future__ import annotations

@@ -2,7 +2,6 @@
 
 import inspect
 
-from repro.analysis.engine import analyze_package
 from repro.analysis.findings import RULE_CODES, Finding
 from repro.cuda.api import CudaRuntime
 from repro.cuda.errors import CudaErrorCode, classify
@@ -19,18 +18,16 @@ def runtime_api_names():
     }
 
 
-def test_inventory_covers_every_runtime_api():
+def test_inventory_covers_every_runtime_api(package_report):
     # Completeness: the static extractor and the live class must agree,
     # or the wiring pass is silently skipping trampoline methods.
-    report = analyze_package()
-    seen = {record["name"] for record in report["inventory"]}
+    seen = {record["name"] for record in package_report["inventory"]}
     missing = runtime_api_names() - seen
     assert not missing, f"wiring pass missed runtime APIs: {sorted(missing)}"
 
 
-def test_inventory_records_are_well_formed():
-    report = analyze_package()
-    for record in report["inventory"]:
+def test_inventory_records_are_well_formed(package_report):
+    for record in package_report["inventory"]:
         assert record["name"].startswith("cuda")
         assert isinstance(record["entries"], list)
         assert isinstance(record["dispatched"], bool)

@@ -42,7 +42,12 @@ def build_machine(gpu="V100", aslr=False, fsgsbase=False, seed=11):
 def python_frames(fn, *args, **kwargs):
     """Run ``fn(*args, **kwargs)``; return its result and the Python
     frames it entered per qualified name (every ``"call"`` profile
-    event, the standard library's included)."""
+    event, the standard library's included).
+
+    The call runs with the cycle collector off (after one collection),
+    so the count never includes the gc callbacks other libraries
+    register (hypothesis times every collection); the collector's state
+    is restored afterwards."""
     frames: Counter = Counter()
 
     def profile(frame, event, arg):
@@ -50,11 +55,16 @@ def python_frames(fn, *args, **kwargs):
             code = frame.f_code
             frames[getattr(code, "co_qualname", code.co_name)] += 1
 
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
     sys.setprofile(profile)
     try:
         result = fn(*args, **kwargs)
     finally:
         sys.setprofile(None)
+        if was_enabled:
+            gc.enable()
     return result, frames
 
 

@@ -89,11 +89,7 @@ def _restart_calls(n_buffers: int) -> int:
     return calls
 
 
-def test_restart_replays_untouched_malloc_within_call_budget(
-    no_cycle_collector,
-):
-    # No cycle collection mid-restart: a gc callback another library
-    # registered (hypothesis) would add its own frames to the count.
+def test_restart_replays_untouched_malloc_within_call_budget():
     per_malloc = (_restart_calls(150) - _restart_calls(50)) / 100
     assert per_malloc <= RESTART_MALLOC_CALL_BUDGET, per_malloc
 

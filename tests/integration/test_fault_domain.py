@@ -200,6 +200,33 @@ class TestRestoreRung:
         out = readback(session, ptr)
         assert np.array_equal(out, np.arange(N, dtype=np.float32) + 2.0)
 
+    @pytest.mark.parametrize("virtualize", [False, True])
+    def test_restore_brings_back_post_cut_pinned_buffers(self, virtualize):
+        # Pinned buffers allocated between the cut and the fault, through
+        # both cudaHostAlloc and cudaMallocHost, are valid again after the
+        # restore and hold their pre-fault bytes.
+        inj = FaultInjector(seed=3)
+        session = CracSession(
+            seed=7, fault_injector=inj, address_virtualization=virtualize
+        )
+        domain = session.enable_fault_domain(CheckpointStore())
+        session.backend.register_app_binary(FB)
+        ptr = session.backend.malloc(NBYTES)
+        assert domain.checkpoint() is not None
+        pinned = {
+            session.backend.host_alloc(4096): 7,
+            session.backend.malloc_host(4096): 9,
+        }
+        for addr, fill in pinned.items():
+            session.backend.device_view(addr, 4096)[:] = fill
+        inj.arm(FaultSpec("ecc", at_count=inj.visits["ecc"] + 1))
+        bump(session, ptr)
+        session.backend.device_synchronize()
+        assert domain.report.restores == 1
+        for addr, fill in pinned.items():
+            view = session.backend.device_view(addr, 4096)
+            assert np.all(view == fill), hex(addr)
+
     def test_checkpoint_records_each_generation_at_its_cut(self):
         store = CheckpointStore()
         session, domain, ptr = make_guarded(store=store)
