@@ -126,7 +126,7 @@ class Cluster:
     ):
         """Build the ladder's rung-4 handler for ``session``.
 
-        Install on a :class:`~repro.core.session.FaultDomain` as
+        Install on a :class:`~repro.core.fault_domain.FaultDomain` as
         ``domain.failover_handler``. When the ladder reaches rung 4 the
         handler kills what is left of the session on the dying source
         node, restores the latest generation previously *shipped* to the

@@ -12,9 +12,13 @@ The pieces map one-to-one onto the paper's §3:
   replay engine with address-determinism verification (§3.2.3/§3.2.4).
 - :mod:`~repro.core.plugin`     — :class:`CracPlugin`: the DMTCP plugin
   that drains the GPU, stages active allocations, and vetoes the lower
-  half from the memory dump.
+  half from the memory dump; at restart it reads its ``crac/*`` blobs
+  back (log replay, buffer refill, handle adoption).
 - :mod:`~repro.core.session`    — :class:`CracSession`: end-to-end
   orchestration of launch / checkpoint / kill / restart.
+- :mod:`~repro.core.fault_domain` — ``FaultDomain``: the runtime
+  escalation ladder (retry, stream reset, restore, node failover)
+  guarding runtime calls.
 """
 
 from repro.core.halves import SplitProcess

@@ -166,7 +166,6 @@ class SplitProcess:
         self,
         *,
         gpu: str | GpuSpec = "V100",
-        app_image: ProgramImage | None = None,
         fsgsbase: bool = False,
         seed: int = 0,
         device: GpuDevice | None = None,
@@ -221,10 +220,9 @@ class SplitProcess:
         #    restart the upper half comes from the checkpoint image
         #    instead (load_upper=False); the restorer re-registers the
         #    restored ranges with the loader.
-        self.app_image = app_image if app_image is not None else default_app_image()
         self.upper: LoadedProgram | None = None
         if load_upper:
-            self.upper = self.loader.load(self.app_image, "upper")
+            self.upper = self.loader.load(default_app_image(), "upper")
 
     # -- queries ---------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""CRAC's DMTCP plugin: drain, stage, veto (paper §3.2.3).
+"""CRAC's DMTCP plugin: drain, stage, veto; read back at restart (paper §3.2).
 
 At precheckpoint time the plugin:
 
@@ -22,18 +22,29 @@ At precheckpoint time the plugin:
 4. vetoes every lower-half range from the memory dump: the CUDA
    library's own memory (with its unrestorable UVA/UVM state) is *not*
    checkpointed (§3.1).
+
+At restart the session calls the plugin directly (there is no restart
+hook): :meth:`CracPlugin.check_platform` before anything is torn down,
+then :meth:`CracPlugin.restore` for restart steps 4–8 (log replay,
+``cudaHostAlloc`` and fat-binary re-registration, buffer refill along
+the delta chain, stream/event adoption). Both read back the blobs
+written above, so this module is the only one that knows the ``crac/*``
+format.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 from repro.core.replay_log import ReplayLog
 from repro.core.trampoline import CracBackend
 from repro.dmtcp.checkpointer import BACKGROUND, SKIP
 from repro.dmtcp.image import CheckpointImage
 from repro.dmtcp.plugins import DmtcpPlugin
-from repro.gpu.timing import NS_PER_S
+from repro.errors import RestartError
+from repro.gpu.timing import GPU_SPECS, NS_PER_S
 from repro.gpu.uvm import UVM_PAGE, ManagedBuffer
 
 _SIZE = attrgetter("size")
@@ -48,6 +59,111 @@ def _resident_dirty_bytes(buf: ManagedBuffer) -> int:
             if pg < buf.num_pages and buf.residency[pg] == 1:
                 total += min(hi, (pg + 1) * UVM_PAGE) - max(lo, pg * UVM_PAGE)
     return total
+
+
+def _pcie_bytes(entry: dict) -> int:
+    """PCIe bytes at refill of a ``crac/buffers`` entry. An entry written
+    before entries carried ``pcie_bytes`` moves a device buffer's size, a
+    managed buffer's device-resident pages."""
+    if "pcie_bytes" in entry:
+        return entry["pcie_bytes"]
+    if entry["kind"] == "device":
+        return entry["size"]
+    if entry["kind"] == "managed":
+        return int((entry["residency"] == 1).sum()) * UVM_PAGE
+    return 0
+
+
+_NO_NEVER_BUILT = {"uids": {}, "device": {}, "host-pinned": {}}
+
+
+class _ChainLink(NamedTuple):
+    """What restart's refill reads from one image of a delta chain."""
+
+    incremental: bool
+    #: ``crac/buffers``: address -> explicit entry
+    entries: dict[int, dict]
+    #: ``crac/never-built``: address -> uid of every never-built buffer,
+    #: and address -> size of the never-built device buffers
+    uids: dict[int, int]
+    device: dict[int, int]
+
+    @classmethod
+    def of(cls, image: CheckpointImage) -> "_ChainLink":
+        blob = image.blobs.get("crac/buffers")
+        record = image.blobs.get("crac/never-built")
+        never_built = _NO_NEVER_BUILT if record is None else record.payload
+        return cls(
+            image.incremental,
+            {} if blob is None else blob.payload,
+            never_built["uids"],
+            never_built["device"],
+        )
+
+
+def _walk_run(addr: int, uid: int | None, older: list[_ChainLink],
+              kept: list[dict]) -> int:
+    """PCIe bytes of the older part of a delta entry's run at ``addr``
+    (``older`` newest first); appends the run's explicit entries to
+    ``kept``. In an image that recorded the address as never built, the
+    run's entry holds no bytes and moves the buffer's size in a full
+    image (device only), nothing in a delta."""
+    total = 0
+    for link in older:
+        prev = link.entries.get(addr)
+        if prev is None:
+            prev_uid = link.uids.get(addr)
+            if prev_uid is None:
+                continue
+            if prev_uid != uid:
+                # A delta of a fresh allocation: its pre-history is the
+                # replay-created zero-filled buffer.
+                break
+            if link.incremental:
+                continue
+            return total + link.device.get(addr, 0)
+        if prev.get("uid") != uid:
+            break
+        total += _pcie_bytes(prev)
+        kept.append(prev)
+        if not prev.get("delta"):
+            break
+    return total
+
+
+def _never_built_pcie_bytes(
+    uids: dict[int, int], older: list[_ChainLink]
+) -> tuple[int, list[int]]:
+    """:func:`_walk_run` for all never-built buffers of a delta image at
+    once, as set operations; ``uids`` maps their addresses to their uids.
+
+    A run passes a delta that recorded the same buffer as never built
+    (no bytes) or that lacks the address, and ends at an address held
+    under another uid. Returns the PCIe bytes of the runs — the device
+    sizes of the buffers the full ancestor also recorded as never built
+    with the same uid — and the addresses whose run reaches an explicit
+    entry with the same uid (rare: a restart renumbers uids, so an
+    address and uid can meet a written buffer's again), which the caller
+    walks one by one.
+    """
+    walking = uids
+    escaped: list[int] = []
+    for link in older:
+        if not walking:
+            break
+        escaped.extend(
+            a for a in sorted(walking.keys() & link.entries.keys())
+            if link.entries[a].get("uid") == walking[a]
+        )
+        same = walking.items() & link.uids.items()
+        if not link.incremental:
+            addrs = map(itemgetter(0), same)
+            return sum(map(link.device.get, addrs, repeat(0))), escaped
+        absent = walking.keys() - link.uids.keys() - link.entries.keys()
+        rest = dict(same)
+        rest.update(zip(absent, map(walking.__getitem__, absent)))
+        walking = rest
+    return 0, escaped
 
 
 class CracPlugin(DmtcpPlugin):
@@ -241,6 +357,218 @@ class CracPlugin(DmtcpPlugin):
         image.add_blob("crac/buffers", buffers, accounted_bytes=accounted)
         if uids:
             image.add_blob("crac/never-built", never_built)
+
+    # -- restart ------------------------------------------------------------------
+
+    def check_platform(
+        self, image: CheckpointImage, *, allow_heterogeneous: bool
+    ) -> None:
+        """Refuse an image taken on another platform (§3.2.4) before
+        anything is torn down. ``allow_heterogeneous`` accepts another
+        GPU model with the same GPU count if its device memory holds
+        every active allocation; address virtualization skips the check."""
+        platform = image.blobs.get("crac/platform")
+        session = self.session
+        if platform is None or session.backend.virtualize_addresses:
+            return
+        want = platform.payload
+        have_spec = GPU_SPECS[session.gpu]
+        mismatch = (
+            want["gpu"] != have_spec.name or want["n_gpus"] != session.n_gpus
+        )
+        heterogeneous_ok = (
+            allow_heterogeneous and want["n_gpus"] == session.n_gpus
+        )
+        if mismatch and not heterogeneous_ok:
+            raise RestartError(
+                "restart platform mismatch: image was taken on "
+                f"{want['n_gpus']}× {want['gpu']}, restarting on "
+                f"{session.n_gpus}× {have_spec.name} — CRAC's replay "
+                "determinism requires the same CUDA/GPU platform "
+                "(§3.2.4)"
+            )
+        if mismatch:
+            # Heterogeneous restore: replay recreates every active
+            # allocation on the target, so its device memory must hold
+            # them all.
+            log = image.blob("crac/replay-log")
+            need = sum(
+                e.nbytes
+                for e in log.active_allocations().values()
+                if e.op != "host_alloc"
+            )
+            if need > have_spec.memory_bytes:
+                raise RestartError(
+                    f"heterogeneous restore does not fit: image holds "
+                    f"{need} bytes of device/managed allocations, "
+                    f"{have_spec.name} has {have_spec.memory_bytes}"
+                )
+
+    def replay(
+        self, log: ReplayLog, runtime, call_ns: float = 0.0
+    ) -> tuple[int, dict[int, int]]:
+        """Steps 4–5: replay ``log`` into ``runtime`` and bring back the
+        still-active ``cudaHostAlloc`` buffers replay picked out of it
+        (``cudaHostRegister`` each at its logged address, and reserve its
+        range in the hostalloc arena so the arena never hands it out
+        again). ``call_ns`` is charged per replayed call and per
+        buffer. Returns the number of replayed calls and the replay's
+        translation (old → new address).
+
+        In the baseline design address determinism is verified; under
+        address virtualization (the §3.2.4 future-work mode) divergence
+        is tolerated and the caller patches the virtual pointers."""
+        replayed, translation, host_allocs = log.replay(
+            runtime, strict=not self.session.backend.virtualize_addresses
+        )
+        process = runtime.process
+        process.advance(replayed * call_ns)
+        for entry in host_allocs:
+            runtime.cudaHostRegister(entry.addr, entry.nbytes)
+            runtime._hostalloc_alloc.reserve(entry.addr, entry.nbytes)
+            process.advance(call_ns)
+        return replayed, translation
+
+    def restore(
+        self, image: CheckpointImage, runtime
+    ) -> tuple[int, int, int, dict[str, float]]:
+        """Restart steps 4–8 (module docstring) into the fresh
+        ``runtime``. Returns the replayed calls, the refilled bytes, the
+        re-registered fat binaries and the virtual ns of steps 4–5, 6
+        and 7 (``replay_ns``, ``fatbin_ns``, ``refill_ns``); step 8 ends
+        the restart."""
+        session = self.session
+        backend: CracBackend = session.backend
+        process = runtime.process
+        costs = session.costs
+        t_replay = process.clock_ns
+
+        # 4–5. Replay the allocation log, re-register cudaHostAlloc.
+        log = image.blob("crac/replay-log")
+        if session.fault_injector is not None:
+            # kind="divergence" raises ReplayDivergenceError here, the
+            # §3.2.4 failure mode (ASLR left on / different platform).
+            session.fault_injector.check("replay", f"{len(log.entries)} calls")
+        replayed, translation = self.replay(log, runtime, costs.replay_call_ns)
+        # Sanity: every staged buffer must exist again (possibly moved).
+        # The never-built ones are checked in bulk, as a set difference.
+        restored = runtime.buffers.keys()
+        missing = [
+            a for a in image.blob("crac/buffers")
+            if translation.get(a, a) not in restored
+        ]
+        never_built = _ChainLink.of(image).uids
+        missing += sorted(
+            set(map(translation.get, never_built, never_built)) - restored
+        )
+        if missing:
+            raise RestartError(
+                f"replay did not recreate buffers at {[hex(a) for a in missing]}"
+            )
+
+        # 6. Fat binaries: re-register and patch handles.
+        t_fatbin = process.clock_ns
+        patches = backend.reregister_fatbins()
+        t_refill = process.clock_ns
+
+        # 7. Refill contents of active allocations; device/managed bytes
+        #    cross PCIe again.
+        refill_bytes = self._refill(image, runtime, translation)
+        process.advance(
+            refill_bytes / runtime.devices[0].spec.pcie_bw * NS_PER_S
+        )
+        # Restore the application's cudaSetDevice state (replay may have
+        # left a different device current).
+        want_device = image.blobs.get("crac/current-device")
+        if want_device is not None and runtime.current_device != want_device.payload:
+            runtime.cudaSetDevice(want_device.payload)
+        # Patch the application's virtual pointers onto the (possibly
+        # moved) real allocations.
+        if translation:
+            backend.patch_translation(translation)
+
+        t_adopt = process.clock_ns
+        # 8. Recreate streams/events: adopt the app-held handles. The
+        #    handles may carry state from the *dead* process's timeline —
+        #    a poison flag from a post-checkpoint fault, a ready_ns
+        #    inflated by a hung kernel. The checkpoint quiesced every
+        #    stream before capture, so none of it describes restored
+        #    work: rebaseline each handle to the fresh clock or the first
+        #    post-restore sync fires a spurious watchdog trip (the
+        #    migration-onto-a-new-node bug). Handles adopt in id order,
+        #    which is their creation order (ids come from one counter).
+        for _, stream in sorted(backend.live_streams.items()):
+            runtime.devices[stream.device_index].rebaseline_stream(
+                stream, process.clock_ns
+            )
+            runtime.adopt_stream(stream)
+            process.advance(costs.replay_call_ns)
+        for _, event in sorted(backend.live_events.items()):
+            runtime.adopt_event(event)
+        # The log goes on from the restored cut, not from the dead
+        # process's last call.
+        backend.log = ReplayLog(list(log.entries))
+        steps = {
+            "replay_ns": t_fatbin - t_replay,
+            "fatbin_ns": t_refill - t_fatbin,
+            "refill_ns": t_adopt - t_refill,
+        }
+        return replayed, refill_bytes, len(patches), steps
+
+    @staticmethod
+    def _refill(
+        image: CheckpointImage, runtime, translation: dict[int, int]
+    ) -> int:
+        """Restart step 7: refill the restored buffers from ``image``'s
+        delta chain; returns the bytes the refill moves over PCIe.
+
+        GPU deltas chain like host dirty pages: an address's *run* is its
+        newest entry plus each older entry its delta stacks on. A full
+        entry — or a uid change, meaning the arena reused the address for
+        a *different* allocation — ends the run, so stale bytes never
+        leak across a free. Every run entry's PCIe bytes are charged and
+        its bytes overlaid. A never-built buffer holds exactly what the
+        replayed malloc created, so it builds no contents here, and its
+        run's bytes are charged in bulk (:func:`_never_built_pcie_bytes`).
+        """
+        chain = [_ChainLink.of(img) for img in image.chain()]
+        newest = chain[-1]
+        older = chain[-2::-1]  # the image's ancestors, newest first
+        refill_bytes = 0
+        #: address -> the explicit entries of its run, newest first
+        runs: dict[int, list[dict]] = {}
+        for addr, entry in newest.entries.items():
+            refill_bytes += _pcie_bytes(entry)
+            kept = runs[addr] = [entry]
+            if entry.get("delta"):
+                refill_bytes += _walk_run(addr, entry.get("uid"), older, kept)
+        if newest.incremental:
+            nb_bytes, escaped = _never_built_pcie_bytes(newest.uids, older)
+            refill_bytes += nb_bytes
+            for addr in escaped:
+                kept = []
+                refill_bytes += _walk_run(addr, newest.uids[addr], older, kept)
+                if kept:
+                    runs[addr] = kept
+        else:
+            refill_bytes += sum(newest.device.values())
+        # Every managed buffer has an explicit entry, so it gets its
+        # residency back here.
+        for addr, entries in runs.items():
+            buf = runtime.buffers[translation.get(addr, addr)]
+            contents = buf.contents
+            for entry in reversed(entries):
+                if entry.get("delta"):
+                    contents.apply_delta(entry["snapshot"])
+                else:
+                    contents.restore(entry["snapshot"])
+            final_entry = newest.entries.get(addr)
+            if final_entry is not None and final_entry["kind"] == "managed":
+                assert isinstance(buf, ManagedBuffer)
+                buf.residency[:] = final_entry["residency"]
+            # The refilled contents *are* the committed cut's state.
+            contents.clear_dirty()
+        return refill_bytes
 
     # -- veto ---------------------------------------------------------------------
 

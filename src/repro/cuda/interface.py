@@ -60,7 +60,7 @@ class CudaDispatchBase:
         #: CUDA stream" (paper §6) — set this via use_thread(); CRAC's
         #: trampoline switches that thread's fs register.
         self.current_thread = None
-        #: fault-domain ladder (:class:`repro.core.session.FaultDomain`)
+        #: fault-domain ladder (:class:`repro.core.fault_domain.FaultDomain`)
         #: guarding runtime calls, or None (faults propagate raw).
         self.recovery = None
 

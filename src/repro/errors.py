@@ -152,9 +152,9 @@ class CudaError(ReproError):
 class RecoveryAbortedError(ReproError):
     """The fault-domain escalation ladder ran out of rungs.
 
-    Raised by :class:`repro.core.session.FaultDomain` when every bounded
+    Raised by :class:`repro.core.fault_domain.FaultDomain` when every bounded
     recovery attempt (retry, stream replay, checkpoint restore) has been
-    spent; carries the full :class:`~repro.core.session.RecoveryReport`
+    spent; carries the full :class:`~repro.core.fault_domain.RecoveryReport`
     attempt trail and the final error, so callers see a *typed* abort —
     never silent corruption.
     """

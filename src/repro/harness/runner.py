@@ -164,7 +164,7 @@ def run_app(
         if tracer is not None:
             session.enable_trace(tracer)
         if profiler is not None:
-            session.enable_profiler(profiler)
+            profiler.attach(backend)
             profiler.start()
         upper_mmap = lambda size: session.split.upper_mmap(size)  # noqa: E731
         chain: list = []  # previous images (for incremental parents)

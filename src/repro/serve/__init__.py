@@ -15,7 +15,7 @@ same fault classes the single-session ladder survives:
   the cluster interconnect;
 - :class:`~repro.serve.scheduler.ServeScheduler` — the tier itself:
   open/serve/park/rehydrate/fail-over/close, layered on the
-  :class:`~repro.core.session.FaultDomain` escalation ladder with
+  :class:`~repro.core.fault_domain.FaultDomain` escalation ladder with
   per-session recovery budgets.
 """
 

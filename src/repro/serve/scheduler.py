@@ -2,7 +2,7 @@
 
 One :class:`~repro.core.session.CracSession` per user session, each with
 its *own* primary :class:`~repro.dmtcp.store.CheckpointStore` and its
-own :class:`~repro.core.session.FaultDomain` escalation ladder. The
+own :class:`~repro.core.fault_domain.FaultDomain` escalation ladder. The
 scheduler layers four mechanisms on top:
 
 - **Slots + LRU eviction.** A node hosts at most ``slots`` hot sessions.
@@ -26,7 +26,7 @@ scheduler layers four mechanisms on top:
 - **Node-death failover.** :meth:`sweep` detects dead nodes (heartbeat
   rounds, detection latency charged to the stalled sessions) and fails
   their hot sessions over through the ladder's rung-4 entry point
-  (:meth:`~repro.core.session.FaultDomain.failover_now`): the buddy's
+  (:meth:`~repro.core.fault_domain.FaultDomain.failover_now`): the buddy's
   shadow store becomes the new primary, the session restores there and
   re-anchors. Parked sessions on the dead node are re-homed to their
   shadow without a restore — images, not processes, were all they had.
@@ -48,7 +48,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.apps.base import digest_arrays
-from repro.core.session import CracSession, FaultDomain
+from repro.core.fault_domain import FaultDomain
+from repro.core.session import CracSession
 from repro.cuda.api import FatBinary
 from repro.dmtcp.image import CheckpointImage
 from repro.dmtcp.store import CheckpointStore
@@ -222,8 +223,7 @@ class ServeScheduler:
         store = CheckpointStore(keep_generations=self.keep_generations)
         domain = session.enable_fault_domain(
             store,
-            retries=2, max_stream_resets=2, max_restores=2, max_failovers=1,
-            backoff_s=0.01, max_backoff_s=0.5,
+            retries=2, max_restores=2, backoff_s=0.01, max_backoff_s=0.5,
         )
         record = SessionRecord(
             sid=sid, node=node, session=session, domain=domain,

@@ -1,7 +1,12 @@
-"""Wiring-pass coverage: the inventory must see every live cuda* API."""
+"""Wiring-pass coverage: the inventory must see every live cuda* API,
+and the CRAC plugin is the only module that reads the blobs it writes."""
 
+import ast
 import inspect
+from pathlib import Path
 
+import repro
+from repro.analysis.astutil import PackageIndex, call_name, str_constants
 from repro.analysis.findings import RULE_CODES, Finding
 from repro.cuda.api import CudaRuntime
 from repro.cuda.errors import CudaErrorCode, classify
@@ -46,3 +51,36 @@ def test_every_rule_routes_through_the_error_taxonomy():
 def test_unknown_rule_defaults_to_program_severity():
     f = Finding("wiring", "wiring/not-a-rule", "repro/x.py", 1, "m")
     assert f.code is CudaErrorCode.INVALID_VALUE
+
+
+def test_plugin_is_the_only_reader_of_its_blobs():
+    # The checkpoint and restart sides of the crac/* image format live in
+    # one module: every key core/plugin.py writes with add_blob is read
+    # (.blob/.get) nowhere else in the package.
+    index = PackageIndex.from_dir(Path(repro.__file__).parent)
+    plugin = index.find("core/plugin.py")
+    written = {
+        s
+        for node in ast.walk(plugin.tree)
+        if isinstance(node, ast.Call) and call_name(node) == "add_blob"
+        for s in str_constants(node.args[0])
+    }
+    assert written >= {"crac/buffers", "crac/replay-log", "crac/platform"}
+    readers: dict[str, set[str]] = {}
+    for rel, mod in index.modules.items():
+        for node in ast.walk(mod.tree):
+            if (
+                isinstance(node, ast.Call)
+                and call_name(node) in ("blob", "get")
+                and node.args
+            ):
+                for s in str_constants(node.args[0]):
+                    if s in written:
+                        readers.setdefault(s, set()).add(rel)
+    assert readers.keys() == written, sorted(written - readers.keys())
+    elsewhere = {
+        key: sorted(mods - {"repro/core/plugin.py"})
+        for key, mods in readers.items()
+        if mods != {"repro/core/plugin.py"}
+    }
+    assert not elsewhere, elsewhere

@@ -128,7 +128,7 @@ def reference_refill(image, runtime, translation) -> int:
 def reference_session(seed: int) -> CracSession:
     session = CracSession(seed=seed)
     session.plugin.__class__ = ReferencePlugin
-    session._refill = reference_refill
+    session.plugin._refill = reference_refill
     return session
 
 

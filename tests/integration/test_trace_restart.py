@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.session import CracSession
 from repro.cuda.api import FatBinary
+from repro.cuda.profiler import Nvprof
 from repro.dmtcp.store import CheckpointStore
 from repro.harness.fault_injection import FaultInjector, FaultSpec
 
@@ -35,7 +36,7 @@ def make_traced(injector=None, *, seed=7, store=None, fault_domain=False):
     if fault_domain:
         session.enable_fault_domain(store if store is not None else CheckpointStore())
     tracer = session.enable_trace()
-    profiler = session.enable_profiler()
+    profiler = Nvprof(session.backend)
     profiler.start()
     session.backend.register_app_binary(FB)
     ptr = session.backend.malloc(NBYTES)
