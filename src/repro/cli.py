@@ -22,7 +22,7 @@ Commands:
 - ``analyze`` — whole-program static analysis: three passes (API wiring,
   replay-determinism dataflow, determinism lint) over one parse of the
   package;
-- ``trace APP`` — run one workload with the unified tracer + profiler
+- ``trace APP`` — run one workload with the unified tracer
   attached, write a Chrome/Perfetto ``trace_event`` JSON (load it at
   https://ui.perfetto.dev), and print the overhead, digest,
   device-accounting and eq. 2 checks;
@@ -512,7 +512,7 @@ def cmd_trace(args, out) -> int:
     from repro.harness.trace_bench import run_trace_bench
     from repro.trace import write_chrome_trace
 
-    result, tracer, _profiler = run_trace_bench(
+    result, tracer = run_trace_bench(
         APP_REGISTRY[args.app],
         scale=args.scale,
         gpu=args.gpu,

@@ -19,7 +19,6 @@ from repro.cuda.api import CudaRuntime, FatBinary
 from repro.cuda.cublas import CuBlas
 from repro.cuda.errors import CudaErrorCode
 from repro.cuda.interface import CudaDispatchBase, NativeBackend
-from repro.cuda.profiler import Nvprof
 
 __all__ = [
     "CudaRuntime",
@@ -28,5 +27,4 @@ __all__ = [
     "CudaDispatchBase",
     "NativeBackend",
     "CuBlas",
-    "Nvprof",
 ]

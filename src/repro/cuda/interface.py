@@ -14,7 +14,9 @@ Each backend charges its own per-call dispatch cost and counts
 upper→lower calls. A kernel launch counts as **three** calls
 (``cudaPushCallConfiguration`` + ``cudaPopCallConfiguration`` +
 ``cudaLaunchKernel``) exactly as in the paper's Total-CUDA-calls formula
-(§4.3, eq. 2); the profiler just sums the counter.
+(§4.3, eq. 2), so :attr:`~CudaDispatchBase.total_calls` just sums the
+counter (:func:`repro.harness.metrics.total_calls_formula` recomputes it
+the paper's way).
 """
 
 from __future__ import annotations

@@ -24,10 +24,6 @@ class SegmentationFault(AddressSpaceError):
         super().__init__(msg)
 
 
-class MemoryCorruptionError(AddressSpaceError):
-    """Detected silent memory corruption (e.g. lower half clobbered upper half)."""
-
-
 class LoaderError(ReproError):
     """Program loading failed."""
 
@@ -290,7 +286,3 @@ class UnsupportedFeatureError(ReproError):
 
     E.g. CRCUDA has no UVM support; CheCUDA cannot restore UVA state.
     """
-
-
-class ProxyProtocolError(ReproError):
-    """Malformed request/response on the proxy IPC channel."""

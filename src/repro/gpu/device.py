@@ -87,10 +87,6 @@ class GpuDevice:
         """Detach a (destroyed) stream from the timeline."""
         self._streams.discard(stream)
 
-    @property
-    def active_streams(self) -> int:
-        return len(self._streams)
-
     # -- scheduling -------------------------------------------------------------
 
     def _start_time(self, stream: Stream, at_ns: float) -> float:
@@ -286,13 +282,6 @@ class GpuDevice:
         for kind, ready in self._copy_engine_ready.items():
             if ready > now_ns:
                 self._copy_engine_ready[kind] = now_ns
-
-    def busy_delay(self, stream: Stream, duration_ns: float, at_ns: float) -> float:
-        """Schedule an opaque device-side delay (fault servicing etc.)."""
-        start = self._start_time(stream, at_ns)
-        end = start + duration_ns
-        self._finish(stream, end)
-        return end
 
     # -- synchronization ------------------------------------------------------------
 

@@ -141,11 +141,6 @@ class PagedContents:
     def dirty_byte_count(self) -> int:
         return self._dirty.byte_count
 
-    def dirty_page_epochs(self, page_size: int) -> np.ndarray:
-        """Page-granular view of the dirty index: per page, the
-        :attr:`write_seq` of its newest write (0 = clean page)."""
-        return self._dirty.page_epochs(page_size, self.size)
-
     def clear_dirty(
         self,
         spans: list[tuple[int, int]] | None = None,

@@ -463,46 +463,32 @@ def run_guarded_app(
     surfaces as a *typed* abort in the outcome — never an undetected
     wrong answer.
     """
-    from repro.apps.base import AppContext
     from repro.core.session import CracSession
     from repro.dmtcp.store import CheckpointStore
     from repro.errors import CudaError, RecoveryAbortedError
     from repro.harness.fault_injection import FaultInjector
-    from repro.harness.runner import TIME_SCALE
+    from repro.harness.runner import drive
 
     injector = FaultInjector(list(specs or []), seed=injector_seed)
     store = CheckpointStore(keep_generations=keep_generations)
     session = CracSession(gpu=gpu, seed=seed, fault_injector=injector)
     domain = session.enable_fault_domain(store)
-    app = app_cls(scale=scale, seed=seed)
-    if hasattr(app, "MEASURE"):
-        # Run every iteration for real: fast-forwarded iterations issue
-        # no runtime calls, so no fault could ever land in them.
-        app.MEASURE = 10**9
 
     committed = [0]
-    if domain.checkpoint() is not None:  # anchor: rung 3 needs a recovery line
-        committed[0] += 1
-    triggers = sorted(checkpoint_fracs)
-    fired = [0]
 
-    def checkpoint_cb(progress: float) -> None:
-        while fired[0] < len(triggers) and progress >= triggers[fired[0]]:
-            fired[0] += 1
-            if domain.checkpoint() is not None:
-                committed[0] += 1
+    def commit(progress: float = 0.0) -> None:
+        if domain.checkpoint() is not None:
+            committed[0] += 1
 
-    ctx = AppContext(
-        backend=session.backend,
-        upper_mmap=lambda size: session.split.upper_mmap(size),
-        checkpoint_cb=checkpoint_cb,
-        time_scale=TIME_SCALE[gpu],
-    )
+    commit()  # anchor: rung 3 needs a recovery line
     digest = -1
     calls = 0
     aborted: str | None = None
     try:
-        result = app.run(ctx)
+        result = drive(
+            app_cls(scale=scale, seed=seed), session,
+            cuts=checkpoint_fracs, on_cut=commit, real=True,
+        )
         digest, calls = result.digest, result.cuda_calls
     except (RecoveryAbortedError, CudaError) as exc:
         aborted = type(exc).__name__
@@ -623,7 +609,6 @@ def run_node_failover_scenario(
     monitor rebaselines, and the run finishes there bit-identical to a
     fault-free baseline (deterministic redo).
     """
-    from repro.apps.base import AppContext
     from repro.cluster import Cluster, ClusterNode, Interconnect
     from repro.core.session import CracSession
     from repro.harness.fault_injection import (
@@ -631,7 +616,7 @@ def run_node_failover_scenario(
         FaultSpec,
         derive_seed,
     )
-    from repro.harness.runner import TIME_SCALE
+    from repro.harness.runner import drive
 
     base = run_guarded_app(
         app_cls, scale=scale, seed=seed, gpu=gpu_src, specs=[],
@@ -663,9 +648,6 @@ def run_node_failover_scenario(
     session = CracSession(gpu=gpu_src, seed=seed, fault_injector=injector)
     src.adopt(app_cls.name, session)
     domain = session.enable_fault_domain(src.store, max_restores=0)
-    app = app_cls(scale=scale, seed=seed)
-    if hasattr(app, "MEASURE"):
-        app.MEASURE = 10**9
 
     replicated = [0]
 
@@ -677,18 +659,13 @@ def run_node_failover_scenario(
         )
         replicated[0] += 1
 
+    def on_cut(progress: float) -> None:
+        if src.alive and "src" not in cluster.dead_nodes():
+            commit_and_ship()
+        else:
+            domain.checkpoint()  # new home: commit to dst's store
+
     commit_and_ship()  # anchor generation, shipped before any fault
-    triggers = sorted(checkpoint_fracs)
-    fired = [0]
-
-    def checkpoint_cb(progress: float) -> None:
-        while fired[0] < len(triggers) and progress >= triggers[fired[0]]:
-            fired[0] += 1
-            if src.alive and "src" not in cluster.dead_nodes():
-                commit_and_ship()
-            else:
-                domain.checkpoint()  # new home: commit to dst's store
-
     declared_dead: list[str] = []
     inner = cluster.make_failover_handler(session, app_cls.name, "src", "dst")
 
@@ -701,13 +678,10 @@ def run_node_failover_scenario(
         return inner(exc)
 
     domain.failover_handler = handler
-    ctx = AppContext(
-        backend=session.backend,
-        upper_mmap=lambda size: session.split.upper_mmap(size),
-        checkpoint_cb=checkpoint_cb,
-        time_scale=TIME_SCALE[gpu_src],
+    result = drive(
+        app_cls(scale=scale, seed=seed), session,
+        cuts=checkpoint_fracs, on_cut=on_cut, real=True,
     )
-    result = app.run(ctx)
     rep = domain.report
     return {
         "app": app_cls.name,

@@ -30,30 +30,8 @@ import zlib
 
 import numpy as np
 
+from repro.harness.runner import drive
 from repro.harness.suites import Suite, app_classes, check
-
-
-def _run_app(app_cls, session, *, scale, seed, checkpoint_cb=None):
-    """Run one workload on an existing session; returns its AppResult.
-
-    Mirrors the guarded-run wiring (fault_tolerance.run_guarded_app):
-    every iteration runs for real so migration triggers land at true
-    progress fractions, and ``upper_mmap`` re-binds through the session
-    so it follows a mid-run restore onto a new split process.
-    """
-    from repro.apps.base import AppContext
-    from repro.harness.runner import TIME_SCALE
-
-    app = app_cls(scale=scale, seed=seed)
-    if hasattr(app, "MEASURE"):
-        app.MEASURE = 10**9
-    ctx = AppContext(
-        backend=session.backend,
-        upper_mmap=lambda size: session.split.upper_mmap(size),
-        checkpoint_cb=checkpoint_cb,
-        time_scale=TIME_SCALE[session.gpu],
-    )
-    return app.run(ctx)
 
 
 def _baseline_cell(app_cls, *, scale, seed, gpu) -> dict:
@@ -62,7 +40,7 @@ def _baseline_cell(app_cls, *, scale, seed, gpu) -> dict:
 
     session = CracSession(gpu=gpu, seed=seed)
     try:
-        result = _run_app(app_cls, session, scale=scale, seed=seed)
+        result = drive(app_cls(scale=scale, seed=seed), session, real=True)
         return {
             "digest": result.digest,
             "runtime_s": session.process.clock_ns / 1e9,
@@ -77,11 +55,12 @@ def _live_cell(
 ) -> dict:
     """Migrate the app mid-run with the pre-copy state machine.
 
-    The app's progress callback drives the phases: ``begin()`` at the
-    first fraction, a ``precopy_round()`` per middle fraction, and
-    ``cutover()`` at the last. If a tiny run finishes before the last
-    trigger the remaining phases complete after the app (the blackout
-    is still measured the same way).
+    The app's cuts drive the phases: ``begin()`` at the first fraction,
+    a ``precopy_round()`` per middle fraction, and ``cutover()`` at the
+    last. Every iteration runs for real, so the cuts land at true
+    progress fractions. If a tiny run finishes before the last cut the
+    remaining phases complete after the app (the blackout is still
+    measured the same way).
     """
     from repro.cluster import ClusterNode, Interconnect, LiveMigration
     from repro.core.session import CracSession
@@ -94,27 +73,25 @@ def _live_cell(
     session = CracSession(gpu=gpu_src, seed=seed)
     src.adopt(name, session)
     mig = LiveMigration(session, src, dst, interconnect=ic, job=name)
-    fracs = sorted(checkpoint_fracs)
     steps = [mig.begin]
-    steps += [mig.precopy_round] * max(0, len(fracs) - 2)
+    steps += [mig.precopy_round] * max(0, len(checkpoint_fracs) - 2)
     steps += [mig.cutover]
     fired = [0]
     reports = []
 
-    def drive_next() -> None:
+    def next_phase(progress: float | None = None) -> None:
         out = steps[fired[0]]()
         fired[0] += 1
         if fired[0] == len(steps):
             reports.append(out)
 
-    def cb(progress: float) -> None:
-        while fired[0] < len(fracs) and progress >= fracs[fired[0]]:
-            drive_next()
-
     try:
-        result = _run_app(app_cls, session, scale=scale, seed=seed, checkpoint_cb=cb)
+        result = drive(
+            app_cls(scale=scale, seed=seed), session,
+            cuts=checkpoint_fracs, on_cut=next_phase, real=True,
+        )
         while fired[0] < len(steps):
-            drive_next()
+            next_phase()
         rep = reports[0]
         return {
             "digest": result.digest,
@@ -147,18 +124,18 @@ def _naive_cell(
     src.adopt(name, session)
     reports = []
 
-    def cb(progress: float) -> None:
-        if not reports and progress >= cut_frac:
-            reports.append(
-                naive_migrate(session, src, dst, interconnect=ic, job=name)
-            )
+    def migrate(progress: float | None = None) -> None:
+        reports.append(
+            naive_migrate(session, src, dst, interconnect=ic, job=name)
+        )
 
     try:
-        result = _run_app(app_cls, session, scale=scale, seed=seed, checkpoint_cb=cb)
+        result = drive(
+            app_cls(scale=scale, seed=seed), session,
+            cuts=[cut_frac], on_cut=migrate, real=True,
+        )
         if not reports:
-            reports.append(
-                naive_migrate(session, src, dst, interconnect=ic, job=name)
-            )
+            migrate()
         rep = reports[0]
         return {
             "digest": result.digest,

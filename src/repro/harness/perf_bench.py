@@ -47,10 +47,9 @@ from collections import Counter
 from typing import Callable
 
 import repro
-from repro.apps.base import AppContext
 from repro.core.session import CracSession
 from repro.harness.ckpt_bench import CKPT_MODES, default_cuts
-from repro.harness.runner import TIME_SCALE, Machine, run_app
+from repro.harness.runner import Machine, drive, run_app
 from repro.harness.suites import Gate, Suite, app_classes, check
 
 #: The checkpoint modes the capture scenario cuts in.
@@ -110,13 +109,9 @@ def _restart_each_cut(app, *, gpu: str, seed: int, fracs, incremental: bool):
     """Run ``app`` under CRAC, cutting at ``fracs``; after every cut kill
     the process and restart it from the image. Returns the app result."""
     session = CracSession(gpu=gpu, seed=seed)
-    pending = list(fracs)
     images: list = []
 
-    def on_progress(progress: float) -> None:
-        if not pending or progress < pending[0]:
-            return
-        pending.pop(0)
+    def cut(progress: float) -> None:
         parent = images[-1] if incremental and images else None
         images.append(
             session.checkpoint(incremental=parent is not None, parent=parent)
@@ -124,13 +119,7 @@ def _restart_each_cut(app, *, gpu: str, seed: int, fracs, incremental: bool):
         session.kill()
         session.restart(images[-1])
 
-    return app.run(AppContext(
-        backend=session.backend,
-        # the split process changes at every restart
-        upper_mmap=lambda size: session.split.upper_mmap(size),
-        checkpoint_cb=on_progress,
-        time_scale=TIME_SCALE[gpu],
-    ))
+    return drive(app, session, cuts=fracs, on_cut=cut)
 
 
 def _scenarios(

@@ -4,6 +4,13 @@
 runs the app, and returns a :class:`RunResult` with virtual runtime,
 call counts, CPS, the output digest, and any checkpoint records.
 
+``drive(app, session, cuts=..., on_cut=...)`` is the one driver of an
+app over a :class:`~repro.core.session.CracSession`: it runs the app
+and calls ``on_cut`` as its progress passes each cut. ``run_app``'s
+CRAC mode and every suite that checkpoints, restarts, migrates or
+fails over mid-run (faults, migrate, perf) are ``on_cut`` callbacks
+over it.
+
 Measurement noise: the paper averages 10 runs with a ~0.1 s standard
 deviation and explicitly attributes small negative overheads to this
 noise (§4.4.1). ``run_app`` models it with a seeded Gaussian draw per
@@ -15,7 +22,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,9 +30,8 @@ from repro.apps.base import AppContext, AppResult, CudaApp
 from repro.core.session import CracSession
 from repro.core.halves import SplitProcess
 from repro.cuda.interface import CudaDispatchBase, NativeBackend
-from repro.dmtcp.store import CheckpointStore
-from repro.gpu.timing import DEFAULT_HOST_COSTS, HostCosts
-from repro.harness.fault_injection import FaultInjector
+from repro.gpu.timing import DEFAULT_HOST_COSTS
+from repro.harness.metrics import cps, overhead_pct
 from repro.proxy.crcuda import CrcudaBackend
 from repro.proxy.crum import CrumBackend
 from repro.proxy.proxy_runtime import NaiveProxyBackend
@@ -84,14 +90,52 @@ class RunResult:
 
     def overhead_pct(self, baseline: "RunResult") -> float:
         """Runtime overhead vs a baseline run (paper eq. 1)."""
-        from repro.harness.metrics import overhead_pct
-
         return overhead_pct(self.runtime_s, baseline.runtime_s)
 
 
 def _noise_s(app_name: str, mode: str, gpu: str, std_s: float = 0.1) -> float:
     seed = zlib.crc32(f"{app_name}/{mode}/{gpu}".encode())
     return float(np.random.default_rng(seed).normal(0.0, std_s))
+
+
+def drive(
+    app: CudaApp,
+    session: CracSession,
+    *,
+    cuts: Sequence[float] = (),
+    on_cut: Callable[[float], None] | None = None,
+    real: bool = False,
+) -> AppResult:
+    """Run ``app`` on ``session``'s CRAC backend; returns its AppResult.
+
+    This is the one place an app is wired to a session: ``upper_mmap``
+    resolves the session's current split process at each call, so the
+    heap follows a mid-run restart, and kernels run at the session
+    GPU's time scale. ``on_cut(progress)`` fires once per entry of
+    ``cuts``, in ascending order, at the first progress report at or
+    past that entry (one report past two cuts fires both).
+    ``real=True`` runs every iteration for real: fast-forwarded
+    iterations issue no runtime calls, so no fault could land in them,
+    and a cut among them would land on a fast-forward chunk boundary
+    instead of at its true progress fraction.
+    """
+    if real and hasattr(app, "MEASURE"):
+        app.MEASURE = 10**9
+    pending = sorted(cuts)
+    fired = 0
+
+    def checkpoint_cb(progress: float) -> None:
+        nonlocal fired
+        while fired < len(pending) and progress >= pending[fired]:
+            fired += 1
+            on_cut(progress)
+
+    return app.run(AppContext(
+        backend=session.backend,
+        upper_mmap=lambda size: session.split.upper_mmap(size),
+        checkpoint_cb=checkpoint_cb if pending else None,
+        time_scale=TIME_SCALE[session.gpu],
+    ))
 
 
 def run_app(
@@ -106,12 +150,8 @@ def run_app(
     speculative: bool = False,
     gzip: bool = False,
     noise: bool = True,
-    costs: HostCosts = DEFAULT_HOST_COSTS,
-    store: CheckpointStore | None = None,
-    fault_injector: FaultInjector | None = None,
     sanitizer=None,
     tracer=None,
-    profiler=None,
 ) -> RunResult:
     """Run ``app`` on a fresh machine under ``mode``.
 
@@ -128,11 +168,6 @@ def run_app(
     validated against the handle-version table at commit time (the
     PhoenixOS-style concurrent checkpoint, near-zero stall).
 
-    ``store`` (CRAC only) commits every checkpoint through the store's
-    two-phase protocol and performs the restart via the self-healing
-    ``restart_latest`` path; ``fault_injector`` arms a seeded fault plan
-    over the whole pipeline.
-
     ``sanitizer`` attaches a :class:`repro.sanitizer.Sanitizer` to the
     run's runtime (under crac it follows the session across restarts)
     and finalizes its leak check after the app completes.
@@ -140,8 +175,6 @@ def run_app(
     ``tracer`` attaches a :class:`repro.trace.Tracer` to the run's
     dispatch backend (under crac it re-attaches across restarts); its
     spans are the run's GPU timeline (``tracer.timeline()``).
-    ``profiler`` attaches an :class:`~repro.cuda.profiler.Nvprof` with a
-    call-counting window opened before the app starts.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -156,28 +189,19 @@ def run_app(
     if mode == "crac":
         session = CracSession(
             gpu=machine.gpu, fsgsbase=machine.fsgsbase, seed=machine.seed,
-            costs=costs, fault_injector=fault_injector,
         )
         backend: CudaDispatchBase = session.backend
         if sanitizer is not None:
             session.enable_sanitizer(sanitizer)
         if tracer is not None:
             session.enable_trace(tracer)
-        if profiler is not None:
-            profiler.attach(backend)
-            profiler.start()
-        upper_mmap = lambda size: session.split.upper_mmap(size)  # noqa: E731
         chain: list = []  # previous images (for incremental parents)
 
-        def checkpoint_cb(progress: float) -> None:
-            if len(records) >= len(triggers) or progress < triggers[len(records)]:
-                return
-            is_last = len(records) == len(triggers) - 1
+        def cut(progress: float) -> None:
             image = session.checkpoint(
                 gzip=gzip,
                 incremental=incremental and bool(chain),
                 parent=chain[-1] if (incremental and chain) else None,
-                store=store,
                 forked=forked,
                 speculative=speculative,
             )
@@ -187,23 +211,17 @@ def run_app(
                 checkpoint_s=image.checkpoint_time_ns / 1e9,
                 size_mb=image.size_bytes / (1 << 20),
             )
-            if restart_after_checkpoint and is_last:
+            if restart_after_checkpoint and len(chain) == len(triggers):
                 session.kill()
-                report = (
-                    session.restart_latest(store)
-                    if store is not None
-                    else session.restart(image)
-                )
+                report = session.restart(image)
                 rec.restart_s = report.restart_time_ns / 1e9
                 rec.replayed_calls = report.replayed_calls
             records.append(rec)
 
-        ctx = AppContext(
-            backend=backend,
-            upper_mmap=upper_mmap,
-            checkpoint_cb=checkpoint_cb if triggers else None,
-            time_scale=TIME_SCALE[machine.gpu],
-        )
+        result = drive(app, session, cuts=triggers, on_cut=cut)
+        # Drain any still-in-flight forked image write: the job is not
+        # durably checkpointed until the background write commits.
+        session.finish_forked_checkpoints()
     else:
         split = SplitProcess(
             gpu=machine.gpu, fsgsbase=machine.fsgsbase, seed=machine.seed
@@ -214,29 +232,21 @@ def run_app(
             "proxy-cma": NaiveProxyBackend,
             "crcuda": CrcudaBackend,
         }[mode]
-        backend = backend_cls(split.runtime, costs)
+        backend = backend_cls(split.runtime, DEFAULT_HOST_COSTS)
         if sanitizer is not None:
             sanitizer.attach(split.runtime)
         if tracer is not None:
             tracer.attach(backend)
-        if profiler is not None:
-            profiler.attach(backend)
-            profiler.start()
         if mode != "native":
             # Checkpointable proxies also launch under DMTCP and must
             # fork/exec + initialize their proxy process.
-            split.process.advance(costs.crac_startup_ns + 150_000_000)
-        ctx = AppContext(
+            split.process.advance(DEFAULT_HOST_COSTS.crac_startup_ns + 150_000_000)
+        result = app.run(AppContext(
             backend=backend,
             upper_mmap=split.upper_mmap,
             time_scale=TIME_SCALE[machine.gpu],
-        )
+        ))
 
-    result: AppResult = app.run(ctx)
-    if mode == "crac":
-        # Drain any still-in-flight forked image write: the job is not
-        # durably checkpointed until the background write commits.
-        session.finish_forked_checkpoints()
     if sanitizer is not None:
         # End of app = teardown point: run the leak check against the
         # runtime the app finished on.
@@ -253,7 +263,7 @@ def run_app(
         runtime_s=max(noisy_s, exact_s * 0.5),
         runtime_exact_s=exact_s,
         cuda_calls=result.cuda_calls,
-        cps=result.cuda_calls / exact_s if exact_s > 0 else 0.0,
+        cps=cps(result.cuda_calls, exact_s),
         digest=result.digest,
         checkpoints=records,
         extras=result.extras,

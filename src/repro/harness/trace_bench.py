@@ -1,8 +1,7 @@
 """The ``trace`` bench suite: overhead, digest equality, cross-checks.
 
 Runs one workload twice — untraced baseline, then with a
-:class:`repro.trace.Tracer` and an :class:`~repro.cuda.profiler.Nvprof`
-attached — and checks:
+:class:`repro.trace.Tracer` attached — and checks:
 
 - **digest equality**: instrumentation must not perturb results;
 - **overhead bound**: traced virtual runtime ≤ ``MAX_OVERHEAD_RATIO`` ×
@@ -20,7 +19,7 @@ attached — and checks:
 
 from __future__ import annotations
 
-from repro.cuda.profiler import Nvprof
+from repro.harness.metrics import total_calls_formula
 from repro.harness.runner import Machine, run_app
 from repro.harness.suites import Suite, app_classes, check
 from repro.trace import Tracer, to_chrome_trace
@@ -73,19 +72,17 @@ def run_trace_bench(
     seed: int = 0,
     mode: str = "crac",
     checkpoint_at: float | None = None,
-) -> tuple[dict, Tracer, Nvprof]:
-    """Trace one app and check it; returns (suite result, tracer,
-    profiler) so the caller can export the trace."""
+) -> tuple[dict, Tracer]:
+    """Trace one app and check it; returns (suite result, tracer) so the
+    caller can export the trace."""
     machine = Machine(gpu=gpu, seed=seed)
     kwargs = dict(
         mode=mode, checkpoint_at=checkpoint_at, noise=False,
     )
     base = run_app(app_cls(scale=scale, seed=seed), machine, **kwargs)
     tracer = Tracer()
-    profiler = Nvprof()
     traced = run_app(
-        app_cls(scale=scale, seed=seed), machine,
-        tracer=tracer, profiler=profiler, **kwargs,
+        app_cls(scale=scale, seed=seed), machine, tracer=tracer, **kwargs,
     )
 
     overhead_ratio = (
@@ -99,10 +96,8 @@ def run_trace_bench(
     # the backend's counter without dispatching, so only the span-derived
     # counter satisfies the formula exactly.
     span_calls = tracer.api_call_counter()
-    eq2_total = profiler.total_calls_formula(span_calls)
+    eq2_total = total_calls_formula(span_calls)
     eq2_spans = int(sum(span_calls.values()))
-
-    profile = profiler.report()
     result = {
         "metrics": {
             "untraced_s": base.runtime_exact_s,
@@ -115,8 +110,8 @@ def run_trace_bench(
             "kernel_busy_ns": timeline.kernel_busy_ns,
             "copy_busy_ns": timeline.copy_busy_ns,
             "eq2_total": eq2_total,
-            "total_calls": profile.total_calls,
-            "cps": profile.cps,
+            "total_calls": traced.cuda_calls,
+            "cps": traced.cps,
         },
         "checks": [
             check(f"overhead ≤{MAX_OVERHEAD_RATIO}×",
@@ -126,7 +121,7 @@ def run_trace_bench(
             check("traced digest equals untraced",
                   traced.digest == base.digest,
                   f"{traced.digest:#010x} vs {base.digest:#010x}"),
-            device_accounting_check(tracer, profiler.backend.runtime.devices),
+            device_accounting_check(tracer, tracer.backend.runtime.devices),
             check("eq. 2 equals the traced call spans",
                   eq2_total == eq2_spans,
                   f"{eq2_total:,} formula vs {eq2_spans:,} spans"),
@@ -143,13 +138,13 @@ def run_trace_bench(
             "segments": timeline.segments,
         },
     }
-    return result, tracer, profiler
+    return result, tracer
 
 
 def run_trace_suite(*, app: str, scale: float, gpu: str, seed: int) -> dict:
     """The suite run: one traced app plus its Chrome trace file."""
     (cls,) = app_classes([app])
-    result, tracer, _ = run_trace_bench(cls, scale=scale, gpu=gpu, seed=seed)
+    result, tracer = run_trace_bench(cls, scale=scale, gpu=gpu, seed=seed)
     result["files"] = {
         f"trace_{app.lower()}.json": to_chrome_trace(tracer, label=cls.name),
     }

@@ -33,11 +33,6 @@ PAGE_SIZE = 4096
 DEFAULT_MMAP_WINDOW = (0x0000_7000_0000_0000, 0x0000_7FFF_F000_0000)
 
 
-def page_align_down(addr: int) -> int:
-    """Round ``addr`` down to a page boundary."""
-    return addr & ~(PAGE_SIZE - 1)
-
-
 def page_align_up(n: int) -> int:
     """Round ``n`` up to a page boundary."""
     return (n + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)

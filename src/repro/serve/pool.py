@@ -55,10 +55,6 @@ class ServeNode:
         #: per-session replica stores (failover targets for other homes)
         self.shadows: dict[str, CheckpointStore] = {}
 
-    @property
-    def free_slots(self) -> int:
-        return self.slots - len(self.hot)
-
     def fail(self) -> None:
         """Stop heartbeating (dying-node model: memory stays readable
         long enough for the ladder's pre-fault snapshot; the node never

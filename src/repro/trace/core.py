@@ -135,6 +135,8 @@ class Tracer:
         self._next_flow = 1
         self._pending_flow: int | None = None
         self._process = None
+        #: the dispatch backend attached last, or None
+        self.backend = None
 
     # -- attachment (sanitizer-style: idempotent, restart-safe) ---------------
 
@@ -145,6 +147,7 @@ class Tracer:
         span and just swaps the event sources underneath.
         """
         backend.tracer = self
+        self.backend = backend
         self._process = backend.process
         for dev in backend.runtime.devices:
             dev.tracer = self
@@ -156,6 +159,7 @@ class Tracer:
         for dev in backend.runtime.devices:
             if getattr(dev, "tracer", None) is self:
                 dev.tracer = None
+        self.backend = None
         self._process = None
 
     def begin_segment(self, reason: str, at_ns: float) -> int:

@@ -1,55 +1,36 @@
-"""Tests for the nvprof stand-in: call counting and the eq. 2 formula."""
+"""Call counting the way nvprof counts (§4.3): the backend's counter and
+the eq. 2 formula in :mod:`repro.harness.metrics`."""
+
+from collections import Counter
 
 import pytest
 
-from repro.cuda.profiler import Nvprof
+from repro.harness.metrics import cps, total_calls_formula
 
 
 class TestCallCounting:
     def test_launch_counts_three_calls_total(self, backend):
-        prof = Nvprof(backend)
-        prof.start()
+        before = backend.total_calls
         backend.launch("k")
-        rep = prof.report()
-        assert rep.total_calls == 3
-        assert rep.kernel_launches == 1
+        assert backend.total_calls - before == 3
+        assert backend.call_counter["cudaLaunchKernel"] == 1
 
     def test_formula_matches_summed_counter(self, backend):
-        prof = Nvprof(backend)
-        prof.start()
+        before = backend.total_calls
         p = backend.malloc(64)
         for _ in range(5):
             backend.launch("k")
         backend.free(p)
         backend.device_synchronize()
-        rep = prof.report()
-        assert rep.total_calls == prof.total_calls_formula(rep.calls)
-        assert rep.total_calls == 3 * 5 + 3  # launches + malloc/free/sync
+        assert backend.total_calls == total_calls_formula(backend.call_counter)
+        # launches + malloc/free/sync
+        assert backend.total_calls - before == 3 * 5 + 3
 
-    def test_window_excludes_prior_calls(self, backend):
-        backend.malloc(64)
-        prof = Nvprof(backend)
-        prof.start()
-        backend.launch("k")
-        rep = prof.report()
-        assert "cudaMalloc" not in rep.calls
-
-    def test_cps(self, machine, backend):
-        proc, _, _, _ = machine
-        prof = Nvprof(backend)
-        prof.start()
-        for _ in range(100):
-            backend.launch("k")
-        backend.device_synchronize()
-        rep = prof.report()
-        assert rep.cps == pytest.approx(rep.total_calls / rep.exec_time_s)
-        assert rep.exec_time_s > 0
+    def test_cps(self):
+        assert cps(300, 2.0) == pytest.approx(150.0)
+        with pytest.raises(ValueError):
+            cps(300, 0.0)
 
     def test_note_external_calls_counted_in_profile(self, backend):
-        from collections import Counter
-
-        prof = Nvprof(backend)
-        prof.start()
         backend.note_external_calls(Counter({"cudaLaunchKernel": 10}), repeats=7)
-        rep = prof.report()
-        assert rep.calls["cudaLaunchKernel"] == 70
+        assert backend.call_counter["cudaLaunchKernel"] == 70

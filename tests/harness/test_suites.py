@@ -196,3 +196,15 @@ def test_importing_faultspec_loads_no_suite():
         env={"PYTHONPATH": str(REPO / "src")}, check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_ci_bench_matrix_is_the_suite_registry():
+    """The CI ``bench`` job runs exactly the registered suites, so a
+    suite added to (or dropped from) the registry cannot drift out of CI."""
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    job = ci[ci.index("\n  bench:\n"):]
+    line = next(
+        ln for ln in job.splitlines() if ln.strip().startswith("suite:")
+    )
+    listed = line.split("[", 1)[1].rsplit("]", 1)[0]
+    assert [s.strip() for s in listed.split(",")] == list(suites.SUITES)

@@ -43,41 +43,22 @@ class TestCheckpointChains:
                              ids=lambda c: c.__name__)
     def test_two_checkpoints_in_one_run(self, app_cls):
         """Checkpoint → restart → checkpoint → restart, mid-run."""
-        from repro.core.session import CracSession  # noqa: F401 (doc aid)
+        from repro.core import CracSession
+        from repro.harness.runner import drive
 
         n = run_app(app_cls(scale=SCALE), mode="native", noise=False)
-
-        # run_app fires one checkpoint; chain two via two progress points
-        # by re-entering through the checkpoint_cb manually.
+        session = CracSession(seed=0)
         fired = []
 
-        def run_with_two():
-            from repro.apps.base import AppContext
-            from repro.core import CracSession
+        def cut(progress):
+            image = session.checkpoint()
+            session.kill()
+            session.restart(image)
+            fired.append(progress)
 
-            session = CracSession(seed=0)
-            app = app_cls(scale=SCALE)
-
-            def cb(progress):
-                if len(fired) == 0 and progress >= 0.3:
-                    image = session.checkpoint()
-                    session.kill()
-                    session.restart(image)
-                    fired.append(progress)
-                elif len(fired) == 1 and progress >= 0.7:
-                    image = session.checkpoint()
-                    session.kill()
-                    session.restart(image)
-                    fired.append(progress)
-
-            ctx = AppContext(
-                backend=session.backend,
-                upper_mmap=lambda size: session.split.upper_mmap(size),
-                checkpoint_cb=cb,
-            )
-            return app.run(ctx)
-
-        result = run_with_two()
+        result = drive(
+            app_cls(scale=SCALE), session, cuts=[0.3, 0.7], on_cut=cut
+        )
         assert len(fired) == 2
         assert result.digest == n.digest
 

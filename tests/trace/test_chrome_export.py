@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.apps.simple_streams import SimpleStreams
+from repro.harness.metrics import total_calls_formula
 from repro.harness.trace_bench import device_accounting_check, run_trace_bench
 from repro.trace import Tracer
 from repro.trace.export import (
@@ -26,12 +27,11 @@ from repro.trace.export import (
 @pytest.fixture(scope="module")
 def bench():
     """One traced SimpleStreams run shared by every test here."""
-    report, tracer, profiler = run_trace_bench(SimpleStreams, scale=0.05)
-    return report, tracer, profiler
+    return run_trace_bench(SimpleStreams, scale=0.05)
 
 
 def test_bench_gates_pass(bench):
-    report, _, _ = bench
+    report, _ = bench
     assert [c["name"] for c in report["checks"] if c["ok"]] == [
         "overhead ≤1.25×",
         "traced digest equals untraced",
@@ -41,7 +41,7 @@ def test_bench_gates_pass(bench):
 
 
 def test_export_is_valid_trace_event_json(bench):
-    _, tracer, _ = bench
+    _, tracer = bench
     obj = to_chrome_trace(tracer, label="simple_streams")
     # Round-trips through JSON untouched.
     obj = json.loads(json.dumps(obj))
@@ -67,7 +67,7 @@ def test_export_is_valid_trace_event_json(bench):
 
 
 def test_events_sorted_by_timestamp(bench):
-    _, tracer, _ = bench
+    _, tracer = bench
     events = to_chrome_trace(tracer)["traceEvents"]
     timed = [e for e in events if e["ph"] != "M"]
     keys = [(e["ts"], e["pid"], e["tid"], e["ph"]) for e in timed]
@@ -75,7 +75,7 @@ def test_events_sorted_by_timestamp(bench):
 
 
 def test_pid_tid_assignment_stable(bench):
-    _, tracer, _ = bench
+    _, tracer = bench
     first = assign_tracks(tracer)
     second = assign_tracks(tracer)
     assert first == second
@@ -93,7 +93,7 @@ def test_pid_tid_assignment_stable(bench):
 
 
 def test_flow_ids_paired(bench):
-    _, tracer, _ = bench
+    _, tracer = bench
     events = to_chrome_trace(tracer)["traceEvents"]
     starts = [e["id"] for e in events if e["ph"] == "s"]
     finishes = [e["id"] for e in events if e["ph"] == "f"]
@@ -103,9 +103,9 @@ def test_flow_ids_paired(bench):
 
 
 def test_eq2_matches_traced_spans_exactly(bench):
-    report, tracer, profiler = bench
+    report, tracer = bench
     span_calls = tracer.api_call_counter()
-    assert profiler.total_calls_formula(span_calls) == sum(span_calls.values())
+    assert total_calls_formula(span_calls) == sum(span_calls.values())
     assert report["metrics"]["eq2_total"] == sum(span_calls.values())
     launches = span_calls["cudaLaunchKernel"]
     assert launches == span_calls["cudaPushCallConfiguration"]
@@ -113,7 +113,7 @@ def test_eq2_matches_traced_spans_exactly(bench):
 
 
 def test_per_stream_spans_sum_to_timeline_busy(bench):
-    _, tracer, _ = bench
+    _, tracer = bench
     timeline = tracer.timeline()
     per_track: dict[str, float] = {}
     for s in tracer.spans:
