@@ -233,6 +233,28 @@ SCENARIOS: tuple[PlantedScenario, ...] = (
         ),
     ),
     PlantedScenario(
+        "alloc-run-never-logged",
+        "wiring/unlogged-alloc",
+        _tree(
+            repro__core__trampoline_py=_TRAMPOLINE + '''
+    def malloc_run(self, nbytes, n):
+        return self.runtime.malloc_run(nbytes, n)
+''',
+        ),
+    ),
+    PlantedScenario(
+        "alloc-run-logs-op-replay-cannot-handle",
+        "wiring/log-op-unreplayed",
+        _tree(
+            repro__core__trampoline_py=_TRAMPOLINE + '''
+    def malloc_run(self, nbytes, n):
+        addrs = self.runtime.malloc_run(nbytes, n)
+        self._log_run("malloc_run", nbytes, addrs, 0)
+        return addrs
+''',
+        ),
+    ),
+    PlantedScenario(
         "captured-blob-never-restored",
         "wiring/capture-blob-unrestored",
         _tree(
@@ -388,6 +410,18 @@ def check_addr(addr):
     ),
     # ------------------------------------------------------ negative controls
     PlantedScenario("clean-wired-tree", None, _tree()),
+    PlantedScenario(
+        "alloc-run-logged-in-bulk",
+        None,
+        _tree(
+            repro__core__trampoline_py=_TRAMPOLINE + '''
+    def malloc_run(self, nbytes, n):
+        addrs = self.runtime.malloc_run(nbytes, n)
+        self._log_run("malloc", nbytes, addrs, 0)
+        return addrs
+''',
+        ),
+    ),
     PlantedScenario(
         "seeded-rng-and-virtual-clock",
         None,

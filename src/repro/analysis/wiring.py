@@ -50,6 +50,9 @@ _UVM_OPS = {"device_access", "host_access", "prefetch"}
 _ARENA_OPS = {"alloc", "free"}
 
 _ALLOC_METHOD_RE = re.compile(r"^(malloc|free|host_alloc)")
+#: the trampoline's replay-log writers: one call, or a run of equal
+#: calls (``self._log_run("op", nbytes, addrs, device)``)
+_LOG_WRITERS = {"_log", "_log_run"}
 
 
 @dataclass
@@ -178,10 +181,15 @@ def _dispatch_literals(mod) -> set[str]:
 
 
 def _log_ops(mod) -> dict[str, int]:
-    """``self._log("op", ...)`` literals in the trampoline → first line."""
+    """``self._log("op", ...)`` and ``self._log_run("op", ...)`` literals
+    in the trampoline → first line."""
     ops: dict[str, int] = {}
     for node in ast.walk(mod.tree):
-        if isinstance(node, ast.Call) and call_name(node) == "_log" and node.args:
+        if (
+            isinstance(node, ast.Call)
+            and call_name(node) in _LOG_WRITERS
+            and node.args
+        ):
             for s in str_constants(node.args[0]):
                 ops.setdefault(s, node.lineno)
     return ops
@@ -280,9 +288,10 @@ def _library_kernel_gaps(lib_mod) -> list[tuple[str, str, int]]:
 
 
 def _unlogged_alloc(tramp_mod) -> list[tuple[str, int]]:
-    """Backend alloc/free overrides that never reach a ``_log`` call.
+    """Backend alloc/free overrides (runs included) that never reach a
+    log writer (``_log`` or ``_log_run``).
 
-    Scoped to classes that use ``_log`` at all (the replay-logging
+    Scoped to classes that use a log writer at all (the replay-logging
     backend), so plain dispatch bases aren't held to the rule.
     """
     gaps: list[tuple[str, int]] = []
@@ -292,14 +301,16 @@ def _unlogged_alloc(tramp_mod) -> list[tuple[str, int]]:
         methods = {
             n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)
         }
-        uses_log = any("_log" in called_names(m) for m in methods.values())
+        uses_log = any(
+            _LOG_WRITERS & called_names(m) for m in methods.values()
+        )
         if not uses_log:
             continue
         for name, fn in methods.items():
             if not _ALLOC_METHOD_RE.match(name):
                 continue
-            logged = "_log" in called_names(fn) or any(
-                "_log" in called_names(methods[c])
+            logged = bool(_LOG_WRITERS & called_names(fn)) or any(
+                _LOG_WRITERS & called_names(methods[c])
                 for c in called_names(fn)
                 if c in methods
             )
@@ -385,7 +396,8 @@ def analyze(index: PackageIndex) -> tuple[list[Finding], list[dict]]:
             add(
                 "unlogged-alloc", tramp_mod, line,
                 f"backend {name}() mutates device address space without "
-                "reaching self._log() — the call is lost from the replay log",
+                "reaching self._log() or self._log_run() — the call is lost "
+                "from the replay log",
             )
 
     plugin_mod = index.find("core/plugin.py")

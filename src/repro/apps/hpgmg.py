@@ -21,7 +21,14 @@ from repro.cuda.api import ManagedUse
 
 
 class Hpgmg(CudaApp):
-    """HPGMG-FV geometric multigrid: real V-cycles, UVM level data."""
+    """HPGMG-FV geometric multigrid: real V-cycles, UVM level data.
+
+    Setup allocates thousands of small per-box arrays (the long malloc
+    log of the module docstring). They are one run of equal calls,
+    ``malloc_run(256, n)``, and are freed with one ``free_run``: the
+    backend counts, charges and logs every call as a per-call loop
+    would, but crosses the boundary once for the run.
+    """
 
     name = "HPGMG-FV"
     cli_args = "7 8"
@@ -60,10 +67,9 @@ class Hpgmg(CudaApp):
         self.p_f = [b.malloc_managed(8 * s * s) for s in sides]
         self.p_r = [b.malloc_managed(8 * s * s) for s in sides]
         p_ballast = b.malloc(int(60 * (1 << 20) * self.scale) or 4096)
-        # Per-box metadata arrays: a long cudaMalloc log (see class doc).
-        box_allocs = [
-            b.malloc(256) for _ in range(self.iterations(self.PAPER_BOX_ALLOCS))
-        ]
+        # Per-box metadata arrays: a long cudaMalloc log (see class doc),
+        # made as one run of equal calls.
+        box_allocs = b.malloc_run(256, self.iterations(self.PAPER_BOX_ALLOCS))
 
         # RHS: a point source on the fine grid.
         s0 = sides[0]
@@ -154,7 +160,6 @@ class Hpgmg(CudaApp):
         for plist in (self.p_u, self.p_f, self.p_r):
             for p in plist:
                 b.free(p)
-        for p in box_allocs:
-            b.free(p)
+        b.free_run(box_allocs)
         b.free(p_ballast)
         return digest

@@ -23,11 +23,17 @@ The backend also implements CRAC's interposition (§3.2):
 A crossing is one Python frame on the host: :meth:`CracBackend._dispatch`
 (or ``_dispatch_batch`` for a launch's three calls) counts, charges both
 fs switches inline and notifies only an armed coordinator, and
-:meth:`CracBackend._log` appends and charges the log record itself.
+:meth:`CracBackend._log` appends and charges the log record itself. A
+run of equal allocation calls (``malloc_run``/``free_run``) crosses
+once: the runtime makes it in bulk and :meth:`CracBackend._log_run`
+accounts and logs every call of it in one frame.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import chain, repeat
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +49,8 @@ from repro.linux.process import SYSCALL_NS, WRFSBASE_NS
 
 #: builds a LogEntry from a tuple in C, without its Python ``__new__``
 _new_tuple = tuple.__new__
+#: the entry point a bulk-logged op's calls are counted under
+_RUN_CALLS = {"malloc": "cudaMalloc", "free": "cudaFree"}
 
 
 class CracBackend(CudaDispatchBase):
@@ -201,6 +209,82 @@ class CracBackend(CudaDispatchBase):
                 proc.advance(ns)  # raises ValueError
             proc.clock_ns += ns
 
+    def _log_run(
+        self, op: str, nbytes: int, addrs: Sequence[int], device: int = 0
+    ) -> None:
+        """Account ``len(addrs)`` calls of one allocation-family entry
+        point made in bulk, in one frame: what one :meth:`_dispatch` and
+        one :meth:`_log` per call leave. The calls are counted (and
+        counted toward an armed checkpoint, which they must stop short
+        of), each call's two fs switches, crossing and log record are
+        added to the clock in per-call order (so it is bit-equal), and
+        one log entry per address is appended. Traced, each call still
+        gets its own span and hook charge, between its crossing and its
+        log record, as :meth:`_dispatch` gives it."""
+        n = len(addrs)
+        if not n:
+            return
+        self.log.entries.extend(map(_new_tuple, repeat(LogEntry), zip(
+            repeat(op), repeat(nbytes), addrs, repeat(device),
+        )))
+        if self._prepaid_depth:
+            return  # entries only, as _dispatch and _log do while prepaid
+        name = _RUN_CALLS[op]
+        self.call_counter[name] += n
+        proc = self.process
+        proc.fs_switch_count += 2 * n
+        if proc.fsgsbase:
+            fs_ns = WRFSBASE_NS
+        else:
+            fs_ns = SYSCALL_NS
+            proc.syscall_count += 2 * n
+        costs = self.costs
+        body_ns = costs.trampoline_body_ns + costs.native_dispatch_ns
+        log_ns = costs.log_record_ns
+        tracer = self.tracer
+        if tracer is None:
+            proc.clock_ns = reduce(add, chain.from_iterable(
+                repeat((fs_ns, body_ns, fs_ns, log_ns), n)
+            ), proc.clock_ns)
+        else:
+            for _ in range(n):
+                t0 = proc.clock_ns
+                t1 = proc.clock_ns = t0 + fs_ns + body_ns + fs_ns
+                tracer.on_api_call(
+                    name, t0, t1, trampoline_ns=self._trampoline_ns(t1 - t0),
+                    mode=self.mode,
+                )
+                proc.clock_ns += log_ns
+        thread = self.current_thread
+        if thread is None:
+            thread = proc.threads[0]
+        thread.fs_base = self._upper_fs
+        coordinator = self.coordinator
+        if coordinator is not None and coordinator.trigger_at_call is not None:
+            coordinator.notify_calls(n)
+
+    def _bulk_ok(self) -> bool:
+        """Whether a run may cross in bulk: with costs that cannot raise
+        (a negative cost raises mid-call, which only the per-call path
+        reproduces)."""
+        costs = self.costs
+        return (
+            costs.log_record_ns >= 0
+            and costs.trampoline_body_ns + costs.native_dispatch_ns >= 0
+        )
+
+    def _calls_before_cut(self, k: int) -> int:
+        """How many of the next ``k`` calls a bulk crossing may make: all
+        of them, or while a checkpoint is armed, those before the call
+        that fires it (which crosses alone, through its entry point)."""
+        coordinator = self.coordinator
+        if (
+            coordinator is None or coordinator.trigger_at_call is None
+            or self._prepaid_depth
+        ):
+            return k
+        return min(k, coordinator.calls_before_trigger())
+
     # -- address virtualization (§3.2.4 future work) -------------------------
 
     def _expose(self, real_addr: int, nbytes: int) -> int:
@@ -210,6 +294,15 @@ class CracBackend(CudaDispatchBase):
         self._virt_cursor += (nbytes + 0xFFF) & ~0xFFF
         self._v2r[vaddr] = real_addr
         return vaddr
+
+    def _expose_run(self, real_addrs: list[int], nbytes: int) -> list[int]:
+        """:meth:`_expose` for each of a run of equal allocations."""
+        step = (nbytes + 0xFFF) & ~0xFFF
+        start = self._virt_cursor
+        self._virt_cursor += step * len(real_addrs)
+        vaddrs = list(range(start, self._virt_cursor, step))
+        self._v2r.update(zip(vaddrs, real_addrs))
+        return vaddrs
 
     def _to_real(self, addr):
         """Translate an app pointer to the library's real address."""
@@ -246,6 +339,49 @@ class CracBackend(CudaDispatchBase):
         runtime.cudaFree(real)
         self._v2r.pop(addr, None)
         self._log("free_managed" if is_managed else "free", 0, real)
+
+    def malloc_run(self, nbytes: int, n: int) -> list[int]:
+        # The runtime makes the run in bulk and _log_run accounts it; a
+        # call the bulk path does not take (the one an armed checkpoint
+        # fires at, or one that raises) goes through malloc.
+        if not self._bulk_ok():
+            return CudaDispatchBase.malloc_run(self, nbytes, n)
+        addrs: list[int] = []
+
+        def bulk(i: int, k: int) -> int:
+            runtime = self.runtime
+            k = self._calls_before_cut(k)
+            made = runtime.malloc_run(nbytes, k) if k else []
+            self._log_run("malloc", nbytes, made, runtime.current_device)
+            if self.virtualize_addresses:
+                made = self._expose_run(made, nbytes)
+            addrs.extend(made)
+            return len(made)
+
+        self._run(n, bulk, lambda i: addrs.append(self.malloc(nbytes)))
+        return addrs
+
+    def free_run(self, addrs: Sequence[int]) -> None:
+        # As malloc_run: managed and pinned pointers, and anything
+        # cudaFree rejects, go through free.
+        if not self._bulk_ok():
+            return CudaDispatchBase.free_run(self, addrs)
+        addrs = list(addrs)
+        v2r = self._v2r
+
+        def bulk(i: int, k: int) -> int:
+            k = self._calls_before_cut(k)
+            reals = addrs[i:i + k]
+            if self.virtualize_addresses:
+                reals = [v2r.get(a, a) for a in reals]
+            freed = self.runtime.free_run(reals) if k else 0
+            if v2r:
+                for addr in addrs[i:i + freed]:
+                    v2r.pop(addr, None)
+            self._log_run("free", 0, reals[:freed])
+            return freed
+
+        self._run(len(addrs), bulk, lambda i: self.free(addrs[i]))
 
     def malloc_host(self, nbytes: int) -> int:
         self._dispatch("cudaMallocHost", payload_bytes=16)

@@ -373,6 +373,72 @@ class CudaRuntime:
         del buffers[addr]
         self.unbuilt_device.pop(addr, None)
 
+    def malloc_run(self, nbytes: int, n: int) -> list[int]:
+        """Make up to ``n`` :meth:`cudaMalloc` calls of ``nbytes`` at once.
+
+        The runtime ends as the same calls made one by one leave it (the
+        arena, buffers, never-built table, uids and ``api_log``), with
+        one :meth:`ArenaAllocator.alloc_run` carve and the buffers built
+        in bulk. The run stops before the first call that would raise (a
+        library that takes no calls, a bad size, out of memory): the
+        caller re-issues that call through :meth:`cudaMalloc`. Returns
+        the addresses made.
+        """
+        if not self._entry_ok:
+            return []
+        device = self.current_device
+        addrs = self._device_allocs[device].alloc_run(nbytes, n)
+        made = len(addrs)
+        if made:
+            self.api_log["cudaMalloc"] += made
+            uid = next(self._buffer_uids)
+            self._buffer_uids = itertools.count(uid + made)
+            uids = range(uid, uid + made)
+            unbuilt = self.unbuilt_device
+            unbuilt.update(zip(addrs, uids))
+            self.buffers.update(zip(addrs, map(
+                DeviceBuffer, addrs, repeat(nbytes), repeat("device"),
+                repeat(device), uids, repeat(unbuilt),
+            )))
+        return addrs
+
+    def free_run(self, addrs: Sequence[int]) -> int:
+        """Make :meth:`cudaFree` calls on ``addrs`` at once, in order.
+
+        Covers the longest prefix of live device buffers on one GPU: the
+        runtime ends as the same calls made one by one leave it, with one
+        :meth:`ArenaAllocator.free_run`. The run stops before anything
+        else (a library that takes no calls, an unknown, freed, managed
+        or pinned pointer, another GPU's buffer): the caller re-issues
+        that call through :meth:`cudaFree`. Returns how many it freed.
+        """
+        if not self._entry_ok:
+            return 0
+        buffers = self.buffers
+        freed: list[DeviceBuffer] = []
+        device = None
+        for addr in addrs:
+            buf = buffers.get(addr)
+            if (
+                buf is None or buf.freed or isinstance(buf, ManagedBuffer)
+                or buf.kind != "device"
+                or (device is not None and buf.device_index != device)
+            ):
+                break
+            device = buf.device_index
+            del buffers[addr]  # a repeated address ends the run
+            freed.append(buf)
+        if not freed:
+            return 0
+        addrs = addrs[:len(freed)]
+        self._device_allocs[device].free_run(addrs)
+        unbuilt = self.unbuilt_device
+        for buf in freed:
+            buf.freed = True
+            unbuilt.pop(buf.addr, None)
+        self.api_log["cudaFree"] += len(freed)
+        return len(freed)
+
     def cudaMallocHost(self, nbytes: int) -> int:
         """Allocate pinned host memory (library-allocated! — §3.2.1)."""
         if self._entry_ok:

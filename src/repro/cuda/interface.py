@@ -17,12 +17,23 @@ upper→lower calls. A kernel launch counts as **three** calls
 (§4.3, eq. 2), so :attr:`~CudaDispatchBase.total_calls` just sums the
 counter (:func:`repro.harness.metrics.total_calls_formula` recomputes it
 the paper's way).
+
+A run of equal allocation calls has its own entry points:
+:meth:`~CudaDispatchBase.malloc_run` makes ``n`` equal ``cudaMalloc``
+calls and :meth:`~CudaDispatchBase.free_run` frees a list in order. They
+count, charge and fail exactly as the per-call loop does. The base
+class makes that loop, which the proxies keep; the native and CRAC
+backends cross once per run, and drop to the per-call entry point for a
+call the bulk path does not take (see :meth:`CudaDispatchBase._run`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from contextlib import contextmanager
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -220,6 +231,35 @@ class CudaDispatchBase:
         """cudaFree: release device (or managed) memory."""
         self._dispatch("cudaFree", payload_bytes=8)
         self.runtime.cudaFree(addr)
+
+    def malloc_run(self, nbytes: int, n: int) -> list[int]:
+        """``n`` back-to-back cudaMalloc(nbytes) calls; their addresses.
+
+        The same calls, counts, virtual time, state and errors as ``n``
+        :meth:`malloc` calls. This default makes exactly those calls;
+        the native and CRAC backends cross once for the whole run.
+        """
+        return [self.malloc(nbytes) for _ in range(n)]
+
+    def free_run(self, addrs: Sequence[int]) -> None:
+        """Back-to-back cudaFree calls on ``addrs``, in order: the same
+        as one :meth:`free` per address (see :meth:`malloc_run`)."""
+        for addr in addrs:
+            self.free(addr)
+
+    def _run(self, n: int, bulk: Callable[[int, int], int],
+             one: Callable[[int], None]) -> None:
+        """Make calls ``0..n-1`` of a run: ``bulk(i, k)`` makes up to
+        ``k`` calls from ``i`` on at once and returns how many it made;
+        ``one(i)`` makes call ``i`` alone, through its per-call entry
+        point, where the bulk path stopped short (the call raises there,
+        or is one the bulk path does not take)."""
+        done = 0
+        while done < n:
+            done += bulk(done, n - done)
+            if done < n:
+                one(done)
+                done += 1
 
     def malloc_host(self, nbytes: int) -> int:
         """cudaMallocHost: allocate pinned host memory."""
@@ -516,3 +556,56 @@ class NativeBackend(CudaDispatchBase):
 
     def _charge_batch(self, calls) -> None:
         self.process.advance(len(calls) * self.costs.native_dispatch_ns)
+
+    def _charge_run(self, name: str, n: int) -> None:
+        """Count and charge ``n`` calls made in bulk, each as its own
+        :meth:`_dispatch` would: the clock sums one dispatch at a time,
+        so it is bit-equal to ``n`` per-call charges, and a traced call
+        still gets its own span."""
+        if self._prepaid_depth or not n:
+            return
+        self.call_counter[name] += n
+        proc = self.process
+        ns = self.costs.native_dispatch_ns
+        tracer = self.tracer
+        if tracer is None:
+            proc.clock_ns = reduce(add, repeat(ns, n), proc.clock_ns)
+            return
+        for _ in range(n):
+            t0 = proc.clock_ns
+            t1 = proc.clock_ns = t0 + ns
+            tracer.on_api_call(
+                name, t0, t1, trampoline_ns=self._trampoline_ns(t1 - t0),
+                mode=self.mode,
+            )
+
+    def _bulk_ok(self) -> bool:
+        """Whether a run may cross in bulk: with a dispatch cost that
+        cannot raise (only the per-call path raises mid-call)."""
+        return self.costs.native_dispatch_ns >= 0
+
+    def malloc_run(self, nbytes: int, n: int) -> list[int]:
+        if not self._bulk_ok():
+            return CudaDispatchBase.malloc_run(self, nbytes, n)
+        addrs: list[int] = []
+
+        def bulk(i: int, k: int) -> int:
+            made = self.runtime.malloc_run(nbytes, k)
+            self._charge_run("cudaMalloc", len(made))
+            addrs.extend(made)
+            return len(made)
+
+        self._run(n, bulk, lambda i: addrs.append(self.malloc(nbytes)))
+        return addrs
+
+    def free_run(self, addrs: Sequence[int]) -> None:
+        if not self._bulk_ok():
+            return CudaDispatchBase.free_run(self, addrs)
+        addrs = list(addrs)
+
+        def bulk(i: int, k: int) -> int:
+            freed = self.runtime.free_run(addrs[i:i + k])
+            self._charge_run("cudaFree", freed)
+            return freed
+
+        self._run(len(addrs), bulk, lambda i: self.free(addrs[i]))

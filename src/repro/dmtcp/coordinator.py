@@ -86,6 +86,17 @@ class DmtcpCoordinator:
         self.trigger_at_call = None
         return self.checkpoint()
 
+    def calls_before_trigger(self) -> int:
+        """How many calls :meth:`notify_call` counts without firing the
+        armed checkpoint (the call after them fires it)."""
+        return max(0, self.trigger_at_call - self._calls_seen - 1)
+
+    def notify_calls(self, n: int) -> None:
+        """Count ``n`` calls made in bulk while a checkpoint is armed, as
+        ``n`` :meth:`notify_call` calls would; ``n`` must not exceed
+        :meth:`calls_before_trigger`."""
+        self._calls_seen += n
+
     def checkpoint(
         self,
         *,

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -406,6 +406,7 @@ class _FreeBlock:
 
 #: sort key of the arena free list
 _block_start = attrgetter("start")
+_block_size = attrgetter("size")
 
 
 class ArenaAllocator:
@@ -570,6 +571,51 @@ class ArenaAllocator:
         if self.sanitizer is not None:
             self.sanitizer.on_arena_free(self, addr, size)
         return size
+
+    def free_run(self, addrs: Sequence[int]) -> int:
+        """Release ``addrs`` in order at once: the free list, active map
+        and sanitizer hooks of as many sequential :meth:`free` calls,
+        with one merge of the free list instead of one insert per call.
+
+        The run stops short at the first address that is not active (the
+        call that would raise): the caller re-issues that call through
+        :meth:`free` to raise its error. Returns how many it released.
+        """
+        active = self.active
+        freed: list[tuple[int, int, None]] = []
+        total = 0
+        for addr in addrs:
+            size = active.pop(addr, None)
+            if size is None:
+                break
+            freed.append((addr, size, None))
+            total += size
+        if not freed:
+            return 0
+        self._active_bytes -= total
+        # A free coalesces with each free neighbour it touches, so in
+        # address order two touching blocks merge unless both were free
+        # before the run (a freed allocation has no block yet).
+        free = self._free
+        merged: list[_FreeBlock] = []
+        last = None
+        for start, size, blk in sorted(chain(freed, zip(
+            map(_block_start, free), map(_block_size, free), free,
+        ))):
+            if (
+                last is not None and last.start + last.size == start
+                and (blk is None or tail_freed)
+            ):
+                last.size += size
+            else:
+                last = _FreeBlock(start, size) if blk is None else blk
+                merged.append(last)
+            tail_freed = blk is None
+        self._free = merged
+        if self.sanitizer is not None:
+            for addr, size, _ in freed:
+                self.sanitizer.on_arena_free(self, addr, size)
+        return len(freed)
 
     def reserve(self, addr: int, nbytes: int) -> None:
         """Mark ``[addr, addr+nbytes)`` as allocated without choosing it.

@@ -6,9 +6,11 @@ deterministically instead of with a wall-clock gate: the objects an
 allocation creates carry no per-instance ``__dict__``, the replay log is
 a list of plain tuples that survives an image's export, one warm
 ``malloc``, ``free``, launch, memset or memcpy through the trampoline
-stays within a fixed budget of Python-level calls, and so does each
-never-written ``cudaMalloc`` that restart replays. A blown budget prints
-the frames it entered, per qualified name.
+stays within a fixed budget of Python-level calls, a run of equal
+mallocs or frees stays within one budget whatever its length (plus the
+buffer objects), and so does each never-written ``cudaMalloc`` that
+restart replays. A blown budget prints the frames it entered, per
+qualified name.
 """
 
 import numpy as np
@@ -39,6 +41,12 @@ DATA_PATH_BUDGETS = {"launch": 11, "memset": 16, "memcpy-h2d": 25,
 #: its contents and dirty index up front, 4 while replay called the
 #: runtime entry point and the arena once per entry)
 RESTART_MALLOC_CALL_BUDGET = 1
+#: Python-level calls one warm ``malloc_run(256, n)`` or ``free_run`` of
+#: its addresses may make beyond one per allocation for ``malloc_run``
+#: (the buffer object): the crossing, the runtime, the arena and one log
+#: frame, whatever ``n`` is (one ``malloc`` or ``free`` per call before
+#: the run API, ``CALL_BUDGET`` each)
+RUN_CALL_BUDGET = 9
 
 
 def test_warm_malloc_and_free_stay_within_call_budget():
@@ -92,6 +100,23 @@ def _restart_calls(n_buffers: int) -> int:
 def test_restart_replays_untouched_malloc_within_call_budget():
     per_malloc = (_restart_calls(150) - _restart_calls(50)) / 100
     assert per_malloc <= RESTART_MALLOC_CALL_BUDGET, per_malloc
+
+
+@pytest.mark.parametrize("n", [10, 10_000])
+def test_alloc_runs_stay_within_call_budget(n):
+    session = CracSession(seed=3)
+    backend = session.backend
+    backend.free(backend.malloc(256))  # warm: the arena exists
+    addrs, malloc_frames = python_frames(backend.malloc_run, 256, n)
+    _, free_frames = python_frames(backend.free_run, addrs)
+    assert sum(malloc_frames.values()) <= n + RUN_CALL_BUDGET, call_breakdown(
+        malloc_frames
+    )
+    assert sum(free_frames.values()) <= RUN_CALL_BUDGET, call_breakdown(
+        free_frames
+    )
+    assert session.backend.call_counter["cudaMalloc"] == n + 1
+    assert not session.runtime.buffers
 
 
 def test_device_buffer_builds_contents_on_first_use(monkeypatch):

@@ -1,0 +1,314 @@
+"""Exact parity of the run API with the per-call loop it replaces.
+
+``malloc_run(nbytes, n)`` and ``free_run(addrs)`` make a run of equal
+cudaMalloc-family calls in one crossing. Every scenario here runs on two
+twin sessions, once through the run API and once through one ``malloc``
+or ``free`` per call, and every observable of
+:func:`tests.core.test_alloc_path_parity._state` must be equal: the
+clock's exact ``repr``, the syscall and fs-switch counters, the dispatch
+and library call counts, the replay log, the buffers and the arenas. So
+must the errors raised, the images an armed checkpoint took, the trace
+spans and the sanitizer's arena hooks.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.core import CracSession
+from repro.core.halves import SplitProcess
+from repro.cuda.interface import CudaDispatchBase, NativeBackend
+from repro.dmtcp.store import CheckpointStore
+from repro.errors import CudaError
+from repro.gpu.timing import DEFAULT_HOST_COSTS
+from repro.proxy.crum import CrumBackend
+from repro.sanitizer import Sanitizer
+from repro.trace import Tracer
+from tests.core.test_alloc_path_parity import _arenas, _state
+
+
+class PerCall:
+    """The run API's calls made one by one."""
+
+    @staticmethod
+    def malloc_run(b, nbytes, n):
+        return [b.malloc(nbytes) for _ in range(n)]
+
+    @staticmethod
+    def free_run(b, addrs):
+        for addr in addrs:
+            b.free(addr)
+
+
+class Run:
+    """The run API itself."""
+
+    @staticmethod
+    def malloc_run(b, nbytes, n):
+        return b.malloc_run(nbytes, n)
+
+    @staticmethod
+    def free_run(b, addrs):
+        b.free_run(addrs)
+
+
+def _code(call, *args):
+    """Make ``call(*args)``; the name of the CudaError it raised, if any."""
+    try:
+        call(*args)
+    except CudaError as e:
+        return e.code.name
+    return None
+
+
+def _image(img):
+    """Every field of a checkpoint image but its process id (each
+    session's process gets a new one)."""
+    return {k: repr(v) for k, v in vars(img).items() if k != "pid"}
+
+
+def _observe(session, **extra):
+    """Every observable of a CRAC session, its images included."""
+    return {
+        "state": _state(session),
+        "images": [_image(img) for img in session.coordinator.images],
+        **extra,
+    }
+
+
+def _twins(scenario, **session_kw):
+    """``scenario(session, api)`` on twin sessions; both observables."""
+    out = []
+    for api in (Run, PerCall):
+        session = CracSession(seed=5, **session_kw)
+        out.append(_observe(session, result=scenario(session, api)))
+    return out
+
+
+def _mixed(session, api):
+    """Runs that reuse holes, span free blocks and build some contents."""
+    b = session.backend
+    d0 = b.malloc(1000)
+    a = api.malloc_run(b, 256, 40)
+    b.free(d0)
+    big = api.malloc_run(b, 4096, 10)
+    api.free_run(b, a[::2])
+    again = api.malloc_run(b, 256, 30)  # fills the holes, then the tail
+    b.memset(again[3], 7, 256)
+    api.free_run(b, (a[1::2] + big)[::-1])  # each free meets its right
+    return a, big, again
+
+
+#: costs no float sum of a run keeps exact: only the per-call order of
+#: additions reproduces the clock
+FRACTIONAL = dataclasses.replace(
+    DEFAULT_HOST_COSTS, native_dispatch_ns=1400.1, trampoline_body_ns=45.3,
+    log_record_ns=250.7,
+)
+
+
+@pytest.mark.parametrize("costs", [DEFAULT_HOST_COSTS, FRACTIONAL],
+                         ids=["default", "fractional"])
+@pytest.mark.parametrize("fsgsbase", [False, True])
+def test_runs_match_per_call(fsgsbase, costs):
+    run, per_call = _twins(_mixed, fsgsbase=fsgsbase, costs=costs)
+    assert run == per_call
+    assert run["state"]["call_counter"] == [
+        ("cudaFree", 51), ("cudaMalloc", 81), ("cudaMemset", 1),
+    ]
+
+
+#: call indexes, counted from arming, of the first, a middle and the
+#: last call of each run: three calls come first, the runs have 20
+ARMED = {"first": 4, "middle": 13, "last": 23}
+
+
+@pytest.mark.parametrize("where", sorted(ARMED))
+@pytest.mark.parametrize("op", ["malloc_run", "free_run"])
+def test_armed_checkpoint_fires_at_the_same_call(op, where):
+    def scenario(session, api):
+        b = session.backend
+        keep = api.malloc_run(b, 512, 20)
+        b.malloc(64)
+        session.coordinator.schedule_checkpoint_at_call(ARMED[where])
+        b.malloc(128)
+        b.free(b.malloc(2048))
+        if op == "malloc_run":
+            return api.malloc_run(b, 512, 20)
+        return api.free_run(b, keep)
+
+    run, per_call = _twins(scenario)
+    assert len(run["images"]) == 1
+    assert run == per_call
+
+
+def test_traced_spans_match_per_call():
+    spans = []
+    for api in (Run, PerCall):
+        session = CracSession(seed=5, costs=FRACTIONAL)
+        tracer = session.enable_trace()
+        _mixed(session, api)
+        spans.append(([(s.name, s.start_ns, s.end_ns, s.args)
+                       for s in tracer.spans], _state(session),
+                      repr(tracer.overhead_ns)))
+    assert spans[0] == spans[1]
+    assert len(spans[0][0]) == 134
+
+
+def test_virtualized_addresses_match_per_call():
+    def scenario(session, api):
+        b = session.backend
+        out = _mixed(session, api)
+        return out, sorted(b._v2r.items()), b._virt_cursor
+
+    run, per_call = _twins(scenario, address_virtualization=True)
+    assert run == per_call
+    assert run["result"][1]  # live translations remain
+
+
+def test_prepaid_runs_match_per_call():
+    def scenario(session, api):
+        b = session.backend
+        with b.prepaid_calls():
+            out = _mixed(session, api)
+        api.free_run(b, out[2])
+        return out
+
+    run, per_call = _twins(scenario)
+    assert run == per_call
+    assert run["state"]["call_counter"] == [("cudaFree", 30)]
+
+
+def test_out_of_memory_inside_a_run():
+    def scenario(session, api):
+        b = session.backend
+        b.malloc(1000)
+        return _code(api.malloc_run, b, 1 << 30, 64)
+
+    run, per_call = _twins(scenario)
+    assert run["result"] == "MEMORY_ALLOCATION"
+    assert run == per_call
+
+
+@pytest.mark.parametrize("bad", ["unknown", "double-freed", "managed", "pinned"])
+def test_irregular_pointer_inside_a_free_run(bad):
+    def scenario(session, api):
+        b = session.backend
+        addrs = api.malloc_run(b, 256, 12)
+        gone = b.malloc(256)
+        b.free(gone)
+        odd = {
+            "unknown": 0xDEAD_BEEF,
+            "double-freed": gone,
+            "managed": b.malloc_managed(8192),
+            "pinned": b.malloc_host(512),
+        }[bad]
+        return _code(api.free_run, b, addrs[:5] + [odd] + addrs[5:])
+
+    run, per_call = _twins(scenario)
+    assert run["result"] == (
+        None if bad == "managed" else "INVALID_DEVICE_POINTER"
+    )
+    assert run == per_call
+
+
+def test_runs_on_a_second_device():
+    def scenario(session, api):
+        b = session.backend
+        zero = api.malloc_run(b, 256, 6)
+        b.set_device(1)
+        one = api.malloc_run(b, 768, 8)
+        both = [a for pair in zip(zero, one) for a in pair]
+        api.free_run(b, both)
+        return zero, one
+
+    run, per_call = _twins(scenario, n_gpus=2)
+    assert {e[3] for e in run["state"]["log"]} == {0, 1}
+    assert run == per_call
+
+
+class HookLog(Sanitizer):
+    """A sanitizer that records its arena hooks in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.hooks = []
+
+    def on_arena_alloc(self, arena, addr, size):
+        self.hooks.append(("alloc", addr, size))
+        super().on_arena_alloc(arena, addr, size)
+
+    def on_arena_free(self, arena, addr, size):
+        self.hooks.append(("free", addr, size))
+        super().on_arena_free(arena, addr, size)
+
+    def on_invalid_free(self, arena, addr):
+        self.hooks.append(("invalid", addr))
+        super().on_invalid_free(arena, addr)
+
+
+def test_sanitizer_sees_the_same_arena_hooks():
+    def scenario(session, api):
+        sanitizer = session.enable_sanitizer(HookLog())
+        a, _, _ = _mixed(session, api)
+        error = _code(api.free_run, session.backend, a[-3:])  # double frees
+        return error, sanitizer.hooks, [
+            (f.checker, f.kind) for f in sanitizer.finish().hazards
+        ]
+
+    run, per_call = _twins(scenario)
+    assert run["result"][0] == "INVALID_DEVICE_POINTER"
+    assert ("invalid", run["result"][1][-1][1]) == run["result"][1][-1]
+    assert run == per_call
+
+
+def _library_state(backend):
+    rt, proc = backend.runtime, backend.process
+    return {
+        "clock_ns": repr(proc.clock_ns),
+        "call_counter": sorted(backend.call_counter.items()),
+        "api_log": sorted(rt.api_log.items()),
+        "buffers": sorted(
+            (a, b.uid, type(b).__name__, b.size) for a, b in rt.buffers.items()
+        ),
+        "arenas": _arenas(rt),
+    }
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("backend_cls", [NativeBackend, CrumBackend])
+def test_other_backends_match_per_call(backend_cls, traced):
+    out = []
+    for api in (Run, PerCall):
+        split = SplitProcess(seed=5)
+        backend = backend_cls(split.runtime, FRACTIONAL)
+        tracer = Tracer()
+        if traced:
+            tracer.attach(backend)
+        session = type("Twin", (), {"backend": backend})
+        result = _mixed(session, api)
+        error = _code(api.malloc_run, backend, 1 << 30, 64)
+        spans = [(s.name, s.start_ns, s.end_ns, s.args) for s in tracer.spans]
+        out.append((result, error, _library_state(backend), spans))
+    assert out[0] == out[1]
+    assert bool(out[0][3]) == traced
+    assert out[0][1] == "MEMORY_ALLOCATION"
+    if backend_cls is CrumBackend:  # a proxy keeps the per-call loop
+        assert CrumBackend.malloc_run is CudaDispatchBase.malloc_run
+
+
+def test_restart_latest_of_a_run_built_log():
+    def scenario(session, api):
+        b = session.backend
+        _mixed(session, api)
+        live = api.malloc_run(b, 1024, 25)
+        api.free_run(b, live[5:15])
+        store = CheckpointStore()
+        session.checkpoint(store=store)
+        session.kill()
+        report = session.restart_latest(store)
+        api.free_run(b, live[15:])
+        return repr(dataclasses.astuple(report))
+
+    run, per_call = _twins(scenario)
+    assert run == per_call

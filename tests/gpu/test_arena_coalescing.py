@@ -7,6 +7,8 @@ a lost merge silently fragments the arena until a large ``cudaMalloc``
 grows a second arena and the restart replay diverges.
 """
 
+import random
+
 import pytest
 
 from repro.errors import CudaError
@@ -188,3 +190,32 @@ class TestErrors:
         with pytest.raises(CudaError):
             a.free(0xBAD)
         assert free_blocks(a) == before
+
+
+class TestFreeRun:
+    """``free_run`` leaves what as many ``free`` calls leave."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_sequential_frees(self, seed):
+        rng = random.Random(seed)
+        arenas = make_arena(), make_arena()
+        sizes = [rng.choice([256, 512, 4096, 1 << 20]) for _ in range(60)]
+        live = [[a.alloc(n) for n in sizes] for a in arenas]
+        assert live[0] == live[1]
+        for _ in range(3):
+            addrs = rng.sample(live[0], rng.randrange(1, len(live[0])))
+            if rng.random() < 0.5:  # an unknown pointer ends the run
+                addrs.insert(rng.randrange(len(addrs)), 0xBAD)
+            run = arenas[0].free_run(addrs)
+            for addr in addrs[:run]:
+                arenas[1].free(addr)
+            assert run == addrs.index(0xBAD) if 0xBAD in addrs else len(addrs)
+            assert free_blocks(arenas[0]) == free_blocks(arenas[1])
+            assert arenas[0].active == arenas[1].active
+            assert arenas[0].active_bytes == arenas[1].active_bytes
+            freed = set(addrs[:run])
+            live = [[p for p in l if p not in freed] for l in live]
+            refill = [rng.choice([256, 4096]) for _ in range(10)]
+            for a, l in zip(arenas, live):
+                l += [a.alloc(n) for n in refill]
+            assert live[0] == live[1]
