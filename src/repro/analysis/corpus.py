@@ -408,6 +408,16 @@ def check_addr(addr):
 ''',
         ),
     ),
+    PlantedScenario(
+        "unparseable-module",
+        "lint/syntax",
+        _tree(
+            repro__cuda__checks_py='''\
+def check_addr(addr)
+    return addr >= 0
+''',
+        ),
+    ),
     # ------------------------------------------------------ negative controls
     PlantedScenario("clean-wired-tree", None, _tree()),
     PlantedScenario(

@@ -4,10 +4,10 @@
 deliberate-violation libraries — ``sanitizer/planted.py`` plants
 runtime hazards, ``analysis/corpus.py`` plants static ones — go through
 the lint pass only) and diffs the result against the committed
-baseline. ``run_corpus_gate`` mirrors
-the sanitizer gate's planted-scenario structure: every positive
-scenario must be detected by its expected rule, every negative control
-must come back completely clean.
+baseline. ``run_corpus_gate`` runs the
+planted corpus the way the sanitizer's planted scenarios are checked:
+every positive scenario must be detected by its expected rule, every
+negative control must come back completely clean.
 """
 
 from __future__ import annotations
@@ -82,7 +82,8 @@ def findings_from_report(report: dict) -> list[Finding]:
 
 
 def run_corpus_gate() -> dict:
-    """Run every planted scenario; mirrors the sanitizer gate shape."""
+    """Run every planted scenario; the report ``repro analyze --gate``
+    prints."""
     from repro.analysis.corpus import SCENARIOS
 
     rows = []

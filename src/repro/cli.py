@@ -11,10 +11,9 @@ Commands:
   intervals, the analytic makespan, a Monte-Carlo check, and (with
   ``--session``) an end-to-end cross-validation that drives the real
   checkpoint pipeline with injected checkpoint/restore-stage faults;
-- ``bench SUITE`` — one bench suite (``ckpt``, ``perf``, ``faults``,
-  ``migrate``, ``serve``, ``sanitize``, ``trace``) at its fixed config,
-  gated against ``benchmarks/BASELINE.json``; prints its checks and
-  metrics and exits 1 if any check fails (see
+- ``bench SUITE`` — one bench suite (``ckpt``, ``perf``, ``serve``) at
+  its fixed config, gated against ``benchmarks/BASELINE.json``; prints
+  its checks and metrics and exits 1 if any check fails (see
   :mod:`repro.harness.suites`);
 - ``sanitize APP`` — compute-sanitizer-style hazard analysis: run one
   workload under the dynamic checkers (racecheck/synccheck/memcheck/
@@ -139,8 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     be.add_argument("suite", choices=list(SUITES))
     be.add_argument("--out", default="-", metavar="PATH",
-                    help="write the JSON report here (and any trace "
-                    "file next to it)")
+                    help="write the JSON report here")
     be.add_argument("--update-baseline", action="store_true",
                     help="record this run's config and gated metrics as "
                     "the suite's baseline entry instead of gating")
@@ -372,8 +370,8 @@ def cmd_bench(args, out) -> int:
     )
     print(suites.render(report), file=out)
     if args.out != "-":
-        for path in suites.write_report(report, args.out):
-            print(f"wrote {path}", file=out)
+        suites.write_json(args.out, report)
+        print(f"wrote {args.out}", file=out)
     if args.update_baseline and report["ok"]:
         print(f"recorded the '{args.suite}' entry in "
               f"{suites.BASELINE_PATH}", file=out)
@@ -512,8 +510,9 @@ def cmd_trace(args, out) -> int:
     from repro.harness.trace_bench import run_trace_bench
     from repro.trace import write_chrome_trace
 
+    app_cls = APP_REGISTRY[args.app]
     result, tracer = run_trace_bench(
-        APP_REGISTRY[args.app],
+        app_cls,
         scale=args.scale,
         gpu=args.gpu,
         seed=args.seed,
@@ -525,7 +524,7 @@ def cmd_trace(args, out) -> int:
     print(render(report), file=out)
     trace_out = args.trace_out or f"trace_{args.app}.json"
     if trace_out != "-":
-        write_chrome_trace(tracer, trace_out, label=result["app"])
+        write_chrome_trace(tracer, trace_out, label=app_cls.name)
         print(f"wrote {trace_out} (load at https://ui.perfetto.dev)",
               file=out)
     return 0 if report["ok"] else 1

@@ -46,7 +46,7 @@ class GpuDevice:
         self._copy_engine_ready = {"h2d": 0.0, "d2h": 0.0, "d2d": 0.0}
         #: completion time of the last default-stream operation
         self._default_barrier_ns = 0.0
-        # -- accounting (read by the harness and the trace suite) --
+        # -- accounting (read by the harness and the trace checks) --
         self.total_kernel_ns = 0.0
         self.total_kernels = 0
         self.copied_bytes = {"h2d": 0, "d2h": 0, "d2d": 0}

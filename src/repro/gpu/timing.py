@@ -23,15 +23,15 @@ NS_PER_S = 1_000_000_000
 
 #: Host-side cost of one sanitizer instrumentation hook (shadow-state
 #: update + vector-clock bookkeeping), ns. Charged per instrumented op
-#: when :class:`repro.sanitizer.Sanitizer` is attached; the CI gate
+#: when :class:`repro.sanitizer.Sanitizer` is attached; a tier-1 test
 #: bounds the resulting end-to-end overhead at ≤25%.
 SANITIZER_CHECK_NS = 500.0
 
 #: Host-side cost of one trace instrumentation hook (span append +
 #: metrics update), ns. Charged per traced *API* call when a
 #: :class:`repro.trace.Tracer` is attached; device/UVM/pipeline hooks
-#: piggyback on work the model already charges and add nothing. The CI
-#: trace job bounds the resulting end-to-end overhead at ≤1.25x.
+#: piggyback on work the model already charges and add nothing.
+#: ``repro trace`` bounds the resulting end-to-end overhead at ≤1.25x.
 TRACE_HOOK_NS = 120.0
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.session import CracSession
 from repro.harness.runner import Machine, run_app
-from repro.harness.suites import Gate, Suite, app_classes, check
+from repro.harness.suites import Suite, app_classes, check
 
 #: mode -> ``run_app`` keywords. Forked and speculative imply
 #: incremental, the combination CRUM and PhoenixOS converge on.
@@ -190,5 +190,5 @@ SUITE = Suite(
     run=run_ckpt_bench,
     config=_CONFIG,
     # Virtual time: exact for the seed, so any move is a model change.
-    gates=tuple(Gate(f"{app}.stall_ratio", "exact") for app in _CONFIG["apps"]),
+    exact=tuple(f"{app}.stall_ratio" for app in _CONFIG["apps"]),
 )

@@ -14,8 +14,7 @@ costs of the reproduction into completion-time predictions:
   used to cross-validate the analytic model and to compare "CRAC with
   interval τ" against "no checkpointing, restart from scratch";
 - :func:`run_fault_campaign` — GPU runtime faults injected into real
-  application runs, recovered through the escalation ladder; it is the
-  ``faults`` bench suite (:data:`SUITE`).
+  application runs, recovered through the escalation ladder.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-
-from repro.harness.suites import Suite, app_classes, check
 
 
 def young_interval(checkpoint_cost_s: float, mtbf_s: float) -> float:
@@ -709,42 +706,27 @@ def run_fault_campaign(
     seed: int = 0,
     gpu: str = "V100",
     fault_classes=None,
-    mtbf_s=None,
     mtbf_factors=(0.5, 0.2),
-    checkpoint_fracs=(0.25, 0.5, 0.75),
-    rank_death_ranks: int = 3,
 ) -> dict:
     """Sweep fault class × rate over application runs; JSON-able report.
 
     Per app: one fault-free baseline pins the reference digest, runtime,
     and per-stage visit counts; then every (fault class, MTBF) cell runs
     with a per-visit fault probability chosen so the *expected* fault
-    count is ``runtime / MTBF``. ``mtbf_s`` gives absolute rates;
-    without it each app uses ``mtbf_factors`` × its own baseline
-    runtime (so every app sees comparable fault pressure regardless of
-    its length). Classes whose sites an app never visits (e.g.
-    ``uvm-storm`` without managed memory) are reported as skipped, not
-    silently dropped. The report ends with the rank-death-during-2PC
-    scenario and cross-cell totals.
+    count is ``runtime / MTBF``. Each app's MTBFs are ``mtbf_factors``
+    × its own baseline runtime (so every app sees comparable fault
+    pressure regardless of its length). Classes whose sites an app
+    never visits (e.g. ``uvm-storm`` without managed memory) are
+    reported as skipped, not silently dropped. The report ends with the
+    rank-death-during-2PC scenario, the node-failover cells and
+    cross-cell totals.
     """
     from dataclasses import asdict
 
     from repro.harness.fault_injection import FaultSpec, derive_seed
 
     classes = list(fault_classes or RUNTIME_FAULT_CLASSES)
-    report: dict = {
-        "config": {
-            "apps": [cls.name for cls in app_classes],
-            "scale": scale,
-            "seed": seed,
-            "gpu": gpu,
-            "fault_classes": classes,
-            "mtbf_s": list(mtbf_s) if mtbf_s else None,
-            "mtbf_factors": list(mtbf_factors),
-            "checkpoint_fracs": list(checkpoint_fracs),
-        },
-        "apps": {},
-    }
+    report: dict = {"apps": {}}
     totals = {
         "cells": 0,
         "faults_fired": 0,
@@ -758,17 +740,12 @@ def run_fault_campaign(
         base = run_guarded_app(
             cls, scale=scale, seed=seed, gpu=gpu, specs=[],
             injector_seed=derive_seed(seed, f"{cls.name}:baseline"),
-            checkpoint_fracs=checkpoint_fracs,
         )
         if base.aborted is not None:
             raise RuntimeError(
                 f"fault-free baseline of {cls.name} aborted: {base.aborted}"
             )
-        mtbfs = (
-            [float(m) for m in mtbf_s]
-            if mtbf_s
-            else [max(1e-6, base.runtime_s * f) for f in mtbf_factors]
-        )
+        mtbfs = [max(1e-6, base.runtime_s * f) for f in mtbf_factors]
         cells: list[GuardedRunOutcome] = []
         skipped: list[dict] = []
         for fault_class in classes:
@@ -790,7 +767,6 @@ def run_fault_campaign(
                     injector_seed=derive_seed(
                         seed, f"{cls.name}:{fault_class}:{mtbf:.6g}"
                     ),
-                    checkpoint_fracs=checkpoint_fracs,
                 )
                 out.fault_class = fault_class
                 out.mtbf_s = mtbf
@@ -817,16 +793,13 @@ def run_fault_campaign(
             "cells": [asdict(c) for c in cells],
             "skipped": skipped,
         }
-    report["rank_death_2pc"] = run_rank_death_scenario(
-        n_ranks=rank_death_ranks, seed=seed, gpu=gpu
-    )
+    report["rank_death_2pc"] = run_rank_death_scenario(seed=seed, gpu=gpu)
     # Rung-4 cells: same-GPU failover plus a heterogeneous one (the
     # survivor hosts a different GPU model than the dead node).
     report["node_failover"] = [
         run_node_failover_scenario(
             app_classes[0], scale=scale, seed=seed,
             gpu_src=gpu, gpu_dst=dst,
-            checkpoint_fracs=checkpoint_fracs,
         )
         for dst in (gpu, "K600" if gpu != "K600" else "V100")
     ]
@@ -839,76 +812,3 @@ def run_fault_campaign(
             totals["rung_counts"][rung] += n
     report["totals"] = totals
     return report
-
-
-def run_fault_suite(
-    *, apps: list[str], scale: float, seed: int, gpu: str,
-    classes: list[str], mtbf_factors: list[float], ranks: int,
-) -> dict:
-    """The campaign as a bench suite: every ladder rung fires, every
-    cell ends bit-correct or in a typed abort, the rank-death 2PC
-    neither half-commits nor loses the prior state, and every node
-    failover finishes bit-correct."""
-    report = run_fault_campaign(
-        app_classes(apps), scale=scale, seed=seed, gpu=gpu,
-        fault_classes=classes, mtbf_factors=tuple(mtbf_factors),
-        rank_death_ranks=ranks,
-    )
-    totals = report["totals"]
-    rungs = totals["rung_counts"]
-    rank_death = report["rank_death_2pc"]
-    checks = [
-        check(f"rung {rung} fires", n > 0, f"{n} recoveries")
-        for rung, n in rungs.items()
-    ]
-    checks.append(check(
-        "every cell bit-correct or a typed abort",
-        totals["bit_correct"] + totals["aborted"] == totals["cells"],
-        f"{totals['bit_correct']} bit-correct + {totals['aborted']} aborted "
-        f"of {totals['cells']} cells",
-    ))
-    checks.append(check(
-        "rank death in 2PC: no half-commit", rank_death["no_half_commit"],
-        f"rank(s) {rank_death['dead_ranks']} of {rank_death['n_ranks']} died "
-        f"mid-commit",
-    ))
-    checks.append(check(
-        "rank death in 2PC: prior state restored",
-        rank_death["prior_state_restored"],
-        f"recovered generation {rank_death['recovered_generation']}",
-    ))
-    metrics = {
-        key: totals[key]
-        for key in ("cells", "faults_fired", "bit_correct", "aborted")
-    }
-    metrics.update({f"rung.{rung}": n for rung, n in rungs.items()})
-    for cell in report["node_failover"]:
-        label = f"{cell['app']} {cell['gpu_src']}→{cell['gpu_dst']}"
-        if "skipped" in cell:
-            checks.append(check(f"failover {label}", False, cell["skipped"]))
-            continue
-        checks.append(check(
-            f"failover {label} bit-correct", cell["bit_correct"],
-            f"{', '.join(cell['declared_dead'])} declared dead, "
-            f"finished on {cell['finished_on']}",
-        ))
-        metrics[f"failover.{cell['gpu_dst']}.lost_work_s"] = (
-            cell["lost_work_s"]
-        )
-    return {"metrics": metrics, "checks": checks, **report}
-
-
-SUITE = Suite(
-    run=run_fault_suite,
-    config={
-        "apps": ["Gaussian", "Kmeans"],
-        "scale": 0.05,
-        "seed": 0,
-        "gpu": "V100",
-        # One class per ladder rung proves retry, stream-reset and
-        # restore all fire; failover has its own cells.
-        "classes": ["xfer-corrupt", "kernel-hang", "ecc"],
-        "mtbf_factors": [0.5, 0.2],
-        "ranks": 3,
-    },
-)

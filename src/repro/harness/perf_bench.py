@@ -50,7 +50,7 @@ import repro
 from repro.core.session import CracSession
 from repro.harness.ckpt_bench import CKPT_MODES, default_cuts
 from repro.harness.runner import Machine, drive, run_app
-from repro.harness.suites import Gate, Suite, app_classes, check
+from repro.harness.suites import Suite, app_classes, check
 
 #: The checkpoint modes the capture scenario cuts in.
 CAPTURE_MODES = ("full", "incremental", "forked")
@@ -241,8 +241,8 @@ SUITE = Suite(
         "seed": 0,
         "python": "3.11",
     },
-    gates=tuple(
-        Gate(f"calls.{scenario}.{layer}", "exact")
+    exact=tuple(
+        f"calls.{scenario}.{layer}"
         for scenario in SCENARIOS for layer in LAYERS
     ),
 )

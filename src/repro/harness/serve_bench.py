@@ -38,7 +38,7 @@ from __future__ import annotations
 from repro.errors import AdmissionRejectedError, ServeDeadlineExceededError
 from repro.gpu.timing import NS_PER_S
 from repro.harness.fault_injection import FaultSpec, derive_seed
-from repro.harness.suites import Gate, Suite, check
+from repro.harness.suites import Suite, check
 from repro.serve.admission import AdmissionController
 from repro.serve.pool import SessionPool
 from repro.serve.scheduler import ServeScheduler
@@ -221,8 +221,5 @@ SUITE = Suite(
         "state_elems": 64,
         "seed": 0,
     },
-    gates=(
-        Gate("resume_p99_ms", "exact"),
-        Gate("sessions_per_sec", "exact"),
-    ),
+    exact=("resume_p99_ms", "sessions_per_sec"),
 )

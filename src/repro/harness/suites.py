@@ -1,32 +1,30 @@
-"""``repro bench SUITE``: one check engine for every bench suite.
+"""``repro bench SUITE``: one check engine for the bench suites.
 
 A suite runs its cells at one fixed configuration — the CI smoke
 config at seed 0, which is also the configuration its baseline was
 recorded at — and returns ``{"metrics": {name: number}, "checks":
 [{"name", "ok", "detail"}], ...}``. Anything else it returns (per-app
-rows, cells) goes into the JSON report untouched; a ``"files"`` entry
-maps extra artifact names to JSON payloads written next to the report.
+rows, cells) goes into the JSON report untouched.
 
 The engine adds the baseline checks from the versioned
 :data:`BASELINE_PATH`: the suite's entry must exist and record the
-run's exact config, and each of the suite's :class:`Gate` metrics must
-be measured and equal its recorded value (an exact gate) or keep its
-ratio to it within the gate's limit. The suite passes only if every
-check passes. ``--update-baseline`` records
-the run's config and gated metrics as the suite's entry instead, unless
+run's exact config, and each metric named in the suite's
+:attr:`Suite.exact` must be measured and equal its recorded value. The
+suite passes only if every check passes. ``--update-baseline`` records
+the run's config and those metrics as the suite's entry instead, unless
 one of the suite's own checks failed; such a run is gated as usual.
 
 Performance at paper scale is measured by ``bench/`` (see
-``BENCHMARK.json``); these suites gate correctness claims — a restored
-process is byte-identical (paper §3) — and the stall, overhead and
-latency claims recorded in the baseline.
+``BENCHMARK.json``); these suites gate the stall, latency and host-call
+claims recorded in the baseline, and the transparency checks — a
+restored process is byte-identical (paper §3) — that come with them.
+The checks that gate no number are tier-1 tests.
 """
 
 from __future__ import annotations
 
 import importlib
 import json
-import math
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -37,11 +35,7 @@ from typing import Callable
 SUITES = {
     "ckpt": "repro.harness.ckpt_bench",
     "perf": "repro.harness.perf_bench",
-    "faults": "repro.harness.fault_tolerance",
-    "migrate": "repro.harness.migrate_bench",
     "serve": "repro.harness.serve_bench",
-    "sanitize": "repro.sanitizer.gate",
-    "trace": "repro.harness.trace_bench",
 }
 
 #: The committed baseline every suite is gated against (cwd-relative:
@@ -51,65 +45,18 @@ BASELINE_VERSION = 1
 
 
 @dataclass(frozen=True)
-class Gate:
-    """One baseline rule.
+class Suite:
+    """A suite's run function, its fixed config and its gated metrics.
 
-    With ``better`` ``"lower"`` or ``"higher"`` the rule is
-    ``ratio <= limit``. The ratio is ``(current + floor) / (baseline +
-    floor)`` for a metric where lower is better and its inverse where
-    higher is better. ``floor`` is in the metric's own unit; it damps
-    the ratio of a metric near zero so noise the size of the floor
-    cannot trip the gate.
-
-    ``"exact"`` is for a metric that is exact for a seed (virtual time):
-    it must equal its recorded value, and a move in either direction
-    fails. A deliberate model change re-records it with
+    Each metric in ``exact`` is exact for the seed (virtual time or a
+    call count): it must equal its recorded value, and a move in either
+    direction fails. A deliberate model change re-records it with
     ``--update-baseline``.
     """
 
-    metric: str
-    better: str  # "lower" | "higher" | "exact"
-    limit: float = 1.0
-    floor: float = 0.0
-
-    def ratio(self, current: float, baseline: float) -> float:
-        """The damped ratio, > 1 when ``current`` is worse (for an exact
-        gate: when it moved either way)."""
-        num, den = current + self.floor, baseline + self.floor
-        if self.better == "higher" or (self.better == "exact" and num < den):
-            num, den = den, num
-        if den <= 0:
-            return 1.0 if num <= 0 else math.inf
-        return num / den
-
-    def passes(self, current: float, baseline: float) -> bool:
-        """The gate's verdict for ``current`` against ``baseline``."""
-        if self.better == "exact":
-            return current == baseline
-        return self.ratio(current, baseline) <= self.limit
-
-    def detail(self, current: float, baseline: float) -> str:
-        """One line saying what the verdict compared."""
-        ratio = self.ratio(current, baseline)
-        if self.better == "exact":
-            return (
-                f"{current!r} vs {baseline!r}: ratio {ratio:.3f} "
-                "(exact match: any move fails)"
-            )
-        return (
-            f"{current:.4g} vs {baseline:.4g}: ratio {ratio:.3f} "
-            f"({self.better} is better, floor {self.floor:g}, "
-            f"limit {self.limit:g})"
-        )
-
-
-@dataclass(frozen=True)
-class Suite:
-    """A suite's run function, its fixed config and its baseline gates."""
-
     run: Callable[..., dict]
     config: dict
-    gates: tuple[Gate, ...] = ()
+    exact: tuple[str, ...]
 
 
 def check(name: str, ok: bool, detail: str) -> dict:
@@ -140,10 +87,9 @@ def load_suite(name: str) -> Suite:
 
 def baseline_entry(name: str, report: dict) -> dict:
     """What ``--update-baseline`` records for a suite's run."""
-    gates = load_suite(name).gates
     return {
         "config": report["config"],
-        "metrics": {g.metric: report["metrics"][g.metric] for g in gates},
+        "metrics": {m: report["metrics"][m] for m in load_suite(name).exact},
     }
 
 
@@ -174,26 +120,21 @@ def baseline_checks(name: str, report: dict, baseline: dict) -> list[dict]:
             f"config differs from the recorded one in {', '.join(differs)}",
         )]
     checks = [check("baseline entry", True, f"config matches {BASELINE_PATH}")]
-    gates = load_suite(name).gates
-    unmeasured = [g.metric for g in gates if g.metric not in report["metrics"]]
+    exact = load_suite(name).exact
+    unmeasured = [m for m in exact if m not in report["metrics"]]
     if unmeasured:
         return checks + [check(
             "gated metrics measured", False,
-            f"{len(unmeasured)} of {len(gates)} not measured, "
+            f"{len(unmeasured)} of {len(exact)} not measured, "
             f"e.g. {unmeasured[0]}",
         )]
-    for gate in gates:
-        current = report["metrics"][gate.metric]
-        prior = entry["metrics"].get(gate.metric)
-        if prior is None:
-            checks.append(check(
-                f"{gate.metric} vs baseline", False, "no recorded value",
-            ))
-            continue
+    for metric in exact:
+        current = report["metrics"][metric]
+        prior = entry["metrics"].get(metric)
         checks.append(check(
-            f"{gate.metric} vs baseline",
-            gate.passes(current, prior),
-            gate.detail(current, prior),
+            f"{metric} vs baseline", current == prior,
+            "no recorded value" if prior is None else
+            f"{current!r} vs {prior!r} (exact match: any move fails)",
         ))
     return checks
 
@@ -230,19 +171,6 @@ def run_suite(name: str, *, update_baseline: bool = False) -> dict:
         )
     report["ok"] = all(c["ok"] for c in report["checks"])
     return report
-
-
-def write_report(report: dict, path: str) -> list[str]:
-    """Write the report to ``path`` and its ``files`` next to it;
-    returns every path written."""
-    report = dict(report)
-    files = report.pop("files", {})
-    write_json(path, report)
-    written = [path]
-    for fname, payload in files.items():
-        written.append(os.path.join(os.path.dirname(path), fname))
-        write_json(written[-1], payload)
-    return written
 
 
 def _fmt(value) -> str:

@@ -1,4 +1,4 @@
-"""The ``trace`` bench suite: overhead, digest equality, cross-checks.
+"""The checks behind ``repro trace APP``: overhead, digest, cross-checks.
 
 Runs one workload twice — untraced baseline, then with a
 :class:`repro.trace.Tracer` attached — and checks:
@@ -10,8 +10,8 @@ Runs one workload twice — untraced baseline, then with a
 - **device-accounting cross-check**: the tracer's kernel/copy spans in
   the current splice segment must match the live devices' own counters
   (kernel count, kernel ns, copied bytes per engine) — a device op that
-  escapes the tracer shows up as a mismatch. The suite runs fault-free,
-  so no span is clamped (``aborted:``) or re-issued (``replay:``);
+  escapes the tracer shows up as a mismatch. The run is fault-free, so
+  no span is clamped (``aborted:``) or re-issued (``replay:``);
 - **eq. 2 cross-check**: the paper's Total-CUDA-calls formula (§4.3),
   recomputed over the traced API call spans, must equal the span count
   exactly (every traced launch comes with its push/pop pair).
@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from repro.harness.metrics import total_calls_formula
 from repro.harness.runner import Machine, run_app
-from repro.harness.suites import Suite, app_classes, check
-from repro.trace import Tracer, to_chrome_trace
+from repro.harness.suites import check
+from repro.trace import Tracer
 
 #: Traced runtime must stay within this factor of untraced.
 MAX_OVERHEAD_RATIO = 1.25
@@ -73,7 +73,7 @@ def run_trace_bench(
     mode: str = "crac",
     checkpoint_at: float | None = None,
 ) -> tuple[dict, Tracer]:
-    """Trace one app and check it; returns (suite result, tracer) so the
+    """Trace one app and check it; returns (result, tracer) so the
     caller can export the trace."""
     machine = Machine(gpu=gpu, seed=seed)
     kwargs = dict(
@@ -126,32 +126,5 @@ def run_trace_bench(
                   eq2_total == eq2_spans,
                   f"{eq2_total:,} formula vs {eq2_spans:,} spans"),
         ],
-        "app": base.app_name,
-        "mode": mode,
-        "checkpoint_at": checkpoint_at,
-        "digest": f"{traced.digest:#010x}",
-        "timeline": {
-            "span_ns": timeline.span_ns,
-            "kernel_busy_ns": timeline.kernel_busy_ns,
-            "copy_busy_ns": timeline.copy_busy_ns,
-            "events": timeline.events,
-            "segments": timeline.segments,
-        },
     }
     return result, tracer
-
-
-def run_trace_suite(*, app: str, scale: float, gpu: str, seed: int) -> dict:
-    """The suite run: one traced app plus its Chrome trace file."""
-    (cls,) = app_classes([app])
-    result, tracer = run_trace_bench(cls, scale=scale, gpu=gpu, seed=seed)
-    result["files"] = {
-        f"trace_{app.lower()}.json": to_chrome_trace(tracer, label=cls.name),
-    }
-    return result
-
-
-SUITE = Suite(
-    run=run_trace_suite,
-    config={"app": "Gaussian", "scale": 0.05, "gpu": "V100", "seed": 0},
-)

@@ -7,7 +7,8 @@ threaded through the stream/event/UVM/arena layers, with four checkers
 structured :class:`HazardReport` records.
 
 The detector drives ``repro sanitize APP`` (see :mod:`repro.cli`) and
-the ``sanitize`` bench suite (:mod:`repro.sanitizer.gate`). The static
+the perf suite's sanitize scenario; its planted scenarios
+(:mod:`repro.sanitizer.planted`) are its own test oracle. The static
 side — the determinism lint among the passes of :mod:`repro.analysis`
 — runs in ``repro analyze``.
 """

@@ -29,8 +29,8 @@ the host peek at device contents freely between launches, and flagging
 that would drown real cross-stream hazards.
 
 Every hook charges :data:`~repro.gpu.timing.SANITIZER_CHECK_NS` of
-virtual time, so instrumentation overhead is measurable (the CI gate
-bounds it).
+virtual time, so instrumentation overhead is measurable (a tier-1
+test bounds it).
 """
 
 from __future__ import annotations

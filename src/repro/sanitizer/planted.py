@@ -4,7 +4,7 @@ Each scenario builds a fresh simulated machine, attaches a
 :class:`~repro.sanitizer.core.Sanitizer`, performs a short CUDA call
 sequence with one *deliberate* bug (or, for negative controls, a
 correctly synchronized equivalent), and declares which
-``(checker, kind)`` hazards must be found. The CI gate demands 100%
+``(checker, kind)`` hazards must be found. The tier-1 tests demand 100%
 detection on positives and zero findings on negatives — together with
 the clean-app sweep this pins both sides of the detector's ROC point.
 
@@ -370,7 +370,7 @@ SCENARIOS: tuple[PlantedScenario, ...] = (
 
 
 def run_scenario(sc: PlantedScenario) -> dict:
-    """Run one scenario; returns a result row for the gate report."""
+    """Run one scenario; returns its result row."""
     san = sc.run()
     found = {(h.checker, h.kind) for h in san.hazards}
     if sc.negative:

@@ -19,9 +19,8 @@ def test_every_rule_has_a_planted_scenario():
     # A positive for every rule keeps the detectors honest: a rule with
     # no scenario could silently stop firing. A rule may have more than
     # one, one per shape it catches (a trampoline log write of one call
-    # and of a run). lint/syntax reports a file the parser rejects, which
-    # no corpus tree plants.
-    assert {s.expect for s in POSITIVES} == set(RULE_CODES) - {"lint/syntax"}
+    # and of a run).
+    assert {s.expect for s in POSITIVES} == set(RULE_CODES)
     assert len({s.name for s in SCENARIOS}) == len(SCENARIOS), "duplicate names"
 
 

@@ -120,34 +120,6 @@ class TestCkptBench:
         assert list(tmp_path.iterdir()) == [bench_baseline]
 
 
-class TestFaultCampaign:
-    def test_smoke_writes_report(self, tmp_path, bench_baseline):
-        out_path = tmp_path / "BENCH_faults.json"
-        code, text = run_cli("bench", "faults", "--out", str(out_path))
-        assert code == 0, text
-        assert "rank death in 2PC" in text
-        assert "bit-correct" in text
-
-        import json
-
-        report = json.loads(out_path.read_text())
-        totals = report["totals"]
-        # The suite sweeps one fault class per rung plus the failover
-        # cells, so every ladder rung fires with bit-correct recovery.
-        for rung in ("retry", "stream-reset", "restore", "failover"):
-            assert totals["rung_counts"][rung] > 0
-        assert totals["bit_correct"] + totals["aborted"] == totals["cells"]
-        assert report["rank_death_2pc"]["no_half_commit"]
-        assert report["rank_death_2pc"]["prior_state_restored"]
-        assert set(report["apps"]) == {"Gaussian", "Kmeans"}
-
-    def test_dash_out_skips_file(self, tmp_path, monkeypatch, bench_baseline):
-        monkeypatch.chdir(tmp_path)
-        code, _ = run_cli("bench", "faults", "--out", "-")
-        assert code == 0
-        assert list(tmp_path.iterdir()) == [bench_baseline]
-
-
 class TestSpecBench:
     """Speculative cuts run inside the ``ckpt`` suite's mode sweep."""
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.apps.rodinia import Bfs, Gaussian, Kmeans
 from repro.harness.fault_tolerance import (
     RUNTIME_FAULT_CLASSES,
     FaultSimulator,
@@ -14,6 +15,19 @@ from repro.harness.fault_tolerance import (
     run_rank_death_scenario,
     young_interval,
 )
+
+
+@pytest.fixture(scope="module")
+def campaign():
+    """One fault campaign at its committed config, shared by every
+    campaign check: one fault class per ladder rung at MTBFs of 0.5 and
+    0.2 of each app's fault-free runtime, a 3-rank 2PC and the two node
+    failover cells (V100 → V100, V100 → K600)."""
+    return run_fault_campaign(
+        [Gaussian, Kmeans], scale=0.05, seed=0, gpu="V100",
+        fault_classes=["xfer-corrupt", "kernel-hang", "ecc"],
+        mtbf_factors=(0.5, 0.2),
+    )
 
 
 class TestIntervals:
@@ -195,16 +209,9 @@ class TestSessionBackedSimulator:
 
 
 class TestFaultCampaign:
-    @staticmethod
-    def _app(name):
-        from repro.apps.rodinia import RODINIA_SUITE
-
-        return next(c for c in RODINIA_SUITE if c.name.lower() == name)
-
     def test_guarded_baseline_is_clean_and_deterministic(self):
-        kmeans = self._app("kmeans")
-        a = run_guarded_app(kmeans, scale=0.05, specs=[])
-        b = run_guarded_app(kmeans, scale=0.05, specs=[])
+        a = run_guarded_app(Kmeans, scale=0.05, specs=[])
+        b = run_guarded_app(Kmeans, scale=0.05, specs=[])
         assert a.aborted is None and a.faults_fired == 0
         assert a.digest == b.digest
         assert a.runtime_s == pytest.approx(b.runtime_s)
@@ -214,30 +221,40 @@ class TestFaultCampaign:
             "retry": 0, "stream-reset": 0, "restore": 0, "failover": 0,
         }
 
-    def test_campaign_exercises_all_three_rungs_bit_correctly(self):
-        report = run_fault_campaign(
-            [self._app("gaussian"), self._app("kmeans")],
-            scale=0.05,
-            fault_classes=["xfer-corrupt", "kernel-hang", "ecc"],
-            mtbf_factors=(0.2,),
-        )
-        totals = report["totals"]
+    def test_campaign_exercises_all_three_rungs_bit_correctly(self, campaign):
+        totals = campaign["totals"]
         for rung in ("retry", "stream-reset", "restore"):
             assert totals["rung_counts"][rung] > 0, f"{rung} never fired"
         assert totals["faults_fired"] > 0
         # Every recovered cell ended bit-identical to its fault-free run.
         assert totals["bit_correct"] + totals["aborted"] == totals["cells"]
-        for app in report["apps"].values():
+        for app in campaign["apps"].values():
             for cell in app["cells"]:
                 if cell["aborted"] is None:
                     assert cell["digest"] == app["baseline"]["digest"]
-        assert report["rank_death_2pc"]["rank_death_raised"]
+
+    def test_rank_death_in_2pc_leaves_no_half_commit(self, campaign):
+        rank_death = campaign["rank_death_2pc"]
+        assert rank_death["rank_death_raised"]
+        assert rank_death["no_half_commit"]
+
+    def test_rank_death_in_2pc_restores_the_prior_state(self, campaign):
+        assert campaign["rank_death_2pc"]["prior_state_restored"]
+
+    @pytest.mark.parametrize("gpu_dst", ["V100", "K600"])
+    def test_node_failover_is_bit_correct(self, campaign, gpu_dst):
+        (cell,) = [
+            c for c in campaign["node_failover"] if c["gpu_dst"] == gpu_dst
+        ]
+        assert "skipped" not in cell, cell["skipped"]
+        assert cell["rung_counts"]["failover"] > 0
+        assert cell["bit_correct"], cell["declared_dead"]
 
     def test_classes_without_sites_are_reported_skipped(self):
         # No Rodinia app touches managed memory, so the uvm-storm stage
         # is never visited — the campaign must say so, not drop it.
         report = run_fault_campaign(
-            [self._app("bfs")], scale=0.02, fault_classes=["uvm-storm"],
+            [Bfs], scale=0.02, fault_classes=["uvm-storm"],
             mtbf_factors=(0.5,),
         )
         app = report["apps"]["BFS"]

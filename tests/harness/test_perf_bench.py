@@ -202,7 +202,7 @@ class TestCounts:
         }]
         assert report["metrics"] == {}
         assert _failing(report, report | {"metrics": dict.fromkeys(
-            (g.metric for g in load_suite("perf").gates), 0)}) == [
+            load_suite("perf").exact, 0)}) == [
             "interpreter is Python 2.7", "gated metrics measured",
         ]
 
@@ -305,11 +305,9 @@ class TestGate:
             ]
 
     def test_every_gate_is_an_exact_layer_count(self):
-        gates = load_suite("perf").gates
-        assert [g.metric for g in gates] == [
+        assert list(load_suite("perf").exact) == [
             f"calls.{s}.{layer}" for s in SCENARIOS for layer in LAYERS
         ]
-        assert {g.better for g in gates} == {"exact"}
         assert {"linux", "core", "cuda", "gpu", "dmtcp", "spec",
                 "sanitizer", "apps"} <= set(LAYERS)
 
@@ -318,9 +316,7 @@ class TestBaselinePayload:
     def test_payload_carries_gate_inputs_only(self, small_report):
         pay = baseline_entry("perf", small_report)
         assert pay["config"] == SMALL
-        assert set(pay["metrics"]) == {
-            g.metric for g in load_suite("perf").gates
-        }
+        assert set(pay["metrics"]) == set(load_suite("perf").exact)
         assert "calls.capture" in small_report["metrics"]
         assert "calls.capture" not in pay["metrics"]
         assert "checks" not in pay

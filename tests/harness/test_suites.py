@@ -4,7 +4,6 @@ import dataclasses
 import importlib
 import io
 import json
-import math
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +12,7 @@ import pytest
 
 from repro.cli import main
 from repro.harness import suites
-from repro.harness.suites import Gate, check
+from repro.harness.suites import check
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -58,7 +57,7 @@ def test_committed_baseline_records_every_suite_config():
         suite = suites.load_suite(name)
         entry = committed["suites"][name]
         assert entry["config"] == json.loads(json.dumps(suite.config)), name
-        assert set(entry["metrics"]) == {g.metric for g in suite.gates}, name
+        assert set(entry["metrics"]) == set(suite.exact), name
 
 
 @pytest.mark.parametrize("name", list(suites.SUITES))
@@ -98,9 +97,9 @@ def test_config_mismatch_exits_1(stub_suite, bench_baseline):
 
 
 def test_other_baseline_version_exits_1(stub_suite, bench_baseline):
-    stub_suite("trace", ok=True)
+    stub_suite("serve", ok=True)
     _edit(bench_baseline, lambda d: d.update(version=0))
-    code, _ = run_cli("bench", "trace")
+    code, _ = run_cli("bench", "serve")
     assert code == 1
 
 
@@ -138,17 +137,6 @@ def test_update_baseline_keeps_the_entry_of_a_failing_run(
     assert bench_baseline.read_text() == before
 
 
-def test_out_writes_report_and_files(tmp_path, bench_baseline):
-    out = tmp_path / "BENCH_trace.json"
-    code, text = run_cli("bench", "trace", "--out", str(out))
-    assert code == 0, text
-    report = json.loads(out.read_text())
-    assert report["suite"] == "trace" and report["ok"]
-    assert "files" not in report
-    trace = json.loads((tmp_path / "trace_gaussian.json").read_text())
-    assert trace["traceEvents"]
-
-
 def test_unknown_suite_rejected():
     with pytest.raises(SystemExit):
         run_cli("bench", "doom")
@@ -164,32 +152,41 @@ def test_app_classes_resolve_every_paper_app():
     assert [cls.name for cls in suites.app_classes(names)] == names
 
 
-def test_gate_ratio_directions_and_floor():
-    lower = Gate("m", "lower", limit=1.25, floor=1.0)
-    assert lower.ratio(3.0, 1.0) == pytest.approx(2.0)
-    higher = Gate("m", "higher", limit=1.25)
-    assert higher.ratio(8.0, 10.0) == pytest.approx(1.25)
-    assert higher.ratio(0.0, 10.0) == math.inf
-    assert Gate("m", "lower", limit=1.25).ratio(0.0, 0.0) == 1.0
-
-
 def test_exact_gate_fails_on_any_move():
-    gate = Gate("m", "exact")
-    assert gate.passes(0.1 + 0.2, 0.1 + 0.2)
-    assert not gate.passes(0.30000000000000004, 0.3)
-    assert not gate.passes(0.3, 0.30000000000000004)
-    assert gate.ratio(2.0, 4.0) == gate.ratio(8.0, 4.0) == pytest.approx(2.0)
-    assert "ratio 1.000" in gate.detail(5.0, 5.0)
+    config = json.loads(json.dumps(suites.load_suite("serve").config))
+
+    def gate(current, recorded):
+        entry = {"config": config, "metrics": {
+            "resume_p99_ms": recorded, "sessions_per_sec": 1.0,
+        }}
+        report = {"config": config, "metrics": {
+            "resume_p99_ms": current, "sessions_per_sec": 1.0,
+        }}
+        baseline = {"version": suites.BASELINE_VERSION,
+                    "suites": {"serve": entry}}
+        checks = suites.baseline_checks("serve", report, baseline)
+        assert checks[1]["name"] == "resume_p99_ms vs baseline"
+        return checks[1]
+
+    assert gate(0.1 + 0.2, 0.1 + 0.2)["ok"]
+    assert not gate(0.30000000000000004, 0.3)["ok"]
+    assert not gate(0.3, 0.30000000000000004)["ok"]
+    assert gate(5.0, 5.0)["detail"] == (
+        "5.0 vs 5.0 (exact match: any move fails)"
+    )
 
 
 def test_importing_faultspec_loads_no_suite():
-    """The benchmark imports ``FaultSpec``; a suite module in its
-    process would count against its peak RSS."""
+    """The benchmark imports ``FaultSpec``; a suite module, the fault
+    campaign or the trace checks in its process would count against its
+    peak RSS."""
     code = (
         "import sys\n"
         "from repro.harness.fault_injection import FaultSpec\n"
         "from repro.harness.suites import SUITES\n"
-        "print([m for m in SUITES.values() if m in sys.modules])\n"
+        "heavy = [*SUITES.values(), 'repro.harness.fault_tolerance',\n"
+        "         'repro.harness.trace_bench']\n"
+        "print([m for m in heavy if m in sys.modules])\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,

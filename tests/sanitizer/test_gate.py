@@ -1,29 +1,44 @@
-"""sanitize suite: planted detection, clean sweep, report rendering."""
+"""The sanitizer's three verdicts on real and planted workloads.
+
+- Every planted positive is detected and every negative control stays
+  silent (one test per scenario, so a failure names it).
+- The 14 Rodinia apps at scale 0.05, run under CRAC with a mid-run cut
+  and the sanitizer attached, raise no hazard (the detector's
+  real-workload false-positive rate).
+- Instrumenting Gaussian at the ``ckpt`` suite's scale and cuts costs at
+  most :data:`OVERHEAD_LIMIT`× virtual time and leaves the digest
+  unchanged (instrumentation shifts timing only).
+"""
 
 import pytest
 
-from repro.harness.suites import render
-from repro.sanitizer.gate import _clean_apps_section, run_gate
+from repro.apps.rodinia import RODINIA_SUITE, Gaussian
+from repro.harness import Machine, run_app
+from repro.sanitizer.core import Sanitizer
 from repro.sanitizer.planted import SCENARIOS, run_scenario
 
+#: maximum allowed virtual-time slowdown from instrumentation
+OVERHEAD_LIMIT = 1.25
 
-@pytest.fixture(scope="module")
-def gate():
-    """One smoke-scale suite run (the planted corpus included) shared by
-    every test here."""
-    result = run_gate(scale=0.02, gpu="V100", seed=0)
-    return {**result, "suite": "sanitize",
-            "ok": all(c["ok"] for c in result["checks"])}
+
+def by_name(scenario):
+    return scenario.name
 
 
 class TestPlanted:
-    def test_every_scenario_detected(self, gate):
-        """The headline acceptance criterion: 100% planted detection,
-        zero findings on the negative controls."""
-        section = gate["planted"]
-        assert section["detection_rate"] == 1.0
-        assert section["false_positives"] == 0
-        assert section["ok"]
+    @pytest.mark.parametrize(
+        "scenario", [s for s in SCENARIOS if not s.negative], ids=by_name
+    )
+    def test_positive_detected(self, scenario):
+        row = run_scenario(scenario)
+        assert row["missing"] == [], f"found only {row['found']}"
+
+    @pytest.mark.parametrize(
+        "scenario", [s for s in SCENARIOS if s.negative], ids=by_name
+    )
+    def test_negative_control_is_silent(self, scenario):
+        row = run_scenario(scenario)
+        assert row["hazards"] == 0, f"false positives {row['found']}"
 
     def test_each_checker_has_three_positives(self):
         """ISSUE floor: >= 3 planted positives per checker."""
@@ -45,50 +60,36 @@ class TestPlanted:
 
 
 class TestCleanApps:
-    def test_single_app_sweep_is_clean(self):
-        from repro.apps.rodinia import Gaussian
+    @pytest.mark.parametrize("cls", RODINIA_SUITE, ids=lambda c: c.name)
+    def test_app_under_a_cut_is_clean(self, cls):
+        """``restart_after_checkpoint`` stays off: restart replay
+        re-creates allocations outside the app's own call sequence,
+        which is a different (heavier) instrumentation story than
+        hazard detection on the app itself."""
+        san = Sanitizer()
+        run_app(
+            cls(scale=0.05, seed=0),
+            Machine(gpu="V100", seed=0),
+            mode="crac",
+            checkpoint_at=0.5,
+            restart_after_checkpoint=False,
+            noise=False,
+            sanitizer=san,
+        )
+        assert san.report.ops_instrumented > 0
+        assert san.hazards == [], [h.describe() for h in san.hazards[:10]]
 
-        section = _clean_apps_section(0.05, "V100", 0, apps=[Gaussian])
-        assert section["ok"]
-        (row,) = section["apps"]
-        assert row["hazards"] == 0
-        assert row["ops_instrumented"] > 0
 
-
-class TestReport:
-    def test_run_gate_smoke_and_format(self, gate):
-        """One full (smoke-scale) suite run: verdict PASS, JSON shape
-        stable, text rendering names each check."""
-        assert set(gate) == {
-            "metrics", "checks", "planted", "clean_apps", "overhead",
-            "suite", "ok",
-        }
-        assert gate["ok"], render(gate)
-        text = render(gate)
-        for token in ("planted: every positive detected",
-                      "planted: no false positives", "clean sweep:",
-                      "overhead ≤1.25×", "bench sanitize: PASS"):
-            assert token in text
-
-    def test_format_names_failures(self, monkeypatch):
-        """A missed scenario is named in the failing check's detail."""
-        import repro.sanitizer.gate as gate_mod
-
-        missed = {
-            "name": "race-x", "detected": False, "negative": False,
-            "missing": [("racecheck", "write-write")], "found": [],
-            "hazards": 0, "expected": [],
-        }
-        monkeypatch.setattr(gate_mod, "SCENARIOS", [SCENARIOS[0]])
-        monkeypatch.setattr(gate_mod, "run_scenario", lambda sc: missed)
-        monkeypatch.setattr(gate_mod, "_clean_apps_section",
-                            lambda *a: {"apps": [], "total_hazards": 0,
-                                        "ok": True})
-        monkeypatch.setattr(gate_mod, "_overhead_section",
-                            lambda *a: {"ratio": 1.0, "ops_instrumented": 0,
-                                        "digest_match": True, "ok": True})
-        result = run_gate(scale=0.02, gpu="V100", seed=0)
-        report = {**result, "suite": "sanitize", "ok": False}
-        text = render(report)
-        assert "[FAIL] planted: every positive detected" in text
-        assert "race-x" in text
+def test_overhead_is_bounded_and_the_digest_unchanged():
+    kw = dict(
+        mode="crac", checkpoint_at=[i / 5 for i in range(1, 5)],
+        restart_after_checkpoint=False, noise=False,
+    )
+    base = run_app(Gaussian(scale=0.25, seed=0),
+                   Machine(gpu="V100", seed=0), **kw)
+    san = Sanitizer()
+    inst = run_app(Gaussian(scale=0.25, seed=0),
+                   Machine(gpu="V100", seed=0), sanitizer=san, **kw)
+    assert san.report.ops_instrumented > 0
+    assert inst.runtime_exact_s <= OVERHEAD_LIMIT * base.runtime_exact_s
+    assert inst.digest == base.digest

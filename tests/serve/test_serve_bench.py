@@ -64,8 +64,8 @@ def test_gate_against_baseline_file(tiny_report, tmp_path):
         "sessions_per_sec vs baseline",
     ]
     assert all(c["ok"] for c in checks)
-    assert "ratio 1.000" in checks[1]["detail"]
-    assert "ratio 1.000" in checks[2]["detail"]
+    assert "exact match" in checks[1]["detail"]
+    assert "exact match" in checks[2]["detail"]
     # A regressed run fails the gate.
     worse = json.loads(json.dumps(tiny_report))
     worse["metrics"]["resume_p99_ms"] *= 2.0

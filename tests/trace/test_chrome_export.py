@@ -1,18 +1,21 @@
 """Golden-file checks of the Chrome/Perfetto trace_event export.
 
-Runs ``SimpleStreams`` under the trace bench and validates the exported
-JSON the way Perfetto's importer would: required keys per phase type,
-globally sorted timestamps, stable pid/tid assignment across exports,
-and flow ids that appear exactly as start/finish pairs. Also cross-checks
-the paper's eq. 2 against the traced API call spans, and the tracer's
-device spans against the devices' own counters.
+Runs Gaussian (scale 0.05, V100, seed 0) through ``repro trace``'s
+checks — overhead, digest, device accounting, eq. 2 — and validates the
+exported JSON the way Perfetto's importer would: required keys per
+phase type, globally sorted timestamps, stable pid/tid assignment
+across exports, and flow ids that appear exactly as start/finish pairs.
+Per-stream spans are checked on SimpleStreams, whose kernels spread
+over several streams.
 """
 
 import json
 
 import pytest
 
+from repro.apps.rodinia import Gaussian
 from repro.apps.simple_streams import SimpleStreams
+from repro.harness import Machine, run_app
 from repro.harness.metrics import total_calls_formula
 from repro.harness.trace_bench import device_accounting_check, run_trace_bench
 from repro.trace import Tracer
@@ -26,8 +29,9 @@ from repro.trace.export import (
 
 @pytest.fixture(scope="module")
 def bench():
-    """One traced SimpleStreams run shared by every test here."""
-    return run_trace_bench(SimpleStreams, scale=0.05)
+    """One traced Gaussian run (with its untraced twin) shared by every
+    test here."""
+    return run_trace_bench(Gaussian, scale=0.05, gpu="V100", seed=0)
 
 
 def test_bench_gates_pass(bench):
@@ -42,7 +46,7 @@ def test_bench_gates_pass(bench):
 
 def test_export_is_valid_trace_event_json(bench):
     _, tracer = bench
-    obj = to_chrome_trace(tracer, label="simple_streams")
+    obj = to_chrome_trace(tracer, label="gaussian")
     # Round-trips through JSON untouched.
     obj = json.loads(json.dumps(obj))
     events = obj["traceEvents"]
@@ -62,7 +66,7 @@ def test_export_is_valid_trace_event_json(bench):
             assert ev["bp"] == "e"
         if ev["ph"] == "i":
             assert ev["s"] == "t"
-    assert obj["otherData"]["label"] == "simple_streams"
+    assert obj["otherData"]["label"] == "gaussian"
     assert obj["otherData"]["metrics"]["counters"]
 
 
@@ -97,7 +101,7 @@ def test_flow_ids_paired(bench):
     events = to_chrome_trace(tracer)["traceEvents"]
     starts = [e["id"] for e in events if e["ph"] == "s"]
     finishes = [e["id"] for e in events if e["ph"] == "f"]
-    assert starts, "SimpleStreams launches kernels, flows expected"
+    assert starts, "Gaussian launches kernels, flows expected"
     assert sorted(starts) == sorted(finishes)
     assert len(starts) == len(set(starts)), "flow ids must be unique"
 
@@ -112,8 +116,10 @@ def test_eq2_matches_traced_spans_exactly(bench):
     assert launches == span_calls["cudaPopCallConfiguration"]
 
 
-def test_per_stream_spans_sum_to_timeline_busy(bench):
-    _, tracer = bench
+def test_per_stream_spans_sum_to_timeline_busy():
+    tracer = Tracer()
+    run_app(SimpleStreams(scale=0.05), Machine(), mode="crac", noise=False,
+            tracer=tracer)
     timeline = tracer.timeline()
     per_track: dict[str, float] = {}
     for s in tracer.spans:
