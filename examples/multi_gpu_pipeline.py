@@ -74,7 +74,7 @@ def main() -> None:
     for dev in range(N_GPUS):
         t = b.device_view(tiles[dev], 4 * TILE, np.float32)
         sums.append(float(t.sum()))
-        assert b.runtime.buffers[tiles[dev]].device_index == dev
+        assert b.runtime.buffer(tiles[dev]).device_index == dev
     print("per-GPU tile checksums after restart:",
           " ".join(f"{s:.4f}" for s in sums))
     print(f"virtual time: {session.process.clock_ns / 1e9:.3f} s ✓")

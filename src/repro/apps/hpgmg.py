@@ -82,7 +82,7 @@ class Hpgmg(CudaApp):
         kernel_ns = self.kernel_budget_ns(cycles * self.LAUNCHES_PER_CYCLE)
 
         def grid(ptr, s):
-            return b.runtime.buffers[ptr].contents.view(0, 8 * s * s, np.float64).reshape(s, s)
+            return b.device_view(ptr, 8 * s * s, np.float64).reshape(s, s)
 
         def smooth(level, real):
             def fn():

@@ -97,15 +97,15 @@ class Hypre(CudaApp):
             stream = streams[it % self.N_STREAMS]
 
             def spmv():
-                p_ = b.runtime.buffers[self.p_p].contents.view(0, 8 * n, np.float64)
-                ap = b.runtime.buffers[self.p_ap].contents.view(0, 8 * n, np.float64)
+                p_ = b.device_view(self.p_p, 8 * n, np.float64)
+                ap = b.device_view(self.p_ap, 8 * n, np.float64)
                 ap[:] = apply_A(p_)
 
             def update():
-                x = b.runtime.buffers[self.p_x].contents.view(0, 8 * n, np.float64)
-                r = b.runtime.buffers[self.p_r].contents.view(0, 8 * n, np.float64)
-                p_ = b.runtime.buffers[self.p_p].contents.view(0, 8 * n, np.float64)
-                ap = b.runtime.buffers[self.p_ap].contents.view(0, 8 * n, np.float64)
+                x = b.device_view(self.p_x, 8 * n, np.float64)
+                r = b.device_view(self.p_r, 8 * n, np.float64)
+                p_ = b.device_view(self.p_p, 8 * n, np.float64)
+                ap = b.device_view(self.p_ap, 8 * n, np.float64)
                 pap = float(p_ @ ap)
                 if abs(pap) < 1e-30:
                     return

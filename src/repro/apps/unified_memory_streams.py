@@ -87,9 +87,7 @@ class UnifiedMemoryStreams(CudaApp):
             s = streams[t % self.nstreams]
 
             def work():
-                data = b.runtime.buffers[ptr].contents.view(
-                    0, 4 * probe_n, np.float32
-                )
+                data = b.device_view(ptr, 4 * probe_n, np.float32)
                 data[:] = np.float32(t)
                 data *= np.float32(2.0)
 

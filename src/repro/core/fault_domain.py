@@ -362,7 +362,7 @@ DEFAULT_WATCHDOG_LIMITS`), and raises a *sticky*
     def _reapply_buffers(self, saved: list[tuple[int, bytes, object]]) -> None:
         """Write the pre-fault snapshot back over the restored buffers."""
         for addr, data, residency in saved:
-            buf = self.session.runtime.buffers.get(addr)
+            buf = self.session.runtime.buffer(addr)
             if buf is None:
                 continue  # freed by a replayed post-cut free
             buf.contents.write_bytes(0, data)

@@ -8,12 +8,14 @@ At precheckpoint time the plugin:
    pinned) into image blobs, charging the device→host drain over PCIe.
    Only active mallocs are saved — *not* the full allocation arenas —
    which is CRAC's checkpoint-size optimization (§3.2.3). A buffer that
-   never built its contents holds exactly what replay recreates, so it
-   gets no entry: the runtime's never-built tables go into the image as
-   one bulk record (``crac/never-built``: addresses, uids, sizes), taken
-   with C-level copies, and a cut's Python work follows the buffers
-   that hold state. The record is accounted like entries with no dirty
-   bytes: sizes in a full image, nothing in a delta;
+   never built its contents (a managed one: nor its residency) holds
+   exactly what replay recreates, so it gets no entry: the runtime's
+   never-built tables go into the image as one bulk record
+   (``crac/never-built``: addresses, uids, sizes per kind), taken with
+   C-level copies, and a cut's Python work follows the buffers that hold
+   state. The record is accounted like entries with no dirty bytes:
+   sizes in a full image (over PCIe for device buffers only), nothing in
+   a delta;
 3. saves a copy of the replay log as it stands at the cut, the current
    device and the platform fingerprint, as blobs. Stream and event
    handles and fat binaries are not captured: restart adopts them from
@@ -34,20 +36,20 @@ format.
 
 from __future__ import annotations
 
+import weakref
 from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from repro.core.replay_log import ReplayLog
 from repro.core.trampoline import CracBackend
+from repro.cuda.api import RowWatch
 from repro.dmtcp.checkpointer import BACKGROUND, SKIP
 from repro.dmtcp.image import CheckpointImage
 from repro.dmtcp.plugins import DmtcpPlugin
 from repro.errors import RestartError
 from repro.gpu.timing import GPU_SPECS, NS_PER_S
 from repro.gpu.uvm import UVM_PAGE, ManagedBuffer
-
-_SIZE = attrgetter("size")
 
 
 def _resident_dirty_bytes(buf: ManagedBuffer) -> int:
@@ -179,8 +181,10 @@ class CracPlugin(DmtcpPlugin):
 
     def __init__(self, session, *, full_arena: bool = False) -> None:
         # Bound to the session (not a specific process) because restart
-        # replaces the process/runtime under the same session.
-        self.session = session
+        # replaces the process/runtime under the same session. The
+        # session owns the plugin, so a weak proxy keeps the pair out of
+        # a reference cycle: a finished session is freed at once.
+        self.session = weakref.proxy(session)
         self.full_arena = full_arena
 
     # -- checkpoint -----------------------------------------------------------
@@ -257,45 +261,37 @@ class CracPlugin(DmtcpPlugin):
         # record of C-level copies (no per-buffer work) keeps what
         # restart's chain walk needs. They cost what a copied entry with
         # no dirty bytes costs: their sizes in a full image (device bytes
-        # over PCIe), nothing in a delta.
-        live = runtime.buffers
-        unbuilt_device = runtime.unbuilt_device
-        unbuilt_pinned = runtime.unbuilt_pinned
-        uids = dict(unbuilt_device)  # dict() copies the table wholesale
-        uids.update(unbuilt_pinned)
-        never_built = {
-            "uids": uids,
-            "device": dict(zip(
-                unbuilt_device, map(_SIZE, map(live.__getitem__, unbuilt_device))
-            )),
-            "host-pinned": dict(zip(
-                unbuilt_pinned, map(_SIZE, map(live.__getitem__, unbuilt_pinned))
-            )),
-        }
+        # over PCIe; a never-built managed buffer is host-resident),
+        # nothing in a delta.
+        sizes = runtime.allocations
+        uids: dict[int, int] = {}
+        never_built = {"uids": uids}
+        for kind, table in (
+            ("device", runtime.unbuilt_device),
+            ("host-pinned", runtime.unbuilt_pinned),
+            ("managed", runtime.unbuilt_managed),
+        ):
+            uids.update(table)
+            never_built[kind] = dict(zip(table, map(sizes.__getitem__, table)))
         if delta:
             drain_bytes = image_bytes_total = 0
         else:
             drain_bytes = sum(never_built["device"].values())
             image_bytes_total = drain_bytes + sum(
                 never_built["host-pinned"].values()
-            )
-        if cut.placed("write") == BACKGROUND:
+            ) + sum(never_built["managed"].values())
+        if uids and cut.placed("write") == BACKGROUND:
             # The image commits after the app resumes: a first write
             # before then is post-cut dirtiness (copy-on-write, or a
             # speculative conflict), which ``built_since_cut`` finds at
-            # finish by comparing these copies with the live tables.
-            image.unbuilt_capture = [
-                (dict(table), list(map(live.__getitem__, table)), table)
-                for table in (unbuilt_device, unbuilt_pinned)
-            ]
+            # finish among the recorded allocations made objects since.
+            image.unbuilt_capture = RowWatch(runtime, uids)
         buffers: dict[int, dict] = {}
         captures = image.contents_captures
-        built = live.keys() - unbuilt_device.keys() - unbuilt_pinned.keys()
-        for addr in sorted(built):
-            buf = live[addr]
-            is_managed = isinstance(buf, ManagedBuffer)
+        for buf in runtime.built_allocations():
+            kind = buf.kind
+            is_managed = kind == "managed"
             contents = buf.contents
-            kind = "managed" if is_managed else buf.kind
             dirty_spans = tuple(contents.dirty_spans())
             entry = {
                 "kind": kind,
@@ -321,7 +317,7 @@ class CracPlugin(DmtcpPlugin):
                 entry["pcie_bytes"] = 0
             drain_bytes += entry["pcie_bytes"]
             image_bytes_total += entry["image_bytes"]
-            buffers[addr] = entry
+            buffers[buf.addr] = entry
             # Whichever spans this image captured get cleared from the
             # live buffer only when the image durably commits — and only
             # where no later write superseded them (epoch-bounded).
@@ -345,7 +341,8 @@ class CracPlugin(DmtcpPlugin):
                 accounted,
                 sum(e["size"] for e in buffers.values())  # lint: allow
                 + sum(never_built["device"].values())
-                + sum(never_built["host-pinned"].values()),
+                + sum(never_built["host-pinned"].values())
+                + sum(never_built["managed"].values()),
             )
         else:
             accounted = image_bytes_total
@@ -452,7 +449,7 @@ class CracPlugin(DmtcpPlugin):
         replayed, translation = self.replay(log, runtime, costs.replay_call_ns)
         # Sanity: every staged buffer must exist again (possibly moved).
         # The never-built ones are checked in bulk, as a set difference.
-        restored = runtime.buffers.keys()
+        restored = runtime.allocations.keys()
         missing = [
             a for a in image.blob("crac/buffers")
             if translation.get(a, a) not in restored
@@ -552,10 +549,10 @@ class CracPlugin(DmtcpPlugin):
                     runs[addr] = kept
         else:
             refill_bytes += sum(newest.device.values())
-        # Every managed buffer has an explicit entry, so it gets its
-        # residency back here.
+        # A managed buffer with an explicit entry gets its residency back
+        # here; a never-built one is host-resident, as replay made it.
         for addr, entries in runs.items():
-            buf = runtime.buffers[translation.get(addr, addr)]
+            buf = runtime.buffer(translation.get(addr, addr))
             contents = buf.contents
             for entry in reversed(entries):
                 if entry.get("delta"):

@@ -44,7 +44,6 @@ from repro.cuda.interface import CudaDispatchBase
 from repro.dmtcp.coordinator import DmtcpCoordinator
 from repro.gpu.streams import Event, Stream
 from repro.gpu.timing import DEFAULT_HOST_COSTS, HostCosts
-from repro.gpu.uvm import ManagedBuffer
 from repro.linux.process import SYSCALL_NS, WRFSBASE_NS
 
 #: builds a LogEntry from a tuple in C, without its Python ``__new__``
@@ -334,7 +333,8 @@ class CracBackend(CudaDispatchBase):
         # them distinctly so replay uses the right entry point.
         real = self._to_real(addr) if self.virtualize_addresses else addr
         runtime = self.runtime
-        is_managed = isinstance(runtime.buffers.get(real), ManagedBuffer)
+        # The managed arena holds exactly the live managed allocations.
+        is_managed = real in runtime._managed_alloc.active
         self._dispatch("cudaFree", payload_bytes=8)
         runtime.cudaFree(real)
         self._v2r.pop(addr, None)

@@ -81,13 +81,14 @@ class ReplayResult(NamedTuple):
 #: of equal allocations shares its *spec* ``(op, nbytes, device)``
 _SPEC = itemgetter(0, 1, 3)
 _ENTRY_ADDR = itemgetter(2)
-_OP, _NBYTES, _DEVICE = itemgetter(0), itemgetter(1), itemgetter(2)
+_OP, _NBYTES = itemgetter(0), itemgetter(1)
 
 
 class _ReplayBatch:
     """Runtime bookkeeping that :meth:`CudaRuntime.replay_allocations`
     defers: the arenas are carved as the log goes, the rest is applied by
-    :meth:`flush` in bulk, for the allocations still live by then.
+    :meth:`flush` in bulk, for the allocations still live by then (as
+    rows: no buffer object is made).
 
     ``made`` maps the address of each live allocation the pass made to
     its uid, in allocation order, and ``specs`` each uid the pass gave
@@ -127,32 +128,20 @@ class _ReplayBatch:
         addrs = list(made)
         uids = list(made.values())
         specs = list(map(self.specs.__getitem__, uids))
-        buffers = rt.buffers
+        rt.allocations.update(zip(addrs, map(_NBYTES, specs)))
+        tables = {
+            "malloc": rt.unbuilt_device,
+            "malloc_host": rt.unbuilt_pinned,
+            "malloc_managed": rt.unbuilt_managed,
+        }
         end = 0
-        # One bulk build per stretch of survivors of one allocation op.
+        # The survivors are rows: one bulk table update per stretch of
+        # one allocation op.
         for op, same in groupby(map(_OP, specs)):
             start, end = end, end + len(list(same))
-            a, u, s = addrs[start:end], uids[start:end], specs[start:end]
-            if op == "malloc":
-                table = rt.unbuilt_device
-                table.update(zip(a, u))
-                buffers.update(zip(a, map(
-                    DeviceBuffer, a, map(_NBYTES, s), repeat("device"),
-                    map(_DEVICE, s), u, repeat(table),
-                )))
-            elif op == "malloc_host":
-                table = rt.unbuilt_pinned
-                table.update(zip(a, u))
-                buffers.update(zip(a, map(
-                    DeviceBuffer, a, map(_NBYTES, s), repeat("host-pinned"),
-                    repeat(0), u, repeat(table),
-                )))
-                rt._host_origin.update(zip(a, repeat("pinned")))
-            else:  # malloc_managed: eager contents anyway
-                for addr, (_, nbytes, _), uid in zip(a, s, u):
-                    buf = ManagedBuffer(addr=addr, size=nbytes, uid=uid)
-                    rt.uvm.register(buf)
-                    buffers[addr] = buf
+            tables[op].update(zip(addrs[start:end], uids[start:end]))
+            if op == "malloc_host":
+                rt._host_origin.update(zip(addrs[start:end], repeat("pinned")))
         made.clear()
         self.specs.clear()
 
@@ -163,6 +152,40 @@ class _ReplayBatch:
         entry_point(arg)
         self.uid = next(self.runtime._buffer_uids)
         self.device = self.runtime.current_device
+
+
+class RowWatch:
+    """The allocations a cut recorded as never built, as they become
+    objects: what a background write compares at its finish.
+
+    ``uids`` is the cut's record (address -> uid). ``found`` starts with
+    the recorded allocations that were already objects at the cut, and
+    the runtime appends each other one when it becomes an object, so the
+    allocations still rows cost nothing. The watch stays open until
+    :meth:`close`.
+    """
+
+    __slots__ = ("uids", "found", "_open")
+
+    def __init__(self, runtime: "CudaRuntime", uids: dict[int, int]) -> None:
+        self.uids = uids
+        objects = runtime._objects
+        self.found: list[DeviceBuffer | ManagedBuffer] = [
+            objects[addr] for addr in sorted(objects.keys() & uids.keys())
+        ]
+        self._open = runtime._row_watches
+        self._open.append(self)
+
+    def built(self) -> list[DeviceBuffer | ManagedBuffer]:
+        """The recorded allocations that have built their contents since
+        the cut (freed ones too): every byte they hold dirty was written
+        after it."""
+        return [buf for buf in self.found if buf.unbuilt is None]
+
+    def close(self) -> None:
+        """Stop collecting (idempotent)."""
+        if self in self._open:
+            self._open.remove(self)
 
 
 @dataclass
@@ -239,15 +262,23 @@ class CudaRuntime:
             capacity=self.devices[0].spec.memory_bytes * MANAGED_CAPACITY_FACTOR,
         )
         self.uvm = UvmManager(self.devices[0])
-        self.buffers: dict[int, DeviceBuffer | ManagedBuffer] = {}
-        #: address -> uid of the live ``cudaMalloc`` and pinned buffers
-        #: that never built their contents: a buffer enters at allocation
-        #: and leaves on its first contents build or at free, so a cut
-        #: records the buffers nothing ever touched in bulk (managed
-        #: buffers build eagerly and are never here). Plain ints, so a
-        #: buffer referring to its table makes no reference cycle.
+        #: address -> size of every live allocation, in allocation order.
+        #: An allocation is a *row* (this entry and its uid in a
+        #: never-built table) until :meth:`buffer` first looks it up and
+        #: makes its object, which :attr:`_objects` then keeps.
+        self.allocations: dict[int, int] = {}
+        self._objects: dict[int, DeviceBuffer | ManagedBuffer] = {}
+        #: address -> uid of the live device, pinned and managed
+        #: allocations that never built their contents (nor, managed, their
+        #: residency): one enters at allocation and leaves on that first
+        #: build or at free, so a cut records the allocations nothing ever
+        #: touched in bulk. Plain ints, so an object referring to its
+        #: table makes no reference cycle.
         self.unbuilt_device: dict[int, int] = {}
         self.unbuilt_pinned: dict[int, int] = {}
+        self.unbuilt_managed: dict[int, int] = {}
+        #: the open :class:`RowWatch` es of background cuts
+        self._row_watches: list[RowWatch] = []
         #: allocation ids: arena addresses get reused after a free, so a
         #: checkpoint delta chain keys buffers by (addr, uid), never addr
         #: alone
@@ -290,14 +321,82 @@ class CudaRuntime:
         )
         self.api_log[name] += 1
 
-    def _buffer(self, addr: int) -> DeviceBuffer | ManagedBuffer:
-        buf = self.buffers.get(addr)
-        if buf is None or buf.freed:
-            raise cuda_error(
-                CudaErrorCode.INVALID_DEVICE_POINTER,
-                f"unknown or freed pointer {addr:#x}",
-            )
+    def buffer(self, addr: int) -> DeviceBuffer | ManagedBuffer | None:
+        """The live allocation at ``addr`` as an object, or ``None``. A
+        row becomes its object here, on first lookup, and later lookups
+        return the same object."""
+        buf = self._objects.get(addr)
+        if buf is None and addr in self.allocations:
+            buf = self._make_object(addr)
         return buf
+
+    def _make_object(self, addr: int) -> DeviceBuffer | ManagedBuffer:
+        """Build the object of the row at ``addr``."""
+        size = self.allocations[addr]
+        uid = self.unbuilt_device.get(addr)
+        if uid is not None:
+            buf = DeviceBuffer(
+                addr, size, "device", self._row_device(addr), uid,
+                self.unbuilt_device,
+            )
+        elif (uid := self.unbuilt_pinned.get(addr)) is not None:
+            buf = DeviceBuffer(
+                addr, size, "host-pinned", 0, uid, self.unbuilt_pinned
+            )
+        else:
+            uid = self.unbuilt_managed[addr]
+            buf = ManagedBuffer(addr, size, uid, self.unbuilt_managed)
+            self.uvm.register(buf)
+        self._objects[addr] = buf
+        for watch in self._row_watches:
+            if watch.uids.get(addr) == uid:
+                watch.found.append(buf)
+        return buf
+
+    def _row_device(self, addr: int) -> int:
+        """The GPU of a device row: the one whose arena holds it."""
+        allocs = self._device_allocs
+        if len(allocs) > 1:
+            for index, arena in enumerate(allocs):
+                if addr in arena.active:
+                    return index
+        return 0
+
+    def kind_of(self, addr: int) -> str | None:
+        """``"device"``, ``"host-pinned"`` or ``"managed"`` for the live
+        allocation at ``addr``, ``None`` if there is none; makes no
+        object."""
+        buf = self._objects.get(addr)
+        if buf is not None:
+            return buf.kind
+        if addr in self.unbuilt_device:
+            return "device"
+        if addr in self.unbuilt_pinned:
+            return "host-pinned"
+        if addr in self.unbuilt_managed:
+            return "managed"
+        return None
+
+    def _buffer(self, addr: int) -> DeviceBuffer | ManagedBuffer:
+        """:meth:`buffer`, raising the classified error if ``addr`` is not
+        live."""
+        buf = self._objects.get(addr)
+        if buf is None:
+            if addr not in self.allocations:
+                raise cuda_error(
+                    CudaErrorCode.INVALID_DEVICE_POINTER,
+                    f"unknown or freed pointer {addr:#x}",
+                )
+            buf = self._make_object(addr)
+        return buf
+
+    def _forget(self, addr: int, unbuilt: dict[int, int]) -> None:
+        """Drop a freed allocation: its size, its row and its object."""
+        del self.allocations[addr]
+        unbuilt.pop(addr, None)
+        buf = self._objects.pop(addr, None)
+        if buf is not None:
+            buf.freed = True
 
     def _stream(self, stream: Stream | None) -> Stream:
         return stream if stream is not None else self.default_stream
@@ -319,9 +418,11 @@ class CudaRuntime:
         if stream is not None and stream.sid != 0:
             return self.devices[stream.device_index]
         if addr is not None:
-            buf = self.buffers.get(addr)
+            buf = self._objects.get(addr)
             if buf is not None:
-                return self.devices[getattr(buf, "device_index", 0)]
+                return self.devices[buf.device_index]
+            if addr in self.unbuilt_device:
+                return self.devices[self._row_device(addr)]
         return self.devices[0]
 
     @property
@@ -336,70 +437,75 @@ class CudaRuntime:
             self.api_log["cudaMalloc"] += 1
         else:
             self._entry("cudaMalloc")  # raises the classified error
-        device = self.current_device
-        addr = self._device_allocs[device].alloc(nbytes)
-        unbuilt = self.unbuilt_device
-        unbuilt[addr] = uid = next(self._buffer_uids)
-        # Positional arguments: matching keywords would double the cost
-        # of this constructor on the allocation hot path.
-        self.buffers[addr] = DeviceBuffer(
-            addr, nbytes, "device", device, uid, unbuilt
-        )
+        addr = self._device_allocs[self.current_device].alloc(nbytes)
+        self.unbuilt_device[addr] = next(self._buffer_uids)
+        self.allocations[addr] = nbytes
         return addr
 
     def cudaFree(self, addr: int) -> None:
         """Free device or managed memory (real cudaFree handles both)."""
-        buffers = self.buffers
-        buf = buffers.get(addr)
-        if buf is None or buf.freed:
-            if buf is None and self.sanitizer is not None:
+        # kind_of and _forget inlined for a device buffer: the free hot
+        # path makes no call but the arena's.
+        buf = self._objects.get(addr)
+        if buf is not None:
+            kind = buf.kind
+        elif addr in self.unbuilt_device:
+            kind = "device"
+        elif addr in self.unbuilt_managed:
+            kind = "managed"
+        else:  # pinned or not live: rare
+            kind = self.kind_of(addr)
+        if kind is None:
+            if self.sanitizer is not None:
                 # Double-free / wild free: record before _buffer raises.
                 self.sanitizer.on_invalid_free(None, addr)
             self._buffer(addr)  # raises the classified error
-        if isinstance(buf, ManagedBuffer):
+        if kind == "managed":
             self.cudaFreeManaged(addr)
             return
         if self._entry_ok:
             self.api_log["cudaFree"] += 1
         else:
             self._entry("cudaFree")
-        if buf.kind != "device":
+        if kind != "device":
             raise cuda_error(
                 CudaErrorCode.INVALID_DEVICE_POINTER,
                 "cudaFree of a non-device pointer",
             )
-        self._device_allocs[buf.device_index].free(addr)
-        buf.freed = True
-        del buffers[addr]
+        if buf is not None:
+            device = buf.device_index
+        elif len(self._device_allocs) == 1:
+            device = 0
+        else:
+            device = self._row_device(addr)
+        self._device_allocs[device].free(addr)
+        del self.allocations[addr]
         self.unbuilt_device.pop(addr, None)
+        if buf is not None:
+            buf.freed = True
+            del self._objects[addr]
 
     def malloc_run(self, nbytes: int, n: int) -> list[int]:
         """Make up to ``n`` :meth:`cudaMalloc` calls of ``nbytes`` at once.
 
         The runtime ends as the same calls made one by one leave it (the
-        arena, buffers, never-built table, uids and ``api_log``), with
-        one :meth:`ArenaAllocator.alloc_run` carve and the buffers built
-        in bulk. The run stops before the first call that would raise (a
-        library that takes no calls, a bad size, out of memory): the
-        caller re-issues that call through :meth:`cudaMalloc`. Returns
-        the addresses made.
+        arena, allocations, never-built table, uids and ``api_log``),
+        with one :meth:`ArenaAllocator.alloc_run` carve and the rows
+        added in bulk. The run stops before the first call that would
+        raise (a library that takes no calls, a bad size, out of memory):
+        the caller re-issues that call through :meth:`cudaMalloc`.
+        Returns the addresses made.
         """
         if not self._entry_ok:
             return []
-        device = self.current_device
-        addrs = self._device_allocs[device].alloc_run(nbytes, n)
+        addrs = self._device_allocs[self.current_device].alloc_run(nbytes, n)
         made = len(addrs)
         if made:
             self.api_log["cudaMalloc"] += made
             uid = next(self._buffer_uids)
             self._buffer_uids = itertools.count(uid + made)
-            uids = range(uid, uid + made)
-            unbuilt = self.unbuilt_device
-            unbuilt.update(zip(addrs, uids))
-            self.buffers.update(zip(addrs, map(
-                DeviceBuffer, addrs, repeat(nbytes), repeat("device"),
-                repeat(device), uids, repeat(unbuilt),
-            )))
+            self.unbuilt_device.update(zip(addrs, range(uid, uid + made)))
+            self.allocations.update(zip(addrs, repeat(nbytes)))
         return addrs
 
     def free_run(self, addrs: Sequence[int]) -> int:
@@ -414,30 +520,41 @@ class CudaRuntime:
         """
         if not self._entry_ok:
             return 0
-        buffers = self.buffers
+        objects = self._objects
+        unbuilt = self.unbuilt_device
+        allocations = self.allocations
+        one_gpu = len(self._device_allocs) == 1
         freed: list[DeviceBuffer] = []
         device = None
+        n = 0
         for addr in addrs:
-            buf = buffers.get(addr)
-            if (
-                buf is None or buf.freed or isinstance(buf, ManagedBuffer)
-                or buf.kind != "device"
-                or (device is not None and buf.device_index != device)
-            ):
+            buf = objects.get(addr)
+            if buf is not None:
+                if buf.kind != "device":
+                    break
+                index = buf.device_index
+            elif addr in unbuilt:  # a row
+                index = 0 if one_gpu else self._row_device(addr)
+            else:  # unknown, freed, pinned or managed
                 break
-            device = buf.device_index
-            del buffers[addr]  # a repeated address ends the run
-            freed.append(buf)
-        if not freed:
+            if device is None:
+                device = index
+            elif index != device:
+                break
+            # Out of the tables now: a repeated address ends the run.
+            if buf is not None:
+                del objects[addr]
+                freed.append(buf)
+            unbuilt.pop(addr, None)
+            del allocations[addr]
+            n += 1
+        if not n:
             return 0
-        addrs = addrs[:len(freed)]
-        self._device_allocs[device].free_run(addrs)
-        unbuilt = self.unbuilt_device
+        self._device_allocs[device].free_run(addrs[:n])
         for buf in freed:
             buf.freed = True
-            unbuilt.pop(buf.addr, None)
-        self.api_log["cudaFree"] += len(freed)
-        return len(freed)
+        self.api_log["cudaFree"] += n
+        return n
 
     def cudaMallocHost(self, nbytes: int) -> int:
         """Allocate pinned host memory (library-allocated! — §3.2.1)."""
@@ -446,11 +563,8 @@ class CudaRuntime:
         else:
             self._entry("cudaMallocHost")
         addr = self._pinned_alloc.alloc(nbytes)
-        unbuilt = self.unbuilt_pinned
-        unbuilt[addr] = uid = next(self._buffer_uids)
-        self.buffers[addr] = DeviceBuffer(
-            addr, nbytes, "host-pinned", 0, uid, unbuilt
-        )
+        self.unbuilt_pinned[addr] = next(self._buffer_uids)
+        self.allocations[addr] = nbytes
         self._host_origin[addr] = "pinned"
         return addr
 
@@ -462,11 +576,8 @@ class CudaRuntime:
         else:
             self._entry("cudaHostAlloc")
         addr = self._hostalloc_alloc.alloc(nbytes)
-        unbuilt = self.unbuilt_pinned
-        unbuilt[addr] = uid = next(self._buffer_uids)
-        self.buffers[addr] = DeviceBuffer(
-            addr, nbytes, "host-pinned", 0, uid, unbuilt
-        )
+        self.unbuilt_pinned[addr] = next(self._buffer_uids)
+        self.allocations[addr] = nbytes
         self._host_origin[addr] = "hostalloc"
         return addr
 
@@ -476,8 +587,10 @@ class CudaRuntime:
             self.api_log["cudaFreeHost"] += 1
         else:
             self._entry("cudaFreeHost")
-        buf = self._buffer(addr)
-        if buf.kind != "host-pinned":
+        kind = self.kind_of(addr)
+        if kind is None:
+            self._buffer(addr)  # raises the classified error
+        if kind != "host-pinned":
             raise cuda_error(
                 CudaErrorCode.INVALID_DEVICE_POINTER,
                 "cudaFreeHost of a non-pinned pointer",
@@ -492,9 +605,7 @@ class CudaRuntime:
             # restart may have *reserved* their range in the fresh arena;
             # release the reservation so the address becomes reusable.
             self._hostalloc_alloc.free(addr)
-        buf.freed = True
-        del self.buffers[addr]
-        self.unbuilt_pinned.pop(addr, None)
+        self._forget(addr, self.unbuilt_pinned)
 
     def cudaMallocManaged(self, nbytes: int) -> int:
         """Allocate UVM managed memory; perturbs library⇄driver state."""
@@ -503,9 +614,9 @@ class CudaRuntime:
         else:
             self._entry("cudaMallocManaged")
         addr = self._managed_alloc.alloc(nbytes)
-        buf = ManagedBuffer(addr=addr, size=nbytes, uid=next(self._buffer_uids))
-        self.uvm.register(buf)
-        self.buffers[addr] = buf
+        self.unbuilt_managed[addr] = next(self._buffer_uids)
+        self.allocations[addr] = nbytes
+        self.uvm.ever_used = True
         # UVA/UVM mappings entangle library and driver state (§2.2).
         self._lib_uva_epoch += 1
         self.ctx.uva_epoch += 1
@@ -520,15 +631,12 @@ class CudaRuntime:
         """
         self._entry("cudaHostRegister")
         cuda_check(
-            addr not in self.buffers,
+            addr not in self.allocations,
             CudaErrorCode.INVALID_VALUE,
             "cudaHostRegister of an already-registered pointer",
         )
-        unbuilt = self.unbuilt_pinned
-        unbuilt[addr] = uid = next(self._buffer_uids)
-        self.buffers[addr] = DeviceBuffer(
-            addr, nbytes, "host-pinned", 0, uid, unbuilt
-        )
+        self.unbuilt_pinned[addr] = next(self._buffer_uids)
+        self.allocations[addr] = nbytes
         self._host_origin[addr] = "registered"
 
     def cudaFreeManaged(self, addr: int) -> None:
@@ -538,16 +646,20 @@ class CudaRuntime:
             self.api_log["cudaFree"] += 1
         else:
             self._entry("cudaFree")
-        buf = self._buffer(addr)
-        if not isinstance(buf, ManagedBuffer):
+        buf = self._objects.get(addr)
+        if (
+            addr not in self.unbuilt_managed if buf is None
+            else buf.kind != "managed"
+        ):
+            if self.kind_of(addr) is None:
+                self._buffer(addr)  # raises the classified error
             raise cuda_error(
                 CudaErrorCode.INVALID_DEVICE_POINTER,
                 "managed free of a non-managed pointer",
             )
         self._managed_alloc.free(addr)
         self.uvm.unregister(addr)
-        buf.freed = True
-        del self.buffers[addr]
+        self._forget(addr, self.unbuilt_managed)
         self._lib_uva_epoch += 1
         self.ctx.uva_epoch += 1
 
@@ -565,8 +677,8 @@ class CudaRuntime:
         consecutive allocations is carved with one
         :meth:`ArenaAllocator.alloc_run`, and each of its addresses is
         checked. A free of an allocation the pass made is arena work
-        only. Buffer objects and the other bookkeeping are made in bulk
-        for the allocations still live when the pass ends; anything else
+        only. The rows and the other bookkeeping are made in bulk for
+        the allocations still live when the pass ends; anything else
         (a free of an older buffer, a call the entry point rejects) goes
         through the entry point, on bookkeeping brought up to date.
         ``cudaHostAlloc`` entries and their frees are not replayed: the
@@ -823,13 +935,12 @@ class CudaRuntime:
         if not isinstance(ptr, (int, np.integer)):
             return None, 0
         addr = int(ptr)
-        buf = self.buffers.get(addr)
-        if buf is not None:
-            return buf, 0
-        for base, buf in self.buffers.items():
-            kind = getattr(buf, "kind", "managed")  # ManagedBuffer has no kind
-            if base <= addr < base + buf.size and kind != "device":
-                return buf, addr - base
+        if addr in self.allocations:
+            return self._buffer(addr), 0
+        # A scan of the sizes: only the buffer found becomes an object.
+        for base, size in self.allocations.items():
+            if base <= addr < base + size and self.kind_of(base) != "device":
+                return self._buffer(base), addr - base
         return None, 0
 
     def _host_bytes(self, src, offset: int, nbytes: int) -> bytes:
@@ -943,7 +1054,7 @@ class CudaRuntime:
         for use in uses:
             if "w" in use.mode:
                 self.uvm.record_device_write(
-                    self.buffers[use.addr], use.offset, use.nbytes, s,
+                    self._objects[use.addr], use.offset, use.nbytes, s,
                     start, end, now_ns=process.clock_ns,
                 )
         san_op = None
@@ -1031,8 +1142,8 @@ class CudaRuntime:
             self.sanitizer.on_copy(self, s, "d2d", dst, src, nbytes, 0, 0, False)
         sbuf = self._buffer(src)
         dbuf = self._buffer(dst)
-        src_dev = self.devices[getattr(sbuf, "device_index", 0)]
-        dst_dev = self.devices[getattr(dbuf, "device_index", 0)]
+        src_dev = self.devices[sbuf.device_index]
+        dst_dev = self.devices[dbuf.device_index]
         end = src_dev.enqueue_copy(s, nbytes, "d2h", at_ns=self.now)
         end = max(end, dst_dev.enqueue_copy(s, nbytes, "h2d", at_ns=self.now))
         dbuf.contents.copy_from(sbuf.contents, 0, 0, nbytes)
@@ -1134,12 +1245,12 @@ class CudaRuntime:
     def cudaPointerGetAttributes(self, addr: int) -> dict:
         """UVA pointer introspection (memory type + owning buffer base)."""
         self._entry("cudaPointerGetAttributes")
-        for base, buf in self.buffers.items():
-            if base <= addr < base + buf.size:
-                kind = (
-                    "managed" if isinstance(buf, ManagedBuffer) else buf.kind
-                )
-                return {"type": kind, "devicePointer": base, "size": buf.size}
+        for base, size in self.allocations.items():
+            if base <= addr < base + size:
+                return {
+                    "type": self.kind_of(base), "devicePointer": base,
+                    "size": size,
+                }
         return {"type": "unregistered", "devicePointer": 0, "size": 0}
 
     def cudaStreamQuery(self, stream: Stream | None = None) -> bool:
@@ -1190,7 +1301,7 @@ class CudaRuntime:
     def device_view(self, addr: int, nbytes: int, dtype=np.uint8, offset: int = 0):
         """Writable numpy view of a device/pinned buffer's contents."""
         if self.sanitizer is not None:
-            buf = self.buffers.get(addr)
+            buf = self.buffer(addr)
             if buf is not None:
                 self.sanitizer.on_device_view(self, buf, offset, nbytes)
             else:
@@ -1215,10 +1326,17 @@ class CudaRuntime:
         return buf.contents.view(offset, nbytes, dtype)
 
     def active_allocations(self) -> list:
-        """Live (not freed) buffers by address — what CRAC saves at
-        checkpoint."""
-        buffers = self.buffers
-        return [buffers[addr] for addr in sorted(buffers)]
+        """Live (not freed) buffers by address, each made an object —
+        what CRAC saves at checkpoint."""
+        return list(map(self._buffer, sorted(self.allocations)))
+
+    def built_allocations(self) -> list:
+        """The live buffers that built their contents (a managed one: or
+        its residency), by address; the rest are never built."""
+        return list(map(self._objects.__getitem__, sorted(
+            set(self._objects).difference(self.unbuilt_device)
+            .difference(self.unbuilt_pinned).difference(self.unbuilt_managed)
+        )))
 
     # ------------------------------------------------------- restart adoption
     # CRAC recreates streams/events in the fresh lower half and virtualizes
@@ -1247,9 +1365,11 @@ class CudaRuntime:
         for s in list(self.streams.values()):
             self.device.unregister_stream(s)
         self.streams.clear()
-        self.buffers.clear()
+        self.allocations.clear()
+        self._objects.clear()
         self.unbuilt_device.clear()
         self.unbuilt_pinned.clear()
+        self.unbuilt_managed.clear()
 
     def library_memory_snapshot(self) -> dict:
         """What a pre-CUDA-4.0 checkpointer would save: the library's
@@ -1257,8 +1377,7 @@ class CudaRuntime:
         return {
             "uva_epoch": self._lib_uva_epoch,
             "buffer_meta": {
-                a: (type(b).__name__, b.size, b.kind if isinstance(b, DeviceBuffer) else "managed")
-                for a, b in self.buffers.items()
+                a: (size, self.kind_of(a)) for a, size in self.allocations.items()
             },
             "registered_kernels": set(self._registered_kernels),
             "fatbins": dict(self.fatbins),

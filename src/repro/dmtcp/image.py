@@ -15,17 +15,17 @@ from __future__ import annotations
 import pickle
 import zlib
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import ne
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.linux.address_space import PAGE_SIZE
 
 if TYPE_CHECKING:
+    from repro.cuda.api import RowWatch
     from repro.dmtcp.checkpointer import Cut
     from repro.dmtcp.forked import BackgroundWriter
     from repro.gpu.memory import DeviceBuffer, PagedContents
+    from repro.gpu.uvm import ManagedBuffer
     from repro.linux.address_space import MemoryRegion
 
 
@@ -114,17 +114,15 @@ class CheckpointImage:
         default_factory=list, repr=False, compare=False
     )
     #: GPU buffers: the :class:`PagedContents` of each buffer that built
-    #: its contents (a never-built one is in ``unbuilt_capture``)
+    #: its contents (a never-built one is watched by ``unbuilt_capture``)
     contents_captures: list[
         tuple["PagedContents", tuple[tuple[int, int], ...], int]
     ] = field(default_factory=list, repr=False, compare=False)
-    #: per kind, the runtime's never-built table (address -> uid) as it
-    #: was at the cut, its buffers in the same order, and the live table:
-    #: a buffer whose address and uid are no longer in the live table has
-    #: built its contents (or was freed) since. Runtime-only.
-    unbuilt_capture: list[
-        tuple[dict[int, int], list["DeviceBuffer"], dict[int, int]]
-    ] = field(default_factory=list, repr=False, compare=False)
+    #: the never-built allocations of a background cut, watched as they
+    #: become objects (see ``built_since_cut``). Runtime-only.
+    unbuilt_capture: "RowWatch | None" = field(
+        default=None, repr=False, compare=False
+    )
     #: the cut charging each stage, set only while the checkpointer runs
     #: (plugins charge their stages through it). Runtime-only.
     cut: "Cut | None" = field(default=None, repr=False, compare=False)
@@ -177,19 +175,19 @@ class CheckpointImage:
         when its write is abandoned)."""
         self.region_captures = []
         self.contents_captures = []
-        self.unbuilt_capture = []
+        if self.unbuilt_capture is not None:
+            self.unbuilt_capture.close()
+            self.unbuilt_capture = None
 
-    def built_since_cut(self) -> list["DeviceBuffer"]:
+    def built_since_cut(self) -> list["DeviceBuffer | ManagedBuffer"]:
         """The buffers that had never built contents at the cut and have
-        built them (or were freed) since: the cut's never-built tables
-        compared with the live ones in C-level passes, so buffers still
-        untouched cost no Python step. Every byte such a buffer holds
-        dirty was written after the cut (its snapshot epoch is 0)."""
-        left: list[DeviceBuffer] = []
-        for at_cut, buffers, live in self.unbuilt_capture:
-            moved = map(ne, at_cut.values(), map(live.get, at_cut))
-            left.extend(compress(buffers, moved))
-        return left
+        built them since: only the recorded allocations that became
+        objects are looked at, so the ones still rows cost no step. Every
+        byte such a buffer holds dirty was written after the cut (its
+        snapshot epoch is 0)."""
+        if self.unbuilt_capture is None:
+            return []
+        return self.unbuilt_capture.built()
 
     def new_dirty_bytes(self) -> int:
         """Bytes dirtied since this image's snapshot (the forked
@@ -211,7 +209,7 @@ class CheckpointImage:
         state = dict(self.__dict__)
         state["region_captures"] = []
         state["contents_captures"] = []
-        state["unbuilt_capture"] = []
+        state["unbuilt_capture"] = None
         state.pop("cut", None)  # runtime handles, never on disk
         state.pop("forked_writer", None)
         state.pop("sync_hook", None)  # sanitizer callback, never on disk

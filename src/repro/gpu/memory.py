@@ -341,17 +341,29 @@ class PagedContents:
         return True
 
 
+def leave_unbuilt(buf) -> None:
+    """Take a buffer that just built its state out of its runtime's
+    never-built table (unless it was freed meanwhile: another
+    allocation may hold the address)."""
+    table = buf.unbuilt
+    if table is not None:
+        buf.unbuilt = None
+        if table.get(buf.addr) == buf.uid:
+            del table[buf.addr]
+
+
 @dataclass(slots=True, eq=False)
 class DeviceBuffer:
-    """One live allocation returned by the cudaMalloc family.
+    """One live device or pinned allocation, as an object.
 
-    Its :class:`PagedContents` is built on first use of
-    :attr:`contents`. Until then the buffer holds a fresh allocation's
-    bytes and nothing is dirty, so a buffer nothing ever touched costs
-    only this object: the empty slot *is* "never used since creation".
-    While unbuilt, a runtime-allocated buffer also sits in its runtime's
-    never-built table (:attr:`unbuilt`), which it leaves on that
-    first build; a cut records the whole table in bulk.
+    The runtime makes this object only when something looks the
+    allocation up (``CudaRuntime.buffer``); before that the allocation
+    is a row of the runtime's tables. Its :class:`PagedContents` is
+    built on first use of :attr:`contents`. Until then the buffer holds
+    a fresh allocation's bytes and nothing is dirty: the empty slot
+    *is* "never used since creation". While unbuilt, the buffer also
+    sits in its runtime's never-built table (:attr:`unbuilt`), which it
+    leaves on that first build; a cut records the whole table in bulk.
     """
 
     addr: int
@@ -378,11 +390,7 @@ class DeviceBuffer:
         contents = self._contents
         if contents is None:
             contents = self._contents = PagedContents(self.size)
-            table = self.unbuilt
-            if table is not None:
-                self.unbuilt = None
-                if table.get(self.addr) == self.uid:  # not freed meanwhile
-                    del table[self.addr]
+            leave_unbuilt(self)
         return contents
 
     @property

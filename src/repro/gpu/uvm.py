@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from repro.errors import CudaError
 from repro.gpu.device import GpuDevice
-from repro.gpu.memory import PagedContents
+from repro.gpu.memory import PagedContents, leave_unbuilt
 from repro.gpu.streams import Stream
 
 
@@ -68,14 +69,28 @@ class DeviceWriteRecord:
         return self.start_ns < other.end_ns and other.start_ns < self.end_ns
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class ManagedBuffer:
-    """A cudaMallocManaged allocation."""
+    """A cudaMallocManaged allocation, as an object.
+
+    Like a :class:`~repro.gpu.memory.DeviceBuffer`, the runtime makes
+    it on first lookup, and it builds its :class:`PagedContents` and its
+    residency (host-resident: first touch on the CPU) on first use.
+    Until either is built it sits in its runtime's never-built table
+    (:attr:`unbuilt`), which it leaves on that first build.
+    """
+
+    kind: ClassVar[str] = "managed"
+    #: managed memory is charged to device 0 (see :class:`UvmManager`)
+    device_index: ClassVar[int] = 0
 
     addr: int
     size: int
-    contents: PagedContents = field(default=None)  # type: ignore[assignment]
-    residency: np.ndarray = field(default=None)  # type: ignore[assignment]
+    #: runtime-unique allocation id (see :class:`DeviceBuffer.uid`)
+    uid: int = 0
+    #: the runtime's never-built managed table while this buffer is in
+    #: it; ``None`` once built
+    unbuilt: dict[int, int] | None = field(default=None, repr=False)
     freed: bool = False
     device_writes: list[DeviceWriteRecord] = field(default_factory=list)
     #: conflict pairs whose records were compacted out of
@@ -85,15 +100,42 @@ class ManagedBuffer:
     stashed_conflicts: list[tuple[DeviceWriteRecord, DeviceWriteRecord]] = field(
         default_factory=list, repr=False
     )
-    #: runtime-unique allocation id (see :class:`DeviceBuffer.uid`)
-    uid: int = 0
+    _contents: PagedContents | None = field(
+        default=None, init=False, repr=False
+    )
+    _residency: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.contents is None:
-            self.contents = PagedContents(self.size)
-        if self.residency is None:
-            # Fresh managed memory is host-resident (first-touch on CPU).
-            self.residency = np.zeros(self.num_pages, dtype=np.uint8)
+    @property
+    def contents(self) -> PagedContents:
+        """The buffer's bytes, built (fresh: zero-filled, clean) on first
+        use."""
+        contents = self._contents
+        if contents is None:
+            contents = self._contents = PagedContents(self.size)
+            leave_unbuilt(self)
+        return contents
+
+    @property
+    def residency(self) -> np.ndarray:
+        """Per-page :class:`PageLocation`, built host-resident on first
+        use."""
+        residency = self._residency
+        if residency is None:
+            residency = self._residency = np.zeros(self.num_pages, dtype=np.uint8)
+            leave_unbuilt(self)
+        return residency
+
+    @property
+    def write_seq(self) -> int:
+        """The contents' :attr:`PagedContents.write_seq`; 0 while unbuilt."""
+        contents = self._contents
+        return 0 if contents is None else contents.write_seq
+
+    def dirty_bytes_since(self, epoch: int) -> int:
+        """The contents' :meth:`PagedContents.dirty_bytes_since`; 0 while
+        unbuilt."""
+        contents = self._contents
+        return 0 if contents is None else contents.dirty_bytes_since(epoch)
 
     @property
     def num_pages(self) -> int:
@@ -107,10 +149,12 @@ class ManagedBuffer:
 
 
 class UvmManager:
-    """Tracks all managed buffers of one CUDA library instance."""
+    """Tracks the managed buffers of one CUDA library instance."""
 
     def __init__(self, device: GpuDevice) -> None:
         self.device = device
+        #: the managed buffers made as objects (a row the runtime never
+        #: looked up has no page state or writes to track)
         self.buffers: dict[int, ManagedBuffer] = {}
         self.fault_count = 0
         self.migrated_bytes = 0
@@ -307,5 +351,5 @@ class UvmManager:
     # -- checkpoint support -------------------------------------------------------
 
     def total_managed_bytes(self) -> int:
-        """Sum of live managed allocation sizes."""
+        """Sum of the sizes of the tracked managed buffers."""
         return sum(b.size for b in self.buffers.values())

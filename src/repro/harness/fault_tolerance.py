@@ -566,7 +566,7 @@ def run_rank_death_scenario(
         cut = {rep.generation for rep in reports}
         recovered = cut.pop() if len(cut) == 1 else None
         prior_state_restored = all(
-            world.ranks[i].session.runtime.buffers[ptrs[i]].contents
+            world.ranks[i].session.runtime.buffer(ptrs[i]).contents
             .read_bytes(0, nbytes) == bytes([0x10 + i]) * nbytes
             for i in range(n_ranks)
         )

@@ -16,6 +16,7 @@ streams, and MPI-exchanged data are intact.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,20 +161,27 @@ class MpiWorld:
         """Serializable description of every scattered region.
 
         Maps region name to per-rank entries ``{rank, addr, nbytes,
-        offset}`` where ``offset`` is the chunk's position in the global
-        byte string. Elastic restore captures this alongside the
-        checkpoint images: it is everything needed to reassemble the
-        global regions from restored per-rank address spaces and
-        repartition them onto a differently-sized world.
+        offset, crc32}`` where ``offset`` is the chunk's position in the
+        global byte string and ``crc32`` the CRC of the bytes the rank
+        holds now (read without a device copy, so nothing is charged).
+        Elastic restore captures this alongside the checkpoint images:
+        it is everything needed to reassemble the global regions from
+        restored per-rank address spaces, check each chunk against the
+        source world, and repartition them onto a differently-sized
+        world.
         """
         manifest: dict[str, list[dict]] = {}
         for name in sorted(self._regions):
             offset = 0
             entries = []
             for rank, (addr, nbytes) in enumerate(self._regions[name]):
+                data = b""
+                if nbytes:
+                    buf = self.ranks[rank].session.runtime.buffer(addr)
+                    data = buf.contents.read_bytes(0, nbytes)
                 entries.append(
                     {"rank": rank, "addr": addr, "nbytes": nbytes,
-                     "offset": offset}
+                     "offset": offset, "crc32": zlib.crc32(data)}
                 )
                 offset += nbytes
             manifest[name] = entries

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from repro.cuda.api import CudaRuntime
 from repro.gpu.timing import DEFAULT_HOST_COSTS, NS_PER_S, HostCosts
-from repro.gpu.uvm import ManagedBuffer
 
 
 @dataclass
@@ -55,7 +54,7 @@ class CheCudaCheckpointer:
         buffers: dict[int, dict] = {}
         drain = 0
         for buf in rt.active_allocations():
-            kind = "managed" if isinstance(buf, ManagedBuffer) else buf.kind
+            kind = buf.kind
             buffers[buf.addr] = {
                 "kind": kind,
                 "size": buf.size,
@@ -93,6 +92,7 @@ class CheCudaCheckpointer:
             else:
                 raise ValueError(kind)
             entry = image.buffers.get(addr)
-            if entry is not None and got in fresh_runtime.buffers:
-                fresh_runtime.buffers[got].contents.restore(entry["snapshot"])
+            buf = fresh_runtime.buffer(got)
+            if entry is not None and buf is not None:
+                buf.contents.restore(entry["snapshot"])
         self.runtime = fresh_runtime

@@ -67,7 +67,7 @@ class CrumBackend(CudaDispatchBase):
         return addr
 
     def free(self, addr: int) -> None:
-        is_managed = isinstance(self.runtime.buffers.get(addr), ManagedBuffer)
+        is_managed = self.runtime.kind_of(addr) == "managed"
         super().free(addr)
         self.resource_log.record("free_managed" if is_managed else "free", 0, addr)
 
@@ -134,7 +134,7 @@ class CrumBackend(CudaDispatchBase):
         Fails if any kernel that writes this buffer is still in flight:
         the read-modify-write-per-launch pattern CRUM requires (§2.3).
         """
-        buf = self.runtime.buffers.get(addr)
+        buf = self.runtime.buffer(addr)
         if isinstance(buf, ManagedBuffer):
             now = self.process.clock_ns
             for rec in buf.device_writes:
@@ -159,7 +159,7 @@ class CrumBackend(CudaDispatchBase):
         for use in managed:
             if "w" not in use.mode:
                 continue
-            buf = self.runtime.buffers.get(use.addr)
+            buf = self.runtime.buffer(use.addr)
             if not isinstance(buf, ManagedBuffer):
                 continue
             lo, hi = buf.page_range(use.offset, use.nbytes)
@@ -213,14 +213,12 @@ class CrumCheckpointer:
         buffers: dict[int, dict] = {}
         cma_bytes = 0
         for buf in rt.active_allocations():
-            is_managed = isinstance(buf, ManagedBuffer)
-            kind = "managed" if is_managed else buf.kind
             buffers[buf.addr] = {
-                "kind": kind,
+                "kind": buf.kind,
                 "size": buf.size,
                 "snapshot": buf.contents.snapshot(),
             }
-            if kind != "host-pinned":
+            if buf.kind != "host-pinned":
                 # GPU → proxy over PCIe, then proxy → app over CMA.
                 proc.advance(buf.size / rt.device.spec.pcie_bw * NS_PER_S)
                 proc.advance(backend.channel.transfer_cost_ns(buf.size))
@@ -245,9 +243,10 @@ class CrumCheckpointer:
         log: ReplayLog = image["log"]
         log.replay(fresh_runtime)
         for addr, entry in image["buffers"].items():
-            if addr not in fresh_runtime.buffers:
+            buf = fresh_runtime.buffer(addr)
+            if buf is None:
                 continue
-            fresh_runtime.buffers[addr].contents.restore(entry["snapshot"])
+            buf.contents.restore(entry["snapshot"])
             if entry["kind"] != "host-pinned":
                 # app → proxy over CMA, then proxy → GPU over PCIe.
                 proc.advance(

@@ -42,8 +42,7 @@ class NaiveProxyBackend(CudaDispatchBase):
         self.channel = channel if channel is not None else CmaChannel()
 
     def _buffer_size(self, addr: int) -> int:
-        buf = self.runtime.buffers.get(addr)
-        return buf.size if buf is not None else 0
+        return self.runtime.allocations.get(addr, 0)
 
     def _charge_call(
         self,

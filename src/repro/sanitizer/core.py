@@ -251,10 +251,9 @@ class Sanitizer:
             for buf in runtime.active_allocations():
                 if (buf.addr, buf.uid) in self._preexisting:
                     continue
-                kind = "managed" if isinstance(buf, ManagedBuffer) else buf.kind
                 self._emit(
                     "memcheck", "leak",
-                    f"{kind} allocation of {buf.size} bytes at "
+                    f"{buf.kind} allocation of {buf.size} bytes at "
                     f"{buf.addr:#x} never freed",
                     addr=buf.addr, byte_range=(0, buf.size),
                 )
@@ -330,8 +329,8 @@ class Sanitizer:
         """Device-side pointer lookup with memcheck (use-after-free /
         wild pointer) — fires *before* the runtime raises, so the hazard
         is recorded even though the call still fails."""
-        buf = runtime.buffers.get(addr)
-        if buf is not None and not buf.freed:
+        buf = runtime.buffer(addr)
+        if buf is not None:
             return buf
         if addr in self._freed:
             self._emit(
@@ -581,7 +580,7 @@ class Sanitizer:
         self._charge()
         op = self._begin_op(stream, name)
         for use in uses:
-            buf = runtime.buffers.get(use.addr)
+            buf = runtime.buffer(use.addr)
             if buf is None:
                 self._resolve_buf(runtime, use.addr, op)
                 continue

@@ -1,5 +1,7 @@
 """Elastic N → M restore: repartition properties + end-to-end replay."""
 
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +56,34 @@ class TestElasticRestore:
             assert rep["replayed_calls"] > 0
             assert new_world.gather_region("weights") == data
             assert new_world.gather_region("bias") == bias
+            new_world.kill_all()
+
+    def test_manifest_records_each_chunks_crc(self):
+        world = MpiWorld(2, seed=4)
+        world.scatter_region("r", b"abcdef")
+        manifest = world.partition_manifest()
+        world.kill_all()
+        assert [e["crc32"] for e in manifest["r"]] == [
+            zlib.crc32(b"abc"), zlib.crc32(b"def")
+        ]
+
+    def test_chunks_in_the_wrong_rank_order_are_not_ok(self):
+        # Equal chunks at equal addresses: the images of ranks 0 and 2,
+        # swapped, restore and reassemble without an error, in the
+        # wrong rank order.
+        data = b"".join(bytes([r + 1]) * 1024 for r in range(3))
+        world = MpiWorld(3, seed=9)
+        world.scatter_region("weights", data)
+        images = world.checkpoint_all()
+        manifest = world.partition_manifest()
+        world.kill_all()
+        assert len({e["addr"] for e in manifest["weights"]}) == 1
+        new_world, rep = elastic_restore(images[::-1], manifest, 2, seed=9)
+        try:
+            assert new_world.gather_region("weights") != data
+            assert rep["ok"] is False
+            assert rep["regions"]["weights"]["digest_equal"] is False
+        finally:
             new_world.kill_all()
 
     def test_rejects_empty_inputs(self):

@@ -24,7 +24,7 @@ class TestVirtualPointers:
         session = make_session()
         p = session.backend.malloc(4096)
         assert p >= session.backend.VIRT_BASE
-        assert p not in session.runtime.buffers  # not the real address
+        assert p not in session.runtime.allocations  # not the real address
 
     def test_data_path_translates(self):
         session = make_session()

@@ -60,7 +60,7 @@ def test_warm_malloc_and_free_stay_within_call_budget():
     for frames in (malloc_frames, free_frames):
         total = sum(frames.values())
         assert total <= CALL_BUDGET, call_breakdown(frames)
-    assert keep in session.runtime.buffers and addr not in session.runtime.buffers
+    assert keep in session.runtime.allocations and addr not in session.runtime.allocations
 
 
 @pytest.mark.parametrize("op", sorted(DATA_PATH_BUDGETS))
@@ -93,7 +93,7 @@ def _restart_calls(n_buffers: int) -> int:
     image = session.checkpoint()
     session.kill()
     _, calls = python_calls(session.restart, image)
-    assert len(session.runtime.buffers) == n_buffers
+    assert len(session.runtime.allocations) == n_buffers
     return calls
 
 
@@ -116,7 +116,7 @@ def test_alloc_runs_stay_within_call_budget(n):
         free_frames
     )
     assert session.backend.call_counter["cudaMalloc"] == n + 1
-    assert not session.runtime.buffers
+    assert not session.runtime.allocations
 
 
 def test_device_buffer_builds_contents_on_first_use(monkeypatch):

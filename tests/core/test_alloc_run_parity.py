@@ -269,7 +269,8 @@ def _library_state(backend):
         "call_counter": sorted(backend.call_counter.items()),
         "api_log": sorted(rt.api_log.items()),
         "buffers": sorted(
-            (a, b.uid, type(b).__name__, b.size) for a, b in rt.buffers.items()
+            (b.addr, b.uid, type(b).__name__, b.size)
+            for b in map(rt.buffer, rt.allocations)
         ),
         "arenas": _arenas(rt),
     }

@@ -42,7 +42,7 @@ def _state(session, ptrs, host):
             for d in rt.devices
         ],
         "contents": [
-            zlib.crc32(rt.buffers[p].contents.read_bytes(0, N)) for p in ptrs
+            zlib.crc32(rt.buffer(p).contents.read_bytes(0, N)) for p in ptrs
         ],
         "host": zlib.crc32(host.tobytes()),
     }

@@ -33,7 +33,7 @@ class TestReplay:
         for addr in live_old:
             if live_old[addr].op == "host_alloc":
                 continue  # re-registered, not replayed
-            assert addr in fresh.runtime.buffers
+            assert addr in fresh.runtime.allocations
 
     def test_replay_counts_calls(self):
         split = SplitProcess(seed=5)
@@ -116,7 +116,7 @@ class TestImageLogIsFrozenAtTheCut:
         gen0 = store.generations[0]
         report = session.restart(store.get(gen0).image)
         assert report.replayed_calls == 1
-        assert set(session.runtime.buffers) == {first}
+        assert set(session.runtime.allocations) == {first}
         assert len(backend.log) == 1
         assert [backend.malloc(4096), backend.malloc(4096)] == after_cut
         assert after_cut[0] == 0x110000001000

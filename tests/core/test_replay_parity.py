@@ -79,7 +79,8 @@ def reference_replay(runtime, entries, *, strict=True):
 def runtime_state(split: SplitProcess) -> dict:
     """Every observable the replay touches, in dict order."""
     rt = split.runtime
-    tables = {id(rt.unbuilt_device): "device", id(rt.unbuilt_pinned): "pinned"}
+    tables = {id(rt.unbuilt_device): "device", id(rt.unbuilt_pinned): "pinned",
+              id(rt.unbuilt_managed): "managed"}
     arenas = [*rt._device_allocs, rt._pinned_alloc, rt._hostalloc_alloc,
               rt._managed_alloc]
     return {
@@ -87,10 +88,11 @@ def runtime_state(split: SplitProcess) -> dict:
             (addr, type(b).__name__, getattr(b, "kind", "managed"), b.size,
              getattr(b, "device_index", None), b.uid, b.freed,
              tables.get(id(getattr(b, "unbuilt", None))))
-            for addr, b in rt.buffers.items()
+            for addr in rt.allocations for b in (rt.buffer(addr),)
         ],
         "unbuilt_device": list(rt.unbuilt_device.items()),
         "unbuilt_pinned": list(rt.unbuilt_pinned.items()),
+        "unbuilt_managed": list(rt.unbuilt_managed.items()),
         "host_origin": list(rt._host_origin.items()),
         "api_log": list(rt.api_log.items()),
         "arenas": [

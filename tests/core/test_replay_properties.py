@@ -49,7 +49,7 @@ def test_replay_recreates_every_live_allocation(ops):
     for addr, fam in live.items():
         if fam == "host_alloc":
             continue  # re-registered separately, not replayed
-        assert addr in fresh.runtime.buffers, hex(addr)
+        assert addr in fresh.runtime.allocations, hex(addr)
 
 
 @settings(max_examples=80, deadline=None)
@@ -74,4 +74,4 @@ def test_double_replay_is_deterministic(ops):
     f1, f2 = SplitProcess(seed=19), SplitProcess(seed=19)
     backend.log.replay(f1.runtime)
     backend.log.replay(f2.runtime)
-    assert set(f1.runtime.buffers) == set(f2.runtime.buffers)
+    assert set(f1.runtime.allocations) == set(f2.runtime.allocations)

@@ -1,5 +1,8 @@
 """End-to-end CRAC session tests: checkpoint → kill → restart."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -151,7 +154,7 @@ class TestRestart:
         session.kill()
         session.restart(image)
         p = session.backend.malloc(64)
-        assert p in session.runtime.buffers
+        assert p in session.runtime.allocations
 
     def test_second_checkpoint_after_restart(self, session):
         state = run_app_phase1(session)
@@ -244,3 +247,34 @@ class TestResumeAfterCheckpoint:
             b.device_view(state["dev"], 4 * 256, np.float32),
             state["expect_dev"] * 3.0,
         )
+
+
+@pytest.mark.parametrize("cuts", ["none", "forked", "speculative", "restart"])
+def test_finished_session_is_freed_by_reference_counting(cuts):
+    """No reference cycle holds a session: once the last outside reference
+    goes, it and its runtime are freed at once, without waiting for the
+    cycle collector (which would keep finished sessions' logs and
+    buffers alive until its next pass)."""
+    from repro.dmtcp.store import CheckpointStore
+
+    gc.collect()
+    gc.disable()
+    try:
+        session = CracSession(seed=8)
+        run_app_phase1(session)
+        store = CheckpointStore()
+        base = None
+        if cuts != "none":
+            base = session.checkpoint(store=store)
+            if cuts == "restart":
+                session.kill()
+                session.restart_latest(store)
+            else:
+                session.checkpoint(store=store, incremental=True, parent=base,
+                                   **{cuts: True})
+                session.finish_forked_checkpoints()
+        refs = [weakref.ref(session), weakref.ref(session.runtime)]
+        del session, store, base
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

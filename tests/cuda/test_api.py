@@ -160,14 +160,14 @@ class TestKernels:
     def test_managed_kernel_access_migrates(self, backend):
         p = backend.malloc_managed(2 * UVM_PAGE)
         rt = backend.runtime
-        buf = rt.buffers[p]
+        buf = rt.buffer(p)
         backend.launch("k", managed=[ManagedUse(p, 0, 2 * UVM_PAGE, "rw")])
         assert np.all(buf.residency == 1)  # device resident now
 
     def test_managed_writes_recorded(self, backend):
         p = backend.malloc_managed(UVM_PAGE)
         backend.launch("k", managed=[ManagedUse(p, 0, UVM_PAGE, "w")])
-        assert len(backend.runtime.buffers[p].device_writes) == 1
+        assert len(backend.runtime.buffer(p).device_writes) == 1
 
 
 class TestStreamsAndEvents:

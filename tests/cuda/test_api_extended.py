@@ -66,14 +66,14 @@ class TestPrefetch:
     def test_prefetch_moves_residency_to_device(self, backend):
         p = backend.malloc_managed(4 * UVM_PAGE)
         backend.mem_prefetch(p, 4 * UVM_PAGE, to_device=True)
-        buf = backend.runtime.buffers[p]
+        buf = backend.runtime.buffer(p)
         assert np.all(buf.residency == int(PageLocation.DEVICE))
 
     def test_prefetch_back_to_host(self, backend):
         p = backend.malloc_managed(2 * UVM_PAGE)
         backend.mem_prefetch(p, 2 * UVM_PAGE, to_device=True)
         backend.mem_prefetch(p, 2 * UVM_PAGE, to_device=False)
-        buf = backend.runtime.buffers[p]
+        buf = backend.runtime.buffer(p)
         assert np.all(buf.residency == int(PageLocation.HOST))
 
     def test_prefetch_avoids_kernel_fault_stall(self, machine, backend):

@@ -33,7 +33,7 @@ class TestPrepaidCalls:
     def test_prepaid_still_produces_state(self, nb):
         with nb.prepaid_calls():
             p = nb.malloc(64)
-        assert p in nb.runtime.buffers
+        assert p in nb.runtime.allocations
 
     def test_prepaid_nests(self, nb):
         with nb.prepaid_calls():

@@ -47,8 +47,8 @@ class TestPerDeviceMemory:
         p0 = b.malloc(1024)
         b.set_device(1)
         p1 = b.malloc(1024)
-        assert b.runtime.buffers[p0].device_index == 0
-        assert b.runtime.buffers[p1].device_index == 1
+        assert b.runtime.buffer(p0).device_index == 0
+        assert b.runtime.buffer(p1).device_index == 1
 
     def test_per_device_capacity(self):
         """Each GPU has its own 32 GB — allocating 20 GB on each works,
@@ -178,8 +178,8 @@ class TestMultiGpuCrac:
         session.restart(image)
 
         b = session.backend
-        assert b.runtime.buffers[p0].device_index == 0
-        assert b.runtime.buffers[p1].device_index == 1
+        assert b.runtime.buffer(p0).device_index == 0
+        assert b.runtime.buffer(p1).device_index == 1
         assert b.device_view(p0, 4).tobytes() == b"dev0"
         assert b.device_view(p1, 4).tobytes() == b"dev1"
         assert s1.sid in b.runtime.streams
@@ -197,7 +197,7 @@ class TestMultiGpuCrac:
         session.kill()
         session.restart(image)
         for a in addrs:
-            assert a in session.runtime.buffers
+            assert a in session.runtime.allocations
 
     def test_current_device_restored_after_restart(self):
         session = CracSession(seed=65, n_gpus=2)

@@ -81,7 +81,7 @@ def test_cut_and_commit_touch_only_written_buffers(mode, monkeypatch):
         backend.device_view(p, 64, offset=32 * i)[:] = i + 1
 
     def written_contents() -> set[int]:
-        return {id(session.runtime.buffers[p].contents) for p in written}
+        return {id(session.runtime.buffer(p).contents) for p in written}
 
     calls, built = _count_calls(monkeypatch)
 
@@ -135,7 +135,7 @@ def _lines_per_untouched(mode: str, untouched: int) -> tuple[int, int]:
     _, restart_lines = python_lines(
         session.restart_latest, store, exclude=("ReplayLog.",)
     )
-    assert len(session.runtime.buffers) == untouched + WRITTEN
+    assert len(session.runtime.allocations) == untouched + WRITTEN
     return cut_lines, restart_lines
 
 

@@ -165,7 +165,7 @@ class TestSpeculationAbortPreservesDirty:
         session.backend.device_view(p, 64)[:] = np.arange(64, dtype=np.uint8)
 
         pre_host = set(session.process.vas.find(upper).dirty)
-        buf = session.runtime.buffers[p]
+        buf = session.runtime.buffer(p)
         pre_gpu = buf.contents.dirty_byte_count
         assert pre_host and pre_gpu > 0
 
@@ -230,7 +230,7 @@ class TestGpuDirtyPreservation:
         base = session.checkpoint(store=store)
 
         session.backend.device_view(p, 8, offset=256)[:] = 7
-        buf = session.runtime.buffers[p]
+        buf = session.runtime.buffer(p)
         assert buf.contents.dirty_byte_count > 0
         fi.arm(FaultSpec("image-write", at_count=fi.visits["image-write"] + 1))
         with pytest.raises(InjectedFault):

@@ -176,7 +176,7 @@ class TestCowWindowRewrite:
         session.backend.device_view(p, 16)[:] = 3
         session.finish_forked_checkpoints()
 
-        buf = session.runtime.buffers[p]
+        buf = session.runtime.buffer(p)
         assert buf.contents.dirty_byte_count >= 16, (
             "commit cleared a GPU span re-written after the snapshot"
         )
@@ -206,7 +206,7 @@ class TestForkedAbort:
         assert not image.committed
         assert session.pending_forks == []
         assert 0 in session.process.vas.find(upper).dirty
-        buf = session.runtime.buffers[p]
+        buf = session.runtime.buffer(p)
         assert buf.contents.dirty_byte_count > 0
         # A stray commit on the released image must clear nothing.
         image.mark_committed()

@@ -84,4 +84,4 @@ class TestSaveLoad:
         loaded = CheckpointImage.load(path)
         session.kill()
         session.restart(loaded)
-        assert p in session.runtime.buffers
+        assert p in session.runtime.allocations

@@ -5,8 +5,8 @@ The reference model is the staging and refill chain walk the record
 replaced: a cut stages one entry per live allocation (a never-built one
 copies nothing), and restart walks every entry's delta run. A twin
 session runs the model. Hypothesis drives both sessions through the same
-steps: device, pinned and managed allocations, writes, zero memsets,
-frees, cuts in every mode, and ``kill`` plus ``restart_latest``. After
+steps: device, pinned and managed allocations, lookups, writes, zero
+memsets, frees, cuts in every mode, and ``kill`` plus ``restart_latest``. After
 every step the two must agree bit for bit: each image's
 ``crac/buffers`` accounted bytes, each cut's stage charge, each
 restart's refilled bytes and time, each background write's
@@ -24,7 +24,6 @@ from repro.core import CracSession
 from repro.core.plugin import CracPlugin, _resident_dirty_bytes
 from repro.dmtcp.checkpointer import Cut
 from repro.dmtcp.store import CheckpointStore
-from repro.gpu.memory import DeviceBuffer
 from repro.gpu.timing import NS_PER_S
 from repro.gpu.uvm import UVM_PAGE, ManagedBuffer
 
@@ -112,7 +111,7 @@ def reference_refill(image, runtime, translation) -> int:
         if kept:
             runs[addr] = kept
     for addr, entries in runs.items():
-        buf = runtime.buffers[translation.get(addr, addr)]
+        buf = runtime.buffer(translation.get(addr, addr))
         contents = buf.contents
         for entry in reversed(entries):
             if entry["delta"]:
@@ -164,6 +163,9 @@ steps = st.one_of(
     # free, then allocate the same again: a new buffer at the address
     st.tuples(st.just("realloc"), st.integers(0, 63)),
     st.tuples(st.just("advance"), st.integers(1, 8)),
+    # a lookup makes the allocation's object and builds nothing (as a
+    # sanitizer's pointer check does)
+    st.tuples(st.just("lookup"), st.integers(0, 63)),
     st.tuples(st.just("finish"),),
     st.tuples(st.just("restart"),),
 )
@@ -189,7 +191,7 @@ class SessionRun:
                 size = UVM_PAGE
             addr = getattr(backend, ALLOCS[family][0])(size)
             self.ptrs.append((addr, family, size))
-        elif op in ("write", "memset0", "free", "realloc"):
+        elif op in ("write", "memset0", "free", "realloc", "lookup"):
             if not self.ptrs:
                 return
             addr, family, size = self.ptrs[step[1] % len(self.ptrs)]
@@ -201,6 +203,8 @@ class SessionRun:
             elif op == "memset0":
                 if family != "managed":
                     backend.memset(addr, 0, size)
+            elif op == "lookup":
+                self.session.runtime.buffer(addr)
             else:
                 offset = (step[2] * 37) % size
                 nbytes = min(200, size - offset)
@@ -259,16 +263,20 @@ class SessionRun:
                 for r in self.reports
             ],
             "buffers": {
-                addr: _digest(buf) for addr, buf in sorted(runtime.buffers.items())
+                addr: _digest(runtime, addr) for addr in sorted(runtime.allocations)
             },
         }
 
 
-def _digest(buf) -> int:
-    """CRC of a buffer's bytes, read without building its contents (a
-    build would take it out of the never-built tables)."""
-    if isinstance(buf, DeviceBuffer) and buf.unbuilt is not None:
-        return zlib.crc32(bytes(buf.size))
+def _digest(runtime, addr: int) -> int:
+    """CRC of a buffer's bytes, read without making a never-built one an
+    object or building its contents (a build would take it out of the
+    never-built tables)."""
+    if any(addr in table for table in (
+        runtime.unbuilt_device, runtime.unbuilt_pinned, runtime.unbuilt_managed
+    )):
+        return zlib.crc32(bytes(runtime.allocations[addr]))
+    buf = runtime.buffer(addr)
     return zlib.crc32(buf.contents.read_bytes(0, buf.size))
 
 
@@ -293,7 +301,11 @@ def stage_charges(monkeypatch):
 #: first writes inside forked and speculative windows, and a
 #: never-written buffer whose address and uid meet a written one's in
 #: an older image again after a restart (a freed cudaHostAlloc is not
-#: replayed, so the uids repeat)
+#: replayed, so the uids repeat), managed buffers left untouched across
+#: a full and an incremental cut, then touched after a restart or first
+#: inside forked and speculative windows, and buffers looked up (made
+#: objects, not built) before such a cut and first written inside its
+#: window
 SCRIPTS = [
     [("alloc", "device", 256), ("write", 0, 5), ("cut", "inline", False),
      ("realloc", 0), ("cut", "inline", True), ("restart",)],
@@ -314,6 +326,23 @@ SCRIPTS = [
      ("cut", "inline", False), ("free", 0), ("free", 0),
      ("cut", "inline", True), ("restart",), ("alloc", "device", 256),
      ("cut", "inline", True), ("restart",)],
+    [("alloc", "managed", 0), ("alloc", "device", 256), ("write", 1, 5),
+     ("cut", "inline", False), ("cut", "inline", True), ("restart",),
+     ("write", 0, 7), ("write", 1, 9), ("cut", "inline", True),
+     ("restart",)],
+    [("alloc", "managed", 0), ("alloc", "managed", 0),
+     ("alloc", "device", 3 * 4096 + 512), ("cut", "inline", False),
+     ("write", 2, 6), ("cut", "forked", True), ("write", 0, 3),
+     ("finish",), ("cut", "speculative", True),
+     ("write", 1, 4), ("advance", 1), ("cut", "inline", True),
+     ("restart",), ("cut", "inline", True), ("restart",)],
+    [("alloc", "device", 4096), ("alloc", "managed", 0),
+     ("alloc", "pinned", 256), ("alloc", "device", 4096),
+     ("cut", "inline", False), ("write", 3, 4), ("lookup", 0),
+     ("lookup", 1), ("cut", "forked", True), ("write", 0, 1),
+     ("write", 1, 2), ("finish",), ("lookup", 2),
+     ("cut", "speculative", True), ("write", 2, 3), ("cut", "inline", True),
+     ("restart",)],
 ]
 
 
@@ -327,6 +356,9 @@ SCRIPTS = [
 @example(seed=0, script=SCRIPTS[2])
 @example(seed=0, script=SCRIPTS[3])
 @example(seed=0, script=SCRIPTS[4])
+@example(seed=0, script=SCRIPTS[5])
+@example(seed=0, script=SCRIPTS[6])
+@example(seed=0, script=SCRIPTS[7])
 def test_never_built_record_matches_per_address_entries(
     seed, script, stage_charges
 ):

@@ -73,7 +73,7 @@ class Driver:
                 value = (arg + self.fill_counter) % 251
 
                 def fn(addr=addr, nbytes=nbytes, value=value):
-                    view = b.runtime.buffers[addr].contents.view(0, nbytes)
+                    view = b.runtime.buffer(addr).contents.view(0, nbytes)
                     view[:] = value
 
                 stream = self.streams[arg % len(self.streams)] if self.streams else None
@@ -95,7 +95,7 @@ class Driver:
     def snapshot(self):
         out = {}
         for addr, nbytes, family in self.live:
-            out[addr] = self.backend.runtime.buffers[addr].contents.read_bytes(
+            out[addr] = self.backend.runtime.buffer(addr).contents.read_bytes(
                 0, nbytes
             )
         return out
@@ -137,4 +137,4 @@ def test_crac_session_survives_any_checkpoint_placement(ops):
     driver.execute(interleaved)
     # Every live buffer is still addressable and sized correctly.
     for addr, nbytes, _ in driver.live:
-        assert len(driver.backend.runtime.buffers[addr].contents.read_bytes(0, nbytes)) == nbytes
+        assert len(driver.backend.runtime.buffer(addr).contents.read_bytes(0, nbytes)) == nbytes

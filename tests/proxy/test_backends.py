@@ -176,7 +176,7 @@ class TestCheCuda:
         fresh = build_machine()[3]
         che.restart(image, fresh)
         got = fresh.cudaMalloc(64)  # library is consistent: calls work
-        assert got in fresh.buffers
+        assert got in fresh.allocations
         # Content of the replayed buffer was restored.
         assert fresh.device_view(p, 4).tobytes() == b"data"
 

@@ -58,7 +58,7 @@ class TestCrumCheckpoint:
         fresh = SplitProcess(seed=84)
         che.restart(image, fresh.runtime)
         for i, p in enumerate(ptrs):
-            assert (p in fresh.runtime.buffers) == (i != 2)
+            assert (p in fresh.runtime.allocations) == (i != 2)
 
 
 class TestCracVsCrumCheckpointCosts:

@@ -234,7 +234,7 @@ class TestRollbackAndFallback:
         assert not image.committed
         assert session.pending_forks == []
         assert 0 in session.process.vas.find(upper).dirty
-        buf = session.runtime.buffers[p]
+        buf = session.runtime.buffer(p)
         assert buf.contents.dirty_byte_count > 0
         # mark_committed on the rolled-back image must clear nothing.
         image.mark_committed()
