@@ -345,11 +345,14 @@ DEFAULT_WATCHDOG_LIMITS`), and raises a *sticky*
     # -- rungs 3 and 4: restore, node failover ---------------------------------
 
     def _snapshot_buffers(self) -> list[tuple[int, bytes, object]]:
-        """Pre-fault contents of every active allocation (redo source)."""
+        """Pre-fault contents of every active allocation that built its
+        contents (redo source). The others hold a fresh allocation's
+        bytes, which the restored cut and the replayed log suffix give
+        them again: they stay rows, and no object is made for them."""
         saved: list[tuple[int, bytes, object]] = []
         if not self.session.process.alive:
             return saved  # node already gone: nothing left to snapshot
-        for buf in self.session.runtime.active_allocations():
+        for buf in self.session.runtime.built_allocations():
             residency = (
                 buf.residency.copy() if isinstance(buf, ManagedBuffer)
                 else None

@@ -37,8 +37,9 @@ format.
 from __future__ import annotations
 
 import weakref
-from itertools import repeat
-from operator import itemgetter
+from dataclasses import dataclass
+from itertools import compress
+from operator import eq
 from typing import NamedTuple
 
 from repro.core.replay_log import ReplayLog
@@ -76,7 +77,60 @@ def _pcie_bytes(entry: dict) -> int:
     return 0
 
 
-_NO_NEVER_BUILT = {"uids": {}, "device": {}, "host-pinned": {}}
+@dataclass(slots=True)
+class NeverBuilt:
+    """The ``crac/never-built`` record of a cut: the live allocations
+    that never built their contents, taken as C-level copies of the
+    runtime's tables.
+
+    ``uids`` maps the address of each to its uid (device, then pinned,
+    then managed allocations, each in allocation order); ``pinned`` and
+    ``managed`` are the pinned and managed part of it (the rest are
+    device allocations), and ``sizes`` maps every live allocation's
+    address to its size (a copy of ``CudaRuntime.allocations``).
+
+    ``sizes`` holds the built allocations' sizes too, on purpose: one
+    C-level copy of the table is cheaper than building the never-built
+    part of it, and it is bounded by the live allocations, whose built
+    part ``crac/buffers`` already holds an entry dict for.
+    """
+
+    uids: dict[int, int]
+    pinned: dict[int, int]
+    managed: dict[int, int]
+    sizes: dict[int, int]
+
+    @classmethod
+    def of(cls, runtime) -> "NeverBuilt":
+        """The record of ``runtime``'s never-built allocations now."""
+        uids = runtime.unbuilt_device.copy()
+        pinned = runtime.unbuilt_pinned.copy()
+        managed = runtime.unbuilt_managed.copy()
+        uids.update(pinned)
+        uids.update(managed)
+        return cls(
+            uids, pinned, managed, runtime.allocations.copy() if uids else {}
+        )
+
+    def total_bytes(self) -> int:
+        """The total size of the recorded allocations."""
+        return sum(map(self.sizes.__getitem__, self.uids))
+
+    def device_bytes(self, addrs=None) -> int:
+        """The total size of the device allocations among ``addrs``, all
+        of them recorded here (by default, of every recorded one)."""
+        size = self.sizes.__getitem__
+        if addrs is None:
+            return (
+                sum(map(size, self.uids)) - sum(map(size, self.pinned))
+                - sum(map(size, self.managed))
+            )
+        if self.pinned or self.managed:
+            addrs = addrs - self.pinned.keys() - self.managed.keys()
+        return sum(map(size, addrs))
+
+
+_NO_NEVER_BUILT = NeverBuilt({}, {}, {}, {})
 
 
 class _ChainLink(NamedTuple):
@@ -85,10 +139,8 @@ class _ChainLink(NamedTuple):
     incremental: bool
     #: ``crac/buffers``: address -> explicit entry
     entries: dict[int, dict]
-    #: ``crac/never-built``: address -> uid of every never-built buffer,
-    #: and address -> size of the never-built device buffers
-    uids: dict[int, int]
-    device: dict[int, int]
+    #: ``crac/never-built`` (empty if the image has none)
+    never_built: NeverBuilt
 
     @classmethod
     def of(cls, image: CheckpointImage) -> "_ChainLink":
@@ -96,10 +148,8 @@ class _ChainLink(NamedTuple):
         record = image.blobs.get("crac/never-built")
         never_built = _NO_NEVER_BUILT if record is None else record.payload
         return cls(
-            image.incremental,
-            {} if blob is None else blob.payload,
-            never_built["uids"],
-            never_built["device"],
+            image.incremental, {} if blob is None else blob.payload,
+            never_built,
         )
 
 
@@ -114,7 +164,7 @@ def _walk_run(addr: int, uid: int | None, older: list[_ChainLink],
     for link in older:
         prev = link.entries.get(addr)
         if prev is None:
-            prev_uid = link.uids.get(addr)
+            prev_uid = link.never_built.uids.get(addr)
             if prev_uid is None:
                 continue
             if prev_uid != uid:
@@ -123,7 +173,7 @@ def _walk_run(addr: int, uid: int | None, older: list[_ChainLink],
                 break
             if link.incremental:
                 continue
-            return total + link.device.get(addr, 0)
+            return total + link.never_built.device_bytes({addr})
         if prev.get("uid") != uid:
             break
         total += _pcie_bytes(prev)
@@ -137,7 +187,7 @@ def _never_built_pcie_bytes(
     uids: dict[int, int], older: list[_ChainLink]
 ) -> tuple[int, list[int]]:
     """:func:`_walk_run` for all never-built buffers of a delta image at
-    once, as set operations; ``uids`` maps their addresses to their uids.
+    once, in C-level passes; ``uids`` maps their addresses to their uids.
 
     A run passes a delta that recorded the same buffer as never built
     (no bytes) or that lacks the address, and ends at an address held
@@ -146,25 +196,38 @@ def _never_built_pcie_bytes(
     with the same uid — and the addresses whose run reaches an explicit
     entry with the same uid (rare: a restart renumbers uids, so an
     address and uid can meet a written buffer's again), which the caller
-    walks one by one.
+    walks one by one. A link that recorded exactly the walking buffers
+    (the common case: nothing was allocated, freed or first written
+    between the two cuts) costs one dict comparison.
     """
     walking = uids
     escaped: list[int] = []
     for link in older:
         if not walking:
             break
+        entries = link.entries
+        written = walking.keys() & entries.keys()
         escaped.extend(
-            a for a in sorted(walking.keys() & link.entries.keys())
-            if link.entries[a].get("uid") == walking[a]
+            a for a in sorted(written) if entries[a].get("uid") == walking[a]
         )
-        same = walking.items() & link.uids.items()
+        recorded = link.never_built.uids
+        if recorded == walking:
+            # The link recorded the same buffers as never built: every
+            # run passes it (a delta) or ends in it (a full image).
+            if link.incremental:
+                continue
+            return link.never_built.device_bytes(), escaped
+        # The runs that go on: the link recorded the address under the
+        # same uid, or (a delta) holds nothing at it. Matched as a C-level
+        # pass over ``walking``: a missing address reads as its own uid.
+        uid_of = walking.values()
+        goes_on = map(eq, map(recorded.get, walking, uid_of), uid_of)
         if not link.incremental:
-            addrs = map(itemgetter(0), same)
-            return sum(map(link.device.get, addrs, repeat(0))), escaped
-        absent = walking.keys() - link.uids.keys() - link.entries.keys()
-        rest = dict(same)
-        rest.update(zip(absent, map(walking.__getitem__, absent)))
-        walking = rest
+            same = set(compress(walking, goes_on)) & recorded.keys()
+            return link.never_built.device_bytes(same), escaped
+        walking = dict(compress(walking.items(), goes_on))
+        for addr in written - recorded.keys():
+            del walking[addr]
     return 0, escaped
 
 
@@ -263,23 +326,13 @@ class CracPlugin(DmtcpPlugin):
         # no dirty bytes costs: their sizes in a full image (device bytes
         # over PCIe; a never-built managed buffer is host-resident),
         # nothing in a delta.
-        sizes = runtime.allocations
-        uids: dict[int, int] = {}
-        never_built = {"uids": uids}
-        for kind, table in (
-            ("device", runtime.unbuilt_device),
-            ("host-pinned", runtime.unbuilt_pinned),
-            ("managed", runtime.unbuilt_managed),
-        ):
-            uids.update(table)
-            never_built[kind] = dict(zip(table, map(sizes.__getitem__, table)))
+        never_built = NeverBuilt.of(runtime)
+        uids = never_built.uids
         if delta:
             drain_bytes = image_bytes_total = 0
         else:
-            drain_bytes = sum(never_built["device"].values())
-            image_bytes_total = drain_bytes + sum(
-                never_built["host-pinned"].values()
-            ) + sum(never_built["managed"].values())
+            drain_bytes = never_built.device_bytes()
+            image_bytes_total = never_built.total_bytes()
         if uids and cut.placed("write") == BACKGROUND:
             # The image commits after the app resumes: a first write
             # before then is post-cut dirtiness (copy-on-write, or a
@@ -340,9 +393,7 @@ class CracPlugin(DmtcpPlugin):
             accounted = max(
                 accounted,
                 sum(e["size"] for e in buffers.values())  # lint: allow
-                + sum(never_built["device"].values())
-                + sum(never_built["host-pinned"].values())
-                + sum(never_built["managed"].values()),
+                + never_built.total_bytes()
             )
         else:
             accounted = image_bytes_total
@@ -448,16 +499,21 @@ class CracPlugin(DmtcpPlugin):
             session.fault_injector.check("replay", f"{len(log.entries)} calls")
         replayed, translation = self.replay(log, runtime, costs.replay_call_ns)
         # Sanity: every staged buffer must exist again (possibly moved).
-        # The never-built ones are checked in bulk, as a set difference.
+        # Strict replay moves nothing: whole key sets are compared, and
+        # the per-address check runs only to name what is missing.
         restored = runtime.allocations.keys()
-        missing = [
-            a for a in image.blob("crac/buffers")
-            if translation.get(a, a) not in restored
-        ]
-        never_built = _ChainLink.of(image).uids
-        missing += sorted(
-            set(map(translation.get, never_built, never_built)) - restored
-        )
+        buffers = image.blob("crac/buffers")
+        never_built = _ChainLink.of(image).never_built.uids
+        if (not translation and buffers.keys() <= restored
+                and never_built.keys() <= restored):
+            missing = []
+        else:
+            missing = [
+                a for a in buffers if translation.get(a, a) not in restored
+            ]
+            missing += sorted(
+                set(map(translation.get, never_built, never_built)) - restored
+            )
         if missing:
             raise RestartError(
                 f"replay did not recreate buffers at {[hex(a) for a in missing]}"
@@ -540,15 +596,16 @@ class CracPlugin(DmtcpPlugin):
             if entry.get("delta"):
                 refill_bytes += _walk_run(addr, entry.get("uid"), older, kept)
         if newest.incremental:
-            nb_bytes, escaped = _never_built_pcie_bytes(newest.uids, older)
+            uids = newest.never_built.uids
+            nb_bytes, escaped = _never_built_pcie_bytes(uids, older)
             refill_bytes += nb_bytes
             for addr in escaped:
                 kept = []
-                refill_bytes += _walk_run(addr, newest.uids[addr], older, kept)
+                refill_bytes += _walk_run(addr, uids[addr], older, kept)
                 if kept:
                     runs[addr] = kept
         else:
-            refill_bytes += sum(newest.device.values())
+            refill_bytes += newest.never_built.device_bytes()
         # A managed buffer with an explicit entry gets its residency back
         # here; a never-built one is host-resident, as replay made it.
         for addr, entries in runs.items():

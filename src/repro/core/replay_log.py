@@ -19,8 +19,10 @@ half would dangle, so replay aborts with ``ReplayDivergenceError``.
 The whole log is replayed and every logged address is checked, entry by
 entry; only the simulator's bookkeeping is batched. The lower-half
 library replays it in one pass (``CudaRuntime.replay_allocations``):
-each run of equal consecutive mallocs is one arena carve, and buffer
-objects are built once, for the allocations still live at the end.
+each run of equal consecutive allocations is one arena carve and one
+table update per table, the other entries go through one loop, and
+every allocation is a row (its size and its uid in a never-built
+table): no buffer object is built, live at the end or not.
 """
 
 from __future__ import annotations

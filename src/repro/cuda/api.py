@@ -26,12 +26,13 @@ is charged by the dispatch backend, not by the library.
 from __future__ import annotations
 
 import itertools
+import re
 import zlib
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby, repeat
-from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import groupby, islice, repeat
+from operator import eq, itemgetter
+from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -80,34 +81,230 @@ class ReplayResult(NamedTuple):
 #: a replay-log entry is an ``(op, nbytes, addr, device)`` tuple; a run
 #: of equal allocations shares its *spec* ``(op, nbytes, device)``
 _SPEC = itemgetter(0, 1, 3)
-_ENTRY_ADDR = itemgetter(2)
-_OP, _NBYTES = itemgetter(0), itemgetter(1)
+_OP, _NBYTES, _ENTRY_ADDR, _DEVICE = map(itemgetter, range(4))
+_ALLOCATING = frozenset(("malloc", "malloc_host", "malloc_managed"))
+#: a stretch of entries that each repeat the size of the one before
+_REPEATS = re.compile(rb"\x01+")
+
+
+def _allocation_runs(entries: Sequence[tuple]) -> list[tuple[int, int]]:
+    """The ``[start, stop)`` bounds of each run of two or more equal
+    consecutive allocations in ``entries``, in log order, then
+    ``(n, n)``.
+
+    Found with C-level passes that make no object per entry: stretches
+    of one size first, then, in each, one op and one device.
+    """
+    sizes = list(map(_NBYTES, entries))
+    bounds = []
+    for m in _REPEATS.finditer(bytes(map(eq, sizes, islice(sizes, 1, None)))):
+        start, stop = m.start(), m.end() + 1
+        stretch = entries[start:stop]
+        if len(set(map(_OP, stretch))) == 1 == len(set(map(_DEVICE, stretch))):
+            if stretch[0][0] in _ALLOCATING:
+                bounds.append((start, stop))
+            continue
+        for spec, group in groupby(stretch, _SPEC):  # rare: split it
+            n = len(list(group))
+            if n > 1 and spec[0] in _ALLOCATING:
+                bounds.append((start, start + n))
+            start += n
+    bounds.append((len(sizes), len(sizes)))
+    return bounds
+
+
+def _diverged(entry: tuple, got: int) -> NoReturn:
+    """Raise the error of a replayed allocation that landed at ``got``,
+    not at the log's address."""
+    op, nbytes, addr, _ = entry
+    raise ReplayDivergenceError(
+        f"replayed {op}({nbytes}) landed at {got:#x}, original was "
+        f"{addr:#x} — allocator nondeterminism or changed platform/ASLR"
+    )
 
 
 class _ReplayBatch:
-    """Runtime bookkeeping that :meth:`CudaRuntime.replay_allocations`
-    defers: the arenas are carved as the log goes, the rest is applied by
-    :meth:`flush` in bulk, for the allocations still live by then (as
-    rows: no buffer object is made).
+    """One pass of :meth:`CudaRuntime.replay_allocations`.
 
-    ``made`` maps the address of each live allocation the pass made to
-    its uid, in allocation order, and ``specs`` each uid the pass gave
-    out to its entry's spec (runs share one spec tuple).
+    The rows (sizes, never-built tables, pinned origins) are written as
+    the log goes: :meth:`replay_each` one entry at a time, :meth:`carve`
+    a run of equal allocations with one update per table. The rest of
+    the runtime's bookkeeping (the ``api_log`` increments, the current
+    device, the next uid, the UVA epoch steps) waits for :meth:`flush`.
     """
 
-    __slots__ = ("runtime", "calls", "made", "specs", "device", "uid",
-                 "uva_steps")
+    __slots__ = ("runtime", "strict", "calls", "device", "uid", "uva_steps",
+                 "replayed", "translation", "hostalloc_addrs", "host_allocs")
 
-    def __init__(self, runtime: "CudaRuntime") -> None:
+    def __init__(self, runtime: "CudaRuntime", strict: bool) -> None:
         self.runtime = runtime
+        self.strict = strict
         #: api_log increments, in first-call order
-        self.calls: dict[str, int] = {}
-        self.made: dict[int, int] = {}
-        self.specs: dict[int, tuple] = {}
+        self.calls: Counter[str] = Counter()
         self.device = runtime.current_device
         self.uid = next(runtime._buffer_uids)
         #: UVA epoch steps (one per managed allocation or free)
         self.uva_steps = 0
+        #: calls replayed, and :class:`ReplayResult`'s translation
+        self.replayed = 0
+        self.translation: dict[int, int] = {}
+        #: every ``cudaHostAlloc`` address of the log, and the entries
+        #: still active
+        self.hostalloc_addrs: set[int] = set()
+        self.host_allocs: dict[int, tuple] = {}
+
+    def replay_each(self, entries: Sequence[tuple]) -> None:
+        """Replay ``entries`` one by one."""
+        rt = self.runtime
+        strict = self.strict
+        translation = self.translation
+        hostalloc_addrs = self.hostalloc_addrs
+        host_allocs = self.host_allocs
+        calls = self.calls
+        ok = rt._entry_ok
+        allocs = rt._device_allocs
+        one_gpu = len(allocs) == 1
+        objects = rt._objects
+        allocations = rt.allocations
+        unbuilt_device = rt.unbuilt_device
+        unbuilt_pinned = rt.unbuilt_pinned
+        unbuilt_managed = rt.unbuilt_managed
+        host_origin = rt._host_origin
+        pinned_arena = rt._pinned_alloc
+        managed_arena = rt._managed_alloc
+        for e in entries:
+            op, nbytes, addr, device = e
+            if op == "malloc":
+                if ok and device != self.device:
+                    self._set_device(device)
+                name, table = "cudaMalloc", unbuilt_device
+                arena = allocs[device] if ok else None
+            elif op == "malloc_managed":
+                name, table, arena = (
+                    "cudaMallocManaged", unbuilt_managed, managed_arena
+                )
+            elif op == "malloc_host":
+                name, table, arena = (
+                    "cudaMallocHost", unbuilt_pinned, pinned_arena
+                )
+            elif op == "host_alloc":
+                hostalloc_addrs.add(addr)
+                host_allocs[addr] = e
+                continue
+            else:  # a free
+                if op == "free_host" and addr in hostalloc_addrs:
+                    host_allocs.pop(addr, None)  # never replayed
+                    continue
+                if not strict:
+                    addr = translation.get(addr, addr)
+                self.replayed += 1
+                # A row (and no object) of the kind the free expects: the
+                # entry point's work, inlined.
+                if ok and addr not in objects:
+                    if op == "free":
+                        if addr in unbuilt_device:
+                            calls["cudaFree"] += 1
+                            allocs[
+                                0 if one_gpu else rt._row_device(addr)
+                            ].free(addr)
+                            del allocations[addr], unbuilt_device[addr]
+                            continue
+                    elif op == "free_managed":
+                        if addr in unbuilt_managed:
+                            calls["cudaFree"] += 1
+                            managed_arena.free(addr)
+                            del allocations[addr], unbuilt_managed[addr]
+                            self.uva_steps += 1
+                            continue
+                    elif (
+                        addr in unbuilt_pinned
+                        and host_origin.get(addr) == "pinned"
+                    ):
+                        calls["cudaFreeHost"] += 1
+                        del host_origin[addr]
+                        pinned_arena.free(addr)
+                        del allocations[addr], unbuilt_pinned[addr]
+                        continue
+                # An object, or a free the entry point rejects.
+                self.delegate(
+                    rt.cudaFree if op == "free"
+                    else rt.cudaFreeHost if op == "free_host"
+                    else rt.cudaFreeManaged,
+                    addr,
+                )
+                continue
+            if not ok:
+                # A library that takes no calls: the entry point raises.
+                self.delegate(getattr(rt, name), nbytes)
+            # Counted first, as the entry point counts a call whose
+            # allocation fails.
+            calls[name] += 1
+            got = arena.alloc(nbytes)
+            uid = self.uid
+            self.uid = uid + 1
+            table[got] = uid
+            allocations[got] = nbytes
+            self.replayed += 1
+            if op == "malloc_host":
+                host_origin[got] = "pinned"
+            elif op == "malloc_managed":
+                self.uva_steps += 1
+            if not strict:
+                translation[addr] = got
+            elif got != addr:
+                _diverged(e, got)
+
+    def carve(self, run: Sequence[tuple]) -> None:
+        """Replay ``run``, allocations of one op, size and device, at
+        once."""
+        rt = self.runtime
+        op, nbytes, _, device = run[0]
+        if op == "malloc":
+            if rt._entry_ok and device != self.device:
+                self._set_device(device)
+            name, table = "cudaMalloc", rt.unbuilt_device
+        elif op == "malloc_managed":
+            name, table = "cudaMallocManaged", rt.unbuilt_managed
+        else:
+            name, table = "cudaMallocHost", rt.unbuilt_pinned
+        if not rt._entry_ok:
+            # A library that takes no calls: the entry point raises.
+            self.delegate(getattr(rt, name), nbytes)
+        arena = (
+            rt._device_allocs[device] if op == "malloc"
+            else rt._managed_alloc if op == "malloc_managed"
+            else rt._pinned_alloc
+        )
+        strict = self.strict
+        carved = arena.alloc_run(
+            nbytes, len(run), list(map(_ENTRY_ADDR, run)) if strict else None
+        )
+        taken = len(carved)
+        self.calls[name] += taken
+        uid = self.uid
+        self.uid = uid + taken
+        table.update(zip(carved, range(uid, uid + taken)))
+        rt.allocations.update(zip(carved, repeat(nbytes)))
+        self.replayed += taken
+        if op == "malloc_host":
+            rt._host_origin.update(zip(carved, repeat("pinned")))
+        elif op == "malloc_managed":
+            self.uva_steps += taken
+        if not strict:
+            self.translation.update(zip(map(_ENTRY_ADDR, run), carved))
+        elif taken and carved[-1] != run[taken - 1][2]:
+            _diverged(run[taken - 1], carved[-1])
+        if taken < len(run):
+            # The next call fails (out of memory, a bad size): the entry
+            # point raises.
+            self.delegate(getattr(rt, name), nbytes)
+
+    def _set_device(self, device: int) -> None:
+        """The ``cudaSetDevice`` before a malloc on another device."""
+        if not 0 <= device < len(self.runtime._device_allocs):
+            self.delegate(self.runtime.cudaSetDevice, device)  # raises
+        self.calls["cudaSetDevice"] += 1
+        self.device = device
 
     def flush(self) -> None:
         """Leave the runtime exactly as the calls so far, made one by one
@@ -124,26 +321,6 @@ class _ReplayBatch:
             rt.ctx.uva_epoch += self.uva_steps
             rt.uvm.ever_used = True
             self.uva_steps = 0
-        made = self.made
-        addrs = list(made)
-        uids = list(made.values())
-        specs = list(map(self.specs.__getitem__, uids))
-        rt.allocations.update(zip(addrs, map(_NBYTES, specs)))
-        tables = {
-            "malloc": rt.unbuilt_device,
-            "malloc_host": rt.unbuilt_pinned,
-            "malloc_managed": rt.unbuilt_managed,
-        }
-        end = 0
-        # The survivors are rows: one bulk table update per stretch of
-        # one allocation op.
-        for op, same in groupby(map(_OP, specs)):
-            start, end = end, end + len(list(same))
-            tables[op].update(zip(addrs[start:end], uids[start:end]))
-            if op == "malloc_host":
-                rt._host_origin.update(zip(addrs[start:end], repeat("pinned")))
-        made.clear()
-        self.specs.clear()
 
     def delegate(self, entry_point: Callable, arg: int) -> None:
         """Make one call through its public entry point, on bookkeeping
@@ -666,7 +843,7 @@ class CudaRuntime:
     # ------------------------------------------------------------ log replay
 
     def replay_allocations(
-        self, entries: Iterable[tuple], *, strict: bool = True
+        self, entries: Sequence[tuple], *, strict: bool = True
     ) -> ReplayResult:
         """Re-execute a cudaMalloc-family log (``(op, nbytes, addr,
         device)`` entries, see :mod:`repro.core.replay_log`) in one pass.
@@ -674,12 +851,12 @@ class CudaRuntime:
         The runtime ends exactly as calling the entry points one entry at
         a time leaves it, down to dict orders, uids and ``api_log``, and
         raises the same errors at the same entry. Each run of equal
-        consecutive allocations is carved with one
-        :meth:`ArenaAllocator.alloc_run`, and each of its addresses is
-        checked. A free of an allocation the pass made is arena work
-        only. The rows and the other bookkeeping are made in bulk for
-        the allocations still live when the pass ends; anything else
-        (a free of an older buffer, a call the entry point rejects) goes
+        consecutive allocations (same op, size and device) is carved with
+        one :meth:`ArenaAllocator.alloc_run` and its rows written with one
+        update per table, and each of its addresses is checked. The other
+        entries go through one loop that writes an allocation's row, or
+        frees a row (arena work and two deletes), as it goes. Anything
+        else (a free of an object, a call the entry point rejects) goes
         through the entry point, on bookkeeping brought up to date.
         ``cudaHostAlloc`` entries and their frees are not replayed: the
         caller re-registers the still-active ones, which the result
@@ -690,119 +867,19 @@ class CudaRuntime:
         maps each original address to the replayed one, and frees follow
         that map.
         """
-        translation: dict[int, int] = {}
-        hostalloc_addrs: set[int] = set()
-        host_allocs: dict[int, tuple] = {}
-        replayed = 0
-        ok = self._entry_ok
-        allocs = self._device_allocs
-        batch = _ReplayBatch(self)
-        calls = batch.calls
-        made = batch.made
-        specs = batch.specs
+        batch = _ReplayBatch(self, strict)
+        pos = 0
         try:
-            for spec, group in groupby(entries, _SPEC):
-                op, nbytes, device = spec
-                if op == "free" or op == "free_host" or op == "free_managed":
-                    if op == "free":
-                        freed, name, entry_point = (
-                            "malloc", "cudaFree", self.cudaFree
-                        )
-                    elif op == "free_host":
-                        freed, name, entry_point = (
-                            "malloc_host", "cudaFreeHost", self.cudaFreeHost
-                        )
-                    else:
-                        freed, name, entry_point = (
-                            "malloc_managed", "cudaFree", self.cudaFreeManaged
-                        )
-                    for e in group:
-                        addr = e[2]
-                        if addr in hostalloc_addrs and op == "free_host":
-                            host_allocs.pop(addr, None)  # never replayed
-                            continue
-                        if not strict:
-                            addr = translation.get(addr, addr)
-                        replayed += 1
-                        made_spec = specs.get(made.get(addr))
-                        if made_spec is None or made_spec[0] != freed:
-                            # An older buffer, or a free the entry point
-                            # rejects.
-                            batch.delegate(entry_point, addr)
-                            continue
-                        del made[addr]
-                        calls[name] = calls.get(name, 0) + 1
-                        if op == "free":
-                            allocs[made_spec[2]].free(addr)
-                        elif op == "free_host":
-                            self._pinned_alloc.free(addr)
-                        else:
-                            self._managed_alloc.free(addr)
-                            batch.uva_steps += 1
-                    continue
-                if op == "host_alloc":
-                    for e in group:
-                        hostalloc_addrs.add(e[2])
-                        host_allocs[e[2]] = e
-                    continue
-                if op == "malloc":
-                    name = "cudaMalloc"
-                    if ok and device != batch.device:
-                        if not 0 <= device < len(allocs):
-                            batch.delegate(self.cudaSetDevice, device)  # raises
-                        calls["cudaSetDevice"] = calls.get("cudaSetDevice", 0) + 1
-                        batch.device = device
-                    arena = allocs[device] if ok else None
-                elif op == "malloc_host":
-                    name, arena = "cudaMallocHost", self._pinned_alloc
-                elif op == "malloc_managed":
-                    name, arena = "cudaMallocManaged", self._managed_alloc
-                else:  # pragma: no cover - exhaustive literal
-                    raise AssertionError(op)
-                if not ok:
-                    # A library that takes no calls: the entry point raises.
-                    batch.delegate(getattr(self, name), nbytes)
-                run = list(group)
-                if len(run) == 1:
-                    # Counted first, as the entry point counts a call
-                    # whose allocation fails.
-                    calls[name] = calls.get(name, 0) + 1
-                    carved = [arena.alloc(nbytes)]
-                else:
-                    want = list(map(_ENTRY_ADDR, run))
-                    carved = arena.alloc_run(
-                        nbytes, len(run), want if strict else None
-                    )
-                    calls[name] = calls.get(name, 0) + len(carved)
-                taken = len(carved)
-                uid = batch.uid
-                batch.uid = uid + taken
-                replayed += taken
-                if taken == 1:
-                    made[carved[0]] = uid
-                    specs[uid] = spec
-                else:
-                    uids = range(uid, uid + taken)
-                    made.update(zip(carved, uids))
-                    specs.update(zip(uids, repeat(spec)))
-                if op == "malloc_managed":
-                    batch.uva_steps += taken
-                if not strict:
-                    translation.update(zip(map(_ENTRY_ADDR, run), carved))
-                elif taken and carved[-1] != run[taken - 1][2]:
-                    e = run[taken - 1]
-                    raise ReplayDivergenceError(
-                        f"replayed {e.op}({e.nbytes}) landed at "
-                        f"{carved[-1]:#x}, original was {e.addr:#x} — "
-                        "allocator nondeterminism or changed platform/ASLR"
-                    )
-                if taken < len(run):
-                    # The next call fails (out of memory, a bad size): the
-                    # entry point raises.
-                    batch.delegate(getattr(self, name), nbytes)
+            for start, stop in _allocation_runs(entries):
+                batch.replay_each(entries[pos:start])
+                if start < stop:
+                    batch.carve(entries[start:stop])
+                pos = stop
         finally:
             batch.flush()
-        return ReplayResult(replayed, translation, list(host_allocs.values()))
+        return ReplayResult(
+            batch.replayed, batch.translation, list(batch.host_allocs.values())
+        )
 
     # -------------------------------------------------------------- memcpy etc.
 
@@ -1329,6 +1406,28 @@ class CudaRuntime:
         """Live (not freed) buffers by address, each made an object —
         what CRAC saves at checkpoint."""
         return list(map(self._buffer, sorted(self.allocations)))
+
+    def rows(self) -> list[tuple[int, int, str, int]]:
+        """``(addr, size, kind, uid)`` of every live allocation, by
+        address; makes no object."""
+        objects = self._objects
+        tables = (
+            ("device", self.unbuilt_device),
+            ("host-pinned", self.unbuilt_pinned),
+            ("managed", self.unbuilt_managed),
+        )
+        out = []
+        for addr in sorted(self.allocations):
+            buf = objects.get(addr)
+            if buf is not None:
+                out.append((addr, buf.size, buf.kind, buf.uid))
+                continue
+            for kind, table in tables:
+                uid = table.get(addr)
+                if uid is not None:
+                    out.append((addr, self.allocations[addr], kind, uid))
+                    break
+        return out
 
     def built_allocations(self) -> list:
         """The live buffers that built their contents (a managed one: or

@@ -513,10 +513,12 @@ class ArenaAllocator:
                 self._grow(max(_align_up(need, 1 << 20), ARENA_CHUNK))
                 continue
             taken = min(count - len(out), blk.size // need)
-            addrs = range(blk.start, blk.start + taken * need, need)
+            # One int object per address, shared by ``active`` and the
+            # caller's tables.
+            addrs = list(range(blk.start, blk.start + taken * need, need))
             if expected is not None:
                 want = expected[len(out):len(out) + taken]
-                if want != list(addrs):
+                if want != addrs:
                     taken = next(
                         k for k, (a, b) in enumerate(zip(addrs, want)) if a != b
                     ) + 1

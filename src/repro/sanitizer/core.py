@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.gpu.intervals import SpanSet
 from repro.gpu.timing import SANITIZER_CHECK_NS
-from repro.gpu.uvm import UVM_PAGE, ManagedBuffer
+from repro.gpu.uvm import UVM_PAGE
 from repro.sanitizer.hazards import HazardReport, SanitizerReport
 from repro.sanitizer.vector_clock import ClockMatrix, VectorClock
 
@@ -219,11 +219,12 @@ class Sanitizer:
         ):
             arena.sanitizer = self
         if first:
-            for buf in runtime.active_allocations():
-                self._preexisting.add((buf.addr, buf.uid))
-                st = self._state(buf)
+            # Read as rows: attaching makes no buffer object.
+            for addr, size, kind, uid in runtime.rows():
+                self._preexisting.add((addr, uid))
+                st = self._state(addr, uid, size, kind)
                 # Pre-attach history is unknown: assume initialized.
-                st.written = SpanSet([(0, buf.size)])
+                st.written = SpanSet([(0, size)])
 
     def detach(self) -> None:
         """Unhook from the current runtime (shadow state is kept)."""
@@ -248,14 +249,14 @@ class Sanitizer:
         """
         runtime = runtime if runtime is not None else self._runtime
         if runtime is not None and "memcheck" in self.checkers:
-            for buf in runtime.active_allocations():
-                if (buf.addr, buf.uid) in self._preexisting:
+            for addr, size, kind, uid in runtime.rows():
+                if (addr, uid) in self._preexisting:
                     continue
                 self._emit(
                     "memcheck", "leak",
-                    f"{buf.kind} allocation of {buf.size} bytes at "
-                    f"{buf.addr:#x} never freed",
-                    addr=buf.addr, byte_range=(0, buf.size),
+                    f"{kind} allocation of {size} bytes at {addr:#x} never "
+                    "freed",
+                    addr=addr, byte_range=(0, size),
                 )
         return self.report
 
@@ -313,14 +314,13 @@ class Sanitizer:
                     ovc.join(vc)
         return _OpCtx(sid, snap, next(self._op_ids), label)
 
-    def _state(self, buf) -> _BufState:
-        key = (buf.addr, buf.uid)
+    def _state(self, addr: int, uid: int, size: int, kind: str) -> _BufState:
+        key = (addr, uid)
         st = self._buffers.get(key)
         if st is None:
-            managed = isinstance(buf, ManagedBuffer)
             st = _BufState(
-                addr=buf.addr, uid=buf.uid, size=buf.size,
-                kind="managed" if managed else buf.kind, paged=managed,
+                addr=addr, uid=uid, size=size, kind=kind,
+                paged=kind == "managed",
             )
             self._buffers[key] = st
         return st
@@ -359,7 +359,7 @@ class Sanitizer:
         ``op=None`` marks a host-side access: it feeds initcheck's
         written-coverage but neither races nor is race-checked.
         """
-        st = self._state(buf)
+        st = self._state(buf.addr, buf.uid, buf.size, buf.kind)
         lo, hi = offset, offset + nbytes
         if lo < 0 or hi > st.size:
             self._emit(

@@ -5,17 +5,25 @@ full and incrementally, killed and restarted from its store. Afterwards
 no ``DeviceBuffer`` or ``ManagedBuffer`` exists for an untouched
 allocation (counted over every object the collector tracks). A lookup
 then makes the object with the allocation's uid, size and device, and a
-second lookup returns the same object.
+second lookup returns the same object. The fault domain's restore and
+failover rungs re-apply the pre-fault bytes of the buffers that hold
+state only: the untouched allocations stay rows, with the same bytes.
+A sanitizer's attach sweep and leak report read the rows too.
 """
 
 import gc
+import zlib
 
 import pytest
 
+from repro.cluster import Cluster, ClusterNode, Interconnect
 from repro.core import CracSession
+from repro.cuda.api import FatBinary
 from repro.dmtcp.store import CheckpointStore
 from repro.gpu.memory import DeviceBuffer
 from repro.gpu.uvm import UVM_PAGE, ManagedBuffer
+from repro.harness.fault_injection import FaultInjector, FaultSpec
+from repro.sanitizer import Sanitizer
 
 N_DEVICE = 10_000
 N_MANAGED = 300
@@ -88,7 +96,8 @@ def test_untouched_managed_allocations_stay_rows():
     touched, untouched = addrs[-1], addrs[:-1]
     backend.managed_view(touched, 8)[:] = 2
     image = _cut_kill_restart(session, ManagedBuffer, untouched)
-    record = image.blob("crac/never-built")["managed"]
+    never_built = image.blob("crac/never-built")
+    record = {a: never_built.sizes[a] for a in never_built.managed}
     assert record == dict.fromkeys(untouched, UVM_PAGE)
     _cut_kill_restart(session, ManagedBuffer, untouched)
 
@@ -100,3 +109,97 @@ def test_untouched_managed_allocations_stay_rows():
     buf = runtime.buffer(untouched[0])
     assert not buf.residency.any()
     assert untouched[0] not in runtime.unbuilt_managed
+
+
+FB = FatBinary("rows.fatbin", ("bump",))
+
+
+def _digests(runtime) -> dict[int, int]:
+    """CRC of every live allocation's bytes: a row's are a fresh
+    allocation's zeros, read without making its object."""
+    return {
+        addr: zlib.crc32(
+            bytes(size) if addr not in runtime._objects
+            else runtime.buffer(addr).contents.read_bytes(0, size)
+        )
+        for addr, size in runtime.allocations.items()
+    }
+
+
+def test_restore_and_failover_rungs_leave_untouched_allocations_rows():
+    """Rung 3 (restore) and rung 4 (failover) re-apply the pre-fault
+    bytes of the buffers that hold state; the untouched allocations,
+    before and after the cut, stay rows through both."""
+    src, dst = ClusterNode("src"), ClusterNode("dst")
+    cluster = Cluster([src, dst], interconnect=Interconnect(seed=6))
+    injector = FaultInjector(seed=3)
+    session = CracSession(seed=0, fault_injector=injector)
+    src.adopt("job", session)
+    domain = session.enable_fault_domain(src.store)
+    backend = session.backend
+    backend.register_app_binary(FB)
+    addrs = backend.malloc_run(256, N_DEVICE)
+    touched, untouched = addrs[-1], addrs[:-1]
+
+    def bump():
+        def fn():
+            view = backend.device_view(touched, 8)
+            view += 1
+
+        backend.launch("bump", fn, duration_ns=50_000.0)
+        backend.device_synchronize()
+
+    bump()
+    assert domain.checkpoint() is not None
+    cluster.replicate("src", "dst")
+    # After the cut: more untouched allocations, and a write.
+    untouched += backend.malloc_run(256, 100)
+    bump()
+    want = _digests(session.runtime)
+    assert _instances(DeviceBuffer, untouched) == []
+
+    # Rung 3: a fatal fault in a guarded call restores the cut locally.
+    injector.arm(FaultSpec("ecc", at_count=injector.visits["ecc"] + 1))
+    bump()
+    assert domain.report.restores == 1
+    assert _instances(DeviceBuffer, untouched) == []
+    runtime = session.runtime
+    assert set(untouched) <= runtime.unbuilt_device.keys()
+    want[touched] = zlib.crc32(bytes([3] * 8) + bytes(248))
+    assert _digests(runtime) == want
+
+    # Rung 4: the node dies; the shipped generation is restored on dst.
+    domain.failover_handler = cluster.make_failover_handler(
+        session, "job", "src", "dst"
+    )
+    domain.failover_now(RuntimeError("node died"))
+    assert domain.report.failovers == 1
+    assert _instances(DeviceBuffer, untouched) == []
+    runtime = session.runtime
+    assert set(untouched) <= runtime.unbuilt_device.keys()
+    assert _digests(runtime) == want
+    assert bytes(backend.device_view(untouched[0], 256)) == bytes(256)
+    session.kill()
+
+
+def test_sanitizer_reads_untouched_allocations_as_rows():
+    """Attaching sweeps the live allocations and finishing reports the
+    leaks among them, both without making an object."""
+    session = CracSession(seed=0)
+    backend = session.backend
+    before = backend.malloc_run(256, N_DEVICE)
+    sanitizer = Sanitizer()
+    sanitizer.attach(session.runtime)
+    after = backend.malloc_run(512, 3) + [backend.malloc_managed(UVM_PAGE)]
+    report = sanitizer.finish()
+    assert _instances(DeviceBuffer, before + after) == []
+    assert _instances(ManagedBuffer, after) == []
+    assert [(h.checker, h.kind, h.message) for h in report.hazards] == [
+        ("memcheck", "leak", f"{kind} allocation of {size} bytes at "
+         f"{addr:#x} never freed")
+        for addr, size, kind in sorted(
+            [(a, 512, "device") for a in after[:3]]
+            + [(after[3], UVM_PAGE, "managed")]
+        )
+    ]
+    session.kill()

@@ -1,8 +1,9 @@
 """Bulk log replay leaves the runtime exactly as per-call replay does.
 
-``CudaRuntime.replay_allocations`` carves each run of equal mallocs with
-one arena call and builds buffer objects once, for the allocations that
-survive the log. The reference here replays entry by entry through the
+``CudaRuntime.replay_allocations`` carves each run of equal allocations
+with one arena call and writes its rows with one update per table, and
+replays the other entries in one loop that writes rows as it goes. The
+reference here replays entry by entry through the
 public ``cudaMalloc``/``cudaFree``/``cudaMallocHost``/``cudaFreeHost``/
 ``cudaMallocManaged``/``cudaFreeManaged`` entry points, as the replay
 loop did before. Both run on twin runtimes, and everything observable
@@ -17,6 +18,8 @@ by (address, uid), so a wrong build order shows up here as wrong uids.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import Hpgmg, Hypre, Lulesh, SimpleStreams, UnifiedMemoryStreams
 from repro.apps.base import AppContext
@@ -375,6 +378,78 @@ def test_translating_mode_builds_the_same_map():
     assert got[0] == "ok"
     translation = got[1][1]
     assert translation and all(a != b for a, b in translation.items())
+
+
+# -- property: irregular logs onto a live runtime ---------------------------
+
+#: the allocations a live runtime holds before the replayed log starts
+OLDER = (("malloc", 256), ("malloc", 256), ("malloc_host", 512),
+         ("malloc_managed", 1 << 16), ("malloc", 4096), ("malloc", 768))
+SIZES = st.sampled_from([256, 512, 768, 4096, 1 << 16])
+ALLOCS = st.sampled_from(["malloc", "malloc_host", "malloc_managed",
+                          "host_alloc"])
+STEPS = st.one_of(
+    st.tuples(ALLOCS, SIZES),  # one allocation
+    # equal allocations, the current device switched before the
+    # ``switch``-th one if it is in the run
+    st.tuples(st.just("run"), ALLOCS, SIZES, st.integers(2, 6),
+              st.integers(0, 8)),
+    st.tuples(st.just("free"), st.integers(0, 63)),
+    st.tuples(st.just("set_device"), st.integers(0, 1)),
+)
+
+
+def _live_runtime():
+    """A session holding ``OLDER``, one of them an object."""
+    session = CracSession(seed=0, n_gpus=2)
+    b = session.backend
+    session.older = [(op, getattr(b, op)(n)) for op, n in OLDER]
+    b.device_view(session.older[1][1], 16)[:] = 7
+    return session
+
+
+def _irregular_log(script) -> list[LogEntry]:
+    """The log ``script`` records on a live runtime, past ``OLDER``."""
+    session = _live_runtime()
+    b = session.backend
+    start = len(b.log)
+    live = list(session.older)
+    frees = {"malloc": b.free, "malloc_managed": b.free,
+             "malloc_host": b.free_host, "host_alloc": b.free_host}
+    for step in script:
+        if step[0] == "free":
+            if live:
+                op, ptr = live.pop(step[1] % len(live))
+                frees[op](ptr)
+        elif step[0] == "set_device":
+            b.set_device(step[1])
+        elif step[0] == "run":
+            _, op, nbytes, count, switch = step
+            for k in range(count):
+                if k == switch:
+                    b.set_device(1 - b.get_device())
+                live.append((op, getattr(b, op)(nbytes)))
+        else:
+            op, nbytes = step
+            live.append((op, getattr(b, op)(nbytes)))
+    return list(b.log.entries[start:])
+
+
+@settings(max_examples=120, deadline=None)
+@given(script=st.lists(STEPS, min_size=1, max_size=40),
+       diverge=st.none() | st.integers(0, 1 << 10), strict=st.booleans())
+def test_irregular_logs_replay_in_bulk_like_per_call(script, diverge, strict):
+    """Unequal device, pinned and managed allocations, runs among them,
+    frees of this log's allocations and of older ones (rows and an
+    object), device switches, and an allocation that lands elsewhere
+    than the log says."""
+    entries = _irregular_log(script)
+    allocating = [i for i, e in enumerate(entries)
+                  if e.op in ("malloc", "malloc_host", "malloc_managed")]
+    if diverge is not None and allocating:
+        k = allocating[diverge % len(allocating)]
+        entries[k] = entries[k]._replace(addr=0xDEAD_0000)
+    assert_parity(lambda: _live_runtime().split, entries, strict=strict)
 
 
 # -- restart counts the same calls in both modes -----------------------------

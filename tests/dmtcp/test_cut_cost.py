@@ -41,7 +41,7 @@ def _cut(session, store, mode, parent):
 def _accounted_allocations(image) -> int:
     """Live allocations the image accounts for: its explicit entries plus
     the buffers in its never-built record."""
-    never_built = image.blob("crac/never-built")["uids"]
+    never_built = image.blob("crac/never-built").uids
     return len(image.blob("crac/buffers")) + len(never_built)
 
 

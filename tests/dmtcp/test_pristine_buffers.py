@@ -103,7 +103,7 @@ def run_case(family: str, case: str) -> dict:
     recorded = []
     for img in (base, inc1, inc2):
         record = img.blobs.get("crac/never-built")
-        if record is not None and p in record.payload["uids"]:
+        if record is not None and p in record.payload.uids:
             recorded.append("never-built")
         elif p in img.blob("crac/buffers"):
             recorded.append("entry")
