@@ -243,6 +243,16 @@ SCENARIOS: tuple[PlantedScenario, ...] = (
         ),
     ),
     PlantedScenario(
+        "alloc-churn-never-logged",
+        "wiring/unlogged-alloc",
+        _tree(
+            repro__core__trampoline_py=_TRAMPOLINE + '''
+    def malloc_free_run(self, nbytes, n):
+        self.runtime.malloc_free_run(nbytes, n)
+''',
+        ),
+    ),
+    PlantedScenario(
         "alloc-run-logs-op-replay-cannot-handle",
         "wiring/log-op-unreplayed",
         _tree(
@@ -429,6 +439,17 @@ def check_addr(addr)
         addrs = self.runtime.malloc_run(nbytes, n)
         self._log_run("malloc", nbytes, addrs, 0)
         return addrs
+''',
+        ),
+    ),
+    PlantedScenario(
+        "alloc-churn-logged-in-bulk",
+        None,
+        _tree(
+            repro__core__trampoline_py=_TRAMPOLINE + '''
+    def malloc_free_run(self, nbytes, n):
+        addrs = self.runtime.malloc_free_run(nbytes, n)
+        self._log_run("malloc", nbytes, addrs, 0, freed=True)
 ''',
         ),
     ),

@@ -51,7 +51,8 @@ _ARENA_OPS = {"alloc", "free"}
 
 _ALLOC_METHOD_RE = re.compile(r"^(malloc|free|host_alloc)")
 #: the trampoline's replay-log writers: one call, or a run of equal
-#: calls (``self._log_run("op", nbytes, addrs, device)``)
+#: calls or of churn pairs (``self._log_run("op", nbytes, addrs,
+#: device)``, with ``freed=True`` for pairs)
 _LOG_WRITERS = {"_log", "_log_run"}
 
 

@@ -71,11 +71,13 @@ class RodiniaApp(CudaApp):
         )
         def churn(remaining: int) -> None:
             # Reproduce the alloc/free churn of the fast-forwarded
-            # iterations (state effects only; cost was extrapolated).
+            # iterations (state effects only; cost was extrapolated):
+            # the pairs cross once, and a pair that lands where the one
+            # before it did costs only its two log entries.
             with backend.prepaid_calls():
-                for _ in range(remaining * self.CHURN_PER_ITER):
-                    p = backend.malloc(self.CHURN_BYTES)
-                    backend.free(p)
+                backend.malloc_free_run(
+                    self.CHURN_BYTES, remaining * self.CHURN_PER_ITER
+                )
 
         loop = TimedLoop(
             ctx, iters, measure=self.MEASURE,

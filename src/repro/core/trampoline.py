@@ -24,16 +24,17 @@ A crossing is one Python frame on the host: :meth:`CracBackend._dispatch`
 (or ``_dispatch_batch`` for a launch's three calls) counts, charges both
 fs switches inline and notifies only an armed coordinator, and
 :meth:`CracBackend._log` appends and charges the log record itself. A
-run of equal allocation calls (``malloc_run``/``free_run``) crosses
-once: the runtime makes it in bulk and :meth:`CracBackend._log_run`
-accounts and logs every call of it in one frame.
+run of allocation calls crosses once: the runtime makes it in bulk, and
+:meth:`CracBackend._log_run` logs and accounts every call of it in one
+frame: ``malloc_run``'s and ``free_run``'s equal calls, or
+``malloc_free_run``'s churn pairs. The log is the state: a churn pair
+that lands where the one before it did costs its two log entries
+(shared tuples) and its accounting, nothing more.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import chain, repeat
-from operator import add
+from itertools import chain, cycle, islice, repeat
 from typing import Sequence
 
 import numpy as np
@@ -209,44 +210,65 @@ class CracBackend(CudaDispatchBase):
             proc.clock_ns += ns
 
     def _log_run(
-        self, op: str, nbytes: int, addrs: Sequence[int], device: int = 0
+        self, op: str, nbytes: int, addrs: Sequence[int], device: int = 0,
+        *, freed: bool = False,
     ) -> None:
         """Account ``len(addrs)`` calls of one allocation-family entry
         point made in bulk, in one frame: what one :meth:`_dispatch` and
-        one :meth:`_log` per call leave. The calls are counted (and
-        counted toward an armed checkpoint, which they must stop short
-        of), each call's two fs switches, crossing and log record are
-        added to the clock in per-call order (so it is bit-equal), and
-        one log entry per address is appended. Traced, each call still
-        gets its own span and hook charge, between its crossing and its
-        log record, as :meth:`_dispatch` gives it."""
+        one :meth:`_log` per call leave. With ``freed``, each call is a
+        malloc followed by the cudaFree of its address (a churn pair of
+        ``malloc_free_run``), so two calls and two entries per address,
+        and pairs at one address share their two entry tuples.
+
+        The calls are counted (and counted toward an armed checkpoint,
+        which they must stop short of), each call's two fs switches,
+        crossing and log record are added to the clock in per-call order
+        (so it is bit-equal), and the entries are appended. Traced, each
+        call still gets its own span and hook charge, between its
+        crossing and its log record, as :meth:`_dispatch` gives it."""
         n = len(addrs)
         if not n:
             return
-        self.log.entries.extend(map(_new_tuple, repeat(LogEntry), zip(
-            repeat(op), repeat(nbytes), addrs, repeat(device),
-        )))
+        entries = self.log.entries
+        if freed:
+            pairs = {
+                addr: (
+                    _new_tuple(LogEntry, (op, nbytes, addr, device)),
+                    _new_tuple(LogEntry, ("free", 0, addr, 0)),
+                )
+                for addr in set(addrs)
+            }
+            entries.extend(chain.from_iterable(map(pairs.__getitem__, addrs)))
+            names = (_RUN_CALLS[op], "cudaFree")
+        else:
+            entries.extend(map(_new_tuple, repeat(LogEntry), zip(
+                repeat(op), repeat(nbytes), addrs, repeat(device),
+            )))
+            names = (_RUN_CALLS[op],)
         if self._prepaid_depth:
             return  # entries only, as _dispatch and _log do while prepaid
-        name = _RUN_CALLS[op]
-        self.call_counter[name] += n
+        counter = self.call_counter
+        for name in names:
+            counter[name] += n
+        calls = n * len(names)
         proc = self.process
-        proc.fs_switch_count += 2 * n
+        proc.fs_switch_count += 2 * calls
         if proc.fsgsbase:
             fs_ns = WRFSBASE_NS
         else:
             fs_ns = SYSCALL_NS
-            proc.syscall_count += 2 * n
+            proc.syscall_count += 2 * calls
         costs = self.costs
         body_ns = costs.trampoline_body_ns + costs.native_dispatch_ns
         log_ns = costs.log_record_ns
         tracer = self.tracer
         if tracer is None:
-            proc.clock_ns = reduce(add, chain.from_iterable(
-                repeat((fs_ns, body_ns, fs_ns, log_ns), n)
-            ), proc.clock_ns)
+            clock = proc.clock_ns
+            for _ in repeat(None, calls):
+                clock = clock + fs_ns + body_ns + fs_ns + log_ns
+            proc.clock_ns = clock
         else:
-            for _ in range(n):
+            for name in islice(cycle(names), calls):
                 t0 = proc.clock_ns
                 t1 = proc.clock_ns = t0 + fs_ns + body_ns + fs_ns
                 tracer.on_api_call(
@@ -260,7 +282,7 @@ class CracBackend(CudaDispatchBase):
         thread.fs_base = self._upper_fs
         coordinator = self.coordinator
         if coordinator is not None and coordinator.trigger_at_call is not None:
-            coordinator.notify_calls(n)
+            coordinator.notify_calls(calls)
 
     def _bulk_ok(self) -> bool:
         """Whether a run may cross in bulk: with costs that cannot raise
@@ -382,6 +404,26 @@ class CracBackend(CudaDispatchBase):
             return freed
 
         self._run(len(addrs), bulk, lambda i: self.free(addrs[i]))
+
+    def malloc_free_run(self, nbytes: int, n: int) -> None:
+        # As malloc_run, a pair at a time: an armed checkpoint's pair
+        # (its malloc or its free fires it) goes through malloc and free.
+        if not self._bulk_ok():
+            return CudaDispatchBase.malloc_free_run(self, nbytes, n)
+
+        def bulk(i: int, k: int) -> int:
+            runtime = self.runtime
+            k = self._calls_before_cut(2 * k) // 2
+            made = runtime.malloc_free_run(nbytes, k) if k else []
+            self._log_run(
+                "malloc", nbytes, made, runtime.current_device, freed=True
+            )
+            if self.virtualize_addresses:
+                # One fresh pointer per malloc, dropped by its free.
+                self._virt_cursor += len(made) * ((nbytes + 0xFFF) & ~0xFFF)
+            return len(made)
+
+        self._run(n, bulk, lambda i: self.free(self.malloc(nbytes)))
 
     def malloc_host(self, nbytes: int) -> int:
         self._dispatch("cudaMallocHost", payload_bytes=16)

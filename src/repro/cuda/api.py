@@ -28,9 +28,9 @@ from __future__ import annotations
 import itertools
 import re
 import zlib
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import groupby, islice, repeat
+from itertools import chain, groupby, islice, repeat
 from operator import eq, itemgetter
 from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
@@ -89,8 +89,7 @@ _REPEATS = re.compile(rb"\x01+")
 
 def _allocation_runs(entries: Sequence[tuple]) -> list[tuple[int, int]]:
     """The ``[start, stop)`` bounds of each run of two or more equal
-    consecutive allocations in ``entries``, in log order, then
-    ``(n, n)``.
+    consecutive allocations in ``entries``, in log order.
 
     Found with C-level passes that make no object per entry: stretches
     of one size first, then, in each, one op and one device.
@@ -109,7 +108,35 @@ def _allocation_runs(entries: Sequence[tuple]) -> list[tuple[int, int]]:
             if n > 1 and spec[0] in _ALLOCATING:
                 bounds.append((start, start + n))
             start += n
-    bounds.append((len(sizes), len(sizes)))
+    return bounds
+
+
+def _churn_runs(entries: Sequence[tuple]) -> list[tuple[int, int]]:
+    """The ``[start, stop)`` bounds of each stretch of two or more equal
+    churn pairs in ``entries``, in log order: a ``("malloc", B, A, d)``
+    entry and its ``("free", 0, A, 0)``, back to back, again and again.
+
+    Found with C-level passes that make no object per entry: stretches
+    of one address first (a churn that lands where it started repeats
+    its address), then, in each, the pairs that repeat the first.
+    """
+    addrs = list(map(_ENTRY_ADDR, entries))
+    bounds = []
+    for m in _REPEATS.finditer(bytes(map(eq, addrs, islice(addrs, 1, None)))):
+        start, stop = m.start(), m.end() + 1
+        while stop - start >= 4:
+            malloc = entries[start]
+            if malloc[0] != "malloc" or entries[start + 1] != (
+                "free", 0, malloc[2], 0
+            ):
+                start += 1  # e.g. the free of an earlier allocation here
+                continue
+            stretch = entries[start:stop]
+            repeats = bytes(map(eq, stretch, islice(stretch, 2, None)))
+            pairs = (len(repeats) - len(repeats.lstrip(b"\x01")) + 2) // 2
+            if pairs > 1:
+                bounds.append((start, start + 2 * pairs))
+            start += 2 * pairs
     return bounds
 
 
@@ -128,7 +155,8 @@ class _ReplayBatch:
 
     The rows (sizes, never-built tables, pinned origins) are written as
     the log goes: :meth:`replay_each` one entry at a time, :meth:`carve`
-    a run of equal allocations with one update per table. The rest of
+    a run of equal allocations with one update per table, :meth:`churn`
+    a stretch of equal malloc/free pairs. The rest of
     the runtime's bookkeeping (the ``api_log`` increments, the current
     device, the next uid, the UVA epoch steps) waits for :meth:`flush`.
     """
@@ -298,6 +326,36 @@ class _ReplayBatch:
             # The next call fails (out of memory, a bad size): the entry
             # point raises.
             self.delegate(getattr(rt, name), nbytes)
+
+    def churn(self, run: Sequence[tuple]) -> None:
+        """Replay ``run``, back-to-back equal pairs of a ``malloc`` and
+        its ``free``: a pair at a time until one leaves its arena's free
+        list as it found it. Every later pair would land where that one
+        did and leave everything as it was, so the rest are counted and
+        the arena makes them in bulk (:meth:`ArenaAllocator.alloc_free_run`,
+        for a sanitizer's hooks)."""
+        rt = self.runtime
+        nbytes, device = run[0][1], run[0][3]
+        allocs = rt._device_allocs
+        if not (rt._entry_ok and 0 <= device < len(allocs)):
+            self.replay_each(run)  # raises at its first entry
+            return
+        arena = allocs[device]
+        pairs = len(run) // 2
+        done = 0
+        while done < pairs:
+            before = arena.free_spans()
+            self.replay_each(run[2 * done:2 * done + 2])
+            done += 1
+            if arena.free_spans() == before:
+                break
+        rest = pairs - done
+        if rest:
+            arena.alloc_free_run(nbytes, rest)
+            self.calls["cudaMalloc"] += rest
+            self.calls["cudaFree"] += rest
+            self.uid += rest
+            self.replayed += 2 * rest
 
     def _set_device(self, device: int) -> None:
         """The ``cudaSetDevice`` before a malloc on another device."""
@@ -685,6 +743,30 @@ class CudaRuntime:
             self.allocations.update(zip(addrs, repeat(nbytes)))
         return addrs
 
+    def malloc_free_run(self, nbytes: int, n: int) -> list[int]:
+        """Make up to ``n`` back-to-back :meth:`cudaMalloc` (``nbytes``) +
+        :meth:`cudaFree` pairs at once; the address of each pair.
+
+        A pair leaves no row behind, so the runtime ends as the same
+        calls made one by one leave it with the arena's
+        :meth:`ArenaAllocator.alloc_free_run`, the ``api_log``
+        increments and the uids the mallocs took. No pair is made where
+        the first call would raise: the caller makes it through
+        :meth:`cudaMalloc`.
+        """
+        if not self._entry_ok:
+            return []
+        addrs = self._device_allocs[self.current_device].alloc_free_run(
+            nbytes, n
+        )
+        made = len(addrs)
+        if made:
+            api_log = self.api_log
+            api_log["cudaMalloc"] += made
+            api_log["cudaFree"] += made
+            self._buffer_uids = itertools.count(next(self._buffer_uids) + made)
+        return addrs
+
     def free_run(self, addrs: Sequence[int]) -> int:
         """Make :meth:`cudaFree` calls on ``addrs`` at once, in order.
 
@@ -694,6 +776,8 @@ class CudaRuntime:
         else (a library that takes no calls, an unknown, freed, managed
         or pinned pointer, another GPU's buffer): the caller re-issues
         that call through :meth:`cudaFree`. Returns how many it freed.
+        Distinct rows on one GPU, the common case, are checked with set
+        operations and dropped with ``map``, with no loop per address.
         """
         if not self._entry_ok:
             return 0
@@ -701,6 +785,17 @@ class CudaRuntime:
         unbuilt = self.unbuilt_device
         allocations = self.allocations
         one_gpu = len(self._device_allocs) == 1
+        if one_gpu and addrs:
+            keys = set(addrs)
+            if (
+                len(keys) == len(addrs) and keys <= unbuilt.keys()
+                and objects.keys().isdisjoint(keys)
+            ):
+                deque(map(unbuilt.__delitem__, addrs), maxlen=0)
+                deque(map(allocations.__delitem__, addrs), maxlen=0)
+                self._device_allocs[0].free_run(addrs)
+                self.api_log["cudaFree"] += len(keys)
+                return len(keys)
         freed: list[DeviceBuffer] = []
         device = None
         n = 0
@@ -853,8 +948,11 @@ class CudaRuntime:
         raises the same errors at the same entry. Each run of equal
         consecutive allocations (same op, size and device) is carved with
         one :meth:`ArenaAllocator.alloc_run` and its rows written with one
-        update per table, and each of its addresses is checked. The other
-        entries go through one loop that writes an allocation's row, or
+        update per table, and each of its addresses is checked. Each
+        stretch of equal churn pairs (a ``malloc`` and its ``free``, back
+        to back) is replayed a pair at a time until its arena is back
+        where it started, and the rest of it is counted in bulk. The
+        other entries go through one loop that writes an allocation's row, or
         frees a row (arena work and two deletes), as it goes. Anything
         else (a free of an object, a call the entry point rejects) goes
         through the entry point, on bookkeeping brought up to date.
@@ -868,13 +966,23 @@ class CudaRuntime:
         that map.
         """
         batch = _ReplayBatch(self, strict)
+        runs = sorted(chain(
+            zip(_allocation_runs(entries), repeat(batch.carve)),
+            zip(_churn_runs(entries), repeat(batch.churn)),
+        ), key=itemgetter(0))
         pos = 0
         try:
-            for start, stop in _allocation_runs(entries):
+            for (start, stop), replay in runs:
+                if start < pos:
+                    # A churn whose first malloc ended an allocation run:
+                    # it starts a pair later.
+                    start += 2
+                    if stop - start < 4:
+                        continue
                 batch.replay_each(entries[pos:start])
-                if start < stop:
-                    batch.carve(entries[start:stop])
+                replay(entries[start:stop])
                 pos = stop
+            batch.replay_each(entries[pos:])
         finally:
             batch.flush()
         return ReplayResult(

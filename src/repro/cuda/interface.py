@@ -18,13 +18,15 @@ upper→lower calls. A kernel launch counts as **three** calls
 counter (:func:`repro.harness.metrics.total_calls_formula` recomputes it
 the paper's way).
 
-A run of equal allocation calls has its own entry points:
+A run of allocation calls has its own entry points:
 :meth:`~CudaDispatchBase.malloc_run` makes ``n`` equal ``cudaMalloc``
-calls and :meth:`~CudaDispatchBase.free_run` frees a list in order. They
-count, charge and fail exactly as the per-call loop does. The base
-class makes that loop, which the proxies keep; the native and CRAC
-backends cross once per run, and drop to the per-call entry point for a
-call the bulk path does not take (see :meth:`CudaDispatchBase._run`).
+calls, :meth:`~CudaDispatchBase.free_run` frees a list in order, and
+:meth:`~CudaDispatchBase.malloc_free_run` makes ``n`` back-to-back
+``cudaMalloc`` + ``cudaFree`` pairs (allocation churn). They count,
+charge and fail exactly as the per-call loop does. The base class makes
+that loop, which the proxies keep; the native and CRAC backends cross
+once per run, and drop to the per-call entry points for a call the bulk
+path does not take (see :meth:`CudaDispatchBase._run`).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from functools import reduce
-from itertools import repeat
+from itertools import cycle, islice, repeat
 from operator import add
 from typing import Callable, Iterable, Sequence
 
@@ -246,6 +248,14 @@ class CudaDispatchBase:
         as one :meth:`free` per address (see :meth:`malloc_run`)."""
         for addr in addrs:
             self.free(addr)
+
+    def malloc_free_run(self, nbytes: int, n: int) -> None:
+        """``n`` back-to-back cudaMalloc(nbytes) + cudaFree pairs, each
+        freeing the pointer its malloc returned: the same as one
+        :meth:`malloc` and one :meth:`free` per pair (see
+        :meth:`malloc_run`)."""
+        for _ in range(n):
+            self.free(self.malloc(nbytes))
 
     def _run(self, n: int, bulk: Callable[[int, int], int],
              one: Callable[[int], None]) -> None:
@@ -557,21 +567,24 @@ class NativeBackend(CudaDispatchBase):
     def _charge_batch(self, calls) -> None:
         self.process.advance(len(calls) * self.costs.native_dispatch_ns)
 
-    def _charge_run(self, name: str, n: int) -> None:
-        """Count and charge ``n`` calls made in bulk, each as its own
-        :meth:`_dispatch` would: the clock sums one dispatch at a time,
-        so it is bit-equal to ``n`` per-call charges, and a traced call
-        still gets its own span."""
+    def _charge_run(self, names: tuple[str, ...], n: int) -> None:
+        """Count and charge ``n`` repeats of the calls ``names`` made in
+        bulk, each as its own :meth:`_dispatch` would: the clock sums one
+        dispatch at a time, so it is bit-equal to the per-call charges,
+        and a traced call still gets its own span."""
         if self._prepaid_depth or not n:
             return
-        self.call_counter[name] += n
+        counter = self.call_counter
+        for name in names:
+            counter[name] += n
         proc = self.process
         ns = self.costs.native_dispatch_ns
+        calls = n * len(names)
         tracer = self.tracer
         if tracer is None:
-            proc.clock_ns = reduce(add, repeat(ns, n), proc.clock_ns)
+            proc.clock_ns = reduce(add, repeat(ns, calls), proc.clock_ns)
             return
-        for _ in range(n):
+        for name in islice(cycle(names), calls):
             t0 = proc.clock_ns
             t1 = proc.clock_ns = t0 + ns
             tracer.on_api_call(
@@ -591,12 +604,23 @@ class NativeBackend(CudaDispatchBase):
 
         def bulk(i: int, k: int) -> int:
             made = self.runtime.malloc_run(nbytes, k)
-            self._charge_run("cudaMalloc", len(made))
+            self._charge_run(("cudaMalloc",), len(made))
             addrs.extend(made)
             return len(made)
 
         self._run(n, bulk, lambda i: addrs.append(self.malloc(nbytes)))
         return addrs
+
+    def malloc_free_run(self, nbytes: int, n: int) -> None:
+        if not self._bulk_ok():
+            return CudaDispatchBase.malloc_free_run(self, nbytes, n)
+
+        def bulk(i: int, k: int) -> int:
+            made = len(self.runtime.malloc_free_run(nbytes, k))
+            self._charge_run(("cudaMalloc", "cudaFree"), made)
+            return made
+
+        self._run(n, bulk, lambda i: self.free(self.malloc(nbytes)))
 
     def free_run(self, addrs: Sequence[int]) -> None:
         if not self._bulk_ok():
@@ -605,7 +629,7 @@ class NativeBackend(CudaDispatchBase):
 
         def bulk(i: int, k: int) -> int:
             freed = self.runtime.free_run(addrs[i:i + k])
-            self._charge_run("cudaFree", freed)
+            self._charge_run(("cudaFree",), freed)
             return freed
 
         self._run(len(addrs), bulk, lambda i: self.free(addrs[i]))

@@ -17,7 +17,9 @@ computes from its own loader registry — and saves the remainder.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from repro.dmtcp.forked import ForkedCheckpoint, commit
@@ -34,21 +36,45 @@ if TYPE_CHECKING:  # avoid a dmtcp → harness import cycle at runtime
 def _subtract_ranges(
     span: tuple[int, int], skips: list[tuple[int, int]]
 ) -> list[tuple[int, int]]:
-    """Remove skip ranges from ``span``; returns surviving (start, end) parts."""
-    parts = [span]
-    for s_start, s_size in skips:
-        s_end = s_start + s_size
-        new: list[tuple[int, int]] = []
-        for lo, hi in parts:
-            if s_end <= lo or s_start >= hi:
-                new.append((lo, hi))
-                continue
-            if lo < s_start:
-                new.append((lo, s_start))
-            if s_end < hi:
-                new.append((s_end, hi))
-        parts = new
+    """Remove skip ranges (``(start, size)``, in any order) from
+    ``span``; returns the surviving (start, end) parts in address order.
+    A part ends where a skip starts inside it, so an empty skip splits
+    the part it falls in."""
+    cur, end = span
+    parts: list[tuple[int, int]] = []
+    for s_start, s_size in sorted(skips):
+        if s_start >= end:
+            break
+        if s_start > cur:
+            parts.append((cur, s_start))
+        cur = max(cur, s_start + s_size)
+    if cur < end:
+        parts.append((cur, end))
     return parts
+
+
+def _split_pages(
+    pages: dict[int, bytes], start: int, parts: list[tuple[int, int]]
+) -> list[dict[int, bytes]]:
+    """Split a region's snapshot (page index from ``start`` → bytes)
+    among ``parts``, each re-keyed from its part's first page, in one
+    pass that keeps the snapshot's order. A page in no part is dropped.
+    The snapshot itself is the one part's pages when that part is the
+    whole region and holds every page."""
+    if len(parts) == 1 and parts[0][0] == start:
+        n_pages = -(-(parts[0][1] - start) // PAGE_SIZE)
+        if not pages or (min(pages) >= 0 and max(pages) < n_pages):
+            return [pages]
+    # page index bounds of each part, and the shift of its keys
+    firsts = [-(-(lo - start) // PAGE_SIZE) for lo, _ in parts]
+    stops = [-(-(hi - start) // PAGE_SIZE) for _, hi in parts]
+    shifts = [(lo - start) // PAGE_SIZE for lo, _ in parts]
+    out: list[dict[int, bytes]] = [{} for _ in parts]
+    for pg, data in pages.items():
+        i = bisect_right(firsts, pg) - 1
+        if i >= 0 and pg < stops[i]:
+            out[i][pg - shifts[i]] = data
+    return out
 
 
 #: Where a stage's cost lands: the application clock, the background
@@ -202,7 +228,10 @@ class DmtcpCheckpointer:
         # Plugin veto ranges are not guaranteed page-aligned, but both
         # the dirty-page bookkeeping and restore's MAP_FIXED mmap work in
         # whole pages: expand every skip outward to page boundaries (skip
-        # granularity is the page, like DMTCP's).
+        # granularity is the page, like DMTCP's). Sorted once per cut,
+        # so each region finds the skips that may touch it by bisect:
+        # those that start before its end, from the first whose reach
+        # (the furthest end so far) passes its start.
         skips: list[tuple[int, int]] = []
         for plugin in self.plugins:
             for s_start, s_size in plugin.skip_ranges():
@@ -210,39 +239,38 @@ class DmtcpCheckpointer:
                 hi = s_start + s_size
                 hi = (hi + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
                 skips.append((lo, hi - lo))
+        skips.sort()
+        skip_starts = [s_start for s_start, _ in skips]
+        reach = list(accumulate((lo + size for lo, size in skips), max))
 
         t_regions = proc.clock_ns
         for region in proc.vas.regions():
             if self.fault_injector is not None:
                 self.fault_injector.check("region-save", region.tag)
             cut.charge("save-regions", self.costs.ckpt_region_ns)
-            snapshot = (
-                region.dirty_pages_snapshot()
-                if incremental
-                else region.pages_snapshot()
-            )
             r_start, r_end = region.start, region.end
-            vetoed = [
-                (s_start, s_size) for s_start, s_size in skips
-                if s_start < r_end and r_start < s_start + s_size
-            ]
-            for lo, hi in _subtract_ranges((r_start, r_end), vetoed):
-                shift = (lo - region.start) // PAGE_SIZE
-                pages = {
-                    pg - shift: data
-                    for pg, data in snapshot.items()
-                    if lo <= region.start + pg * PAGE_SIZE < hi
-                }
-                image.add_region(
-                    SavedRegion(
-                        start=lo,
-                        size=hi - lo,
-                        perms=region.perms,
-                        tag=region.tag,
-                        pages=pages,
-                        incremental=incremental,
-                    )
+            parts = _subtract_ranges((r_start, r_end), skips[
+                bisect_right(reach, r_start):bisect_left(skip_starts, r_end)
+            ])
+            if parts:  # a region the skips cover entirely copies no page
+                snapshot = (
+                    region.dirty_pages_snapshot()
+                    if incremental
+                    else region.pages_snapshot()
                 )
+                for (lo, hi), pages in zip(
+                    parts, _split_pages(snapshot, r_start, parts)
+                ):
+                    image.add_region(
+                        SavedRegion(
+                            start=lo,
+                            size=hi - lo,
+                            perms=region.perms,
+                            tag=region.tag,
+                            pages=pages,
+                            incremental=incremental,
+                        )
+                    )
             image.record_region_capture(
                 region, frozenset(region.dirty), region.write_seq
             )

@@ -17,6 +17,7 @@ Two paper-critical behaviours live here:
 from __future__ import annotations
 
 import bisect
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import attrgetter
@@ -415,6 +416,7 @@ class _FreeBlock:
 #: sort key of the arena free list
 _block_start = attrgetter("start")
 _block_size = attrgetter("size")
+_block_span = attrgetter("start", "size")
 
 
 class ArenaAllocator:
@@ -537,6 +539,46 @@ class ArenaAllocator:
                     self.sanitizer.on_arena_alloc(self, addr, need)
         return out
 
+    def alloc_free_run(self, nbytes: int, count: int) -> list[int]:
+        """Make ``count`` back-to-back :meth:`alloc` + :meth:`free` pairs
+        of ``nbytes``; the address of each pair.
+
+        A pair is a function of the free list: pairs are made one at a
+        time until one leaves the free list as it found it (the first,
+        unless it grew the arena or coalesced blocks that touched), and
+        every later pair lands at that pair's address and leaves
+        everything as it was, so only their sanitizer hooks are made.
+        The run is empty where its first call would raise (a
+        non-positive size, out of memory): the caller makes that call
+        through :meth:`alloc` to raise its error.
+        """
+        if nbytes <= 0:
+            return []
+        need = (nbytes + ALLOC_ALIGN - 1) & ~(ALLOC_ALIGN - 1)
+        # A pair gives back what it takes: each call passes this check
+        # if the first does.
+        if self._active_bytes + need > self.capacity:
+            return []
+        out: list[int] = []
+        while len(out) < count:
+            before = self.free_spans()
+            addr = self.alloc(nbytes)
+            self.free(addr)
+            out.append(addr)
+            if self.free_spans() == before:
+                rest = count - len(out)
+                out += [addr] * rest
+                if self.sanitizer is not None:
+                    for _ in range(rest):
+                        self.sanitizer.on_arena_alloc(self, addr, need)
+                        self.sanitizer.on_arena_free(self, addr, need)
+                break
+        return out
+
+    def free_spans(self) -> list[tuple[int, int]]:
+        """``(start, size)`` of each free block, in address order."""
+        return list(map(_block_span, self._free))
+
     def _grow(self, arena_size: int) -> None:
         """Map one more arena (and its bookkeeping pages) into the free
         list."""
@@ -560,9 +602,16 @@ class ArenaAllocator:
                 "INVALID_DEVICE_POINTER", f"cudaFree of unknown pointer {addr:#x}"
             )
         self._active_bytes -= size
-        # _insert_free inlined, coalescing in place: a freed block that
-        # touches a free neighbour grows (or moves) that neighbour and
-        # builds no _FreeBlock. The free list ends up the same.
+        self._release(addr, size)
+        if self.sanitizer is not None:
+            self.sanitizer.on_arena_free(self, addr, size)
+        return size
+
+    def _release(self, addr: int, size: int) -> None:
+        """Return ``[addr, addr+size)`` to the free list, coalescing in
+        place: :meth:`_insert_free`'s free list, but a block that touches
+        a free neighbour grows (or moves) that neighbour and builds no
+        _FreeBlock."""
         free = self._free
         i = bisect.bisect_left(free, addr, key=_block_start)
         end = addr + size
@@ -578,9 +627,6 @@ class ArenaAllocator:
             right.size += size
         else:
             free.insert(i, _FreeBlock(addr, size))
-        if self.sanitizer is not None:
-            self.sanitizer.on_arena_free(self, addr, size)
-        return size
 
     def free_run(self, addrs: Sequence[int]) -> int:
         """Release ``addrs`` in order at once: the free list, active map
@@ -590,8 +636,27 @@ class ArenaAllocator:
         The run stops short at the first address that is not active (the
         call that would raise): the caller re-issues that call through
         :meth:`free` to raise its error. Returns how many it released.
+
+        An ascending, contiguous stretch of equal blocks (a run as
+        :meth:`alloc_run` carves it) is freed as one block: its frees
+        only ever merge with each other and with the free neighbours of
+        its two ends, as the one block does.
         """
         active = self.active
+        n = len(addrs)
+        size = active.get(addrs[0]) if n else None
+        if (
+            size is not None
+            and addrs == list(range(addrs[0], addrs[0] + n * size, size))
+            and list(map(active.get, addrs)).count(size) == n
+        ):
+            deque(map(active.__delitem__, addrs), maxlen=0)
+            self._active_bytes -= n * size
+            self._release(addrs[0], n * size)
+            if self.sanitizer is not None:
+                for addr in addrs:
+                    self.sanitizer.on_arena_free(self, addr, size)
+            return n
         freed: list[tuple[int, int, None]] = []
         total = 0
         for addr in addrs:

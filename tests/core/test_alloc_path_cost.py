@@ -7,9 +7,9 @@ allocation creates carry no per-instance ``__dict__``, the replay log is
 a list of plain tuples that survives an image's export, one warm
 ``malloc``, ``free``, launch, memset or memcpy through the trampoline
 stays within a fixed budget of Python-level calls, a run of equal
-mallocs or frees stays within one budget whatever its length (plus the
-buffer objects), and so does each never-written ``cudaMalloc`` that
-restart replays. A blown budget prints the frames it entered, per
+mallocs or frees, or of malloc/free churn pairs, stays within one
+budget whatever its length, and so does each never-written
+``cudaMalloc`` that restart replays. A blown budget prints the frames it entered, per
 qualified name.
 """
 
@@ -47,6 +47,11 @@ RESTART_MALLOC_CALL_BUDGET = 1
 #: frame, whatever ``n`` is (one ``malloc`` or ``free`` per call before
 #: the run API, ``CALL_BUDGET`` each)
 RUN_CALL_BUDGET = 9
+#: Python-level calls one warm ``malloc_free_run(256, n)`` may make,
+#: whatever ``n`` is: the crossing, the runtime, the arena's first pair
+#: (its alloc, free and two free-list snapshots) and one log frame (two
+#: ``CALL_BUDGET`` crossings per pair before the churn crossed once)
+CHURN_CALL_BUDGET = 14
 
 
 def test_warm_malloc_and_free_stay_within_call_budget():
@@ -116,6 +121,23 @@ def test_alloc_runs_stay_within_call_budget(n):
         free_frames
     )
     assert session.backend.call_counter["cudaMalloc"] == n + 1
+    assert not session.runtime.allocations
+
+
+@pytest.mark.parametrize("prepaid", [False, True], ids=["charged", "prepaid"])
+@pytest.mark.parametrize("n", [10, 10_000])
+def test_churn_stays_within_call_budget(n, prepaid):
+    session = CracSession(seed=3)
+    backend = session.backend
+    backend.free(backend.malloc(256))  # warm: the arena exists
+    if prepaid:
+        with backend.prepaid_calls():
+            _, frames = python_frames(backend.malloc_free_run, 256, n)
+    else:
+        _, frames = python_frames(backend.malloc_free_run, 256, n)
+    assert sum(frames.values()) <= CHURN_CALL_BUDGET, call_breakdown(frames)
+    assert len(backend.log) == 2 + 2 * n
+    assert backend.call_counter["cudaFree"] == 1 + (0 if prepaid else n)
     assert not session.runtime.allocations
 
 

@@ -1,9 +1,10 @@
 """Exact parity of the run API with the per-call loop it replaces.
 
 ``malloc_run(nbytes, n)`` and ``free_run(addrs)`` make a run of equal
-cudaMalloc-family calls in one crossing. Every scenario here runs on two
-twin sessions, once through the run API and once through one ``malloc``
-or ``free`` per call, and every observable of
+cudaMalloc-family calls in one crossing, and ``malloc_free_run(nbytes,
+n)`` makes ``n`` malloc/free churn pairs in one. Every scenario here
+runs on two twin sessions, once through the run API and once through one
+``malloc`` or ``free`` per call, and every observable of
 :func:`tests.core.test_alloc_path_parity._state` must be equal: the
 clock's exact ``repr``, the syscall and fs-switch counters, the dispatch
 and library call counts, the replay log, the buffers and the arenas. So
@@ -20,6 +21,7 @@ from repro.core.halves import SplitProcess
 from repro.cuda.interface import CudaDispatchBase, NativeBackend
 from repro.dmtcp.store import CheckpointStore
 from repro.errors import CudaError
+from repro.gpu.memory import _FreeBlock
 from repro.gpu.timing import DEFAULT_HOST_COSTS
 from repro.proxy.crum import CrumBackend
 from repro.sanitizer import Sanitizer
@@ -39,6 +41,11 @@ class PerCall:
         for addr in addrs:
             b.free(addr)
 
+    @staticmethod
+    def malloc_free_run(b, nbytes, n):
+        for _ in range(n):
+            b.free(b.malloc(nbytes))
+
 
 class Run:
     """The run API itself."""
@@ -50,6 +57,10 @@ class Run:
     @staticmethod
     def free_run(b, addrs):
         b.free_run(addrs)
+
+    @staticmethod
+    def malloc_free_run(b, nbytes, n):
+        b.malloc_free_run(nbytes, n)
 
 
 def _code(call, *args):
@@ -313,3 +324,229 @@ def test_restart_latest_of_a_run_built_log():
 
     run, per_call = _twins(scenario)
     assert run == per_call
+
+
+# -- malloc_free_run: allocation churn ---------------------------------------
+
+
+def _churned(session, api):
+    """Churn on a fresh arena (its first pair grows it), beside live
+    allocations, in a hole, at other sizes, and into a built buffer's
+    neighbourhood."""
+    b = session.backend
+    api.malloc_free_run(b, 4096, 30)
+    keep = api.malloc_run(b, 4096, 4)
+    b.memset(keep[2], 3, 4096)
+    api.malloc_free_run(b, 4096, 25)
+    b.free(keep[1])
+    api.malloc_free_run(b, 4096, 17)  # in the hole keep[1] left
+    api.malloc_free_run(b, 768, 9)
+    api.malloc_free_run(b, 1 << 20, 3)
+    return keep
+
+
+@pytest.mark.parametrize("costs", [DEFAULT_HOST_COSTS, FRACTIONAL],
+                         ids=["default", "fractional"])
+@pytest.mark.parametrize("fsgsbase", [False, True])
+def test_churn_matches_per_call(fsgsbase, costs):
+    run, per_call = _twins(_churned, fsgsbase=fsgsbase, costs=costs)
+    assert run == per_call
+    assert run["state"]["call_counter"] == [
+        ("cudaFree", 85), ("cudaMalloc", 88), ("cudaMemset", 1),
+    ]
+
+
+def test_prepaid_churn_matches_per_call():
+    def scenario(session, api):
+        with session.backend.prepaid_calls():
+            return _churned(session, api)
+
+    run, per_call = _twins(scenario)
+    assert run == per_call
+    assert run["state"]["call_counter"] == []
+    assert len(run["state"]["log"]) == 2 * 84 + 5
+
+
+#: call indexes, counted from arming, of a malloc and of a free in the
+#: middle of a 20-pair churn, and of its first and last call
+ARMED_CHURN = {"first-malloc": 2, "malloc": 14, "free": 21, "last-free": 41}
+
+
+@pytest.mark.parametrize("where", sorted(ARMED_CHURN))
+def test_armed_checkpoint_fires_inside_a_churn(where):
+    def scenario(session, api):
+        b = session.backend
+        keep = b.malloc(512)
+        session.coordinator.schedule_checkpoint_at_call(ARMED_CHURN[where])
+        b.free(b.malloc(2048))
+        api.malloc_free_run(b, 512, 20)
+        b.free(keep)
+
+    run, per_call = _twins(scenario)
+    assert len(run["images"]) == 1
+    assert run == per_call
+
+
+def test_traced_churn_spans_match_per_call():
+    spans = []
+    for api in (Run, PerCall):
+        session = CracSession(seed=5, costs=FRACTIONAL)
+        tracer = session.enable_trace()
+        _churned(session, api)
+        spans.append(([(s.name, s.start_ns, s.end_ns, s.args)
+                       for s in tracer.spans], _state(session),
+                      repr(tracer.overhead_ns)))
+    assert spans[0] == spans[1]
+    assert [s[0] for s in spans[0][0][:4]] == [
+        "cudaMalloc", "cudaFree", "cudaMalloc", "cudaFree",
+    ]
+
+
+def test_virtualized_churn_matches_per_call():
+    def scenario(session, api):
+        b = session.backend
+        keep = _churned(session, api)
+        return keep, sorted(b._v2r.items()), b._virt_cursor
+
+    run, per_call = _twins(scenario, address_virtualization=True)
+    assert run == per_call
+    # one fresh pointer per malloc, the three kept ones still translated
+    assert len(run["result"][1]) == 3
+
+
+def test_sanitizer_sees_the_same_churn_hooks():
+    def scenario(session, api):
+        sanitizer = session.enable_sanitizer(HookLog())
+        _churned(session, api)
+        return sanitizer.hooks, [
+            (f.checker, f.kind) for f in sanitizer.finish().hazards
+        ]
+
+    run, per_call = _twins(scenario)
+    assert run == per_call
+    assert len(run["result"][0]) == 2 * 84 + 4 + 1
+
+
+def _unmerged(session):
+    """Split the device arena's tail free block in two touching blocks
+    that never merged, the first too small for a 4096-byte malloc."""
+    b = session.backend
+    b.free(b.malloc(256))  # the arena exists
+    arena = session.runtime._device_allocs[0]
+    tail = arena._free[-1]
+    arena._free[-1:] = [
+        _FreeBlock(tail.start, 256),
+        _FreeBlock(tail.start + 256, tail.size - 256),
+    ]
+    return tail.start
+
+
+def test_churn_whose_first_pair_merges_touching_free_blocks():
+    """The first pair lands in the second block and its free merges the
+    two, so the second pair lands at the first block's start; then the
+    free list holds."""
+
+    def scenario(session, api):
+        start = _unmerged(session)
+        api.malloc_free_run(session.backend, 4096, 12)
+        return start, session.runtime._device_allocs[0].free_spans()
+
+    run, per_call = _twins(scenario)
+    assert run == per_call
+    start, spans = run["result"]
+    assert len(spans) == 1
+    pairs = run["state"]["log"][2::2]
+    assert [e[2] - start for e in pairs[:3]] == [256, 0, 0]
+
+
+def test_out_of_memory_at_a_churn():
+    def scenario(session, api):
+        b = session.backend
+        b.malloc(1000)
+        return _code(api.malloc_free_run, b, 1 << 40, 8)
+
+    run, per_call = _twins(scenario)
+    assert run["result"] == "MEMORY_ALLOCATION"
+    assert run == per_call
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("backend_cls", [NativeBackend, CrumBackend])
+def test_other_backends_churn_like_per_call(backend_cls, traced):
+    out = []
+    for api in (Run, PerCall):
+        split = SplitProcess(seed=5)
+        backend = backend_cls(split.runtime, FRACTIONAL)
+        tracer = Tracer()
+        if traced:
+            tracer.attach(backend)
+        session = type("Twin", (), {"backend": backend})
+        result = _churned(session, api)
+        with backend.prepaid_calls():
+            api.malloc_free_run(backend, 512, 7)
+        spans = [(s.name, s.start_ns, s.end_ns, s.args) for s in tracer.spans]
+        out.append((result, _library_state(backend), spans))
+    assert out[0] == out[1]
+    assert bool(out[0][2]) == traced
+    if backend_cls is CrumBackend:  # a proxy keeps the per-call loop
+        assert CrumBackend.malloc_free_run is CudaDispatchBase.malloc_free_run
+
+
+# -- free_run: a contiguous stretch frees as one block -----------------------
+
+
+def test_free_run_meets_free_neighbours_on_both_sides():
+    def scenario(session, api):
+        b = session.backend
+        left, middle, right = (api.malloc_run(b, 256, 10) for _ in range(3))
+        b.malloc(256)  # the arena's tail stays apart from the runs
+        api.free_run(b, left)
+        api.free_run(b, right)
+        api.free_run(b, middle)  # touches both
+        return session.runtime._device_allocs[0].free_spans()
+
+    run, per_call = _twins(scenario)
+    assert run == per_call
+    assert len(run["result"]) == 2  # the three runs, and the tail
+
+
+def test_free_run_of_touching_blocks_of_unequal_sizes():
+    def scenario(session, api):
+        b = session.backend
+        # the second starts one first-block on, but is twice its size
+        addrs = [b.malloc(256), b.malloc(512)]
+        b.malloc(256)  # the arena's tail stays apart
+        api.free_run(b, addrs)
+        return session.runtime._device_allocs[0].free_spans()
+
+    run, per_call = _twins(scenario)
+    assert run == per_call
+    assert run["result"][0][1] == 768
+
+
+def test_free_run_with_a_repeated_address():
+    def scenario(session, api):
+        b = session.backend
+        addrs = api.malloc_run(b, 256, 10)
+        return _code(api.free_run, b, addrs[:6] + [addrs[3]] + addrs[6:])
+
+    run, per_call = _twins(scenario)
+    assert run["result"] == "INVALID_DEVICE_POINTER"
+    assert run == per_call
+
+
+@pytest.mark.parametrize("built", [True, False], ids=["built", "looked-up"])
+def test_free_run_with_an_object_among_the_rows(built):
+    def scenario(session, api):
+        b = session.backend
+        addrs = api.malloc_run(b, 256, 10)
+        # an object now, its contents built or (a lookup) still a row's
+        obj = session.runtime.buffer(addrs[4])
+        if built:
+            b.memset(addrs[4], 9, 256)
+        api.free_run(b, addrs)
+        return sorted(session.runtime._objects), obj.freed
+
+    run, per_call = _twins(scenario)
+    assert run == per_call
+    assert run["result"] == ([], True)

@@ -1,7 +1,9 @@
 """Bulk log replay leaves the runtime exactly as per-call replay does.
 
 ``CudaRuntime.replay_allocations`` carves each run of equal allocations
-with one arena call and writes its rows with one update per table, and
+with one arena call and writes its rows with one update per table,
+replays a stretch of equal malloc/free churn pairs a pair at a time
+until its arena is back where it started and counts the rest, and
 replays the other entries in one loop that writes rows as it goes. The
 reference here replays entry by entry through the
 public ``cudaMalloc``/``cudaFree``/``cudaMallocHost``/``cudaFreeHost``/
@@ -26,7 +28,9 @@ from repro.apps.base import AppContext
 from repro.apps.rodinia import RODINIA_SUITE
 from repro.core import CracSession, ReplayLog, SplitProcess
 from repro.core.replay_log import LogEntry
+from repro.cuda.api import _churn_runs
 from repro.errors import CudaError, ReplayDivergenceError
+from repro.gpu.memory import _FreeBlock
 from repro.sanitizer import Sanitizer
 
 #: the applications of the bench's apps-restart workload
@@ -380,6 +384,114 @@ def test_translating_mode_builds_the_same_map():
     assert translation and all(a != b for a, b in translation.items())
 
 
+# -- churn: back-to-back malloc/free pairs ------------------------------------
+
+
+def _churn(b):
+    """Allocation churn among other calls: a pair that grows the arena
+    on a fresh runtime, churn right after a run of its own size, churn
+    at a hole, and churn of another size."""
+    b.malloc_free_run(4096, 6)
+    keep = [b.malloc(4096) for _ in range(3)]
+    b.malloc_free_run(4096, 40)
+    b.free(keep[1])
+    b.malloc_free_run(4096, 25)  # lands in the hole keep[1] left
+    b.malloc_free_run(768, 12)
+    b.free(keep[0])
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "translating"])
+def test_churn_replays_in_bulk_like_per_call(strict):
+    entries = recorded(_churn)
+    assert len(_churn_runs(entries)) == 4
+
+    def shifted(split):
+        split.runtime.cudaMalloc(4096)
+
+    got = assert_parity(fresh(), entries, strict=strict,
+                        prepare=None if strict else shifted)
+    assert got[0] == "ok"
+    assert got[1][0] == len(entries)
+
+
+def test_churn_after_a_run_of_its_size_starts_a_pair_later():
+    entries = recorded(lambda b: (
+        [b.malloc(4096) for _ in range(3)], b.malloc_free_run(4096, 5),
+    ))
+    # The run's last malloc is the churn's first.
+    assert _churn_runs(entries) == [(3, 13)]
+    assert assert_parity(fresh(), entries)[0] == "ok"
+
+
+def test_churn_whose_first_pair_grows_the_arena():
+    entries = recorded(lambda b: b.malloc_free_run(256, 30))
+    assert _churn_runs(entries) == [(0, 60)]
+    rt = SplitProcess(seed=0, load_upper=False).runtime
+    ReplayLog(entries).replay(rt)
+    assert rt._device_allocs[0].mmap_calls  # the first pair grew it
+    assert assert_parity(fresh(), entries)[0] == "ok"
+
+
+def test_translated_churn_whose_pairs_move_until_the_arena_holds():
+    """Onto an arena whose free list holds two touching blocks that
+    never merged, the first too small: the first pair lands in the
+    second block and merges the two, the later ones at the first's
+    start, so the map ends on the later address."""
+    entries = recorded(lambda b: b.malloc_free_run(4096, 10))
+
+    def unmerged(split):
+        rt = split.runtime
+        rt.cudaFree(rt.cudaMalloc(256))
+        arena = rt._device_allocs[0]
+        tail = arena._free[-1]
+        arena._free[-1:] = [
+            _FreeBlock(tail.start, 256),
+            _FreeBlock(tail.start + 256, tail.size - 256),
+        ]
+
+    got = assert_parity(fresh(), entries, strict=False, prepare=unmerged)
+    assert got[0] == "ok"
+    [(_, replayed)] = got[1][1].items()
+    assert replayed == SplitProcess(seed=0, load_upper=False).runtime \
+        .cudaMalloc(256)  # the first block's start
+
+
+@pytest.mark.parametrize("k", [0, 7, 19])
+def test_divergent_pair_inside_a_churn(k):
+    entries = recorded(lambda b: b.malloc_free_run(1024, 20))
+    entries[2 * k] = entries[2 * k]._replace(addr=0xDEAD_0000)
+    entries[2 * k + 1] = entries[2 * k + 1]._replace(addr=0xDEAD_0000)
+    got = assert_parity(fresh(), entries)
+    assert got[0] == "ReplayDivergenceError"
+    assert "original was 0xdead0000" in got[1]
+
+
+def test_churn_sanitizer_hooks_fire_per_pair():
+    entries = recorded(_churn)
+    seen = {}
+
+    def attach(split):
+        sanitizer = Sanitizer()
+        sanitizer.attach(split.runtime)
+        events = seen.setdefault(id(split), [])
+        for name in ("on_arena_alloc", "on_arena_free"):
+            hook = getattr(sanitizer, name)
+            setattr(sanitizer, name, lambda arena, addr, size, _h=hook,
+                    _n=name: (events.append((_n, addr, size)), _h(arena, addr, size)))
+
+    splits = []
+
+    def make():
+        split = SplitProcess(seed=0, load_upper=False)
+        splits.append(split)
+        return split
+
+    assert assert_parity(make, entries, prepare=attach)[0] == "ok"
+    bulk, ref = (seen[id(split)] for split in splits)
+    assert bulk == ref
+    assert len(bulk) == sum(e.op in ("malloc", "free") for e in entries)
+
+
 # -- property: irregular logs onto a live runtime ---------------------------
 
 #: the allocations a live runtime holds before the replayed log starts
@@ -396,6 +508,7 @@ STEPS = st.one_of(
               st.integers(0, 8)),
     st.tuples(st.just("free"), st.integers(0, 63)),
     st.tuples(st.just("set_device"), st.integers(0, 1)),
+    st.tuples(st.just("churn"), SIZES, st.integers(1, 6)),
 )
 
 
@@ -423,6 +536,8 @@ def _irregular_log(script) -> list[LogEntry]:
                 frees[op](ptr)
         elif step[0] == "set_device":
             b.set_device(step[1])
+        elif step[0] == "churn":
+            b.malloc_free_run(step[1], step[2])
         elif step[0] == "run":
             _, op, nbytes, count, switch = step
             for k in range(count):
@@ -439,10 +554,10 @@ def _irregular_log(script) -> list[LogEntry]:
 @given(script=st.lists(STEPS, min_size=1, max_size=40),
        diverge=st.none() | st.integers(0, 1 << 10), strict=st.booleans())
 def test_irregular_logs_replay_in_bulk_like_per_call(script, diverge, strict):
-    """Unequal device, pinned and managed allocations, runs among them,
-    frees of this log's allocations and of older ones (rows and an
-    object), device switches, and an allocation that lands elsewhere
-    than the log says."""
+    """Unequal device, pinned and managed allocations, runs and churn
+    among them, frees of this log's allocations and of older ones (rows
+    and an object), device switches, and an allocation that lands
+    elsewhere than the log says."""
     entries = _irregular_log(script)
     allocating = [i for i, e in enumerate(entries)
                   if e.op in ("malloc", "malloc_host", "malloc_managed")]
