@@ -72,8 +72,8 @@ class RodiniaApp(CudaApp):
         def churn(remaining: int) -> None:
             # Reproduce the alloc/free churn of the fast-forwarded
             # iterations (state effects only; cost was extrapolated):
-            # the pairs cross once, and a pair that lands where the one
-            # before it did costs only its two log entries.
+            # the pairs cross once, and the pairs that land where the
+            # one before them did are one log record.
             with backend.prepaid_calls():
                 backend.malloc_free_run(
                     self.CHURN_BYTES, remaining * self.CHURN_PER_ITER

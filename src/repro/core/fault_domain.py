@@ -372,7 +372,7 @@ DEFAULT_WATCHDOG_LIMITS`), and raises a *sticky*
             if residency is not None and isinstance(buf, ManagedBuffer):
                 buf.residency[:] = residency
 
-    def _replay_log_suffix(self, generation, pre_entries) -> int:
+    def _replay_log_suffix(self, generation, pre_log: ReplayLog) -> None:
         """Re-execute allocation calls made after the restored cut.
 
         Restart rebuilds the buffer table from the image's replay log,
@@ -383,26 +383,23 @@ DEFAULT_WATCHDOG_LIMITS`), and raises a *sticky*
         pointers on the fresh lower half. Every image's log is frozen at
         its cut (e.g. an anchor shipped before the app's setup holds
         none of it), and restart set the trampoline log to that copy, so
-        the suffix is what ``pre_entries`` holds past it; it is replayed
-        by the plugin's replay step (its still-active ``cudaHostAlloc``
-        buffers come back the way restart brings back the cut's) and
-        appended to the log.
+        the suffix is the records ``pre_log`` holds past it; it is
+        replayed by the plugin's replay step (its still-active
+        ``cudaHostAlloc`` buffers come back the way restart brings back
+        the cut's) and appended to the log.
         """
         if generation is None:
-            return 0
+            return
         session = self.session
         backend = session.backend
-        suffix = pre_entries[len(backend.log.entries):]
-        if not suffix:
-            return 0
+        suffix = pre_log.since(backend.log)
+        if not suffix.records:
+            return
         # The lost-work advance already charges the suffix's wall time.
-        _, translation = session.plugin.replay(
-            ReplayLog(list(suffix)), session.runtime
-        )
+        _, translation = session.plugin.replay(suffix, session.runtime)
         if backend.virtualize_addresses:
             backend.patch_translation(translation)
-        backend.log.entries.extend(suffix)
-        return len(suffix)
+        backend.log.extend(suffix)
 
     def _redo(self, rung: str, attempt: int, exc: CudaError) -> None:
         """Rungs 3 and 4: bring the process back, then redo lost work.
@@ -424,7 +421,7 @@ DEFAULT_WATCHDOG_LIMITS`), and raises a *sticky*
         session = self.session
         t_fault = session.process.clock_ns
         saved = self._snapshot_buffers()
-        pre_entries = list(session.backend.log.entries)
+        pre_log = session.backend.log.copy()
         self._in_recovery = True
         try:
             # An in-flight background write (forked or speculative) must
@@ -441,7 +438,7 @@ DEFAULT_WATCHDOG_LIMITS`), and raises a *sticky*
                 cut_ns = float(outcome.get("cut_ns", t_fault))
             lost = max(0.0, t_fault - cut_ns)
             session.process.advance(lost)  # deterministic re-execution
-            self._replay_log_suffix(generation, pre_entries)
+            self._replay_log_suffix(generation, pre_log)
             self._reapply_buffers(saved)
         finally:
             self._in_recovery = False

@@ -292,7 +292,7 @@ class CracPlugin(DmtcpPlugin):
 
         # 3. Replay log + device state. The image keeps the log as it
         #    stands at the cut; the live log goes on growing.
-        image.add_blob("crac/replay-log", ReplayLog(list(backend.log.entries)))
+        image.add_blob("crac/replay-log", backend.log.copy())
         image.add_blob("crac/current-device", runtime.current_device)
         # Platform fingerprint: replay determinism "relies on using the
         # same CUDA/GPU platform on restart" (§3.2.4).
@@ -496,7 +496,7 @@ class CracPlugin(DmtcpPlugin):
         if session.fault_injector is not None:
             # kind="divergence" raises ReplayDivergenceError here, the
             # §3.2.4 failure mode (ASLR left on / different platform).
-            session.fault_injector.check("replay", f"{len(log.entries)} calls")
+            session.fault_injector.check("replay", f"{len(log)} calls")
         replayed, translation = self.replay(log, runtime, costs.replay_call_ns)
         # Sanity: every staged buffer must exist again (possibly moved).
         # Strict replay moves nothing: whole key sets are compared, and
@@ -560,7 +560,7 @@ class CracPlugin(DmtcpPlugin):
             runtime.adopt_event(event)
         # The log goes on from the restored cut, not from the dead
         # process's last call.
-        backend.log = ReplayLog(list(log.entries))
+        backend.log = log.copy()
         steps = {
             "replay_ns": t_fatbin - t_replay,
             "fatbin_ns": t_refill - t_fatbin,

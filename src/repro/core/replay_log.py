@@ -16,19 +16,26 @@ different address (e.g. ASLR was left enabled, or the restart runs on a
 different CUDA/GPU platform), every pointer held by the restored upper
 half would dangle, so replay aborts with ``ReplayDivergenceError``.
 
-The whole log is replayed and every logged address is checked, entry by
-entry; only the simulator's bookkeeping is batched. The lower-half
-library replays it in one pass (``CudaRuntime.replay_allocations``):
-each run of equal consecutive allocations is one arena carve and one
-table update per table, the other entries go through one loop, and
-every allocation is a row (its size and its uid in a never-built
-table): no buffer object is built, live at the end or not.
+The log holds what the trampoline crossed: a :class:`LogEntry` per call
+made one at a time, and one record per run of calls that crossed at once
+(a :class:`RunRecord` of equal mallocs or frees, a :class:`ChurnRecord`
+of malloc/free pairs at one address). :attr:`ReplayLog.entries` expands
+the records into one entry per call, and ``len`` counts calls. A record
+never straddles a checkpoint cut (the call an armed checkpoint fires at
+crosses alone), so the log an image keeps is a prefix of the live log's
+records. The lower-half library replays the records as they are, in one
+pass (``CudaRuntime.replay_allocations``): a run of mallocs is one arena
+carve and one table update per table, a churn is replayed until its arena
+holds, every other call goes through one loop, and every allocation is
+a row (its size and its uid in a never-built table): no buffer object is
+built, live at the end or not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, NamedTuple
+from itertools import chain
+from typing import Iterable, Literal, NamedTuple
 
 from repro.cuda.api import CudaRuntime, ReplayResult
 
@@ -53,18 +60,55 @@ class LogEntry(NamedTuple):
     device: int = 0
 
 
-@dataclass
-class ReplayLog:
-    """Ordered log of allocation-family calls."""
+def _expand(record) -> Iterable[LogEntry]:
+    """The entry of each call ``record`` holds."""
+    if type(record) is LogEntry:
+        return (record,)
+    return map(LogEntry._make, record.entries())
 
-    entries: list[LogEntry] = field(default_factory=list)
+
+@dataclass(repr=False)
+class ReplayLog:
+    """Ordered log of allocation-family calls, as the records the
+    trampoline wrote (module docstring). Its ``repr`` lists the calls,
+    however they are recorded."""
+
+    records: list = field(default_factory=list)
+    #: calls the records hold beyond one each (a run record holds many)
+    extra_calls: int = 0
 
     def record(self, op: Op, nbytes: int, addr: int, device: int = 0) -> None:
         """Append one allocation-family call to the log."""
-        self.entries.append(LogEntry(op, nbytes, addr, device))
+        self.records.append(LogEntry(op, nbytes, addr, device))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.records) + self.extra_calls
+
+    def __repr__(self) -> str:
+        return f"ReplayLog(entries={self.entries!r})"
+
+    @property
+    def entries(self) -> list[LogEntry]:
+        """One entry per logged call, in call order (a new list)."""
+        return list(chain.from_iterable(map(_expand, self.records)))
+
+    def copy(self) -> ReplayLog:
+        """The log as it stands, apart from later appends to this one."""
+        return ReplayLog(list(self.records), self.extra_calls)
+
+    def since(self, prefix: ReplayLog) -> ReplayLog:
+        """The records appended after ``prefix``, a log whose records
+        begin this one's (a copy taken earlier, or an image's)."""
+        k = len(prefix.records)
+        return ReplayLog(
+            self.records[k:],
+            self.extra_calls - prefix.extra_calls,
+        )
+
+    def extend(self, other: ReplayLog) -> None:
+        """Append ``other``'s records."""
+        self.records += other.records
+        self.extra_calls += other.extra_calls
 
     # -- queries ----------------------------------------------------------------
 
@@ -78,10 +122,6 @@ class ReplayLog:
                 live.pop(e.addr, None)
         return live
 
-    def count(self, *ops: Op) -> int:
-        """Number of entries matching any of ``ops``."""
-        return sum(1 for e in self.entries if e.op in ops)
-
     # -- replay -------------------------------------------------------------------
 
     def replay(
@@ -89,7 +129,7 @@ class ReplayLog:
     ) -> ReplayResult:
         """Re-execute the log against a lower-half CUDA library (a fresh
         one at restart), in one pass of
-        :meth:`CudaRuntime.replay_allocations`.
+        :meth:`CudaRuntime.replay_allocations` over its records.
 
         In the default strict mode, an allocation that lands at a
         different address than in the original run raises
@@ -104,7 +144,7 @@ class ReplayLog:
         the number of calls replayed and the still-active
         ``cudaHostAlloc`` entries to re-register.
         """
-        return runtime.replay_allocations(self.entries, strict=strict)
+        return runtime.replay_allocations(self.records, strict=strict)
 
 
 # -- stream-op log (fault-domain rung 2) --------------------------------------

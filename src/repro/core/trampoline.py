@@ -27,30 +27,53 @@ fs switches inline and notifies only an armed coordinator, and
 run of allocation calls crosses once: the runtime makes it in bulk, and
 :meth:`CracBackend._log_run` logs and accounts every call of it in one
 frame: ``malloc_run``'s and ``free_run``'s equal calls, or
-``malloc_free_run``'s churn pairs. The log is the state: a churn pair
-that lands where the one before it did costs its two log entries
-(shared tuples) and its accounting, nothing more.
+``malloc_free_run``'s churn pairs. The log keeps the run as it crossed:
+one :class:`~repro.cuda.api.RunRecord` holding its addresses as ranges,
+or one :class:`~repro.cuda.api.ChurnRecord` per stretch of pairs at one
+address, so a run costs the log the same whatever its length. Costs
+cannot be negative (:class:`HostCosts` rejects them when built), so each
+charge is one inline addition.
 """
 
 from __future__ import annotations
 
-from itertools import chain, cycle, islice, repeat
+from itertools import cycle, groupby, islice, repeat
+from operator import eq
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.replay_log import LogEntry, ReplayLog
-from repro.cuda.api import CudaRuntime, FatBinary
+from repro.cuda.api import ChurnRecord, CudaRuntime, FatBinary, RunRecord
 from repro.cuda.interface import CudaDispatchBase
 from repro.dmtcp.coordinator import DmtcpCoordinator
 from repro.gpu.streams import Event, Stream
 from repro.gpu.timing import DEFAULT_HOST_COSTS, HostCosts
 from repro.linux.process import SYSCALL_NS, WRFSBASE_NS
 
-#: builds a LogEntry from a tuple in C, without its Python ``__new__``
+#: builds a log record from a tuple in C, without its Python ``__new__``
 _new_tuple = tuple.__new__
 #: the entry point a bulk-logged op's calls are counted under
 _RUN_CALLS = {"malloc": "cudaMalloc", "free": "cudaFree"}
+
+
+def _ranges(addrs: Sequence[int]) -> tuple[range, ...]:
+    """``addrs`` as the ranges that list them in order, each as long as
+    it goes: one for a run carved from one free block, at most one per
+    block for a run that crossed several."""
+    out = []
+    start, n = 0, len(addrs)
+    while start < n:
+        first = addrs[start]
+        step = addrs[start + 1] - first if start + 1 < n else 1
+        span = range(first, first + (n - start) * step, step)
+        # one C-level pass: where the addresses leave the stride
+        stop = bytes(map(eq, islice(addrs, start, None), span)).find(0)
+        if stop < 0:
+            stop = n - start
+        out.append(span[:stop])
+        start += stop
+    return tuple(out)
 
 
 class CracBackend(CudaDispatchBase):
@@ -120,11 +143,6 @@ class CracBackend(CudaDispatchBase):
             thread = proc.threads[0]
         costs = self.costs
         body_ns = costs.trampoline_body_ns + costs.native_dispatch_ns
-        if body_ns < 0:
-            # Cold path: enter the lower half step by step so the error
-            # leaves the same partial state as SimProcess.advance would.
-            proc.set_fs_register(thread, self._lower_fs)
-            proc.advance(body_ns)  # raises ValueError
         # Enter the lower half's TLS, table indirection + the call
         # itself, return to the upper half. The additions run in the
         # same order as one set_fs_register / advance / set_fs_register
@@ -175,16 +193,12 @@ class CracBackend(CudaDispatchBase):
             proc.fs_switch_count += 2 * n
             if not proc.fsgsbase:
                 proc.syscall_count += 2 * n
-            if per_call < 0:
-                proc.advance(n * per_call)  # raises ValueError
             proc.clock_ns += n * per_call
         else:
             for _ in calls:
                 proc.fs_switch_count += 2
                 if not proc.fsgsbase:
                     proc.syscall_count += 2
-                if per_call < 0:
-                    proc.advance(per_call)  # raises ValueError
                 proc.clock_ns += per_call
                 if coordinator.trigger_at_call is not None:
                     coordinator.notify_call()
@@ -199,58 +213,50 @@ class CracBackend(CudaDispatchBase):
         """Append one allocation-family call to the replay log and charge
         ``log_record_ns``, in one frame: the entry is built by
         ``tuple.__new__`` (no NamedTuple ``__new__`` frame) and the cost
-        is added inline (a negative cost still raises, as
-        ``SimProcess.advance`` does)."""
-        self.log.entries.append(_new_tuple(LogEntry, (op, nbytes, addr, device)))
+        is added inline."""
+        self.log.records.append(_new_tuple(LogEntry, (op, nbytes, addr, device)))
         if not self._prepaid_depth:
-            proc = self.process
-            ns = self.costs.log_record_ns
-            if ns < 0:
-                proc.advance(ns)  # raises ValueError
-            proc.clock_ns += ns
+            self.process.clock_ns += self.costs.log_record_ns
 
     def _log_run(
         self, op: str, nbytes: int, addrs: Sequence[int], device: int = 0,
         *, freed: bool = False,
     ) -> None:
-        """Account ``len(addrs)`` calls of one allocation-family entry
-        point made in bulk, in one frame: what one :meth:`_dispatch` and
-        one :meth:`_log` per call leave. With ``freed``, each call is a
-        malloc followed by the cudaFree of its address (a churn pair of
-        ``malloc_free_run``), so two calls and two entries per address,
-        and pairs at one address share their two entry tuples.
+        """Log and account ``len(addrs)`` calls of one allocation-family
+        entry point made in bulk, in one frame: what one :meth:`_dispatch`
+        and one :meth:`_log` per call leave, but the log gets one record
+        for the run. With ``freed``, each call is a malloc followed by the
+        cudaFree of its address (a churn pair of ``malloc_free_run``), so
+        two calls per address, and one :class:`ChurnRecord` per stretch of
+        pairs at one address; otherwise one :class:`RunRecord`.
 
         The calls are counted (and counted toward an armed checkpoint,
-        which they must stop short of), each call's two fs switches,
+        which they must stop short of), and each call's two fs switches,
         crossing and log record are added to the clock in per-call order
-        (so it is bit-equal), and the entries are appended. Traced, each
-        call still gets its own span and hook charge, between its
-        crossing and its log record, as :meth:`_dispatch` gives it."""
+        (so it is bit-equal). Traced, each call still gets its own span
+        and hook charge, between its crossing and its log record, as
+        :meth:`_dispatch` gives it."""
         n = len(addrs)
         if not n:
             return
-        entries = self.log.entries
         if freed:
-            pairs = {
-                addr: (
-                    _new_tuple(LogEntry, (op, nbytes, addr, device)),
-                    _new_tuple(LogEntry, ("free", 0, addr, 0)),
-                )
-                for addr in set(addrs)
-            }
-            entries.extend(chain.from_iterable(map(pairs.__getitem__, addrs)))
+            records = [
+                _new_tuple(ChurnRecord, (nbytes, addr, device, len(list(pairs))))
+                for addr, pairs in groupby(addrs)
+            ]
             names = (_RUN_CALLS[op], "cudaFree")
         else:
-            entries.extend(map(_new_tuple, repeat(LogEntry), zip(
-                repeat(op), repeat(nbytes), addrs, repeat(device),
-            )))
+            records = [_new_tuple(RunRecord, (op, nbytes, _ranges(addrs), device))]
             names = (_RUN_CALLS[op],)
+        calls = n * len(names)
+        log = self.log
+        log.records += records
+        log.extra_calls += calls - len(records)
         if self._prepaid_depth:
-            return  # entries only, as _dispatch and _log do while prepaid
+            return  # the log only, as _dispatch and _log do while prepaid
         counter = self.call_counter
         for name in names:
             counter[name] += n
-        calls = n * len(names)
         proc = self.process
         proc.fs_switch_count += 2 * calls
         if proc.fsgsbase:
@@ -283,16 +289,6 @@ class CracBackend(CudaDispatchBase):
         coordinator = self.coordinator
         if coordinator is not None and coordinator.trigger_at_call is not None:
             coordinator.notify_calls(calls)
-
-    def _bulk_ok(self) -> bool:
-        """Whether a run may cross in bulk: with costs that cannot raise
-        (a negative cost raises mid-call, which only the per-call path
-        reproduces)."""
-        costs = self.costs
-        return (
-            costs.log_record_ns >= 0
-            and costs.trampoline_body_ns + costs.native_dispatch_ns >= 0
-        )
 
     def _calls_before_cut(self, k: int) -> int:
         """How many of the next ``k`` calls a bulk crossing may make: all
@@ -366,8 +362,6 @@ class CracBackend(CudaDispatchBase):
         # The runtime makes the run in bulk and _log_run accounts it; a
         # call the bulk path does not take (the one an armed checkpoint
         # fires at, or one that raises) goes through malloc.
-        if not self._bulk_ok():
-            return CudaDispatchBase.malloc_run(self, nbytes, n)
         addrs: list[int] = []
 
         def bulk(i: int, k: int) -> int:
@@ -386,8 +380,6 @@ class CracBackend(CudaDispatchBase):
     def free_run(self, addrs: Sequence[int]) -> None:
         # As malloc_run: managed and pinned pointers, and anything
         # cudaFree rejects, go through free.
-        if not self._bulk_ok():
-            return CudaDispatchBase.free_run(self, addrs)
         addrs = list(addrs)
         v2r = self._v2r
 
@@ -408,9 +400,6 @@ class CracBackend(CudaDispatchBase):
     def malloc_free_run(self, nbytes: int, n: int) -> None:
         # As malloc_run, a pair at a time: an armed checkpoint's pair
         # (its malloc or its free fires it) goes through malloc and free.
-        if not self._bulk_ok():
-            return CudaDispatchBase.malloc_free_run(self, nbytes, n)
-
         def bulk(i: int, k: int) -> int:
             runtime = self.runtime
             k = self._calls_before_cut(2 * k) // 2

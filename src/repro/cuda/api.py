@@ -26,13 +26,11 @@ is charged by the dispatch backend, not by the library.
 from __future__ import annotations
 
 import itertools
-import re
 import zlib
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain, groupby, islice, repeat
-from operator import eq, itemgetter
-from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
+from itertools import chain, groupby, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -78,66 +76,37 @@ class ReplayResult(NamedTuple):
     host_allocs: list
 
 
-#: a replay-log entry is an ``(op, nbytes, addr, device)`` tuple; a run
-#: of equal allocations shares its *spec* ``(op, nbytes, device)``
-_SPEC = itemgetter(0, 1, 3)
-_OP, _NBYTES, _ENTRY_ADDR, _DEVICE = map(itemgetter, range(4))
-_ALLOCATING = frozenset(("malloc", "malloc_host", "malloc_managed"))
-#: a stretch of entries that each repeat the size of the one before
-_REPEATS = re.compile(rb"\x01+")
+class RunRecord(NamedTuple):
+    """A run of equal ``op`` calls (``"malloc"`` or ``"free"``) that
+    crossed the trampoline at once: one replay-log record for all of
+    them. ``addrs`` lists their addresses in call order as ranges, at
+    most one per free block the run's carve crossed."""
+
+    op: str
+    nbytes: int  # 0 for frees
+    addrs: tuple[range, ...]
+    device: int
+
+    def entries(self) -> Iterator[tuple]:
+        """The ``(op, nbytes, addr, device)`` entry of each call."""
+        return zip(repeat(self.op), repeat(self.nbytes),
+                   chain.from_iterable(self.addrs), repeat(self.device))
 
 
-def _allocation_runs(entries: Sequence[tuple]) -> list[tuple[int, int]]:
-    """The ``[start, stop)`` bounds of each run of two or more equal
-    consecutive allocations in ``entries``, in log order.
+class ChurnRecord(NamedTuple):
+    """``pairs`` back-to-back ``cudaMalloc(nbytes)`` + ``cudaFree`` pairs
+    that each landed at ``addr``: one replay-log record for all of them."""
 
-    Found with C-level passes that make no object per entry: stretches
-    of one size first, then, in each, one op and one device.
-    """
-    sizes = list(map(_NBYTES, entries))
-    bounds = []
-    for m in _REPEATS.finditer(bytes(map(eq, sizes, islice(sizes, 1, None)))):
-        start, stop = m.start(), m.end() + 1
-        stretch = entries[start:stop]
-        if len(set(map(_OP, stretch))) == 1 == len(set(map(_DEVICE, stretch))):
-            if stretch[0][0] in _ALLOCATING:
-                bounds.append((start, stop))
-            continue
-        for spec, group in groupby(stretch, _SPEC):  # rare: split it
-            n = len(list(group))
-            if n > 1 and spec[0] in _ALLOCATING:
-                bounds.append((start, start + n))
-            start += n
-    return bounds
+    nbytes: int
+    addr: int
+    device: int
+    pairs: int
 
-
-def _churn_runs(entries: Sequence[tuple]) -> list[tuple[int, int]]:
-    """The ``[start, stop)`` bounds of each stretch of two or more equal
-    churn pairs in ``entries``, in log order: a ``("malloc", B, A, d)``
-    entry and its ``("free", 0, A, 0)``, back to back, again and again.
-
-    Found with C-level passes that make no object per entry: stretches
-    of one address first (a churn that lands where it started repeats
-    its address), then, in each, the pairs that repeat the first.
-    """
-    addrs = list(map(_ENTRY_ADDR, entries))
-    bounds = []
-    for m in _REPEATS.finditer(bytes(map(eq, addrs, islice(addrs, 1, None)))):
-        start, stop = m.start(), m.end() + 1
-        while stop - start >= 4:
-            malloc = entries[start]
-            if malloc[0] != "malloc" or entries[start + 1] != (
-                "free", 0, malloc[2], 0
-            ):
-                start += 1  # e.g. the free of an earlier allocation here
-                continue
-            stretch = entries[start:stop]
-            repeats = bytes(map(eq, stretch, islice(stretch, 2, None)))
-            pairs = (len(repeats) - len(repeats.lstrip(b"\x01")) + 2) // 2
-            if pairs > 1:
-                bounds.append((start, start + 2 * pairs))
-            start += 2 * pairs
-    return bounds
+    def entries(self) -> Iterator[tuple]:
+        """The ``(op, nbytes, addr, device)`` entries of each pair."""
+        pair = (("malloc", self.nbytes, self.addr, self.device),
+                ("free", 0, self.addr, 0))
+        return chain.from_iterable(repeat(pair, self.pairs))
 
 
 def _diverged(entry: tuple, got: int) -> NoReturn:
@@ -155,9 +124,9 @@ class _ReplayBatch:
 
     The rows (sizes, never-built tables, pinned origins) are written as
     the log goes: :meth:`replay_each` one entry at a time, :meth:`carve`
-    a run of equal allocations with one update per table, :meth:`churn`
-    a stretch of equal malloc/free pairs. The rest of
-    the runtime's bookkeeping (the ``api_log`` increments, the current
+    a :class:`RunRecord` of mallocs with one update per table,
+    :meth:`churn` a :class:`ChurnRecord`. The rest of the runtime's
+    bookkeeping (the ``api_log`` increments, the current
     device, the next uid, the UVA epoch steps) waits for :meth:`flush`.
     """
 
@@ -181,7 +150,7 @@ class _ReplayBatch:
         self.hostalloc_addrs: set[int] = set()
         self.host_allocs: dict[int, tuple] = {}
 
-    def replay_each(self, entries: Sequence[tuple]) -> None:
+    def replay_each(self, entries: Iterable[tuple]) -> None:
         """Replay ``entries`` one by one."""
         rt = self.runtime
         strict = self.strict
@@ -282,70 +251,56 @@ class _ReplayBatch:
             elif got != addr:
                 _diverged(e, got)
 
-    def carve(self, run: Sequence[tuple]) -> None:
-        """Replay ``run``, allocations of one op, size and device, at
+    def carve(self, run: RunRecord) -> None:
+        """Replay ``run``, ``cudaMalloc`` calls of one size and device, at
         once."""
         rt = self.runtime
-        op, nbytes, _, device = run[0]
-        if op == "malloc":
-            if rt._entry_ok and device != self.device:
-                self._set_device(device)
-            name, table = "cudaMalloc", rt.unbuilt_device
-        elif op == "malloc_managed":
-            name, table = "cudaMallocManaged", rt.unbuilt_managed
-        else:
-            name, table = "cudaMallocHost", rt.unbuilt_pinned
+        _, nbytes, addrs, device = run
+        if rt._entry_ok and device != self.device:
+            self._set_device(device)
         if not rt._entry_ok:
             # A library that takes no calls: the entry point raises.
-            self.delegate(getattr(rt, name), nbytes)
-        arena = (
-            rt._device_allocs[device] if op == "malloc"
-            else rt._managed_alloc if op == "malloc_managed"
-            else rt._pinned_alloc
-        )
+            self.delegate(rt.cudaMalloc, nbytes)
+        logged = list(chain.from_iterable(addrs))
         strict = self.strict
-        carved = arena.alloc_run(
-            nbytes, len(run), list(map(_ENTRY_ADDR, run)) if strict else None
+        carved = rt._device_allocs[device].alloc_run(
+            nbytes, len(logged), logged if strict else None
         )
         taken = len(carved)
-        self.calls[name] += taken
+        self.calls["cudaMalloc"] += taken
         uid = self.uid
         self.uid = uid + taken
-        table.update(zip(carved, range(uid, uid + taken)))
+        rt.unbuilt_device.update(zip(carved, range(uid, uid + taken)))
         rt.allocations.update(zip(carved, repeat(nbytes)))
         self.replayed += taken
-        if op == "malloc_host":
-            rt._host_origin.update(zip(carved, repeat("pinned")))
-        elif op == "malloc_managed":
-            self.uva_steps += taken
         if not strict:
-            self.translation.update(zip(map(_ENTRY_ADDR, run), carved))
-        elif taken and carved[-1] != run[taken - 1][2]:
-            _diverged(run[taken - 1], carved[-1])
-        if taken < len(run):
+            self.translation.update(zip(logged, carved))
+        elif taken and carved[-1] != logged[taken - 1]:
+            _diverged(("malloc", nbytes, logged[taken - 1], device), carved[-1])
+        if taken < len(logged):
             # The next call fails (out of memory, a bad size): the entry
             # point raises.
-            self.delegate(getattr(rt, name), nbytes)
+            self.delegate(rt.cudaMalloc, nbytes)
 
-    def churn(self, run: Sequence[tuple]) -> None:
-        """Replay ``run``, back-to-back equal pairs of a ``malloc`` and
-        its ``free``: a pair at a time until one leaves its arena's free
-        list as it found it. Every later pair would land where that one
-        did and leave everything as it was, so the rest are counted and
-        the arena makes them in bulk (:meth:`ArenaAllocator.alloc_free_run`,
-        for a sanitizer's hooks)."""
+    def churn(self, churn: ChurnRecord) -> None:
+        """Replay ``churn``: a pair at a time until one leaves its arena's
+        free list as it found it. Every later pair would land where that
+        one did and leave everything as it was, so the rest are counted
+        and the arena makes them in bulk
+        (:meth:`ArenaAllocator.alloc_free_run`, for a sanitizer's
+        hooks)."""
         rt = self.runtime
-        nbytes, device = run[0][1], run[0][3]
+        nbytes, addr, device, pairs = churn
+        pair = (("malloc", nbytes, addr, device), ("free", 0, addr, 0))
         allocs = rt._device_allocs
         if not (rt._entry_ok and 0 <= device < len(allocs)):
-            self.replay_each(run)  # raises at its first entry
+            self.replay_each(pair)  # raises at its first entry
             return
         arena = allocs[device]
-        pairs = len(run) // 2
         done = 0
         while done < pairs:
             before = arena.free_spans()
-            self.replay_each(run[2 * done:2 * done + 2])
+            self.replay_each(pair)
             done += 1
             if arena.free_spans() == before:
                 break
@@ -768,65 +723,40 @@ class CudaRuntime:
         return addrs
 
     def free_run(self, addrs: Sequence[int]) -> int:
-        """Make :meth:`cudaFree` calls on ``addrs`` at once, in order.
+        """Make :meth:`cudaFree` calls on ``addrs``, in order.
 
-        Covers the longest prefix of live device buffers on one GPU: the
-        runtime ends as the same calls made one by one leave it, with one
-        :meth:`ArenaAllocator.free_run`. The run stops before anything
-        else (a library that takes no calls, an unknown, freed, managed
-        or pinned pointer, another GPU's buffer): the caller re-issues
-        that call through :meth:`cudaFree`. Returns how many it freed.
-        Distinct rows on one GPU, the common case, are checked with set
-        operations and dropped with ``map``, with no loop per address.
+        Distinct never-built device rows in one GPU's arena, the common
+        case, are checked with set operations, dropped with ``map`` and
+        released with one :meth:`ArenaAllocator.free_run`. Anything else
+        goes through :meth:`cudaFree` one address at a time. Either way
+        the run stops before the first address that is not a live device
+        allocation (or on a library that takes no calls): the caller
+        re-issues that call through :meth:`cudaFree`. Returns how many it
+        freed.
         """
         if not self._entry_ok:
             return 0
-        objects = self._objects
         unbuilt = self.unbuilt_device
-        allocations = self.allocations
-        one_gpu = len(self._device_allocs) == 1
-        if one_gpu and addrs:
-            keys = set(addrs)
-            if (
-                len(keys) == len(addrs) and keys <= unbuilt.keys()
-                and objects.keys().isdisjoint(keys)
-            ):
+        keys = set(addrs)
+        if (
+            addrs and len(keys) == len(addrs) and keys <= unbuilt.keys()
+            and self._objects.keys().isdisjoint(keys)
+        ):
+            allocs = self._device_allocs
+            arena = allocs[0 if len(allocs) == 1 else self._row_device(addrs[0])]
+            if keys <= arena.active.keys():
                 deque(map(unbuilt.__delitem__, addrs), maxlen=0)
-                deque(map(allocations.__delitem__, addrs), maxlen=0)
-                self._device_allocs[0].free_run(addrs)
+                deque(map(self.allocations.__delitem__, addrs), maxlen=0)
+                arena.free_run(addrs)
                 self.api_log["cudaFree"] += len(keys)
                 return len(keys)
-        freed: list[DeviceBuffer] = []
-        device = None
-        n = 0
+        freed = 0
         for addr in addrs:
-            buf = objects.get(addr)
-            if buf is not None:
-                if buf.kind != "device":
-                    break
-                index = buf.device_index
-            elif addr in unbuilt:  # a row
-                index = 0 if one_gpu else self._row_device(addr)
-            else:  # unknown, freed, pinned or managed
+            if self.kind_of(addr) != "device":
                 break
-            if device is None:
-                device = index
-            elif index != device:
-                break
-            # Out of the tables now: a repeated address ends the run.
-            if buf is not None:
-                del objects[addr]
-                freed.append(buf)
-            unbuilt.pop(addr, None)
-            del allocations[addr]
-            n += 1
-        if not n:
-            return 0
-        self._device_allocs[device].free_run(addrs[:n])
-        for buf in freed:
-            buf.freed = True
-        self.api_log["cudaFree"] += n
-        return n
+            self.cudaFree(addr)
+            freed += 1
+        return freed
 
     def cudaMallocHost(self, nbytes: int) -> int:
         """Allocate pinned host memory (library-allocated! — §3.2.1)."""
@@ -938,27 +868,27 @@ class CudaRuntime:
     # ------------------------------------------------------------ log replay
 
     def replay_allocations(
-        self, entries: Sequence[tuple], *, strict: bool = True
+        self, records: Iterable[tuple], *, strict: bool = True
     ) -> ReplayResult:
-        """Re-execute a cudaMalloc-family log (``(op, nbytes, addr,
-        device)`` entries, see :mod:`repro.core.replay_log`) in one pass.
+        """Re-execute a cudaMalloc-family log in one pass: its records as
+        :mod:`repro.core.replay_log` keeps them, ``(op, nbytes, addr,
+        device)`` entries of one call each and the run records of calls
+        that crossed at once.
 
-        The runtime ends exactly as calling the entry points one entry at
+        The runtime ends exactly as calling the entry points one call at
         a time leaves it, down to dict orders, uids and ``api_log``, and
-        raises the same errors at the same entry. Each run of equal
-        consecutive allocations (same op, size and device) is carved with
-        one :meth:`ArenaAllocator.alloc_run` and its rows written with one
-        update per table, and each of its addresses is checked. Each
-        stretch of equal churn pairs (a ``malloc`` and its ``free``, back
-        to back) is replayed a pair at a time until its arena is back
-        where it started, and the rest of it is counted in bulk. The
-        other entries go through one loop that writes an allocation's row, or
-        frees a row (arena work and two deletes), as it goes. Anything
-        else (a free of an object, a call the entry point rejects) goes
-        through the entry point, on bookkeeping brought up to date.
-        ``cudaHostAlloc`` entries and their frees are not replayed: the
-        caller re-registers the still-active ones, which the result
-        lists.
+        raises the same errors at the same call. A :class:`RunRecord` of
+        mallocs is carved with one :meth:`ArenaAllocator.alloc_run` and
+        its rows written with one update per table, and each of its
+        addresses is checked. A :class:`ChurnRecord` is replayed a pair
+        at a time until its arena is back where it started, and the rest
+        of it is counted in bulk. The other calls go through one loop
+        that writes an allocation's row, or frees a row (arena work and
+        two deletes), as it goes. Anything else (a free of an object, a
+        call the entry point rejects) goes through the entry point, on
+        bookkeeping brought up to date. ``cudaHostAlloc`` entries and
+        their frees are not replayed: the caller re-registers the
+        still-active ones, which the result lists.
 
         In strict mode an allocation landing at another address than the
         log's raises :class:`ReplayDivergenceError`; otherwise the result
@@ -966,23 +896,19 @@ class CudaRuntime:
         that map.
         """
         batch = _ReplayBatch(self, strict)
-        runs = sorted(chain(
-            zip(_allocation_runs(entries), repeat(batch.carve)),
-            zip(_churn_runs(entries), repeat(batch.churn)),
-        ), key=itemgetter(0))
-        pos = 0
         try:
-            for (start, stop), replay in runs:
-                if start < pos:
-                    # A churn whose first malloc ended an allocation run:
-                    # it starts a pair later.
-                    start += 2
-                    if stop - start < 4:
-                        continue
-                batch.replay_each(entries[pos:start])
-                replay(entries[start:stop])
-                pos = stop
-            batch.replay_each(entries[pos:])
+            for kind, group in groupby(records, type):
+                if kind is ChurnRecord:
+                    for churn in group:
+                        batch.churn(churn)
+                elif kind is not RunRecord:
+                    batch.replay_each(group)
+                else:
+                    for run in group:
+                        if run.op == "malloc":
+                            batch.carve(run)
+                        else:
+                            batch.replay_each(run.entries())
         finally:
             batch.flush()
         return ReplayResult(

@@ -592,14 +592,7 @@ class NativeBackend(CudaDispatchBase):
                 mode=self.mode,
             )
 
-    def _bulk_ok(self) -> bool:
-        """Whether a run may cross in bulk: with a dispatch cost that
-        cannot raise (only the per-call path raises mid-call)."""
-        return self.costs.native_dispatch_ns >= 0
-
     def malloc_run(self, nbytes: int, n: int) -> list[int]:
-        if not self._bulk_ok():
-            return CudaDispatchBase.malloc_run(self, nbytes, n)
         addrs: list[int] = []
 
         def bulk(i: int, k: int) -> int:
@@ -612,9 +605,6 @@ class NativeBackend(CudaDispatchBase):
         return addrs
 
     def malloc_free_run(self, nbytes: int, n: int) -> None:
-        if not self._bulk_ok():
-            return CudaDispatchBase.malloc_free_run(self, nbytes, n)
-
         def bulk(i: int, k: int) -> int:
             made = len(self.runtime.malloc_free_run(nbytes, k))
             self._charge_run(("cudaMalloc", "cudaFree"), made)
@@ -623,8 +613,6 @@ class NativeBackend(CudaDispatchBase):
         self._run(n, bulk, lambda i: self.free(self.malloc(nbytes)))
 
     def free_run(self, addrs: Sequence[int]) -> None:
-        if not self._bulk_ok():
-            return CudaDispatchBase.free_run(self, addrs)
         addrs = list(addrs)
 
         def bulk(i: int, k: int) -> int:

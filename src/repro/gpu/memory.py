@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from operator import attrgetter
 from typing import Callable, Sequence
 
@@ -415,7 +415,6 @@ class _FreeBlock:
 
 #: sort key of the arena free list
 _block_start = attrgetter("start")
-_block_size = attrgetter("size")
 _block_span = attrgetter("start", "size")
 
 
@@ -629,18 +628,17 @@ class ArenaAllocator:
             free.insert(i, _FreeBlock(addr, size))
 
     def free_run(self, addrs: Sequence[int]) -> int:
-        """Release ``addrs`` in order at once: the free list, active map
-        and sanitizer hooks of as many sequential :meth:`free` calls,
-        with one merge of the free list instead of one insert per call.
-
-        The run stops short at the first address that is not active (the
-        call that would raise): the caller re-issues that call through
-        :meth:`free` to raise its error. Returns how many it released.
+        """Release ``addrs`` in order: the free list, active map and
+        sanitizer hooks of as many sequential :meth:`free` calls.
 
         An ascending, contiguous stretch of equal blocks (a run as
         :meth:`alloc_run` carves it) is freed as one block: its frees
         only ever merge with each other and with the free neighbours of
-        its two ends, as the one block does.
+        its two ends, as the one block does. Anything else goes through
+        :meth:`free` one address at a time. The run stops short at the
+        first address that is not active (the call that would raise):
+        the caller re-issues that call through :meth:`free` to raise its
+        error. Returns how many it released.
         """
         active = self.active
         n = len(addrs)
@@ -657,40 +655,13 @@ class ArenaAllocator:
                 for addr in addrs:
                     self.sanitizer.on_arena_free(self, addr, size)
             return n
-        freed: list[tuple[int, int, None]] = []
-        total = 0
+        freed = 0
         for addr in addrs:
-            size = active.pop(addr, None)
-            if size is None:
+            if addr not in active:
                 break
-            freed.append((addr, size, None))
-            total += size
-        if not freed:
-            return 0
-        self._active_bytes -= total
-        # A free coalesces with each free neighbour it touches, so in
-        # address order two touching blocks merge unless both were free
-        # before the run (a freed allocation has no block yet).
-        free = self._free
-        merged: list[_FreeBlock] = []
-        last = None
-        for start, size, blk in sorted(chain(freed, zip(
-            map(_block_start, free), map(_block_size, free), free,
-        ))):
-            if (
-                last is not None and last.start + last.size == start
-                and (blk is None or tail_freed)
-            ):
-                last.size += size
-            else:
-                last = _FreeBlock(start, size) if blk is None else blk
-                merged.append(last)
-            tail_freed = blk is None
-        self._free = merged
-        if self.sanitizer is not None:
-            for addr, size, _ in freed:
-                self.sanitizer.on_arena_free(self, addr, size)
-        return len(freed)
+            self.free(addr)
+            freed += 1
+        return freed
 
     def reserve(self, addr: int, nbytes: int) -> None:
         """Mark ``[addr, addr+nbytes)`` as allocated without choosing it.

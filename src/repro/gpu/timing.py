@@ -17,7 +17,7 @@ Nothing else in the package contains a hard-coded time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 NS_PER_S = 1_000_000_000
 
@@ -169,6 +169,16 @@ class HostCosts:
     #: Per-invalidated-handle fixed replay cost during validation
     #: (re-issue the handle's logged ops against the captured state), ns.
     spec_invalidate_ns: float = 50_000.0
+
+    def __post_init__(self) -> None:
+        # Time cannot go backwards: a negative cost is rejected here,
+        # where it enters, so the inline charges need no check of their
+        # own. Building the costs is configuration, not a CUDA call, so
+        # the error is a plain ValueError.
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                msg = f"HostCosts.{f.name} cannot be negative"
+                raise ValueError(msg)  # lint: allow
 
 
 DEFAULT_HOST_COSTS = HostCosts()

@@ -3,8 +3,9 @@
 Virtual time is pinned by ``test_alloc_path_parity.py`` and
 ``test_data_path_parity.py``; these tests pin the host side
 deterministically instead of with a wall-clock gate: the objects an
-allocation creates carry no per-instance ``__dict__``, the replay log is
-a list of plain tuples that survives an image's export, one warm
+allocation creates carry no per-instance ``__dict__``, the replay log
+holds a plain tuple per call made alone and one record per run however
+long, in memory and in a cut image, and survives an image's export, one warm
 ``malloc``, ``free``, launch, memset or memcpy through the trampoline
 stays within a fixed budget of Python-level calls, a run of equal
 mallocs or frees, or of malloc/free churn pairs, stays within one
@@ -13,12 +14,15 @@ budget whatever its length, and so does each never-written
 qualified name.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core import CracSession
-from repro.core.replay_log import LogEntry
-from repro.cuda.api import FatBinary
+from repro.core.replay_log import LogEntry, ReplayLog
+from repro.cuda.api import ChurnRecord, FatBinary, RunRecord
 from repro.dmtcp.image import CheckpointImage
 from repro.gpu.memory import DeviceBuffer, PagedContents, _FreeBlock
 from tests.conftest import call_breakdown, python_calls, python_frames
@@ -52,6 +56,10 @@ RUN_CALL_BUDGET = 9
 #: (its alloc, free and two free-list snapshots) and one log frame (two
 #: ``CALL_BUDGET`` crossings per pair before the churn crossed once)
 CHURN_CALL_BUDGET = 14
+#: bytes the replay log may grow by when a run makes 9,000 more calls: a
+#: run is one record however long (a tuple of about 100 bytes per call,
+#: two per churn pair, while the log held one per call)
+LOG_RUN_SLACK = 4 << 10
 
 
 def test_warm_malloc_and_free_stay_within_call_budget():
@@ -139,6 +147,50 @@ def test_churn_stays_within_call_budget(n, prepaid):
     assert len(backend.log) == 2 + 2 * n
     assert backend.call_counter["cudaFree"] == 1 + (0 if prepaid else n)
     assert not session.runtime.allocations
+
+
+def _log_bytes(op: str, n: int) -> int:
+    """Bytes the replay log holds for ``op`` over ``n`` 256-byte calls
+    (``"free_run"`` frees a ``malloc_run``'s addresses): what dropping
+    the log releases, traced from before the run."""
+    session = CracSession(seed=3)
+    backend = session.backend
+    backend.free(backend.malloc(256))  # warm: the arena exists
+    gc.collect()
+    tracemalloc.start()
+    try:
+        if op == "malloc_free_run":
+            backend.malloc_free_run(256, n)
+        else:
+            addrs = backend.malloc_run(256, n)
+            if op == "free_run":
+                backend.free_run(addrs)
+        held = tracemalloc.get_traced_memory()[0]
+        backend.log = ReplayLog()
+        gc.collect()
+        return held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("op", ["malloc_run", "free_run", "malloc_free_run"])
+def test_a_run_grows_the_log_by_one_record_whatever_its_length(op):
+    grown = _log_bytes(op, 10_000) - _log_bytes(op, 1_000)
+    assert grown <= LOG_RUN_SLACK, grown
+
+
+def test_cut_image_keeps_one_record_per_run():
+    session = CracSession(seed=3)
+    backend = session.backend
+    backend.free(backend.malloc(256))
+    backend.free_run(backend.malloc_run(256, 1_000))
+    backend.malloc_free_run(256, 1_000)
+    log = session.checkpoint().blob("crac/replay-log")
+    assert [type(r) for r in log.records] == [
+        LogEntry, LogEntry, RunRecord, RunRecord, ChurnRecord,
+    ]
+    assert len(log) == 2 + 4 * 1_000
+    assert log.entries == backend.log.entries
 
 
 def test_device_buffer_builds_contents_on_first_use(monkeypatch):

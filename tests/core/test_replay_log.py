@@ -88,9 +88,8 @@ class TestActiveAllocations:
         log.record("malloc", 64, 1)
         log.record("malloc", 64, 2)
         log.record("free", 0, 1)
-        assert log.count("malloc") == 2
-        assert log.count("free") == 1
-        assert log.count("malloc", "free") == 3
+        assert [e.op for e in log.entries] == ["malloc", "malloc", "free"]
+        assert len(log) == 3
 
     def test_entries_are_immutable(self):
         e = LogEntry("malloc", 64, 1)

@@ -1,14 +1,14 @@
 """Bulk log replay leaves the runtime exactly as per-call replay does.
 
-``CudaRuntime.replay_allocations`` carves each run of equal allocations
-with one arena call and writes its rows with one update per table,
-replays a stretch of equal malloc/free churn pairs a pair at a time
-until its arena is back where it started and counts the rest, and
-replays the other entries in one loop that writes rows as it goes. The
-reference here replays entry by entry through the
-public ``cudaMalloc``/``cudaFree``/``cudaMallocHost``/``cudaFreeHost``/
-``cudaMallocManaged``/``cudaFreeManaged`` entry points, as the replay
-loop did before. Both run on twin runtimes, and everything observable
+``CudaRuntime.replay_allocations`` reads the log's records as the
+trampoline wrote them: it carves a run record of equal mallocs with one
+arena call and writes its rows with one update per table, replays a
+churn record a pair at a time until its arena is back where it started
+and counts the rest, and replays the other calls in one loop that writes
+rows as it goes. The reference here replays the log's entries (one per
+call) through the public ``cudaMalloc``/``cudaFree``/``cudaMallocHost``/
+``cudaFreeHost``/``cudaMallocManaged``/``cudaFreeManaged`` entry points,
+one at a time. Both run on twin runtimes, and everything observable
 must agree, dict orders included: the buffer table (each buffer's kind,
 size, device, uid and never-built table), both never-built tables, the
 pinned-origin table, ``api_log``, every arena's free list, active map,
@@ -19,8 +19,10 @@ entries) or the error raised. The restart delta-chain walk keys buffers
 by (address, uid), so a wrong build order shows up here as wrong uids.
 """
 
+from itertools import chain
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import Hpgmg, Hypre, Lulesh, SimpleStreams, UnifiedMemoryStreams
@@ -28,10 +30,11 @@ from repro.apps.base import AppContext
 from repro.apps.rodinia import RODINIA_SUITE
 from repro.core import CracSession, ReplayLog, SplitProcess
 from repro.core.replay_log import LogEntry
-from repro.cuda.api import _churn_runs
+from repro.cuda.api import ChurnRecord, RunRecord
 from repro.errors import CudaError, ReplayDivergenceError
 from repro.gpu.memory import _FreeBlock
 from repro.sanitizer import Sanitizer
+from tests.core.test_alloc_run_parity import PerCall, Run
 
 #: the applications of the bench's apps-restart workload
 APPS = tuple(RODINIA_SUITE) + (
@@ -122,17 +125,18 @@ def _outcome(fn):
         return (type(exc).__name__, str(exc), getattr(exc, "code", None))
 
 
-def assert_parity(make, entries, *, strict=True, prepare=None):
-    """Replay ``entries`` in bulk and per call onto twin runtimes built by
-    ``make``; both must end in the same state with the same outcome."""
+def assert_parity(make, log, *, strict=True, prepare=None):
+    """Replay ``log``'s records in bulk and its entries per call onto twin
+    runtimes built by ``make``; both must end in the same state with the
+    same outcome. ``log`` is a ``ReplayLog`` or a list of entries."""
+    if not isinstance(log, ReplayLog):
+        log = ReplayLog(list(log))
     bulk, ref = make(), make()
     if prepare is not None:
         prepare(bulk)
         prepare(ref)
-    got = _outcome(lambda: tuple(
-        ReplayLog(list(entries)).replay(bulk.runtime, strict=strict)
-    ))
-    want = _outcome(lambda: reference_replay(ref.runtime, entries,
+    got = _outcome(lambda: tuple(log.replay(bulk.runtime, strict=strict)))
+    want = _outcome(lambda: reference_replay(ref.runtime, log.entries,
                                              strict=strict))
     assert got == want
     assert runtime_state(bulk) == runtime_state(ref)
@@ -143,25 +147,25 @@ def fresh(**kw):
     return lambda: SplitProcess(seed=0, load_upper=False, **kw)
 
 
-def recorded(steps, **kw) -> list[LogEntry]:
+def recorded(steps, **kw) -> ReplayLog:
     """The log a live session records for ``steps(backend)``."""
     session = CracSession(seed=0, **kw)
     steps(session.backend)
-    return list(session.backend.log.entries)
+    return session.backend.log
 
 
 # -- corpus: the apps-restart applications, cut at several points -----------
 
 
-def _app_logs(cls) -> list[list[LogEntry]]:
+def _app_logs(cls) -> list[ReplayLog]:
     session = CracSession(seed=0)
-    cuts: list[list[LogEntry]] = []
+    cuts: list[ReplayLog] = []
     ctx = AppContext(
         backend=session.backend, upper_mmap=session.split.upper_mmap,
-        checkpoint_cb=lambda _p: cuts.append(list(session.backend.log.entries)),
+        checkpoint_cb=lambda _p: cuts.append(session.backend.log.copy()),
     )
     cls(scale=0.05, seed=0).run(ctx)
-    cuts.append(list(session.backend.log.entries))
+    cuts.append(session.backend.log.copy())
     distinct = {len(c): c for c in cuts}
     lengths = sorted(distinct)
     picks = {lengths[0], lengths[len(lengths) // 2], lengths[-1]}
@@ -170,33 +174,41 @@ def _app_logs(cls) -> list[list[LogEntry]]:
 
 @pytest.mark.parametrize("cls", APPS, ids=lambda c: c.__name__)
 def test_app_logs_replay_in_bulk_like_per_call(cls):
-    for entries in _app_logs(cls):
-        assert assert_parity(fresh(), entries)[0] == "ok"
+    for log in _app_logs(cls):
+        assert assert_parity(fresh(), log)[0] == "ok"
 
 
 def test_corpus_holds_runs_of_equal_mallocs():
-    entries = _app_logs(Hpgmg)[-1]
-    result = ReplayLog(entries).replay(SplitProcess(seed=0).runtime)
-    assert result.replayed == len(entries)
+    log = _app_logs(Hpgmg)[-1]
+    result = log.replay(SplitProcess(seed=0).runtime)
+    assert result.replayed == len(log)
     # HPGMG-FV's equal-size mallocs: the runs the bulk carve exists for
-    runs = [e for a, e in zip(entries, entries[1:])
-            if e.op == "malloc" and a[:2] == e[:2] and a.device == e.device]
-    assert len(runs) > len(entries) // 4
+    mallocs = [r for r in log.records
+               if type(r) is RunRecord and r.op == "malloc"]
+    carved = sum(len(a) for r in mallocs for a in r.addrs)
+    assert carved > len(log) // 4
 
 
 # -- crafted cases ----------------------------------------------------------------
 
 
+def _one_address_each(run: RunRecord, k: int, addr: int) -> RunRecord:
+    """``run`` with its ``k``-th call logged at ``addr``."""
+    addrs = list(chain.from_iterable(run.addrs))
+    addrs[k] = addr
+    return run._replace(addrs=tuple(range(a, a + 1) for a in addrs))
+
+
 def test_run_crossing_arena_growth():
     def steps(b):
         b.malloc(48 << 20)
-        for _ in range(12):
-            b.malloc(10 << 20)  # the third of these grows a second arena
+        b.malloc_run(10 << 20, 12)  # the third of these grows a second arena
 
-    entries = recorded(steps)
-    assert assert_parity(fresh(), entries)[0] == "ok"
+    log = recorded(steps)
+    assert type(log.records[-1]) is RunRecord
+    assert assert_parity(fresh(), log)[0] == "ok"
     rt = SplitProcess(seed=0, load_upper=False).runtime
-    ReplayLog(entries).replay(rt)
+    log.replay(rt)
     assert rt._device_allocs[0].mmap_calls > 4  # grew mid-run
 
 
@@ -205,57 +217,65 @@ def test_run_crossing_arena_growth():
     [1 << 20, 1 << 20, 8 << 20],  # at a malloc of its own
 ], ids=["run", "single"])
 def test_out_of_memory_raises_like_the_entry_point(sizes):
-    entries = recorded(lambda b: [b.malloc(n) for n in sizes])
+    log = recorded(lambda b: [b.malloc(n) for n in sizes]
+                   if len(set(sizes)) > 1 else b.malloc_run(sizes[0], len(sizes)))
 
     def small(split):
         split.runtime._device_allocs[0].capacity = (11 << 20) // 2
 
-    got = assert_parity(fresh(), entries, prepare=small)
+    got = assert_parity(fresh(), log, prepare=small)
     assert got[0] == "CudaError" and "out of device memory" in got[1]
 
 
 def test_free_of_a_run_member_then_reuse():
     def steps(b):
-        ptrs = [b.malloc(256) for _ in range(10)]
+        ptrs = b.malloc_run(256, 10)
         b.free(ptrs[4])
         b.free(ptrs[0])
-        for _ in range(5):
-            b.malloc(256)
+        b.malloc_run(256, 5)  # both holes, then the tail
         b.free(ptrs[9])
 
-    assert assert_parity(fresh(), recorded(steps))[0] == "ok"
+    log = recorded(steps)
+    refill = log.records[-2]
+    assert type(refill) is RunRecord and len(refill.addrs) == 2
+    assert assert_parity(fresh(), log)[0] == "ok"
 
 
 def test_device_switch_splits_a_run():
     def steps(b):
         for device in (0, 1, 1, 0):
             b.set_device(device)
-            for _ in range(3):
-                b.malloc(4096)
+            b.malloc_run(4096, 3)
         b.malloc_host(4096)
 
-    entries = recorded(steps, n_gpus=2)
-    assert assert_parity(fresh(n_gpus=2), entries)[0] == "ok"
+    log = recorded(steps, n_gpus=2)
+    assert [r.device for r in log.records[:4]] == [0, 1, 1, 0]
+    assert assert_parity(fresh(n_gpus=2), log)[0] == "ok"
 
 
 def test_invalid_device_raises_like_cuda_set_device():
-    entries = [LogEntry("malloc", 256, 0x1000, 3)]
-    got = assert_parity(fresh(), entries)
-    assert got[0] == "CudaError" and "cudaSetDevice(3)" in got[1]
+    for record in (LogEntry("malloc", 256, 0x1000, 3),
+                   RunRecord("malloc", 256, (range(0x1000, 0x1300, 256),), 3)):
+        got = assert_parity(fresh(), [record])
+        assert got[0] == "CudaError" and "cudaSetDevice(3)" in got[1]
 
 
 @pytest.mark.parametrize("k", [0, 3, 9])
 def test_divergence_at_the_kth_run_element(k):
-    entries = recorded(lambda b: [b.malloc(256) for _ in range(10)])
+    per_call = recorded(lambda b: [b.malloc(256) for _ in range(10)])
+    entries = per_call.entries
     entries[k] = entries[k]._replace(addr=0xDEAD_0000)
-    got = assert_parity(fresh(), entries)
-    assert got[0] == "ReplayDivergenceError"
-    assert "original was 0xdead0000" in got[1]
+    run = recorded(lambda b: b.malloc_run(256, 10))
+    run.records[0] = _one_address_each(run.records[0], k, 0xDEAD_0000)
+    for log in (entries, run):
+        got = assert_parity(fresh(), log)
+        assert got[0] == "ReplayDivergenceError"
+        assert "original was 0xdead0000" in got[1]
 
 
 def test_every_family_with_host_allocs():
     def steps(b):
-        d = [b.malloc(1024) for _ in range(4)]
+        d = b.malloc_run(1024, 4)
         m = [b.malloc_managed(1 << 16) for _ in range(3)]
         h = [b.malloc_host(512) for _ in range(3)]
         ha = [b.host_alloc(2048) for _ in range(3)]
@@ -280,8 +300,9 @@ def test_every_family_with_host_allocs():
     LogEntry("free_managed", 0, 0x1234_5000),
 ])
 def test_rejected_free_raises_like_the_entry_point(bad):
-    entries = recorded(lambda b: [b.malloc(256) for _ in range(3)]) + [bad]
-    assert assert_parity(fresh(), entries)[0] == "CudaError"
+    log = recorded(lambda b: b.malloc_run(256, 3))
+    log.records.append(bad)
+    assert assert_parity(fresh(), log)[0] == "CudaError"
 
 
 def test_free_of_the_wrong_family_raises_like_the_entry_point():
@@ -289,15 +310,15 @@ def test_free_of_the_wrong_family_raises_like_the_entry_point():
         b.malloc(256)
         b.malloc_host(256)
 
-    entries = recorded(steps)
+    entries = recorded(steps).entries
     pinned = entries[1].addr
     assert assert_parity(fresh(), entries + [LogEntry("free", 0, pinned)])[0] \
         == "CudaError"
 
 
 def test_destroyed_library_raises_like_the_entry_point():
-    entries = recorded(lambda b: [b.malloc(256) for _ in range(3)])
-    got = assert_parity(fresh(), entries,
+    log = recorded(lambda b: b.malloc_run(256, 3))
+    got = assert_parity(fresh(), log,
                         prepare=lambda split: split.runtime.destroy())
     assert got[0] == "CudaError"
 
@@ -306,7 +327,7 @@ def test_suffix_onto_a_live_runtime_that_frees_preexisting_buffers():
     def live():
         session = CracSession(seed=0)
         b = session.backend
-        ptrs = [b.malloc(256) for _ in range(6)]
+        ptrs = b.malloc_run(256, 6)
         b.device_view(ptrs[2], 16)[:] = 7  # built: leaves never-built
         b.malloc_host(512)
         b.malloc_managed(1 << 16)
@@ -314,28 +335,26 @@ def test_suffix_onto_a_live_runtime_that_frees_preexisting_buffers():
         return session
 
     probe = live()
-    start = len(probe.backend.log)
     b = probe.backend
+    start = b.log.copy()
     b.free(probe.live[1])
     b.free(probe.live[2])
-    more = [b.malloc(256) for _ in range(4)]
-    b.free(more[0])
-    b.free(probe.live[5])
+    more = b.malloc_run(256, 4)
+    b.free_run([more[0], probe.live[5]])
     b.malloc(256)
-    suffix = list(b.log.entries[start:])
+    suffix = b.log.since(start)
     assert assert_parity(lambda: live().split, suffix)[0] == "ok"
 
 
 def test_sanitizer_hooks_fire_per_address():
     def steps(b):
-        ptrs = [b.malloc(256) for _ in range(8)]
+        ptrs = b.malloc_run(256, 8)
         b.free(ptrs[3])
         b.free(ptrs[6])
-        for _ in range(4):
-            b.malloc(256)
+        b.malloc_run(256, 4)
         b.free_host(b.malloc_host(512))
 
-    entries = recorded(steps)
+    log = recorded(steps)
     events = {}
 
     def attach(split):
@@ -355,7 +374,7 @@ def test_sanitizer_hooks_fire_per_address():
         splits.append(split)
         return split
 
-    assert assert_parity(make, entries, prepare=attach)[0] == "ok"
+    assert assert_parity(make, log, prepare=attach)[0] == "ok"
     bulk, ref = splits
     assert events[id(bulk)] == events[id(ref)]
     assert len(events[id(bulk)]) == 16
@@ -364,7 +383,7 @@ def test_sanitizer_hooks_fire_per_address():
 
 def test_translating_mode_builds_the_same_map():
     def steps(b):
-        ptrs = [b.malloc(256) for _ in range(5)]
+        ptrs = b.malloc_run(256, 5)
         b.free(ptrs[1])
         b.malloc_managed(1 << 16)
         b.malloc(256)
@@ -392,7 +411,7 @@ def _churn(b):
     on a fresh runtime, churn right after a run of its own size, churn
     at a hole, and churn of another size."""
     b.malloc_free_run(4096, 6)
-    keep = [b.malloc(4096) for _ in range(3)]
+    keep = b.malloc_run(4096, 3)
     b.malloc_free_run(4096, 40)
     b.free(keep[1])
     b.malloc_free_run(4096, 25)  # lands in the hole keep[1] left
@@ -400,36 +419,42 @@ def _churn(b):
     b.free(keep[0])
 
 
+def _churns(log: ReplayLog) -> list[int]:
+    """The pair count of each of ``log``'s churn records."""
+    return [r.pairs for r in log.records if type(r) is ChurnRecord]
+
+
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "translating"])
 def test_churn_replays_in_bulk_like_per_call(strict):
-    entries = recorded(_churn)
-    assert len(_churn_runs(entries)) == 4
+    log = recorded(_churn)
+    assert _churns(log) == [6, 40, 25, 12]
 
     def shifted(split):
         split.runtime.cudaMalloc(4096)
 
-    got = assert_parity(fresh(), entries, strict=strict,
+    got = assert_parity(fresh(), log, strict=strict,
                         prepare=None if strict else shifted)
     assert got[0] == "ok"
-    assert got[1][0] == len(entries)
+    assert got[1][0] == len(log)
 
 
 def test_churn_after_a_run_of_its_size_starts_a_pair_later():
-    entries = recorded(lambda b: (
+    log = recorded(lambda b: (
         [b.malloc(4096) for _ in range(3)], b.malloc_free_run(4096, 5),
     ))
-    # The run's last malloc is the churn's first.
-    assert _churn_runs(entries) == [(3, 13)]
-    assert assert_parity(fresh(), entries)[0] == "ok"
+    # The churn's pairs are one record, apart from the mallocs before it.
+    assert [type(r) for r in log.records] == [LogEntry] * 3 + [ChurnRecord]
+    assert _churns(log) == [5]
+    assert assert_parity(fresh(), log)[0] == "ok"
 
 
 def test_churn_whose_first_pair_grows_the_arena():
-    entries = recorded(lambda b: b.malloc_free_run(256, 30))
-    assert _churn_runs(entries) == [(0, 60)]
+    log = recorded(lambda b: b.malloc_free_run(256, 30))
+    assert _churns(log) == [30]
     rt = SplitProcess(seed=0, load_upper=False).runtime
-    ReplayLog(entries).replay(rt)
+    log.replay(rt)
     assert rt._device_allocs[0].mmap_calls  # the first pair grew it
-    assert assert_parity(fresh(), entries)[0] == "ok"
+    assert assert_parity(fresh(), log)[0] == "ok"
 
 
 def test_translated_churn_whose_pairs_move_until_the_arena_holds():
@@ -437,7 +462,7 @@ def test_translated_churn_whose_pairs_move_until_the_arena_holds():
     never merged, the first too small: the first pair lands in the
     second block and merges the two, the later ones at the first's
     start, so the map ends on the later address."""
-    entries = recorded(lambda b: b.malloc_free_run(4096, 10))
+    log = recorded(lambda b: b.malloc_free_run(4096, 10))
 
     def unmerged(split):
         rt = split.runtime
@@ -449,7 +474,7 @@ def test_translated_churn_whose_pairs_move_until_the_arena_holds():
             _FreeBlock(tail.start + 256, tail.size - 256),
         ]
 
-    got = assert_parity(fresh(), entries, strict=False, prepare=unmerged)
+    got = assert_parity(fresh(), log, strict=False, prepare=unmerged)
     assert got[0] == "ok"
     [(_, replayed)] = got[1][1].items()
     assert replayed == SplitProcess(seed=0, load_upper=False).runtime \
@@ -458,16 +483,20 @@ def test_translated_churn_whose_pairs_move_until_the_arena_holds():
 
 @pytest.mark.parametrize("k", [0, 7, 19])
 def test_divergent_pair_inside_a_churn(k):
-    entries = recorded(lambda b: b.malloc_free_run(1024, 20))
-    entries[2 * k] = entries[2 * k]._replace(addr=0xDEAD_0000)
-    entries[2 * k + 1] = entries[2 * k + 1]._replace(addr=0xDEAD_0000)
-    got = assert_parity(fresh(), entries)
+    log = recorded(lambda b: b.malloc_free_run(1024, 20))
+    [churn] = log.records
+    log.records[:] = [r for r in (
+        churn._replace(pairs=k),
+        churn._replace(addr=0xDEAD_0000, pairs=1),
+        churn._replace(pairs=19 - k),
+    ) if r.pairs]
+    got = assert_parity(fresh(), log)
     assert got[0] == "ReplayDivergenceError"
     assert "original was 0xdead0000" in got[1]
 
 
 def test_churn_sanitizer_hooks_fire_per_pair():
-    entries = recorded(_churn)
+    log = recorded(_churn)
     seen = {}
 
     def attach(split):
@@ -486,10 +515,10 @@ def test_churn_sanitizer_hooks_fire_per_pair():
         splits.append(split)
         return split
 
-    assert assert_parity(make, entries, prepare=attach)[0] == "ok"
+    assert assert_parity(make, log, prepare=attach)[0] == "ok"
     bulk, ref = (seen[id(split)] for split in splits)
     assert bulk == ref
-    assert len(bulk) == sum(e.op in ("malloc", "free") for e in entries)
+    assert len(bulk) == sum(e.op in ("malloc", "free") for e in log.entries)
 
 
 # -- property: irregular logs onto a live runtime ---------------------------
@@ -502,14 +531,20 @@ ALLOCS = st.sampled_from(["malloc", "malloc_host", "malloc_managed",
                           "host_alloc"])
 STEPS = st.one_of(
     st.tuples(ALLOCS, SIZES),  # one allocation
-    # equal allocations, the current device switched before the
-    # ``switch``-th one if it is in the run
-    st.tuples(st.just("run"), ALLOCS, SIZES, st.integers(2, 6),
-              st.integers(0, 8)),
+    st.tuples(st.just("run"), SIZES, st.integers(1, 8)),  # malloc_run
     st.tuples(st.just("free"), st.integers(0, 63)),
+    # free_run of device and managed pointers, from the i-th on
+    st.tuples(st.just("free_run"), st.integers(0, 63), st.integers(1, 6)),
     st.tuples(st.just("set_device"), st.integers(0, 1)),
     st.tuples(st.just("churn"), SIZES, st.integers(1, 6)),
+    # split the current arena's tail free block in two touching blocks
+    # that never merged: the next churn's first pair moves
+    st.tuples(st.just("unmerge")),
 )
+#: a script whose second run crosses two free-block breaks
+HOLES = [("run", 768, 6), ("free", 7), ("free", 9), ("run", 768, 4)]
+#: a script whose churn's first pair lands apart from the later ones
+MOVES = [("unmerge",), ("churn", 4096, 5)]
 
 
 def _live_runtime():
@@ -521,11 +556,16 @@ def _live_runtime():
     return session
 
 
-def _irregular_log(script) -> list[LogEntry]:
-    """The log ``script`` records on a live runtime, past ``OLDER``."""
+def _scripted(script, api, cut):
+    """``script`` run on a live runtime through ``api`` (``Run`` or
+    ``PerCall``), with a checkpoint armed to fire at call ``cut`` (if
+    not None). The whole log, its part past ``OLDER`` and the logs of
+    the images taken."""
     session = _live_runtime()
     b = session.backend
-    start = len(b.log)
+    start = b.log.copy()
+    if cut is not None:
+        session.coordinator.schedule_checkpoint_at_call(cut)
     live = list(session.older)
     frees = {"malloc": b.free, "malloc_managed": b.free,
              "malloc_host": b.free_host, "host_alloc": b.free_host}
@@ -534,37 +574,77 @@ def _irregular_log(script) -> list[LogEntry]:
             if live:
                 op, ptr = live.pop(step[1] % len(live))
                 frees[op](ptr)
+        elif step[0] == "free_run":
+            cuda_free = [p for p in live if p[0] in ("malloc", "malloc_managed")]
+            if cuda_free:
+                i = step[1] % len(cuda_free)
+                picked = cuda_free[i:i + step[2]]
+                live = [p for p in live if p not in picked]
+                api.free_run(b, [ptr for _, ptr in picked])
         elif step[0] == "set_device":
             b.set_device(step[1])
         elif step[0] == "churn":
-            b.malloc_free_run(step[1], step[2])
+            api.malloc_free_run(b, step[1], step[2])
         elif step[0] == "run":
-            _, op, nbytes, count, switch = step
-            for k in range(count):
-                if k == switch:
-                    b.set_device(1 - b.get_device())
-                live.append((op, getattr(b, op)(nbytes)))
+            live += [("malloc", p) for p in api.malloc_run(b, step[1], step[2])]
+        elif step[0] == "unmerge":
+            arena = session.runtime._device_alloc
+            tail = arena._free[-1] if arena._free else None
+            if tail is not None and tail.size > 512:
+                arena._free[-1:] = [
+                    _FreeBlock(tail.start, 256),
+                    _FreeBlock(tail.start + 256, tail.size - 256),
+                ]
         else:
             op, nbytes = step
             live.append((op, getattr(b, op)(nbytes)))
-    return list(b.log.entries[start:])
+    images = [i.blob("crac/replay-log") for i in session.coordinator.images]
+    return b.log, b.log.since(start), images
+
+
+def _moved(record, k: int):
+    """``record`` with an allocation logged at another address: its
+    ``k``-th call in a run."""
+    if type(record) is RunRecord:
+        calls = sum(map(len, record.addrs))
+        return _one_address_each(record, k % calls, 0xDEAD_0000)
+    return record._replace(addr=0xDEAD_0000)
 
 
 @settings(max_examples=120, deadline=None)
 @given(script=st.lists(STEPS, min_size=1, max_size=40),
-       diverge=st.none() | st.integers(0, 1 << 10), strict=st.booleans())
-def test_irregular_logs_replay_in_bulk_like_per_call(script, diverge, strict):
-    """Unequal device, pinned and managed allocations, runs and churn
-    among them, frees of this log's allocations and of older ones (rows
-    and an object), device switches, and an allocation that lands
-    elsewhere than the log says."""
-    entries = _irregular_log(script)
-    allocating = [i for i, e in enumerate(entries)
-                  if e.op in ("malloc", "malloc_host", "malloc_managed")]
+       diverge=st.none() | st.integers(0, 1 << 10), strict=st.booleans(),
+       cut=st.none() | st.integers(1, 60))
+@example(script=HOLES, diverge=None, strict=True, cut=None)
+@example(script=MOVES, diverge=None, strict=False, cut=None)
+@example(script=HOLES + MOVES, diverge=None, strict=True, cut=11)
+def test_irregular_logs_replay_in_bulk_like_per_call(script, diverge, strict, cut):
+    """Runs of equal mallocs (some crossing free-block breaks), frees
+    and churn through the run API, unequal device, pinned and managed
+    allocations among them, frees of this log's allocations and of older
+    ones (rows and an object), device switches, a checkpoint armed
+    inside a run, and an allocation that lands elsewhere than the log
+    says. The run API logs what one call at a time logs, the images'
+    logs are prefixes of the live log's records, and the records replay
+    in bulk as their entries do one by one."""
+    log, suffix, images = _scripted(script, Run, cut)
+    per_call, per_call_suffix, per_call_images = _scripted(script, PerCall, cut)
+    assert suffix.entries == per_call_suffix.entries
+    assert [i.entries for i in images] == [i.entries for i in per_call_images]
+    for image in images:
+        assert log.records[:len(image.records)] == image.records
+    records = suffix.records
+    allocating = [
+        i for i, r in enumerate(records)
+        if type(r) is ChurnRecord or r.op in ("malloc", "malloc_host",
+                                              "malloc_managed")
+    ]
     if diverge is not None and allocating:
         k = allocating[diverge % len(allocating)]
-        entries[k] = entries[k]._replace(addr=0xDEAD_0000)
-    assert_parity(lambda: _live_runtime().split, entries, strict=strict)
+        records[k] = _moved(records[k], diverge)
+    got = assert_parity(lambda: _live_runtime().split, suffix, strict=strict)
+    if not strict or (diverge is None and ("unmerge",) not in script):
+        assert got[0] == "ok"
 
 
 # -- restart counts the same calls in both modes -----------------------------

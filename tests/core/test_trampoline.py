@@ -5,7 +5,7 @@ import pytest
 from repro.core import CracBackend, SplitProcess
 from repro.cuda.api import FatBinary
 from repro.cuda.interface import NativeBackend
-from repro.gpu.timing import DEFAULT_HOST_COSTS, HostCosts
+from repro.gpu.timing import DEFAULT_HOST_COSTS
 from repro.linux.process import SYSCALL_NS, WRFSBASE_NS
 
 FB = FatBinary("app.fatbin", ("k",))
@@ -59,26 +59,6 @@ class TestTrampolineCost:
         # The saving per call is exactly two switch-cost deltas.
         expected = 100 * 2 * (SYSCALL_NS - WRFSBASE_NS)
         assert cost_u - cost_f == pytest.approx(expected, rel=0.01)
-
-    def test_negative_dispatch_cost_raises_on_first_call(self):
-        """The inline charge keeps SimProcess.advance's guard: a negative
-        table-indirection + call cost raises on the first trampoline
-        call, after the entering fs switch, exactly as the per-step
-        path does."""
-        split = SplitProcess(seed=2)
-        costs = HostCosts(trampoline_body_ns=-1.0, native_dispatch_ns=0.0)
-        backend = CracBackend(split.runtime, costs)
-        proc = split.process
-        clock, switches, syscalls = (
-            proc.clock_ns, proc.fs_switch_count, proc.syscall_count
-        )
-        with pytest.raises(ValueError, match="time cannot go backwards"):
-            backend.malloc(64)
-        assert proc.clock_ns == clock + SYSCALL_NS
-        assert proc.fs_switch_count == switches + 1
-        assert proc.syscall_count == syscalls + 1
-        assert proc.threads[0].fs_base == backend._lower_fs
-        assert backend.log.entries == []
 
 
 class TestInterposition:

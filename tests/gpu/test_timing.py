@@ -1,9 +1,17 @@
 """Unit tests for the calibrated cost model (gpu/timing.py)."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import CudaError
-from repro.gpu.timing import DEFAULT_HOST_COSTS, GPU_SPECS, GpuSpec, NS_PER_S
+from repro.gpu.timing import (
+    DEFAULT_HOST_COSTS,
+    GPU_SPECS,
+    GpuSpec,
+    HostCosts,
+    NS_PER_S,
+)
 
 
 class TestGpuSpecs:
@@ -81,3 +89,16 @@ class TestHostCosts:
     def test_startup_under_half_second(self):
         # BFS (2.7 s native) shows ≤14% overhead ⇒ startup ≤ ~0.4 s.
         assert DEFAULT_HOST_COSTS.crac_startup_ns < 0.4e9
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(HostCosts)]
+    )
+    def test_negative_cost_is_rejected_where_it_enters(self, name):
+        """Time cannot go backwards: a negative cost raises when the
+        costs are built, naming the field, so no per-call charge has to
+        check it."""
+        with pytest.raises(ValueError, match=f"HostCosts.{name} "):
+            HostCosts(**{name: -1.0})
+        with pytest.raises(ValueError, match=f"HostCosts.{name} "):
+            dataclasses.replace(DEFAULT_HOST_COSTS, **{name: -0.5})
+        assert getattr(HostCosts(**{name: 0.0}), name) == 0.0

@@ -46,7 +46,7 @@ class TestCorruptedImage:
         image = session.checkpoint()
         session.kill()
         # Corrupt: truncate the replay log so the buffer never reappears.
-        image.blob("crac/replay-log").entries.clear()
+        image.blob("crac/replay-log").records.clear()
         with pytest.raises(RestartError):
             session.restart(image)
 
