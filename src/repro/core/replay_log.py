@@ -24,10 +24,11 @@ the records into one entry per call, and ``len`` counts calls. A record
 never straddles a checkpoint cut (the call an armed checkpoint fires at
 crosses alone), so the log an image keeps is a prefix of the live log's
 records. The lower-half library replays the records as they are, in one
-pass (``CudaRuntime.replay_allocations``): a run of mallocs is one arena
-carve and one table update per table, a churn is replayed until its arena
-holds, every other call goes through one loop, and every allocation is
-a row (its size and its uid in a never-built table): no buffer object is
+pass (``CudaRuntime.replay_allocations``) that calls its own entry points:
+a run of mallocs is one ``malloc_run``, a churn is replayed a pair at a
+time until its arena holds and the rest is one ``malloc_free_run``, and
+every free and device switch is its entry point. Every allocation is a
+row (its size and its uid in a never-built table): no buffer object is
 built, live at the end or not.
 """
 
@@ -181,8 +182,10 @@ class StreamOpLog:
     bypasses fault injection and logging, so replay cannot recurse.
     """
 
-    def __init__(self, max_entries: int = 4096) -> None:
-        self.max_entries = max_entries
+    #: records kept; past it, the oldest retired ones are trimmed
+    MAX_ENTRIES = 4096
+
+    def __init__(self) -> None:
         self.records: list[StreamOpRecord] = []
         #: total ops ever recorded (diagnostics; survives trimming)
         self.total_recorded = 0
@@ -196,9 +199,9 @@ class StreamOpLog:
             copy_kind=copy_kind, nbytes=nbytes,
         ))
         self.total_recorded += 1
-        if len(self.records) > self.max_entries:
+        if len(self.records) > self.MAX_ENTRIES:
             keep = [r for r in self.records if not r.replayed]
-            self.records = keep[-self.max_entries:]
+            self.records = keep[-self.MAX_ENTRIES:]
 
     def mark_synced(self, stream_sid: int | None = None) -> int:
         """Retire ops confirmed complete by a successful synchronization.

@@ -84,14 +84,15 @@ class CracBackend(CudaDispatchBase):
     #: base of the virtual-pointer range handed to the application when
     #: address virtualization is enabled (disjoint from both halves).
     VIRT_BASE = 0x0000_5000_0000_0000
+    #: fs register values of the lower and upper halves' threads
+    _lower_fs = 0x1000
+    _upper_fs = 0x2000
 
     def __init__(
         self,
         runtime: CudaRuntime,
         host_costs: HostCosts = DEFAULT_HOST_COSTS,
         *,
-        lower_fs_base: int = 0x1000,
-        upper_fs_base: int = 0x2000,
         virtualize_addresses: bool = False,
     ) -> None:
         super().__init__(runtime, host_costs)
@@ -104,8 +105,6 @@ class CracBackend(CudaDispatchBase):
         self._v2r: dict[int, int] = {}
         self._virt_cursor = self.VIRT_BASE
         self.coordinator: DmtcpCoordinator | None = None
-        self._lower_fs = lower_fs_base
-        self._upper_fs = upper_fs_base
         # Fat-binary virtualization: app-visible handle -> (real handle,
         # FatBinary, registered function names).
         self._next_virtual_handle = 1

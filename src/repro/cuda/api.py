@@ -29,7 +29,7 @@ import itertools
 import zlib
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain, groupby, repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
@@ -117,231 +117,6 @@ def _diverged(entry: tuple, got: int) -> NoReturn:
         f"replayed {op}({nbytes}) landed at {got:#x}, original was "
         f"{addr:#x} — allocator nondeterminism or changed platform/ASLR"
     )
-
-
-class _ReplayBatch:
-    """One pass of :meth:`CudaRuntime.replay_allocations`.
-
-    The rows (sizes, never-built tables, pinned origins) are written as
-    the log goes: :meth:`replay_each` one entry at a time, :meth:`carve`
-    a :class:`RunRecord` of mallocs with one update per table,
-    :meth:`churn` a :class:`ChurnRecord`. The rest of the runtime's
-    bookkeeping (the ``api_log`` increments, the current
-    device, the next uid, the UVA epoch steps) waits for :meth:`flush`.
-    """
-
-    __slots__ = ("runtime", "strict", "calls", "device", "uid", "uva_steps",
-                 "replayed", "translation", "hostalloc_addrs", "host_allocs")
-
-    def __init__(self, runtime: "CudaRuntime", strict: bool) -> None:
-        self.runtime = runtime
-        self.strict = strict
-        #: api_log increments, in first-call order
-        self.calls: Counter[str] = Counter()
-        self.device = runtime.current_device
-        self.uid = next(runtime._buffer_uids)
-        #: UVA epoch steps (one per managed allocation or free)
-        self.uva_steps = 0
-        #: calls replayed, and :class:`ReplayResult`'s translation
-        self.replayed = 0
-        self.translation: dict[int, int] = {}
-        #: every ``cudaHostAlloc`` address of the log, and the entries
-        #: still active
-        self.hostalloc_addrs: set[int] = set()
-        self.host_allocs: dict[int, tuple] = {}
-
-    def replay_each(self, entries: Iterable[tuple]) -> None:
-        """Replay ``entries`` one by one."""
-        rt = self.runtime
-        strict = self.strict
-        translation = self.translation
-        hostalloc_addrs = self.hostalloc_addrs
-        host_allocs = self.host_allocs
-        calls = self.calls
-        ok = rt._entry_ok
-        allocs = rt._device_allocs
-        one_gpu = len(allocs) == 1
-        objects = rt._objects
-        allocations = rt.allocations
-        unbuilt_device = rt.unbuilt_device
-        unbuilt_pinned = rt.unbuilt_pinned
-        unbuilt_managed = rt.unbuilt_managed
-        host_origin = rt._host_origin
-        pinned_arena = rt._pinned_alloc
-        managed_arena = rt._managed_alloc
-        for e in entries:
-            op, nbytes, addr, device = e
-            if op == "malloc":
-                if ok and device != self.device:
-                    self._set_device(device)
-                name, table = "cudaMalloc", unbuilt_device
-                arena = allocs[device] if ok else None
-            elif op == "malloc_managed":
-                name, table, arena = (
-                    "cudaMallocManaged", unbuilt_managed, managed_arena
-                )
-            elif op == "malloc_host":
-                name, table, arena = (
-                    "cudaMallocHost", unbuilt_pinned, pinned_arena
-                )
-            elif op == "host_alloc":
-                hostalloc_addrs.add(addr)
-                host_allocs[addr] = e
-                continue
-            else:  # a free
-                if op == "free_host" and addr in hostalloc_addrs:
-                    host_allocs.pop(addr, None)  # never replayed
-                    continue
-                if not strict:
-                    addr = translation.get(addr, addr)
-                self.replayed += 1
-                # A row (and no object) of the kind the free expects: the
-                # entry point's work, inlined.
-                if ok and addr not in objects:
-                    if op == "free":
-                        if addr in unbuilt_device:
-                            calls["cudaFree"] += 1
-                            allocs[
-                                0 if one_gpu else rt._row_device(addr)
-                            ].free(addr)
-                            del allocations[addr], unbuilt_device[addr]
-                            continue
-                    elif op == "free_managed":
-                        if addr in unbuilt_managed:
-                            calls["cudaFree"] += 1
-                            managed_arena.free(addr)
-                            del allocations[addr], unbuilt_managed[addr]
-                            self.uva_steps += 1
-                            continue
-                    elif (
-                        addr in unbuilt_pinned
-                        and host_origin.get(addr) == "pinned"
-                    ):
-                        calls["cudaFreeHost"] += 1
-                        del host_origin[addr]
-                        pinned_arena.free(addr)
-                        del allocations[addr], unbuilt_pinned[addr]
-                        continue
-                # An object, or a free the entry point rejects.
-                self.delegate(
-                    rt.cudaFree if op == "free"
-                    else rt.cudaFreeHost if op == "free_host"
-                    else rt.cudaFreeManaged,
-                    addr,
-                )
-                continue
-            if not ok:
-                # A library that takes no calls: the entry point raises.
-                self.delegate(getattr(rt, name), nbytes)
-            # Counted first, as the entry point counts a call whose
-            # allocation fails.
-            calls[name] += 1
-            got = arena.alloc(nbytes)
-            uid = self.uid
-            self.uid = uid + 1
-            table[got] = uid
-            allocations[got] = nbytes
-            self.replayed += 1
-            if op == "malloc_host":
-                host_origin[got] = "pinned"
-            elif op == "malloc_managed":
-                self.uva_steps += 1
-            if not strict:
-                translation[addr] = got
-            elif got != addr:
-                _diverged(e, got)
-
-    def carve(self, run: RunRecord) -> None:
-        """Replay ``run``, ``cudaMalloc`` calls of one size and device, at
-        once."""
-        rt = self.runtime
-        _, nbytes, addrs, device = run
-        if rt._entry_ok and device != self.device:
-            self._set_device(device)
-        if not rt._entry_ok:
-            # A library that takes no calls: the entry point raises.
-            self.delegate(rt.cudaMalloc, nbytes)
-        logged = list(chain.from_iterable(addrs))
-        strict = self.strict
-        carved = rt._device_allocs[device].alloc_run(
-            nbytes, len(logged), logged if strict else None
-        )
-        taken = len(carved)
-        self.calls["cudaMalloc"] += taken
-        uid = self.uid
-        self.uid = uid + taken
-        rt.unbuilt_device.update(zip(carved, range(uid, uid + taken)))
-        rt.allocations.update(zip(carved, repeat(nbytes)))
-        self.replayed += taken
-        if not strict:
-            self.translation.update(zip(logged, carved))
-        elif taken and carved[-1] != logged[taken - 1]:
-            _diverged(("malloc", nbytes, logged[taken - 1], device), carved[-1])
-        if taken < len(logged):
-            # The next call fails (out of memory, a bad size): the entry
-            # point raises.
-            self.delegate(rt.cudaMalloc, nbytes)
-
-    def churn(self, churn: ChurnRecord) -> None:
-        """Replay ``churn``: a pair at a time until one leaves its arena's
-        free list as it found it. Every later pair would land where that
-        one did and leave everything as it was, so the rest are counted
-        and the arena makes them in bulk
-        (:meth:`ArenaAllocator.alloc_free_run`, for a sanitizer's
-        hooks)."""
-        rt = self.runtime
-        nbytes, addr, device, pairs = churn
-        pair = (("malloc", nbytes, addr, device), ("free", 0, addr, 0))
-        allocs = rt._device_allocs
-        if not (rt._entry_ok and 0 <= device < len(allocs)):
-            self.replay_each(pair)  # raises at its first entry
-            return
-        arena = allocs[device]
-        done = 0
-        while done < pairs:
-            before = arena.free_spans()
-            self.replay_each(pair)
-            done += 1
-            if arena.free_spans() == before:
-                break
-        rest = pairs - done
-        if rest:
-            arena.alloc_free_run(nbytes, rest)
-            self.calls["cudaMalloc"] += rest
-            self.calls["cudaFree"] += rest
-            self.uid += rest
-            self.replayed += 2 * rest
-
-    def _set_device(self, device: int) -> None:
-        """The ``cudaSetDevice`` before a malloc on another device."""
-        if not 0 <= device < len(self.runtime._device_allocs):
-            self.delegate(self.runtime.cudaSetDevice, device)  # raises
-        self.calls["cudaSetDevice"] += 1
-        self.device = device
-
-    def flush(self) -> None:
-        """Leave the runtime exactly as the calls so far, made one by one
-        through the entry points, would have (idempotent)."""
-        rt = self.runtime
-        api_log = rt.api_log
-        for name, n in self.calls.items():
-            api_log[name] += n
-        self.calls.clear()
-        rt.current_device = self.device
-        rt._buffer_uids = itertools.count(self.uid)
-        if self.uva_steps:  # a managed allocation was made
-            rt._lib_uva_epoch += self.uva_steps
-            rt.ctx.uva_epoch += self.uva_steps
-            rt.uvm.ever_used = True
-            self.uva_steps = 0
-
-    def delegate(self, entry_point: Callable, arg: int) -> None:
-        """Make one call through its public entry point, on bookkeeping
-        brought up to date first."""
-        self.flush()
-        entry_point(arg)
-        self.uid = next(self.runtime._buffer_uids)
-        self.device = self.runtime.current_device
 
 
 class RowWatch:
@@ -675,7 +450,9 @@ class CudaRuntime:
             buf.freed = True
             del self._objects[addr]
 
-    def malloc_run(self, nbytes: int, n: int) -> list[int]:
+    def malloc_run(
+        self, nbytes: int, n: int, expected: list[int] | None = None
+    ) -> list[int]:
         """Make up to ``n`` :meth:`cudaMalloc` calls of ``nbytes`` at once.
 
         The runtime ends as the same calls made one by one leave it (the
@@ -683,12 +460,16 @@ class CudaRuntime:
         with one :meth:`ArenaAllocator.alloc_run` carve and the rows
         added in bulk. The run stops before the first call that would
         raise (a library that takes no calls, a bad size, out of memory):
-        the caller re-issues that call through :meth:`cudaMalloc`.
-        Returns the addresses made.
+        the caller re-issues that call through :meth:`cudaMalloc`. With
+        ``expected`` (replay's logged addresses), it also stops right
+        after the first call that lands elsewhere. Returns the addresses
+        made.
         """
         if not self._entry_ok:
             return []
-        addrs = self._device_allocs[self.current_device].alloc_run(nbytes, n)
+        addrs = self._device_allocs[self.current_device].alloc_run(
+            nbytes, n, expected
+        )
         made = len(addrs)
         if made:
             self.api_log["cudaMalloc"] += made
@@ -875,45 +656,133 @@ class CudaRuntime:
         device)`` entries of one call each and the run records of calls
         that crossed at once.
 
-        The runtime ends exactly as calling the entry points one call at
-        a time leaves it, down to dict orders, uids and ``api_log``, and
-        raises the same errors at the same call. A :class:`RunRecord` of
-        mallocs is carved with one :meth:`ArenaAllocator.alloc_run` and
-        its rows written with one update per table, and each of its
-        addresses is checked. A :class:`ChurnRecord` is replayed a pair
-        at a time until its arena is back where it started, and the rest
-        of it is counted in bulk. The other calls go through one loop
-        that writes an allocation's row, or frees a row (arena work and
-        two deletes), as it goes. Anything else (a free of an object, a
-        call the entry point rejects) goes through the entry point, on
-        bookkeeping brought up to date. ``cudaHostAlloc`` entries and
-        their frees are not replayed: the caller re-registers the
-        still-active ones, which the result lists.
+        Every record goes through the entry points, so the runtime ends
+        exactly as calling them one call at a time leaves it, down to
+        dict orders, uids and ``api_log``, and raises the same errors at
+        the same call. A :class:`RunRecord` of mallocs is one
+        :meth:`malloc_run` that stops right after a call that lands off
+        the log. A :class:`ChurnRecord` is replayed a pair at a time
+        through :meth:`cudaMalloc` and :meth:`cudaFree` until its arena
+        holds, and the rest of its pairs are one :meth:`malloc_free_run`.
+        A ``cudaSetDevice`` and every free call their entry point. Only a
+        lone malloc is inlined: the entry point's counting, one arena
+        call and the row it writes. ``cudaHostAlloc`` entries and their
+        frees are not replayed: the caller re-registers the still-active
+        ones, which the result lists.
 
         In strict mode an allocation landing at another address than the
         log's raises :class:`ReplayDivergenceError`; otherwise the result
         maps each original address to the replayed one, and frees follow
-        that map.
+        that map (empty in strict mode, where every call lands as logged).
         """
-        batch = _ReplayBatch(self, strict)
-        try:
-            for kind, group in groupby(records, type):
-                if kind is ChurnRecord:
-                    for churn in group:
-                        batch.churn(churn)
-                elif kind is not RunRecord:
-                    batch.replay_each(group)
+        api_log = self.api_log
+        allocations = self.allocations
+        translation: dict[int, int] = {}
+        #: every ``cudaHostAlloc`` address of the log, and the entries
+        #: still active
+        hostalloc_addrs: set[int] = set()
+        host_allocs: dict[int, tuple] = {}
+        replayed = 0
+        for record in records:
+            kind = type(record)
+            if kind is RunRecord:
+                if record.op == "free":
+                    for addr in chain.from_iterable(record.addrs):
+                        self.cudaFree(translation.get(addr, addr))
+                        replayed += 1
+                    continue
+                _, nbytes, addrs, device = record
+                if device != self.current_device:
+                    self.cudaSetDevice(device)
+                logged = list(chain.from_iterable(addrs))
+                made = self.malloc_run(
+                    nbytes, len(logged), logged if strict else None
+                )
+                taken = len(made)
+                replayed += taken
+                if not strict:
+                    translation.update(zip(logged, made))
+                elif taken and made[-1] != logged[taken - 1]:
+                    _diverged(("malloc", nbytes, logged[taken - 1], device),
+                              made[-1])
+                if taken < len(logged):
+                    self.cudaMalloc(nbytes)  # raises the run's next error
+                continue
+            if kind is ChurnRecord:
+                nbytes, addr, device, pairs = record
+                if device != self.current_device:
+                    self.cudaSetDevice(device)
+                arena = self._device_allocs[device]
+                done = 0
+                while done < pairs:
+                    before = arena.free_spans()
+                    got = self.cudaMalloc(nbytes)
+                    if not strict:
+                        translation[addr] = got
+                    elif got != addr:
+                        _diverged(("malloc", nbytes, addr, device), got)
+                    self.cudaFree(got)
+                    done += 1
+                    if arena.free_spans() == before:
+                        break
+                # Every later pair lands where the last one did.
+                self.malloc_free_run(nbytes, pairs - done)
+                replayed += 2 * pairs
+                continue
+            op, nbytes, addr, device = record
+            if op == "free":
+                self.cudaFree(translation.get(addr, addr))
+            elif op == "free_managed":
+                self.cudaFreeManaged(translation.get(addr, addr))
+            elif op == "free_host":
+                if addr in hostalloc_addrs:
+                    host_allocs.pop(addr, None)  # never replayed
+                    continue
+                self.cudaFreeHost(translation.get(addr, addr))
+            elif op == "host_alloc":
+                hostalloc_addrs.add(addr)
+                host_allocs[addr] = record
+                continue
+            else:
+                # A lone malloc: its entry point, inlined, so that the
+                # arena call is its one Python call
+                # (RESTART_MALLOC_CALL_BUDGET in test_alloc_path_cost).
+                if op == "malloc":
+                    if device != self.current_device:
+                        self.cudaSetDevice(device)
+                    name, arena, table = (
+                        "cudaMalloc", self._device_allocs[device],
+                        self.unbuilt_device,
+                    )
+                elif op == "malloc_host":
+                    name, arena, table = (
+                        "cudaMallocHost", self._pinned_alloc,
+                        self.unbuilt_pinned,
+                    )
                 else:
-                    for run in group:
-                        if run.op == "malloc":
-                            batch.carve(run)
-                        else:
-                            batch.replay_each(run.entries())
-        finally:
-            batch.flush()
-        return ReplayResult(
-            batch.replayed, batch.translation, list(batch.host_allocs.values())
-        )
+                    name, arena, table = (
+                        "cudaMallocManaged", self._managed_alloc,
+                        self.unbuilt_managed,
+                    )
+                if self._entry_ok:
+                    api_log[name] += 1
+                else:
+                    self._entry(name)  # raises the classified error
+                got = arena.alloc(nbytes)
+                table[got] = next(self._buffer_uids)
+                allocations[got] = nbytes
+                if op == "malloc_host":
+                    self._host_origin[got] = "pinned"
+                elif op == "malloc_managed":
+                    self.uvm.ever_used = True
+                    self._lib_uva_epoch += 1
+                    self.ctx.uva_epoch += 1
+                if not strict:
+                    translation[addr] = got
+                elif got != addr:
+                    _diverged(record, got)
+            replayed += 1
+        return ReplayResult(replayed, translation, list(host_allocs.values()))
 
     # -------------------------------------------------------------- memcpy etc.
 

@@ -587,7 +587,7 @@ class ArenaAllocator:
             self._mmap(1 << 16)  # bookkeeping pages
             self.mmap_calls += 1
         self.arena_bytes += arena_size
-        self._insert_free(_FreeBlock(base, arena_size))
+        self._release(base, arena_size)
 
     def free(self, addr: int) -> int:
         """Release an allocation; returns its size."""
@@ -607,10 +607,9 @@ class ArenaAllocator:
         return size
 
     def _release(self, addr: int, size: int) -> None:
-        """Return ``[addr, addr+size)`` to the free list, coalescing in
-        place: :meth:`_insert_free`'s free list, but a block that touches
-        a free neighbour grows (or moves) that neighbour and builds no
-        _FreeBlock."""
+        """Return ``[addr, addr+size)`` to the sorted free list,
+        coalescing in place: a block that touches a free neighbour grows
+        (or moves) that neighbour and builds no _FreeBlock."""
         free = self._free
         i = bisect.bisect_left(free, addr, key=_block_start)
         end = addr + size
@@ -678,10 +677,10 @@ class ArenaAllocator:
                 if blk.start <= addr and addr + need <= blk.start + blk.size:
                     self._free.pop(i)
                     if blk.start < addr:
-                        self._insert_free(_FreeBlock(blk.start, addr - blk.start))
+                        self._release(blk.start, addr - blk.start)
                     tail = blk.start + blk.size - (addr + need)
                     if tail > 0:
-                        self._insert_free(_FreeBlock(addr + need, tail))
+                        self._release(addr + need, tail)
                     self.active[addr] = need
                     self._active_bytes += need
                     if self.sanitizer is not None:
@@ -694,16 +693,3 @@ class ArenaAllocator:
             "INVALID_VALUE",
             f"could not reserve {addr:#x}+{nbytes:#x}: address outside any arena",
         )
-
-    def _insert_free(self, blk: _FreeBlock) -> None:
-        """Insert into the sorted free list, coalescing neighbours."""
-        free = self._free
-        i = bisect.bisect_left(free, blk.start, key=_block_start)
-        free.insert(i, blk)
-        # Coalesce with right neighbour, then left.
-        if i + 1 < len(free) and blk.start + blk.size == free[i + 1].start:
-            right = free.pop(i + 1)
-            blk.size += right.size
-        if i > 0 and free[i - 1].start + free[i - 1].size == blk.start:
-            free[i - 1].size += blk.size
-            free.pop(i)

@@ -165,17 +165,11 @@ class _BufState:
 class Sanitizer:
     """Vector-clock hazard detector for one runtime (see module doc)."""
 
-    def __init__(
-        self,
-        checkers: tuple[str, ...] = CHECKERS,
-        *,
-        charge_time: bool = True,
-    ) -> None:
+    def __init__(self, checkers: tuple[str, ...] = CHECKERS) -> None:
         unknown = set(checkers) - set(CHECKERS)
         if unknown:
             raise ValueError(f"unknown checker(s): {sorted(unknown)}")
         self.checkers = frozenset(checkers)
-        self.charge_time = charge_time
         self.report = SanitizerReport()
         self._runtime = None
         self._op_ids = itertools.count(1)
@@ -264,7 +258,7 @@ class Sanitizer:
 
     def _charge(self) -> None:
         self.report.ops_instrumented += 1
-        if self.charge_time and self._runtime is not None:
+        if self._runtime is not None:
             self._runtime.process.advance(SANITIZER_CHECK_NS)
 
     def _emit(self, checker: str, kind: str, message: str, *, addr: int = 0,

@@ -59,13 +59,6 @@ class SanitizerReport:
     history_compactions: int = 0
     history_summarized: int = 0
 
-    def by_checker(self) -> dict[str, list[HazardReport]]:
-        """Hazards grouped by the checker that emitted them."""
-        out: dict[str, list[HazardReport]] = {}
-        for h in self.hazards:
-            out.setdefault(h.checker, []).append(h)
-        return out
-
     def counts(self) -> dict[str, int]:
         """Hazard count per checker (only checkers that fired)."""
         return dict(Counter(h.checker for h in self.hazards))

@@ -123,7 +123,7 @@ class Tracer:
     :meth:`timeline` is the GPU timeline over them.
     """
 
-    def __init__(self, *, hook_ns: float = TRACE_HOOK_NS) -> None:
+    def __init__(self) -> None:
         self.spans: list[Span] = []
         self.instants: list[Instant] = []
         self.metrics = MetricsRegistry()
@@ -131,7 +131,6 @@ class Tracer:
         self.segment = 0
         #: total virtual time this tracer charged for its own hooks
         self.overhead_ns = 0.0
-        self.hook_ns = hook_ns
         self._next_flow = 1
         self._pending_flow: int | None = None
         self._process = None
@@ -174,10 +173,10 @@ class Tracer:
         return self.segment
 
     def _charge(self) -> None:
-        self.overhead_ns += self.hook_ns
+        self.overhead_ns += TRACE_HOOK_NS
         proc = self._process
         if proc is not None and proc.alive:
-            proc.advance(self.hook_ns)
+            proc.advance(TRACE_HOOK_NS)
 
     # -- hooks: API layer ------------------------------------------------------
 

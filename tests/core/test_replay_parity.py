@@ -1,14 +1,15 @@
-"""Bulk log replay leaves the runtime exactly as per-call replay does.
+"""Log replay by records leaves the runtime exactly as per-call replay does.
 
 ``CudaRuntime.replay_allocations`` reads the log's records as the
-trampoline wrote them: it carves a run record of equal mallocs with one
-arena call and writes its rows with one update per table, replays a
-churn record a pair at a time until its arena is back where it started
-and counts the rest, and replays the other calls in one loop that writes
-rows as it goes. The reference here replays the log's entries (one per
-call) through the public ``cudaMalloc``/``cudaFree``/``cudaMallocHost``/
-``cudaFreeHost``/``cudaMallocManaged``/``cudaFreeManaged`` entry points,
-one at a time. Both run on twin runtimes, and everything observable
+trampoline wrote them and calls the runtime's entry points: a run record
+of equal mallocs is one ``malloc_run``, a churn record is replayed a pair
+at a time through ``cudaMalloc``/``cudaFree`` until its arena is back
+where it started and the rest is one ``malloc_free_run``, every free
+calls its entry point, and only a lone malloc writes its row inline.
+The reference here replays the log's entries (one per call) through the
+public ``cudaMalloc``/``cudaFree``/``cudaMallocHost``/``cudaFreeHost``/
+``cudaMallocManaged``/``cudaFreeManaged`` entry points, one at a time.
+Both run on twin runtimes, and everything observable
 must agree, dict orders included: the buffer table (each buffer's kind,
 size, device, uid and never-built table), both never-built tables, the
 pinned-origin table, ``api_log``, every arena's free list, active map,
@@ -255,7 +256,8 @@ def test_device_switch_splits_a_run():
 
 def test_invalid_device_raises_like_cuda_set_device():
     for record in (LogEntry("malloc", 256, 0x1000, 3),
-                   RunRecord("malloc", 256, (range(0x1000, 0x1300, 256),), 3)):
+                   RunRecord("malloc", 256, (range(0x1000, 0x1300, 256),), 3),
+                   ChurnRecord(256, 0x1000, 3, 4)):
         got = assert_parity(fresh(), [record])
         assert got[0] == "CudaError" and "cudaSetDevice(3)" in got[1]
 
@@ -317,10 +319,14 @@ def test_free_of_the_wrong_family_raises_like_the_entry_point():
 
 
 def test_destroyed_library_raises_like_the_entry_point():
-    log = recorded(lambda b: b.malloc_run(256, 3))
-    got = assert_parity(fresh(), log,
-                        prepare=lambda split: split.runtime.destroy())
-    assert got[0] == "CudaError"
+    for log in (recorded(lambda b: b.malloc_run(256, 3)),
+                [ChurnRecord(256, 0x1000, 0, 4)],
+                [LogEntry("malloc_managed", 1 << 16, 0x1000)],
+                [LogEntry("malloc_host", 512, 0x1000)],
+                [LogEntry("free", 0, 0x1000)]):
+        got = assert_parity(fresh(), log,
+                            prepare=lambda split: split.runtime.destroy())
+        assert got[0] == "CudaError"
 
 
 def test_suffix_onto_a_live_runtime_that_frees_preexisting_buffers():
@@ -602,13 +608,37 @@ def _scripted(script, api, cut):
     return b.log, b.log.since(start), images
 
 
-def _moved(record, k: int):
-    """``record`` with an allocation logged at another address: its
-    ``k``-th call in a run."""
+def _moved(records: list, k: int, diverge: int) -> None:
+    """Log the allocation of ``records[k]`` (its ``diverge``-th call, in
+    a run) at another address, and the first later free of its old
+    address with it: the log frees only what it allocated. A churn's
+    frees are its own."""
+    record = records[k]
+    if type(record) is ChurnRecord:
+        records[k] = record._replace(addr=0xDEAD_0000)
+        return
     if type(record) is RunRecord:
-        calls = sum(map(len, record.addrs))
-        return _one_address_each(record, k % calls, 0xDEAD_0000)
-    return record._replace(addr=0xDEAD_0000)
+        calls = list(chain.from_iterable(record.addrs))
+        i = diverge % len(calls)
+        old = calls[i]
+        records[k] = _one_address_each(record, i, 0xDEAD_0000)
+    else:
+        old = record.addr
+        records[k] = record._replace(addr=0xDEAD_0000)
+    for j in range(k + 1, len(records)):
+        later = records[j]
+        if type(later) is ChurnRecord or not later.op.startswith("free"):
+            continue
+        if type(later) is RunRecord:
+            calls = list(chain.from_iterable(later.addrs))
+            if old in calls:
+                records[j] = _one_address_each(
+                    later, calls.index(old), 0xDEAD_0000
+                )
+                return
+        elif later.addr == old:
+            records[j] = later._replace(addr=0xDEAD_0000)
+            return
 
 
 @settings(max_examples=120, deadline=None)
@@ -618,6 +648,9 @@ def _moved(record, k: int):
 @example(script=HOLES, diverge=None, strict=True, cut=None)
 @example(script=MOVES, diverge=None, strict=False, cut=None)
 @example(script=HOLES + MOVES, diverge=None, strict=True, cut=11)
+@example(script=[("malloc", 256), ("malloc", 256), ("unmerge",),
+                 ("malloc", 512), ("free_run", 2, 6)],
+         diverge=266, strict=False, cut=None)
 def test_irregular_logs_replay_in_bulk_like_per_call(script, diverge, strict, cut):
     """Runs of equal mallocs (some crossing free-block breaks), frees
     and churn through the run API, unequal device, pinned and managed
@@ -641,7 +674,7 @@ def test_irregular_logs_replay_in_bulk_like_per_call(script, diverge, strict, cu
     ]
     if diverge is not None and allocating:
         k = allocating[diverge % len(allocating)]
-        records[k] = _moved(records[k], diverge)
+        _moved(records, k, diverge)
     got = assert_parity(lambda: _live_runtime().split, suffix, strict=strict)
     if not strict or (diverge is None and ("unmerge",) not in script):
         assert got[0] == "ok"

@@ -1,8 +1,8 @@
 """Free-block coalescing edge cases in the deterministic arena allocator.
 
-The allocator is first-fit over a sorted free list; ``_insert_free``
-coalesces a released block with its right neighbour first, then its
-left. These tests pin the merge behaviour at every adjacency shape —
+The allocator is first-fit over a sorted free list; ``_release``
+coalesces a released block with its left and right neighbours in
+place. These tests pin the merge behaviour at every adjacency shape —
 a lost merge silently fragments the arena until a large ``cudaMalloc``
 grows a second arena and the restart replay diverges.
 """
