@@ -449,7 +449,7 @@ def check_addr(addr)
             repro__core__trampoline_py=_TRAMPOLINE + '''
     def malloc_free_run(self, nbytes, n):
         addrs = self.runtime.malloc_free_run(nbytes, n)
-        self._log_run("malloc", nbytes, addrs, 0, freed=True)
+        self._log_churn(nbytes, addrs, 0)
 ''',
         ),
     ),

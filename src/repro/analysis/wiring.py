@@ -50,10 +50,10 @@ _UVM_OPS = {"device_access", "host_access", "prefetch"}
 _ARENA_OPS = {"alloc", "free"}
 
 _ALLOC_METHOD_RE = re.compile(r"^(malloc|free|host_alloc)")
-#: the trampoline's replay-log writers: one call, or a run of equal
-#: calls or of churn pairs (``self._log_run("op", nbytes, addrs,
-#: device)``, with ``freed=True`` for pairs)
-_LOG_WRITERS = {"_log", "_log_run"}
+#: the trampoline's replay-log writers: one call, a run of equal calls
+#: (``self._log_run("op", nbytes, addrs, device)``) or churn pairs
+#: (``self._log_churn(nbytes, addrs, device)``)
+_LOG_WRITERS = {"_log", "_log_run", "_log_churn"}
 
 
 @dataclass
@@ -290,7 +290,7 @@ def _library_kernel_gaps(lib_mod) -> list[tuple[str, str, int]]:
 
 def _unlogged_alloc(tramp_mod) -> list[tuple[str, int]]:
     """Backend alloc/free overrides (runs included) that never reach a
-    log writer (``_log`` or ``_log_run``).
+    log writer (``_log``, ``_log_run`` or ``_log_churn``).
 
     Scoped to classes that use a log writer at all (the replay-logging
     backend), so plain dispatch bases aren't held to the rule.
@@ -397,8 +397,8 @@ def analyze(index: PackageIndex) -> tuple[list[Finding], list[dict]]:
             add(
                 "unlogged-alloc", tramp_mod, line,
                 f"backend {name}() mutates device address space without "
-                "reaching self._log() or self._log_run() — the call is lost "
-                "from the replay log",
+                "reaching a replay-log writer (self._log() and kin) — the "
+                "call is lost from the replay log",
             )
 
     plugin_mod = index.find("core/plugin.py")

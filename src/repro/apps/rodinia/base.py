@@ -71,13 +71,13 @@ class RodiniaApp(CudaApp):
         )
         def churn(remaining: int) -> None:
             # Reproduce the alloc/free churn of the fast-forwarded
-            # iterations (state effects only; cost was extrapolated):
-            # the pairs cross once, and the pairs that land where the
-            # one before them did are one log record.
-            with backend.prepaid_calls():
-                backend.malloc_free_run(
-                    self.CHURN_BYTES, remaining * self.CHURN_PER_ITER
-                )
+            # iterations: malloc_free_run makes the pairs' state and log
+            # records only, as their count and cost were extrapolated,
+            # and the pairs that land where the one before them did are
+            # one log record.
+            backend.malloc_free_run(
+                self.CHURN_BYTES, remaining * self.CHURN_PER_ITER
+            )
 
         loop = TimedLoop(
             ctx, iters, measure=self.MEASURE,

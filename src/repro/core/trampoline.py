@@ -16,9 +16,8 @@ The backend also implements CRAC's interposition (§3.2):
   restart and patch the mapping (§3.2.5);
 - **streams and events** the application creates are tracked so they can
   be recreated and re-adopted at restart;
-- each call notifies the DMTCP coordinator while a checkpoint is armed,
-  which fires it at a scheduled call index ("random time during the
-  run", §4.4.1).
+- each call notifies the DMTCP coordinator while a checkpoint is armed
+  at a call index, which fires it there.
 
 A crossing is one Python frame on the host: :meth:`CracBackend._dispatch`
 (or ``_dispatch_batch`` for a launch's three calls) counts, charges both
@@ -26,18 +25,19 @@ fs switches inline and notifies only an armed coordinator, and
 :meth:`CracBackend._log` appends and charges the log record itself. A
 run of allocation calls crosses once: the runtime makes it in bulk, and
 :meth:`CracBackend._log_run` logs and accounts every call of it in one
-frame: ``malloc_run``'s and ``free_run``'s equal calls, or
-``malloc_free_run``'s churn pairs. The log keeps the run as it crossed:
-one :class:`~repro.cuda.api.RunRecord` holding its addresses as ranges,
-or one :class:`~repro.cuda.api.ChurnRecord` per stretch of pairs at one
-address, so a run costs the log the same whatever its length. Costs
-cannot be negative (:class:`HostCosts` rejects them when built), so each
-charge is one inline addition.
+frame. The log keeps the run as it crossed: one
+:class:`~repro.cuda.api.RunRecord` holding its addresses as ranges, so a
+run costs the log the same whatever its length. Costs cannot be negative
+(:class:`HostCosts` rejects them when built), so each charge is one
+inline addition. A fast-forwarded loop's churn (``malloc_free_run``) is
+state only: :meth:`CracBackend._log_churn` appends one
+:class:`~repro.cuda.api.ChurnRecord` per stretch of pairs at one
+address, and nothing is counted or charged.
 """
 
 from __future__ import annotations
 
-from itertools import cycle, groupby, islice, repeat
+from itertools import groupby, islice, repeat
 from operator import eq
 from typing import Sequence
 
@@ -132,8 +132,6 @@ class CracBackend(CudaDispatchBase):
         # call count, so skipping it is exact). ship_in/ship_out are
         # ignored: the single address space passes pointers directly to
         # the lower half (the paper's key win).
-        if self._prepaid_depth:
-            return  # cost and count were accounted in aggregate already
         self.call_counter[name] += 1
         proc = self.process
         t0 = proc.clock_ns
@@ -168,11 +166,9 @@ class CracBackend(CudaDispatchBase):
     def _dispatch_batch(self, calls) -> None:
         # Batched crossings in one frame, exact-parity with the per-call
         # path: same virtual time, same fs-switch/syscall counters, and
-        # — when a coordinator is attached — the same clock and counter
-        # values at every notify_call (a checkpoint may fire there).
-        # Traced, every call keeps its own span (the base class loops).
-        if self._prepaid_depth:
-            return
+        # the same clock and counter values at every notify_call (a
+        # checkpoint may fire there). Traced, every call keeps its own
+        # span (the base class loops).
         if self.tracer is not None:
             CudaDispatchBase._dispatch_batch(self, calls)
             return
@@ -187,20 +183,13 @@ class CracBackend(CudaDispatchBase):
         fs_ns = WRFSBASE_NS if proc.fsgsbase else SYSCALL_NS
         per_call = 2 * fs_ns + costs.trampoline_body_ns + costs.native_dispatch_ns
         coordinator = self.coordinator
-        if coordinator is None:
-            n = len(calls)
-            proc.fs_switch_count += 2 * n
+        for _ in calls:
+            proc.fs_switch_count += 2
             if not proc.fsgsbase:
-                proc.syscall_count += 2 * n
-            proc.clock_ns += n * per_call
-        else:
-            for _ in calls:
-                proc.fs_switch_count += 2
-                if not proc.fsgsbase:
-                    proc.syscall_count += 2
-                proc.clock_ns += per_call
-                if coordinator.trigger_at_call is not None:
-                    coordinator.notify_call()
+                proc.syscall_count += 2
+            proc.clock_ns += per_call
+            if coordinator is not None and coordinator.trigger_at_call is not None:
+                coordinator.notify_call()
         thread.fs_base = self._upper_fs
 
     def _trampoline_ns(self, dispatch_ns: float) -> float:
@@ -214,20 +203,15 @@ class CracBackend(CudaDispatchBase):
         ``tuple.__new__`` (no NamedTuple ``__new__`` frame) and the cost
         is added inline."""
         self.log.records.append(_new_tuple(LogEntry, (op, nbytes, addr, device)))
-        if not self._prepaid_depth:
-            self.process.clock_ns += self.costs.log_record_ns
+        self.process.clock_ns += self.costs.log_record_ns
 
     def _log_run(
-        self, op: str, nbytes: int, addrs: Sequence[int], device: int = 0,
-        *, freed: bool = False,
+        self, op: str, nbytes: int, addrs: Sequence[int], device: int = 0
     ) -> None:
         """Log and account ``len(addrs)`` calls of one allocation-family
         entry point made in bulk, in one frame: what one :meth:`_dispatch`
-        and one :meth:`_log` per call leave, but the log gets one record
-        for the run. With ``freed``, each call is a malloc followed by the
-        cudaFree of its address (a churn pair of ``malloc_free_run``), so
-        two calls per address, and one :class:`ChurnRecord` per stretch of
-        pairs at one address; otherwise one :class:`RunRecord`.
+        and one :meth:`_log` per call leave, but the log gets one
+        :class:`RunRecord` for the run.
 
         The calls are counted (and counted toward an armed checkpoint,
         which they must stop short of), and each call's two fs switches,
@@ -238,42 +222,31 @@ class CracBackend(CudaDispatchBase):
         n = len(addrs)
         if not n:
             return
-        if freed:
-            records = [
-                _new_tuple(ChurnRecord, (nbytes, addr, device, len(list(pairs))))
-                for addr, pairs in groupby(addrs)
-            ]
-            names = (_RUN_CALLS[op], "cudaFree")
-        else:
-            records = [_new_tuple(RunRecord, (op, nbytes, _ranges(addrs), device))]
-            names = (_RUN_CALLS[op],)
-        calls = n * len(names)
         log = self.log
-        log.records += records
-        log.extra_calls += calls - len(records)
-        if self._prepaid_depth:
-            return  # the log only, as _dispatch and _log do while prepaid
-        counter = self.call_counter
-        for name in names:
-            counter[name] += n
+        log.records.append(
+            _new_tuple(RunRecord, (op, nbytes, _ranges(addrs), device))
+        )
+        log.extra_calls += n - 1
+        name = _RUN_CALLS[op]
+        self.call_counter[name] += n
         proc = self.process
-        proc.fs_switch_count += 2 * calls
+        proc.fs_switch_count += 2 * n
         if proc.fsgsbase:
             fs_ns = WRFSBASE_NS
         else:
             fs_ns = SYSCALL_NS
-            proc.syscall_count += 2 * calls
+            proc.syscall_count += 2 * n
         costs = self.costs
         body_ns = costs.trampoline_body_ns + costs.native_dispatch_ns
         log_ns = costs.log_record_ns
         tracer = self.tracer
         if tracer is None:
             clock = proc.clock_ns
-            for _ in repeat(None, calls):
+            for _ in repeat(None, n):
                 clock = clock + fs_ns + body_ns + fs_ns + log_ns
             proc.clock_ns = clock
         else:
-            for name in islice(cycle(names), calls):
+            for _ in repeat(None, n):
                 t0 = proc.clock_ns
                 t1 = proc.clock_ns = t0 + fs_ns + body_ns + fs_ns
                 tracer.on_api_call(
@@ -287,17 +260,27 @@ class CracBackend(CudaDispatchBase):
         thread.fs_base = self._upper_fs
         coordinator = self.coordinator
         if coordinator is not None and coordinator.trigger_at_call is not None:
-            coordinator.notify_calls(calls)
+            coordinator.notify_calls(n)
+
+    def _log_churn(self, nbytes: int, addrs: Sequence[int], device: int) -> None:
+        """Log the churn pairs of :meth:`malloc_free_run`, one at each of
+        ``addrs``: one :class:`ChurnRecord` per stretch of pairs at one
+        address. The log alone: the pairs were counted and charged with
+        the fast-forwarded loop they stand for."""
+        records = [
+            _new_tuple(ChurnRecord, (nbytes, addr, device, len(list(pairs))))
+            for addr, pairs in groupby(addrs)
+        ]
+        log = self.log
+        log.records += records
+        log.extra_calls += 2 * len(addrs) - len(records)
 
     def _calls_before_cut(self, k: int) -> int:
         """How many of the next ``k`` calls a bulk crossing may make: all
         of them, or while a checkpoint is armed, those before the call
         that fires it (which crosses alone, through its entry point)."""
         coordinator = self.coordinator
-        if (
-            coordinator is None or coordinator.trigger_at_call is None
-            or self._prepaid_depth
-        ):
+        if coordinator is None or coordinator.trigger_at_call is None:
             return k
         return min(k, coordinator.calls_before_trigger())
 
@@ -396,22 +379,15 @@ class CracBackend(CudaDispatchBase):
 
         self._run(len(addrs), bulk, lambda i: self.free(addrs[i]))
 
-    def malloc_free_run(self, nbytes: int, n: int) -> None:
-        # As malloc_run, a pair at a time: an armed checkpoint's pair
-        # (its malloc or its free fires it) goes through malloc and free.
-        def bulk(i: int, k: int) -> int:
-            runtime = self.runtime
-            k = self._calls_before_cut(2 * k) // 2
-            made = runtime.malloc_free_run(nbytes, k) if k else []
-            self._log_run(
-                "malloc", nbytes, made, runtime.current_device, freed=True
-            )
-            if self.virtualize_addresses:
-                # One fresh pointer per malloc, dropped by its free.
-                self._virt_cursor += len(made) * ((nbytes + 0xFFF) & ~0xFFF)
-            return len(made)
-
-        self._run(n, bulk, lambda i: self.free(self.malloc(nbytes)))
+    def malloc_free_run(self, nbytes: int, n: int) -> list[int]:
+        # State only, as the base class, plus the log: the pairs'
+        # records, and one fresh virtual pointer per malloc, dropped by
+        # its free.
+        addrs = super().malloc_free_run(nbytes, n)
+        self._log_churn(nbytes, addrs, self.runtime.current_device)
+        if self.virtualize_addresses:
+            self._virt_cursor += len(addrs) * ((nbytes + 0xFFF) & ~0xFFF)
+        return addrs
 
     def malloc_host(self, nbytes: int) -> int:
         self._dispatch("cudaMallocHost", payload_bytes=16)

@@ -20,13 +20,15 @@ the paper's way).
 
 A run of allocation calls has its own entry points:
 :meth:`~CudaDispatchBase.malloc_run` makes ``n`` equal ``cudaMalloc``
-calls, :meth:`~CudaDispatchBase.free_run` frees a list in order, and
-:meth:`~CudaDispatchBase.malloc_free_run` makes ``n`` back-to-back
-``cudaMalloc`` + ``cudaFree`` pairs (allocation churn). They count,
-charge and fail exactly as the per-call loop does. The base class makes
-that loop, which the proxies keep; the native and CRAC backends cross
-once per run, and drop to the per-call entry points for a call the bulk
-path does not take (see :meth:`CudaDispatchBase._run`).
+calls and :meth:`~CudaDispatchBase.free_run` frees a list in order. They
+count, charge and fail exactly as the per-call loop does. The base class
+makes that loop, which the proxies keep; the native and CRAC backends
+cross once per run, and drop to the per-call entry points for a call the
+bulk path does not take (see :meth:`CudaDispatchBase._run`).
+:meth:`~CudaDispatchBase.malloc_free_run` is state only: it makes the
+``cudaMalloc`` + ``cudaFree`` pairs of a fast-forwarded loop (allocation
+churn, whose count and cost :class:`repro.apps.base.TimedLoop` already
+extrapolated), and counts and charges nothing.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from functools import reduce
-from itertools import cycle, islice, repeat
+from itertools import repeat
 from operator import add
 from typing import Callable, Iterable, Sequence
 
@@ -67,7 +69,6 @@ class CudaDispatchBase:
         self.process = runtime.process
         self.costs = host_costs
         self.call_counter: Counter[str] = Counter()
-        self._prepaid_depth = 0
         #: repro.trace.Tracer receiving API call spans; None = untraced
         self.tracer = None
         #: the host thread currently issuing CUDA calls (None = main).
@@ -121,8 +122,6 @@ class CudaDispatchBase:
         ship_in: Sequence[int] = (),
         ship_out: Sequence[int] = (),
     ) -> None:
-        if self._prepaid_depth:
-            return  # cost and count were accounted in aggregate already
         self.call_counter[name] += 1
         tracer = self.tracer
         if tracer is None:
@@ -154,8 +153,6 @@ class CudaDispatchBase:
         The traced path falls back to per-call dispatch so every call
         keeps its own span.
         """
-        if self._prepaid_depth:
-            return
         if self.tracer is not None:
             for name, payload, ship_in, ship_out in calls:
                 self._dispatch(
@@ -196,21 +193,6 @@ class CudaDispatchBase:
         finally:
             self.current_thread = prev
 
-    @contextmanager
-    def prepaid_calls(self):
-        """Suppress per-call cost/count accounting inside the block.
-
-        Used when a loop was fast-forwarded (its calls' time and counts
-        were extrapolated in aggregate) but the *state effects* of some
-        of those calls — e.g. cudaMalloc/cudaFree churn that must appear
-        in CRAC's replay log — still need to be produced for real.
-        """
-        self._prepaid_depth += 1
-        try:
-            yield
-        finally:
-            self._prepaid_depth -= 1
-
     @property
     def total_calls(self) -> int:
         """Total upper→lower CUDA calls (launches already count ×3)."""
@@ -249,13 +231,23 @@ class CudaDispatchBase:
         for addr in addrs:
             self.free(addr)
 
-    def malloc_free_run(self, nbytes: int, n: int) -> None:
-        """``n`` back-to-back cudaMalloc(nbytes) + cudaFree pairs, each
-        freeing the pointer its malloc returned: the same as one
-        :meth:`malloc` and one :meth:`free` per pair (see
-        :meth:`malloc_run`)."""
-        for _ in range(n):
-            self.free(self.malloc(nbytes))
+    def malloc_free_run(self, nbytes: int, n: int) -> list[int]:
+        """The state of ``n`` back-to-back cudaMalloc(nbytes) + cudaFree
+        pairs, each freeing the pointer its malloc returned; the address
+        of each pair.
+
+        The pairs are a fast-forwarded loop's churn, whose count and
+        cost were extrapolated with the rest of the loop, so nothing is
+        counted or charged here: the library ends as the pairs made
+        through its entry points leave it. The pairs are made all at
+        once or not at all; where the first would raise, ``cudaMalloc``
+        raises its error.
+        """
+        runtime = self.runtime
+        addrs = runtime.malloc_free_run(nbytes, n)
+        if not addrs and n > 0:
+            runtime.cudaMalloc(nbytes)  # raises the first pair's error
+        return addrs
 
     def _run(self, n: int, bulk: Callable[[int, int], int],
              one: Callable[[int], None]) -> None:
@@ -567,24 +559,21 @@ class NativeBackend(CudaDispatchBase):
     def _charge_batch(self, calls) -> None:
         self.process.advance(len(calls) * self.costs.native_dispatch_ns)
 
-    def _charge_run(self, names: tuple[str, ...], n: int) -> None:
-        """Count and charge ``n`` repeats of the calls ``names`` made in
-        bulk, each as its own :meth:`_dispatch` would: the clock sums one
-        dispatch at a time, so it is bit-equal to the per-call charges,
-        and a traced call still gets its own span."""
-        if self._prepaid_depth or not n:
+    def _charge_run(self, name: str, n: int) -> None:
+        """Count and charge ``n`` calls of ``name`` made in bulk, each as
+        its own :meth:`_dispatch` would: the clock sums one dispatch at a
+        time, so it is bit-equal to the per-call charges, and a traced
+        call still gets its own span."""
+        if not n:
             return
-        counter = self.call_counter
-        for name in names:
-            counter[name] += n
+        self.call_counter[name] += n
         proc = self.process
         ns = self.costs.native_dispatch_ns
-        calls = n * len(names)
         tracer = self.tracer
         if tracer is None:
-            proc.clock_ns = reduce(add, repeat(ns, calls), proc.clock_ns)
+            proc.clock_ns = reduce(add, repeat(ns, n), proc.clock_ns)
             return
-        for name in islice(cycle(names), calls):
+        for _ in repeat(None, n):
             t0 = proc.clock_ns
             t1 = proc.clock_ns = t0 + ns
             tracer.on_api_call(
@@ -597,27 +586,19 @@ class NativeBackend(CudaDispatchBase):
 
         def bulk(i: int, k: int) -> int:
             made = self.runtime.malloc_run(nbytes, k)
-            self._charge_run(("cudaMalloc",), len(made))
+            self._charge_run("cudaMalloc", len(made))
             addrs.extend(made)
             return len(made)
 
         self._run(n, bulk, lambda i: addrs.append(self.malloc(nbytes)))
         return addrs
 
-    def malloc_free_run(self, nbytes: int, n: int) -> None:
-        def bulk(i: int, k: int) -> int:
-            made = len(self.runtime.malloc_free_run(nbytes, k))
-            self._charge_run(("cudaMalloc", "cudaFree"), made)
-            return made
-
-        self._run(n, bulk, lambda i: self.free(self.malloc(nbytes)))
-
     def free_run(self, addrs: Sequence[int]) -> None:
         addrs = list(addrs)
 
         def bulk(i: int, k: int) -> int:
             freed = self.runtime.free_run(addrs[i:i + k])
-            self._charge_run(("cudaFree",), freed)
+            self._charge_run("cudaFree", freed)
             return freed
 
         self._run(len(addrs), bulk, lambda i: self.free(addrs[i]))

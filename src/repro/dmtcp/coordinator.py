@@ -1,10 +1,15 @@
 """DMTCP coordinator: checkpoint triggering policy + two-phase commit.
 
 The real coordinator is a network daemon that tells every rank when to
-checkpoint; here it is the policy object the harness uses to trigger a
-checkpoint "at a random time during an entire run" (§4.4.1) — modelled
-as *after the Nth upper→lower CUDA call*, drawn from a seeded RNG so
-experiments are reproducible.
+checkpoint; here it takes the checkpoints a session asks for, and can
+also be armed to fire one *after the Nth upper→lower CUDA call* from now
+(:meth:`DmtcpCoordinator.schedule_checkpoint_at_call`, or a seeded
+random N): the CRAC trampoline notifies it per call while it is armed.
+The harness does not arm it. ``harness/runner.py`` and ``bench/`` place
+the paper's "random time during an entire run" cuts (§4.4.1) by the
+app's progress instead (``AppContext.maybe_checkpoint``); call-indexed
+arming is what tests use to cut at a chosen call, such as one inside a
+``malloc_run`` or ``free_run``.
 
 For multi-rank jobs the coordinator also owns the *commit* decision of
 the distributed checkpoint protocol: every rank stages its image into

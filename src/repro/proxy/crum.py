@@ -71,6 +71,14 @@ class CrumBackend(CudaDispatchBase):
         super().free(addr)
         self.resource_log.record("free_managed" if is_managed else "free", 0, addr)
 
+    def malloc_free_run(self, nbytes: int, n: int) -> list[int]:
+        addrs = super().malloc_free_run(nbytes, n)
+        record = self.resource_log.record
+        for addr in addrs:
+            record("malloc", nbytes, addr)
+            record("free", 0, addr)
+        return addrs
+
     def malloc_host(self, nbytes: int) -> int:
         addr = super().malloc_host(nbytes)
         self.resource_log.record("malloc_host", nbytes, addr)

@@ -1,15 +1,18 @@
 """Exact parity of the run API with the per-call loop it replaces.
 
 ``malloc_run(nbytes, n)`` and ``free_run(addrs)`` make a run of equal
-cudaMalloc-family calls in one crossing, and ``malloc_free_run(nbytes,
-n)`` makes ``n`` malloc/free churn pairs in one. Every scenario here
-runs on two twin sessions, once through the run API and once through one
-``malloc`` or ``free`` per call, and every observable of
-:func:`tests.core.test_alloc_path_parity._state` must be equal: the
-clock's exact ``repr``, the syscall and fs-switch counters, the dispatch
-and library call counts, the replay log, the buffers and the arenas. So
-must the errors raised, the images an armed checkpoint took, the trace
-spans and the sanitizer's arena hooks.
+cudaMalloc-family calls in one crossing. ``malloc_free_run(nbytes, n)``
+makes the state of ``n`` malloc/free churn pairs whose count and cost a
+fast-forward already extrapolated: its reference makes the pairs through
+the runtime's ``cudaMalloc``/``cudaFree`` and appends the log records the
+backend keeps, and counts and charges nothing. Every scenario here runs
+on two twin sessions, once through the run API and once through one
+``malloc`` or ``free`` per call (or that reference), and every
+observable of :func:`tests.core.test_alloc_path_parity._state` must be
+equal: the clock's exact ``repr``, the syscall and fs-switch counters,
+the dispatch and library call counts, the replay log, the buffers and
+the arenas. So must the errors raised, the images an armed checkpoint
+took, the trace spans and the sanitizer's arena hooks.
 """
 
 import dataclasses
@@ -18,19 +21,21 @@ import pytest
 
 from repro.core import CracSession
 from repro.core.halves import SplitProcess
+from repro.core.trampoline import CracBackend
 from repro.cuda.interface import CudaDispatchBase, NativeBackend
 from repro.dmtcp.store import CheckpointStore
 from repro.errors import CudaError
 from repro.gpu.memory import _FreeBlock
 from repro.gpu.timing import DEFAULT_HOST_COSTS
 from repro.proxy.crum import CrumBackend
+from repro.proxy.proxy_runtime import NaiveProxyBackend
 from repro.sanitizer import Sanitizer
 from repro.trace import Tracer
 from tests.core.test_alloc_path_parity import _arenas, _state
 
 
 class PerCall:
-    """The run API's calls made one by one."""
+    """The run API's calls made one by one, and churn's state alone."""
 
     @staticmethod
     def malloc_run(b, nbytes, n):
@@ -43,8 +48,21 @@ class PerCall:
 
     @staticmethod
     def malloc_free_run(b, nbytes, n):
+        """Each pair through the runtime's entry points, plus the log
+        records (and the virtual pointer) the backend keeps for it."""
+        rt = b.runtime
         for _ in range(n):
-            b.free(b.malloc(nbytes))
+            device = rt.current_device
+            addr = rt.cudaMalloc(nbytes)
+            rt.cudaFree(addr)
+            if isinstance(b, CracBackend):
+                b.log.record("malloc", nbytes, addr, device)
+                b.log.record("free", 0, addr)
+                if b.virtualize_addresses:
+                    b._virt_cursor += (nbytes + 0xFFF) & ~0xFFF
+            elif isinstance(b, CrumBackend):
+                b.resource_log.record("malloc", nbytes, addr)
+                b.resource_log.record("free", 0, addr)
 
 
 class Run:
@@ -175,19 +193,6 @@ def test_virtualized_addresses_match_per_call():
     run, per_call = _twins(scenario, address_virtualization=True)
     assert run == per_call
     assert run["result"][1]  # live translations remain
-
-
-def test_prepaid_runs_match_per_call():
-    def scenario(session, api):
-        b = session.backend
-        with b.prepaid_calls():
-            out = _mixed(session, api)
-        api.free_run(b, out[2])
-        return out
-
-    run, per_call = _twins(scenario)
-    assert run == per_call
-    assert run["state"]["call_counter"] == [("cudaFree", 30)]
 
 
 def test_out_of_memory_inside_a_run():
@@ -326,7 +331,7 @@ def test_restart_latest_of_a_run_built_log():
     assert run == per_call
 
 
-# -- malloc_free_run: allocation churn ---------------------------------------
+# -- malloc_free_run: the state of allocation churn -------------------------
 
 
 def _churned(session, api):
@@ -351,55 +356,11 @@ def _churned(session, api):
 def test_churn_matches_per_call(fsgsbase, costs):
     run, per_call = _twins(_churned, fsgsbase=fsgsbase, costs=costs)
     assert run == per_call
+    # the churn's 84 pairs are logged, not counted
     assert run["state"]["call_counter"] == [
-        ("cudaFree", 85), ("cudaMalloc", 88), ("cudaMemset", 1),
+        ("cudaFree", 1), ("cudaMalloc", 4), ("cudaMemset", 1),
     ]
-
-
-def test_prepaid_churn_matches_per_call():
-    def scenario(session, api):
-        with session.backend.prepaid_calls():
-            return _churned(session, api)
-
-    run, per_call = _twins(scenario)
-    assert run == per_call
-    assert run["state"]["call_counter"] == []
     assert len(run["state"]["log"]) == 2 * 84 + 5
-
-
-#: call indexes, counted from arming, of a malloc and of a free in the
-#: middle of a 20-pair churn, and of its first and last call
-ARMED_CHURN = {"first-malloc": 2, "malloc": 14, "free": 21, "last-free": 41}
-
-
-@pytest.mark.parametrize("where", sorted(ARMED_CHURN))
-def test_armed_checkpoint_fires_inside_a_churn(where):
-    def scenario(session, api):
-        b = session.backend
-        keep = b.malloc(512)
-        session.coordinator.schedule_checkpoint_at_call(ARMED_CHURN[where])
-        b.free(b.malloc(2048))
-        api.malloc_free_run(b, 512, 20)
-        b.free(keep)
-
-    run, per_call = _twins(scenario)
-    assert len(run["images"]) == 1
-    assert run == per_call
-
-
-def test_traced_churn_spans_match_per_call():
-    spans = []
-    for api in (Run, PerCall):
-        session = CracSession(seed=5, costs=FRACTIONAL)
-        tracer = session.enable_trace()
-        _churned(session, api)
-        spans.append(([(s.name, s.start_ns, s.end_ns, s.args)
-                       for s in tracer.spans], _state(session),
-                      repr(tracer.overhead_ns)))
-    assert spans[0] == spans[1]
-    assert [s[0] for s in spans[0][0][:4]] == [
-        "cudaMalloc", "cudaFree", "cudaMalloc", "cudaFree",
-    ]
 
 
 def test_virtualized_churn_matches_per_call():
@@ -482,14 +443,71 @@ def test_other_backends_churn_like_per_call(backend_cls, traced):
             tracer.attach(backend)
         session = type("Twin", (), {"backend": backend})
         result = _churned(session, api)
-        with backend.prepaid_calls():
-            api.malloc_free_run(backend, 512, 7)
         spans = [(s.name, s.start_ns, s.end_ns, s.args) for s in tracer.spans]
-        out.append((result, _library_state(backend), spans))
+        log = getattr(backend, "resource_log", None)
+        out.append((result, _library_state(backend), spans,
+                    log is not None and log.entries))
     assert out[0] == out[1]
     assert bool(out[0][2]) == traced
-    if backend_cls is CrumBackend:  # a proxy keeps the per-call loop
-        assert CrumBackend.malloc_free_run is CudaDispatchBase.malloc_free_run
+
+
+def _churn_twin(kind):
+    """A warm, traced backend of ``kind`` holding one allocation (a CRAC
+    session's, with a checkpoint armed at a later call) and its
+    tracer."""
+    if kind == "crac":
+        session = CracSession(seed=5, costs=FRACTIONAL)
+        backend = session.backend
+        session.coordinator.schedule_checkpoint_at_call(1_000)
+    else:
+        split = SplitProcess(seed=5)
+        backend = kind(split.runtime, FRACTIONAL)
+    tracer = Tracer()
+    tracer.attach(backend)
+    backend.malloc(4096)
+    backend.free(backend.malloc(512))
+    return backend, tracer
+
+
+def _counters(backend, tracer):
+    proc = backend.process
+    coordinator = getattr(backend, "coordinator", None)
+    return {
+        "call_counter": sorted(backend.call_counter.items()),
+        "fs_switch_count": proc.fs_switch_count,
+        "syscall_count": proc.syscall_count,
+        "spans": len(tracer.spans),
+        "armed": coordinator and (
+            coordinator.trigger_at_call, coordinator._calls_seen
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind", ["crac", NativeBackend, NaiveProxyBackend, CrumBackend],
+    ids=["crac", "native", "naive-proxy", "crum"],
+)
+def test_churn_is_state_only_on_every_backend(kind):
+    """``malloc_free_run`` counts, charges and notifies nothing: the
+    counters, the spans and an armed coordinator's count stay as they
+    were, and the clock equals a twin's that made the same pairs through
+    the runtime's ``cudaMalloc``/``cudaFree``."""
+    backend, tracer = _churn_twin(kind)
+    twin, _ = _churn_twin(kind)
+    before = _counters(backend, tracer)
+    log = getattr(backend, "resource_log", None)
+    logged = len(log) if log is not None else 0
+    addrs = backend.malloc_free_run(768, 25)
+    for _ in range(25):
+        twin.runtime.cudaFree(twin.runtime.cudaMalloc(768))
+    assert _counters(backend, tracer) == before
+    assert _library_state(backend) == _library_state(twin)  # clock included
+    assert len(addrs) == 25
+    if log is not None:  # one malloc and one free entry per pair
+        assert [e[:3] for e in log.entries[logged:]] == [
+            entry for addr in addrs
+            for entry in (("malloc", 768, addr), ("free", 0, addr))
+        ]
 
 
 # -- free_run: a contiguous stretch frees as one block -----------------------

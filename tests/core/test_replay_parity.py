@@ -657,9 +657,11 @@ def test_irregular_logs_replay_in_bulk_like_per_call(script, diverge, strict, cu
     allocations among them, frees of this log's allocations and of older
     ones (rows and an object), device switches, a checkpoint armed
     inside a run, and an allocation that lands elsewhere than the log
-    says. The run API logs what one call at a time logs, the images'
-    logs are prefixes of the live log's records, and the records replay
-    in bulk as their entries do one by one."""
+    says. The run API logs what one call at a time logs (and churn what
+    its pairs made through the runtime's entry points log: they count
+    toward no armed checkpoint), the images' logs are prefixes of the
+    live log's records, and the records replay in bulk as their entries
+    do one by one."""
     log, suffix, images = _scripted(script, Run, cut)
     per_call, per_call_suffix, per_call_images = _scripted(script, PerCall, cut)
     assert suffix.entries == per_call_suffix.entries

@@ -1,5 +1,5 @@
-"""Tests for dispatch-base mechanics: prepaid calls, external accounting,
-thread context, and call-counting conventions."""
+"""Tests for dispatch-base mechanics: external accounting, thread
+context, and call-counting conventions."""
 
 from collections import Counter
 
@@ -18,35 +18,6 @@ def nb():
     backend = NativeBackend(split.runtime)
     backend.register_app_binary(FB)
     return backend
-
-
-class TestPrepaidCalls:
-    def test_prepaid_suppresses_cost_and_count(self, nb):
-        t0 = nb.process.clock_ns
-        c0 = nb.total_calls
-        with nb.prepaid_calls():
-            p = nb.malloc(64)
-            nb.free(p)
-        assert nb.process.clock_ns == t0
-        assert nb.total_calls == c0
-
-    def test_prepaid_still_produces_state(self, nb):
-        with nb.prepaid_calls():
-            p = nb.malloc(64)
-        assert p in nb.runtime.allocations
-
-    def test_prepaid_nests(self, nb):
-        with nb.prepaid_calls():
-            with nb.prepaid_calls():
-                nb.malloc(64)
-            assert nb._prepaid_depth == 1
-        assert nb._prepaid_depth == 0
-
-    def test_prepaid_restored_after_exception(self, nb):
-        with pytest.raises(RuntimeError):
-            with nb.prepaid_calls():
-                raise RuntimeError("boom")
-        assert nb._prepaid_depth == 0
 
 
 class TestExternalAccounting:

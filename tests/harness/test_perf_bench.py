@@ -212,8 +212,6 @@ def _step_by_step_dispatch(
 ):
     """The trampoline crossing as three process calls: fs switch into
     the lower half, advance, fs switch back (virtual time unchanged)."""
-    if self._prepaid_depth:
-        return
     self.call_counter[name] += 1
     proc = self.process
     thread = (
