@@ -25,9 +25,13 @@ class Hpgmg(CudaApp):
 
     Setup allocates thousands of small per-box arrays (the long malloc
     log of the module docstring). They are one run of equal calls,
-    ``malloc_run(256, n)``, and are freed with one ``free_run``: the
-    backend counts, charges and logs every call as a per-call loop
-    would, but crosses the boundary once for the run.
+    ``malloc_run(256, n)``, and are freed with one ``free_run`` of the
+    ``range`` it returned: the backend counts, charges and logs every
+    call as a per-call loop would, but crosses the boundary once for the
+    run. The boxes are never touched, so they stay one row of each of
+    the runtime's tables, one record of the replay log and one of every
+    cut's never-built record, through cuts, restart and the free: only
+    virtual time sees the run's length.
     """
 
     name = "HPGMG-FV"

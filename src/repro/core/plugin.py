@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import compress
-from operator import eq
 from typing import NamedTuple
 
 from repro.core.replay_log import ReplayLog
@@ -49,6 +47,7 @@ from repro.dmtcp.checkpointer import BACKGROUND, SKIP
 from repro.dmtcp.image import CheckpointImage
 from repro.dmtcp.plugins import DmtcpPlugin
 from repro.errors import RestartError
+from repro.gpu.rows import RowTable
 from repro.gpu.timing import GPU_SPECS, NS_PER_S
 from repro.gpu.uvm import UVM_PAGE, ManagedBuffer
 
@@ -80,8 +79,9 @@ def _pcie_bytes(entry: dict) -> int:
 @dataclass(slots=True)
 class NeverBuilt:
     """The ``crac/never-built`` record of a cut: the live allocations
-    that never built their contents, taken as C-level copies of the
-    runtime's tables.
+    that never built their contents, taken as row copies of the
+    runtime's tables (:class:`~repro.gpu.rows.RowTable`: a run of equal
+    allocations made at once is one row, whatever its length).
 
     ``uids`` maps the address of each to its uid (device, then pinned,
     then managed allocations, each in allocation order); ``pinned`` and
@@ -90,15 +90,16 @@ class NeverBuilt:
     address to its size (a copy of ``CudaRuntime.allocations``).
 
     ``sizes`` holds the built allocations' sizes too, on purpose: one
-    C-level copy of the table is cheaper than building the never-built
+    copy of the table's rows is cheaper than building the never-built
     part of it, and it is bounded by the live allocations, whose built
-    part ``crac/buffers`` already holds an entry dict for.
+    part ``crac/buffers`` already holds an entry dict for. Byte sums go
+    row by row: size times count for a run.
     """
 
-    uids: dict[int, int]
-    pinned: dict[int, int]
-    managed: dict[int, int]
-    sizes: dict[int, int]
+    uids: RowTable
+    pinned: RowTable
+    managed: RowTable
+    sizes: RowTable
 
     @classmethod
     def of(cls, runtime) -> "NeverBuilt":
@@ -106,31 +107,37 @@ class NeverBuilt:
         uids = runtime.unbuilt_device.copy()
         pinned = runtime.unbuilt_pinned.copy()
         managed = runtime.unbuilt_managed.copy()
-        uids.update(pinned)
-        uids.update(managed)
+        # A table's rows are empty exactly when the table is.
+        for kind in (pinned, managed):
+            if kind.rows:
+                uids.update(kind)
         return cls(
-            uids, pinned, managed, runtime.allocations.copy() if uids else {}
+            uids, pinned, managed,
+            runtime.allocations.copy() if uids.rows else RowTable(),
         )
 
     def total_bytes(self) -> int:
         """The total size of the recorded allocations."""
-        return sum(map(self.sizes.__getitem__, self.uids))
+        return self.sizes.total(self.uids)
 
-    def device_bytes(self, addrs=None) -> int:
+    def device_bytes(self, addrs: RowTable | set | None = None) -> int:
         """The total size of the device allocations among ``addrs``, all
         of them recorded here (by default, of every recorded one)."""
-        size = self.sizes.__getitem__
+        sizes = self.sizes
         if addrs is None:
-            return (
-                sum(map(size, self.uids)) - sum(map(size, self.pinned))
-                - sum(map(size, self.managed))
-            )
-        if self.pinned or self.managed:
-            addrs = addrs - self.pinned.keys() - self.managed.keys()
-        return sum(map(size, addrs))
+            total = sizes.total(self.uids)
+            for kind in (self.pinned, self.managed):
+                if kind.rows:
+                    total -= sizes.total(kind)
+            return total
+        for kind in (self.pinned, self.managed):
+            if kind.rows:
+                addrs = (addrs.without(kind) if type(addrs) is RowTable
+                         else addrs - kind.keys())
+        return sizes.total(addrs)
 
 
-_NO_NEVER_BUILT = NeverBuilt({}, {}, {}, {})
+_NO_NEVER_BUILT = NeverBuilt(RowTable(), RowTable(), RowTable(), RowTable())
 
 
 class _ChainLink(NamedTuple):
@@ -184,10 +191,10 @@ def _walk_run(addr: int, uid: int | None, older: list[_ChainLink],
 
 
 def _never_built_pcie_bytes(
-    uids: dict[int, int], older: list[_ChainLink]
+    uids: RowTable, older: list[_ChainLink]
 ) -> tuple[int, list[int]]:
     """:func:`_walk_run` for all never-built buffers of a delta image at
-    once, in C-level passes; ``uids`` maps their addresses to their uids.
+    once, row by row; ``uids`` maps their addresses to their uids.
 
     A run passes a delta that recorded the same buffer as never built
     (no bytes) or that lacks the address, and ends at an address held
@@ -198,7 +205,8 @@ def _never_built_pcie_bytes(
     address and uid can meet a written buffer's again), which the caller
     walks one by one. A link that recorded exactly the walking buffers
     (the common case: nothing was allocated, freed or first written
-    between the two cuts) costs one dict comparison.
+    between the two cuts) costs one comparison of rows, and a run of
+    allocations made at once is one row in every pass.
     """
     walking = uids
     escaped: list[int] = []
@@ -206,10 +214,8 @@ def _never_built_pcie_bytes(
         if not walking:
             break
         entries = link.entries
-        written = walking.keys() & entries.keys()
-        escaped.extend(
-            a for a in sorted(written) if entries[a].get("uid") == walking[a]
-        )
+        written = sorted(walking.common_keys(entries))
+        escaped.extend(a for a in written if entries[a].get("uid") == walking[a])
         recorded = link.never_built.uids
         if recorded == walking:
             # The link recorded the same buffers as never built: every
@@ -217,17 +223,18 @@ def _never_built_pcie_bytes(
             if link.incremental:
                 continue
             return link.never_built.device_bytes(), escaped
-        # The runs that go on: the link recorded the address under the
-        # same uid, or (a delta) holds nothing at it. Matched as a C-level
-        # pass over ``walking``: a missing address reads as its own uid.
-        uid_of = walking.values()
-        goes_on = map(eq, map(recorded.get, walking, uid_of), uid_of)
         if not link.incremental:
-            same = set(compress(walking, goes_on)) & recorded.keys()
-            return link.never_built.device_bytes(same), escaped
-        walking = dict(compress(walking.items(), goes_on))
-        for addr in written - recorded.keys():
-            del walking[addr]
+            # The runs that reach the full image end in it where it
+            # recorded the same buffer.
+            return link.never_built.device_bytes(
+                walking.matching(recorded)
+            ), escaped
+        # The runs that go on: the link recorded the address under the
+        # same uid, or (a delta) holds nothing at it.
+        walking = walking.agreeing(recorded)
+        for addr in written:
+            if addr not in recorded:
+                del walking[addr]
     return 0, escaped
 
 
@@ -499,12 +506,15 @@ class CracPlugin(DmtcpPlugin):
             session.fault_injector.check("replay", f"{len(log)} calls")
         replayed, translation = self.replay(log, runtime, costs.replay_call_ns)
         # Sanity: every staged buffer must exist again (possibly moved).
-        # Strict replay moves nothing: whole key sets are compared, and
-        # the per-address check runs only to name what is missing.
-        restored = runtime.allocations.keys()
+        # Strict replay moves nothing: whole key sets are compared (the
+        # never-built ones row by row), and the per-address check runs
+        # only to name what is missing.
+        allocations = runtime.allocations
+        restored = allocations.keys()
         buffers = image.blob("crac/buffers")
         never_built = _ChainLink.of(image).never_built.uids
-        if (not translation and buffers.keys() <= restored
+        if (not translation
+                and len(allocations.common_keys(buffers)) == len(buffers)
                 and never_built.keys() <= restored):
             missing = []
         else:

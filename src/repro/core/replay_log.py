@@ -26,10 +26,11 @@ crosses alone), so the log an image keeps is a prefix of the live log's
 records. The lower-half library replays the records as they are, in one
 pass (``CudaRuntime.replay_allocations``) that calls its own entry points:
 a run of mallocs is one ``malloc_run``, a churn is replayed a pair at a
-time until its arena holds and the rest is one ``malloc_free_run``, and
-every free and device switch is its entry point. Every allocation is a
-row (its size and its uid in a never-built table): no buffer object is
-built, live at the end or not.
+time until its arena holds and the rest is one ``malloc_free_run``, a
+run of frees is one ``free_run``, and every other free and device
+switch is its entry point. Every allocation is a row (its size and its
+uid in a never-built table; a run's allocations one row of each): no
+buffer object is built, live at the end or not.
 """
 
 from __future__ import annotations

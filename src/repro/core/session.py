@@ -161,7 +161,7 @@ class CracSession:
             fault_injector=self.fault_injector,
         )
         self.checkpointer.handle_table = self.handle_table
-        self.coordinator = DmtcpCoordinator(self.checkpointer, seed=self.seed)
+        self.coordinator = DmtcpCoordinator(self.checkpointer)
         self.backend.coordinator = self.coordinator
         for dev in split.runtime.devices:
             dev.fault_injector = self.fault_injector

@@ -37,8 +37,7 @@ address, and nothing is counted or charged.
 
 from __future__ import annotations
 
-from itertools import groupby, islice, repeat
-from operator import eq
+from itertools import groupby, repeat
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +46,7 @@ from repro.core.replay_log import LogEntry, ReplayLog
 from repro.cuda.api import ChurnRecord, CudaRuntime, FatBinary, RunRecord
 from repro.cuda.interface import CudaDispatchBase
 from repro.dmtcp.coordinator import DmtcpCoordinator
+from repro.gpu.rows import as_ranges
 from repro.gpu.streams import Event, Stream
 from repro.gpu.timing import DEFAULT_HOST_COSTS, HostCosts
 from repro.linux.process import SYSCALL_NS, WRFSBASE_NS
@@ -55,25 +55,6 @@ from repro.linux.process import SYSCALL_NS, WRFSBASE_NS
 _new_tuple = tuple.__new__
 #: the entry point a bulk-logged op's calls are counted under
 _RUN_CALLS = {"malloc": "cudaMalloc", "free": "cudaFree"}
-
-
-def _ranges(addrs: Sequence[int]) -> tuple[range, ...]:
-    """``addrs`` as the ranges that list them in order, each as long as
-    it goes: one for a run carved from one free block, at most one per
-    block for a run that crossed several."""
-    out = []
-    start, n = 0, len(addrs)
-    while start < n:
-        first = addrs[start]
-        step = addrs[start + 1] - first if start + 1 < n else 1
-        span = range(first, first + (n - start) * step, step)
-        # one C-level pass: where the addresses leave the stride
-        stop = bytes(map(eq, islice(addrs, start, None), span)).find(0)
-        if stop < 0:
-            stop = n - start
-        out.append(span[:stop])
-        start += stop
-    return tuple(out)
 
 
 class CracBackend(CudaDispatchBase):
@@ -223,9 +204,10 @@ class CracBackend(CudaDispatchBase):
         if not n:
             return
         log = self.log
-        log.records.append(
-            _new_tuple(RunRecord, (op, nbytes, _ranges(addrs), device))
-        )
+        log.records.append(_new_tuple(RunRecord, (
+            op, nbytes, (addrs,) if type(addrs) is range else as_ranges(addrs),
+            device,
+        )))
         log.extra_calls += n - 1
         name = _RUN_CALLS[op]
         self.call_counter[name] += n
@@ -275,15 +257,6 @@ class CracBackend(CudaDispatchBase):
         log.records += records
         log.extra_calls += 2 * len(addrs) - len(records)
 
-    def _calls_before_cut(self, k: int) -> int:
-        """How many of the next ``k`` calls a bulk crossing may make: all
-        of them, or while a checkpoint is armed, those before the call
-        that fires it (which crosses alone, through its entry point)."""
-        coordinator = self.coordinator
-        if coordinator is None or coordinator.trigger_at_call is None:
-            return k
-        return min(k, coordinator.calls_before_trigger())
-
     # -- address virtualization (§3.2.4 future work) -------------------------
 
     def _expose(self, real_addr: int, nbytes: int) -> int:
@@ -294,12 +267,12 @@ class CracBackend(CudaDispatchBase):
         self._v2r[vaddr] = real_addr
         return vaddr
 
-    def _expose_run(self, real_addrs: list[int], nbytes: int) -> list[int]:
+    def _expose_run(self, real_addrs: Sequence[int], nbytes: int) -> range:
         """:meth:`_expose` for each of a run of equal allocations."""
         step = (nbytes + 0xFFF) & ~0xFFF
         start = self._virt_cursor
         self._virt_cursor += step * len(real_addrs)
-        vaddrs = list(range(start, self._virt_cursor, step))
+        vaddrs = range(start, self._virt_cursor, step)
         self._v2r.update(zip(vaddrs, real_addrs))
         return vaddrs
 
@@ -334,50 +307,62 @@ class CracBackend(CudaDispatchBase):
         real = self._to_real(addr) if self.virtualize_addresses else addr
         runtime = self.runtime
         # The managed arena holds exactly the live managed allocations.
-        is_managed = real in runtime._managed_alloc.active
+        active = runtime._managed_alloc.active
+        is_managed = real in active.rows or active.pieces and real in active
         self._dispatch("cudaFree", payload_bytes=8)
         runtime.cudaFree(real)
         self._v2r.pop(addr, None)
         self._log("free_managed" if is_managed else "free", 0, real)
 
-    def malloc_run(self, nbytes: int, n: int) -> list[int]:
-        # The runtime makes the run in bulk and _log_run accounts it; a
+    def malloc_run(self, nbytes: int, n: int) -> Sequence[int]:
+        # The runtime makes the run in bulk and _log_run accounts it, in
+        # one crossing while no checkpoint is armed inside the run; a
         # call the bulk path does not take (the one an armed checkpoint
         # fires at, or one that raises) goes through malloc.
-        addrs: list[int] = []
-
-        def bulk(i: int, k: int) -> int:
+        parts: list[Sequence[int]] = []
+        done = 0
+        while done < n:
+            k = n - done
+            coordinator = self.coordinator
+            if coordinator is not None and coordinator.trigger_at_call is not None:
+                k = min(k, coordinator.calls_before_trigger())
             runtime = self.runtime
-            k = self._calls_before_cut(k)
             made = runtime.malloc_run(nbytes, k) if k else []
             self._log_run("malloc", nbytes, made, runtime.current_device)
             if self.virtualize_addresses:
                 made = self._expose_run(made, nbytes)
-            addrs.extend(made)
-            return len(made)
-
-        self._run(n, bulk, lambda i: addrs.append(self.malloc(nbytes)))
-        return addrs
+            parts.append(made)
+            done += len(made)
+            if done < n:
+                parts.append([self.malloc(nbytes)])
+                done += 1
+        if len(parts) == 1:
+            return parts[0]
+        return [addr for part in parts for addr in part]
 
     def free_run(self, addrs: Sequence[int]) -> None:
         # As malloc_run: managed and pinned pointers, and anything
-        # cudaFree rejects, go through free.
-        addrs = list(addrs)
+        # cudaFree rejects, go through free. A range stays a range.
+        if type(addrs) is not range:
+            addrs = list(addrs)
         v2r = self._v2r
-
-        def bulk(i: int, k: int) -> int:
-            k = self._calls_before_cut(k)
-            reals = addrs[i:i + k]
-            if self.virtualize_addresses:
-                reals = [v2r.get(a, a) for a in reals]
+        done, n = 0, len(addrs)
+        while done < n:
+            k = n - done
+            coordinator = self.coordinator
+            if coordinator is not None and coordinator.trigger_at_call is not None:
+                k = min(k, coordinator.calls_before_trigger())
+            part = addrs[done:done + k]
+            reals = [v2r.get(a, a) for a in part] if v2r else part
             freed = self.runtime.free_run(reals) if k else 0
             if v2r:
-                for addr in addrs[i:i + freed]:
+                for addr in part[:freed]:
                     v2r.pop(addr, None)
-            self._log_run("free", 0, reals[:freed])
-            return freed
-
-        self._run(len(addrs), bulk, lambda i: self.free(addrs[i]))
+            self._log_run("free", 0, reals if freed == k else reals[:freed])
+            done += freed
+            if done < n:
+                self.free(addrs[done])
+                done += 1
 
     def malloc_free_run(self, nbytes: int, n: int) -> list[int]:
         # State only, as the base class, plus the log: the pairs'

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import zlib
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
@@ -37,7 +37,8 @@ import numpy as np
 from repro.errors import CudaError, ReplayDivergenceError
 from repro.cuda.errors import CudaErrorCode, cuda_check, cuda_error
 from repro.gpu.device import GpuDevice
-from repro.gpu.memory import ArenaAllocator, DeviceBuffer
+from repro.gpu.memory import ALLOC_ALIGN, ArenaAllocator, DeviceBuffer
+from repro.gpu.rows import RowTable, as_ranges
 from repro.gpu.streams import Event, Stream
 from repro.gpu.uvm import ManagedBuffer, UvmManager
 from repro.linux.process import SimProcess
@@ -132,11 +133,11 @@ class RowWatch:
 
     __slots__ = ("uids", "found", "_open")
 
-    def __init__(self, runtime: "CudaRuntime", uids: dict[int, int]) -> None:
+    def __init__(self, runtime: "CudaRuntime", uids: RowTable) -> None:
         self.uids = uids
         objects = runtime._objects
         self.found: list[DeviceBuffer | ManagedBuffer] = [
-            objects[addr] for addr in sorted(objects.keys() & uids.keys())
+            objects[addr] for addr in sorted(uids.common_keys(objects))
         ]
         self._open = runtime._row_watches
         self._open.append(self)
@@ -230,8 +231,10 @@ class CudaRuntime:
         #: address -> size of every live allocation, in allocation order.
         #: An allocation is a *row* (this entry and its uid in a
         #: never-built table) until :meth:`buffer` first looks it up and
-        #: makes its object, which :attr:`_objects` then keeps.
-        self.allocations: dict[int, int] = {}
+        #: makes its object, which :attr:`_objects` then keeps. A run of
+        #: equal allocations made at once (:meth:`malloc_run`) is one row
+        #: of each table (:class:`~repro.gpu.rows.RowTable`).
+        self.allocations = RowTable()
         self._objects: dict[int, DeviceBuffer | ManagedBuffer] = {}
         #: address -> uid of the live device, pinned and managed
         #: allocations that never built their contents (nor, managed, their
@@ -239,9 +242,9 @@ class CudaRuntime:
         #: build or at free, so a cut records the allocations nothing ever
         #: touched in bulk. Plain ints, so an object referring to its
         #: table makes no reference cycle.
-        self.unbuilt_device: dict[int, int] = {}
-        self.unbuilt_pinned: dict[int, int] = {}
-        self.unbuilt_managed: dict[int, int] = {}
+        self.unbuilt_device = RowTable()
+        self.unbuilt_pinned = RowTable()
+        self.unbuilt_managed = RowTable()
         #: the open :class:`RowWatch` es of background cuts
         self._row_watches: list[RowWatch] = []
         #: allocation ids: arena addresses get reused after a free, so a
@@ -291,14 +294,24 @@ class CudaRuntime:
         row becomes its object here, on first lookup, and later lookups
         return the same object."""
         buf = self._objects.get(addr)
-        if buf is None and addr in self.allocations:
-            buf = self._make_object(addr)
+        if buf is None:
+            # A lone row is a dict entry; only a run's member needs the
+            # table's bisect (here and in the lookups below).
+            table = self.allocations
+            if addr in table.rows or table.pieces and addr in table:
+                buf = self._make_object(addr)
         return buf
 
     def _make_object(self, addr: int) -> DeviceBuffer | ManagedBuffer:
         """Build the object of the row at ``addr``."""
-        size = self.allocations[addr]
-        uid = self.unbuilt_device.get(addr)
+        allocations = self.allocations
+        size = allocations.rows.get(addr)
+        if size is None:
+            size = allocations[addr]
+        device = self.unbuilt_device
+        uid = device.rows.get(addr)
+        if uid is None and device.pieces:
+            uid = device.get(addr)
         if uid is not None:
             buf = DeviceBuffer(
                 addr, size, "device", self._row_device(addr), uid,
@@ -334,7 +347,8 @@ class CudaRuntime:
         buf = self._objects.get(addr)
         if buf is not None:
             return buf.kind
-        if addr in self.unbuilt_device:
+        device = self.unbuilt_device
+        if addr in device.rows or device.pieces and addr in device:
             return "device"
         if addr in self.unbuilt_pinned:
             return "host-pinned"
@@ -347,7 +361,8 @@ class CudaRuntime:
         live."""
         buf = self._objects.get(addr)
         if buf is None:
-            if addr not in self.allocations:
+            table = self.allocations
+            if addr not in table.rows and not (table.pieces and addr in table):
                 raise cuda_error(
                     CudaErrorCode.INVALID_DEVICE_POINTER,
                     f"unknown or freed pointer {addr:#x}",
@@ -355,10 +370,13 @@ class CudaRuntime:
             buf = self._make_object(addr)
         return buf
 
-    def _forget(self, addr: int, unbuilt: dict[int, int]) -> None:
+    def _forget(self, addr: int, unbuilt: RowTable) -> None:
         """Drop a freed allocation: its size, its row and its object."""
-        del self.allocations[addr]
-        unbuilt.pop(addr, None)
+        allocations = self.allocations
+        if allocations.rows.pop(addr, None) is None:
+            del allocations[addr]  # a run's member
+        if unbuilt.rows.pop(addr, None) is None and unbuilt.pieces:
+            unbuilt.pop(addr, None)
         buf = self._objects.pop(addr, None)
         if buf is not None:
             buf.freed = True
@@ -386,7 +404,8 @@ class CudaRuntime:
             buf = self._objects.get(addr)
             if buf is not None:
                 return self.devices[buf.device_index]
-            if addr in self.unbuilt_device:
+            device = self.unbuilt_device
+            if addr in device.rows or device.pieces and addr in device:
                 return self.devices[self._row_device(addr)]
         return self.devices[0]
 
@@ -403,20 +422,24 @@ class CudaRuntime:
         else:
             self._entry("cudaMalloc")  # raises the classified error
         addr = self._device_allocs[self.current_device].alloc(nbytes)
-        self.unbuilt_device[addr] = next(self._buffer_uids)
-        self.allocations[addr] = nbytes
+        # Fresh keys: plain dict inserts.
+        self.unbuilt_device.rows[addr] = next(self._buffer_uids)
+        self.allocations.rows[addr] = nbytes
         return addr
 
     def cudaFree(self, addr: int) -> None:
         """Free device or managed memory (real cudaFree handles both)."""
         # kind_of and _forget inlined for a device buffer: the free hot
-        # path makes no call but the arena's.
+        # path makes no call but the arena's (a lone row is a dict entry;
+        # only a run's member needs the table's bisect).
         buf = self._objects.get(addr)
+        unbuilt = self.unbuilt_device
+        managed = self.unbuilt_managed
         if buf is not None:
             kind = buf.kind
-        elif addr in self.unbuilt_device:
+        elif addr in unbuilt.rows or unbuilt.pieces and addr in unbuilt:
             kind = "device"
-        elif addr in self.unbuilt_managed:
+        elif addr in managed.rows or managed.pieces and addr in managed:
             kind = "managed"
         else:  # pinned or not live: rare
             kind = self.kind_of(addr)
@@ -444,26 +467,31 @@ class CudaRuntime:
         else:
             device = self._row_device(addr)
         self._device_allocs[device].free(addr)
-        del self.allocations[addr]
-        self.unbuilt_device.pop(addr, None)
+        allocations = self.allocations
+        if allocations.rows.pop(addr, None) is None:
+            del allocations[addr]  # a run's member
+        if unbuilt.rows.pop(addr, None) is None and unbuilt.pieces:
+            unbuilt.pop(addr, None)
         if buf is not None:
             buf.freed = True
             del self._objects[addr]
 
     def malloc_run(
-        self, nbytes: int, n: int, expected: list[int] | None = None
-    ) -> list[int]:
+        self, nbytes: int, n: int, expected: Sequence[int] | None = None
+    ) -> Sequence[int]:
         """Make up to ``n`` :meth:`cudaMalloc` calls of ``nbytes`` at once.
 
         The runtime ends as the same calls made one by one leave it (the
         arena, allocations, never-built table, uids and ``api_log``),
-        with one :meth:`ArenaAllocator.alloc_run` carve and the rows
-        added in bulk. The run stops before the first call that would
-        raise (a library that takes no calls, a bad size, out of memory):
-        the caller re-issues that call through :meth:`cudaMalloc`. With
-        ``expected`` (replay's logged addresses), it also stops right
-        after the first call that lands elsewhere. Returns the addresses
-        made.
+        with one :meth:`ArenaAllocator.alloc_run` carve and one row per
+        free block the carve took in each table: its addresses, sizes
+        and consecutive uids. The run stops before the first call that
+        would raise (a library that takes no calls, a bad size, out of
+        memory): the caller re-issues that call through
+        :meth:`cudaMalloc`. With ``expected`` (replay's logged
+        addresses), it also stops right after the first call that lands
+        elsewhere. Returns the addresses made: a ``range`` when one free
+        block held them all.
         """
         if not self._entry_ok:
             return []
@@ -475,8 +503,14 @@ class CudaRuntime:
             self.api_log["cudaMalloc"] += made
             uid = next(self._buffer_uids)
             self._buffer_uids = itertools.count(uid + made)
-            self.unbuilt_device.update(zip(addrs, range(uid, uid + made)))
-            self.allocations.update(zip(addrs, repeat(nbytes)))
+            need = (nbytes + ALLOC_ALIGN - 1) & ~(ALLOC_ALIGN - 1)
+            for part in (
+                (addrs,) if type(addrs) is range else as_ranges(addrs, need)
+            ):
+                k = len(part)
+                self.unbuilt_device.insert_run(part.start, part.step, k, uid, 1)
+                self.allocations.insert_run(part.start, part.step, k, nbytes)
+                uid += k
         return addrs
 
     def malloc_free_run(self, nbytes: int, n: int) -> list[int]:
@@ -506,37 +540,47 @@ class CudaRuntime:
     def free_run(self, addrs: Sequence[int]) -> int:
         """Make :meth:`cudaFree` calls on ``addrs``, in order.
 
-        Distinct never-built device rows in one GPU's arena, the common
-        case, are checked with set operations, dropped with ``map`` and
-        released with one :meth:`ArenaAllocator.free_run`. Anything else
-        goes through :meth:`cudaFree` one address at a time. Either way
-        the run stops before the first address that is not a live device
-        allocation (or on a library that takes no calls): the caller
-        re-issues that call through :meth:`cudaFree`. Returns how many it
-        freed.
+        ``addrs`` goes as the ranges that list it (a ``range`` is one).
+        A range of never-built device allocations in one piece of a run
+        (a whole ``malloc_run``, the common case) leaves each table as
+        one row and the arena as one block
+        (:meth:`ArenaAllocator.free_run`). Anything else goes through
+        :meth:`cudaFree` one address at a time. Either way the run stops
+        before the first address that is not a live device allocation
+        (or on a library that takes no calls): the caller re-issues that
+        call through :meth:`cudaFree`. Returns how many it freed.
         """
         if not self._entry_ok:
             return 0
-        unbuilt = self.unbuilt_device
-        keys = set(addrs)
-        if (
-            addrs and len(keys) == len(addrs) and keys <= unbuilt.keys()
-            and self._objects.keys().isdisjoint(keys)
-        ):
-            allocs = self._device_allocs
-            arena = allocs[0 if len(allocs) == 1 else self._row_device(addrs[0])]
-            if keys <= arena.active.keys():
-                deque(map(unbuilt.__delitem__, addrs), maxlen=0)
-                deque(map(self.allocations.__delitem__, addrs), maxlen=0)
-                arena.free_run(addrs)
-                self.api_log["cudaFree"] += len(keys)
-                return len(keys)
         freed = 0
-        for addr in addrs:
-            if self.kind_of(addr) != "device":
-                break
-            self.cudaFree(addr)
-            freed += 1
+        for part in (addrs,) if type(addrs) is range else as_ranges(addrs):
+            n = len(part)
+            if n > 1 and self.unbuilt_device.pop_run(part):
+                self.allocations.pop_run(part)
+                objects = self._objects
+                if objects:  # looked up, never built: freed objects
+                    for addr in (
+                        list(filter(part.__contains__, objects))
+                        if len(objects) < n
+                        else list(filter(objects.__contains__, part))
+                    ):
+                        objects.pop(addr).freed = True
+                allocs = self._device_allocs
+                if len(allocs) == 1:
+                    allocs[0].free_run(part)
+                else:  # each stretch in its GPU's arena
+                    done = 0
+                    while done < n:
+                        done += allocs[self._row_device(part[done])
+                                       ].free_run(part[done:])
+                self.api_log["cudaFree"] += n
+                freed += n
+                continue
+            for addr in part:
+                if self.kind_of(addr) != "device":
+                    return freed
+                self.cudaFree(addr)
+                freed += 1
         return freed
 
     def cudaMallocHost(self, nbytes: int) -> int:
@@ -546,8 +590,8 @@ class CudaRuntime:
         else:
             self._entry("cudaMallocHost")
         addr = self._pinned_alloc.alloc(nbytes)
-        self.unbuilt_pinned[addr] = next(self._buffer_uids)
-        self.allocations[addr] = nbytes
+        self.unbuilt_pinned.rows[addr] = next(self._buffer_uids)
+        self.allocations.rows[addr] = nbytes
         self._host_origin[addr] = "pinned"
         return addr
 
@@ -559,8 +603,8 @@ class CudaRuntime:
         else:
             self._entry("cudaHostAlloc")
         addr = self._hostalloc_alloc.alloc(nbytes)
-        self.unbuilt_pinned[addr] = next(self._buffer_uids)
-        self.allocations[addr] = nbytes
+        self.unbuilt_pinned.rows[addr] = next(self._buffer_uids)
+        self.allocations.rows[addr] = nbytes
         self._host_origin[addr] = "hostalloc"
         return addr
 
@@ -597,8 +641,8 @@ class CudaRuntime:
         else:
             self._entry("cudaMallocManaged")
         addr = self._managed_alloc.alloc(nbytes)
-        self.unbuilt_managed[addr] = next(self._buffer_uids)
-        self.allocations[addr] = nbytes
+        self.unbuilt_managed.rows[addr] = next(self._buffer_uids)
+        self.allocations.rows[addr] = nbytes
         self.uvm.ever_used = True
         # UVA/UVM mappings entangle library and driver state (§2.2).
         self._lib_uva_epoch += 1
@@ -618,8 +662,8 @@ class CudaRuntime:
             CudaErrorCode.INVALID_VALUE,
             "cudaHostRegister of an already-registered pointer",
         )
-        self.unbuilt_pinned[addr] = next(self._buffer_uids)
-        self.allocations[addr] = nbytes
+        self.unbuilt_pinned.rows[addr] = next(self._buffer_uids)
+        self.allocations.rows[addr] = nbytes
         self._host_origin[addr] = "registered"
 
     def cudaFreeManaged(self, addr: int) -> None:
@@ -630,9 +674,11 @@ class CudaRuntime:
         else:
             self._entry("cudaFree")
         buf = self._objects.get(addr)
+        managed = self.unbuilt_managed
         if (
-            addr not in self.unbuilt_managed if buf is None
-            else buf.kind != "managed"
+            addr not in managed.rows
+            and not (managed.pieces and addr in managed)
+            if buf is None else buf.kind != "managed"
         ):
             if self.kind_of(addr) is None:
                 self._buffer(addr)  # raises the classified error
@@ -664,9 +710,11 @@ class CudaRuntime:
         the log. A :class:`ChurnRecord` is replayed a pair at a time
         through :meth:`cudaMalloc` and :meth:`cudaFree` until its arena
         holds, and the rest of its pairs are one :meth:`malloc_free_run`.
-        A ``cudaSetDevice`` and every free call their entry point. Only a
-        lone malloc is inlined: the entry point's counting, one arena
-        call and the row it writes. ``cudaHostAlloc`` entries and their
+        A :class:`RunRecord` of frees is one :meth:`free_run` per range,
+        which frees a whole run's rows at once. A ``cudaSetDevice`` and
+        every lone free call their entry point. Only a lone malloc is
+        inlined: the entry point's counting, one arena call and the row
+        it writes. ``cudaHostAlloc`` entries and their
         frees are not replayed: the caller re-registers the still-active
         ones, which the result lists.
 
@@ -687,14 +735,22 @@ class CudaRuntime:
             kind = type(record)
             if kind is RunRecord:
                 if record.op == "free":
-                    for addr in chain.from_iterable(record.addrs):
-                        self.cudaFree(translation.get(addr, addr))
-                        replayed += 1
+                    for part in record.addrs:
+                        if translation:
+                            part = [translation.get(a, a) for a in part]
+                        done, n = 0, len(part)
+                        while done < n:
+                            done += self.free_run(part[done:])
+                            if done < n:  # the call free_run stops at
+                                self.cudaFree(part[done])
+                                done += 1
+                        replayed += n
                     continue
                 _, nbytes, addrs, device = record
                 if device != self.current_device:
                     self.cudaSetDevice(device)
-                logged = list(chain.from_iterable(addrs))
+                logged = (addrs[0] if len(addrs) == 1
+                          else list(chain.from_iterable(addrs)))
                 made = self.malloc_run(
                     nbytes, len(logged), logged if strict else None
                 )
@@ -769,8 +825,8 @@ class CudaRuntime:
                 else:
                     self._entry(name)  # raises the classified error
                 got = arena.alloc(nbytes)
-                table[got] = next(self._buffer_uids)
-                allocations[got] = nbytes
+                table.rows[got] = next(self._buffer_uids)
+                allocations.rows[got] = nbytes
                 if op == "malloc_host":
                     self._host_origin[got] = "pinned"
                 elif op == "malloc_managed":
@@ -915,12 +971,15 @@ class CudaRuntime:
         if not isinstance(ptr, (int, np.integer)):
             return None, 0
         addr = int(ptr)
-        if addr in self.allocations:
+        allocations = self.allocations
+        if addr in allocations:
             return self._buffer(addr), 0
-        # A scan of the sizes: only the buffer found becomes an object.
-        for base, size in self.allocations.items():
-            if base <= addr < base + size and self.kind_of(base) != "device":
-                return self._buffer(base), addr - base
+        # The allocation that would hold it starts at the greatest
+        # address at or below it: only that one becomes an object.
+        base = allocations.floor(addr)
+        if (base is not None and addr < base + allocations[base]
+                and self.kind_of(base) != "device"):
+            return self._buffer(base), addr - base
         return None, 0
 
     def _host_bytes(self, src, offset: int, nbytes: int) -> bytes:
@@ -1225,12 +1284,13 @@ class CudaRuntime:
     def cudaPointerGetAttributes(self, addr: int) -> dict:
         """UVA pointer introspection (memory type + owning buffer base)."""
         self._entry("cudaPointerGetAttributes")
-        for base, size in self.allocations.items():
-            if base <= addr < base + size:
-                return {
-                    "type": self.kind_of(base), "devicePointer": base,
-                    "size": size,
-                }
+        allocations = self.allocations
+        base = allocations.floor(addr)
+        if base is not None and addr < base + allocations[base]:
+            return {
+                "type": self.kind_of(base), "devicePointer": base,
+                "size": allocations[base],
+            }
         return {"type": "unregistered", "devicePointer": 0, "size": 0}
 
     def cudaStreamQuery(self, stream: Stream | None = None) -> bool:
@@ -1334,11 +1394,12 @@ class CudaRuntime:
 
     def built_allocations(self) -> list:
         """The live buffers that built their contents (a managed one: or
-        its residency), by address; the rest are never built."""
-        return list(map(self._objects.__getitem__, sorted(
-            set(self._objects).difference(self.unbuilt_device)
-            .difference(self.unbuilt_pinned).difference(self.unbuilt_managed)
-        )))
+        its residency), by address; the rest are never built. A buffer
+        leaves its never-built table when it builds (``unbuilt`` is then
+        ``None``), so only the objects are read."""
+        objects = self._objects
+        return [objects[addr] for addr in sorted(objects)
+                if objects[addr].unbuilt is None]
 
     # ------------------------------------------------------- restart adoption
     # CRAC recreates streams/events in the fresh lower half and virtualizes

@@ -20,7 +20,8 @@ the paper's way).
 
 A run of allocation calls has its own entry points:
 :meth:`~CudaDispatchBase.malloc_run` makes ``n`` equal ``cudaMalloc``
-calls and :meth:`~CudaDispatchBase.free_run` frees a list in order. They
+calls and :meth:`~CudaDispatchBase.free_run` frees a sequence in order
+(a ``range`` as ``malloc_run`` returns it stays one). They
 count, charge and fail exactly as the per-call loop does. The base class
 makes that loop, which the proxies keep; the native and CRAC backends
 cross once per run, and drop to the per-call entry points for a call the
@@ -216,18 +217,22 @@ class CudaDispatchBase:
         self._dispatch("cudaFree", payload_bytes=8)
         self.runtime.cudaFree(addr)
 
-    def malloc_run(self, nbytes: int, n: int) -> list[int]:
+    def malloc_run(self, nbytes: int, n: int) -> Sequence[int]:
         """``n`` back-to-back cudaMalloc(nbytes) calls; their addresses.
 
         The same calls, counts, virtual time, state and errors as ``n``
         :meth:`malloc` calls. This default makes exactly those calls;
-        the native and CRAC backends cross once for the whole run.
+        the native and CRAC backends cross once for the whole run and
+        return a ``range`` when one free block held it (the runtime
+        then keeps it as one row of each table).
         """
         return [self.malloc(nbytes) for _ in range(n)]
 
     def free_run(self, addrs: Sequence[int]) -> None:
         """Back-to-back cudaFree calls on ``addrs``, in order: the same
-        as one :meth:`free` per address (see :meth:`malloc_run`)."""
+        as one :meth:`free` per address (see :meth:`malloc_run`). The
+        native and CRAC backends free a ``range`` that :meth:`malloc_run`
+        returned in one crossing, one row of each table."""
         for addr in addrs:
             self.free(addr)
 
@@ -581,20 +586,23 @@ class NativeBackend(CudaDispatchBase):
                 mode=self.mode,
             )
 
-    def malloc_run(self, nbytes: int, n: int) -> list[int]:
-        addrs: list[int] = []
+    def malloc_run(self, nbytes: int, n: int) -> Sequence[int]:
+        parts: list[Sequence[int]] = []
 
         def bulk(i: int, k: int) -> int:
             made = self.runtime.malloc_run(nbytes, k)
             self._charge_run("cudaMalloc", len(made))
-            addrs.extend(made)
+            parts.append(made)
             return len(made)
 
-        self._run(n, bulk, lambda i: addrs.append(self.malloc(nbytes)))
-        return addrs
+        self._run(n, bulk, lambda i: parts.append([self.malloc(nbytes)]))
+        if len(parts) == 1:
+            return parts[0]
+        return [addr for part in parts for addr in part]
 
     def free_run(self, addrs: Sequence[int]) -> None:
-        addrs = list(addrs)
+        if type(addrs) is not range:
+            addrs = list(addrs)
 
         def bulk(i: int, k: int) -> int:
             freed = self.runtime.free_run(addrs[i:i + k])

@@ -3,8 +3,8 @@
 The real coordinator is a network daemon that tells every rank when to
 checkpoint; here it takes the checkpoints a session asks for, and can
 also be armed to fire one *after the Nth upper→lower CUDA call* from now
-(:meth:`DmtcpCoordinator.schedule_checkpoint_at_call`, or a seeded
-random N): the CRAC trampoline notifies it per call while it is armed.
+(:meth:`DmtcpCoordinator.schedule_checkpoint_at_call`): the CRAC
+trampoline notifies it per call while it is armed.
 The harness does not arm it. ``harness/runner.py`` and ``bench/`` place
 the paper's "random time during an entire run" cuts (§4.4.1) by the
 app's progress instead (``AppContext.maybe_checkpoint``); call-indexed
@@ -29,8 +29,6 @@ whole job.
 
 from __future__ import annotations
 
-import random
-import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -47,33 +45,14 @@ if TYPE_CHECKING:  # avoid a dmtcp → harness import cycle at runtime
 class DmtcpCoordinator:
     """Holds the checkpointer and a trigger predicate."""
 
-    def __init__(self, checkpointer: DmtcpCheckpointer, seed: int = 0) -> None:
+    def __init__(self, checkpointer: DmtcpCheckpointer) -> None:
         self.checkpointer = checkpointer
-        self._rng = random.Random(seed)
-        # Named RNG stream for checkpoint *placement*: other consumers of
-        # seeded randomness (fault injection, backoff jitter) must never
-        # shift where a scheduled checkpoint lands, or campaigns stop
-        # being comparable across fault plans. Same derivation as
-        # harness.fault_injection.derive_seed (inlined: dmtcp must not
-        # import harness at runtime).
-        self._ckpt_rng = random.Random(
-            (seed & 0xFFFFFFFF) ^ zlib.crc32(b"ckpt-schedule")
-        )
         #: call index (counted from arming) at which the armed checkpoint
         #: fires; None while no checkpoint is armed, when
         #: :meth:`notify_call` is a no-op
         self.trigger_at_call: int | None = None
         self._calls_seen = 0
         self.images: list[CheckpointImage] = []
-
-    def schedule_random_checkpoint(self, expected_total_calls: int) -> int:
-        """Arm a checkpoint at a uniformly random call index (drawn from
-        the placement-only RNG stream)."""
-        self.trigger_at_call = self._ckpt_rng.randrange(
-            1, max(2, expected_total_calls)
-        )
-        self._calls_seen = 0
-        return self.trigger_at_call
 
     def schedule_checkpoint_at_call(self, n: int) -> None:
         """Arm a checkpoint after the nth CUDA call from now."""

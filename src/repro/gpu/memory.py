@@ -17,9 +17,7 @@ Two paper-critical behaviours live here:
 from __future__ import annotations
 
 import bisect
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import attrgetter
 from typing import Callable, Sequence
 
@@ -27,6 +25,7 @@ import numpy as np
 
 from repro.errors import CudaError
 from repro.gpu.intervals import EpochIntervalIndex
+from repro.gpu.rows import RowTable
 
 #: Sub-allocation alignment, matching CUDA's 256-byte texture alignment.
 ALLOC_ALIGN = 256
@@ -349,8 +348,11 @@ def leave_unbuilt(buf) -> None:
     table = buf.unbuilt
     if table is not None:
         buf.unbuilt = None
-        if table.get(buf.addr) == buf.uid:
-            del table[buf.addr]
+        addr = buf.addr
+        if table.rows.get(addr) == buf.uid:  # a lone row, at dict speed
+            del table.rows[addr]
+        elif table.pieces and table.get(addr) == buf.uid:
+            del table[addr]  # a run's member: its piece splits
 
 
 @dataclass(slots=True, eq=False)
@@ -378,7 +380,7 @@ class DeviceBuffer:
     uid: int = 0
     #: the runtime's table of never-built buffers of this kind (address
     #: -> uid) while this buffer is in it; ``None`` once built
-    unbuilt: dict[int, int] | None = field(default=None, repr=False)
+    unbuilt: RowTable | None = field(default=None, repr=False)
     freed: bool = field(default=False, init=False)
     _contents: PagedContents | None = field(
         default=None, init=False, repr=False
@@ -442,7 +444,8 @@ class ArenaAllocator:
         self.capacity = capacity
         self.extra_mmaps_per_arena = extra_mmaps_per_arena
         self._free: list[_FreeBlock] = []  # sorted by start
-        self.active: dict[int, int] = {}  # addr -> size
+        #: addr -> block size; a run carved at once is one row
+        self.active = RowTable()
         #: running sum of ``active.values()`` — kept in lockstep by
         #: alloc/free/reserve so the per-alloc capacity check is O(1)
         #: instead of an O(live-allocations) recomputation
@@ -476,7 +479,7 @@ class ArenaAllocator:
                 else:
                     blk.start += need
                     blk.size -= need
-                self.active[addr] = need
+                self.active.rows[addr] = need  # a fresh key
                 self._active_bytes += need
                 if self.sanitizer is not None:
                     self.sanitizer.on_arena_alloc(self, addr, need)
@@ -486,12 +489,14 @@ class ArenaAllocator:
         return self.alloc(nbytes)
 
     def alloc_run(
-        self, nbytes: int, count: int, expected: list[int] | None = None
-    ) -> list[int]:
+        self, nbytes: int, count: int, expected: Sequence[int] | None = None
+    ) -> Sequence[int]:
         """Carve ``count`` equal allocations at once: the addresses, free
         list, active map, arena growth and sanitizer hooks of ``count``
         sequential :meth:`alloc` calls, with one slice per free block
-        instead of one scan per call.
+        instead of one scan per call. Each block's slice is one run row
+        of :attr:`active`, and the addresses come back as a ``range``
+        when one block held them all (a list otherwise).
 
         The run stops short where the next call would raise (out of
         memory, or a non-positive size): the caller re-issues that call
@@ -504,30 +509,31 @@ class ArenaAllocator:
         need = (nbytes + ALLOC_ALIGN - 1) & ~(ALLOC_ALIGN - 1)
         # The capacity check of each call, for the whole run at once.
         count = min(count, max(0, (self.capacity - self._active_bytes) // need))
-        out: list[int] = []
+        parts: list[range] = []
+        made = 0
         free = self._free
-        while len(out) < count:
+        while made < count:
             for i, blk in enumerate(free):  # first fit, as each call scans
                 if blk.size >= need:
                     break
             else:
                 self._grow(max(_align_up(need, 1 << 20), ARENA_CHUNK))
                 continue
-            taken = min(count - len(out), blk.size // need)
-            # One int object per address, shared by ``active`` and the
-            # caller's tables.
-            addrs = list(range(blk.start, blk.start + taken * need, need))
+            taken = min(count - made, blk.size // need)
+            addrs = range(blk.start, blk.start + taken * need, need)
             if expected is not None:
-                want = expected[len(out):len(out) + taken]
-                if want != addrs:
+                want = expected[made:made + taken]
+                if (want != addrs if type(want) is range
+                        else want != list(addrs)):
                     taken = next(
                         k for k, (a, b) in enumerate(zip(addrs, want)) if a != b
                     ) + 1
                     addrs = addrs[:taken]
-                    count = len(out) + taken  # stop at the divergent call
-            self.active.update(zip(addrs, repeat(need)))
+                    count = made + taken  # stop at the divergent call
+            self.active.insert_run(blk.start, need, taken, need)
             self._active_bytes += taken * need
-            out += addrs
+            parts.append(addrs)
+            made += taken
             if blk.size == taken * need:
                 del free[i]
             else:
@@ -536,7 +542,9 @@ class ArenaAllocator:
             if self.sanitizer is not None:
                 for addr in addrs:
                     self.sanitizer.on_arena_alloc(self, addr, need)
-        return out
+        if len(parts) == 1:
+            return parts[0]
+        return [addr for part in parts for addr in part]
 
     def alloc_free_run(self, nbytes: int, count: int) -> list[int]:
         """Make ``count`` back-to-back :meth:`alloc` + :meth:`free` pairs
@@ -591,7 +599,10 @@ class ArenaAllocator:
 
     def free(self, addr: int) -> int:
         """Release an allocation; returns its size."""
-        size = self.active.pop(addr, None)
+        active = self.active
+        size = active.rows.pop(addr, None)  # a lone row, at dict speed
+        if size is None and active.pieces:
+            size = active.pop(addr, None)  # a run's member
         if size is None:
             if self.sanitizer is not None:
                 # Record the double/invalid free before the raise so the
@@ -630,30 +641,27 @@ class ArenaAllocator:
         """Release ``addrs`` in order: the free list, active map and
         sanitizer hooks of as many sequential :meth:`free` calls.
 
-        An ascending, contiguous stretch of equal blocks (a run as
-        :meth:`alloc_run` carves it) is freed as one block: its frees
-        only ever merge with each other and with the free neighbours of
-        its two ends, as the one block does. Anything else goes through
-        :meth:`free` one address at a time. The run stops short at the
-        first address that is not active (the call that would raise):
-        the caller re-issues that call through :meth:`free` to raise its
-        error. Returns how many it released.
+        A ``range`` of equal, adjacent blocks (a run as :meth:`alloc_run`
+        carves it) is freed as one block, and its rows leave
+        :attr:`active` as one: its frees only ever merge with each other
+        and with the free neighbours of its two ends, as the one block
+        does. Anything else goes through :meth:`free` one address at a
+        time. The run stops short at the first address that is not
+        active (the call that would raise): the caller re-issues that
+        call through :meth:`free` to raise its error. Returns how many it
+        released.
         """
         active = self.active
         n = len(addrs)
-        size = active.get(addrs[0]) if n else None
-        if (
-            size is not None
-            and addrs == list(range(addrs[0], addrs[0] + n * size, size))
-            and list(map(active.get, addrs)).count(size) == n
-        ):
-            deque(map(active.__delitem__, addrs), maxlen=0)
-            self._active_bytes -= n * size
-            self._release(addrs[0], n * size)
-            if self.sanitizer is not None:
-                for addr in addrs:
-                    self.sanitizer.on_arena_free(self, addr, size)
-            return n
+        if type(addrs) is range and n and addrs.step > 0:
+            size = addrs.step
+            if active.pop_run(addrs, size):
+                self._active_bytes -= n * size
+                self._release(addrs[0], n * size)
+                if self.sanitizer is not None:
+                    for addr in addrs:
+                        self.sanitizer.on_arena_free(self, addr, size)
+                return n
         freed = 0
         for addr in addrs:
             if addr not in active:
@@ -681,7 +689,7 @@ class ArenaAllocator:
                     tail = blk.start + blk.size - (addr + need)
                     if tail > 0:
                         self._release(addr + need, tail)
-                    self.active[addr] = need
+                    self.active.rows[addr] = need  # a fresh key
                     self._active_bytes += need
                     if self.sanitizer is not None:
                         self.sanitizer.on_arena_alloc(self, addr, need)

@@ -25,6 +25,7 @@ import numpy as np
 from repro.errors import CudaError
 from repro.gpu.device import GpuDevice
 from repro.gpu.memory import PagedContents, leave_unbuilt
+from repro.gpu.rows import RowTable
 from repro.gpu.streams import Stream
 
 
@@ -90,7 +91,7 @@ class ManagedBuffer:
     uid: int = 0
     #: the runtime's never-built managed table while this buffer is in
     #: it; ``None`` once built
-    unbuilt: dict[int, int] | None = field(default=None, repr=False)
+    unbuilt: RowTable | None = field(default=None, repr=False)
     freed: bool = False
     device_writes: list[DeviceWriteRecord] = field(default_factory=list)
     #: conflict pairs whose records were compacted out of

@@ -96,12 +96,23 @@ def _image(img):
     return {k: repr(v) for k, v in vars(img).items() if k != "pid"}
 
 
+def _plain(value):
+    """``value`` with every ``range`` in it (a run's addresses, as the
+    run API returns them) listed, so it compares with the per-call
+    loop's lists."""
+    if type(value) is range:
+        return list(value)
+    if type(value) in (list, tuple):
+        return type(value)(map(_plain, value))
+    return value
+
+
 def _observe(session, **extra):
     """Every observable of a CRAC session, its images included."""
     return {
         "state": _state(session),
         "images": [_image(img) for img in session.coordinator.images],
-        **extra,
+        **{name: _plain(value) for name, value in extra.items()},
     }
 
 
@@ -124,7 +135,7 @@ def _mixed(session, api):
     api.free_run(b, a[::2])
     again = api.malloc_run(b, 256, 30)  # fills the holes, then the tail
     b.memset(again[3], 7, 256)
-    api.free_run(b, (a[1::2] + big)[::-1])  # each free meets its right
+    api.free_run(b, [*a[1::2], *big][::-1])  # each free meets its right
     return a, big, again
 
 
@@ -219,7 +230,7 @@ def test_irregular_pointer_inside_a_free_run(bad):
             "managed": b.malloc_managed(8192),
             "pinned": b.malloc_host(512),
         }[bad]
-        return _code(api.free_run, b, addrs[:5] + [odd] + addrs[5:])
+        return _code(api.free_run, b, [*addrs[:5], odd, *addrs[5:]])
 
     run, per_call = _twins(scenario)
     assert run["result"] == (
@@ -303,7 +314,7 @@ def test_other_backends_match_per_call(backend_cls, traced):
         if traced:
             tracer.attach(backend)
         session = type("Twin", (), {"backend": backend})
-        result = _mixed(session, api)
+        result = _plain(_mixed(session, api))
         error = _code(api.malloc_run, backend, 1 << 30, 64)
         spans = [(s.name, s.start_ns, s.end_ns, s.args) for s in tracer.spans]
         out.append((result, error, _library_state(backend), spans))
@@ -442,7 +453,7 @@ def test_other_backends_churn_like_per_call(backend_cls, traced):
         if traced:
             tracer.attach(backend)
         session = type("Twin", (), {"backend": backend})
-        result = _churned(session, api)
+        result = _plain(_churned(session, api))
         spans = [(s.name, s.start_ns, s.end_ns, s.args) for s in tracer.spans]
         log = getattr(backend, "resource_log", None)
         out.append((result, _library_state(backend), spans,
@@ -546,7 +557,7 @@ def test_free_run_with_a_repeated_address():
     def scenario(session, api):
         b = session.backend
         addrs = api.malloc_run(b, 256, 10)
-        return _code(api.free_run, b, addrs[:6] + [addrs[3]] + addrs[6:])
+        return _code(api.free_run, b, [*addrs[:6], addrs[3], *addrs[6:]])
 
     run, per_call = _twins(scenario)
     assert run["result"] == "INVALID_DEVICE_POINTER"

@@ -153,7 +153,7 @@ def test_restore_and_failover_rungs_leave_untouched_allocations_rows():
     assert domain.checkpoint() is not None
     cluster.replicate("src", "dst")
     # After the cut: more untouched allocations, and a write.
-    untouched += backend.malloc_run(256, 100)
+    untouched = [*untouched, *backend.malloc_run(256, 100)]
     bump()
     want = _digests(session.runtime)
     assert _instances(DeviceBuffer, untouched) == []
@@ -190,9 +190,9 @@ def test_sanitizer_reads_untouched_allocations_as_rows():
     before = backend.malloc_run(256, N_DEVICE)
     sanitizer = Sanitizer()
     sanitizer.attach(session.runtime)
-    after = backend.malloc_run(512, 3) + [backend.malloc_managed(UVM_PAGE)]
+    after = [*backend.malloc_run(512, 3), backend.malloc_managed(UVM_PAGE)]
     report = sanitizer.finish()
-    assert _instances(DeviceBuffer, before + after) == []
+    assert _instances(DeviceBuffer, [*before, *after]) == []
     assert _instances(ManagedBuffer, after) == []
     assert [(h.checker, h.kind, h.message) for h in report.hazards] == [
         ("memcheck", "leak", f"{kind} allocation of {size} bytes at "

@@ -153,11 +153,6 @@ class TestCoordinator:
         assert image is not None
         assert coord.notify_call() is None  # disarmed
 
-    def test_random_schedule_is_reproducible(self, proc):
-        c1 = DmtcpCoordinator(DmtcpCheckpointer(proc), seed=42)
-        c2 = DmtcpCoordinator(DmtcpCheckpointer(proc), seed=42)
-        assert c1.schedule_random_checkpoint(1000) == c2.schedule_random_checkpoint(1000)
-
     def test_images_recorded(self, proc):
         coord = DmtcpCoordinator(DmtcpCheckpointer(proc))
         coord.checkpoint()

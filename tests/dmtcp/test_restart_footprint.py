@@ -72,3 +72,41 @@ def test_restart_peak_grows_a_bounded_amount_per_allocation(links):
 def test_restart_peak_is_flat_in_the_chain(untouched):
     one, eight = _restart_peak(untouched, 1), _restart_peak(untouched, 8)
     assert eight - one <= 7 * PER_LINK
+
+
+#: what a run of 99,000 more untouched allocations may add to the peak
+#: of its whole life, from ``malloc_run`` through a cut, ``kill``,
+#: ``restart_latest`` and ``free_run``: the run is one row of each
+#: table, one record of the log and one of the never-built record, so
+#: only the sizes of a few larger ints differ (a table or list with an
+#: entry per allocation adds megabytes)
+RUN_LIFE_SLACK = 4 << 10
+
+
+def _run_life_peak(n: int) -> int:
+    """Peak bytes allocated while a session makes ``malloc_run(256, n)``,
+    cuts, is killed, restarts from its store and frees the run."""
+    session = CracSession(seed=0)
+    backend = session.backend
+    backend.free(backend.malloc(256))  # warm: the arena exists
+    store = CheckpointStore()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        addrs = backend.malloc_run(256, n)
+        session.checkpoint(store=store)
+        session.kill()
+        session.restart_latest(store)
+        backend.free_run(addrs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not session.runtime.allocations
+    assert backend.call_counter["cudaFree"] == n + 1
+    session.kill()
+    return peak
+
+
+def test_a_run_costs_the_same_from_malloc_to_free_whatever_its_length():
+    small, large = _run_life_peak(1_000), _run_life_peak(100_000)
+    assert large - small <= RUN_LIFE_SLACK, (small, large)

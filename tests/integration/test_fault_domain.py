@@ -266,22 +266,6 @@ class TestRestoreRung:
         assert isinstance(exc.value.cause, CudaError)
         assert exc.value.cause.fatal
 
-    def test_checkpoint_placement_independent_of_armed_faults(self):
-        # Satellite: arming runtime faults must not shift where the
-        # coordinator's scheduled random checkpoint lands.
-        quiet = CracSession(seed=11)
-        noisy = CracSession(
-            seed=11,
-            fault_injector=FaultInjector(
-                [FaultSpec("xfer-corrupt", probability=0.5, max_fires=None)],
-                seed=9,
-            ),
-        )
-        assert (
-            quiet.coordinator.schedule_random_checkpoint(1000)
-            == noisy.coordinator.schedule_random_checkpoint(1000)
-        )
-
 
 class TestRankDeathDuring2PC:
     def _world(self, n_ranks, at_count, *, keep_generations=3):
