@@ -338,12 +338,7 @@ class CheckpointStore:
         The chain is verified once, up front, then each member is
         exported; a corrupt member raises before any record is built.
         """
-        self.verify(generation)
-        owners = self._owners()
-        return [
-            self._record(gen, owners)
-            for gen in self._chain_ids(generation, owners)
-        ]
+        return self.export_missing(generation, ())
 
     def export_missing(
         self, generation: int, present: Container[int]
@@ -352,13 +347,15 @@ class CheckpointStore:
         in ``present``, base first: the re-ship of a chain whose older
         members the destination already holds.
 
-        Each record comes from :meth:`export_generation`, so each is
-        verified with its whole chain, and every record is built before
-        the caller ships any of them.
+        The whole chain is verified once, up front, so a corrupt member
+        (missing or not) raises before any record is built, and every
+        record is built before the caller ships any of them.
         """
+        self.verify(generation)
+        owners = self._owners()
         return [
-            self.export_generation(gen)
-            for gen in self.chain_generations(generation)
+            self._record(gen, owners)
+            for gen in self._chain_ids(generation, owners)
             if gen not in present
         ]
 

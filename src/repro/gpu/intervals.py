@@ -1,32 +1,34 @@
-"""Vectorized interval structures for the capture/sanitize hot path.
+"""Interval structures for the capture and sanitize hot paths.
 
-Two data structures back the per-write bookkeeping that used to be pure
-Python span-list rebuilds (the O(pages)/O(history) hot loops the ROADMAP
-calls out):
+Both structures take writes as O(1) appends to a pending list and fold
+them in only when queried, so a buffer written many times between two
+queries pays for one fold, not one rebuild per write.
 
-- :class:`EpochIntervalIndex` — sorted disjoint ``(start, end, epoch)``
-  byte intervals held in numpy arrays, where ``epoch`` is the monotone
-  write-sequence number of the range's *last* write. Writes append to a
-  pending buffer in O(1); queries flush the buffer with one vectorized
-  boundary sweep. Byte-exact: observationally identical to the legacy
-  per-write span-list rebuild (``tests/gpu/test_dirty_vector_equivalence``
-  proves it with Hypothesis), so the epoch-bounded-commit semantics of
-  the forked checkpoint path are preserved bit-for-bit.
-- :class:`SpanSet` — a sorted disjoint interval set (no epochs) with the
-  same lazy-append design, used for the sanitizer's written-byte
-  coverage (initcheck) and access-summary footprints.
+- :class:`EpochIntervalIndex` — each GPU buffer's dirty byte ranges:
+  sorted disjoint ``(start, end, epoch)`` intervals, where ``epoch`` is
+  the monotone write-sequence number of the range's *last* write. It
+  backs every cut (incremental images save only the dirtied spans, and
+  commit clears only what the snapshot captured, epoch-bounded). It
+  holds three plain Python lists and folds each pending write with two
+  bisects and one slice assignment: between two cuts a buffer holds
+  zero or one interval and a handful of pending writes, and on arrays
+  that small one numpy call costs more than the whole Python fold.
+  ``tests/gpu/test_dirty_vector_equivalence`` pins every query to a
+  per-byte dict model.
+- :class:`SpanSet` — a sorted disjoint interval set (no epochs), the
+  sanitizer's written-byte coverage (initcheck) and access-summary
+  footprints. It keeps numpy arrays and one vectorized sort + merge per
+  fold: a sanitized buffer gathers many writes between queries, and
+  no benchmarked workload runs the sanitizer.
 
-Both structures expose a *page-granular epoch/coverage view*
-(:meth:`EpochIntervalIndex.page_epochs`) so page-oriented consumers (UVM
-residency accounting, perf reporting) can read one numpy array instead
-of walking spans.
-
-Flush preconditions: ``mark()`` must be called with non-decreasing
-epochs (the caller's write counter is monotone), which makes
-"last write wins" equal to "max epoch wins" and keeps the sweep exact.
+Flush precondition: ``EpochIntervalIndex.mark()`` must be called with
+non-decreasing epochs (the caller's write counter is monotone), which
+makes "last write wins" equal to "max epoch wins".
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -139,23 +141,20 @@ class SpanSet:
 class EpochIntervalIndex:
     """Disjoint ``(start, end, epoch)`` intervals; epoch = last write.
 
-    The committed state lives in three parallel numpy arrays (sorted by
-    start, disjoint, non-empty). :meth:`mark` is an O(1) append to a
-    pending buffer; queries call :meth:`_flush`, which folds the pending
-    writes in with a single boundary sweep over only the *window* of
-    committed intervals the pending writes overlap — later writes
-    supersede earlier epochs byte-for-byte, exactly like the legacy
-    per-write rebuild. Queries and :meth:`clear` on an empty index
-    return at once without touching numpy: a checkpoint cut asks every
-    never-written buffer of a process, and most of them are empty.
+    The committed state is three parallel Python lists sorted by start:
+    the intervals are non-empty and disjoint, and two that touch never
+    share an epoch. :meth:`mark` is an O(1) append to a pending buffer;
+    queries call :meth:`_flush`, which paints each pending write in
+    order (later writes supersede earlier epochs byte for byte) with
+    two bisects and one slice assignment per list.
     """
 
     __slots__ = ("_starts", "_ends", "_epochs", "_pending", "_last_epoch")
 
     def __init__(self) -> None:
-        self._starts = _EMPTY
-        self._ends = _EMPTY
-        self._epochs = _EMPTY
+        self._starts: list[int] = []
+        self._ends: list[int] = []
+        self._epochs: list[int] = []
         self._pending: list[tuple[int, int, int]] = []
         self._last_epoch = 0
 
@@ -164,8 +163,9 @@ class EpochIntervalIndex:
     def mark(self, lo: int, hi: int, epoch: int) -> None:
         """Record a write of ``[lo, hi)`` at ``epoch`` (amortized O(1)).
 
-        Epochs must be non-decreasing across calls — the flush sweep
-        relies on "last write wins" coinciding with "max epoch wins".
+        Epochs must be non-decreasing across calls — the flush paints in
+        call order, so "last write wins" must coincide with "max epoch
+        wins".
         """
         if hi <= lo:
             return
@@ -177,175 +177,124 @@ class EpochIntervalIndex:
         self._last_epoch = epoch
         self._pending.append((lo, hi, epoch))
 
-    # -- flush ---------------------------------------------------------------
-
-    @staticmethod
-    def _sweep(
-        los: np.ndarray, his: np.ndarray, eps: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Boundary sweep: paint intervals in order (later wins), then
-        compress equal-epoch contiguous segments. ``los/his/eps`` must be
-        ordered so that a later entry supersedes any earlier overlap."""
-        bounds = np.unique(np.concatenate([los, his]))
-        seg_ep = np.zeros(bounds.size - 1, dtype=np.int64)
-        il = np.searchsorted(bounds, los)
-        ih = np.searchsorted(bounds, his)
-        for k in range(los.size):
-            seg_ep[il[k] : ih[k]] = eps[k]
-        keep = np.flatnonzero(seg_ep)
-        if keep.size == 0:
-            return _EMPTY, _EMPTY, _EMPTY
-        s = bounds[keep]
-        e = bounds[keep + 1]
-        ep = seg_ep[keep]
-        new_group = np.empty(keep.size, dtype=bool)
-        new_group[0] = True
-        np.logical_or(s[1:] != e[:-1], ep[1:] != ep[:-1], out=new_group[1:])
-        gidx = np.flatnonzero(new_group)
-        last = np.empty(gidx.size, dtype=np.int64)
-        last[:-1] = gidx[1:] - 1
-        last[-1] = keep.size - 1
-        return s[gidx], e[last], ep[gidx]
-
     def _flush(self) -> None:
-        if not self._pending:
-            return
-        p = np.asarray(self._pending, dtype=np.int64)
+        """Paint the pending writes over the committed intervals.
+
+        Each write replaces the intervals it overlaps or touches
+        (``[i, j)``) with at most three: the uncovered head of the first,
+        the write itself, and the uncovered tail of the last. A head or
+        tail whose epoch equals the write's is absorbed into it.
+        """
+        starts, ends, epochs = self._starts, self._ends, self._epochs
+        for lo, hi, ep in self._pending:
+            i = bisect_left(ends, lo)
+            j = bisect_right(starts, hi, i)
+            s_new, e_new, ep_new = [lo], [hi], [ep]
+            if i < j:
+                if starts[i] < lo:
+                    if epochs[i] == ep:
+                        s_new[0] = starts[i]
+                    else:
+                        s_new.insert(0, starts[i])
+                        e_new.insert(0, lo)
+                        ep_new.insert(0, epochs[i])
+                if ends[j - 1] > hi:
+                    if epochs[j - 1] == ep:
+                        e_new[-1] = ends[j - 1]
+                    else:
+                        s_new.append(hi)
+                        e_new.append(ends[j - 1])
+                        ep_new.append(epochs[j - 1])
+            starts[i:j] = s_new
+            ends[i:j] = e_new
+            epochs[i:j] = ep_new
         self._pending.clear()
-        p_lo = int(p[:, 0].min())
-        p_hi = int(p[:, 1].max())
-        # Only committed intervals inside the pending window participate
-        # in the sweep; the untouched prefix/suffix pass through.
-        i = int(np.searchsorted(self._ends, p_lo, side="right"))
-        j = int(np.searchsorted(self._starts, p_hi, side="left"))
-        s, e, ep = self._sweep(
-            np.concatenate([self._starts[i:j], p[:, 0]]),
-            np.concatenate([self._ends[i:j], p[:, 1]]),
-            np.concatenate([self._epochs[i:j], p[:, 2]]),
-        )
-        s = np.concatenate([self._starts[:i], s, self._starts[j:]])
-        e = np.concatenate([self._ends[:i], e, self._ends[j:]])
-        ep = np.concatenate([self._epochs[:i], ep, self._epochs[j:]])
-        # Seam repair: a swept interval may now touch an untouched
-        # neighbour with the same epoch; re-merge contiguity groups.
-        if s.size > 1:
-            new_group = np.empty(s.size, dtype=bool)
-            new_group[0] = True
-            np.logical_or(s[1:] != e[:-1], ep[1:] != ep[:-1], out=new_group[1:])
-            if not new_group.all():
-                gidx = np.flatnonzero(new_group)
-                last = np.empty(gidx.size, dtype=np.int64)
-                last[:-1] = gidx[1:] - 1
-                last[-1] = s.size - 1
-                s, e, ep = s[gidx], e[last], ep[gidx]
-        self._starts, self._ends, self._epochs = s, e, ep
 
     # -- queries -------------------------------------------------------------
 
     def intervals(self) -> list[tuple[int, int, int]]:
         """All ``(start, end, epoch)`` triples (sorted, disjoint)."""
-        self._flush()
-        return list(zip(
-            self._starts.tolist(), self._ends.tolist(), self._epochs.tolist()
-        ))
+        if self._pending:
+            self._flush()
+        return list(zip(self._starts, self._ends, self._epochs))
 
     def spans(self) -> list[tuple[int, int]]:
         """Dirty byte ranges, merged across epochs."""
-        if not self:
-            return []
-        self._flush()
-        new_group = np.empty(self._starts.size, dtype=bool)
-        new_group[0] = True
-        np.greater(self._starts[1:], self._ends[:-1], out=new_group[1:])
-        gidx = np.flatnonzero(new_group)
-        last = np.empty(gidx.size, dtype=np.int64)
-        last[:-1] = gidx[1:] - 1
-        last[-1] = self._starts.size - 1
-        return list(zip(
-            self._starts[gidx].tolist(), self._ends[last].tolist()
-        ))
+        if self._pending:
+            self._flush()
+        out: list[tuple[int, int]] = []
+        for s, e in zip(self._starts, self._ends):
+            if out and out[-1][1] == s:
+                out[-1] = (out[-1][0], e)
+            else:
+                out.append((s, e))
+        return out
 
     @property
     def byte_count(self) -> int:
         """Total dirty bytes."""
-        if not self:
-            return 0
-        self._flush()
-        return int((self._ends - self._starts).sum())
+        if self._pending:
+            self._flush()
+        return sum(self._ends) - sum(self._starts)
 
     def bytes_since(self, epoch: int) -> int:
         """Bytes whose last write came strictly after ``epoch``."""
-        if not self:
-            return 0
-        self._flush()
-        sel = self._epochs > epoch
-        return int((self._ends[sel] - self._starts[sel]).sum())
-
-    def page_epochs(self, page_size: int, size: int) -> np.ndarray:
-        """Page-granular epoch array: max last-write epoch per page
-        (0 = clean). The coarse view page-oriented consumers read."""
-        self._flush()
-        n_pages = (size + page_size - 1) // page_size
-        out = np.zeros(n_pages, dtype=np.int64)
-        starts, ends, epochs = self._starts, self._ends, self._epochs
-        for k in range(starts.size):
-            p0 = starts[k] // page_size
-            p1 = (ends[k] - 1) // page_size + 1
-            np.maximum(out[p0:p1], epochs[k], out=out[p0:p1])
-        return out
+        if self._pending:
+            self._flush()
+        total = 0
+        for s, e, ep in zip(self._starts, self._ends, self._epochs):
+            if ep > epoch:
+                total += e - s
+        return total
 
     # -- clearing ------------------------------------------------------------
 
     def clear_all(self) -> None:
         """Forget everything (a full-image commit)."""
-        self._starts = self._ends = self._epochs = _EMPTY
+        self._starts, self._ends, self._epochs = [], [], []
         self._pending.clear()
 
     def clear(self, spans, up_to_epoch: int | None = None) -> None:
-        """Remove ``spans`` from the index, epoch-bounded.
+        """Remove ``spans`` (in any order, possibly overlapping) from the
+        index, epoch-bounded.
 
         With ``up_to_epoch`` only bytes whose last write is at or before
         that epoch are cleared — bytes re-written while a (forked) image
         was still flushing stay dirty for the next incremental cut.
+        Cutting only removes bytes, so no two intervals come to touch
+        that did not before.
         """
-        if not self:
+        if self._pending:
+            self._flush()
+        starts, ends, epochs = self._starts, self._ends, self._epochs
+        if not starts:
             return
-        self._flush()
-        c = np.asarray(
-            [(lo, hi) for lo, hi in spans if hi > lo], dtype=np.int64
-        ).reshape(-1, 2)
-        if c.size == 0 or self._starts.size == 0:
-            return
-        c_lo, c_hi = _normalize(c[:, 0], c[:, 1])
-        bounds = np.unique(np.concatenate([
-            self._starts, self._ends, c_lo, c_hi
-        ]))
-        seg_ep = np.zeros(bounds.size - 1, dtype=np.int64)
-        il = np.searchsorted(bounds, self._starts)
-        ih = np.searchsorted(bounds, self._ends)
-        for k in range(self._starts.size):
-            seg_ep[il[k] : ih[k]] = self._epochs[k]
-        cleared = np.zeros(bounds.size - 1, dtype=bool)
-        jl = np.searchsorted(bounds, c_lo)
-        jh = np.searchsorted(bounds, c_hi)
-        for k in range(c_lo.size):
-            cleared[jl[k] : jh[k]] = True
-        if up_to_epoch is not None:
-            cleared &= seg_ep <= up_to_epoch
-        seg_ep[cleared] = 0
-        keep = np.flatnonzero(seg_ep)
-        if keep.size == 0:
-            self._starts = self._ends = self._epochs = _EMPTY
-            return
-        s, e, ep = bounds[keep], bounds[keep + 1], seg_ep[keep]
-        new_group = np.empty(keep.size, dtype=bool)
-        new_group[0] = True
-        np.logical_or(s[1:] != e[:-1], ep[1:] != ep[:-1], out=new_group[1:])
-        gidx = np.flatnonzero(new_group)
-        last = np.empty(gidx.size, dtype=np.int64)
-        last[:-1] = gidx[1:] - 1
-        last[-1] = keep.size - 1
-        self._starts, self._ends, self._epochs = s[gidx], e[last], ep[gidx]
+        for lo, hi in spans:
+            if hi <= lo:
+                continue
+            i = bisect_right(ends, lo)
+            j = bisect_left(starts, hi, i)
+            s_new: list[int] = []
+            e_new: list[int] = []
+            ep_new: list[int] = []
+            for k in range(i, j):
+                s, e, ep = starts[k], ends[k], epochs[k]
+                if up_to_epoch is not None and ep > up_to_epoch:
+                    s_new.append(s)
+                    e_new.append(e)
+                    ep_new.append(ep)
+                    continue
+                if s < lo:
+                    s_new.append(s)
+                    e_new.append(lo)
+                    ep_new.append(ep)
+                if e > hi:
+                    s_new.append(hi)
+                    e_new.append(e)
+                    ep_new.append(ep)
+            starts[i:j] = s_new
+            ends[i:j] = e_new
+            epochs[i:j] = ep_new
 
     def __bool__(self) -> bool:
-        return bool(self._pending) or self._starts.size > 0
+        return bool(self._pending) or bool(self._starts)

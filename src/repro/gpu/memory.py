@@ -107,9 +107,9 @@ class PagedContents:
         self.size = size
         self.fill_value = fill_value
         self._spans: dict[int, np.ndarray] = {}  # start -> uint8 array
-        #: vectorized (start, end, epoch) interval index of byte ranges
-        #: touched since the last committed checkpoint cut; ``epoch`` is
-        #: the :attr:`write_seq` value of the range's last write
+        #: (start, end, epoch) interval index of byte ranges touched
+        #: since the last committed checkpoint cut; ``epoch`` is the
+        #: :attr:`write_seq` value of the range's last write
         self._dirty = EpochIntervalIndex()
         self._write_seq = 0
 

@@ -6,10 +6,11 @@ Validation (at :meth:`repro.spec.SpeculativeCheckpoint.finish`) must
 find every resource the application mutated inside the window:
 
 - **buffers** — the image's ``(contents, spans, epoch)`` capture tuples
-  record each buffer's ``write_seq`` at the cut; the
-  :class:`repro.gpu.intervals.EpochIntervalIndex` behind
-  ``dirty_bytes_since(epoch)`` / ``dirty_spans_since(epoch)`` yields the
-  exact spans written after it. A buffer that had never built its
+  record each buffer's ``write_seq`` at the cut; a buffer whose
+  ``write_seq`` moved past it was written inside the window, and
+  ``dirty_bytes_since(epoch)`` (one pass over the buffer's
+  :class:`repro.gpu.intervals.EpochIntervalIndex`) counts exactly the
+  bytes whose last write came after it. A buffer that had never built its
   contents at the cut has no tuple: the image's ``built_since_cut()``
   set difference finds it, with epoch 0. In a real system those spans
   are torn in the speculative copy and must be re-copied from the

@@ -113,6 +113,9 @@ def _restart_calls(n_buffers: int) -> int:
 
 
 def test_restart_replays_untouched_malloc_within_call_budget():
+    # An untimed restart first, so a first-use cost (an ABC's
+    # ``__subclasscheck__`` cache, say) is not counted as per-malloc.
+    _restart_calls(50)
     per_malloc = (_restart_calls(150) - _restart_calls(50)) / 100
     assert per_malloc <= RESTART_MALLOC_CALL_BUDGET, per_malloc
 

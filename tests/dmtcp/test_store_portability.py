@@ -190,6 +190,49 @@ class TestChainExport:
         assert src.store.pinned() == []
 
 
+class TestExportMissing:
+    def test_exports_only_the_missing_members_base_first(self):
+        a = CheckpointStore()
+        three_long_chain(a)
+        latest = a.latest()
+        for present, want in [((), [1, 2, 3]), ({1}, [2, 3]),
+                              ({2}, [1, 3]), ({1, 2, 3}, [])]:
+            records = a.export_missing(latest, present)
+            assert [r["generation"] for r in records] == want
+            assert records == [a.export_generation(g) for g in want]
+
+    def test_corrupt_ancestor_raises_before_any_record(self, monkeypatch):
+        a = CheckpointStore()
+        three_long_chain(a)
+        flip_first_byte(a.get(1).image)
+        built = []
+        original = CheckpointImage.export_payload
+
+        def counting_export(image):
+            built.append(image)
+            return original(image)
+
+        monkeypatch.setattr(CheckpointImage, "export_payload", counting_export)
+        with pytest.raises(CorruptCheckpointError, match="generation 1"):
+            a.export_missing(a.latest(), {1})
+        assert built == []
+
+    def test_verify_runs_once_per_call(self, monkeypatch):
+        a = CheckpointStore()
+        three_long_chain(a)
+        verified = []
+        original = CheckpointStore.verify
+
+        def counting_verify(store, generation):
+            verified.append(generation)
+            return original(store, generation)
+
+        monkeypatch.setattr(CheckpointStore, "verify", counting_verify)
+        records = a.export_missing(a.latest(), {1})
+        assert verified == [a.latest()]
+        assert [r["generation"] for r in records] == [2, 3]
+
+
 class TestPins:
     def test_pinned_generation_survives_keep_n_pressure(self):
         a = CheckpointStore(keep_generations=1)

@@ -1,13 +1,16 @@
-"""Observational equivalence: vectorized structures vs reference models.
+"""Observational equivalence: interval structures vs reference models.
 
-The vectorized dirty index and written-span set answer every query
-byte-for-byte like a per-offset reference model: a dict offset -> epoch
-of last write for :class:`EpochIntervalIndex`, a set of written offsets
-for :class:`SpanSet`. The racecheck scan is pinned against the plain
-loop it replaced.
+The dirty index (Python lists) and the written-span set (numpy arrays)
+answer every query byte-for-byte like a per-offset reference model: a
+dict offset -> epoch of last write for :class:`EpochIntervalIndex`, a
+set of written offsets for :class:`SpanSet`. The dirty model also
+repeats an epoch (``remark``), which drives the index's merge of
+touching writes of one epoch, and clears overlapping spans. The
+racecheck scan is pinned against the plain loop it replaced.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,9 +25,23 @@ span = st.tuples(
     st.integers(min_value=1, max_value=64),
 ).map(lambda t: (t[0], min(SIZE, t[0] + t[1])))
 
+
+@st.composite
+def overlapping_spans(draw):
+    """Two spans that share at least one byte, in either order."""
+    lo, hi = draw(span)
+    a = draw(st.integers(min_value=0, max_value=hi - 1))
+    b = draw(st.integers(
+        min_value=max(a, lo) + 1, max_value=min(SIZE, max(a, lo) + 64)
+    ))
+    return draw(st.permutations([(lo, hi), (a, b)]))
+
+
 dirty_op = st.one_of(
     st.tuples(st.just("mark"), span),
+    st.tuples(st.just("remark"), span),
     st.tuples(st.just("clear"), st.lists(span, max_size=3)),
+    st.tuples(st.just("clear"), overlapping_spans()),
     st.tuples(st.just("clear_all"), st.just(None)),
     st.tuples(st.just("query"), st.just(None)),
 )
@@ -54,16 +71,19 @@ def assert_matches_model(index, model, since):
 
 
 def replay(ops):
-    """Drive the vectorized dirty index and a dict model through the
-    same ops; check every query against the model; return the pair."""
+    """Drive the dirty index and a dict model through the
+    same ops; check every query against the model; return the pair.
+    ``remark`` writes at the last epoch again (the first write of all
+    takes epoch 1), so epochs stay non-decreasing."""
     index = EpochIntervalIndex()
     model: dict[int, int] = {}  # offset -> epoch of last write
     epoch = 0
     snap = 0
     for kind, arg in ops:
-        if kind == "mark":
+        if kind in ("mark", "remark"):
             lo, hi = arg
-            epoch += 1
+            if kind == "mark" or epoch == 0:
+                epoch += 1
             index.mark(lo, hi, epoch)
             for off in range(lo, hi):
                 model[off] = epoch
@@ -97,21 +117,6 @@ def test_bytes_since_equivalence(ops, since):
     assert index.bytes_since(since) == sum(
         1 for ep in model.values() if ep > since
     )
-
-
-@settings(max_examples=150)
-@given(st.lists(dirty_op, max_size=30), st.sampled_from([16, 64, 128]))
-def test_page_epochs_match_intervals(ops, page_size):
-    vector, model = replay(ops)
-    per_page = vector.page_epochs(page_size, SIZE)
-    n_pages = (SIZE + page_size - 1) // page_size
-    assert len(per_page) == n_pages
-    for p in range(n_pages):
-        lo, hi = p * page_size, min(SIZE, (p + 1) * page_size)
-        expect = max(
-            (model.get(off, 0) for off in range(lo, hi)), default=0
-        )
-        assert per_page[p] == expect
 
 
 written_op = st.one_of(
@@ -223,6 +228,21 @@ def test_epoch_regression_rejected():
         pass
     else:  # pragma: no cover - failure path
         raise AssertionError("epoch regression accepted")
+
+
+def test_epoch_regression_is_invalid_value():
+    """A backwards ``mark`` is classified program misuse, INVALID_VALUE,
+    and leaves the index as it was."""
+    from repro.cuda.errors import CudaErrorCode
+    from repro.errors import CudaError
+
+    idx = EpochIntervalIndex()
+    idx.mark(0, 10, 5)
+    with pytest.raises(CudaError) as err:
+        idx.mark(20, 30, 4)
+    assert err.value.code is CudaErrorCode.INVALID_VALUE
+    assert err.value.severity == "program"
+    assert idx.intervals() == [(0, 10, 5)]
 
 
 def test_clock_matrix_widens_mid_append():

@@ -38,13 +38,13 @@ def test_parks_export_each_new_generation_once(monkeypatch):
         sid: set(rec.store.generations) for sid, rec in sched.records.items()
     }
     exported = []
-    original = CheckpointStore.export_generation
+    original = CheckpointStore._record
 
-    def counting_export(self, generation):
+    def counting_record(self, generation, owners):
         exported.append((id(self), generation))
-        return original(self, generation)
+        return original(self, generation, owners)
 
-    monkeypatch.setattr(CheckpointStore, "export_generation", counting_export)
+    monkeypatch.setattr(CheckpointStore, "_record", counting_record)
     for sid in ("a", "c") * 6:
         sched.handle_request(sid)
 
