@@ -71,7 +71,7 @@ class AppResult:
     #: across backends and across checkpoint/restart)
     digest: int
     #: wall (virtual) nanoseconds spent inside run()
-    elapsed_ns: float
+    elapsed_ns: int
     #: total upper→lower CUDA calls issued by this run
     cuda_calls: int
     extras: dict = field(default_factory=dict)
@@ -143,7 +143,8 @@ class CudaApp:
 
     def kernel_budget_ns(self, n_kernels: int, fraction: float = 0.92) -> float:
         """Per-kernel virtual duration so that ``n_kernels`` of them fill
-        ``fraction`` of the runtime target (the rest is dispatch/copies)."""
+        ``fraction`` of the runtime target (the rest is dispatch/copies);
+        a launch rounds it (or a multiple of it) to whole ns."""
         total = self.target_runtime_s * self.scale * 1e9 * fraction
         return max(2_000.0, total / max(1, n_kernels))
 
@@ -202,7 +203,7 @@ class TimedLoop:
         # ``backend.process`` is read at each use: a mid-run restart
         # (from a checkpoint callback) swaps the process underneath.
         backend = self.ctx.backend
-        per_iter_ns: list[float] = []
+        per_iter_ns: list[int] = []
         per_iter_calls: list[Counter] = []
         for i in range(self.measure):
             t0 = backend.process.clock_ns
@@ -221,7 +222,7 @@ class TimedLoop:
             # Steady state: warm-up effects live in iteration 0, so the
             # mean of the *later* measured iterations extrapolates best.
             tail_ns = per_iter_ns[1:] or per_iter_ns
-            mean_ns = sum(tail_ns) / len(tail_ns)
+            mean_ns = round(sum(tail_ns) / len(tail_ns))
             tail_calls = per_iter_calls[1:] or per_iter_calls
             mean_calls = Counter()
             if tail_calls:

@@ -83,7 +83,7 @@ class Hpgmg(CudaApp):
         fv[:] = f.reshape(-1)
 
         cycles = self.iterations(self.PAPER_VCYCLES)
-        kernel_ns = self.kernel_budget_ns(cycles * self.LAUNCHES_PER_CYCLE)
+        kernel_ns = round(self.kernel_budget_ns(cycles * self.LAUNCHES_PER_CYCLE))
 
         def grid(ptr, s):
             return b.device_view(ptr, 8 * s * s, np.float64).reshape(s, s)

@@ -87,9 +87,11 @@ class Hypre(CudaApp):
             return out.reshape(-1)
 
         iters = self.iterations(self.PAPER_ITERS)
-        kernel_ns = self.kernel_budget_ns(
+        budget_ns = self.kernel_budget_ns(
             iters * self.LAUNCHES_PER_ITER + self.iterations(200)
         )
+        kernel_ns = round(budget_ns)
+        spmv_ns, dot_ns = round(budget_ns * 2), round(budget_ns / 2)
         state = {"rs_old": float(rv @ rv)}
 
         loop = TimedLoop(ctx, iters, measure=4)
@@ -120,7 +122,7 @@ class Hypre(CudaApp):
             # while the device works (the pattern CRUM cannot support —
             # CRAC's UVM support makes it safe).
             b.launch(
-                "csr_spmv", spmv, duration_ns=kernel_ns * 2, stream=stream,
+                "csr_spmv", spmv, duration_ns=spmv_ns, stream=stream,
                 managed=[ManagedUse(self.p_p, 0, 8 * n, "r"),
                          ManagedUse(self.p_ap, 0, 8 * n, "w")],
             )
@@ -128,7 +130,7 @@ class Hypre(CudaApp):
             b.launch("axpy", update, duration_ns=kernel_ns, stream=stream,
                      managed=[ManagedUse(self.p_x, 0, 8 * n, "rw")])
             b.launch("axpy", None, duration_ns=kernel_ns, stream=stream)
-            b.launch("dot", None, duration_ns=kernel_ns / 2, stream=stream)
+            b.launch("dot", None, duration_ns=dot_ns, stream=stream)
             # Host-side touch of the big UVM region, concurrent with the
             # in-flight kernels on other data.
             big = b.managed_view(p_big1, 4096)

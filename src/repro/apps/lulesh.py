@@ -74,7 +74,7 @@ class Lulesh(CudaApp):
         steps = self.iterations(self.PAPER_STEPS)
         # Kernels overlap across the stream pool (N_STREAMS-way), so the
         # per-kernel budget is sized against the per-stream serial chain.
-        kernel_ns = (
+        kernel_ns = round(
             self.kernel_budget_ns(steps * self.LAUNCHES_PER_STEP)
             * self.N_STREAMS
             * ctx.time_scale

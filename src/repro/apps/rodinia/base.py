@@ -66,7 +66,7 @@ class RodiniaApp(CudaApp):
         device_ballast = int(self.DEVICE_MB * self.scale * (1 << 20))
         self._ballast_ptr = backend.malloc(max(256, device_ballast))
         iters = self.iterations(self.PAPER_ITERS)
-        self._kernel_ns = (
+        self._kernel_ns = round(
             self.kernel_budget_ns(iters * self.LAUNCHES_PER_ITER) * ctx.time_scale
         )
         def churn(remaining: int) -> None:

@@ -88,7 +88,7 @@ class SimpleStreams(CudaApp):
                 arr[:] = v
 
             b.event_record(e_start)
-            b.launch("init_array", init_whole, duration_ns=whole_kernel_ns)
+            b.launch("init_array", init_whole, duration_ns=round(whole_kernel_ns))
             b.event_record(e_stop)
             b.memcpy(p_host, p_dev, scaled_bytes, "d2h", dst_offset=0)
             b.event_synchronize(e_stop)
@@ -105,7 +105,7 @@ class SimpleStreams(CudaApp):
                 end = b.launch(
                     "init_array",
                     init_chunk,
-                    duration_ns=whole_kernel_ns / self.nstreams,
+                    duration_ns=round(whole_kernel_ns / self.nstreams),
                     stream=s,
                 )
                 if t_first is None:

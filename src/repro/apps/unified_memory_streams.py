@@ -72,7 +72,7 @@ class UnifiedMemoryStreams(CudaApp):
 
         # Per-kernel budget: device tasks carry ~10 sub-kernels each.
         n_device = int((sizes >= threshold).sum())
-        kernel_ns = self.kernel_budget_ns(max(1, n_device * 10))
+        kernel_ns = round(self.kernel_budget_ns(max(1, n_device * 10)))
 
         def consume(t: int) -> None:
             """One task, executed by whichever worker thread pulled it."""

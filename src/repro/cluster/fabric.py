@@ -66,7 +66,7 @@ class Cluster:
         dst: str,
         *,
         generation: int | None = None,
-        now_ns: float = 0.0,
+        now_ns: int = 0,
         retries: int = 3,
     ) -> dict:
         """Ship a generation's chain ``src → dst`` (latest by default).

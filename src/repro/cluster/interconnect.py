@@ -20,13 +20,13 @@ import random
 import zlib
 from dataclasses import dataclass, field
 
-from repro.gpu.timing import NS_PER_S
+from repro.gpu.timing import transfer_ns
 
 #: Datacenter-ish defaults: 100 GbE-class bandwidth, microseconds of
 #: switch latency — slow enough that shipping a full image visibly
 #: dominates a naive migration's blackout.
 DEFAULT_BANDWIDTH = 10.0e9  # bytes/s
-DEFAULT_LATENCY_NS = 5_000.0
+DEFAULT_LATENCY_NS = 5_000
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class LinkSpec:
     """Static link parameters shared by every node pair."""
 
     bandwidth: float = DEFAULT_BANDWIDTH  # bytes/s
-    latency_ns: float = DEFAULT_LATENCY_NS
+    latency_ns: int = DEFAULT_LATENCY_NS
 
 
 @dataclass
@@ -44,13 +44,13 @@ class TransferRecord:
     src: str
     dst: str
     nbytes: int
-    start_ns: float
-    end_ns: float
+    start_ns: int
+    end_ns: int
     #: "ok" | "corrupt" (bytes flipped in flight) | "drop" (lost)
     outcome: str = "ok"
 
     @property
-    def duration_ns(self) -> float:
+    def duration_ns(self) -> int:
         return self.end_ns - self.start_ns
 
 
@@ -78,14 +78,14 @@ class Interconnect:
             (self.seed & 0xFFFFFFFF) ^ zlib.crc32(b"interconnect")
         )
         #: per ordered node pair: virtual time the link frees up
-        self._link_busy: dict[tuple[str, str], float] = {}
+        self._link_busy: dict[tuple[str, str], int] = {}
         self.transfers: list[TransferRecord] = []
 
-    def transfer_ns(self, nbytes: int) -> float:
+    def transfer_ns(self, nbytes: int) -> int:
         """Unloaded transfer duration for ``nbytes`` (latency + wire)."""
-        return self.spec.latency_ns + nbytes / self.spec.bandwidth * NS_PER_S
+        return self.spec.latency_ns + transfer_ns(nbytes, self.spec.bandwidth)
 
-    def send(self, src: str, dst: str, nbytes: int, now_ns: float) -> TransferRecord:
+    def send(self, src: str, dst: str, nbytes: int, now_ns: int) -> TransferRecord:
         """Put ``nbytes`` on the ``src → dst`` link at ``now_ns``.
 
         Returns the transfer's record; the caller decides which clock
@@ -94,7 +94,7 @@ class Interconnect:
         full duration — the loss is discovered at the far end.
         """
         key = (src, dst)
-        start = max(now_ns, self._link_busy.get(key, 0.0))
+        start = max(now_ns, self._link_busy.get(key, 0))
         end = start + self.transfer_ns(nbytes)
         self._link_busy[key] = end
         idx = len(self.transfers)

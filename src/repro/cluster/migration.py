@@ -48,7 +48,7 @@ def _ship_record(
     record: dict,
     *,
     parent: CheckpointImage | None,
-    now_ns: float,
+    now_ns: int,
     retries: int,
 ) -> tuple[int, float, int]:
     """Ship one exported generation record with bounded retries.
@@ -92,7 +92,7 @@ def ship_chain(
     interconnect: Interconnect,
     *,
     generation: int | None = None,
-    now_ns: float = 0.0,
+    now_ns: int = 0,
     retries: int = 3,
 ) -> dict:
     """Replicate a generation's whole chain ``src → dst``, base first.
@@ -143,7 +143,7 @@ class MigrationReport:
     src: str
     dst: str
     #: app-visible downtime: final cut → resumed on the target
-    blackout_ns: float
+    blackout_ns: int
     precopy_rounds: int
     #: bytes of the base (full) image shipped
     full_bytes: int
@@ -185,7 +185,7 @@ class LiveMigration:
         self.retries = retries
         self.phase = "idle"
         #: background shipping timeline (overlaps app execution)
-        self._ship_clock = 0.0
+        self._ship_clock = 0
         self._by_src: dict[int, CheckpointImage] = {}
         self._pinned: list[int] = []
         self._last_image: CheckpointImage | None = None

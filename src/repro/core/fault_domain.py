@@ -60,7 +60,7 @@ class RecoveryAttempt:
 
     rung: str  # "retry" | "stream-reset" | "restore" | "failover" | "abort"
     attempt: int  # 1-based index of this rung within its failure episode
-    backoff_ns: float  # virtual-time backoff paid before this attempt
+    backoff_ns: int  # virtual-time backoff paid before this attempt
     error: str  # repr of the error that drove the attempt
     succeeded: bool = False
 
@@ -78,9 +78,9 @@ class RecoveryReport:
     failovers: int = 0
     watchdog_trips: int = 0
     #: virtual work re-executed after restores (fault point − restored cut)
-    lost_work_ns: float = 0.0
+    lost_work_ns: int = 0
     #: total virtual-time backoff paid across retry rungs
-    backoff_ns: float = 0.0
+    backoff_ns: int = 0
     aborted: bool = False
 
     def rung_counts(self) -> dict[str, int]:
@@ -126,12 +126,12 @@ class FaultDomain:
         #: ``cut_ns`` (virtual time of the restored cut) for lost-work
         #: accounting. ``None`` = no cluster, the ladder has three rungs.
         self.failover_handler = None
-        self.backoff_base_ns = backoff_s * NS_PER_S
-        self.max_backoff_ns = max_backoff_s * NS_PER_S
+        self.backoff_base_ns = round(backoff_s * NS_PER_S)
+        self.max_backoff_ns = round(max_backoff_s * NS_PER_S)
         self.report = RecoveryReport()
         #: virtual clock at which each committed generation was cut
         #: (restore-rung lost-work accounting)
-        self.committed_at: dict[int, float] = {}
+        self.committed_at: dict[int, int] = {}
         # Named RNG stream: backoff jitter draws must not perturb the
         # injector's or the checkpoint scheduler's randomness (the same
         # derivation as harness.fault_injection.derive_seed, inlined
@@ -230,7 +230,7 @@ class FaultDomain:
                     continue
                 self.report.aborted = True
                 self.report.attempts.append(RecoveryAttempt(
-                    "abort", 1, 0.0, repr(exc)
+                    "abort", 1, 0, repr(exc)
                 ))
                 raise RecoveryAbortedError(
                     f"escalation ladder exhausted ({n_retry} retries, "
@@ -288,10 +288,10 @@ DEFAULT_WATCHDOG_LIMITS`), and raises a *sticky*
 
     def _retry(self, attempt: int, exc: CudaError) -> None:
         t0 = self.session.process.clock_ns
-        backoff = min(
-            self.backoff_base_ns * 2.0 ** (attempt - 1), self.max_backoff_ns
+        backoff = round(  # jitter in [0.5, 1.5)
+            min(self.backoff_base_ns * 2 ** (attempt - 1), self.max_backoff_ns)
+            * (0.5 + self._rng.random())
         )
-        backoff *= 0.5 + self._rng.random()  # jitter in [0.5, 1.5)
         self.session.process.advance(backoff)
         self.report.retries += 1
         self.report.backoff_ns += backoff
@@ -302,7 +302,7 @@ DEFAULT_WATCHDOG_LIMITS`), and raises a *sticky*
 
     # -- rung 2: stream reset + replay ----------------------------------------
 
-    def _trace_rung(self, rung: str, t0: float, attempt: int, exc: CudaError) -> None:
+    def _trace_rung(self, rung: str, t0: int, attempt: int, exc: CudaError) -> None:
         tracer = self.session.tracer
         if tracer is not None:
             tracer.recovery_span(
@@ -338,7 +338,7 @@ DEFAULT_WATCHDOG_LIMITS`), and raises a *sticky*
                         self._in_recovery = False
         self.report.stream_resets += 1
         self.report.attempts.append(
-            RecoveryAttempt("stream-reset", attempt, 0.0, repr(exc))
+            RecoveryAttempt("stream-reset", attempt, 0, repr(exc))
         )
         self._trace_rung("stream-reset", t0, attempt, exc)
 
@@ -435,8 +435,8 @@ DEFAULT_WATCHDOG_LIMITS`), and raises a *sticky*
             else:
                 outcome = self.failover_handler(exc) or {}
                 generation = outcome.get("generation")
-                cut_ns = float(outcome.get("cut_ns", t_fault))
-            lost = max(0.0, t_fault - cut_ns)
+                cut_ns = outcome.get("cut_ns", t_fault)
+            lost = max(0, t_fault - cut_ns)
             session.process.advance(lost)  # deterministic re-execution
             self._replay_log_suffix(generation, pre_log)
             self._reapply_buffers(saved)
@@ -449,7 +449,7 @@ DEFAULT_WATCHDOG_LIMITS`), and raises a *sticky*
             self.report.failovers += 1
         self.report.lost_work_ns += lost
         self.report.attempts.append(
-            RecoveryAttempt(rung, attempt, 0.0, repr(exc), succeeded=True)
+            RecoveryAttempt(rung, attempt, 0, repr(exc), succeeded=True)
         )
         self._trace_rung(rung, t_fault, attempt, exc)
 

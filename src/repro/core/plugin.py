@@ -48,7 +48,7 @@ from repro.dmtcp.image import CheckpointImage
 from repro.dmtcp.plugins import DmtcpPlugin
 from repro.errors import RestartError
 from repro.gpu.rows import RowTable
-from repro.gpu.timing import GPU_SPECS, NS_PER_S
+from repro.gpu.timing import GPU_SPECS, transfer_ns
 from repro.gpu.uvm import UVM_PAGE, ManagedBuffer
 
 
@@ -382,7 +382,7 @@ class CracPlugin(DmtcpPlugin):
             # live buffer only when the image durably commits — and only
             # where no later write superseded them (epoch-bounded).
             captures.append((contents, dirty_spans, contents.write_seq))
-        cut.charge("stage", drain_bytes / runtime.device.spec.pcie_bw * NS_PER_S)
+        cut.charge("stage", transfer_ns(drain_bytes, runtime.device.spec.pcie_bw))
         if tracer is not None:
             tracer.ckpt_span(
                 "stage", t_stage, process.clock_ns,
@@ -460,7 +460,7 @@ class CracPlugin(DmtcpPlugin):
                 )
 
     def replay(
-        self, log: ReplayLog, runtime, call_ns: float = 0.0
+        self, log: ReplayLog, runtime, call_ns: int = 0
     ) -> tuple[int, dict[int, int]]:
         """Steps 4–5: replay ``log`` into ``runtime`` and bring back the
         still-active ``cudaHostAlloc`` buffers replay picked out of it
@@ -486,7 +486,7 @@ class CracPlugin(DmtcpPlugin):
 
     def restore(
         self, image: CheckpointImage, runtime
-    ) -> tuple[int, int, int, dict[str, float]]:
+    ) -> tuple[int, int, int, dict[str, int]]:
         """Restart steps 4–8 (module docstring) into the fresh
         ``runtime``. Returns the replayed calls, the refilled bytes, the
         re-registered fat binaries and the virtual ns of steps 4–5, 6
@@ -537,9 +537,7 @@ class CracPlugin(DmtcpPlugin):
         # 7. Refill contents of active allocations; device/managed bytes
         #    cross PCIe again.
         refill_bytes = self._refill(image, runtime, translation)
-        process.advance(
-            refill_bytes / runtime.devices[0].spec.pcie_bw * NS_PER_S
-        )
+        process.advance(transfer_ns(refill_bytes, runtime.devices[0].spec.pcie_bw))
         # Restore the application's cudaSetDevice state (replay may have
         # left a different device current).
         want_device = image.blobs.get("crac/current-device")

@@ -166,7 +166,7 @@ class StreamOpRecord:
     stream_sid: int
     kind: str  # "kernel" | "copy"
     label: str
-    duration_ns: float
+    duration_ns: int
     #: copy engine ("h2d"/"d2h"/"d2d") for kind="copy", else ""
     copy_kind: str = ""
     nbytes: int = 0
@@ -192,7 +192,7 @@ class StreamOpLog:
         self.total_recorded = 0
 
     def record(self, stream_sid: int, kind: str, label: str,
-               duration_ns: float, *, copy_kind: str = "",
+               duration_ns: int, *, copy_kind: str = "",
                nbytes: int = 0) -> None:
         """Append one enqueued op (trims the oldest retired records)."""
         self.records.append(StreamOpRecord(

@@ -59,7 +59,7 @@ class RestartAttempt:
 
     generation: int
     attempt: int  # 1-based try index within this generation
-    backoff_ns: float  # virtual-time backoff paid before this try
+    backoff_ns: int  # virtual-time backoff paid before this try
     error: str | None  # repr of the failure, None on success
     succeeded: bool = False
 
@@ -68,7 +68,7 @@ class RestartAttempt:
 class RestartReport:
     """What the restart did, and what it cost (virtual time)."""
 
-    restart_time_ns: float
+    restart_time_ns: int
     replayed_calls: int
     refilled_bytes: int
     reregistered_fatbins: int
@@ -79,11 +79,11 @@ class RestartReport:
     #: memory restore; malloc-log replay and ``cudaHostAlloc``
     #: re-registration; fat-binary re-registration; buffer refill;
     #: stream/event adoption (the remainder after the other four).
-    bootstrap_ns: float = 0.0
-    replay_ns: float = 0.0
-    fatbin_ns: float = 0.0
-    refill_ns: float = 0.0
-    adopt_ns: float = 0.0
+    bootstrap_ns: int = 0
+    replay_ns: int = 0
+    fatbin_ns: int = 0
+    refill_ns: int = 0
+    adopt_ns: int = 0
     #: Store generation the successful restore came from (``None`` for a
     #: direct ``restart(image)`` that bypassed the store).
     generation: int | None = None
@@ -92,7 +92,7 @@ class RestartReport:
     attempts: list[RestartAttempt] = field(default_factory=list)
 
     @property
-    def backoff_ns(self) -> float:
+    def backoff_ns(self) -> int:
         """Total virtual-time backoff paid across failed attempts."""
         return sum(a.backoff_ns for a in self.attempts)
 
@@ -440,16 +440,15 @@ class CracSession:
         """
         store.discard_partials()
         attempts: list[RestartAttempt] = []
-        penalty_ns = 0.0
+        base_ns = round(backoff_s * NS_PER_S)
+        max_ns = round(max_backoff_s * NS_PER_S)
+        penalty_ns = 0
         last_exc: Exception | None = None
         for gen in store.iter_restore_candidates():
             for try_idx in range(1, retries + 2):
-                backoff_ns = 0.0
+                backoff_ns = 0
                 if try_idx > 1:
-                    backoff_ns = (
-                        min(backoff_s * 2.0 ** (try_idx - 2), max_backoff_s)
-                        * NS_PER_S
-                    )
+                    backoff_ns = min(base_ns * 2 ** (try_idx - 2), max_ns)
                     penalty_ns += backoff_ns
                 try:
                     image = store.load(gen)

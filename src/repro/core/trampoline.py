@@ -20,16 +20,17 @@ The backend also implements CRAC's interposition (§3.2):
   at a call index, which fires it there.
 
 A crossing is one Python frame on the host: :meth:`CracBackend._dispatch`
-(or ``_dispatch_batch`` for a launch's three calls) counts, charges both
-fs switches inline and notifies only an armed coordinator, and
+(or ``_dispatch_batch`` for a launch's three calls) counts, charges one
+precomputed crossing cost (both fs switches, the table indirection and
+the call) inline and notifies only an armed coordinator, and
 :meth:`CracBackend._log` appends and charges the log record itself. A
 run of allocation calls crosses once: the runtime makes it in bulk, and
 :meth:`CracBackend._log_run` logs and accounts every call of it in one
 frame. The log keeps the run as it crossed: one
 :class:`~repro.cuda.api.RunRecord` holding its addresses as ranges, so a
-run costs the log the same whatever its length. Costs cannot be negative
-(:class:`HostCosts` rejects them when built), so each charge is one
-inline addition. A fast-forwarded loop's churn (``malloc_free_run``) is
+run costs the log the same whatever its length. Costs are whole,
+non-negative ns (:class:`HostCosts` rejects anything else when built),
+so a charge of ``n`` equal calls is one ``n * per_call`` addition. A fast-forwarded loop's churn (``malloc_free_run``) is
 state only: :meth:`CracBackend._log_churn` appends one
 :class:`~repro.cuda.api.ChurnRecord` per stretch of pairs at one
 address, and nothing is counted or charged.
@@ -37,7 +38,7 @@ address, and nothing is counted or charged.
 
 from __future__ import annotations
 
-from itertools import groupby, repeat
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -77,6 +78,11 @@ class CracBackend(CudaDispatchBase):
         virtualize_addresses: bool = False,
     ) -> None:
         super().__init__(runtime, host_costs)
+        body_ns = host_costs.trampoline_body_ns + host_costs.native_dispatch_ns
+        #: one crossing, indexed by the process's ``fsgsbase``: the fs
+        #: switch into the lower half's TLS, the table indirection and
+        #: the call itself, and the switch back
+        self._crossing_ns = (2 * SYSCALL_NS + body_ns, 2 * WRFSBASE_NS + body_ns)
         self.log = ReplayLog()
         #: §3.2.4 future-work mode: the app holds stable *virtual*
         #: pointers; the trampoline translates to the library's real
@@ -107,7 +113,7 @@ class CracBackend(CudaDispatchBase):
         ship_in: Sequence[int] = (),
         ship_out: Sequence[int] = (),
     ) -> None:
-        # One frame per crossing: count the call, both fs switches
+        # One frame per crossing: count the call, charge the crossing
         # inline, and notify the coordinator only while a checkpoint is
         # armed (notify_call is a no-op otherwise, and arming resets its
         # call count, so skipping it is exact). ship_in/ship_out are
@@ -119,19 +125,10 @@ class CracBackend(CudaDispatchBase):
         thread = self.current_thread
         if thread is None:
             thread = proc.threads[0]
-        costs = self.costs
-        body_ns = costs.trampoline_body_ns + costs.native_dispatch_ns
-        # Enter the lower half's TLS, table indirection + the call
-        # itself, return to the upper half. The additions run in the
-        # same order as one set_fs_register / advance / set_fs_register
-        # sequence, so the clock is bit-equal.
         proc.fs_switch_count += 2
-        if proc.fsgsbase:
-            fs_ns = WRFSBASE_NS
-        else:
-            fs_ns = SYSCALL_NS
+        if not proc.fsgsbase:
             proc.syscall_count += 2
-        proc.clock_ns = proc.clock_ns + fs_ns + body_ns + fs_ns
+        proc.clock_ns = t0 + self._crossing_ns[proc.fsgsbase]
         thread.fs_base = self._upper_fs
         coordinator = self.coordinator
         if coordinator is not None and coordinator.trigger_at_call is not None:
@@ -145,13 +142,16 @@ class CracBackend(CudaDispatchBase):
             )
 
     def _dispatch_batch(self, calls) -> None:
-        # Batched crossings in one frame, exact-parity with the per-call
-        # path: same virtual time, same fs-switch/syscall counters, and
-        # the same clock and counter values at every notify_call (a
-        # checkpoint may fire there). Traced, every call keeps its own
-        # span (the base class loops).
-        if self.tracer is not None:
-            CudaDispatchBase._dispatch_batch(self, calls)
+        # Untraced, and with no checkpoint armed to fire inside it, the
+        # batch is one frame and one charge of len(calls) crossings.
+        # Traced, every call keeps its own span; armed to fire at one of
+        # its calls, every call notifies the coordinator alone.
+        n = len(calls)
+        coordinator = self.coordinator
+        armed = coordinator is not None and coordinator.trigger_at_call is not None
+        if self.tracer is not None or armed and coordinator.calls_before_trigger() < n:
+            for name, _, _, _ in calls:
+                self._dispatch(name)
             return
         counter = self.call_counter
         for name, _, _, _ in calls:
@@ -160,23 +160,18 @@ class CracBackend(CudaDispatchBase):
         thread = self.current_thread
         if thread is None:
             thread = proc.threads[0]
-        costs = self.costs
-        fs_ns = WRFSBASE_NS if proc.fsgsbase else SYSCALL_NS
-        per_call = 2 * fs_ns + costs.trampoline_body_ns + costs.native_dispatch_ns
-        coordinator = self.coordinator
-        for _ in calls:
-            proc.fs_switch_count += 2
-            if not proc.fsgsbase:
-                proc.syscall_count += 2
-            proc.clock_ns += per_call
-            if coordinator is not None and coordinator.trigger_at_call is not None:
-                coordinator.notify_call()
+        proc.fs_switch_count += 2 * n
+        if not proc.fsgsbase:
+            proc.syscall_count += 2 * n
+        proc.clock_ns += n * self._crossing_ns[proc.fsgsbase]
         thread.fs_base = self._upper_fs
+        if armed:
+            coordinator.notify_calls(n)
 
-    def _trampoline_ns(self, dispatch_ns: float) -> float:
+    def _trampoline_ns(self, dispatch_ns: int) -> int:
         # Everything beyond the bare library call is trampoline cost:
         # the two fs switches, table indirection, coordinator notify.
-        return max(0.0, dispatch_ns - self.costs.native_dispatch_ns)
+        return max(0, dispatch_ns - self.costs.native_dispatch_ns)
 
     def _log(self, op: str, nbytes: int, addr: int, device: int = 0) -> None:
         """Append one allocation-family call to the replay log and charge
@@ -195,11 +190,10 @@ class CracBackend(CudaDispatchBase):
         :class:`RunRecord` for the run.
 
         The calls are counted (and counted toward an armed checkpoint,
-        which they must stop short of), and each call's two fs switches,
-        crossing and log record are added to the clock in per-call order
-        (so it is bit-equal). Traced, each call still gets its own span
-        and hook charge, between its crossing and its log record, as
-        :meth:`_dispatch` gives it."""
+        which they must stop short of) and charged as ``n`` crossings
+        and log records. Traced, each call crosses through
+        :meth:`_dispatch` for its own span and hook charge, and then
+        pays its log record."""
         n = len(addrs)
         if not n:
             return
@@ -210,32 +204,18 @@ class CracBackend(CudaDispatchBase):
         )))
         log.extra_calls += n - 1
         name = _RUN_CALLS[op]
-        self.call_counter[name] += n
         proc = self.process
-        proc.fs_switch_count += 2 * n
-        if proc.fsgsbase:
-            fs_ns = WRFSBASE_NS
-        else:
-            fs_ns = SYSCALL_NS
-            proc.syscall_count += 2 * n
-        costs = self.costs
-        body_ns = costs.trampoline_body_ns + costs.native_dispatch_ns
-        log_ns = costs.log_record_ns
-        tracer = self.tracer
-        if tracer is None:
-            clock = proc.clock_ns
-            for _ in repeat(None, n):
-                clock = clock + fs_ns + body_ns + fs_ns + log_ns
-            proc.clock_ns = clock
-        else:
-            for _ in repeat(None, n):
-                t0 = proc.clock_ns
-                t1 = proc.clock_ns = t0 + fs_ns + body_ns + fs_ns
-                tracer.on_api_call(
-                    name, t0, t1, trampoline_ns=self._trampoline_ns(t1 - t0),
-                    mode=self.mode,
-                )
+        log_ns = self.costs.log_record_ns
+        if self.tracer is not None:
+            for _ in range(n):
+                self._dispatch(name)
                 proc.clock_ns += log_ns
+            return
+        self.call_counter[name] += n
+        proc.fs_switch_count += 2 * n
+        if not proc.fsgsbase:
+            proc.syscall_count += 2 * n
+        proc.clock_ns += n * (self._crossing_ns[proc.fsgsbase] + log_ns)
         thread = self.current_thread
         if thread is None:
             thread = proc.threads[0]

@@ -53,7 +53,7 @@ PAGEABLE_COPY_EFFICIENCY = 0.65
 #: Host-side latency of a blocking synchronization (driver polling /
 #: wakeup), ns. Dominates the native time of short blocking calls like
 #: the Table 3 cuBLAS loops (~26 µs/call for a 1 MB Sdot in the paper).
-SYNC_POLL_NS = 10_000.0
+SYNC_POLL_NS = 10_000
 
 
 @dataclass(frozen=True)
@@ -410,7 +410,7 @@ class CudaRuntime:
         return self.devices[0]
 
     @property
-    def now(self) -> float:
+    def now(self) -> int:
         return self.process.clock_ns
 
     # ---------------------------------------------------------------- memory
@@ -1040,8 +1040,8 @@ class CudaRuntime:
         bytes_touched: float = 0.0,
         stream: Stream | None = None,
         managed: Iterable[ManagedUse] = (),
-        duration_ns: float | None = None,
-    ) -> float:
+        duration_ns: int | None = None,
+    ) -> int:
         """Launch a kernel asynchronously; returns its completion time.
 
         ``fn(*args)`` is executed eagerly for *content* (kernels mutate
@@ -1074,7 +1074,7 @@ class CudaRuntime:
         else:
             s = stream
         dev = self._device_for(stream)
-        migration = 0.0
+        migration = 0
         uses = list(managed)
         for use in uses:
             buf = self._buffer(use.addr)

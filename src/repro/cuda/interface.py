@@ -36,9 +36,6 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import contextmanager
-from functools import reduce
-from itertools import repeat
-from operator import add
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -179,10 +176,10 @@ class CudaDispatchBase:
                 name, payload_bytes=payload, ship_in=ship_in, ship_out=ship_out
             )
 
-    def _trampoline_ns(self, dispatch_ns: float) -> float:
+    def _trampoline_ns(self, dispatch_ns: int) -> int:
         """Dispatch cost beyond a bare library call, for trace attribution
         (overridden by CRAC's trampoline backend)."""
-        return 0.0
+        return 0
 
     @contextmanager
     def use_thread(self, thread):
@@ -354,9 +351,9 @@ class CudaDispatchBase:
         bytes_touched: float = 0.0,
         stream: Stream | None = None,
         managed: Iterable[ManagedUse] = (),
-        duration_ns: float | None = None,
+        duration_ns: int | None = None,
         arg_bytes: int = LAUNCH_ARG_BYTES,
-    ) -> float:
+    ) -> int:
         """Launch a kernel. Counts as three upper→lower calls (eq. 2)."""
         managed = list(managed)
         ship = self._launch_ship_buffers(managed)
@@ -565,26 +562,17 @@ class NativeBackend(CudaDispatchBase):
         self.process.advance(len(calls) * self.costs.native_dispatch_ns)
 
     def _charge_run(self, name: str, n: int) -> None:
-        """Count and charge ``n`` calls of ``name`` made in bulk, each as
-        its own :meth:`_dispatch` would: the clock sums one dispatch at a
-        time, so it is bit-equal to the per-call charges, and a traced
-        call still gets its own span."""
+        """Count and charge ``n`` calls of ``name`` made in bulk, as ``n``
+        :meth:`_dispatch` calls would; traced, each call still gets its
+        own span."""
         if not n:
             return
-        self.call_counter[name] += n
-        proc = self.process
-        ns = self.costs.native_dispatch_ns
-        tracer = self.tracer
-        if tracer is None:
-            proc.clock_ns = reduce(add, repeat(ns, n), proc.clock_ns)
+        if self.tracer is not None:
+            for _ in range(n):
+                self._dispatch(name)
             return
-        for _ in repeat(None, n):
-            t0 = proc.clock_ns
-            t1 = proc.clock_ns = t0 + ns
-            tracer.on_api_call(
-                name, t0, t1, trampoline_ns=self._trampoline_ns(t1 - t0),
-                mode=self.mode,
-            )
+        self.call_counter[name] += n
+        self.process.clock_ns += n * self.costs.native_dispatch_ns
 
     def malloc_run(self, nbytes: int, n: int) -> Sequence[int]:
         parts: list[Sequence[int]] = []

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 from repro.dmtcp.forked import ForkedCheckpoint, commit
 from repro.dmtcp.image import CheckpointImage, SavedRegion
 from repro.dmtcp.plugins import DmtcpPlugin
-from repro.gpu.timing import DEFAULT_HOST_COSTS, NS_PER_S, HostCosts
+from repro.gpu.timing import DEFAULT_HOST_COSTS, HostCosts, transfer_ns
 from repro.linux.address_space import PAGE_SIZE
 from repro.linux.process import SimProcess
 
@@ -108,13 +108,13 @@ class Cut:
     mode: str
     process: SimProcess
     #: cost placed on the background timeline so far, ns
-    background_ns: float = 0.0
+    background_ns: int = 0
 
     def placed(self, stage: str) -> str:
         """Where ``stage`` runs in this cut (APP / BACKGROUND / SKIP)."""
         return PLACEMENT[self.mode][stage]
 
-    def charge(self, stage: str, ns: float) -> None:
+    def charge(self, stage: str, ns: int) -> None:
         """Put ``ns`` of ``stage``'s cost on the app clock or the
         background timeline."""
         if self.placed(stage) == APP:
@@ -282,9 +282,9 @@ class DmtcpCheckpointer:
             )
 
         written = image.size_bytes
-        write_ns = written / self.costs.ckpt_write_bw * NS_PER_S
+        write_ns = transfer_ns(written, self.costs.ckpt_write_bw)
         if gzip:
-            write_ns += written / self.costs.gzip_bw * NS_PER_S
+            write_ns += transfer_ns(written, self.costs.gzip_bw)
         t_write = proc.clock_ns
         if cut.placed("write") == APP:
             proc.advance(write_ns)
@@ -318,7 +318,7 @@ class DmtcpCheckpointer:
 
     # -- restore -----------------------------------------------------------------
 
-    def restore_memory(self, image: CheckpointImage, target: SimProcess) -> float:
+    def restore_memory(self, image: CheckpointImage, target: SimProcess) -> int:
         """Map the image's regions into ``target`` at original addresses.
 
         Incremental images restore by walking their parent chain
@@ -328,7 +328,7 @@ class DmtcpCheckpointer:
         Returns the virtual-time cost (the caller — CRAC's restart
         orchestrator — owns the clock of the restarted process).
         """
-        cost = 0.0
+        cost = 0
         for img in image.chain():
             for saved in img.regions:
                 region = target.vas.find(saved.start)
@@ -346,7 +346,7 @@ class DmtcpCheckpointer:
                 else:
                     region.load_pages(dict(saved.pages))
                 cost += self.costs.ckpt_region_ns
-            cost += img.size_bytes / self.costs.ckpt_read_bw * NS_PER_S
+            cost += transfer_ns(img.size_bytes, self.costs.ckpt_read_bw)
             if img.gzip:
-                cost += img.size_bytes / self.costs.gzip_bw * NS_PER_S
+                cost += transfer_ns(img.size_bytes, self.costs.gzip_bw)
         return cost

@@ -37,6 +37,7 @@ from repro.dmtcp.forked import commit
 from repro.dmtcp.image import CheckpointImage
 from repro.dmtcp.store import CheckpointStore, StagedCheckpoint
 from repro.errors import CheckpointError
+from repro.gpu.timing import NS_PER_S
 
 if TYPE_CHECKING:  # avoid a dmtcp → harness import cycle at runtime
     from repro.harness.fault_injection import FaultInjector
@@ -195,12 +196,10 @@ class HeartbeatMonitor:
         if max_missed < 1:
             raise ValueError("max_missed must be >= 1")
         self.interval_s = interval_s
+        #: the poll interval charged per round, in whole ns
+        self.interval_ns = round(interval_s * NS_PER_S)
         self.max_missed = max_missed
         self.health = [RankHealth(r) for r in range(n_ranks)]
-
-    @property
-    def interval_ns(self) -> float:
-        return self.interval_s * 1e9
 
     def beat(self, rank: int, *, arrived: bool) -> None:
         """Record one polling round's outcome for ``rank``."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, ClassVar
 
 from repro.dmtcp.image import CheckpointImage
-from repro.gpu.timing import NS_PER_S, HostCosts
+from repro.gpu.timing import HostCosts, transfer_ns
 from repro.linux.process import SimProcess
 
 if TYPE_CHECKING:  # avoid a dmtcp → harness import cycle at runtime
@@ -37,7 +37,7 @@ def commit(
     image: CheckpointImage,
     store: "CheckpointStore | None",
     tracer,
-    at_ns: float,
+    at_ns: int,
 ) -> int | None:
     """The cut's one commit point: make ``image`` durable at ``at_ns``.
 
@@ -70,9 +70,9 @@ class BackgroundWriter:
 
     image: CheckpointImage
     #: application clock when the background window opened
-    start_ns: float
+    start_ns: int
     #: background-timeline instant the image is durable and may commit
-    end_ns: float
+    end_ns: int
     costs: HostCosts
     store: "CheckpointStore | None" = None
     fault_injector: "FaultInjector | None" = None
@@ -81,7 +81,7 @@ class BackgroundWriter:
     handle_table: "HandleTable | None" = None
     #: residual time the application blocked waiting out the window
     #: (non-zero only if it needed durability before ``end_ns``)
-    residual_wait_ns: float = 0.0
+    residual_wait_ns: int = 0
     generation: int | None = None
     aborted: bool = False
     #: repro.trace.Tracer receiving the writer's spans; None = untraced
@@ -92,17 +92,17 @@ class BackgroundWriter:
     def committed(self) -> bool:
         return self.image.committed
 
-    def in_flight(self, now_ns: float) -> bool:
+    def in_flight(self, now_ns: int) -> bool:
         """True while the background window is still open at ``now_ns``."""
         return not self._finished and now_ns < self.end_ns
 
-    def overlap(self, now_ns: float) -> float:
+    def overlap(self, now_ns: int) -> float:
         """Fraction of the application's time since the window opened
         that the window covered (exposure of its post-cut writes)."""
         window = max(now_ns - self.start_ns, 1.0)
         return min(1.0, (self.end_ns - self.start_ns) / window)
 
-    def _settle(self, live: SimProcess | None) -> tuple[float, dict]:
+    def _settle(self, live: SimProcess | None) -> tuple[int, dict]:
         """What the application pays at finish: ``(ns, span args)``.
         ``live`` is ``None`` when the application already died."""
         raise NotImplementedError
@@ -183,23 +183,23 @@ class ForkedCheckpoint(BackgroundWriter):
     #: bytes the application dirtied inside the write window and thus
     #: had to be COW-duplicated (filled in by :meth:`finish`)
     cow_bytes: int = 0
-    cow_time_ns: float = 0.0
+    cow_time_ns: int = 0
 
     @property
-    def fork_ns(self) -> float:
+    def fork_ns(self) -> int:
         return self.start_ns
 
     @property
-    def write_end_ns(self) -> float:
+    def write_end_ns(self) -> int:
         return self.end_ns
 
-    def _settle(self, live: SimProcess | None) -> tuple[float, dict]:
+    def _settle(self, live: SimProcess | None) -> tuple[int, dict]:
         if live is None:
-            return 0.0, {}
+            return 0, {}
         # Post-fork dirtying that landed while the child still held
         # unflushed pages must be duplicated.
         self.cow_bytes = int(
             self.image.new_dirty_bytes() * self.overlap(live.clock_ns)
         )
-        self.cow_time_ns = self.cow_bytes / self.costs.cow_copy_bw * NS_PER_S
+        self.cow_time_ns = transfer_ns(self.cow_bytes, self.costs.cow_copy_bw)
         return self.cow_time_ns, {"bytes": self.cow_bytes}

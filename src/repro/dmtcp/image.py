@@ -84,7 +84,7 @@ class CheckpointImage:
     """
 
     pid: int
-    created_at_ns: float
+    created_at_ns: int
     gzip: bool = False
     regions: list[SavedRegion] = field(default_factory=list)
     blobs: dict[str, SavedBlob] = field(default_factory=dict)
@@ -92,7 +92,7 @@ class CheckpointImage:
     parent: "CheckpointImage | None" = None
     #: Virtual-time cost of taking this checkpoint (set by the
     #: checkpointer; what Figures 3/5c report).
-    checkpoint_time_ns: float = 0.0
+    checkpoint_time_ns: int = 0
     #: CRC recorded by :meth:`seal` (``None`` until sealed).
     sealed_checksum: int | None = None
     #: True for a validated-speculation cut (no quiesce; capture runs

@@ -70,7 +70,7 @@ class StoredGeneration:
     generation: int
     image: CheckpointImage
     checksums: dict[int, int]
-    committed_at_ns: float
+    committed_at_ns: int
 
     @property
     def size_bytes(self) -> int:
@@ -238,14 +238,18 @@ class CheckpointStore:
         chain ancestor also held by this store), base first; raise
         :class:`CorruptCheckpointError` on the first mismatch."""
         for gen in self.chain_generations(generation):
-            owner = self._generations[gen]
-            for idx, region in enumerate(owner.image.regions):
-                want = owner.checksums.get(idx)
-                if want is None or region.checksum() != want:
-                    raise CorruptCheckpointError(
-                        f"generation {gen}: region {idx} "
-                        f"@{region.start:#x} failed checksum verification"
-                    )
+            self._verify_own(gen)
+
+    def _verify_own(self, generation: int) -> None:
+        """Re-checksum the regions ``generation`` itself holds."""
+        entry = self.get(generation)
+        for idx, region in enumerate(entry.image.regions):
+            want = entry.checksums.get(idx)
+            if want is None or region.checksum() != want:
+                raise CorruptCheckpointError(
+                    f"generation {generation}: region {idx} "
+                    f"@{region.start:#x} failed checksum verification"
+                )
 
     def load(self, generation: int | None = None) -> CheckpointImage:
         """Fetch a generation's image after verifying its integrity.
@@ -324,11 +328,12 @@ class CheckpointStore:
         serializes (``CheckpointImage.__getstate__``), and integrity
         travels with the bytes — a CRC over the whole payload plus the
         per-region CRCs recorded when the generation was staged. The
-        generation is verified (with its whole chain) before export so
-        rot on the source node is caught here, not attributed to the
-        wire.
+        generation's own regions are verified before export, so rot on
+        the source node is caught here, not attributed to the wire; its
+        ancestors ship as records of their own and are verified when
+        they are exported.
         """
-        self.verify(generation)
+        self._verify_own(generation)
         return self._record(generation, self._owners())
 
     def export_chain(self, generation: int) -> list[dict]:

@@ -267,7 +267,7 @@ class ServeDeadlineExceededError(CudaError, ServeError):
     sheds the request.
     """
 
-    def __init__(self, sid: str, waited_ns: float, deadline_ns: float) -> None:
+    def __init__(self, sid: str, waited_ns: int, deadline_ns: int) -> None:
         from repro.cuda.errors import CudaErrorCode
 
         self.sid = sid

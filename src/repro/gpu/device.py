@@ -42,12 +42,12 @@ class GpuDevice:
         self.spec = spec
         self._streams: set[Stream] = set()
         #: end-times of kernels admitted to the compute resource
-        self._running: list[float] = []
-        self._copy_engine_ready = {"h2d": 0.0, "d2h": 0.0, "d2d": 0.0}
+        self._running: list[int] = []
+        self._copy_engine_ready = {"h2d": 0, "d2h": 0, "d2d": 0}
         #: completion time of the last default-stream operation
-        self._default_barrier_ns = 0.0
+        self._default_barrier_ns = 0
         # -- accounting (read by the harness and the trace checks) --
-        self.total_kernel_ns = 0.0
+        self.total_kernel_ns = 0
         self.total_kernels = 0
         self.copied_bytes = {"h2d": 0, "d2h": 0, "d2d": 0}
         #: repro.trace.Tracer receiving per-op spans; None = untraced
@@ -89,7 +89,7 @@ class GpuDevice:
 
     # -- scheduling -------------------------------------------------------------
 
-    def _start_time(self, stream: Stream, at_ns: float) -> float:
+    def _start_time(self, stream: Stream, at_ns: int) -> int:
         """Earliest time an op on ``stream`` submitted at ``at_ns`` may start."""
         earliest = max(stream.ready_ns, at_ns)
         if stream.sid == 0:
@@ -99,14 +99,14 @@ class GpuDevice:
         earliest = max(earliest, self._default_barrier_ns)
         return earliest
 
-    def _finish(self, stream: Stream, end_ns: float) -> None:
+    def _finish(self, stream: Stream, end_ns: int) -> None:
         stream.ready_ns = end_ns
         if stream.sid == 0:
             self._default_barrier_ns = end_ns
 
     def enqueue_kernel(
-        self, stream: Stream, duration_ns: float, at_ns: float, label: str = "kernel"
-    ) -> float:
+        self, stream: Stream, duration_ns: int, at_ns: int, label: str = "kernel"
+    ) -> int:
         """Schedule a kernel; returns its completion time.
 
         Admission respects the concurrent-kernel limit: when the device is
@@ -147,7 +147,7 @@ class GpuDevice:
             self.tracer.on_device_op("kernel", label, stream.sid, start, end)
         return end
 
-    def _admit_kernel(self, earliest: float) -> float:
+    def _admit_kernel(self, earliest: int) -> int:
         heap = self._running
         while heap and heap[0] <= earliest:
             heapq.heappop(heap)
@@ -160,8 +160,8 @@ class GpuDevice:
         return earliest
 
     def enqueue_copy(
-        self, stream: Stream, nbytes: int, kind: str, at_ns: float
-    ) -> float:
+        self, stream: Stream, nbytes: int, kind: str, at_ns: int
+    ) -> int:
         """Schedule a DMA copy; returns its completion time."""
         if kind not in self._copy_engine_ready:
             from repro.gpu.timing import _program_error
@@ -201,7 +201,7 @@ class GpuDevice:
             )
         return end
 
-    def requeue(self, stream: Stream, record) -> float:
+    def requeue(self, stream: Stream, record) -> int:
         """Re-enqueue a logged op during stream-reset replay.
 
         Timing-only re-issue of a :class:`StreamOpRecord`: bypasses
@@ -245,7 +245,7 @@ class GpuDevice:
             key=lambda s: s.sid,
         )
 
-    def reset_stream(self, stream: Stream, now_ns: float) -> None:
+    def reset_stream(self, stream: Stream, now_ns: int) -> None:
         """Fault-domain stream reset: clear the poison and the backlog.
 
         The hung/stalled work is abandoned (its inflated completion time
@@ -261,7 +261,7 @@ class GpuDevice:
             # in-flight span and drops queued-but-unstarted ones.
             self.tracer.clamp_stream(stream.sid, now_ns)
 
-    def rebaseline_stream(self, stream: Stream, now_ns: float) -> None:
+    def rebaseline_stream(self, stream: Stream, now_ns: int) -> None:
         """Restart/migration rebaseline of an adopted stream handle.
 
         An application-held handle crossing a restore carries the *dead*
@@ -277,7 +277,7 @@ class GpuDevice:
         if stream.ready_ns > now_ns:
             stream.ready_ns = now_ns
 
-    def reset_copy_engines(self, now_ns: float) -> None:
+    def reset_copy_engines(self, now_ns: int) -> None:
         """Clamp wedged copy engines back to ``now_ns``."""
         for kind, ready in self._copy_engine_ready.items():
             if ready > now_ns:
@@ -285,18 +285,18 @@ class GpuDevice:
 
     # -- synchronization ------------------------------------------------------------
 
-    def stream_ready(self, stream: Stream) -> float:
+    def stream_ready(self, stream: Stream) -> int:
         """Time at which all work enqueued so far on ``stream`` completes."""
         return stream.ready_ns
 
-    def synchronize_all(self) -> float:
+    def synchronize_all(self) -> int:
         """cudaDeviceSynchronize: completion time of all enqueued work."""
         t = self._default_barrier_ns
         for s in self._streams:
             t = max(t, s.ready_ns)
         return t
 
-    def record_event(self, event: Event, stream: Stream, at_ns: float) -> None:
+    def record_event(self, event: Event, stream: Stream, at_ns: int) -> None:
         """cudaEventRecord: event completes when prior stream work does."""
         event.timestamp_ns = max(stream.ready_ns, at_ns)
         event.recorded = True

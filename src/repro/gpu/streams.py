@@ -26,7 +26,7 @@ class Stream:
     """
 
     sid: int = field(default_factory=lambda: next(_ids))
-    ready_ns: float = 0.0
+    ready_ns: int = 0
     destroyed: bool = False
     #: number of kernels ever launched on this stream (diagnostics)
     kernel_count: int = 0
@@ -52,8 +52,8 @@ class Event:
     """A CUDA event: a timestamp marker recorded into a stream."""
 
     eid: int = field(default_factory=lambda: next(_ids))
-    #: virtual time the event will complete (-inf = never recorded)
-    timestamp_ns: float = float("-inf")
+    #: virtual time the event will complete (meaningful once recorded)
+    timestamp_ns: int = 0
     recorded: bool = False
     destroyed: bool = False
 

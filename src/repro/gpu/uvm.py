@@ -27,6 +27,7 @@ from repro.gpu.device import GpuDevice
 from repro.gpu.memory import PagedContents, leave_unbuilt
 from repro.gpu.rows import RowTable
 from repro.gpu.streams import Stream
+from repro.gpu.timing import transfer_ns
 
 
 def _retryable_error(code_name: str, msg: str) -> CudaError:
@@ -58,8 +59,8 @@ class DeviceWriteRecord:
     page_lo: int
     page_hi: int  # inclusive
     stream_sid: int
-    start_ns: float
-    end_ns: float
+    start_ns: int
+    end_ns: int
 
     def overlaps_pages(self, other: "DeviceWriteRecord") -> bool:
         """True if the two write footprints share a page."""
@@ -175,12 +176,12 @@ class UvmManager:
 
     # -- access paths --------------------------------------------------------
 
-    def _migrate(self, buf: ManagedBuffer, lo: int, hi: int, to: PageLocation) -> float:
+    def _migrate(self, buf: ManagedBuffer, lo: int, hi: int, to: PageLocation) -> int:
         """Migrate pages [lo, hi] to ``to``; returns the cost in ns."""
         pages = buf.residency[lo : hi + 1]
         wrong = int(np.count_nonzero(pages != int(to)))
         if wrong == 0:
-            return 0.0
+            return 0
         # Runtime faults fire before residency mutates, so a retried
         # migration starts from the same page state.
         injector = self.device.fault_injector
@@ -197,8 +198,8 @@ class UvmManager:
                     f"UVM migration CRC mismatch ({ctx})",
                 )
         spec = self.device.spec
-        cost = wrong * spec.uvm_fault_ns + (
-            wrong * UVM_PAGE / spec.uvm_migrate_bw * 1e9
+        cost = wrong * spec.uvm_fault_ns + transfer_ns(
+            wrong * UVM_PAGE, spec.uvm_migrate_bw
         )
         pages[:] = int(to)
         self.fault_count += wrong
@@ -216,7 +217,7 @@ class UvmManager:
 
     def host_access(
         self, buf: ManagedBuffer, offset: int, nbytes: int, *, write: bool
-    ) -> float:
+    ) -> int:
         """CPU touches managed memory; returns the stall cost in ns.
 
         Device-resident pages fault back to the host. (Write vs read only
@@ -227,7 +228,7 @@ class UvmManager:
 
     def device_access(
         self, buf: ManagedBuffer, offset: int, nbytes: int
-    ) -> float:
+    ) -> int:
         """Kernel will touch managed memory; returns migration cost in ns
         to be folded into the kernel's duration."""
         lo, hi = buf.page_range(offset, nbytes)
@@ -244,10 +245,10 @@ class UvmManager:
         offset: int,
         nbytes: int,
         stream: Stream,
-        start_ns: float,
-        end_ns: float,
+        start_ns: int,
+        end_ns: int,
         *,
-        now_ns: float | None = None,
+        now_ns: int | None = None,
     ) -> None:
         """Log a kernel's write footprint (used by the CRUM failure check).
 
@@ -293,7 +294,7 @@ class UvmManager:
             active.append(rec)
         return out
 
-    def compact_writes(self, buf: ManagedBuffer, *, before_ns: float) -> int:
+    def compact_writes(self, buf: ManagedBuffer, *, before_ns: int) -> int:
         """Drop write records that finished at or before ``before_ns``.
 
         Any conflict pair involving a to-be-dropped record could never be
@@ -315,7 +316,7 @@ class UvmManager:
         return dropped
 
     def concurrent_same_page_writes(
-        self, buf: ManagedBuffer, *, compact_before_ns: float | None = None
+        self, buf: ManagedBuffer, *, compact_before_ns: int | None = None
     ) -> list[tuple[DeviceWriteRecord, DeviceWriteRecord]]:
         """Pairs of writes from *different streams* that overlapped in time
         on the *same page* — the pattern CRUM's shadow-page strategy cannot

@@ -292,7 +292,7 @@ class FaultSimulator:
             if elapsed + until_attempt >= next_fault:
                 # The node dies mid-segment.
                 ran = min(max(0.0, next_fault - elapsed), until_attempt)
-                session.process.advance(ran * 1e9)
+                session.process.advance(round(ran * 1e9))
                 lost += progress + ran
                 progress = 0.0
                 since_attempt = 0.0
@@ -310,7 +310,7 @@ class FaultSimulator:
                 now = (session.process.clock_ns - t0) / 1e9
                 next_fault = now + self._rng.expovariate(1.0 / self.mtbf_s)
                 continue
-            session.process.advance(until_attempt * 1e9)
+            session.process.advance(round(until_attempt * 1e9))
             progress += until_attempt
             since_attempt += until_attempt
             if committed + progress >= work_s:

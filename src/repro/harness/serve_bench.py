@@ -82,8 +82,8 @@ def run_cell(
     pool = SessionPool(nodes, slots=slots, seed=cell_seed)
     admission = AdmissionController(
         max_queue=max(8, (sessions * 3) // 4),
-        deadline_ns=5e9,
-        service_estimate_ns=500_000.0,
+        deadline_ns=5_000_000_000,
+        service_estimate_ns=500_000,
         servers=nodes * slots,
     )
     sched = ServeScheduler(

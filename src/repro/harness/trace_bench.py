@@ -27,20 +27,11 @@ from repro.trace import Tracer
 #: Traced runtime must stay within this factor of untraced.
 MAX_OVERHEAD_RATIO = 1.25
 
-#: relative tolerance of the kernel-ns cross-check (pure float sums
-#: over the same events in a different order)
-_REL_TOL = 1e-6
-
-
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= _REL_TOL * max(abs(a), abs(b), 1.0)
-
-
 def device_accounting_check(tracer: Tracer, devices) -> dict:
     """The tracer's current-segment device spans against the counters
     ``devices`` (the live generation) keep for themselves."""
     kernels = 0
-    kernel_ns = 0.0
+    kernel_ns = 0
     copied = dict.fromkeys(devices[0].copied_bytes, 0)
     for s in tracer.spans:
         if s.segment != tracer.segment:
@@ -56,10 +47,10 @@ def device_accounting_check(tracer: Tracer, devices) -> dict:
     return check(
         "span totals equal the devices' own counters",
         kernels == dev_kernels
-        and _close(kernel_ns, dev_kernel_ns)
+        and kernel_ns == dev_kernel_ns
         and copied == dev_copied,
-        f"kernels {kernels} vs {dev_kernels}, kernel {kernel_ns:.0f} vs "
-        f"{dev_kernel_ns:.0f} ns, bytes "
+        f"kernels {kernels} vs {dev_kernels}, kernel {kernel_ns} vs "
+        f"{dev_kernel_ns} ns, bytes "
         + ", ".join(f"{k} {copied[k]} vs {dev_copied[k]}" for k in copied),
     )
 

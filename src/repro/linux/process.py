@@ -73,13 +73,13 @@ class SimProcess:
 
     # -- time ---------------------------------------------------------------
 
-    def advance(self, ns: float) -> None:
+    def advance(self, ns: int) -> None:
         """Advance the virtual clock by ``ns`` nanoseconds."""
         if ns < 0:
             raise ValueError("time cannot go backwards")
         self.clock_ns += ns
 
-    def advance_to(self, t_ns: float) -> None:
+    def advance_to(self, t_ns: int) -> None:
         """Advance the clock to at least ``t_ns`` (no-op if already past)."""
         if t_ns > self.clock_ns:
             self.clock_ns = t_ns
@@ -92,7 +92,7 @@ class SimProcess:
         self.threads.append(t)
         return t
 
-    def syscall(self, cost_ns: float = SYSCALL_NS) -> None:
+    def syscall(self, cost_ns: int = SYSCALL_NS) -> None:
         """Account one kernel call."""
         self.syscall_count += 1
         self.advance(cost_ns)

@@ -31,12 +31,12 @@ from repro.errors import (
     RankDeathError,
     ReproError,
 )
-from repro.gpu.timing import NS_PER_S
+from repro.gpu.timing import transfer_ns
 
 #: Intra-node MPI costs (shared-memory transport).
-MPI_LATENCY_NS = 900.0
+MPI_LATENCY_NS = 900
 MPI_BANDWIDTH = 9.0e9  # bytes/s
-BARRIER_NS = 2_500.0
+BARRIER_NS = 2_500
 
 
 def split_bytes(data: bytes, n: int) -> list[bytes]:
@@ -65,7 +65,7 @@ class _Message:
     dst: int
     tag: int
     data: np.ndarray
-    available_ns: float
+    available_ns: int
 
 
 @dataclass
@@ -81,7 +81,7 @@ class MpiRank:
         return self.session.backend
 
     @property
-    def clock_ns(self) -> float:
+    def clock_ns(self) -> int:
         return self.session.process.clock_ns
 
 
@@ -194,7 +194,7 @@ class MpiWorld:
         sender = self.ranks[src]
         nbytes = data.nbytes
         sender.session.process.advance(MPI_LATENCY_NS)
-        available = sender.clock_ns + nbytes / MPI_BANDWIDTH * NS_PER_S
+        available = sender.clock_ns + transfer_ns(nbytes, MPI_BANDWIDTH)
         self.ranks[dst].inbox.append(
             _Message(src, dst, tag, np.array(data, copy=True), available)
         )
@@ -236,7 +236,7 @@ class MpiWorld:
         self.barrier()
         nbytes = data.nbytes
         hops = max(1, int(np.log2(max(2, self.size))))
-        cost = hops * (MPI_LATENCY_NS + nbytes / MPI_BANDWIDTH * NS_PER_S)
+        cost = hops * (MPI_LATENCY_NS + transfer_ns(nbytes, MPI_BANDWIDTH))
         for r in self.ranks:
             r.session.process.advance(cost)
         return [np.array(data, copy=True) for _ in self.ranks]
@@ -257,7 +257,7 @@ class MpiWorld:
         self.barrier()
         total = sum(c.nbytes for c in contributions)
         self.ranks[root].session.process.advance(
-            MPI_LATENCY_NS * self.size + total / MPI_BANDWIDTH * NS_PER_S
+            MPI_LATENCY_NS * self.size + transfer_ns(total, MPI_BANDWIDTH)
         )
         return [np.array(c, copy=True) for c in contributions]
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from repro.cuda.api import CudaRuntime
-from repro.gpu.timing import DEFAULT_HOST_COSTS, NS_PER_S, HostCosts
+from repro.gpu.timing import DEFAULT_HOST_COSTS, HostCosts, transfer_ns
 
 
 @dataclass
@@ -62,7 +62,7 @@ class CheCudaCheckpointer:
             }
             if kind != "host-pinned":
                 drain += buf.size
-        rt.process.advance(drain / rt.device.spec.pcie_bw * NS_PER_S)
+        rt.process.advance(transfer_ns(drain, rt.device.spec.pcie_bw))
         image = CheCudaImage(
             library_memory=rt.library_memory_snapshot(),
             buffers=buffers,

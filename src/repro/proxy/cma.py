@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.gpu.timing import NS_PER_S
+from repro.gpu.timing import transfer_ns
 
 #: (transfer size in bytes, effective bandwidth in bytes/s) anchors,
 #: calibrated against Table 3 (see module docstring).
@@ -45,23 +45,20 @@ class CmaChannel:
 
     #: Fixed request/response round-trip cost (syscall pair + proxy
     #: dispatch loop), ns per RPC.
-    rpc_ns: float = 6_000.0
+    rpc_ns: int = 6_000
     #: Per-transfer fixed cost (iovec setup + syscall), ns.
-    transfer_setup_ns: float = 1_200.0
+    transfer_setup_ns: int = 1_200
     total_rpcs: int = field(default=0, init=False)
     total_bytes: int = field(default=0, init=False)
 
-    def rpc_cost_ns(self, payload_bytes: int = 0) -> float:
+    def rpc_cost_ns(self, payload_bytes: int = 0) -> int:
         """Cost of one RPC carrying ``payload_bytes`` of marshalled args."""
         self.total_rpcs += 1
         return self.rpc_ns + self.transfer_cost_ns(payload_bytes)
 
-    def transfer_cost_ns(self, nbytes: int) -> float:
+    def transfer_cost_ns(self, nbytes: int) -> int:
         """Cost of moving ``nbytes`` through CMA (one direction)."""
         if nbytes <= 0:
-            return 0.0
+            return 0
         self.total_bytes += nbytes
-        return (
-            self.transfer_setup_ns
-            + nbytes / cma_bandwidth(nbytes) * NS_PER_S
-        )
+        return self.transfer_setup_ns + transfer_ns(nbytes, cma_bandwidth(nbytes))

@@ -28,7 +28,7 @@ from repro.core.replay_log import ReplayLog
 from repro.cuda.api import CudaRuntime, ManagedUse
 from repro.cuda.interface import CudaDispatchBase
 from repro.gpu.streams import Stream
-from repro.gpu.timing import DEFAULT_HOST_COSTS, NS_PER_S, HostCosts
+from repro.gpu.timing import DEFAULT_HOST_COSTS, HostCosts, transfer_ns
 from repro.gpu.uvm import UVM_PAGE, ManagedBuffer
 from repro.proxy.cma import CmaChannel
 
@@ -40,11 +40,11 @@ class CrumBackend(CudaDispatchBase):
 
     #: Marshalling cost per call beyond the CMA RPC itself (argument
     #: packing/unpacking in both processes), ns.
-    marshal_ns = 1_400.0
+    marshal_ns = 1_400
     #: Cost per shadow page synchronized (mprotect + userfaultfd trap +
     #: bookkeeping), ns. "This interacted particularly badly with NVIDIA
     #: UVM" (§5, Case II).
-    shadow_page_ns = 9_000.0
+    shadow_page_ns = 9_000
 
     def __init__(
         self,
@@ -125,16 +125,16 @@ class CrumBackend(CudaDispatchBase):
         self.process.advance(sync_cost)  # post-launch: proxy → shadow
         return end
 
-    def _shadow_sync_cost(self, managed: list[ManagedUse]) -> float:
+    def _shadow_sync_cost(self, managed: list[ManagedUse]) -> int:
         pages = 0
         nbytes = 0
         for use in managed:
             pages += (use.nbytes + UVM_PAGE - 1) // UVM_PAGE
             nbytes += use.nbytes
         if pages == 0:
-            return 0.0
+            return 0
         self.shadow_pages_synced += pages
-        return pages * self.shadow_page_ns + nbytes / 11.0e9 * NS_PER_S
+        return pages * self.shadow_page_ns + transfer_ns(nbytes, 11.0e9)
 
     def managed_view(self, addr: int, nbytes: int, dtype=np.uint8, offset: int = 0):
         """Host access to managed memory through the shadow copy.
@@ -206,7 +206,7 @@ class CrumCheckpointer:
 
     #: time to fork+exec and initialize a fresh proxy with the CUDA
     #: driver (driver init dominates), ns
-    PROXY_SPAWN_NS = 1_200_000_000.0
+    PROXY_SPAWN_NS = 1_200_000_000
 
     def __init__(self, backend: CrumBackend) -> None:
         self.backend = backend
@@ -228,7 +228,7 @@ class CrumCheckpointer:
             }
             if buf.kind != "host-pinned":
                 # GPU → proxy over PCIe, then proxy → app over CMA.
-                proc.advance(buf.size / rt.device.spec.pcie_bw * NS_PER_S)
+                proc.advance(transfer_ns(buf.size, rt.device.spec.pcie_bw))
                 proc.advance(backend.channel.transfer_cost_ns(buf.size))
                 cma_bytes += buf.size
         image = {
@@ -239,7 +239,7 @@ class CrumCheckpointer:
         }
         return image
 
-    def restart(self, image: dict, fresh_runtime: CudaRuntime) -> float:
+    def restart(self, image: dict, fresh_runtime: CudaRuntime) -> int:
         """Spawn a fresh proxy, replay resources, refill through CMA.
 
         Returns the restart cost in ns (charged to the fresh runtime's
@@ -261,7 +261,7 @@ class CrumCheckpointer:
                     self.backend.channel.transfer_cost_ns(entry["size"])
                 )
                 proc.advance(
-                    entry["size"] / fresh_runtime.device.spec.pcie_bw * NS_PER_S
+                    transfer_ns(entry["size"], fresh_runtime.device.spec.pcie_bw)
                 )
         self.backend.runtime = fresh_runtime
         self.backend.process = proc

@@ -24,7 +24,7 @@ from repro.sanitizer.core import Sanitizer
 
 #: virtual duration long enough to still be in flight after the
 #: checkpointer's quiesce window (ckpt_quiesce_ns = 90 ms)
-LONG_KERNEL_NS = 20e9
+LONG_KERNEL_NS = 20_000_000_000
 
 
 def _machine(seed: int = 11):
@@ -118,11 +118,11 @@ def _race_uvm_same_page() -> Sanitizer:
     s1, s2 = rt.cudaStreamCreate(), rt.cudaStreamCreate()
     m = rt.cudaMallocManaged(65536)
     rt.cudaLaunchKernel(
-        "k", stream=s1, duration_ns=1e6,
+        "k", stream=s1, duration_ns=1_000_000,
         managed=[ManagedUse(m, 0, 128, mode="w")],
     )
     rt.cudaLaunchKernel(
-        "k2", stream=s2, duration_ns=1e6,
+        "k2", stream=s2, duration_ns=1_000_000,
         managed=[ManagedUse(m, 4096, 128, mode="w")],
     )
     rt.cudaDeviceSynchronize()

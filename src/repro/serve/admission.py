@@ -37,8 +37,8 @@ class AdmissionController:
         self,
         *,
         max_queue: int = 64,
-        deadline_ns: float = 5e6,
-        service_estimate_ns: float = 500_000.0,
+        deadline_ns: int = 5_000_000,
+        service_estimate_ns: int = 500_000,
         servers: int = 1,
     ) -> None:
         if max_queue < 1:
@@ -47,7 +47,7 @@ class AdmissionController:
             raise ValueError("servers must be >= 1")
         self.max_queue = max_queue
         self.deadline_ns = deadline_ns
-        self.service_estimate_ns = service_estimate_ns
+        self.service_estimate_ns = round(service_estimate_ns)  # whole ns
         self.servers = servers
         self._inflight: set[str] = set()
         self.offered = 0
@@ -60,13 +60,13 @@ class AdmissionController:
         """Requests admitted but not yet released."""
         return len(self._inflight)
 
-    def estimate_wait_ns(self) -> float:
+    def estimate_wait_ns(self) -> int:
         """Queue wait a request admitted *now* would see."""
         return (self.depth // self.servers) * self.service_estimate_ns
 
     def offer(
-        self, sid: str, *, deadline_ns: float | None = None
-    ) -> float:
+        self, sid: str, *, deadline_ns: int | None = None
+    ) -> int:
         """Try to admit one request for session ``sid``.
 
         Returns the estimated wait (virtual ns) on admission; raises

@@ -168,7 +168,7 @@ class SessionPool:
         src_name: str,
         dst: ServeNode,
         *,
-        now_ns: float = 0.0,
+        now_ns: int = 0,
     ) -> dict:
         """Replicate ``sid``'s latest chain into ``dst``'s shadow store.
 

@@ -145,7 +145,7 @@ class ServeScheduler:
         admission: AdmissionController | None = None,
         seed: int = 0,
         state_elems: int = 128,
-        service_ns: float = 200_000.0,
+        service_ns: int = 200_000,
         keep_generations: int = 4,
         full_park_every: int = 4,
         recovery_budget: int = 64,
@@ -163,13 +163,13 @@ class ServeScheduler:
         self.full_park_every = max(1, full_park_every)
         self.recovery_budget = recovery_budget
         self.fault_plan = list(fault_plan or [])
-        self.heartbeat_interval_s = heartbeat_interval_s
+        self.heartbeat_ns = round(heartbeat_interval_s * NS_PER_S)
         self.max_missed = max_missed
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.records: dict[str, SessionRecord] = {}
         self.hot = LruHotSet()
         #: virtual-ns resume latencies (rehydrations + failover restores)
-        self.resume_ns: list[float] = []
+        self.resume_ns: list[int] = []
         self._dead_handled: set[str] = set()
         # Named RNG stream, reserved for future stochastic policies;
         # deterministic per (seed, tier) like every other stream here.
@@ -177,14 +177,14 @@ class ServeScheduler:
 
     # -- admission -------------------------------------------------------------
 
-    def offer(self, sid: str) -> float:
+    def offer(self, sid: str) -> int:
         """Offer one request to admission control.
 
         Returns the queue-wait estimate (virtual ns) to charge the
         session; re-raises the typed shedding errors after counting.
         """
         if self.admission is None:
-            return 0.0
+            return 0
         try:
             return self.admission.offer(sid)
         except SessionEvictedError:  # pragma: no cover - not raised here
@@ -245,7 +245,7 @@ class ServeScheduler:
         self.metrics.gauge("serve.hot").set(len(self.hot))
         return record
 
-    def handle_request(self, sid: str, *, wait_ns: float = 0.0) -> dict:
+    def handle_request(self, sid: str, *, wait_ns: int = 0) -> dict:
         """Serve one request (rehydrating first if the session is cold).
 
         ``wait_ns`` is the admission queue wait to charge to the
@@ -268,7 +268,7 @@ class ServeScheduler:
                 self.metrics.counter("serve.requests.cold").inc()
                 self._rehydrate(record)
             session = record.session
-            if wait_ns > 0.0:
+            if wait_ns > 0:
                 session.process.advance(wait_ns)
             backend = session.backend
             request = record.requests
@@ -497,7 +497,7 @@ class ServeScheduler:
         ]
         if not newly_dead:
             return []
-        detect_ns = self.max_missed * self.heartbeat_interval_s * NS_PER_S
+        detect_ns = self.max_missed * self.heartbeat_ns
         for node in newly_dead:
             self._dead_handled.add(node.name)
             for sid in sorted(node.hot):

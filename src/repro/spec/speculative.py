@@ -35,7 +35,7 @@ from typing import ClassVar
 
 from repro.dmtcp.forked import BackgroundWriter
 from repro.errors import InjectedFault, SpeculationAbortedError
-from repro.gpu.timing import NS_PER_S
+from repro.gpu.timing import transfer_ns
 from repro.linux.process import SimProcess
 from repro.spec.conflicts import Conflict, detect_conflicts
 
@@ -56,17 +56,17 @@ class SpeculativeCheckpoint(BackgroundWriter):
     #: bytes re-copied by invalidate-and-replay
     replayed_bytes: int = 0
     #: app-visible validation cost (conflict replay), ns
-    replay_time_ns: float = 0.0
+    replay_time_ns: int = 0
 
     @property
-    def cut_ns(self) -> float:
+    def cut_ns(self) -> int:
         return self.start_ns
 
     @property
-    def validate_end_ns(self) -> float:
+    def validate_end_ns(self) -> int:
         return self.end_ns
 
-    def _settle(self, live: SimProcess | None) -> tuple[float, dict]:
+    def _settle(self, live: SimProcess | None) -> tuple[int, dict]:
         """Validate the speculation (also when the application already
         died — against state frozen at death). Raises
         :class:`~repro.errors.SpeculationAbortedError` after rolling
@@ -94,7 +94,7 @@ class SpeculativeCheckpoint(BackgroundWriter):
             sum(c.nbytes for c in self.conflicts) * self.overlap(now)
         )
         self.replay_time_ns = (
-            self.replayed_bytes / self.costs.spec_replay_bw * NS_PER_S
+            transfer_ns(self.replayed_bytes, self.costs.spec_replay_bw)
             + self.invalidated * self.costs.spec_invalidate_ns
         )
         return self.replay_time_ns, {

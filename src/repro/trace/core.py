@@ -50,8 +50,8 @@ class Span:
     name: str
     cat: str  # "api" | "kernel" | "copy" | "ckpt" | "recovery"
     track: str
-    start_ns: float
-    end_ns: float
+    start_ns: int
+    end_ns: int
     #: splice segment (0 = before the first restart cut)
     segment: int = 0
     stream_sid: int | None = None
@@ -60,7 +60,7 @@ class Span:
     args: tuple[tuple[str, object], ...] = ()
 
     @property
-    def duration_ns(self) -> float:
+    def duration_ns(self) -> int:
         return self.end_ns - self.start_ns
 
 
@@ -70,7 +70,7 @@ class Instant:
 
     name: str
     track: str
-    ts_ns: float
+    ts_ns: int
     segment: int = 0
     args: tuple[tuple[str, object], ...] = ()
 
@@ -81,7 +81,7 @@ class KernelStats:
 
     name: str
     count: int
-    total_ns: float
+    total_ns: int
 
     @property
     def mean_ns(self) -> float:
@@ -99,9 +99,9 @@ class TimelineReport:
     single-event segment stays well-defined.
     """
 
-    span_ns: float
-    kernel_busy_ns: float
-    copy_busy_ns: float
+    span_ns: int
+    kernel_busy_ns: int
+    copy_busy_ns: int
     kernels: dict[str, KernelStats] = field(default_factory=dict)
     events: int = 0
     #: non-empty trace segments aggregated (0 = nothing recorded)
@@ -130,7 +130,7 @@ class Tracer:
         #: current splice segment; bumped by :meth:`begin_segment`
         self.segment = 0
         #: total virtual time this tracer charged for its own hooks
-        self.overhead_ns = 0.0
+        self.overhead_ns = 0
         self._next_flow = 1
         self._pending_flow: int | None = None
         self._process = None
@@ -161,7 +161,7 @@ class Tracer:
         self.backend = None
         self._process = None
 
-    def begin_segment(self, reason: str, at_ns: float) -> int:
+    def begin_segment(self, reason: str, at_ns: int) -> int:
         """Open a new splice segment (restart cut / device reset)."""
         self.segment += 1
         # A launch flow never crosses the cut: its device half is gone.
@@ -183,10 +183,10 @@ class Tracer:
     def on_api_call(
         self,
         name: str,
-        start_ns: float,
-        end_ns: float,
+        start_ns: int,
+        end_ns: int,
         *,
-        trampoline_ns: float = 0.0,
+        trampoline_ns: int = 0,
         mode: str = "native",
     ) -> None:
         """One upper→lower dispatch completed (called by the backend)."""
@@ -219,8 +219,8 @@ class Tracer:
         kind: str,
         label: str,
         stream_sid: int,
-        start_ns: float,
-        end_ns: float,
+        start_ns: int,
+        end_ns: int,
         *,
         engine: str | None = None,
         nbytes: int | None = None,
@@ -247,7 +247,7 @@ class Tracer:
             if nbytes:
                 m.counter(f"device.copied_bytes.{engine}").inc(nbytes)
 
-    def clamp_stream(self, stream_sid: int, now_ns: float) -> None:
+    def clamp_stream(self, stream_sid: int, now_ns: int) -> None:
         """Rung-2 stream reset: the hung in-flight op is abandoned.
 
         Spans on the reset stream that had not finished by ``now_ns``
@@ -277,10 +277,10 @@ class Tracer:
     # -- hooks: UVM ------------------------------------------------------------
 
     def on_uvm_migration(
-        self, addr: int, *, pages: int, nbytes: int, cost_ns: float, to: str
+        self, addr: int, *, pages: int, nbytes: int, cost_ns: int, to: str
     ) -> None:
         """A page migration was serviced (called by the UVM manager)."""
-        ts = self._process.clock_ns if self._process is not None else 0.0
+        ts = self._process.clock_ns if self._process is not None else 0
         self.instants.append(Instant(
             f"uvm-migrate:{to}", "uvm", ts, self.segment,
             args=(
@@ -293,7 +293,7 @@ class Tracer:
 
     # -- hooks: checkpoint pipeline / recovery ladder --------------------------
 
-    def ckpt_span(self, name: str, start_ns: float, end_ns: float, **args) -> None:
+    def ckpt_span(self, name: str, start_ns: int, end_ns: int, **args) -> None:
         """One checkpoint-pipeline stage (drain/stage/write/commit/...)."""
         self.spans.append(Span(
             name, "ckpt", "ckpt", start_ns, end_ns, self.segment,
@@ -302,7 +302,7 @@ class Tracer:
         self.metrics.counter(f"ckpt.{name}").inc()
         self.metrics.counter(f"ckpt.{name}_ns").inc(end_ns - start_ns)
 
-    def recovery_span(self, rung: str, start_ns: float, end_ns: float, **args) -> None:
+    def recovery_span(self, rung: str, start_ns: int, end_ns: int, **args) -> None:
         """One recovery-ladder rung (retry/stream-reset/restore/restart)."""
         self.spans.append(Span(
             rung, "recovery", "recovery", start_ns, end_ns, self.segment,
@@ -310,7 +310,7 @@ class Tracer:
         ))
         self.metrics.counter(f"recovery.{rung}").inc()
 
-    def instant(self, track: str, name: str, ts_ns: float, **args) -> None:
+    def instant(self, track: str, name: str, ts_ns: int, **args) -> None:
         """Record a point event on an arbitrary track."""
         self.instants.append(Instant(
             name, track, ts_ns, self.segment, args=tuple(sorted(args.items())),
@@ -325,8 +325,8 @@ class Tracer:
         for s in self.spans:
             if s.cat in DEVICE_CATS:
                 segments.setdefault(s.segment, []).append(s)
-        span = 0.0
-        busy = dict.fromkeys(DEVICE_CATS, 0.0)
+        span = 0
+        busy = dict.fromkeys(DEVICE_CATS, 0)
         kernels: dict[str, KernelStats] = {}
         for window in segments.values():
             span += max(s.end_ns for s in window) - min(

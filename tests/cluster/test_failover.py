@@ -20,7 +20,7 @@ def bump(session, ptr):
         view = session.backend.device_view(ptr, NBYTES, np.float32)
         np.add(view, 1.0, out=view)
 
-    session.backend.launch("mutate", fn, duration_ns=50_000.0)
+    session.backend.launch("mutate", fn, duration_ns=50_000)
     session.backend.device_synchronize()
 
 
@@ -44,7 +44,7 @@ class TestHeartbeat:
         cluster.kill_node("b")
         cluster.heartbeat_rounds()
         # Two missed rounds at 0.5 s each before the verdict.
-        assert session.process.clock_ns - t0 == pytest.approx(1e9)
+        assert session.process.clock_ns - t0 == 1_000_000_000
         session.kill()
 
     def test_duplicate_node_names_are_rejected(self):
@@ -86,7 +86,7 @@ class TestFailoverRung:
             return base_handler(exc)
 
         domain.failover_handler = handler
-        session.process.advance(5e6)
+        session.process.advance(5_000_000)
         inj.arm(FaultSpec("ecc", at_count=inj.visits["ecc"] + 1))
         bump(session, ptr)  # fatal ECC → dying node → rung 4
         rep = domain.report

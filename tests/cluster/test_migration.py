@@ -11,6 +11,7 @@ from repro.cluster import (
 )
 from repro.core.session import CracSession
 from repro.cuda.api import FatBinary
+from repro.dmtcp.image import SavedRegion
 from repro.errors import ClusterError, MigrationError, NodeDeathError
 
 FB = FatBinary("migrate.fatbin", ("mutate",))
@@ -33,7 +34,7 @@ def bump(session, ptr):
         view = session.backend.device_view(ptr, NBYTES, np.float32)
         np.add(view, 1.0, out=view)
 
-    session.backend.launch("mutate", fn, duration_ns=50_000.0)
+    session.backend.launch("mutate", fn, duration_ns=50_000)
     session.backend.device_synchronize()
 
 
@@ -72,6 +73,46 @@ class TestLiveMigration:
         assert np.array_equal(
             readback(session, ptr), np.arange(N, dtype=np.float32) + 3.0
         )
+
+    def test_each_shipped_region_is_checksummed_once_on_export(
+        self, monkeypatch
+    ):
+        # Six cuts (begin, four pre-copy rounds, cutover) ship six
+        # generations of ten regions. Each export verifies only its own
+        # generation's regions: the ancestors were verified when they
+        # shipped (all of the chain per export made 210 calls).
+        src, dst = ClusterNode("a"), ClusterNode("b")
+        session, ptr = make_session(src)
+        mig = LiveMigration(
+            session, src, dst, interconnect=Interconnect(seed=1), job="job"
+        )
+        exported, checked = [], []
+        checksum = SavedRegion.checksum
+        export = src.store.export_generation
+
+        def counting_checksum(region):
+            checked.append(region)
+            return checksum(region)
+
+        def export_generation(generation):
+            # count the checksums of the export alone, not of the
+            # cut's staging or the destination's import
+            exported.append(generation)
+            monkeypatch.setattr(SavedRegion, "checksum", counting_checksum)
+            try:
+                return export(generation)
+            finally:
+                monkeypatch.setattr(SavedRegion, "checksum", checksum)
+
+        monkeypatch.setattr(src.store, "export_generation", export_generation)
+        mig.begin()
+        for _ in range(4):
+            bump(session, ptr)
+            mig.precopy_round()
+        bump(session, ptr)
+        mig.cutover()
+        assert len(exported) == 6
+        assert len(checked) == len({id(r) for r in checked}) == 60
 
     def test_phase_order_is_enforced(self):
         src, dst = ClusterNode("a"), ClusterNode("b")

@@ -45,7 +45,7 @@ def bump(session, ptr):
         view = session.backend.device_view(ptr, NBYTES, np.float32)
         np.add(view, 1.0, out=view)
 
-    session.backend.launch("mutate", fn, duration_ns=50_000.0)
+    session.backend.launch("mutate", fn, duration_ns=50_000)
     session.backend.device_synchronize()
 
 

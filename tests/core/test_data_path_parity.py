@@ -8,7 +8,7 @@ a coordinator armed to fire a checkpoint at each of the three calls of
 one launch batch, under a tracer, under a fault domain that retries an
 injected transfer corruption and restores from an ECC error, and across
 a kill and ``restart_latest``. Every observable is pinned to a literal:
-the virtual clock (exact ``repr``), the syscall and fs-switch counters,
+the virtual clock (exact), the syscall and fs-switch counters,
 the dispatch and library call counts, the device accounting, the buffer
 contents, and the API spans when traced. A rework of the data path must
 reproduce every literal.
@@ -31,13 +31,13 @@ N = 1024
 def _state(session, ptrs, host):
     proc, rt, backend = session.process, session.runtime, session.backend
     return {
-        "clock_ns": repr(proc.clock_ns),
+        "clock_ns": proc.clock_ns,
         "syscall_count": proc.syscall_count,
         "fs_switch_count": proc.fs_switch_count,
         "call_counter": sorted(backend.call_counter.items()),
         "api_log": sorted(rt.api_log.items()),
         "devices": [
-            (repr(d.total_kernel_ns), d.total_kernels,
+            (d.total_kernel_ns, d.total_kernels,
              sorted(d.copied_bytes.items()), d.ecc_errors)
             for d in rt.devices
         ],
@@ -71,7 +71,7 @@ def _ops(b, ptrs, host, *, fire_at=None, coordinator=None):
 
     b.launch("axpy", axpy, flop=2e6, bytes_touched=8e6)
     b.launch("touch", managed=[ManagedUse(m, 0, N, "rw")], stream=stream,
-             duration_ns=40_000.0)
+             duration_ns=40_000)
     b.launch("touch", managed=[ManagedUse(m, 256, 512, "r")],
              flop=1e5, bytes_touched=1e5)
     b.memcpy(d2, d1, N, "d2d", stream=stream, async_=True)
@@ -100,7 +100,7 @@ def run_plain(fsgsbase, fire_at):
          coordinator=session.coordinator)
     return {
         "cuts": [
-            (repr(image.created_at_ns), repr(image.checkpoint_time_ns))
+            (image.created_at_ns, image.checkpoint_time_ns)
             for image in session.coordinator.images
         ],
         "state": _state(session, ptrs, host),
@@ -117,7 +117,7 @@ def run_traced():
     return {
         "state": _state(session, ptrs, host),
         "api": [
-            (s.name, repr(s.start_ns), repr(s.end_ns), s.segment)
+            (s.name, s.start_ns, s.end_ns, s.segment)
             for s in tracer.spans if s.cat == "api"
         ],
     }
@@ -138,8 +138,8 @@ def run_fault_domain():
     _ops(session.backend, ptrs, host)
     rep = domain.report
     return {
-        "ladder": (rep.retries, rep.restores, repr(rep.backoff_ns),
-                   repr(rep.lost_work_ns)),
+        "ladder": (rep.retries, rep.restores, rep.backoff_ns,
+                   rep.lost_work_ns),
         "state": _state(session, ptrs, host),
     }
 
@@ -159,7 +159,7 @@ def run_restart():
     _ops(session.backend, ptrs, host)
     return {
         "before": before,
-        "restart_ns": repr(report.restart_time_ns),
+        "restart_ns": report.restart_time_ns,
         "restarted": _state(session, ptrs, host),
     }
 
@@ -182,9 +182,10 @@ def test_restart_data_path_parity():
     assert run_restart() == EXPECTED_RESTART
 
 
-#: recorded before the data path was made lean
+#: recorded before the data path was made lean; re-recorded when virtual
+#: time became whole ns (every time moved by rounding alone)
 EXPECTED = {(False, None): {'cuts': [],
-                 'state': {'clock_ns': '280157467.5044445',
+                 'state': {'clock_ns': 280157466,
                            'syscall_count': 59,
                            'fs_switch_count': 58,
                            'call_counter': [('__cudaRegisterFatBinary', 1),
@@ -215,7 +216,7 @@ EXPECTED = {(False, None): {'cuts': [],
                                        ('cudaMemsetAsync', 1),
                                        ('cudaStreamCreate', 1),
                                        ('cudaStreamSynchronize', 1)],
-                           'devices': [('82281.77777777778',
+                           'devices': [(82282,
                                         3,
                                         [('d2d', 2404),
                                          ('d2h', 3111),
@@ -226,8 +227,8 @@ EXPECTED = {(False, None): {'cuts': [],
                                         2184014335,
                                         4021661486],
                            'host': 3778451967}},
- (False, 1): {'cuts': [('370033952.7211111', '97126933.74358976')],
-              'state': {'clock_ns': '377284401.24803424',
+ (False, 1): {'cuts': [(370033952, 97126934)],
+              'state': {'clock_ns': 377284400,
                         'syscall_count': 59,
                         'fs_switch_count': 58,
                         'call_counter': [('__cudaRegisterFatBinary', 1),
@@ -258,7 +259,7 @@ EXPECTED = {(False, None): {'cuts': [],
                                     ('cudaMemsetAsync', 1),
                                     ('cudaStreamCreate', 1),
                                     ('cudaStreamSynchronize', 1)],
-                        'devices': [('82281.77777777778',
+                        'devices': [(82282,
                                      3,
                                      [('d2d', 2404),
                                       ('d2h', 3111),
@@ -269,8 +270,8 @@ EXPECTED = {(False, None): {'cuts': [],
                                      2184014335,
                                      4021661486],
                         'host': 3778451967}},
- (False, 2): {'cuts': [('370036097.7211111', '97126933.74358976')],
-              'state': {'clock_ns': '377284401.24803424',
+ (False, 2): {'cuts': [(370036097, 97126934)],
+              'state': {'clock_ns': 377284400,
                         'syscall_count': 59,
                         'fs_switch_count': 58,
                         'call_counter': [('__cudaRegisterFatBinary', 1),
@@ -301,7 +302,7 @@ EXPECTED = {(False, None): {'cuts': [],
                                     ('cudaMemsetAsync', 1),
                                     ('cudaStreamCreate', 1),
                                     ('cudaStreamSynchronize', 1)],
-                        'devices': [('82281.77777777778',
+                        'devices': [(82282,
                                      3,
                                      [('d2d', 2404),
                                       ('d2h', 3111),
@@ -312,8 +313,8 @@ EXPECTED = {(False, None): {'cuts': [],
                                      2184014335,
                                      4021661486],
                         'host': 3778451967}},
- (False, 3): {'cuts': [('370038242.7211111', '97126933.74358976')],
-              'state': {'clock_ns': '377284401.24803424',
+ (False, 3): {'cuts': [(370038242, 97126934)],
+              'state': {'clock_ns': 377284400,
                         'syscall_count': 59,
                         'fs_switch_count': 58,
                         'call_counter': [('__cudaRegisterFatBinary', 1),
@@ -344,7 +345,7 @@ EXPECTED = {(False, None): {'cuts': [],
                                     ('cudaMemsetAsync', 1),
                                     ('cudaStreamCreate', 1),
                                     ('cudaStreamSynchronize', 1)],
-                        'devices': [('82281.77777777778',
+                        'devices': [(82282,
                                      3,
                                      [('d2d', 2404),
                                       ('d2h', 3111),
@@ -356,7 +357,7 @@ EXPECTED = {(False, None): {'cuts': [],
                                      4021661486],
                         'host': 3778451967}},
  (True, None): {'cuts': [],
-                'state': {'clock_ns': '280144084.92111117',
+                'state': {'clock_ns': 280144084,
                           'syscall_count': 1,
                           'fs_switch_count': 58,
                           'call_counter': [('__cudaRegisterFatBinary', 1),
@@ -387,7 +388,7 @@ EXPECTED = {(False, None): {'cuts': [],
                                       ('cudaMemsetAsync', 1),
                                       ('cudaStreamCreate', 1),
                                       ('cudaStreamSynchronize', 1)],
-                          'devices': [('82281.77777777778',
+                          'devices': [(82282,
                                        3,
                                        [('d2d', 2404),
                                         ('d2h', 3111),
@@ -398,8 +399,8 @@ EXPECTED = {(False, None): {'cuts': [],
                                        2184014335,
                                        4021661486],
                           'host': 3778451967}},
- (True, 1): {'cuts': [('370025164.7211111', '97126933.74358976')],
-             'state': {'clock_ns': '377271018.6647009',
+ (True, 1): {'cuts': [(370025164, 97126934)],
+             'state': {'clock_ns': 377271018,
                        'syscall_count': 1,
                        'fs_switch_count': 58,
                        'call_counter': [('__cudaRegisterFatBinary', 1),
@@ -430,7 +431,7 @@ EXPECTED = {(False, None): {'cuts': [],
                                    ('cudaMemsetAsync', 1),
                                    ('cudaStreamCreate', 1),
                                    ('cudaStreamSynchronize', 1)],
-                       'devices': [('82281.77777777778',
+                       'devices': [(82282,
                                     3,
                                     [('d2d', 2404),
                                      ('d2h', 3111),
@@ -441,8 +442,8 @@ EXPECTED = {(False, None): {'cuts': [],
                                     2184014335,
                                     4021661486],
                        'host': 3778451967}},
- (True, 2): {'cuts': [('370026633.7211111', '97126933.74358976')],
-             'state': {'clock_ns': '377271018.6647009',
+ (True, 2): {'cuts': [(370026633, 97126934)],
+             'state': {'clock_ns': 377271018,
                        'syscall_count': 1,
                        'fs_switch_count': 58,
                        'call_counter': [('__cudaRegisterFatBinary', 1),
@@ -473,7 +474,7 @@ EXPECTED = {(False, None): {'cuts': [],
                                    ('cudaMemsetAsync', 1),
                                    ('cudaStreamCreate', 1),
                                    ('cudaStreamSynchronize', 1)],
-                       'devices': [('82281.77777777778',
+                       'devices': [(82282,
                                     3,
                                     [('d2d', 2404),
                                      ('d2h', 3111),
@@ -484,8 +485,8 @@ EXPECTED = {(False, None): {'cuts': [],
                                     2184014335,
                                     4021661486],
                        'host': 3778451967}},
- (True, 3): {'cuts': [('370028102.7211111', '97126933.74358976')],
-             'state': {'clock_ns': '377271018.6647009',
+ (True, 3): {'cuts': [(370028102, 97126934)],
+             'state': {'clock_ns': 377271018,
                        'syscall_count': 1,
                        'fs_switch_count': 58,
                        'call_counter': [('__cudaRegisterFatBinary', 1),
@@ -516,7 +517,7 @@ EXPECTED = {(False, None): {'cuts': [],
                                    ('cudaMemsetAsync', 1),
                                    ('cudaStreamCreate', 1),
                                    ('cudaStreamSynchronize', 1)],
-                       'devices': [('82281.77777777778',
+                       'devices': [(82282,
                                     3,
                                     [('d2d', 2404),
                                      ('d2h', 3111),
@@ -527,7 +528,7 @@ EXPECTED = {(False, None): {'cuts': [],
                                     2184014335,
                                     4021661486],
                        'host': 3778451967}}}
-EXPECTED_TRACED = {'state': {'clock_ns': '280159507.5044445',
+EXPECTED_TRACED = {'state': {'clock_ns': 280159506,
            'syscall_count': 59,
            'fs_switch_count': 58,
            'call_counter': [('__cudaRegisterFatBinary', 1),
@@ -558,61 +559,40 @@ EXPECTED_TRACED = {'state': {'clock_ns': '280159507.5044445',
                        ('cudaMemsetAsync', 1),
                        ('cudaStreamCreate', 1),
                        ('cudaStreamSynchronize', 1)],
-           'devices': [('82281.77777777778',
+           'devices': [(82282,
                         3,
                         [('d2d', 2404), ('d2h', 3111), ('h2d', 2992)],
                         0)],
            'contents': [3790717635, 3778451967, 2184014335, 4021661486],
            'host': 3778451967},
- 'api': [('cudaMalloc', '280006785.0', '280008930.0', 0),
-         ('cudaMalloc', '280009300.0', '280011445.0', 0),
-         ('cudaMallocHost', '280011815.0', '280013960.0', 0),
-         ('cudaMallocManaged', '280014330.0', '280016475.0', 0),
-         ('cudaStreamCreate', '280016845.0', '280018990.0', 0),
-         ('cudaMemcpy', '280019110.0', '280021255.0', 0),
-         ('cudaMemcpy', '280023006.25', '280025151.25', 0),
-         ('cudaMemset', '280026856.5833333', '280029001.5833333', 0),
-         ('cudaMemsetAsync', '280030622.7211111', '280032767.7211111', 0),
-         ('cudaPushCallConfiguration',
-          '280032887.7211111',
-          '280035032.7211111',
-          0),
-         ('cudaPopCallConfiguration',
-          '280035152.7211111',
-          '280037297.7211111',
-          0),
-         ('cudaLaunchKernel', '280037417.7211111', '280039562.7211111', 0),
-         ('cudaPushCallConfiguration',
-          '280039682.7211111',
-          '280041827.7211111',
-          0),
-         ('cudaPopCallConfiguration',
-          '280041947.7211111',
-          '280044092.7211111',
-          0),
-         ('cudaLaunchKernel', '280044212.7211111', '280046357.7211111', 0),
-         ('cudaPushCallConfiguration',
-          '280046477.7211111',
-          '280048622.7211111',
-          0),
-         ('cudaPopCallConfiguration',
-          '280048742.7211111',
-          '280050887.7211111',
-          0),
-         ('cudaLaunchKernel', '280051007.7211111', '280053152.7211111', 0),
-         ('cudaMemcpyAsync', '280053272.7211111', '280055417.7211111', 0),
-         ('cudaMemcpyAsync', '280055537.7211111', '280057682.7211111', 0),
-         ('cudaMemcpy', '280057802.7211111', '280059947.7211111', 0),
-         ('cudaMemcpyAsync', '280126682.22', '280128827.22', 0),
-         ('cudaMemcpyAsync', '280128947.22', '280131092.22', 0),
-         ('cudaMemcpy', '280131212.22', '280133357.22', 0),
-         ('cudaStreamSynchronize', '280134977.5044445', '280137122.5044445', 0),
-         ('cudaDeviceSynchronize',
-          '280147242.5044445',
-          '280149387.5044445',
-          0)]}
-EXPECTED_FAULT_DOMAIN = {'ladder': (1, 1, '62509230.091530345', '21877.721111118793'),
- 'state': {'clock_ns': '516265003.70891094',
+ 'api': [('cudaMalloc', 280006785, 280008930, 0),
+         ('cudaMalloc', 280009300, 280011445, 0),
+         ('cudaMallocHost', 280011815, 280013960, 0),
+         ('cudaMallocManaged', 280014330, 280016475, 0),
+         ('cudaStreamCreate', 280016845, 280018990, 0),
+         ('cudaMemcpy', 280019110, 280021255, 0),
+         ('cudaMemcpy', 280023006, 280025151, 0),
+         ('cudaMemset', 280026856, 280029001, 0),
+         ('cudaMemsetAsync', 280030622, 280032767, 0),
+         ('cudaPushCallConfiguration', 280032887, 280035032, 0),
+         ('cudaPopCallConfiguration', 280035152, 280037297, 0),
+         ('cudaLaunchKernel', 280037417, 280039562, 0),
+         ('cudaPushCallConfiguration', 280039682, 280041827, 0),
+         ('cudaPopCallConfiguration', 280041947, 280044092, 0),
+         ('cudaLaunchKernel', 280044212, 280046357, 0),
+         ('cudaPushCallConfiguration', 280046477, 280048622, 0),
+         ('cudaPopCallConfiguration', 280048742, 280050887, 0),
+         ('cudaLaunchKernel', 280051007, 280053152, 0),
+         ('cudaMemcpyAsync', 280053272, 280055417, 0),
+         ('cudaMemcpyAsync', 280055537, 280057682, 0),
+         ('cudaMemcpy', 280057802, 280059947, 0),
+         ('cudaMemcpyAsync', 280126681, 280128826, 0),
+         ('cudaMemcpyAsync', 280128946, 280131091, 0),
+         ('cudaMemcpy', 280131211, 280133356, 0),
+         ('cudaStreamSynchronize', 280134976, 280137121, 0),
+         ('cudaDeviceSynchronize', 280147241, 280149386, 0)]}
+EXPECTED_FAULT_DOMAIN = {'ladder': (1, 1, 62509230, 21877),
+ 'state': {'clock_ns': 516265000,
            'syscall_count': 29,
            'fs_switch_count': 28,
            'call_counter': [('__cudaRegisterFatBinary', 1),
@@ -640,13 +620,13 @@ EXPECTED_FAULT_DOMAIN = {'ladder': (1, 1, '62509230.091530345', '21877.721111118
                        ('cudaMemcpy', 2),
                        ('cudaMemcpyAsync', 4),
                        ('cudaStreamSynchronize', 1)],
-           'devices': [('55000.0',
+           'devices': [(55000,
                         3,
                         [('d2d', 1280), ('d2h', 2087), ('h2d', 1417)],
                         0)],
            'contents': [3407494734, 3030193140, 3885431743, 4021661486],
            'host': 3030193140}}
-EXPECTED_RESTART = {'before': {'clock_ns': '377289862.58136755',
+EXPECTED_RESTART = {'before': {'clock_ns': 377289861,
             'syscall_count': 59,
             'fs_switch_count': 58,
             'call_counter': [('__cudaRegisterFatBinary', 1),
@@ -677,14 +657,14 @@ EXPECTED_RESTART = {'before': {'clock_ns': '377289862.58136755',
                         ('cudaMemsetAsync', 1),
                         ('cudaStreamCreate', 1),
                         ('cudaStreamSynchronize', 1)],
-            'devices': [('82281.77777777778',
+            'devices': [(82282,
                          3,
                          [('d2d', 2404), ('d2h', 3111), ('h2d', 2992)],
                          0)],
             'contents': [3790717635, 3778451967, 2184014335, 4021661486],
             'host': 3778451967},
- 'restart_ns': '76210212.58823529',
- 'restarted': {'clock_ns': '453613895.89626956',
+ 'restart_ns': 76210213,
+ 'restarted': {'clock_ns': 453613893,
                'syscall_count': 45,
                'fs_switch_count': 44,
                'call_counter': [('__cudaRegisterFatBinary', 1),
@@ -715,7 +695,7 @@ EXPECTED_RESTART = {'before': {'clock_ns': '377289862.58136755',
                            ('cudaMemsetAsync', 1),
                            ('cudaStreamCreate', 1),
                            ('cudaStreamSynchronize', 1)],
-               'devices': [('55000.0',
+               'devices': [(55000,
                             3,
                             [('d2d', 2404), ('d2h', 3111), ('h2d', 2992)],
                             0)],

@@ -146,7 +146,7 @@ def test_restore_and_failover_rungs_leave_untouched_allocations_rows():
             view = backend.device_view(touched, 8)
             view += 1
 
-        backend.launch("bump", fn, duration_ns=50_000.0)
+        backend.launch("bump", fn, duration_ns=50_000)
         backend.device_synchronize()
 
     bump()

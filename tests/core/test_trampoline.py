@@ -1,7 +1,5 @@
 """Tests for the CRAC trampoline backend: costs, logging, virtualization."""
 
-import pytest
-
 from repro.core import CracBackend, SplitProcess
 from repro.cuda.api import FatBinary
 from repro.cuda.interface import NativeBackend
@@ -58,7 +56,7 @@ class TestTrampolineCost:
         assert cost_f < cost_u
         # The saving per call is exactly two switch-cost deltas.
         expected = 100 * 2 * (SYSCALL_NS - WRFSBASE_NS)
-        assert cost_u - cost_f == pytest.approx(expected, rel=0.01)
+        assert cost_u - cost_f == expected
 
 
 class TestInterposition:

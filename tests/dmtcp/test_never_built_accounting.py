@@ -24,7 +24,7 @@ from repro.core import CracSession
 from repro.core.plugin import CracPlugin, _resident_dirty_bytes
 from repro.dmtcp.checkpointer import Cut
 from repro.dmtcp.store import CheckpointStore
-from repro.gpu.timing import NS_PER_S
+from repro.gpu.timing import transfer_ns
 from repro.gpu.uvm import UVM_PAGE, ManagedBuffer
 
 # -- the reference model: one entry per live allocation ----------------------
@@ -80,7 +80,7 @@ class ReferencePlugin(CracPlugin):
             buffers[buf.addr] = entry
             captures.append((contents, dirty_spans, contents.write_seq))
         image.cut.charge(
-            "stage", drain_bytes / runtime.device.spec.pcie_bw * NS_PER_S
+            "stage", transfer_ns(drain_bytes, runtime.device.spec.pcie_bw)
         )
         image.add_blob(
             "crac/buffers", buffers, accounted_bytes=image_bytes_total

@@ -25,7 +25,7 @@ from repro.dmtcp.store import CheckpointStore
 
 SIZE = 64 * 1024
 #: app work inside the forked write window
-WINDOW_NS = 5_000_000.0
+WINDOW_NS = 5_000_000
 #: host bytes dirtied before the forked cut (its write window)
 WINDOW_BYTES = 4 << 20
 
@@ -92,10 +92,10 @@ def run_case(family: str, case: str) -> dict:
                 "committed": writer.committed,
                 "aborted": writer.aborted,
                 "replayed_bytes": writer.replayed_bytes,
-                "replay_time_ns": round(writer.replay_time_ns, 2),
+                "replay_time_ns": writer.replay_time_ns,
             }
         else:
-            cow_time_ns = round(writer.cow_time_ns, 2)
+            cow_time_ns = writer.cow_time_ns
     else:
         inc1 = session.checkpoint(incremental=True, parent=base, store=store)
     inc2 = session.checkpoint(incremental=True, parent=inc1, store=store)
@@ -161,7 +161,7 @@ GOLDEN: dict = {'cudaMalloc-untouched': {'digest': 3617033963,
  'cudaMalloc-forked-window': {'digest': 138515425,
                               'refilled_bytes': 69632,
                               'size_bytes': [16973824, 4194304, 4096],
-                              'cow_time_ns': 165.12},
+                              'cow_time_ns': 165},
  'cudaMallocHost-untouched': {'digest': 3617033963,
                               'refilled_bytes': 0,
                               'size_bytes': [16973824, 0, 0],
@@ -185,7 +185,7 @@ GOLDEN: dict = {'cudaMalloc-untouched': {'digest': 3617033963,
  'cudaMallocHost-forked-window': {'digest': 138515425,
                                   'refilled_bytes': 0,
                                   'size_bytes': [16973824, 4194304, 4096],
-                                  'cow_time_ns': 165.12},
+                                  'cow_time_ns': 165},
  'cudaHostAlloc-untouched': {'digest': 3617033963,
                              'refilled_bytes': 0,
                              'size_bytes': [16973824, 0, 0],
@@ -209,7 +209,7 @@ GOLDEN: dict = {'cudaMalloc-untouched': {'digest': 3617033963,
  'cudaHostAlloc-forked-window': {'digest': 138515425,
                                  'refilled_bytes': 0,
                                  'size_bytes': [16973824, 4194304, 4096],
-                                 'cow_time_ns': 165.12}}
+                                 'cow_time_ns': 165}}
 
 #: recorded before buffers built their contents on first use
 GOLDEN.update({
@@ -223,7 +223,7 @@ GOLDEN.update({
             "committed": True,
             "aborted": False,
             "replayed_bytes": 4096,
-            "replay_time_ns": 50409.6,
+            "replay_time_ns": 50410,
         },
     }
     for family, refilled in (

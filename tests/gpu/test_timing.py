@@ -37,17 +37,17 @@ class TestKernelCost:
         spec = GPU_SPECS["V100"]
         # 14 Tflop of work ⇒ ~1 s.
         ns = spec.kernel_cost_ns(flop=spec.flops)
-        assert ns == pytest.approx(NS_PER_S + spec.kernel_launch_ns)
+        assert ns == NS_PER_S + spec.kernel_launch_ns
 
     def test_memory_bound(self):
         spec = GPU_SPECS["V100"]
         ns = spec.kernel_cost_ns(flop=1.0, bytes_touched=spec.mem_bw)
-        assert ns == pytest.approx(NS_PER_S + spec.kernel_launch_ns)
+        assert ns == NS_PER_S + spec.kernel_launch_ns
 
     def test_roofline_takes_max(self):
         spec = GPU_SPECS["V100"]
         both = spec.kernel_cost_ns(flop=spec.flops, bytes_touched=spec.mem_bw)
-        assert both == pytest.approx(NS_PER_S + spec.kernel_launch_ns)
+        assert both == NS_PER_S + spec.kernel_launch_ns
 
     def test_launch_latency_floor(self):
         spec = GPU_SPECS["V100"]
@@ -58,9 +58,7 @@ class TestCopyCost:
     def test_pcie_for_host_transfers(self):
         spec = GPU_SPECS["V100"]
         one_gb = spec.copy_cost_ns(1 << 30, "h2d")
-        assert one_gb == pytest.approx(
-            1500 + (1 << 30) / spec.pcie_bw * NS_PER_S
-        )
+        assert one_gb == 1500 + round((1 << 30) / spec.pcie_bw * NS_PER_S)
 
     def test_d2d_uses_device_bandwidth(self):
         spec = GPU_SPECS["V100"]
@@ -97,8 +95,9 @@ class TestHostCosts:
         """Time cannot go backwards: a negative cost raises when the
         costs are built, naming the field, so no per-call charge has to
         check it."""
-        with pytest.raises(ValueError, match=f"HostCosts.{name} "):
-            HostCosts(**{name: -1.0})
+        zero = 0 if name.endswith("_ns") else 0.0
+        with pytest.raises(ValueError, match=f"HostCosts.{name} cannot be negative"):
+            HostCosts(**{name: zero - 1})
         with pytest.raises(ValueError, match=f"HostCosts.{name} "):
             dataclasses.replace(DEFAULT_HOST_COSTS, **{name: -0.5})
-        assert getattr(HostCosts(**{name: 0.0}), name) == 0.0
+        assert getattr(HostCosts(**{name: zero}), name) == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpu import GPU_SPECS, GpuDevice, ManagedBuffer, Stream, UvmManager
+from repro.gpu.timing import transfer_ns
 from repro.gpu.uvm import UVM_PAGE, PageLocation
 
 
@@ -65,7 +66,12 @@ class TestCosts:
         c16 = uvm.device_access(
             make_buf(uvm, addr=0x9100_0000, size=16 * UVM_PAGE), 0, 16 * UVM_PAGE
         )
-        assert c16 == pytest.approx(16 * c1)
+        spec = uvm.device.spec
+        # per page: one fault each, the migration rounded once per call
+        assert c1 == spec.uvm_fault_ns + transfer_ns(UVM_PAGE, spec.uvm_migrate_bw)
+        assert c16 == 16 * spec.uvm_fault_ns + transfer_ns(
+            16 * UVM_PAGE, spec.uvm_migrate_bw
+        )
 
     def test_fault_accounting(self, uvm):
         buf = make_buf(uvm, size=4 * UVM_PAGE)

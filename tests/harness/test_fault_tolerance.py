@@ -214,7 +214,7 @@ class TestFaultCampaign:
         b = run_guarded_app(Kmeans, scale=0.05, specs=[])
         assert a.aborted is None and a.faults_fired == 0
         assert a.digest == b.digest
-        assert a.runtime_s == pytest.approx(b.runtime_s)
+        assert a.runtime_s == b.runtime_s
         assert a.checkpoints >= 1  # the anchor generation at least
         assert a.stage_visits["ecc"] > 0  # sites were actually guarded
         assert a.rung_counts == {

@@ -16,9 +16,8 @@ speculative), a run cut at three points with a kill and
 the final runtime's ``api_log`` and of the replay log's entries, each
 cut's ``checkpoint_time_ns`` and image size, and each restart's steps.
 A run that fails (``CublasMicro`` after a restart) records its typed
-error instead of a digest. One more CRAC run per app uses host costs
-with fractional parts, whose float sums come out exact only when each
-call is added in per-call order, as the model adds them.
+error instead of a digest. Every virtual time it records is an ``int``
+count of ns: a float that creeps into a charge fails the test here.
 
 A change that moves the model on purpose re-records the file in a
 commit of its own::
@@ -28,7 +27,6 @@ commit of its own::
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -47,7 +45,6 @@ from repro.core.halves import SplitProcess
 from repro.core.session import CracSession
 from repro.cuda.interface import NativeBackend
 from repro.dmtcp.store import CheckpointStore
-from repro.gpu.timing import DEFAULT_HOST_COSTS
 from repro.harness.metrics import cps, overhead_pct
 
 FINGERPRINT = (
@@ -58,11 +55,6 @@ APPS = tuple(RODINIA_SUITE) + (
 )
 MODES = ("full", "incremental", "forked", "speculative")
 RESTART_STEPS = ("bootstrap_ns", "replay_ns", "fatbin_ns", "refill_ns", "adopt_ns")
-#: per-call costs no bulk multiplication reproduces bit for bit
-FRACTIONAL = dataclasses.replace(
-    DEFAULT_HOST_COSTS, native_dispatch_ns=1400.1, trampoline_body_ns=45.3,
-    log_record_ns=250.7,
-)
 
 
 def _digest(items) -> str:
@@ -83,11 +75,10 @@ def _native(cls) -> tuple[dict, int]:
     return {"digest": result.digest, "virt_ns": split.process.clock_ns}, len(callbacks)
 
 
-def _crac(cls, mode: str | None, cuts: frozenset[int],
-          costs=DEFAULT_HOST_COSTS) -> dict:
+def _crac(cls, mode: str | None, cuts: frozenset[int]) -> dict:
     """One CRAC run, cut at callback indices ``cuts`` in ``mode`` with a
     kill and ``restart_latest`` after each cut (none for ``mode=None``)."""
-    session = CracSession(gpu="V100", seed=0, costs=costs)
+    session = CracSession(gpu="V100", seed=0)
     store = CheckpointStore()
     images: list = []
     restarts: list = []
@@ -150,10 +141,7 @@ def compute() -> dict:
     for cls in APPS:
         native, callbacks = _native(cls)
         crac = _crac(cls, None, frozenset())
-        app = {
-            "native": native, "crac": crac,
-            "crac_fractional": _crac(cls, None, frozenset(), FRACTIONAL),
-        }
+        app = {"native": native, "crac": crac}
         if "digest" in crac:
             app["eq1_overhead_pct"] = overhead_pct(crac["virt_ns"], native["virt_ns"])
             app["eq2_cps"] = cps(crac["total_calls"], crac["virt_ns"] / 1e9)
@@ -169,8 +157,27 @@ def render(fingerprint: dict) -> str:
     return json.dumps(fingerprint, indent=1, sort_keys=True) + "\n"
 
 
+def _virtual_times(app: dict):
+    """Every virtual time one app's record holds."""
+    for run in app.values():
+        if not isinstance(run, dict):
+            continue  # eq. 1/2: ratios, not times
+        yield run["virt_ns"]
+        for cut in run.get("cuts", ()):
+            yield cut[0]
+        for restart in run.get("restarts", ()):
+            yield restart[0]
+            yield from restart[2:]
+
+
 def test_model_fingerprint_is_unchanged():
-    got = render(compute())
+    fingerprint = compute()
+    floats = sorted(
+        app for app, record in fingerprint.items()
+        if any(type(t) is not int for t in _virtual_times(record))
+    )
+    assert not floats, f"virtual times that are not whole ns: {floats}"
+    got = render(fingerprint)
     want = FINGERPRINT.read_text()
     if got != want:
         g, w = json.loads(got), json.loads(want)

@@ -40,7 +40,7 @@ def bump(session, ptr, stream=None):
         view = session.backend.device_view(ptr, NBYTES, np.float32)
         np.add(view, 1.0, out=view)
 
-    session.backend.launch("mutate", fn, stream=stream, duration_ns=50_000.0)
+    session.backend.launch("mutate", fn, stream=stream, duration_ns=50_000)
 
 
 class TestStreamRebaseline:

@@ -42,7 +42,7 @@ def make_traced(injector=None, *, seed=7, store=None, fault_domain=False):
     return session, tracer, ptr
 
 
-def bump(session, ptr, duration_ns=50_000.0):
+def bump(session, ptr, duration_ns=50_000):
     """Launch one kernel that increments the buffer in place."""
 
     def fn():
@@ -132,7 +132,7 @@ class TestRung2StreamReset:
         # lands strictly inside the inflated span (hang adds 30 s; the
         # watchdog fires ~30 s in — a microsecond kernel would already
         # have "finished" on the virtual timeline by then).
-        bump(session, ptr, duration_ns=5e9)  # poisons the stream
+        bump(session, ptr, duration_ns=5_000_000_000)  # poisons the stream
         session.backend.device_synchronize()  # watchdog fires, rung 2
         names = [s.name for s in tracer.spans if s.cat == "kernel"]
         assert "aborted:mutate" in names
@@ -153,7 +153,7 @@ class TestRung2StreamReset:
     def test_aborted_span_clamped_to_reset_instant(self):
         inj = FaultInjector([FaultSpec("kernel-hang", at_count=1)], seed=3)
         session, tracer, ptr = make_traced(inj, fault_domain=True)
-        bump(session, ptr, duration_ns=5e9)
+        bump(session, ptr, duration_ns=5_000_000_000)
         session.backend.device_synchronize()
         (aborted,) = [s for s in tracer.spans if s.name == "aborted:mutate"]
         assert aborted.end_ns <= session.process.clock_ns

@@ -87,11 +87,11 @@ class TestRaces:
         s1, s2 = rt.cudaStreamCreate(), rt.cudaStreamCreate()
         m = rt.cudaMallocManaged(65536)
         rt.cudaLaunchKernel(
-            "k", stream=s1, duration_ns=1e6,
+            "k", stream=s1, duration_ns=1_000_000,
             managed=[ManagedUse(m, 0, 128, mode="w")],
         )
         rt.cudaLaunchKernel(
-            "k2", stream=s2, duration_ns=1e6,
+            "k2", stream=s2, duration_ns=1_000_000,
             managed=[ManagedUse(m, 256, 128, mode="r")],
         )
         assert ("racecheck", "read-write") in kinds(san)
@@ -103,16 +103,16 @@ class TestRaces:
         s1, s2 = rt.cudaStreamCreate(), rt.cudaStreamCreate()
         m = rt.cudaMallocManaged(2 * 65536)
         rt.cudaLaunchKernel(
-            "k", stream=s1, duration_ns=1e6,
+            "k", stream=s1, duration_ns=1_000_000,
             managed=[ManagedUse(m, 0, 64, mode="w")],
         )
         rt.cudaLaunchKernel(
-            "k2", stream=s2, duration_ns=1e6,
+            "k2", stream=s2, duration_ns=1_000_000,
             managed=[ManagedUse(m, 65536, 64, mode="w")],  # other page
         )
         assert not san.hazards
         rt.cudaLaunchKernel(
-            "k2", stream=s2, duration_ns=1e6,
+            "k2", stream=s2, duration_ns=1_000_000,
             managed=[ManagedUse(m, 4096, 64, mode="w")],  # same page as k
         )
         assert ("racecheck", "write-write") in kinds(san)

@@ -45,7 +45,7 @@ class TestSpeculativeStall:
         # The forked mode still pays quiesce + snapshot walk; the
         # speculative cut pays only the version-table snapshot.
         assert spec_stall < fork_stall / 10
-        assert image.checkpoint_time_ns == pytest.approx(spec_stall)
+        assert image.checkpoint_time_ns == spec_stall
         writer = s_spec.pending_forks[0]
         assert writer.in_flight(s_spec.process.clock_ns)
         assert writer.validate_end_ns > s_spec.process.clock_ns
@@ -68,7 +68,7 @@ class TestSpeculativeStall:
         session.split.upper_mmap(BIG)
         session.checkpoint(speculative=True)
         writer = session.pending_forks[0]
-        session.process.advance_to(writer.validate_end_ns + 1.0)
+        session.process.advance_to(writer.validate_end_ns + 1)
         session.finish_forked_checkpoints()
         assert writer.residual_wait_ns == 0.0
         assert writer.committed
