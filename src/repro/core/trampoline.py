@@ -30,8 +30,9 @@ frame. The log keeps the run as it crossed: one
 :class:`~repro.cuda.api.RunRecord` holding its addresses as ranges, so a
 run costs the log the same whatever its length. Costs are whole,
 non-negative ns (:class:`HostCosts` rejects anything else when built),
-so a charge of ``n`` equal calls is one ``n * per_call`` addition. A fast-forwarded loop's churn (``malloc_free_run``) is
-state only: :meth:`CracBackend._log_churn` appends one
+so a charge of ``n`` equal calls is one ``n * per_call`` addition. A
+fast-forwarded loop's churn (``malloc_free_run``) is state only:
+:meth:`CracBackend._log_churn` appends one
 :class:`~repro.cuda.api.ChurnRecord` per stretch of pairs at one
 address, and nothing is counted or charged.
 """
