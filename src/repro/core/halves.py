@@ -9,6 +9,11 @@ application's dummy libcuda jumps through that table (the trampoline).
 
 The upper-half application is then loaded normally (under DMTCP), with
 its own libc — two independent GNU link maps in one process.
+
+With ASLR off the loaded lower half is the same in every process, so it
+is built once (:func:`lower_half_template`) and each process — at first
+start and at every restart — maps a copy of it, as a restarted CRAC
+process maps a freshly loaded helper whose layout never changes.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from typing import Callable
 from repro.cuda.api import CudaRuntime
 from repro.gpu.device import GpuDevice
 from repro.gpu.timing import GPU_SPECS, GpuSpec
+from repro.linux.address_space import MemoryRegion
 from repro.linux.loader import LoadedProgram, ProgramImage, ProgramLoader, Segment
 from repro.linux.process import ADDR_NO_RANDOMIZE, SimProcess
 
@@ -159,6 +165,61 @@ class EntryPointTable:
         return self.entries[api_name]
 
 
+@dataclass(frozen=True)
+class LowerHalfTemplate:
+    """A loaded lower half, built once and copied into every process.
+
+    With ASLR off the loader places the helper the same way whatever the
+    seed, GPU, GPU count or ``fsgsbase``, so one template serves every
+    :class:`SplitProcess`: first starts and restarts alike.
+    """
+
+    #: the loaded helper's mapped regions, with the entry table's bytes
+    regions: tuple[MemoryRegion, ...]
+    #: the helper's (start, size) segments, in load order
+    segments: tuple[tuple[int, int], ...]
+    entry_table: EntryPointTable
+    #: the building process's clock and syscall count afterwards
+    clock_ns: int
+    syscall_count: int
+
+
+@cache
+def lower_half_template() -> LowerHalfTemplate:
+    """Load the lower half once per interpreter (paper §3.1, Figure 1)."""
+    process = SimProcess(pid=0)
+    # CRAC disables address-space randomization so that replayed
+    # allocations land at their original addresses (§3.2.4).
+    process.personality(ADDR_NO_RANDOMIZE)
+    loader = ProgramLoader(process)
+
+    # 1. The helper loads first (it must own the low window before
+    #    the application can accidentally take it).
+    lower = loader.load(helper_image(), "lower")
+
+    # 2. The helper copies the CUDA entry points into the table.
+    table_addr = lower.regions[-1][0]  # helper.data
+    libcuda_base = lower.regions[0][0]
+    entry_table = EntryPointTable(
+        table_addr=table_addr,
+        entries={
+            name: libcuda_base + 0x100 * (i + 1)
+            for i, name in enumerate(ENTRY_POINTS)
+        },
+    )
+    process.vas.write(
+        table_addr,
+        struct.pack(f"<{len(ENTRY_POINTS)}Q", *entry_table.entries.values()),
+    )
+    return LowerHalfTemplate(
+        regions=tuple(process.vas.regions()),
+        segments=tuple(lower.regions),
+        entry_table=entry_table,
+        clock_ns=process.clock_ns,
+        syscall_count=process.syscall_count,
+    )
+
+
 class SplitProcess:
     """One process holding both halves plus the CUDA runtime instance."""
 
@@ -173,31 +234,22 @@ class SplitProcess:
         load_upper: bool = True,
     ) -> None:
         spec = GPU_SPECS[gpu] if isinstance(gpu, str) else gpu
-        self.process = SimProcess(aslr=True, fsgsbase=fsgsbase, seed=seed)
-        # CRAC disables address-space randomization so that replayed
-        # allocations land at their original addresses (§3.2.4).
-        self.process.personality(ADDR_NO_RANDOMIZE)
-        self.loader = ProgramLoader(self.process)
-
-        # 1. The helper loads first (it must own the low window before
-        #    the application can accidentally take it).
-        self.lower: LoadedProgram = self.loader.load(helper_image(), "lower")
-
-        # 2. The helper copies the CUDA entry points into the table.
-        table_addr = self.lower.regions[-1][0]  # helper.data
-        libcuda_base = self.lower.regions[0][0]
-        self.entry_table = EntryPointTable(
-            table_addr=table_addr,
-            entries={
-                name: libcuda_base + 0x100 * (i + 1)
-                for i, name in enumerate(ENTRY_POINTS)
-            },
+        # 1.–2. The lower half — helper, CUDA libraries, entry table —
+        #    is the shared template's, copied: this process owns its
+        #    regions and pages outright.
+        template = lower_half_template()
+        self.process = SimProcess(aslr=False, fsgsbase=fsgsbase, seed=seed)
+        self.process.vas.map_regions(
+            list(map(MemoryRegion.copy, template.regions))
         )
-        self.process.vas.write(
-            table_addr,
-            struct.pack(
-                f"<{len(ENTRY_POINTS)}Q", *self.entry_table.entries.values()
-            ),
+        self.process.clock_ns = template.clock_ns
+        self.process.syscall_count = template.syscall_count
+        self.loader = ProgramLoader(self.process)
+        self.lower: LoadedProgram = self.loader.adopt(
+            LoadedProgram(helper_image(), "lower", list(template.segments))
+        )
+        self.entry_table = EntryPointTable(
+            template.entry_table.table_addr, dict(template.entry_table.entries)
         )
 
         # 3. The CUDA library initializes inside the lower half: all of

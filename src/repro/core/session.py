@@ -27,6 +27,7 @@ from its restore rung lives in :mod:`repro.core.fault_domain`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.core.fault_domain import FaultDomain
@@ -51,6 +52,9 @@ from repro.spec import HandleTable
 
 if TYPE_CHECKING:  # core must not import harness at runtime
     from repro.harness.fault_injection import FaultInjector
+
+#: a saved region's (start, size)
+_extent = attrgetter("start", "size")
 
 
 @dataclass
@@ -363,8 +367,7 @@ class CracSession:
             # is not rebuilt yet — the restarted process is unusable and
             # the orchestrator must retry (or fall back a generation).
             self.fault_injector.check("restore", f"pid {image.pid}")
-        for saved in image.regions:
-            fresh.loader._track("upper", saved.start, saved.size)
+        fresh.loader.register("upper", map(_extent, image.regions))
 
         # 3. Re-point the trampoline at the fresh lower half.
         self.backend.swap_runtime(fresh.runtime)

@@ -308,22 +308,28 @@ class CudaRuntime:
         size = allocations.rows.get(addr)
         if size is None:
             size = allocations[addr]
-        device = self.unbuilt_device
-        uid = device.rows.get(addr)
-        if uid is None and device.pieces:
-            uid = device.get(addr)
-        if uid is not None:
-            buf = DeviceBuffer(
-                addr, size, "device", self._row_device(addr), uid,
-                self.unbuilt_device,
-            )
-        elif (uid := self.unbuilt_pinned.get(addr)) is not None:
-            buf = DeviceBuffer(
-                addr, size, "host-pinned", 0, uid, self.unbuilt_pinned
-            )
+        # The row is in exactly one kind's table: a lone row is a dict
+        # entry there, so every table's dict is tried before any run's
+        # bisect.
+        tables = (self.unbuilt_device, self.unbuilt_pinned, self.unbuilt_managed)
+        for unbuilt in tables:
+            uid = unbuilt.rows.get(addr)
+            if uid is not None:
+                break
         else:
-            uid = self.unbuilt_managed[addr]
-            buf = ManagedBuffer(addr, size, uid, self.unbuilt_managed)
+            for unbuilt in tables:
+                if unbuilt.pieces and (uid := unbuilt.get(addr)) is not None:
+                    break
+            else:
+                raise KeyError(addr)
+        if unbuilt is self.unbuilt_device:
+            buf = DeviceBuffer(
+                addr, size, "device", self._row_device(addr), uid, unbuilt
+            )
+        elif unbuilt is self.unbuilt_pinned:
+            buf = DeviceBuffer(addr, size, "host-pinned", 0, uid, unbuilt)
+        else:
+            buf = ManagedBuffer(addr, size, uid, unbuilt)
             self.uvm.register(buf)
         self._objects[addr] = buf
         for watch in self._row_watches:

@@ -20,13 +20,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.dmtcp.forked import ForkedCheckpoint, commit
 from repro.dmtcp.image import CheckpointImage, SavedRegion
 from repro.dmtcp.plugins import DmtcpPlugin
 from repro.gpu.timing import DEFAULT_HOST_COSTS, HostCosts, transfer_ns
-from repro.linux.address_space import PAGE_SIZE
+from repro.linux.address_space import PAGE_SIZE, MemoryRegion
 from repro.linux.process import SimProcess
 
 if TYPE_CHECKING:  # avoid a dmtcp → harness import cycle at runtime
@@ -76,6 +77,8 @@ def _split_pages(
             out[i][pg - shifts[i]] = data
     return out
 
+
+_start_of = attrgetter("start")
 
 #: Where a stage's cost lands: the application clock, the background
 #: writer's timeline, or nowhere (the stage does not run).
@@ -321,32 +324,48 @@ class DmtcpCheckpointer:
     def restore_memory(self, image: CheckpointImage, target: SimProcess) -> int:
         """Map the image's regions into ``target`` at original addresses.
 
-        Incremental images restore by walking their parent chain
-        base-first: the base recreates mappings and full contents; each
-        increment overlays its dirtied pages.
+        One pass over the chain, base first: the newest link's regions
+        are the layout (what was mapped, with which permissions, at the
+        last cut), and every link's pages fill it by absolute page
+        number, a later link overwriting an earlier one. A page outside
+        the layout (its range was unmapped since) is dropped. The layout
+        is then mapped in one pass, each region with its pages.
 
         Returns the virtual-time cost (the caller — CRAC's restart
-        orchestrator — owns the clock of the restarted process).
+        orchestrator — owns the clock of the restarted process): per
+        region of every link, and per byte each link reads.
         """
+        costs = self.costs
         cost = 0
+        filled: dict[int, bytes] = {}
         for img in image.chain():
+            cost += len(img.regions) * costs.ckpt_region_ns
+            region_bytes = 0
             for saved in img.regions:
-                region = target.vas.find(saved.start)
-                if region is None or region.start != saved.start:
-                    target.vas.mmap(
-                        saved.size,
-                        addr=saved.start,
-                        fixed=True,
-                        perms=saved.perms,
-                        tag=saved.tag,
-                    )
-                    region = target.vas.find(saved.start)
-                if saved.incremental:
-                    region.apply_pages(dict(saved.pages))
+                pages = saved.pages
+                if img.incremental:
+                    region_bytes += sum(map(len, pages.values()))
                 else:
-                    region.load_pages(dict(saved.pages))
-                cost += self.costs.ckpt_region_ns
-            cost += transfer_ns(img.size_bytes, self.costs.ckpt_read_bw)
+                    region_bytes += saved.size
+                if pages:
+                    first = saved.start // PAGE_SIZE
+                    filled.update(zip(map(first.__add__, pages), pages.values()))
+            size_bytes = region_bytes + img.blob_bytes
+            cost += transfer_ns(size_bytes, costs.ckpt_read_bw)
             if img.gzip:
-                cost += transfer_ns(img.size_bytes, self.costs.gzip_bw)
+                cost += transfer_ns(size_bytes, costs.gzip_bw)
+
+        numbers = sorted(filled)
+        layout = []
+        for saved in sorted(image.regions, key=_start_of):
+            region = MemoryRegion(saved.start, saved.size, saved.perms, saved.tag)
+            first = saved.start // PAGE_SIZE
+            lo = bisect_left(numbers, first)
+            hi = bisect_left(numbers, first + saved.size // PAGE_SIZE, lo)
+            mine = numbers[lo:hi]
+            region.load_pages(
+                dict(zip(map(first.__rsub__, mine), map(filled.__getitem__, mine)))
+            )
+            layout.append(region)
+        target.vas.map_regions(layout)
         return cost

@@ -23,6 +23,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.errors import AddressSpaceError, SegmentationFault
 
@@ -31,6 +32,9 @@ PAGE_SIZE = 4096
 #: Default placement window for non-fixed mmap (mirrors the mmap_min_addr /
 #: TASK_SIZE window of a 47-bit x86-64 user address space).
 DEFAULT_MMAP_WINDOW = (0x0000_7000_0000_0000, 0x0000_7FFF_F000_0000)
+
+
+_start_of = attrgetter("start")
 
 
 def page_align_up(n: int) -> int:
@@ -85,9 +89,11 @@ class MemoryRegion:
             raise AddressSpaceError(
                 f"region [{start:#x}, +{size:#x}) not page aligned / empty"
             )
+        if perms not in _PERMS:
+            _check_perms(perms)  # raises
         self.start = start
         self.size = size
-        self.perms = _check_perms(perms)
+        self.perms = perms
         self.tag = tag
         self._pages: dict[int, bytearray] = {}
         #: page index → epoch of its last write (see :attr:`write_seq`) —
@@ -182,22 +188,28 @@ class MemoryRegion:
         left._write_seq = right._write_seq = self._write_seq
         return left, right
 
+    def copy(self) -> "MemoryRegion":
+        """A region equal to this one that shares no page with it: the
+        same extent, owner, pages, dirty bits and write counter."""
+        twin = MemoryRegion.__new__(MemoryRegion)
+        twin.start, twin.size, twin.perms, twin.tag = (
+            self.start, self.size, self.perms, self.tag
+        )
+        pages = self._pages
+        twin._pages = dict(zip(pages, map(bytearray, pages.values())))
+        twin._dirty_epoch = dict(self._dirty_epoch)
+        twin._write_seq = self._write_seq
+        return twin
+
     def pages_snapshot(self) -> dict[int, bytes]:
         """Immutable copy of the backing pages, keyed by page index."""
         return {pg: bytes(page) for pg, page in self._pages.items()}
 
     def load_pages(self, pages: dict[int, bytes]) -> None:
         """Replace backing pages from a snapshot (used by restore)."""
-        self._pages = {pg: bytearray(data) for pg, data in pages.items()}
+        self._pages = dict(zip(pages, map(bytearray, pages.values())))
         self._write_seq += 1
         self._dirty_epoch = dict.fromkeys(pages, self._write_seq)
-
-    def apply_pages(self, pages: dict[int, bytes]) -> None:
-        """Overlay pages onto the current backing (incremental restore)."""
-        self._write_seq += 1
-        for pg, data in pages.items():
-            self._pages[pg] = bytearray(data)
-            self._dirty_epoch[pg] = self._write_seq
 
     def clear_dirty(
         self,
@@ -294,7 +306,7 @@ class VirtualAddressSpace:
             r = regions[starts[i]]
             if r.start >= end:
                 break
-            if r.end > addr:
+            if r.start + r.size > addr:
                 out.append(r)
             i += 1
         return out
@@ -332,6 +344,29 @@ class VirtualAddressSpace:
         region = MemoryRegion(start, size, perms, tag)
         self._insert(region)
         return start
+
+    def map_regions(self, regions: list[MemoryRegion]) -> None:
+        """``MAP_FIXED`` built regions (sorted by start, disjoint, pages
+        loaded) in one pass — a restorer's precomputed VMA list. Whatever
+        they cover is unmapped first, as :meth:`mmap` with ``fixed=True``
+        would, and the sorted index takes them in one merge."""
+        starts, mapped = self._starts, self._regions
+        end = -1
+        for region in regions:
+            start = region.start
+            if start < end:
+                raise AddressSpaceError(
+                    f"map_regions: region at {start:#x} overlaps or "
+                    "precedes the one before it"
+                )
+            end = start + region.size
+            # Evict only when a mapping is in the way: the one starting
+            # last before ``end`` reaches past ``start``.
+            i = bisect.bisect_left(starts, end) - 1
+            if i >= 0 and starts[i] + mapped[starts[i]].size > start:
+                self._evict(start, region.size, aggressor_tag=region.tag)
+        mapped.update(zip(map(_start_of, regions), regions))
+        self._starts = sorted(mapped)
 
     def munmap(self, addr: int, size: int) -> None:
         """Unmap ``[addr, addr+size)``; partial overlaps split regions."""
@@ -391,15 +426,15 @@ class VirtualAddressSpace:
     def _first_fit(self, cand: int, size: int, hi: int) -> int | None:
         """Lowest address at or above ``cand`` where ``size`` bytes fit
         below ``hi`` without touching a mapping, or None."""
-        starts = self._starts
+        starts, regions = self._starts, self._regions
         # i: the first region that ends past cand
         i = bisect.bisect_right(starts, cand) - 1
-        if i < 0 or self._regions[starts[i]].end <= cand:
+        if i < 0 or starts[i] + regions[starts[i]].size <= cand:
             i += 1
         while cand + size <= hi:
             if i == len(starts) or starts[i] >= cand + size:
                 return cand
-            cand = self._regions[starts[i]].end
+            cand = starts[i] + regions[starts[i]].size
             i += 1
         return None
 

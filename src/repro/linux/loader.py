@@ -18,6 +18,7 @@ this page" — information the merged ``/proc/PID/maps`` view cannot provide
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.errors import LoaderError
 from repro.linux.address_space import page_align_up
@@ -116,6 +117,18 @@ class ProgramLoader:
             self._map_segment(prog, seg, half)
         self.loaded.append(prog)
         return prog
+
+    def adopt(self, prog: LoadedProgram) -> LoadedProgram:
+        """Register ``prog`` as loaded when its regions are already mapped
+        in the process (a copied lower-half template)."""
+        self.register(prog.half, prog.regions)
+        self.loaded.append(prog)
+        return prog
+
+    def register(self, half: str, ranges: Iterable[tuple[int, int]]) -> None:
+        """Record ``(start, size)`` ranges already mapped in the process
+        (restored from an image, or copied) as owned by ``half``."""
+        self._half_ranges[half].extend(ranges)
 
     def mmap_for_half(
         self,

@@ -72,6 +72,30 @@ class TestIncrementalCheckpoint:
         assert i2.chain() == [base, i1, i2]
 
 
+def _mapped(proc):
+    """Every region's (start, size, perms) and its backing pages."""
+    return [
+        (r.start, r.size, r.perms, r.pages_snapshot()) for r in proc.vas.regions()
+    ]
+
+
+def _restore_after(proc, change):
+    """Cut a base, apply ``change(proc, a, b)`` to two written regions,
+    cut an increment, and restore the chain into a fresh process."""
+    a = proc.vas.mmap(4 * PAGE_SIZE, tag="upper:a")
+    b = proc.vas.mmap(4 * PAGE_SIZE, tag="upper:b")
+    for page in range(4):
+        proc.vas.write(a + page * PAGE_SIZE, b"a%d" % page)
+        proc.vas.write(b + page * PAGE_SIZE, b"b%d" % page)
+    c = DmtcpCheckpointer(proc)
+    base = c.checkpoint()
+    change(proc, a, b)
+    inc = c.checkpoint(incremental=True, parent=base)
+    fresh = SimProcess(aslr=False, seed=99)
+    c.restore_memory(inc, fresh)
+    return fresh
+
+
 class TestIncrementalRestore:
     def test_chain_restore_reconstructs_latest_state(self, proc):
         a = proc.vas.mmap(8 * PAGE_SIZE, tag="upper:data")
@@ -112,6 +136,24 @@ class TestIncrementalRestore:
         fresh = SimProcess(aslr=False)
         c.restore_memory(inc, fresh)
         assert fresh.vas.read(b, 11) == b"late region"
+
+    def test_region_unmapped_after_base_stays_unmapped(self, proc):
+        def change(proc, a, b):
+            proc.vas.munmap(a, 4 * PAGE_SIZE)
+            proc.vas.write(b, b"b0-new")
+
+        fresh = _restore_after(proc, change)
+        assert _mapped(fresh) == _mapped(proc)
+
+    @pytest.mark.parametrize("pages", [(0, 4), (1, 2)], ids=["whole", "middle"])
+    def test_range_made_read_only_after_base_stays_read_only(self, proc, pages):
+        first, count = pages
+
+        def change(proc, a, b):
+            proc.vas.mprotect(a + first * PAGE_SIZE, count * PAGE_SIZE, "r--")
+
+        fresh = _restore_after(proc, change)
+        assert _mapped(fresh) == _mapped(proc)
 
 
 class TestCracIncremental:
