@@ -187,6 +187,8 @@ class LowerHalfTemplate:
 @cache
 def lower_half_template() -> LowerHalfTemplate:
     """Load the lower half once per interpreter (paper §3.1, Figure 1)."""
+    # An explicit pid draws none from the counter, so the processes
+    # built from the template get the pids they got before it existed.
     process = SimProcess(pid=0)
     # CRAC disables address-space randomization so that replayed
     # allocations land at their original addresses (§3.2.4).

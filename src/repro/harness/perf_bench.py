@@ -187,7 +187,7 @@ def run_perf_bench(
     outcome: dict = {}
     counts: dict[str, Counter] = {}
     for name, scenario in scenarios.items():
-        scenario()  # warm: the lower half's cached images exist
+        scenario()  # warm: the lower-half template and cached images exist
         outcome[name], counts[name] = count_calls(scenario)
     metrics: dict = {}
     for name in SCENARIOS:
