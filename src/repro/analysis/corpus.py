@@ -47,9 +47,13 @@ class CudaRuntime:
 
 _INTERFACE = '''\
 class CudaDispatchBase:
+    def _log(self, op, nbytes, addr, device):
+        return addr
+
     def malloc(self, nbytes):
         self._dispatch("cudaMalloc", payload_bytes=16)
-        return self.runtime.cudaMalloc(nbytes)
+        addr = self.runtime.cudaMalloc(nbytes)
+        return self._log("malloc", nbytes, addr, 0)
 
     def memcpy(self, dst, src, nbytes, kind):
         self._dispatch("cudaMemcpy", payload_bytes=32)
@@ -249,6 +253,17 @@ SCENARIOS: tuple[PlantedScenario, ...] = (
             repro__core__trampoline_py=_TRAMPOLINE + '''
     def malloc_free_run(self, nbytes, n):
         self.runtime.malloc_free_run(nbytes, n)
+''',
+        ),
+    ),
+    PlantedScenario(
+        "dispatch-base-alloc-skips-its-hook",
+        "wiring/unlogged-alloc",
+        _tree(
+            repro__cuda__interface_py=_INTERFACE + '''
+    def malloc_host(self, nbytes):
+        self._dispatch("cudaMalloc", payload_bytes=16)
+        return self.runtime.cudaMalloc(nbytes)
 ''',
         ),
     ),

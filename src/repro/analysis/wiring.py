@@ -50,10 +50,12 @@ _UVM_OPS = {"device_access", "host_access", "prefetch"}
 _ARENA_OPS = {"alloc", "free"}
 
 _ALLOC_METHOD_RE = re.compile(r"^(malloc|free|host_alloc)")
-#: the trampoline's replay-log writers: one call, a run of equal calls
-#: (``self._log_run("op", nbytes, addrs, device)``) or churn pairs
-#: (``self._log_churn(nbytes, addrs, device)``)
+#: the replay-log hooks the dispatch base's cudaMalloc family calls: one
+#: call, a run of equal calls (``self._log_run("op", nbytes, addrs,
+#: device)``) or churn pairs (``self._log_churn(nbytes, addrs, device)``)
 _LOG_WRITERS = {"_log", "_log_run", "_log_churn"}
+#: the dispatch base, which writes the family, and CRAC's backend
+_LOGGING_MODULES = ("cuda/interface.py", "core/trampoline.py")
 
 
 @dataclass
@@ -183,7 +185,7 @@ def _dispatch_literals(mod) -> set[str]:
 
 def _log_ops(mod) -> dict[str, int]:
     """``self._log("op", ...)`` and ``self._log_run("op", ...)`` literals
-    in the trampoline → first line."""
+    in ``mod`` → first line."""
     ops: dict[str, int] = {}
     for node in ast.walk(mod.tree):
         if (
@@ -288,15 +290,16 @@ def _library_kernel_gaps(lib_mod) -> list[tuple[str, str, int]]:
     return gaps
 
 
-def _unlogged_alloc(tramp_mod) -> list[tuple[str, int]]:
-    """Backend alloc/free overrides (runs included) that never reach a
-    log writer (``_log``, ``_log_run`` or ``_log_churn``).
+def _unlogged_alloc(mod) -> list[tuple[str, int]]:
+    """Alloc/free methods (runs included) of a class in ``mod`` that
+    never reach a log writer (``_log``, ``_log_run`` or ``_log_churn``).
 
-    Scoped to classes that use a log writer at all (the replay-logging
-    backend), so plain dispatch bases aren't held to the rule.
+    Scoped to classes that call a log writer at all (the dispatch base
+    that writes the cudaMalloc family, a replay-logging backend), so a
+    class that only implements the writers isn't held to the rule.
     """
     gaps: list[tuple[str, int]] = []
-    for cls in ast.walk(tramp_mod.tree):
+    for cls in ast.walk(mod.tree):
         if not isinstance(cls, ast.ClassDef):
             continue
         methods = {
@@ -382,20 +385,18 @@ def analyze(index: PackageIndex) -> tuple[list[Finding], list[dict]]:
                     "half never sees",
                 )
 
-    tramp_mod = index.find("core/trampoline.py")
-    if tramp_mod is not None and api_mod is not None:
-        replayed = _replay_ops(api_mod)
-        for op, line in sorted(_log_ops(tramp_mod).items()):
-            if op not in replayed:
+    replayed = _replay_ops(api_mod) if api_mod is not None else None
+    for log_mod in filter(None, map(index.find, _LOGGING_MODULES)):
+        for op, line in sorted(_log_ops(log_mod).items()):
+            if replayed is not None and op not in replayed:
                 add(
-                    "log-op-unreplayed", tramp_mod, line,
-                    f"trampoline logs replay op {op!r} but the replay loop "
+                    "log-op-unreplayed", log_mod, line,
+                    f"dispatch layer logs replay op {op!r} but the replay loop "
                     "never handles it — restart would silently drop the call",
                 )
-    if tramp_mod is not None:
-        for name, line in _unlogged_alloc(tramp_mod):
+        for name, line in _unlogged_alloc(log_mod):
             add(
-                "unlogged-alloc", tramp_mod, line,
+                "unlogged-alloc", log_mod, line,
                 f"backend {name}() mutates device address space without "
                 "reaching a replay-log writer (self._log() and kin) — the "
                 "call is lost from the replay log",

@@ -10,7 +10,10 @@ The backend also implements CRAC's interposition (§3.2):
 
 - the **cudaMalloc family** is logged into the replay log (allocation
   order and addresses), and *active* allocations are tracked for
-  checkpoint draining;
+  checkpoint draining. The family's entry points are
+  :class:`~repro.cuda.interface.CudaDispatchBase`'s; this backend gives
+  only the log hooks they call, which also hand out virtual pointers
+  while it virtualizes addresses (§3.2.4);
 - **fat-binary registration** is virtualized: the application holds
   virtual handles, so CRAC can re-register with a fresh lower half at
   restart and patch the mapping (§3.2.5);
@@ -42,12 +45,9 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.replay_log import LogEntry, ReplayLog
 from repro.cuda.api import ChurnRecord, CudaRuntime, FatBinary, RunRecord
-from repro.cuda.interface import CudaDispatchBase
-from repro.dmtcp.coordinator import DmtcpCoordinator
+from repro.cuda.interface import _RUN_CALLS, CudaDispatchBase
 from repro.gpu.rows import as_ranges
 from repro.gpu.streams import Event, Stream
 from repro.gpu.timing import DEFAULT_HOST_COSTS, HostCosts
@@ -55,8 +55,8 @@ from repro.linux.process import SYSCALL_NS, WRFSBASE_NS
 
 #: builds a log record from a tuple in C, without its Python ``__new__``
 _new_tuple = tuple.__new__
-#: the entry point a bulk-logged op's calls are counted under
-_RUN_CALLS = {"malloc": "cudaMalloc", "free": "cudaFree"}
+#: the ops whose app pointer is virtual while virtualizing addresses
+_ALLOC_OPS = frozenset(("malloc", "malloc_host", "host_alloc", "malloc_managed"))
 
 
 class CracBackend(CudaDispatchBase):
@@ -90,9 +90,7 @@ class CracBackend(CudaDispatchBase):
         #: addresses, so restart tolerates allocator divergence (no
         #: same-platform / no-ASLR requirement).
         self.virtualize_addresses = virtualize_addresses
-        self._v2r: dict[int, int] = {}
         self._virt_cursor = self.VIRT_BASE
-        self.coordinator: DmtcpCoordinator | None = None
         # Fat-binary virtualization: app-visible handle -> (real handle,
         # FatBinary, registered function names).
         self._next_virtual_handle = 1
@@ -174,17 +172,22 @@ class CracBackend(CudaDispatchBase):
         # the two fs switches, table indirection, coordinator notify.
         return max(0, dispatch_ns - self.costs.native_dispatch_ns)
 
-    def _log(self, op: str, nbytes: int, addr: int, device: int = 0) -> None:
+    def _log(self, op: str, nbytes: int, addr: int, device: int) -> int:
         """Append one allocation-family call to the replay log and charge
         ``log_record_ns``, in one frame: the entry is built by
         ``tuple.__new__`` (no NamedTuple ``__new__`` frame) and the cost
-        is added inline."""
+        is added inline. An allocation's app pointer is ``addr``, or
+        while virtualizing a fresh virtual one mapped to it."""
         self.log.records.append(_new_tuple(LogEntry, (op, nbytes, addr, device)))
         self.process.clock_ns += self.costs.log_record_ns
+        if self.virtualize_addresses and op in _ALLOC_OPS:
+            vaddr = self._virt_cursor
+            self._virt_cursor += (nbytes + 0xFFF) & ~0xFFF
+            self._v2r[vaddr] = addr
+            return vaddr
+        return addr
 
-    def _log_run(
-        self, op: str, nbytes: int, addrs: Sequence[int], device: int = 0
-    ) -> None:
+    def _log_run(self, op: str, nbytes: int, addrs: Sequence[int], device: int):
         """Log and account ``len(addrs)`` calls of one allocation-family
         entry point made in bulk, in one frame: what one :meth:`_dispatch`
         and one :meth:`_log` per call leave, but the log gets one
@@ -194,24 +197,28 @@ class CracBackend(CudaDispatchBase):
         which they must stop short of) and charged as ``n`` crossings
         and log records. Traced, each call crosses through
         :meth:`_dispatch` for its own span and hook charge, and then
-        pays its log record."""
+        pays its log record. A malloc run's app pointers are ``addrs``,
+        or fresh virtual ones while virtualizing."""
         n = len(addrs)
+        vaddrs = addrs
+        if self.virtualize_addresses and op == "malloc":
+            vaddrs = self._expose_run(addrs, nbytes)
         if not n:
-            return
+            return vaddrs
         log = self.log
         log.records.append(_new_tuple(RunRecord, (
             op, nbytes, (addrs,) if type(addrs) is range else as_ranges(addrs),
             device,
         )))
         log.extra_calls += n - 1
-        name = _RUN_CALLS[op]
+        name = _RUN_CALLS[op][0]
         proc = self.process
         log_ns = self.costs.log_record_ns
         if self.tracer is not None:
             for _ in range(n):
                 self._dispatch(name)
                 proc.clock_ns += log_ns
-            return
+            return vaddrs
         self.call_counter[name] += n
         proc.fs_switch_count += 2 * n
         if not proc.fsgsbase:
@@ -224,12 +231,14 @@ class CracBackend(CudaDispatchBase):
         coordinator = self.coordinator
         if coordinator is not None and coordinator.trigger_at_call is not None:
             coordinator.notify_calls(n)
+        return vaddrs
 
-    def _log_churn(self, nbytes: int, addrs: Sequence[int], device: int) -> None:
+    def _log_churn(self, nbytes: int, addrs: Sequence[int], device: int):
         """Log the churn pairs of :meth:`malloc_free_run`, one at each of
         ``addrs``: one :class:`ChurnRecord` per stretch of pairs at one
         address. The log alone: the pairs were counted and charged with
-        the fast-forwarded loop they stand for."""
+        the fast-forwarded loop they stand for. While virtualizing, each
+        pair's malloc takes a fresh virtual pointer that its free drops."""
         records = [
             _new_tuple(ChurnRecord, (nbytes, addr, device, len(list(pairs))))
             for addr, pairs in groupby(addrs)
@@ -237,19 +246,16 @@ class CracBackend(CudaDispatchBase):
         log = self.log
         log.records += records
         log.extra_calls += 2 * len(addrs) - len(records)
+        if self.virtualize_addresses:
+            self._virt_cursor += len(addrs) * ((nbytes + 0xFFF) & ~0xFFF)
+        return addrs
 
     # -- address virtualization (§3.2.4 future work) -------------------------
 
-    def _expose(self, real_addr: int, nbytes: int) -> int:
-        """Hand the app a fresh virtual pointer for a real allocation
-        (called only with :attr:`virtualize_addresses` on)."""
-        vaddr = self._virt_cursor
-        self._virt_cursor += (nbytes + 0xFFF) & ~0xFFF
-        self._v2r[vaddr] = real_addr
-        return vaddr
-
     def _expose_run(self, real_addrs: Sequence[int], nbytes: int) -> range:
-        """:meth:`_expose` for each of a run of equal allocations."""
+        """Hand the app a fresh virtual pointer for each of a run of
+        equal allocations (called only with :attr:`virtualize_addresses`
+        on), as :meth:`_log` does for one."""
         step = (nbytes + 0xFFF) & ~0xFFF
         start = self._virt_cursor
         self._virt_cursor += step * len(real_addrs)
@@ -257,171 +263,12 @@ class CracBackend(CudaDispatchBase):
         self._v2r.update(zip(vaddrs, real_addrs))
         return vaddrs
 
-    def _to_real(self, addr):
-        """Translate an app pointer to the library's real address."""
-        if not self.virtualize_addresses or not isinstance(addr, int):
-            return addr
-        return self._v2r.get(addr, addr)
-
     def patch_translation(self, moved: dict[int, int]) -> None:
         """Rebind virtual pointers after a non-strict replay moved the
         underlying real allocations ("patching application locations
         containing the addresses", §3.2.4)."""
         for v, r in list(self._v2r.items()):
             self._v2r[v] = moved.get(r, r)
-
-    # -- interposed cudaMalloc family -------------------------------------------
-    # Each entry point dispatches, calls the library and logs inline
-    # (the same steps as the base class's method plus the log record),
-    # and skips pointer translation unless virtualization is on.
-
-    def malloc(self, nbytes: int) -> int:
-        self._dispatch("cudaMalloc", payload_bytes=16)
-        runtime = self.runtime
-        addr = runtime.cudaMalloc(nbytes)
-        self._log("malloc", nbytes, addr, runtime.current_device)
-        return self._expose(addr, nbytes) if self.virtualize_addresses else addr
-
-    def free(self, addr: int) -> None:
-        # Managed pointers route through cudaFree as in real CUDA; log
-        # them distinctly so replay uses the right entry point.
-        real = self._to_real(addr) if self.virtualize_addresses else addr
-        runtime = self.runtime
-        # The managed arena holds exactly the live managed allocations.
-        active = runtime._managed_alloc.active
-        is_managed = real in active.rows or active.pieces and real in active
-        self._dispatch("cudaFree", payload_bytes=8)
-        runtime.cudaFree(real)
-        self._v2r.pop(addr, None)
-        self._log("free_managed" if is_managed else "free", 0, real)
-
-    def malloc_run(self, nbytes: int, n: int) -> Sequence[int]:
-        # The runtime makes the run in bulk and _log_run accounts it, in
-        # one crossing while no checkpoint is armed inside the run; a
-        # call the bulk path does not take (the one an armed checkpoint
-        # fires at, or one that raises) goes through malloc.
-        parts: list[Sequence[int]] = []
-        done = 0
-        while done < n:
-            k = n - done
-            coordinator = self.coordinator
-            if coordinator is not None and coordinator.trigger_at_call is not None:
-                k = min(k, coordinator.calls_before_trigger())
-            runtime = self.runtime
-            made = runtime.malloc_run(nbytes, k) if k else []
-            self._log_run("malloc", nbytes, made, runtime.current_device)
-            if self.virtualize_addresses:
-                made = self._expose_run(made, nbytes)
-            parts.append(made)
-            done += len(made)
-            if done < n:
-                parts.append([self.malloc(nbytes)])
-                done += 1
-        if len(parts) == 1:
-            return parts[0]
-        return [addr for part in parts for addr in part]
-
-    def free_run(self, addrs: Sequence[int]) -> None:
-        # As malloc_run: managed and pinned pointers, and anything
-        # cudaFree rejects, go through free. A range stays a range.
-        if type(addrs) is not range:
-            addrs = list(addrs)
-        v2r = self._v2r
-        done, n = 0, len(addrs)
-        while done < n:
-            k = n - done
-            coordinator = self.coordinator
-            if coordinator is not None and coordinator.trigger_at_call is not None:
-                k = min(k, coordinator.calls_before_trigger())
-            part = addrs[done:done + k]
-            reals = [v2r.get(a, a) for a in part] if v2r else part
-            freed = self.runtime.free_run(reals) if k else 0
-            if v2r:
-                for addr in part[:freed]:
-                    v2r.pop(addr, None)
-            self._log_run("free", 0, reals if freed == k else reals[:freed])
-            done += freed
-            if done < n:
-                self.free(addrs[done])
-                done += 1
-
-    def malloc_free_run(self, nbytes: int, n: int) -> list[int]:
-        # State only, as the base class, plus the log: the pairs'
-        # records, and one fresh virtual pointer per malloc, dropped by
-        # its free.
-        addrs = super().malloc_free_run(nbytes, n)
-        self._log_churn(nbytes, addrs, self.runtime.current_device)
-        if self.virtualize_addresses:
-            self._virt_cursor += len(addrs) * ((nbytes + 0xFFF) & ~0xFFF)
-        return addrs
-
-    def malloc_host(self, nbytes: int) -> int:
-        self._dispatch("cudaMallocHost", payload_bytes=16)
-        addr = self.runtime.cudaMallocHost(nbytes)
-        self._log("malloc_host", nbytes, addr)
-        return self._expose(addr, nbytes) if self.virtualize_addresses else addr
-
-    def host_alloc(self, nbytes: int, flags: int = 0) -> int:
-        self._dispatch("cudaHostAlloc", payload_bytes=16)
-        addr = self.runtime.cudaHostAlloc(nbytes, flags)
-        self._log("host_alloc", nbytes, addr)
-        return self._expose(addr, nbytes) if self.virtualize_addresses else addr
-
-    def free_host(self, addr: int) -> None:
-        real = self._to_real(addr) if self.virtualize_addresses else addr
-        self._dispatch("cudaFreeHost", payload_bytes=8)
-        self.runtime.cudaFreeHost(real)
-        self._v2r.pop(addr, None)
-        self._log("free_host", 0, real)
-
-    def malloc_managed(self, nbytes: int) -> int:
-        self._dispatch("cudaMallocManaged", payload_bytes=16)
-        addr = self.runtime.cudaMallocManaged(nbytes)
-        self._log("malloc_managed", nbytes, addr)
-        return self._expose(addr, nbytes) if self.virtualize_addresses else addr
-
-    # -- translated data-path entry points ---------------------------------------
-
-    def memcpy(self, dst, src, nbytes, kind, **kw):
-        if self.virtualize_addresses:
-            dst, src = self._to_real(dst), self._to_real(src)
-        super().memcpy(dst, src, nbytes, kind, **kw)
-
-    def memset(self, addr, value, nbytes, **kw):
-        if self.virtualize_addresses:
-            addr = self._to_real(addr)
-        super().memset(addr, value, nbytes, **kw)
-
-    def launch(self, name, fn=None, *, managed=(), **kw):
-        if self.virtualize_addresses:
-            from repro.cuda.api import ManagedUse
-
-            managed = [
-                ManagedUse(self._to_real(u.addr), u.offset, u.nbytes, u.mode)
-                for u in managed
-            ]
-        return super().launch(name, fn, managed=managed, **kw)
-
-    def mem_prefetch(self, addr, nbytes, **kw):
-        super().mem_prefetch(self._to_real(addr), nbytes, **kw)
-
-    def memcpy_peer(self, dst, src, nbytes, **kw):
-        super().memcpy_peer(self._to_real(dst), self._to_real(src), nbytes, **kw)
-
-    def pointer_get_attributes(self, addr):
-        return super().pointer_get_attributes(self._to_real(addr))
-
-    def device_view(self, addr, nbytes, dtype=None, offset: int = 0):
-        return super().device_view(
-            self._to_real(addr), nbytes, dtype if dtype is not None else np.uint8,
-            offset,
-        )
-
-    def managed_view(self, addr, nbytes, dtype=None, offset: int = 0):
-        return super().managed_view(
-            self._to_real(addr), nbytes, dtype if dtype is not None else np.uint8,
-            offset,
-        )
 
     # -- interposed registration (§3.2.5) -------------------------------------------
 

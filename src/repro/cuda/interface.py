@@ -18,18 +18,22 @@ upper→lower calls. A kernel launch counts as **three** calls
 counter (:func:`repro.harness.metrics.total_calls_formula` recomputes it
 the paper's way).
 
-A run of allocation calls has its own entry points:
-:meth:`~CudaDispatchBase.malloc_run` makes ``n`` equal ``cudaMalloc``
-calls and :meth:`~CudaDispatchBase.free_run` frees a sequence in order
-(a ``range`` as ``malloc_run`` returns it stays one). They
-count, charge and fail exactly as the per-call loop does. The base class
-makes that loop, which the proxies keep; the native and CRAC backends
-cross once per run, and drop to the per-call entry points for a call the
-bulk path does not take (see :meth:`CudaDispatchBase._run`).
+The cudaMalloc family is written once, in the base class: each entry
+point dispatches, calls the library and then one hook, which returns the
+address the app sees (:meth:`~CudaDispatchBase._log` after one call,
+``_log_run`` after a run, ``_log_churn`` after churn pairs). The hooks
+are the only place the backends differ. A run of allocation calls has
+its own entry points: :meth:`~CudaDispatchBase.malloc_run` makes ``n``
+equal ``cudaMalloc`` calls and :meth:`~CudaDispatchBase.free_run` frees
+a sequence in order (a ``range`` as ``malloc_run`` returns it stays
+one). The runtime makes a run in bulk; they count, charge and fail
+exactly as the per-call loop does.
 :meth:`~CudaDispatchBase.malloc_free_run` is state only: it makes the
 ``cudaMalloc`` + ``cudaFree`` pairs of a fast-forwarded loop (allocation
 churn, whose count and cost :class:`repro.apps.base.TimedLoop` already
-extrapolated), and counts and charges nothing.
+extrapolated), and counts and charges nothing. An entry point taking a
+pointer translates it through ``_v2r`` only while that map is not empty
+(CRAC's address virtualization).
 """
 
 from __future__ import annotations
@@ -47,15 +51,19 @@ from repro.gpu.timing import DEFAULT_HOST_COSTS, HostCosts
 #: Size of the marshalled argument block of one kernel launch (grid/block
 #: dims + parameter buffer) — what a proxy must ship per launch.
 LAUNCH_ARG_BYTES = 256
+#: the entry point a run's calls are counted under, and its payload
+_RUN_CALLS = {"malloc": ("cudaMalloc", 16), "free": ("cudaFree", 8)}
 
 
 class CudaDispatchBase:
     """Shared implementation of the app-facing API.
 
-    Subclasses implement :meth:`_charge_call` (per-call dispatch cost) and
-    may hook individual methods (CRAC logs the cudaMalloc family; proxies
-    ship buffers). CRAC's trampoline overrides :meth:`_dispatch` and
-    :meth:`_dispatch_batch` whole instead, so a crossing is one frame.
+    Subclasses implement :meth:`_charge_call` (per-call dispatch cost),
+    log the cudaMalloc family through :meth:`_log`, :meth:`_log_run` and
+    :meth:`_log_churn`, and may hook individual methods (CRAC tracks
+    handles; proxies ship buffers). CRAC's trampoline overrides
+    :meth:`_dispatch` and :meth:`_dispatch_batch` whole instead, so a
+    crossing is one frame.
     """
 
     mode = "abstract"
@@ -77,6 +85,13 @@ class CudaDispatchBase:
         #: fault-domain ladder (:class:`repro.core.fault_domain.FaultDomain`)
         #: guarding runtime calls, or None (faults propagate raw).
         self.recovery = None
+        #: DMTCP coordinator a checkpoint armed at a call index fires
+        #: through (CRAC's session wires one), or None
+        self.coordinator = None
+        #: app pointer -> the library's address; empty unless CRAC
+        #: virtualizes addresses (§3.2.4), so every entry point taking a
+        #: pointer translates only ``if self._v2r``
+        self._v2r: dict[int, int] = {}
 
     def _invoke(self, kind: str, thunk, *, sync_scope=None):
         """Run one runtime call through the fault-domain ladder.
@@ -121,20 +136,16 @@ class CudaDispatchBase:
         ship_out: Sequence[int] = (),
     ) -> None:
         self.call_counter[name] += 1
-        tracer = self.tracer
-        if tracer is None:
-            self._charge_call(
-                name, payload_bytes=payload_bytes, ship_in=ship_in, ship_out=ship_out
-            )
-            return
         t0 = self.process.clock_ns
         self._charge_call(
             name, payload_bytes=payload_bytes, ship_in=ship_in, ship_out=ship_out
         )
-        t1 = self.process.clock_ns
-        tracer.on_api_call(
-            name, t0, t1, trampoline_ns=self._trampoline_ns(t1 - t0), mode=self.mode
-        )
+        tracer = self.tracer
+        if tracer is not None:
+            t1 = self.process.clock_ns
+            tracer.on_api_call(
+                name, t0, t1, trampoline_ns=self._trampoline_ns(t1 - t0), mode=self.mode
+            )
 
     def _dispatch_batch(
         self, calls: Sequence[tuple[str, int, Sequence[int], Sequence[int]]]
@@ -204,36 +215,108 @@ class CudaDispatchBase:
 
     # -- memory ----------------------------------------------------------------
 
+    def _log(self, op: str, nbytes: int, addr: int, device: int) -> int:
+        """Hook after one cudaMalloc-family call; returns the app's
+        address. Here it logs nothing."""
+        return addr
+
+    def _log_run(self, op: str, nbytes: int, addrs: Sequence[int], device: int):
+        """Hook after the runtime made ``len(addrs)`` ``op`` calls in
+        bulk; returns the app's addresses. It counts and charges them as
+        one :meth:`malloc` or :meth:`free` each would: here with one
+        :meth:`_dispatch` each (a proxy's RPC)."""
+        name, payload = _RUN_CALLS[op]
+        for _ in addrs:
+            self._dispatch(name, payload_bytes=payload)
+        return addrs
+
+    def _log_churn(self, nbytes: int, addrs: Sequence[int], device: int):
+        """Hook after :meth:`malloc_free_run` made a pair at each of
+        ``addrs``; returns them. Here it logs nothing."""
+        return addrs
+
+    def _to_real(self, addr):
+        """The library's address for app pointer ``addr``."""
+        return self._v2r.get(addr, addr) if isinstance(addr, int) else addr
+
     def malloc(self, nbytes: int) -> int:
         """cudaMalloc: allocate device memory."""
         self._dispatch("cudaMalloc", payload_bytes=16)
-        return self.runtime.cudaMalloc(nbytes)
+        runtime = self.runtime
+        addr = runtime.cudaMalloc(nbytes)
+        return self._log("malloc", nbytes, addr, runtime.current_device)
 
     def free(self, addr: int) -> None:
         """cudaFree: release device (or managed) memory."""
+        v2r = self._v2r
+        real = v2r.get(addr, addr) if v2r else addr
+        runtime = self.runtime
+        # Managed pointers route through cudaFree as in real CUDA; the log
+        # names them apart (the managed arena holds the live ones).
+        active = runtime._managed_alloc.active
+        is_managed = real in active.rows or active.pieces and real in active
         self._dispatch("cudaFree", payload_bytes=8)
-        self.runtime.cudaFree(addr)
+        runtime.cudaFree(real)
+        if v2r:
+            v2r.pop(addr, None)
+        self._log("free_managed" if is_managed else "free", 0, real, 0)
 
     def malloc_run(self, nbytes: int, n: int) -> Sequence[int]:
         """``n`` back-to-back cudaMalloc(nbytes) calls; their addresses.
 
         The same calls, counts, virtual time, state and errors as ``n``
-        :meth:`malloc` calls. This default makes exactly those calls;
-        the native and CRAC backends cross once for the whole run and
-        return a ``range`` when one free block held it (the runtime
-        then keeps it as one row of each table).
+        :meth:`malloc` calls. The runtime makes the run in bulk (a
+        ``range`` when one free block held it) and :meth:`_log_run`
+        accounts it; a call the bulk path does not take (the one an
+        armed checkpoint fires at, or one that raises) goes through
+        :meth:`malloc`.
         """
-        return [self.malloc(nbytes) for _ in range(n)]
+        parts: list[Sequence[int]] = []
+        done = 0
+        while done < n:
+            # A run stops short of the call an armed checkpoint fires at.
+            k = n - done
+            coordinator = self.coordinator
+            if coordinator is not None and coordinator.trigger_at_call is not None:
+                k = min(k, coordinator.calls_before_trigger())
+            runtime = self.runtime
+            made = runtime.malloc_run(nbytes, k) if k else []
+            parts.append(self._log_run("malloc", nbytes, made, runtime.current_device))
+            done += len(made)
+            if done < n:
+                parts.append([self.malloc(nbytes)])
+                done += 1
+        if len(parts) == 1:
+            return parts[0]
+        return [addr for part in parts for addr in part]
 
     def free_run(self, addrs: Sequence[int]) -> None:
         """Back-to-back cudaFree calls on ``addrs``, in order: the same
-        as one :meth:`free` per address (see :meth:`malloc_run`). The
-        native and CRAC backends free a ``range`` that :meth:`malloc_run`
-        returned in one crossing, one row of each table."""
-        for addr in addrs:
-            self.free(addr)
+        as one :meth:`free` per address (see :meth:`malloc_run`);
+        managed and pinned pointers, and anything cudaFree rejects, go
+        through :meth:`free`."""
+        if type(addrs) is not range:
+            addrs = list(addrs)
+        v2r = self._v2r
+        done, n = 0, len(addrs)
+        while done < n:
+            k = n - done
+            coordinator = self.coordinator
+            if coordinator is not None and coordinator.trigger_at_call is not None:
+                k = min(k, coordinator.calls_before_trigger())
+            part = addrs[done:done + k]
+            reals = [v2r.get(a, a) for a in part] if v2r else part
+            freed = self.runtime.free_run(reals) if k else 0
+            if v2r:
+                for addr in part[:freed]:
+                    v2r.pop(addr, None)
+            self._log_run("free", 0, reals if freed == k else reals[:freed], 0)
+            done += freed
+            if done < n:
+                self.free(addrs[done])
+                done += 1
 
-    def malloc_free_run(self, nbytes: int, n: int) -> list[int]:
+    def malloc_free_run(self, nbytes: int, n: int) -> Sequence[int]:
         """The state of ``n`` back-to-back cudaMalloc(nbytes) + cudaFree
         pairs, each freeing the pointer its malloc returned; the address
         of each pair.
@@ -241,49 +324,43 @@ class CudaDispatchBase:
         The pairs are a fast-forwarded loop's churn, whose count and
         cost were extrapolated with the rest of the loop, so nothing is
         counted or charged here: the library ends as the pairs made
-        through its entry points leave it. The pairs are made all at
-        once or not at all; where the first would raise, ``cudaMalloc``
-        raises its error.
+        through its entry points leave it, and :meth:`_log_churn` logs
+        them. The pairs are made all at once or not at all; where the
+        first would raise, ``cudaMalloc`` raises its error.
         """
         runtime = self.runtime
         addrs = runtime.malloc_free_run(nbytes, n)
         if not addrs and n > 0:
             runtime.cudaMalloc(nbytes)  # raises the first pair's error
-        return addrs
-
-    def _run(self, n: int, bulk: Callable[[int, int], int],
-             one: Callable[[int], None]) -> None:
-        """Make calls ``0..n-1`` of a run: ``bulk(i, k)`` makes up to
-        ``k`` calls from ``i`` on at once and returns how many it made;
-        ``one(i)`` makes call ``i`` alone, through its per-call entry
-        point, where the bulk path stopped short (the call raises there,
-        or is one the bulk path does not take)."""
-        done = 0
-        while done < n:
-            done += bulk(done, n - done)
-            if done < n:
-                one(done)
-                done += 1
+        return self._log_churn(nbytes, addrs, runtime.current_device)
 
     def malloc_host(self, nbytes: int) -> int:
         """cudaMallocHost: allocate pinned host memory."""
         self._dispatch("cudaMallocHost", payload_bytes=16)
-        return self.runtime.cudaMallocHost(nbytes)
+        addr = self.runtime.cudaMallocHost(nbytes)
+        return self._log("malloc_host", nbytes, addr, 0)
 
     def host_alloc(self, nbytes: int, flags: int = 0) -> int:
         """cudaHostAlloc: allocate pinned host memory (re-registered, not replayed, at restart)."""
         self._dispatch("cudaHostAlloc", payload_bytes=16)
-        return self.runtime.cudaHostAlloc(nbytes, flags)
+        addr = self.runtime.cudaHostAlloc(nbytes, flags)
+        return self._log("host_alloc", nbytes, addr, 0)
 
     def free_host(self, addr: int) -> None:
         """cudaFreeHost: release pinned host memory."""
+        v2r = self._v2r
+        real = v2r.get(addr, addr) if v2r else addr
         self._dispatch("cudaFreeHost", payload_bytes=8)
-        self.runtime.cudaFreeHost(addr)
+        self.runtime.cudaFreeHost(real)
+        if v2r:
+            v2r.pop(addr, None)
+        self._log("free_host", 0, real, 0)
 
     def malloc_managed(self, nbytes: int) -> int:
         """cudaMallocManaged: allocate UVM managed memory."""
         self._dispatch("cudaMallocManaged", payload_bytes=16)
-        return self.runtime.cudaMallocManaged(nbytes)
+        addr = self.runtime.cudaMallocManaged(nbytes)
+        return self._log("malloc_managed", nbytes, addr, 0)
 
     def memcpy(
         self,
@@ -298,6 +375,8 @@ class CudaDispatchBase:
         src_offset: int = 0,
     ) -> None:
         """cudaMemcpy(Async): copy between host and device ends."""
+        if self._v2r:
+            dst, src = self._to_real(dst), self._to_real(src)
         name = "cudaMemcpyAsync" if async_ else "cudaMemcpy"
         # Host-side payload crosses the dispatch boundary for h2d/d2h.
         payload = nbytes if kind in ("h2d", "d2h") else 32
@@ -309,14 +388,8 @@ class CudaDispatchBase:
             )
             return
         self._invoke("copy", lambda: self.runtime.cudaMemcpy(
-            dst,
-            src,
-            nbytes,
-            kind,
-            stream=stream,
-            async_=async_,
-            dst_offset=dst_offset,
-            src_offset=src_offset,
+            dst, src, nbytes, kind, stream=stream, async_=async_,
+            dst_offset=dst_offset, src_offset=src_offset,
         ))
 
     def memset(
@@ -329,6 +402,8 @@ class CudaDispatchBase:
         async_: bool = False,
     ) -> None:
         """cudaMemset(Async): fill a buffer with a byte value."""
+        if self._v2r:
+            addr = self._to_real(addr)
         self._dispatch("cudaMemsetAsync" if async_ else "cudaMemset", payload_bytes=24)
         if self.recovery is None:
             self.runtime.cudaMemset(
@@ -355,7 +430,10 @@ class CudaDispatchBase:
         arg_bytes: int = LAUNCH_ARG_BYTES,
     ) -> int:
         """Launch a kernel. Counts as three upper→lower calls (eq. 2)."""
-        managed = list(managed)
+        managed = [
+            ManagedUse(self._to_real(u.addr), u.offset, u.nbytes, u.mode)
+            for u in managed
+        ] if self._v2r else list(managed)
         ship = self._launch_ship_buffers(managed)
         self._dispatch_batch((
             ("cudaPushCallConfiguration", 32, (), ()),
@@ -368,14 +446,8 @@ class CudaDispatchBase:
                 stream=stream, managed=managed, duration_ns=duration_ns,
             )
         return self._invoke("kernel", lambda: self.runtime.cudaLaunchKernel(
-            name,
-            fn,
-            args=args,
-            flop=flop,
-            bytes_touched=bytes_touched,
-            stream=stream,
-            managed=managed,
-            duration_ns=duration_ns,
+            name, fn, args=args, flop=flop, bytes_touched=bytes_touched,
+            stream=stream, managed=managed, duration_ns=duration_ns,
         ))
 
     def _launch_ship_buffers(self, managed: Iterable[ManagedUse]) -> Sequence[int]:
@@ -494,6 +566,8 @@ class CudaDispatchBase:
 
     def memcpy_peer(self, dst: int, src: int, nbytes: int, *, stream=None) -> None:
         """cudaMemcpyPeer: cross-GPU device copy."""
+        if self._v2r:
+            dst, src = self._to_real(dst), self._to_real(src)
         self._dispatch("cudaMemcpyPeer", payload_bytes=40)
         self.runtime.cudaMemcpyPeer(dst, src, nbytes, stream=stream)
 
@@ -504,6 +578,8 @@ class CudaDispatchBase:
 
     def pointer_get_attributes(self, addr: int) -> dict:
         """cudaPointerGetAttributes: UVA pointer introspection."""
+        if self._v2r:
+            addr = self._to_real(addr)
         self._dispatch("cudaPointerGetAttributes", payload_bytes=48)
         return self.runtime.cudaPointerGetAttributes(addr)
 
@@ -527,6 +603,8 @@ class CudaDispatchBase:
         offset: int = 0,
     ) -> None:
         """cudaMemPrefetchAsync: migrate managed pages ahead of use."""
+        if self._v2r:
+            addr = self._to_real(addr)
         self._dispatch("cudaMemPrefetchAsync", payload_bytes=32)
         self._invoke("copy", lambda: self.runtime.cudaMemPrefetchAsync(
             addr, nbytes, to_device=to_device, stream=stream, offset=offset
@@ -536,10 +614,14 @@ class CudaDispatchBase:
 
     def device_view(self, addr: int, nbytes: int, dtype=np.uint8, offset: int = 0):
         """Simulation accessor: writable numpy view of a buffer's bytes."""
+        if self._v2r:
+            addr = self._to_real(addr)
         return self.runtime.device_view(addr, nbytes, dtype, offset)
 
     def managed_view(self, addr: int, nbytes: int, dtype=np.uint8, offset: int = 0):
         """Simulation accessor: host-side view of managed memory (faults pages back)."""
+        if self._v2r:
+            addr = self._to_real(addr)
         return self.runtime.managed_view(addr, nbytes, dtype, offset)
 
 
@@ -561,40 +643,11 @@ class NativeBackend(CudaDispatchBase):
     def _charge_batch(self, calls) -> None:
         self.process.advance(len(calls) * self.costs.native_dispatch_ns)
 
-    def _charge_run(self, name: str, n: int) -> None:
-        """Count and charge ``n`` calls of ``name`` made in bulk, as ``n``
-        :meth:`_dispatch` calls would; traced, each call still gets its
-        own span."""
-        if not n:
-            return
+    def _log_run(self, op, nbytes, addrs, device):
+        # One n * per_call charge; traced, each call gets its own span.
         if self.tracer is not None:
-            for _ in range(n):
-                self._dispatch(name)
-            return
-        self.call_counter[name] += n
-        self.process.clock_ns += n * self.costs.native_dispatch_ns
-
-    def malloc_run(self, nbytes: int, n: int) -> Sequence[int]:
-        parts: list[Sequence[int]] = []
-
-        def bulk(i: int, k: int) -> int:
-            made = self.runtime.malloc_run(nbytes, k)
-            self._charge_run("cudaMalloc", len(made))
-            parts.append(made)
-            return len(made)
-
-        self._run(n, bulk, lambda i: parts.append([self.malloc(nbytes)]))
-        if len(parts) == 1:
-            return parts[0]
-        return [addr for part in parts for addr in part]
-
-    def free_run(self, addrs: Sequence[int]) -> None:
-        if type(addrs) is not range:
-            addrs = list(addrs)
-
-        def bulk(i: int, k: int) -> int:
-            freed = self.runtime.free_run(addrs[i:i + k])
-            self._charge_run("cudaFree", freed)
-            return freed
-
-        self._run(len(addrs), bulk, lambda i: self.free(addrs[i]))
+            return super()._log_run(op, nbytes, addrs, device)
+        if addrs:
+            self.call_counter[_RUN_CALLS[op][0]] += len(addrs)
+            self.process.clock_ns += len(addrs) * self.costs.native_dispatch_ns
+        return addrs

@@ -59,39 +59,25 @@ class CrumBackend(CudaDispatchBase):
         #: proxy (CRUM's log-and-replay, inherited from CheCUDA's design)
         self.resource_log = ReplayLog()
 
-    # -- resource logging (for CrumCheckpointer) ---------------------------------
+    # -- resource logging (for CrumCheckpointer): the family's hooks ----------
 
-    def malloc(self, nbytes: int) -> int:
-        addr = super().malloc(nbytes)
-        self.resource_log.record("malloc", nbytes, addr)
+    def _log(self, op, nbytes, addr, device):
+        self.resource_log.record(op, nbytes, addr)
         return addr
 
-    def free(self, addr: int) -> None:
-        is_managed = self.runtime.kind_of(addr) == "managed"
-        super().free(addr)
-        self.resource_log.record("free_managed" if is_managed else "free", 0, addr)
+    def _log_run(self, op, nbytes, addrs, device):
+        super()._log_run(op, nbytes, addrs, device)  # one RPC per call
+        record = self.resource_log.record
+        for addr in addrs:
+            record(op, nbytes, addr)
+        return addrs
 
-    def malloc_free_run(self, nbytes: int, n: int) -> list[int]:
-        addrs = super().malloc_free_run(nbytes, n)
+    def _log_churn(self, nbytes, addrs, device):
         record = self.resource_log.record
         for addr in addrs:
             record("malloc", nbytes, addr)
             record("free", 0, addr)
         return addrs
-
-    def malloc_host(self, nbytes: int) -> int:
-        addr = super().malloc_host(nbytes)
-        self.resource_log.record("malloc_host", nbytes, addr)
-        return addr
-
-    def free_host(self, addr: int) -> None:
-        super().free_host(addr)
-        self.resource_log.record("free_host", 0, addr)
-
-    def malloc_managed(self, nbytes: int) -> int:
-        addr = super().malloc_managed(nbytes)
-        self.resource_log.record("malloc_managed", nbytes, addr)
-        return addr
 
     # -- dispatch cost ----------------------------------------------------------
 

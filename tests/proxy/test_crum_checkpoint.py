@@ -60,6 +60,23 @@ class TestCrumCheckpoint:
         for i, p in enumerate(ptrs):
             assert (p in fresh.runtime.allocations) == (i != 2)
 
+    def test_host_alloc_freed_before_a_malloc_restarts(self):
+        """A ``cudaHostAlloc`` buffer is logged as well as its free, so
+        replay skips the pair and the next malloc lands where it did."""
+        split, backend = make_crum(seed=85)
+        che = CrumCheckpointer(backend)
+        pinned = backend.host_alloc(4096)
+        backend.free_host(pinned)
+        p = backend.malloc(4096)
+        backend.device_view(p, 4)[:] = np.frombuffer(b"crum", np.uint8)
+        image = che.checkpoint()
+        fresh = SplitProcess(seed=85)
+        che.restart(image, fresh.runtime)
+        assert list(fresh.runtime.allocations) == [p]
+        assert backend.device_view(p, 4).tobytes() == b"crum"
+        ops = [e.op for e in backend.resource_log.entries]
+        assert ops == ["host_alloc", "free_host", "malloc"]
+
 
 class TestCracVsCrumCheckpointCosts:
     def test_crac_drains_cheaper_than_crum(self):
