@@ -272,6 +272,7 @@ class DmtcpCheckpointer:
                             tag=region.tag,
                             pages=pages,
                             incremental=incremental,
+                            fresh=incremental and region.fresh,
                         )
                     )
             image.record_region_capture(
@@ -328,7 +329,9 @@ class DmtcpCheckpointer:
         are the layout (what was mapped, with which permissions, at the
         last cut), and every link's pages fill it by absolute page
         number, a later link overwriting an earlier one. A page outside
-        the layout (its range was unmapped since) is dropped. The layout
+        the layout (its range was unmapped since) is dropped, and so is
+        an older link's page inside a link's fresh region (its range was
+        mapped again since, and reads as the new mapping's). The layout
         is then mapped in one pass, each region with its pages.
 
         Returns the virtual-time cost (the caller — CRAC's restart
@@ -347,8 +350,11 @@ class DmtcpCheckpointer:
                     region_bytes += sum(map(len, pages.values()))
                 else:
                     region_bytes += saved.size
+                first = saved.start // PAGE_SIZE
+                if saved.fresh:
+                    for number in range(first, first + saved.size // PAGE_SIZE):
+                        filled.pop(number, None)
                 if pages:
-                    first = saved.start // PAGE_SIZE
                     filled.update(zip(map(first.__add__, pages), pages.values()))
             size_bytes = region_bytes + img.blob_bytes
             cost += transfer_ns(size_bytes, costs.ckpt_read_bw)

@@ -35,7 +35,9 @@ class SavedRegion:
 
     For incremental images ``pages`` holds only the pages dirtied since
     the parent checkpoint; ``size`` is always the full virtual size so
-    restore can recreate the mapping.
+    restore can recreate the mapping. ``fresh`` marks an incremental
+    region whose range was mapped since the parent cut: restore fills
+    it from this link and later ones only, never from an older link.
     """
 
     start: int
@@ -44,6 +46,7 @@ class SavedRegion:
     tag: str
     pages: dict[int, bytes]
     incremental: bool = False
+    fresh: bool = False
 
     @property
     def backed_bytes(self) -> int:
@@ -56,7 +59,8 @@ class SavedRegion:
         re-verifies it at restore, so a single flipped byte is caught
         before it reaches the restored address space.
         """
-        crc = zlib.crc32(f"{self.start:x}:{self.size:x}:{self.perms}".encode())
+        fresh = ":fresh" if self.fresh else ""
+        crc = zlib.crc32(f"{self.start:x}:{self.size:x}:{self.perms}{fresh}".encode())
         for pg in sorted(self.pages):
             crc = zlib.crc32(self.pages[pg], zlib.crc32(str(pg).encode(), crc))
         return crc

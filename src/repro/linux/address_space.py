@@ -80,9 +80,11 @@ class MemoryRegion:
         tag: free-form owner label (``"upper:heap"``, ``"lower:libcuda"``,
             ``"[stack]"`` ...). The first colon-separated component is the
             conventional *half* owner used by the loader and CRAC.
+        fresh: mapped since the last checkpoint that captured it
+            committed (no older image holds its bytes); see :meth:`clear_dirty`.
     """
 
-    __slots__ = ("start", "size", "perms", "tag", "_pages", "_dirty_epoch", "_write_seq")
+    __slots__ = ("start", "size", "perms", "tag", "fresh", "_pages", "_dirty_epoch", "_write_seq")
 
     def __init__(self, start: int, size: int, perms: str, tag: str) -> None:
         if start % PAGE_SIZE or size % PAGE_SIZE or size <= 0:
@@ -95,6 +97,7 @@ class MemoryRegion:
         self.size = size
         self.perms = perms
         self.tag = tag
+        self.fresh = False
         self._pages: dict[int, bytearray] = {}
         #: page index → epoch of its last write (see :attr:`write_seq`) —
         #: the soft-dirty tracking incremental checkpointing relies on.
@@ -186,14 +189,15 @@ class MemoryRegion:
             else:
                 right._dirty_epoch[pg - cut_pg] = epoch
         left._write_seq = right._write_seq = self._write_seq
+        left.fresh = right.fresh = self.fresh
         return left, right
 
     def copy(self) -> "MemoryRegion":
         """A region equal to this one that shares no page with it: the
         same extent, owner, pages, dirty bits and write counter."""
         twin = MemoryRegion.__new__(MemoryRegion)
-        twin.start, twin.size, twin.perms, twin.tag = (
-            self.start, self.size, self.perms, self.tag
+        twin.start, twin.size, twin.perms, twin.tag, twin.fresh = (
+            self.start, self.size, self.perms, self.tag, self.fresh
         )
         pages = self._pages
         twin._pages = dict(zip(pages, map(bytearray, pages.values())))
@@ -225,7 +229,9 @@ class MemoryRegion:
         write precedes the snapshot — a page the image captured but the
         app re-wrote while the (forked) write was still in flight keeps
         its dirty bit, so the next incremental cut saves the new bytes.
+        The region is no longer :attr:`fresh`: the image holds it.
         """
+        self.fresh = False
         if pages is None:
             self._dirty_epoch.clear()
             return
@@ -342,6 +348,7 @@ class VirtualAddressSpace:
         else:
             start = self._place(size, hint=addr, window=window)
         region = MemoryRegion(start, size, perms, tag)
+        region.fresh = True
         self._insert(region)
         return start
 

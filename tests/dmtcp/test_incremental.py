@@ -155,6 +155,20 @@ class TestIncrementalRestore:
         fresh = _restore_after(proc, change)
         assert _mapped(fresh) == _mapped(proc)
 
+    def test_range_mapped_again_after_base_reads_as_the_new_mapping(self, proc):
+        remapped = []
+
+        def change(proc, a, b):
+            proc.vas.munmap(a, 4 * PAGE_SIZE)
+            proc.vas.mmap(4 * PAGE_SIZE, a, fixed=True, tag="upper:a")
+            proc.vas.write(a, b"new0")
+            remapped.append(a)
+
+        fresh = _restore_after(proc, change)
+        page1 = remapped[0] + PAGE_SIZE
+        assert fresh.vas.read(page1, 4) == proc.vas.read(page1, 4) == bytes(4)
+        assert _mapped(fresh) == _mapped(proc)
+
 
 class TestCracIncremental:
     def test_crac_session_incremental_restart(self):
