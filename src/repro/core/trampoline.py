@@ -200,11 +200,11 @@ class CracBackend(CudaDispatchBase):
         pays its log record. A malloc run's app pointers are ``addrs``,
         or fresh virtual ones while virtualizing."""
         n = len(addrs)
+        if not n:
+            return addrs
         vaddrs = addrs
         if self.virtualize_addresses and op == "malloc":
             vaddrs = self._expose_run(addrs, nbytes)
-        if not n:
-            return vaddrs
         log = self.log
         log.records.append(_new_tuple(RunRecord, (
             op, nbytes, (addrs,) if type(addrs) is range else as_ranges(addrs),

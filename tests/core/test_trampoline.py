@@ -1,8 +1,11 @@
 """Tests for the CRAC trampoline backend: costs, logging, virtualization."""
 
+import pytest
+
 from repro.core import CracBackend, SplitProcess
 from repro.cuda.api import FatBinary
 from repro.cuda.interface import NativeBackend
+from repro.errors import CudaError
 from repro.gpu.timing import DEFAULT_HOST_COSTS
 from repro.linux.process import SYSCALL_NS, WRFSBASE_NS
 
@@ -95,6 +98,16 @@ class TestInterposition:
         backend.free(p1)
         active = backend.log.active_allocations()
         assert set(active) == {p2}
+
+    def test_invalid_run_raises_cuda_error_while_virtualizing(self):
+        split = SplitProcess(seed=2)
+        backend = CracBackend(split.runtime, virtualize_addresses=True)
+        with pytest.raises(CudaError) as run_error:
+            backend.malloc_run(0, 3)
+        with pytest.raises(CudaError) as call_error:
+            backend.malloc(0)
+        assert run_error.value.code == call_error.value.code
+        assert backend.call_counter["cudaMalloc"] == 2
 
 
 class TestFatbinVirtualization:
