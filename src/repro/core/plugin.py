@@ -364,6 +364,9 @@ class CracPlugin(DmtcpPlugin):
                 "image_bytes": contents.dirty_byte_count if delta else buf.size,
             }
             if is_managed:
+                # A numpy copy, unlike the snapshot's bytes spans: the
+                # images pickled on a hot path (a serving session's
+                # parks) hold device buffers only.
                 entry["residency"] = buf.residency.copy()
                 # Only device-resident pages cross PCIe at drain time.
                 entry["pcie_bytes"] = (

@@ -69,11 +69,11 @@ def _expand(record) -> Iterable[LogEntry]:
     return map(LogEntry._make, record.entries())
 
 
-@dataclass(repr=False)
+@dataclass(repr=False, slots=True)
 class ReplayLog:
     """Ordered log of allocation-family calls, as the records the
     trampoline wrote (module docstring). Its ``repr`` lists the calls,
-    however they are recorded."""
+    however they are recorded. Slotted: every image pickles a copy."""
 
     records: list = field(default_factory=list)
     #: calls the records hold beyond one each (a run record holds many)

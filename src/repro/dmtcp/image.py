@@ -15,9 +15,11 @@ from __future__ import annotations
 import pickle
 import zlib
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.errors import CheckpointError, CorruptCheckpointError
 from repro.linux.address_space import PAGE_SIZE
 
 if TYPE_CHECKING:
@@ -29,7 +31,7 @@ if TYPE_CHECKING:
     from repro.linux.address_space import MemoryRegion
 
 
-@dataclass
+@dataclass(slots=True)
 class SavedRegion:
     """One saved memory region (content + metadata).
 
@@ -38,6 +40,10 @@ class SavedRegion:
     restore can recreate the mapping. ``fresh`` marks an incremental
     region whose range was mapped since the parent cut: restore fills
     it from this link and later ones only, never from an older link.
+
+    Slotted, like every record that crosses a pickle (:class:`SavedBlob`,
+    :class:`CheckpointImage`, the replay log): pickling rebuilds no
+    instance ``__dict__`` for it, and the round trip stays in C.
     """
 
     start: int
@@ -66,7 +72,7 @@ class SavedRegion:
         return crc
 
 
-@dataclass
+@dataclass(slots=True)
 class SavedBlob:
     """A plugin-contributed payload.
 
@@ -79,7 +85,18 @@ class SavedBlob:
     accounted_bytes: int
 
 
-@dataclass
+#: The :class:`CheckpointImage` fields a pickle carries, in order; the
+#: rest are runtime-only (live dirty captures, the cut, the forked
+#: writer, the sanitizer hook) and come back at their defaults.
+_PERSISTED = (
+    "pid", "created_at_ns", "gzip", "regions", "blobs", "incremental",
+    "parent", "checkpoint_time_ns", "sealed_checksum", "speculative",
+    "committed",
+)
+_persisted_state = attrgetter(*_PERSISTED)
+
+
+@dataclass(slots=True)
 class CheckpointImage:
     """A complete checkpoint of one process (DMTCP ``.dmtcp`` file model).
 
@@ -207,17 +224,14 @@ class CheckpointImage:
             total += buf.dirty_bytes_since(0)
         return total
 
-    def __getstate__(self) -> dict:
+    def __getstate__(self) -> tuple:
         # Captures reference live process objects; they exist only until
         # commit and must never be serialized with the image.
-        state = dict(self.__dict__)
-        state["region_captures"] = []
-        state["contents_captures"] = []
-        state["unbuilt_capture"] = None
-        state.pop("cut", None)  # runtime handles, never on disk
-        state.pop("forked_writer", None)
-        state.pop("sync_hook", None)  # sanitizer callback, never on disk
-        return state
+        return _persisted_state(self)
+
+    def __setstate__(self, state: tuple) -> None:
+        # The runtime-only fields come back at their defaults.
+        self.__init__(**dict(zip(_PERSISTED, state)))
 
     def export_payload(self) -> bytes:
         """Portable pickled form of *this image alone* (parent stripped).
@@ -243,17 +257,22 @@ class CheckpointImage:
         """Rebuild an image from :meth:`export_payload` bytes, re-linking
         ``parent`` for incremental images. Callers are expected to have
         CRC-verified the payload first (the store's import path does)."""
-        from repro.errors import CheckpointError
-
-        try:
-            image = pickle.loads(payload)
-        except Exception as exc:
-            raise CheckpointError(
-                f"checkpoint payload does not deserialize: {exc!r}"
-            ) from exc
-        if not isinstance(image, cls):
-            raise CheckpointError("payload is not a checkpoint image")
+        image = cls._unpickle(pickle.loads, payload, "payload")
         image.parent = parent
+        return image
+
+    @classmethod
+    def _unpickle(
+        cls, load: Callable[[Any], Any], source: Any, what: str
+    ) -> "CheckpointImage":
+        """``load(source)`` as an image, or :class:`CheckpointError`
+        naming ``what`` when it does not unpickle or is no image."""
+        try:
+            image = load(source)
+        except Exception as exc:
+            raise CheckpointError(f"{what} does not deserialize: {exc!r}") from exc
+        if not isinstance(image, cls):
+            raise CheckpointError(f"{what} is not a checkpoint image")
         return image
 
     def chain(self) -> list["CheckpointImage"]:
@@ -340,11 +359,11 @@ class CheckpointImage:
 
     @classmethod
     def load(cls, path: str | Path) -> "CheckpointImage":
-        """Deserialize and verify integrity; corrupt files are rejected."""
+        """Deserialize and verify integrity. A file that does not unpickle
+        to an image raises :class:`CheckpointError`; one whose contents
+        fail the sealed checksum raises :class:`CorruptCheckpointError`."""
         with Path(path).open("rb") as fh:
-            image = pickle.load(fh)
-        if not isinstance(image, cls):
-            raise ValueError(f"{path} is not a checkpoint image")
+            image = cls._unpickle(pickle.load, fh, str(path))
         if not image.verify():
-            raise ValueError(f"{path}: checksum mismatch (corrupt image)")
+            raise CorruptCheckpointError(f"{path}: checksum mismatch (corrupt image)")
         return image

@@ -168,7 +168,8 @@ class PagedContents:
         return self._dirty.bytes_since(epoch)
 
     def dirty_snapshot(self) -> dict:
-        """Deep copy of only the dirtied byte ranges (a GPU *delta*).
+        """Deep copy of only the dirtied byte ranges (a GPU *delta*), as
+        ``bytes`` spans like :meth:`snapshot`'s.
 
         ``whole=True`` marks a delta that happens to cover the entire
         buffer (e.g. after ``fill``); applying it is equivalent to a full
@@ -182,12 +183,7 @@ class PagedContents:
         return {
             "size": self.size,
             "whole": False,
-            "spans": {
-                lo: np.frombuffer(
-                    self.read_bytes(lo, hi - lo), dtype=np.uint8
-                ).copy()
-                for lo, hi in dirty
-            },
+            "spans": {lo: self.read_bytes(lo, hi - lo) for lo, hi in dirty},
         }
 
     def apply_delta(self, snap: dict) -> None:
@@ -300,21 +296,28 @@ class PagedContents:
         self._mark_dirty(0, self.size)
 
     def snapshot(self) -> dict:
-        """Deep copy for checkpointing."""
+        """Deep copy for checkpointing. Each span is immutable ``bytes``:
+        an image pickles it natively (no array reducer per span), and
+        one snapshot can be restored any number of times."""
         return {
             "size": self.size,
             "fill": self.fill_value,
-            "spans": {s: a.copy() for s, a in self._spans.items()},
+            "spans": {s: a.tobytes() for s, a in self._spans.items()},
         }
 
     def restore(self, snap: dict) -> None:
         """Restore from :meth:`snapshot`; the whole buffer becomes dirty
         (contents were replaced wholesale — callers that restore *to the
-        committed cut's state*, like restart refill, clear it after)."""
+        committed cut's state*, like restart refill, clear it after).
+        Every span is copied into a fresh writable array, so later
+        writes never reach the snapshot."""
         if snap["size"] != self.size:
             raise _program_error("INVALID_VALUE", "snapshot size mismatch")
         self.fill_value = snap["fill"]
-        self._spans = {s: a.copy() for s, a in snap["spans"].items()}
+        self._spans = {
+            s: np.frombuffer(bytearray(b), np.uint8)
+            for s, b in snap["spans"].items()
+        }
         self._mark_dirty(0, self.size)
 
     def equal_contents(self, other: "PagedContents") -> bool:

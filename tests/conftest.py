@@ -75,6 +75,27 @@ def python_calls(fn, *args):
     return result, sum(frames.values())
 
 
+def tracked_objects(fn, *args, **kwargs):
+    """Run ``fn(*args, **kwargs)``; return its result and how many more
+    objects the cycle collector tracks after the call than before it
+    (what the result keeps alive that the collector must traverse).
+
+    The call runs with the collector off (after one collection), so no
+    collection in between untracks or frees anything; its state is
+    restored afterwards."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        result = fn(*args, **kwargs)
+        after = len(gc.get_objects())
+    finally:
+        if was_enabled:
+            gc.enable()
+    return result, after - before
+
+
 def call_breakdown(frames: Counter) -> str:
     """``frames`` one qualified name a line, most-entered first: the
     message of a blown call budget names the frames that blew it."""

@@ -93,7 +93,10 @@ def _code(call, *args):
 def _image(img):
     """Every field of a checkpoint image but its process id (each
     session's process gets a new one)."""
-    return {k: repr(v) for k, v in vars(img).items() if k != "pid"}
+    return {
+        f.name: repr(getattr(img, f.name))
+        for f in dataclasses.fields(img) if f.name != "pid"
+    }
 
 
 def _plain(value):

@@ -81,6 +81,27 @@ class TestChainEquivalence:
         assert session.backend.device_view(dev, 4096).tobytes() == b"\x09" * 4096
 
 
+class TestRestoreCopiesSnapshot:
+    def test_restarting_twice_reads_the_cuts_bytes(self, session):
+        store = CheckpointStore()
+        dev = session.backend.malloc(4096)
+        session.backend.device_view(dev, 4096)[:] = 7
+        base = session.checkpoint(store=store)
+        session.backend.device_view(dev, 256, offset=1024)[:] = 9
+        inc = session.checkpoint(incremental=True, parent=base, store=store)
+        for image in (base, inc):
+            spans = image.blob("crac/buffers")[dev]["snapshot"]["spans"]
+            assert spans and {type(s) for s in spans.values()} == {bytes}
+        full = b"\x07" * 4096
+        for image, want in ((base, full), (inc, full[:1024] + b"\x09" * 256 + full[1280:])):
+            for _ in range(2):
+                session.kill()
+                session.restart(image)
+                assert session.backend.device_view(dev, 4096).tobytes() == want
+                # Writes to the restored buffer must not reach the image.
+                session.backend.device_view(dev, 4096)[:] = 5
+
+
 class TestUidGuard:
     def test_recycled_address_does_not_inherit_stale_bytes(self, session):
         """free(A) then malloc(B) reuses A's arena address. B's delta

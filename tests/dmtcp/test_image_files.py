@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from repro.dmtcp import CheckpointImage, DmtcpCheckpointer
+from repro.errors import CheckpointError, CorruptCheckpointError
 from repro.linux import PAGE_SIZE, SimProcess
 
 
@@ -62,13 +63,19 @@ class TestSaveLoad:
         loaded = pickle.loads(path.read_bytes())
         loaded.regions[0].pages[0] = b"\xff" * PAGE_SIZE
         path.write_bytes(pickle.dumps(loaded))
-        with pytest.raises(ValueError, match="checksum"):
+        with pytest.raises(CorruptCheckpointError, match="checksum"):
             CheckpointImage.load(path)
 
     def test_non_image_file_rejected(self, tmp_path):
         path = tmp_path / "junk.dmtcp"
         path.write_bytes(pickle.dumps({"not": "an image"}))
-        with pytest.raises(ValueError):
+        with pytest.raises(CheckpointError, match="not a checkpoint image"):
+            CheckpointImage.load(path)
+
+    def test_unreadable_file_rejected(self, tmp_path):
+        path = tmp_path / "torn.dmtcp"
+        path.write_bytes(b"not a pickle")
+        with pytest.raises(CheckpointError, match="does not deserialize"):
             CheckpointImage.load(path)
 
     def test_crac_session_image_roundtrips(self, tmp_path):
@@ -85,3 +92,13 @@ class TestSaveLoad:
         session.kill()
         session.restart(loaded)
         assert p in session.runtime.allocations
+
+    def test_pickle_keeps_every_persisted_field(self):
+        proc, a, image = make_image()
+        image.seal()
+        image.record_region_capture(proc.vas.find(a), frozenset({0}), 1)
+        image.sync_hook = print
+        copy = pickle.loads(pickle.dumps(image))
+        # Equality compares every field but the runtime-only ones.
+        assert copy == image and copy.sealed_checksum is not None
+        assert (copy.region_captures, copy.sync_hook) == ([], None)

@@ -3,23 +3,32 @@
 Virtual results are pinned elsewhere (the serve bench suite and
 ``test_scheduler.py``); these tests pin the host side deterministically:
 a shadow ship exports only the generations its buddy lacks, a replaced
-process is freed by reference counting alone, and one park plus one
-rehydration stays within a fixed budget of Python-level calls.
+process is freed by reference counting alone, one park plus one
+rehydration stays within a fixed budget of Python-level calls, and an
+image's pickle round trip leaves the cycle collector little to track.
 """
 
 import weakref
 
+from repro.dmtcp.image import CheckpointImage
 from repro.dmtcp.store import CheckpointStore
 from repro.serve import SessionPool, ServeScheduler
-from tests.conftest import python_calls
+from tests.conftest import python_calls, tracked_objects
 
 #: Python-level calls one request to a parked session may make when it
-#: parks the node's other session and rehydrates this one: 1,043 plus
+#: parks the node's other session and rehydrates this one: 1,041 plus
 #: 5% (2,578 while every ship re-exported the whole chain, the entry
 #: table took 37 writes and placement re-sliced the region list per
 #: probe; 1,702 while every restart loaded the helper again and restore
 #: mapped each chain link's regions one at a time)
-PARK_REHYDRATE_CALL_BUDGET = 1095
+PARK_REHYDRATE_CALL_BUDGET = 1093
+
+#: GC-tracked objects one image's payload round trip may leave beyond
+#: one per region and blob: the image, its region list, blob table and
+#: capture lists, the replay log and its record list, and the dicts of
+#: its buffer table (11 in a serve image; 30 while each record unpickled
+#: an instance ``__dict__`` and each snapshot span a numpy array)
+ROUND_TRIP_TRACKED_EXTRA = 14
 
 
 def make_tier():
@@ -95,3 +104,22 @@ def test_park_plus_rehydrate_stays_within_call_budget():
     assert sched.records["a"].state == "hot"
     assert sched.records["c"].state == "parked"
     assert calls <= PARK_REHYDRATE_CALL_BUDGET, calls
+
+
+def test_image_round_trip_tracks_one_object_per_record():
+    _, sched = make_tier()
+    for sid in ("a", "c") * 2:  # an incremental park on top of the base
+        sched.handle_request(sid)
+    store = sched.records["a"].store
+    image = store.load(store.latest())
+    assert image.incremental
+    payload = image.export_payload()
+    copy, tracked = tracked_objects(
+        CheckpointImage.from_payload, payload, parent=image.parent
+    )
+    assert copy.regions == image.regions
+    assert repr(copy.blobs) == repr(image.blobs)
+    records = [copy, copy.blob("crac/replay-log"), *copy.regions, *copy.blobs.values()]
+    assert [type(r).__name__ for r in records if hasattr(r, "__dict__")] == []
+    per_record = len(copy.regions) + len(copy.blobs)
+    assert tracked <= per_record + ROUND_TRIP_TRACKED_EXTRA, (tracked, per_record)
