@@ -4,6 +4,7 @@ import gc
 import shutil
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,20 @@ def build_machine(gpu="V100", aslr=False, fsgsbase=False, seed=11):
     return proc, loader, device, runtime
 
 
+@contextmanager
+def collector_off():
+    """Run the block with the cycle collector off, after one collection;
+    the collector's state is restored afterwards."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def python_frames(fn, *args, **kwargs):
     """Run ``fn(*args, **kwargs)``; return its result and the Python
     frames it entered per qualified name (every ``"call"`` profile
@@ -55,16 +70,12 @@ def python_frames(fn, *args, **kwargs):
             code = frame.f_code
             frames[getattr(code, "co_qualname", code.co_name)] += 1
 
-    was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        result = fn(*args, **kwargs)
-    finally:
-        sys.setprofile(None)
-        if was_enabled:
-            gc.enable()
+    with collector_off():
+        sys.setprofile(profile)
+        try:
+            result = fn(*args, **kwargs)
+        finally:
+            sys.setprofile(None)
     return result, frames
 
 
@@ -80,19 +91,12 @@ def tracked_objects(fn, *args, **kwargs):
     objects the cycle collector tracks after the call than before it
     (what the result keeps alive that the collector must traverse).
 
-    The call runs with the collector off (after one collection), so no
-    collection in between untracks or frees anything; its state is
-    restored afterwards."""
-    was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
+    The call runs under :func:`collector_off`, so no collection in
+    between untracks or frees anything."""
+    with collector_off():
         before = len(gc.get_objects())
         result = fn(*args, **kwargs)
         after = len(gc.get_objects())
-    finally:
-        if was_enabled:
-            gc.enable()
     return result, after - before
 
 
@@ -145,14 +149,8 @@ def python_lines(fn, *args, exclude=()):
 @pytest.fixture
 def no_cycle_collector():
     """Only reference counting frees objects during the test."""
-    was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
+    with collector_off():
         yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 APP_FATBIN = FatBinary(name="app.fatbin", kernels=("k", "k2", "init_kernel"))
