@@ -19,11 +19,13 @@ Two migration strategies over the same shipping substrate:
   bandwidth.
 
 Shipping is per generation: the source store exports a portable record
-(parent-stripped pickle + payload CRC + per-region CRCs), the
-interconnect may corrupt or drop it, and the destination store
-re-verifies everything on arrival — a corrupt transfer raises
+(parent-stripped pickle + per-region CRCs + one CRC over both), the
+interconnect may corrupt or drop it, and the destination store checks
+that CRC on arrival — a corrupt transfer raises
 :class:`~repro.errors.CorruptCheckpointError` inside the bounded retry
-loop instead of becoming a restorable-looking generation. Every
+loop instead of becoming a restorable-looking generation. The
+destination keeps each record in wire form until a restore reads it,
+and links the chain by its own generation ids. Every
 generation in flight is pinned on the source so keep-N GC cannot evict
 it before the destination acknowledges the import.
 """
@@ -47,7 +49,7 @@ def _ship_record(
     dst_name: str,
     record: dict,
     *,
-    parent: CheckpointImage | None,
+    parent_generation: int | None,
     now_ns: int,
     retries: int,
 ) -> tuple[int, float, int]:
@@ -56,7 +58,9 @@ def _ship_record(
     A ``"drop"`` outcome is discovered at the far end (the transfer
     still occupied the link); a ``"corrupt"`` outcome flips a payload
     byte, which the destination's arrival CRC catches. Both trigger a
-    resend. Returns ``(dst_generation, end_ns, retries_used)``; raises
+    resend. ``parent_generation`` is the destination's id of the record's
+    already-imported parent. Returns ``(dst_generation, end_ns,
+    retries_used)``; raises
     :class:`MigrationError` when the budget is exhausted.
     """
     t = now_ns
@@ -74,7 +78,8 @@ def _ship_record(
             payload = bytes(flipped)
         try:
             gen = dst_store.import_generation(
-                {**record, "payload": payload}, parent=parent
+                {**record, "payload": payload},
+                parent_generation=parent_generation,
             )
         except CorruptCheckpointError:
             used += 1
@@ -109,20 +114,19 @@ def ship_chain(
         raise MigrationError(f"node {src.name!r} has no generation to ship")
     records = src.store.export_chain(gen)
     with src.store.pin_guard(r["generation"] for r in records):
-        by_src: dict[int, CheckpointImage] = {}
+        local: dict[int, int] = {}
         imported: list[int] = []
         t = now_ns
         total_retries = 0
         shipped = 0
         for record in records:
-            parent_src = record["parent_generation"]
-            parent = by_src.get(parent_src) if parent_src is not None else None
             g, t, used = _ship_record(
                 interconnect, src.name, dst.store, dst.name, record,
-                parent=parent, now_ns=t, retries=retries,
+                parent_generation=local.get(record["parent_generation"]),
+                now_ns=t, retries=retries,
             )
             imported.append(g)
-            by_src[record["generation"]] = dst.store.get(g).image
+            local[record["generation"]] = g
             total_retries += used
             shipped += record["size_bytes"]
     return {
@@ -186,7 +190,8 @@ class LiveMigration:
         self.phase = "idle"
         #: background shipping timeline (overlaps app execution)
         self._ship_clock = 0
-        self._by_src: dict[int, CheckpointImage] = {}
+        #: source generation → the destination's generation id
+        self._by_src: dict[int, int] = {}
         self._pinned: list[int] = []
         self._last_image: CheckpointImage | None = None
         self._rounds = 0
@@ -209,15 +214,14 @@ class LiveMigration:
     def _ship(self, src_gen: int) -> tuple[int, float]:
         """Ship one source generation; returns (bytes, wire end_ns)."""
         record = self.src.store.export_generation(src_gen)
-        parent_src = record["parent_generation"]
-        parent = self._by_src.get(parent_src) if parent_src is not None else None
         now = max(self._ship_clock, self.session.process.clock_ns)
         dst_gen, end, used = _ship_record(
             self.interconnect, self.src.name, self.dst.store, self.dst.name,
-            record, parent=parent, now_ns=now, retries=self.retries,
+            record, parent_generation=self._by_src.get(record["parent_generation"]),
+            now_ns=now, retries=self.retries,
         )
         self._ship_clock = end
-        self._by_src[src_gen] = self.dst.store.get(dst_gen).image
+        self._by_src[src_gen] = dst_gen
         self._retries_used += used
         return record["size_bytes"], end
 

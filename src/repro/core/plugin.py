@@ -347,7 +347,7 @@ class CracPlugin(DmtcpPlugin):
             # finish among the recorded allocations made objects since.
             image.unbuilt_capture = RowWatch(runtime, uids)
         buffers: dict[int, dict] = {}
-        captures = image.contents_captures
+        captures = []
         for buf in runtime.built_allocations():
             kind = buf.kind
             is_managed = kind == "managed"
@@ -385,6 +385,8 @@ class CracPlugin(DmtcpPlugin):
             # live buffer only when the image durably commits — and only
             # where no later write superseded them (epoch-bounded).
             captures.append((contents, dirty_spans, contents.write_seq))
+        if captures:
+            image.contents_captures = captures
         cut.charge("stage", transfer_ns(drain_bytes, runtime.device.spec.pcie_bw))
         if tracer is not None:
             tracer.ckpt_span(

@@ -17,7 +17,7 @@ import zlib
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import CheckpointError, CorruptCheckpointError
 from repro.linux.address_space import PAGE_SIZE
@@ -130,15 +130,17 @@ class CheckpointImage:
     #: captured pages/spans, snapshot write epoch) — cleared (only the
     #: captured part, and only where the last write precedes the
     #: snapshot epoch) when the image commits. Runtime-only, never
-    #: pickled.
-    region_captures: list[tuple["MemoryRegion", frozenset[int], int]] = field(
-        default_factory=list, repr=False, compare=False
+    #: pickled. An empty tuple until the first capture is recorded, so
+    #: a committed or unpickled image keeps no empty list for the cycle
+    #: collector to track.
+    region_captures: Sequence[tuple["MemoryRegion", frozenset[int], int]] = field(
+        default=(), repr=False, compare=False
     )
     #: GPU buffers: the :class:`PagedContents` of each buffer that built
     #: its contents (a never-built one is watched by ``unbuilt_capture``)
-    contents_captures: list[
+    contents_captures: Sequence[
         tuple["PagedContents", tuple[tuple[int, int], ...], int]
-    ] = field(default_factory=list, repr=False, compare=False)
+    ] = field(default=(), repr=False, compare=False)
     #: the never-built allocations of a background cut, watched as they
     #: become objects (see ``built_since_cut``). Runtime-only.
     unbuilt_capture: "RowWatch | None" = field(
@@ -165,6 +167,8 @@ class CheckpointImage:
     ) -> None:
         """Remember which dirty pages of ``region`` this image captured,
         and the region's write epoch at snapshot time."""
+        if not self.region_captures:
+            self.region_captures = []
         self.region_captures.append((region, pages, epoch))
 
     def mark_committed(self) -> None:
@@ -194,8 +198,8 @@ class CheckpointImage:
     def drop_captures(self) -> None:
         """Forget the live dirty state this image captured (at commit, or
         when its write is abandoned)."""
-        self.region_captures = []
-        self.contents_captures = []
+        self.region_captures = ()
+        self.contents_captures = ()
         if self.unbuilt_capture is not None:
             self.unbuilt_capture.close()
             self.unbuilt_capture = None

@@ -23,10 +23,20 @@ lifecycle:
   in-flight migration.
 - **Portability.** :meth:`export_generation` turns a committed
   generation into a host-independent wire record (parent-stripped
-  pickle + payload CRC + the per-region CRCs recorded at stage time);
-  :meth:`import_generation` re-verifies everything on arrival and
-  registers the image as a local generation that passes :meth:`verify`
-  and restores unchanged.
+  pickle + the per-region CRCs recorded at stage time + one CRC over
+  both); :meth:`import_generation` checks that CRC on arrival and keeps
+  the record in wire form. A shadow replica is read only when its
+  session fails over, so the image is built the first time the entry is
+  fetched (:meth:`get`, hence :meth:`load`, :meth:`verify` and export):
+  the CRC is checked again, the parent is re-linked, and the payload is
+  dropped. :meth:`load` then re-checksums every region against the
+  source's CRCs before a restore reads a byte.
+- **Chains link by generation id.** Each entry names the nearest
+  ancestor this store holds (``parent_generation``): ``commit`` finds it
+  once by walking the image's parents, an import takes it from the
+  caller. Verification, export and GC follow those ids and never need
+  an entry's image, so a wire-form generation stays unbuilt through
+  every later commit's GC.
 """
 
 from __future__ import annotations
@@ -63,18 +73,33 @@ class StagedCheckpoint:
         return len(self.checksums)
 
 
-@dataclass
+def _wire_crc(payload: bytes, checksums: dict[int, int]) -> int:
+    """The CRC a wire record carries: over its payload, then over its
+    per-region CRCs, so a record whose region CRCs were altered in
+    transit fails at arrival like one whose bytes were."""
+    return zlib.crc32(str(sorted(checksums.items())).encode(), zlib.crc32(payload))
+
+
+@dataclass(slots=True)
 class StoredGeneration:
-    """One committed generation (phase 2 made it visible)."""
+    """One committed generation (phase 2 made it visible).
+
+    ``parent_generation`` is the local id of the nearest ancestor this
+    store holds (``None`` for a base image, or a chain whose older links
+    live in another store). An imported generation is kept in wire form:
+    ``image`` stays ``None`` and ``payload`` holds the CRC-checked bytes
+    until :meth:`CheckpointStore.get` first builds the image. The entry
+    holds no reference to its store, so a dropped store is freed by
+    reference counting alone.
+    """
 
     generation: int
-    image: CheckpointImage
+    image: CheckpointImage | None
     checksums: dict[int, int]
-    committed_at_ns: int
-
-    @property
-    def size_bytes(self) -> int:
-        return self.image.size_bytes
+    size_bytes: int
+    parent_generation: int | None = None
+    payload: bytes | None = None
+    payload_crc: int = 0
 
 
 class CheckpointStore:
@@ -174,7 +199,8 @@ class CheckpointStore:
             generation=gen,
             image=staged.image,
             checksums=dict(staged.checksums),
-            committed_at_ns=staged.image.created_at_ns,
+            size_bytes=staged.image.size_bytes,
+            parent_generation=self._held_ancestor(staged.image),
         )
         # The image is durable now — this is the one point where the live
         # process's dirty tracking (captured at snapshot time) may be
@@ -183,6 +209,16 @@ class CheckpointStore:
         staged.image.mark_committed()
         self.gc()
         return gen
+
+    def _held_ancestor(self, image: CheckpointImage) -> int | None:
+        """Local id of ``image``'s nearest ancestor this store holds."""
+        parent = image.parent
+        while parent is not None:
+            for gen, entry in self._generations.items():
+                if entry.image is parent:
+                    return gen
+            parent = parent.parent
+        return None
 
     def put(self, image: CheckpointImage) -> int:
         """Stage + commit in one call (the common single-rank path).
@@ -205,14 +241,44 @@ class CheckpointStore:
         return max(self._generations) if self._generations else None
 
     def get(self, generation: int) -> StoredGeneration:
-        """Fetch a committed generation's entry (no integrity check)."""
+        """Fetch a committed generation's entry, its image built.
+
+        A wire-form entry is built here, once: its payload must still
+        match the CRC it arrived with (else
+        :class:`CorruptCheckpointError`), its parent is re-linked by id
+        and the payload is dropped. The regions are not re-checksummed;
+        :meth:`load` does that."""
         entry = self._generations.get(generation)
         if entry is None:
-            raise CheckpointStoreError(
-                f"generation {generation} is not in the store "
-                f"(have {self.generations})"
-            )
+            raise self._missing(generation)
+        if entry.image is None:
+            self._build(entry)
         return entry
+
+    def _missing(self, generation: int) -> CheckpointStoreError:
+        return CheckpointStoreError(
+            f"generation {generation} is not in the store "
+            f"(have {self.generations})"
+        )
+
+    def _build(self, entry: StoredGeneration) -> None:
+        """Turn a wire-form entry into an image linked to its parent."""
+        payload = entry.payload
+        if _wire_crc(payload, entry.checksums) != entry.payload_crc:
+            raise CorruptCheckpointError(
+                f"generation {entry.generation}: stored payload failed its "
+                "CRC (bytes corrupted since arrival)"
+            )
+        parent_gen = entry.parent_generation
+        parent = None if parent_gen is None else self.get(parent_gen).image
+        image = CheckpointImage.from_payload(payload, parent=parent)
+        if image.incremental and parent is None:
+            raise CorruptCheckpointError(
+                f"generation {entry.generation}: an incremental image "
+                "arrived as a base"
+            )
+        entry.image = image
+        entry.payload = None
 
     def iter_restore_candidates(self) -> Iterator[int]:
         """Generations to try at restore, newest first."""
@@ -223,15 +289,16 @@ class CheckpointStore:
     def chain_generations(self, generation: int) -> list[int]:
         """Ids of ``generation``'s restore chain held by this store, base
         first (ancestors that predate the store are left out)."""
-        return self._chain_ids(generation, self._owners())
-
-    def _owners(self) -> dict[int, int]:
-        """``id(image)`` → generation id, over every committed generation."""
-        return {id(e.image): g for g, e in self._generations.items()}
-
-    def _chain_ids(self, generation: int, owners: dict[int, int]) -> list[int]:
-        chain = self.get(generation).image.chain()
-        return [owners[id(img)] for img in chain if id(img) in owners]
+        entry = self._generations.get(generation)
+        if entry is None:
+            raise self._missing(generation)
+        ids = [generation]
+        parent = entry.parent_generation
+        while parent is not None:
+            ids.append(parent)
+            parent = self._generations[parent].parent_generation
+        ids.reverse()
+        return ids
 
     def verify(self, generation: int) -> None:
         """Re-checksum every region of ``generation`` (and of every
@@ -326,15 +393,15 @@ class CheckpointStore:
         generation per record, re-linked at import by
         ``parent_generation``), runtime-only capture state never
         serializes (``CheckpointImage.__getstate__``), and integrity
-        travels with the bytes — a CRC over the whole payload plus the
-        per-region CRCs recorded when the generation was staged. The
+        travels with the bytes — the per-region CRCs recorded when the
+        generation was staged, and one CRC over the payload and them. The
         generation's own regions are verified before export, so rot on
         the source node is caught here, not attributed to the wire; its
         ancestors ship as records of their own and are verified when
         they are exported.
         """
         self._verify_own(generation)
-        return self._record(generation, self._owners())
+        return self._record(generation)
 
     def export_chain(self, generation: int) -> list[dict]:
         """Export ``generation`` plus every chain ancestor held by this
@@ -357,74 +424,79 @@ class CheckpointStore:
         record is built before the caller ships any of them.
         """
         self.verify(generation)
-        owners = self._owners()
         return [
-            self._record(gen, owners)
-            for gen in self._chain_ids(generation, owners)
+            self._record(gen)
+            for gen in self.chain_generations(generation)
             if gen not in present
         ]
 
-    def _record(self, generation: int, owners: dict[int, int]) -> dict:
+    def _record(self, generation: int) -> dict:
         """The wire record of an already-verified generation."""
         entry = self.get(generation)
-        payload = entry.image.export_payload()
-        parent = entry.image.parent
-        parent_gen = owners.get(id(parent)) if parent is not None else None
+        image = entry.image
+        payload = image.export_payload()
+        parent_gen = entry.parent_generation
+        if (
+            parent_gen is not None
+            and image.parent is not self._generations[parent_gen].image
+        ):
+            # The direct parent lives in another store: a record linked
+            # past it would restore without that link's pages.
+            parent_gen = None
+        checksums = {int(i): int(c) for i, c in sorted(entry.checksums.items())}
         return {
             "generation": entry.generation,
             "parent_generation": parent_gen,
-            "incremental": entry.image.incremental,
+            "incremental": image.incremental,
             "payload": payload,
-            "payload_crc": zlib.crc32(payload),
-            "checksums": {
-                int(i): int(c) for i, c in sorted(entry.checksums.items())
-            },
+            "payload_crc": _wire_crc(payload, checksums),
+            "checksums": checksums,
             "size_bytes": entry.size_bytes,
         }
 
     def import_generation(
-        self, record: dict, *, parent: CheckpointImage | None = None
+        self, record: dict, *, parent_generation: int | None = None
     ) -> int:
         """Register an exported generation in *this* store (arrival side).
 
-        Re-verifies integrity end to end before anything is admitted:
-        the payload CRC catches bytes flipped on the wire, and after
-        unpickling every region is re-checksummed against the CRCs the
-        *source* store recorded at stage time — so a corrupt transfer
-        raises :class:`CorruptCheckpointError` instead of becoming a
-        restorable-looking generation. ``parent`` re-links an
-        incremental image to its already-imported ancestor. Returns the
-        new local generation id.
+        The record's CRC covers its payload and the per-region CRCs the
+        *source* store recorded at stage time, so bytes or CRCs altered
+        on the wire raise :class:`CorruptCheckpointError` here instead of
+        becoming a restorable-looking generation. The record is kept in
+        wire form: no image is built until the entry is first fetched
+        (:meth:`get`), and :meth:`load` re-checksums every region before
+        a restore reads it. ``parent_generation`` is the local id of the
+        already-imported parent an incremental record links to. Returns
+        the new local generation id.
         """
         payload = record["payload"]
-        if zlib.crc32(payload) != record["payload_crc"]:
+        checksums = {
+            int(i): int(c) for i, c in sorted(record["checksums"].items())
+        }
+        if _wire_crc(payload, checksums) != record["payload_crc"]:
             raise CorruptCheckpointError(
                 f"imported generation {record['generation']}: payload CRC "
                 "mismatch (bytes corrupted in transit)"
             )
-        image = CheckpointImage.from_payload(payload, parent=parent)
-        checksums = {
-            int(i): int(c) for i, c in sorted(record["checksums"].items())
-        }
-        for idx, region in enumerate(image.regions):
-            want = checksums.get(idx)
-            if want is None or region.checksum() != want:
-                raise CorruptCheckpointError(
-                    f"imported generation {record['generation']}: region "
-                    f"{idx} @{region.start:#x} failed arrival re-verification"
+        if parent_generation is None:
+            if record["incremental"]:
+                raise CheckpointStoreError(
+                    f"generation {record['generation']} is incremental — "
+                    "import its parent first and pass its id as "
+                    "parent_generation="
                 )
-        if image.incremental and parent is None:
-            raise CheckpointStoreError(
-                f"generation {record['generation']} is incremental — import "
-                "its parent first and pass it as parent="
-            )
+        elif parent_generation not in self._generations:
+            raise self._missing(parent_generation)
         gen = self._next_generation
         self._next_generation += 1
         self._generations[gen] = StoredGeneration(
             generation=gen,
-            image=image,
+            image=None,
             checksums=checksums,
-            committed_at_ns=image.created_at_ns,
+            size_bytes=record["size_bytes"],
+            parent_generation=parent_generation,
+            payload=payload,
+            payload_crc=record["payload_crc"],
         )
         self.gc()
         return gen
@@ -432,13 +504,13 @@ class CheckpointStore:
     def import_chain(self, records: list[dict]) -> list[int]:
         """Import an exported chain (base first); re-links parents by the
         records' ``parent_generation`` ids. Returns the new local ids."""
-        by_src_gen: dict[int, CheckpointImage] = {}
+        local: dict[int, int] = {}
         imported: list[int] = []
         for record in records:
-            parent_src = record.get("parent_generation")
-            parent = by_src_gen.get(parent_src) if parent_src is not None else None
-            gen = self.import_generation(record, parent=parent)
-            by_src_gen[record["generation"]] = self._generations[gen].image
+            gen = self.import_generation(
+                record, parent_generation=local.get(record["parent_generation"])
+            )
+            local[record["generation"]] = gen
             imported.append(gen)
         return imported
 
@@ -448,13 +520,16 @@ class CheckpointStore:
         """Generations that must survive GC: the newest ``keep_generations``
         plus every pinned (in-flight) generation, plus every ancestor a
         retained incremental chain still parents."""
-        newest = sorted(self._generations, reverse=True)[: self.keep_generations]
-        owners = self._owners()
+        generations = self._generations
+        newest = sorted(generations, reverse=True)[: self.keep_generations]
         roots = set(newest)
-        roots.update(g for g in self._pins if g in self._generations)
+        roots.update(g for g in self._pins if g in generations)
         keep = set(roots)
         for gen in roots:
-            keep.update(self._chain_ids(gen, owners))
+            parent = generations[gen].parent_generation
+            while parent is not None and parent not in keep:
+                keep.add(parent)
+                parent = generations[parent].parent_generation
         return keep
 
     def gc(self) -> list[int]:

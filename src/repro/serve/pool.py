@@ -15,7 +15,7 @@ would restore each other's cuts. Each node therefore hosts:
 buddy node's shadow store over the shared
 :class:`~repro.cluster.interconnect.Interconnect`, reusing the cluster
 layer's :func:`~repro.cluster.migration._ship_record` retry loop (CRC
-re-verified on arrival, bounded resends) under a
+checked on arrival, bounded resends) under a
 :meth:`~repro.dmtcp.store.CheckpointStore.pin_guard` so an abandoned
 shipment can never wedge the primary's keep-N GC. Only generations the
 shadow lacks are exported at all (incremental deltas ride on their
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from repro.cluster.interconnect import Interconnect
 from repro.cluster.migration import _ship_record
-from repro.dmtcp.image import CheckpointImage
 from repro.dmtcp.store import CheckpointStore
 from repro.errors import CheckpointStoreError, ClusterError, NodeDeathError
 
@@ -100,8 +99,8 @@ class SessionPool:
         self.interconnect = interconnect or Interconnect(seed=seed)
         self.seed = seed
         self.ship_retries = ship_retries
-        #: (sid, dst node name) → {"src": primary store, "images":
-        #: {src generation → imported dst image}} — the parent-linking
+        #: (sid, dst node name) → {"src": primary store, "generations":
+        #: {src generation → local dst generation}} — the parent-linking
         #: map incremental deltas need at import. Reset whenever the
         #: session's primary store changes identity (failover), since
         #: generation ids from the old store must not alias the new one.
@@ -177,7 +176,8 @@ class SessionPool:
         its parent): a park after the first costs one export, not a
         re-export of the whole chain. Each exported generation is
         verified with its whole chain on the source, before anything
-        ships, and re-verified on arrival. The batch stays pinned on
+        ships, and its CRC is checked on arrival; the shadow keeps it in
+        wire form until a failover reads it. The batch stays pinned on
         the source for the duration. After a
         successful ship, ``sid``'s shadows on every *other* node are
         dropped: a parked session has no live memory to reconcile from,
@@ -201,23 +201,20 @@ class SessionPool:
         key = (sid, dst.name)
         state = self._ship_maps.get(key)
         if state is None or state["src"] is not src_store:
-            state = self._ship_maps[key] = {"src": src_store, "images": {}}
-        images: dict[int, CheckpointImage] = state["images"]
-        records = src_store.export_missing(latest, images)
+            state = self._ship_maps[key] = {"src": src_store, "generations": {}}
+        local: dict[int, int] = state["generations"]
+        records = src_store.export_missing(latest, local)
         t = now_ns
         nbytes = 0
         retries = 0
         with src_store.pin_guard(r["generation"] for r in records):
             for record in records:
-                parent_src = record["parent_generation"]
-                parent = (
-                    images.get(parent_src) if parent_src is not None else None
-                )
                 gen, t, used = _ship_record(
                     self.interconnect, src_name, shadow, dst.name, record,
-                    parent=parent, now_ns=t, retries=self.ship_retries,
+                    parent_generation=local.get(record["parent_generation"]),
+                    now_ns=t, retries=self.ship_retries,
                 )
-                images[record["generation"]] = shadow.get(gen).image
+                local[record["generation"]] = gen
                 nbytes += record["size_bytes"]
                 retries += used
         for other in self.nodes:

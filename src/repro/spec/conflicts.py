@@ -61,8 +61,9 @@ def detect_conflicts(image, handle_table=None) -> list[Conflict]:
     # inside the window. The replayed span set is exactly the dirty
     # bytes stamped with a later epoch.
     # A buffer never built at the cut has epoch 0.
-    captures = image.contents_captures + [
-        (buf, (), 0) for buf in image.built_since_cut()
+    captures = [
+        *image.contents_captures,
+        *((buf, (), 0) for buf in image.built_since_cut()),
     ]
     for contents, _spans, epoch in captures:
         if contents.write_seq > epoch:

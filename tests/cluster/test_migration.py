@@ -13,6 +13,7 @@ from repro.core.session import CracSession
 from repro.cuda.api import FatBinary
 from repro.dmtcp.image import SavedRegion
 from repro.errors import ClusterError, MigrationError, NodeDeathError
+from tests.conftest import counted_calls
 
 FB = FatBinary("migrate.fatbin", ("mutate",))
 N = 64
@@ -87,22 +88,16 @@ class TestLiveMigration:
             session, src, dst, interconnect=Interconnect(seed=1), job="job"
         )
         exported, checked = [], []
-        checksum = SavedRegion.checksum
         export = src.store.export_generation
-
-        def counting_checksum(region):
-            checked.append(region)
-            return checksum(region)
 
         def export_generation(generation):
             # count the checksums of the export alone, not of the
-            # cut's staging or the destination's import
+            # cut's staging or the destination's restore
             exported.append(generation)
-            monkeypatch.setattr(SavedRegion, "checksum", counting_checksum)
-            try:
-                return export(generation)
-            finally:
-                monkeypatch.setattr(SavedRegion, "checksum", checksum)
+            with counted_calls(SavedRegion, "checksum") as calls:
+                record = export(generation)
+            checked.extend(region for (region,) in calls)
+            return record
 
         monkeypatch.setattr(src.store, "export_generation", export_generation)
         mig.begin()

@@ -54,6 +54,23 @@ def collector_off():
             gc.enable()
 
 
+@contextmanager
+def counted_calls(owner, name):
+    """Count the calls to ``owner.<name>`` made inside the block: yields
+    a list that gets each call's positional arguments. The attribute is
+    restored afterwards (a classmethod or staticmethod included)."""
+    calls: list[tuple] = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(owner, name, counting)
+        yield calls
+
+
 def python_frames(fn, *args, **kwargs):
     """Run ``fn(*args, **kwargs)``; return its result and the Python
     frames it entered per qualified name (every ``"call"`` profile

@@ -101,4 +101,4 @@ class TestSaveLoad:
         copy = pickle.loads(pickle.dumps(image))
         # Equality compares every field but the runtime-only ones.
         assert copy == image and copy.sealed_checksum is not None
-        assert (copy.region_captures, copy.sync_hook) == ([], None)
+        assert (copy.region_captures, copy.sync_hook) == ((), None)

@@ -38,7 +38,7 @@ class ReferencePlugin(CracPlugin):
         buffers: dict[int, dict] = {}
         drain_bytes = 0
         image_bytes_total = 0
-        captures = image.contents_captures
+        captures = []
         for buf in runtime.active_allocations():
             is_managed = isinstance(buf, ManagedBuffer)
             if not is_managed and buf.unbuilt is not None:  # never built
@@ -79,6 +79,7 @@ class ReferencePlugin(CracPlugin):
             image_bytes_total += entry["image_bytes"]
             buffers[buf.addr] = entry
             captures.append((contents, dirty_spans, contents.write_seq))
+        image.contents_captures = captures
         image.cut.charge(
             "stage", transfer_ns(drain_bytes, runtime.device.spec.pcie_bw)
         )

@@ -9,6 +9,7 @@ from repro.cuda.api import FatBinary
 from repro.dmtcp.image import CheckpointImage, SavedRegion
 from repro.dmtcp.store import CheckpointStore
 from repro.errors import CheckpointStoreError, CorruptCheckpointError
+from tests.conftest import counted_calls
 
 FB = FatBinary("portable.fatbin", ("mutate",))
 N = 64
@@ -157,24 +158,17 @@ def flip_first_byte(image):
 
 
 class TestChainExport:
-    def test_export_chain_checksums_each_region_once(self, monkeypatch):
+    def test_export_chain_checksums_each_region_once(self):
         a = CheckpointStore()
         three_long_chain(a)
         latest = a.latest()
         assert a.chain_generations(latest) == a.generations == [1, 2, 3]
-        checked = []
-        original = SavedRegion.checksum
-
-        def counting_checksum(region):
-            checked.append(region)
-            return original(region)
-
-        monkeypatch.setattr(SavedRegion, "checksum", counting_checksum)
-        records = a.export_chain(latest)
+        with counted_calls(SavedRegion, "checksum") as calls:
+            records = a.export_chain(latest)
+        checked = [region for (region,) in calls]
         regions = [r for g in a.generations for r in a.get(g).image.regions]
         assert len(checked) == len(regions)
         assert {id(r) for r in checked} == {id(r) for r in regions}
-        monkeypatch.undo()
         assert [r["generation"] for r in records] == [1, 2, 3]
         assert records == [a.export_generation(g) for g in a.generations]
 
@@ -250,4 +244,67 @@ class TestPins:
         a.gc()
         assert first not in a.generations
         assert a.pinned() == []
+        session.kill()
+
+
+class TestWireForm:
+    def test_flipped_stored_payload_fails_load_and_restart_falls_back(self):
+        a, b = CheckpointStore(), CheckpointStore()
+        session = three_long_chain(a)
+        assert b.import_chain(a.export_chain(a.latest())) == [1, 2, 3]
+        entry = b._generations[3]  # still in wire form: no image built
+        assert entry.image is None
+        flipped = bytearray(entry.payload)
+        flipped[len(flipped) // 2] ^= 0xFF
+        entry.payload = bytes(flipped)
+        with pytest.raises(CorruptCheckpointError, match="generation 3"):
+            b.load()
+        report = session.restart_latest(b)
+        assert report.generation == 2
+        assert [(t.generation, t.succeeded) for t in report.attempts] == [
+            (3, False), (2, True),
+        ]
+        session.kill()
+
+
+def owned_chain(store, generation):
+    """``generation``'s restore chain by its images: ``image.chain()``
+    filtered to the images ``store`` holds, as local ids."""
+    owners = {id(store.get(g).image): g for g in store.generations}
+    chain = store.get(generation).image.chain()
+    return [owners[id(img)] for img in chain if id(img) in owners]
+
+
+class TestChainLinks:
+    def test_a_chain_crossing_stores_links_like_its_images(self):
+        x = CheckpointStore()
+        y, z = CheckpointStore(keep_generations=1), CheckpointStore(keep_generations=1)
+        session, ptr = make_session()
+        bump(session, ptr)
+        base = session.checkpoint(store=x)
+        # Two deltas on x's base go to y: y's chain starts past its base.
+        bump(session, ptr)
+        inc = session.checkpoint(store=y, incremental=True, parent=base)
+        bump(session, ptr)
+        session.checkpoint(store=y, incremental=True, parent=inc)
+        # A failover: x's chain lands in z, which restores from it and
+        # goes on cutting deltas on the imported image.
+        z.import_chain(x.export_chain(x.latest()))
+        session.kill()
+        session.restart_latest(z)
+        for _ in range(2):
+            bump(session, ptr)
+            session.checkpoint(
+                store=z, incremental=True, parent=z.get(z.latest()).image
+            )
+        for store, want in ((y, [1, 2]), (z, [1, 2, 3])):
+            assert store.chain_generations(store.latest()) == want
+            for gen in store.generations:
+                assert store.chain_generations(gen) == owned_chain(store, gen)
+        # keep-1 GC keeps exactly the newest generation's chain.
+        bump(session, ptr)
+        session.checkpoint(store=y)  # a new base on y: its old chain goes
+        session.checkpoint(store=z, incremental=True, parent=z.get(z.latest()).image)
+        assert y.generations == owned_chain(y, y.latest()) == [3]
+        assert z.generations == owned_chain(z, z.latest()) == [1, 2, 3, 4]
         session.kill()

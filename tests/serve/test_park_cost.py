@@ -2,7 +2,8 @@
 
 Virtual results are pinned elsewhere (the serve bench suite and
 ``test_scheduler.py``); these tests pin the host side deterministically:
-a shadow ship exports only the generations its buddy lacks, a replaced
+a shadow ship exports only the generations its buddy lacks and builds
+no image there until a load reads the shadow, a replaced
 process is freed by reference counting alone, one park plus one
 rehydration stays within a fixed budget of Python-level calls, and an
 image's pickle round trip leaves the cycle collector little to track.
@@ -13,22 +14,24 @@ import weakref
 from repro.dmtcp.image import CheckpointImage
 from repro.dmtcp.store import CheckpointStore
 from repro.serve import SessionPool, ServeScheduler
-from tests.conftest import python_calls, tracked_objects
+from tests.conftest import counted_calls, python_calls, tracked_objects
 
 #: Python-level calls one request to a parked session may make when it
-#: parks the node's other session and rehydrates this one: 1,041 plus
+#: parks the node's other session and rehydrates this one: 973 plus
 #: 5% (2,578 while every ship re-exported the whole chain, the entry
 #: table took 37 writes and placement re-sliced the region list per
 #: probe; 1,702 while every restart loaded the helper again and restore
-#: mapped each chain link's regions one at a time)
-PARK_REHYDRATE_CALL_BUDGET = 1093
+#: mapped each chain link's regions one at a time; 1,040 while every
+#: shadow import unpickled its record and re-checksummed each region)
+PARK_REHYDRATE_CALL_BUDGET = 1021
 
 #: GC-tracked objects one image's payload round trip may leave beyond
-#: one per region and blob: the image, its region list, blob table and
-#: capture lists, the replay log and its record list, and the dicts of
-#: its buffer table (11 in a serve image; 30 while each record unpickled
-#: an instance ``__dict__`` and each snapshot span a numpy array)
-ROUND_TRIP_TRACKED_EXTRA = 14
+#: one per region and blob: the image, its region list and blob table,
+#: the replay log and its record list, and the dicts of its buffer table
+#: (11 in a serve image; 13 while an image kept two empty capture lists,
+#: 30 while each record unpickled an instance ``__dict__`` and each
+#: snapshot span a numpy array)
+ROUND_TRIP_TRACKED_EXTRA = 12
 
 
 def make_tier():
@@ -51,9 +54,9 @@ def test_parks_export_each_new_generation_once(monkeypatch):
     exported = []
     original = CheckpointStore._record
 
-    def counting_record(self, generation, owners):
+    def counting_record(self, generation):
         exported.append((id(self), generation))
-        return original(self, generation, owners)
+        return original(self, generation)
 
     monkeypatch.setattr(CheckpointStore, "_record", counting_record)
     for sid in ("a", "c") * 6:
@@ -79,6 +82,27 @@ def test_parks_export_each_new_generation_once(monkeypatch):
         "serve0": {"b": [1]},
         "serve1": {"a": [1, 2, 3, 4, 5, 6, 7, 8], "c": [1, 2, 3, 4, 5, 6, 7]},
     }
+
+
+def test_a_ship_builds_no_image_until_a_load_reads_the_shadow():
+    pool, sched = make_tier()
+    for sid in ("a", "c") * 2:  # warm: incremental parks on both
+        sched.handle_request(sid)
+    with counted_calls(CheckpointImage, "from_payload") as built:
+        sched.handle_request("a")  # parks c: ships its newest link
+    c = sched.records["c"]
+    assert c.state == "parked"
+    assert built == []
+    shadow = pool.buddy(c.node).shadows["c"]
+    chain = shadow.chain_generations(shadow.latest())
+    assert len(chain) > 1
+    with counted_calls(CheckpointImage, "from_payload") as built:
+        image = shadow.load()
+    assert len(built) == len(chain)
+    assert len(image.chain()) == len(chain)
+    with counted_calls(CheckpointImage, "from_payload") as built:
+        assert shadow.load() is image
+    assert built == []
 
 
 def test_rehydrate_frees_the_parked_process(no_cycle_collector):
