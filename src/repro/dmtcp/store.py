@@ -76,8 +76,9 @@ class StagedCheckpoint:
 def _wire_crc(payload: bytes, checksums: dict[int, int]) -> int:
     """The CRC a wire record carries: over its payload, then over its
     per-region CRCs, so a record whose region CRCs were altered in
-    transit fails at arrival like one whose bytes were."""
-    return zlib.crc32(str(sorted(checksums.items())).encode(), zlib.crc32(payload))
+    transit fails at arrival like one whose bytes were. ``checksums``
+    is keyed in region order, as every store keeps it."""
+    return zlib.crc32(str(checksums).encode(), zlib.crc32(payload))
 
 
 @dataclass(slots=True)
@@ -443,7 +444,7 @@ class CheckpointStore:
             # The direct parent lives in another store: a record linked
             # past it would restore without that link's pages.
             parent_gen = None
-        checksums = {int(i): int(c) for i, c in sorted(entry.checksums.items())}
+        checksums = dict(entry.checksums)  # already in region order
         return {
             "generation": entry.generation,
             "parent_generation": parent_gen,

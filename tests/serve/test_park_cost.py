@@ -17,13 +17,13 @@ from repro.serve import SessionPool, ServeScheduler
 from tests.conftest import counted_calls, python_calls, tracked_objects
 
 #: Python-level calls one request to a parked session may make when it
-#: parks the node's other session and rehydrates this one: 973 plus
+#: parks the node's other session and rehydrates this one: 972 plus
 #: 5% (2,578 while every ship re-exported the whole chain, the entry
 #: table took 37 writes and placement re-sliced the region list per
 #: probe; 1,702 while every restart loaded the helper again and restore
 #: mapped each chain link's regions one at a time; 1,040 while every
 #: shadow import unpickled its record and re-checksummed each region)
-PARK_REHYDRATE_CALL_BUDGET = 1021
+PARK_REHYDRATE_CALL_BUDGET = 1020
 
 #: GC-tracked objects one image's payload round trip may leave beyond
 #: one per region and blob: the image, its region list and blob table,
