@@ -257,7 +257,10 @@ class TestWireForm:
         flipped = bytearray(entry.payload)
         flipped[len(flipped) // 2] ^= 0xFF
         entry.payload = bytes(flipped)
-        with pytest.raises(CorruptCheckpointError, match="generation 3"):
+        # The CRC, not unpickling or a region checksum, rejects it.
+        with pytest.raises(
+            CorruptCheckpointError, match="generation 3: stored payload"
+        ):
             b.load()
         report = session.restart_latest(b)
         assert report.generation == 2
@@ -278,7 +281,8 @@ def owned_chain(store, generation):
 class TestChainLinks:
     def test_a_chain_crossing_stores_links_like_its_images(self):
         x = CheckpointStore()
-        y, z = CheckpointStore(keep_generations=1), CheckpointStore(keep_generations=1)
+        y = CheckpointStore(keep_generations=1)
+        z = CheckpointStore(keep_generations=1)
         session, ptr = make_session()
         bump(session, ptr)
         base = session.checkpoint(store=x)
@@ -304,7 +308,9 @@ class TestChainLinks:
         # keep-1 GC keeps exactly the newest generation's chain.
         bump(session, ptr)
         session.checkpoint(store=y)  # a new base on y: its old chain goes
-        session.checkpoint(store=z, incremental=True, parent=z.get(z.latest()).image)
+        session.checkpoint(
+            store=z, incremental=True, parent=z.get(z.latest()).image
+        )
         assert y.generations == owned_chain(y, y.latest()) == [3]
         assert z.generations == owned_chain(z, z.latest()) == [1, 2, 3, 4]
         session.kill()

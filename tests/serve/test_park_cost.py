@@ -11,6 +11,8 @@ image's pickle round trip leaves the cycle collector little to track.
 
 import weakref
 
+import pytest
+
 from repro.dmtcp.image import CheckpointImage
 from repro.dmtcp.store import CheckpointStore
 from repro.serve import SessionPool, ServeScheduler
@@ -103,6 +105,21 @@ def test_a_ship_builds_no_image_until_a_load_reads_the_shadow():
     with counted_calls(CheckpointImage, "from_payload") as built:
         assert shadow.load() is image
     assert built == []
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+def test_a_dropped_shadow_is_freed_by_reference_counting(
+    no_cycle_collector, loaded
+):
+    pool, _ = make_tier()
+    node = pool.shadow_home("a")
+    shadow = node.shadows["a"]
+    if loaded:  # its images built, each linked to its parent
+        shadow.load()
+    ref = weakref.ref(shadow)
+    del shadow
+    pool.drop_shadow("a", node)
+    assert ref() is None
 
 
 def test_rehydrate_frees_the_parked_process(no_cycle_collector):
